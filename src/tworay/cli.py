@@ -16,7 +16,7 @@ from .quiver import build_quiver, build_relations, relations_to_json
 from .strings import WordCalculus
 from .string_modules import StringModules, check_relations
 from .algebra import AlgebraBasis
-from .homlab import ArVerifier, is_indecomposable, IndecVerdict
+from .homlab import ArVerifier, IndecVerdict
 from .vsc import hom_pattern_of_functor, i_lemma_vertices
 
 
@@ -153,7 +153,11 @@ def main(argv=None) -> int:
                "strings": items, "bands": bands})
         return 0
 
-    field = PrimeField(getattr(args, "field", 32003))
+    try:
+        field = PrimeField(getattr(args, "field", 32003))
+    except ValueError as exc:
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
+        return 2
     modules = StringModules(calc, field)
 
     if args.cmd in ("classify", "verify"):
@@ -196,7 +200,7 @@ def main(argv=None) -> int:
     if args.cmd == "verify":
         ver = ArVerifier(modules, algebra, lam)
         report = ver.verify(args.max_dim, jobs=_threads(args))
-        inv = modules.theorem_inventory(args.max_dim, lam)
+        inv = ver.inventory
         inventory_replayed = None
         if args.from_inventory:
             with open(args.from_inventory) as fh:
@@ -210,7 +214,7 @@ def main(argv=None) -> int:
         for e in inv:
             if check_relations(e.rep, relations):
                 relation_failures.append(repr(e.key))
-            verdict = is_indecomposable(e.rep)
+            verdict = ver.atom_indec(e.key)
             if verdict.status != IndecVerdict.LOCAL:
                 indec_failures.append((repr(e.key), verdict.status))
         lemma_len = args.lemma_len if args.lemma_len is not None else min(

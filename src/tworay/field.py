@@ -1,18 +1,28 @@
 """Exact dense linear algebra over prime fields (and, as a slow fallback, QQ).
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  With the
-default prime 32003 an inner product of length up to ~10^9 stays below 2^63,
-far beyond anything this package produces.
+Matrices are numpy int64 arrays with entries reduced into [0, p), and
+products are formed in int64 before reduction (in ``mul``, in the row updates
+of ``rref`` and in callers that multiply reduced matrices directly).  An inner
+product of length n is exact while n * (p - 1)^2 < 2^63, so the order is capped
+at ``MAX_PRIME``: below 2^21 every inner dimension up to 2^21 is safe.  With
+the default prime 32003 the limit is about 9 * 10^9.
 """
 
 import numpy as np
 from fractions import Fraction
 
 
+MAX_PRIME = 2 ** 21
+
+
 class PrimeField:
     """GF(p) arithmetic on numpy integer matrices."""
 
     def __init__(self, p: int):
+        if p >= MAX_PRIME:
+            raise ValueError(
+                f"field order {p} is too large: int64 products are exact only "
+                f"for p < {MAX_PRIME}")
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise ValueError(f"field order must be prime, got {p}")
         self.p = p

@@ -88,9 +88,6 @@ def identity_map(M: Representation):
 def zero_map(M: Representation, N: Representation):
     return {v: M.field.zeros(N.dim(v), M.dim(v)) for v in M.quiver.vertices}
 
-def map_is_zero(F, f):
-    return all(F.is_zero(m) for m in f.values())
-
 def is_intertwiner(M, N, f) -> bool:
     F = M.field
     for a in M.quiver.arrows:
@@ -120,17 +117,6 @@ def _poly_trim(c):
     while len(c) > 1 and c[-1] == 0:
         c.pop()
     return c
-
-def _poly_mod(F, a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = F.inv(lb)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = (a[k] * inv) % F.p
-        if c:
-            for i in range(db + 1):
-                a[k - db + i] = (a[k - db + i] - c * b[i]) % F.p
-    return _poly_trim(a[:db] or [0])
 
 def _poly_divmod(F, a, b):
     a = list(a)
@@ -1335,8 +1321,16 @@ class ArVerifier:
         return True
 
     def verify(self, bound: int, progress=None, jobs: int = 1):
-        """Check every row with middle dim <= bound, plus right-term coverage."""
+        """Check every row with middle dim <= bound, plus right-term coverage.
+
+        The inventory it checks coverage against stays on ``self.inventory``;
+        its representations seed the atom cache, so ``atom_indec`` on an
+        entry key reuses both the module and any verdict already reached.
+        """
         inventory = self.sm.theorem_inventory(bound, tuple(self.lams))
+        for entry in inventory:
+            self._rep_cache.setdefault(entry.key, entry.rep)
+        self.inventory = inventory
         rows = self.rows(bound)
         anomalies = list(self.row_anomalies)
 

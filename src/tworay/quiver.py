@@ -92,6 +92,10 @@ class Quiver:
                 a = f"xi:{i}:{j}"
                 self.source[a], self.target[a] = x(i, ds.p[i - 1] + j), f"z:{i}:{tj}"
 
+        self._q0_primed = tuple(
+            x(i, j) for i in range(1, n + 1) for j in ds.s_sorted(i))
+        self._q0_doubleprimed = tuple(
+            x(i, j) for i in range(1, n + 1) for j in ds.t_sorted(i))
         self.vertices = sorted(vertices, key=_vkey)
         self.arrows = sorted(self.source, key=_akey)
         self.vindex = {v: k for k, v in enumerate(self.vertices)}
@@ -114,15 +118,13 @@ class Quiver:
 
     # -- derived vertex/arrow families ------------------------------------
 
-    def q0_primed(self):
+    def q0_primed(self) -> tuple:
         """x_{i,j} with j in S_i."""
-        return [f"x:{i}:{j}" for i in range(1, self.ds.strands + 1)
-                for j in self.ds.s_sorted(i)]
+        return self._q0_primed
 
-    def q0_doubleprimed(self):
+    def q0_doubleprimed(self) -> tuple:
         """x_{i,j} with j in T_i."""
-        return [f"x:{i}:{j}" for i in range(1, self.ds.strands + 1)
-                for j in self.ds.t_sorted(i)]
+        return self._q0_doubleprimed
 
     def alpha_of(self, xid: str) -> str:
         _, i, j = xid.split(":")

@@ -9,6 +9,15 @@ are therefore letter-tuple prefixes.
 The extension structure of Q* is thin: at any vertex there is at most one
 Q1'-letter and at most one Q1''-letter available on either side, which makes
 the order, successors and extremal strings all deterministic scans.
+
+The order key.  Among strings with a common terminus, C < D is decided at the
+first position k where they differ: C < D when C carries a Q1''-letter there,
+or D carries a Q1'-letter there.  Both words walk the same vertices up to k,
+so by thinness they cannot carry two different letters of one class at k;
+the letter *class* at k (or the end of the word) settles the comparison.
+Hence the order is lexicographic on the key that maps each Q1''-letter to 0,
+each Q1'-letter to 2 and appends a 1 for the end of the word:
+Q1'' < end < Q1' at every position.
 """
 
 from dataclasses import dataclass
@@ -95,6 +104,13 @@ class WordCalculus:
             fwd[quiver.t_star[a]] = a
             bwd[quiver.s_star[a]] = a
 
+        self._bands = {x: self._build_band(x) for x in quiver.q0_doubleprimed()}
+        for x in quiver.q0_primed():
+            self._bands.setdefault(x, StringWord((), x))
+        self._rank = {a: 2 if a in quiver.primed else 0 for a in quiver.arrows}
+        self._keys = {}       # letters -> order key
+        self._in_s_x = {}     # (letters, x) -> membership of S_x
+
     # -- basic word accessors ---------------------------------------------
 
     def trivial(self, vertex: str) -> StringWord:
@@ -103,10 +119,10 @@ class WordCalculus:
         return StringWord((), vertex)
 
     def terminus(self, w: StringWord) -> str:
-        return w.vertex if w.is_trivial else self.quiver.t_star[w.letters[0]]
+        return self.quiver.t_star[w.letters[0]] if w.letters else w.vertex
 
     def source(self, w: StringWord) -> str:
-        return w.vertex if w.is_trivial else self.quiver.s_star[w.letters[-1]]
+        return self.quiver.s_star[w.letters[-1]] if w.letters else w.vertex
 
     def word(self, letters, vertex=None) -> StringWord:
         w = StringWord(tuple(letters), vertex)
@@ -229,22 +245,24 @@ class WordCalculus:
 
     # -- bands ---------------------------------------------------------------
 
+    def _build_band(self, x: str) -> StringWord:
+        _, i, j = x.split(":")
+        i, tj = int(i), int(j)
+        jpos = self.quiver.ds.t_sorted(i).index(tj) + 1
+        top = self.quiver.ds.p[i - 1] + jpos
+        letters = tuple(f"alpha:{i}:{k}" for k in range(tj + 1, top + 1))
+        letters += (f"xi:{i}:{jpos}", f"gamma:{i}:{tj}")
+        return self.word(letters)
+
     def band_of(self, x: str) -> StringWord:
         """B_x for x in Q0'': the cycle alpha_{i,T+1} ... alpha_{i,p+j} xi_j gamma_T.
 
         For x in Q0' \\ Q0'' returns the trivial string at x (B_x = x).
         """
-        if x in self.quiver.q0_doubleprimed():
-            _, i, j = x.split(":")
-            i, tj = int(i), int(j)
-            jpos = self.quiver.ds.t_sorted(i).index(tj) + 1
-            top = self.quiver.ds.p[i - 1] + jpos
-            letters = tuple(f"alpha:{i}:{k}" for k in range(tj + 1, top + 1))
-            letters += (f"xi:{i}:{jpos}", f"gamma:{i}:{tj}")
-            return self.word(letters)
-        if x in self.quiver.q0_primed():
-            return self.trivial(x)
-        raise NotInQ0dd(f"{x} is not in Q0''")
+        bx = self._bands.get(x)
+        if bx is None:
+            raise NotInQ0dd(f"{x} is not in Q0''")
+        return bx
 
     def band_b0(self) -> StringWord:
         ds = self.quiver.ds
@@ -288,18 +306,16 @@ class WordCalculus:
             raise DifferentTerminus(
                 f"{a} and {b} terminate at different vertices"
             )
-        if a.letters == b.letters:
-            return 0
-        k = 0
-        while k < min(a.length, b.length) and a.letters[k] == b.letters[k]:
-            k += 1
-        if k < a.length and a.letters[k] not in self.quiver.primed:
-            return -1
-        if k < b.length and b.letters[k] not in self.quiver.primed:
-            return 1
-        if k < b.length and b.letters[k] in self.quiver.primed:
-            return -1
-        return 1
+        ka, kb = self._key(a.letters), self._key(b.letters)
+        return (ka > kb) - (ka < kb)
+
+    def _key(self, letters: tuple) -> tuple:
+        """The order key of the module docstring, cached per letter tuple."""
+        key = self._keys.get(letters)
+        if key is None:
+            key = tuple(map(self._rank.__getitem__, letters)) + (1,)
+            self._keys[letters] = key
+        return key
 
     def successor(self, w: StringWord):
         """C+ : append the unique alpha and the full mu, or strip beta omega."""
@@ -374,17 +390,20 @@ class WordCalculus:
     def strings_terminating_at(self, x: str, bound: int):
         """C_x truncated at the length bound, sorted by the linear order."""
         out = [w for w in self.all_strings(bound) if self.terminus(w) == x]
-        import functools
-
-        return sorted(out, key=functools.cmp_to_key(self.compare))
+        return sorted(out, key=lambda w: self._key(w.letters))
 
     def in_s_x(self, w: StringWord, x: str) -> bool:
         """Membership of the family S_x, for x in Q0'."""
         if self.terminus(w) != x:
             return False
-        _, rest = self.strip_band(w, x)
-        alpha = self.quiver.alpha_of(x)
-        return self.check_string((alpha,) + rest.letters)[0]
+        memo = (w.letters, x)  # the terminus is x, so this identifies w
+        hit = self._in_s_x.get(memo)
+        if hit is None:
+            _, rest = self.strip_band(w, x)
+            alpha = self.quiver.alpha_of(x)
+            hit = self.check_string((alpha,) + rest.letters)[0]
+            self._in_s_x[memo] = hit
+        return hit
 
     def s_x(self, x: str, bound: int):
         return [w for w in self.strings_terminating_at(x, bound)
@@ -392,22 +411,20 @@ class WordCalculus:
 
     def pairs_p_x(self, x: str, bound: int):
         """P_x pairs (C, C') with |C| + |C'| <= bound."""
+        # s_x is sorted by the order without repeats, so a < b iff a comes
+        # first.  For x in Q0'', C' < B_x C compares keys, as key(B_x C) =
+        # key(B_x)[:-1] + key(C); elsewhere there is no upper limit, and (3,)
+        # exceeds every key.
         sx = self.s_x(x, bound)
-        in_dd = x in self.quiver.q0_doubleprimed()
-        bx = self.band_of(x) if in_dd else None
+        keys = [self._key(w.letters) for w in sx]
+        head = self._key(self.band_of(x).letters)[:-1]
         out = []
-        for a in sx:
-            for b in sx:
-                if a.length + b.length > bound:
-                    continue
-                if self.compare(a, b) >= 0:
-                    continue
-                if in_dd:
-                    bxa = StringWord(bx.letters + a.letters,
-                                     a.vertex if not bx.letters else None)
-                    if self.compare(b, bxa) >= 0:
-                        continue
-                out.append((a, b))
+        for i, a in enumerate(sx):
+            room = bound - a.length
+            limit = head + keys[i] if head else (3,)
+            for j in range(i + 1, len(sx)):
+                if sx[j].length <= room and keys[j] < limit:
+                    out.append((a, sx[j]))
         return out
 
     def s_prime(self, bound: int):

@@ -123,3 +123,16 @@ def test_dimension_is_sum_of_hom_blocks():
         total = sum(a.dim_hom(u, v) for u in a.quiver.vertices
                     for v in a.quiver.vertices)
         assert total == a.dimension
+
+
+def test_prime_field_rejects_overflowing_order():
+    # int64 products wrap silently once (p - 1)^2 times the inner dimension
+    # reaches 2^63: GF(2^31 - 1) used to return p - 1 for a 1x3 @ 3x1 product
+    # of entries p - 1, whose exact value is 3
+    with pytest.raises(ValueError, match="too large"):
+        PrimeField(2147483647)
+    F = PrimeField(2097143)  # the largest prime below the cap 2^21
+    a = F.mat([[F.p - 1] * 3])
+    assert F.mul(a, a.T).tolist() == [[3]]
+    big = F.mat([[F.p - 1] * 4096])
+    assert F.mul(big, big.T).tolist() == [[4096 % F.p]]

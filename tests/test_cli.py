@@ -149,6 +149,14 @@ def test_bad_lambda_rejected(sysfile):
     assert code == 2
 
 
+def test_oversized_field_rejected(sysfile):
+    for cmd in ("classify", "verify"):
+        code, out = run([cmd, sysfile("fund21"), "--max-dim", "4",
+                         "--field", "2147483647"])
+        assert code == 2
+        assert "too large" in json.loads(out)["error"]
+
+
 def test_verify_deterministic(sysfile):
     f = sysfile("fund21")
     args = ["verify", f, "--max-dim", "5", "--lemma-len", "3"]

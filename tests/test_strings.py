@@ -1,9 +1,57 @@
+import functools
 import json
 
 import pytest
 
 from tworay import EMPTY, StringWord
 from tworay.strings import DifferentTerminus, NotAString
+
+from conftest import SYSTEMS, ctx
+
+
+def ref_compare(quiver, a, b):
+    """The order by its definition: a first-difference scan of the letters."""
+    if a.letters == b.letters:
+        return 0
+    k = 0
+    while k < min(a.length, b.length) and a.letters[k] == b.letters[k]:
+        k += 1
+    if k < a.length and a.letters[k] not in quiver.primed:
+        return -1
+    if k < b.length and b.letters[k] not in quiver.primed:
+        return 1
+    if k < b.length and b.letters[k] in quiver.primed:
+        return -1
+    return 1
+
+
+def ref_band(ds, x):
+    """B_x spelled out from the defining system (trivial off Q0'')."""
+    _, i, tj = (int(v) if v.isdigit() else v for v in x.split(":"))
+    if tj not in ds.T[i - 1]:
+        return ()
+    j = ds.t_sorted(i).index(tj) + 1
+    return tuple(f"alpha:{i}:{k}" for k in range(tj + 1, ds.p[i - 1] + j + 1)) \
+        + (f"xi:{i}:{j}", f"gamma:{i}:{tj}")
+
+
+def ref_in_s_x(c, w, x):
+    """S_x membership by its definition: strip the B_x powers, then prepend
+    alpha_x."""
+    if c.calc.terminus(w) != x:
+        return False
+    bx, rest = ref_band(c.ds, x), w.letters
+    while bx and rest[: len(bx)] == bx:
+        rest = rest[len(bx):]
+    return c.calc.check_string((c.quiver.alpha_of(x),) + rest)[0]
+
+
+def by_terminus(c, bound):
+    groups = {}
+    for w in c.calc.all_strings(bound):
+        groups.setdefault(c.calc.terminus(w), []).append(w)
+    return groups
+
 
 def test_forbidden_run_detected(ex14):
     calc = ex14.calc
@@ -342,3 +390,66 @@ def test_extremal_strings_tuple(ex14):
     assert mu.is_trivial
     assert pi.is_trivial  # nothing in Q1' starts at a sink of the alpha chain
     assert calc.terminus(nu) != "x:1:0" or nu.is_trivial
+
+
+# -- the order key, cached bands and S_x membership against their definitions
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_order_key_matches_first_difference(name):
+    c = ctx(name)
+    for words in by_terminus(c, 8).values():
+        for a in words:
+            for b in words:
+                assert c.calc.compare(a, b) == ref_compare(c.quiver, a, b), \
+                    (a, b)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_strings_terminating_at_sorted_by_reference(name):
+    c = ctx(name)
+    ref_key = functools.cmp_to_key(functools.partial(ref_compare, c.quiver))
+    for x in c.quiver.vertices:
+        got = c.calc.strings_terminating_at(x, 8)
+        assert [w.letters for w in got] == [
+            w.letters for w in sorted(got, key=ref_key)]
+        assert len(got) == len(by_terminus(c, 8).get(x, []))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_pairs_p_x_matches_brute_force(name):
+    c = ctx(name)
+    bound = 14
+    for x in c.quiver.q0_primed():
+        sx = c.calc.s_x(x, bound)
+        bx = ref_band(c.ds, x)
+        want = [(a, b) for a in sx for b in sx
+                if a.length + b.length <= bound
+                and ref_compare(c.quiver, a, b) < 0
+                and not (bx and ref_compare(
+                    c.quiver, b, StringWord(bx + a.letters)) >= 0)]
+        got = c.calc.pairs_p_x(x, bound)
+        assert [(a.letters, b.letters) for a, b in got] == \
+            [(a.letters, b.letters) for a, b in want]
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_cached_band_and_s_x_membership(name):
+    c = ctx(name)
+    calc = c.calc
+    primed = c.quiver.q0_primed()
+    for x in primed:
+        bx = calc.band_of(x)
+        assert bx.letters == ref_band(c.ds, x)
+        assert calc.band_of(x) is bx
+        if not bx.letters:
+            assert x not in c.quiver.q0_doubleprimed() and bx.vertex == x
+    words = calc.all_strings(7)
+    for x in primed:
+        for _ in range(2):  # the second pass answers from the memo
+            for w in words:
+                assert calc.in_s_x(w, x) == ref_in_s_x(c, w, x), (w, x)
+        # trivial strings share the empty letter tuple: only the one at x is
+        # in S_x
+        for v in c.quiver.vertices:
+            assert calc.in_s_x(calc.trivial(v), x) == (v == x)
