@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over prime fields (and, as a slow fallback, QQ).
+"""Exact linear algebra over prime fields (and, as a slow fallback, QQ).
 
 Matrices are numpy int64 arrays with entries reduced into [0, p), and
 products are formed in int64 before reduction (in ``mul``, in the row updates
@@ -6,10 +6,18 @@ of ``rref`` and in callers that multiply reduced matrices directly).  An inner
 product of length n is exact while n * (p - 1)^2 < 2^63, so the order is capped
 at ``MAX_PRIME``: below 2^21 every inner dimension up to 2^21 is safe.  With
 the default prime 32003 the limit is about 9 * 10^9.
+
+Sparse systems (rows given as ``{column: coefficient}`` dicts) are reduced by
+``rref_sparse`` in Python integers, so no overflow bound applies there.  It
+returns the reduced row echelon form, which is unique for the row space, so
+``null_space_sparse`` gives exactly the basis ``null_space`` gives for the
+same system written densely.
 """
 
-import numpy as np
+from collections import defaultdict
 from fractions import Fraction
+
+import numpy as np
 
 
 MAX_PRIME = 2 ** 21
@@ -121,6 +129,72 @@ class PrimeField:
             basis[fc, k] = 1
             for r, pc in enumerate(pivots):
                 basis[pc, k] = (-m[r, fc]) % self.p
+        return basis
+
+    def rref_sparse(self, rows):
+        """Reduced row echelon form of sparse rows ``{column: coefficient}``.
+
+        Returns ``{pivot column: row}``.  Each incoming row is reduced by the
+        pivot rows found so far, takes its smallest remaining column as pivot
+        (scaled to 1), and that column is then cleared from the earlier rows.
+        So every row's pivot is its smallest column and every pivot column is
+        zero in every other row: the RREF, whatever the order of ``rows``.
+        """
+        p = self.p
+        pivots = {}
+        holders = defaultdict(set)  # non-pivot column -> pivots using it
+        for raw in rows:
+            row = {c: x for c, v in raw.items() if (x := v % p)}
+            # a pivot row has no other pivot column, so one pass suffices
+            for qc in [c for c in row if c in pivots]:
+                v = row.pop(qc)
+                for c, w in pivots[qc].items():
+                    if c != qc:
+                        x = (row.get(c, 0) - v * w) % p
+                        if x:
+                            row[c] = x
+                        else:
+                            del row[c]
+            if not row:
+                continue
+            pc = min(row)
+            if row[pc] != 1:
+                inv = pow(row[pc], -1, p)
+                row = {c: v * inv % p for c, v in row.items()}
+            for qc in holders.pop(pc, ()):
+                other = pivots[qc]
+                v = other.pop(pc)
+                for c, w in row.items():
+                    if c != pc:
+                        x = (other.get(c, 0) - v * w) % p
+                        if x:
+                            if c not in other:
+                                holders[c].add(qc)
+                            other[c] = x
+                        else:
+                            del other[c]
+                            holders[c].discard(qc)
+            for c in row:
+                if c != pc:
+                    holders[c].add(pc)
+            pivots[pc] = row
+        return pivots
+
+    def null_space_sparse(self, rows, cols: int) -> np.ndarray:
+        """``null_space`` of the ``cols``-column system given by sparse rows."""
+        pivots = self.rref_sparse(rows)
+        free = [c for c in range(cols) if c not in pivots]
+        index = {c: k for k, c in enumerate(free)}
+        basis = self.zeros(cols, len(free))
+        basis[free, range(len(free))] = 1
+        at_r, at_k, vals = [], [], []
+        for pc, row in pivots.items():
+            for c, v in row.items():
+                if c != pc:
+                    at_r.append(pc)
+                    at_k.append(index[c])
+                    vals.append(self.p - v)
+        basis[at_r, at_k] = vals
         return basis
 
     def column_space(self, a: np.ndarray) -> np.ndarray:

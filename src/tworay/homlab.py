@@ -5,6 +5,21 @@ Module maps f: M -> N are dicts vertex -> matrix (dim N_v x dim M_v).  The
 intertwiner system f_t M_a = N_a f_s is solved exactly over the prime field;
 everything downstream (endomorphism certification, cokernels, DTr) is built
 from that one solver.
+
+The system is sparse: the arrow maps of string and band modules have few
+nonzero entries, so an equation has about two nonzero coefficients, and
+Hom between string modules is spanned by graph maps (Crawley-Boevey, J.
+Algebra 126, 1989).  ``_intertwiner_rows`` writes each equation as a dict
+{unknown: coefficient} from the nonzero entries of M_a and N_a only, the
+unknowns being vec_col(f_v) stacked in vertex order, and
+``PrimeField.rref_sparse`` reduces the rows to reduced row echelon form.  The
+RREF is unique for the row space, so the kernel basis read from it (one
+vector per free column, 1 there and minus the free column's entries in the
+pivot rows) is exactly the one ``PrimeField.null_space`` reads from the dense
+Kronecker matrix of the same equations: bases, isomorphisms and certificates
+do not depend on how the system was reduced.  ``is_split`` reuses the same
+rows for the retraction equations, with the right-hand side as one extra
+column.
 """
 
 import numpy as np
@@ -27,49 +42,72 @@ class Inconclusive(RuntimeError):
 # -- hom spaces ---------------------------------------------------------------
 
 
-def hom_basis(M: Representation, N: Representation) -> list:
-    """Basis of Hom(M, N) as a list of per-vertex matrix dicts."""
-    assert M.field == N.field
-    F = M.field
+def _hom_unknowns(M: Representation, N: Representation):
+    """For each vertex v, (offset of vec_col(f_v) among the unknowns of
+    Hom(M, N), dim N_v, dim M_v); and the number of unknowns."""
+    blocks, total = {}, 0
+    for v in M.quiver.vertices:
+        n, m = N.dim(v), M.dim(v)
+        blocks[v] = (total, n, m)
+        total += n * m
+    return blocks, total
+
+
+def _column_entries(a, base: int, stride: int) -> list:
+    """For each column j of ``a``, the pairs (base + k stride, a[k, j]) over
+    its nonzero entries."""
+    cols = [[] for _ in range(a.shape[1])]
+    for k, row in enumerate(a.tolist()):
+        for j, c in enumerate(row):
+            if c:
+                cols[j].append((base + k * stride, c))
+    return cols
+
+
+def _intertwiner_rows(M: Representation, N: Representation, blocks) -> list:
+    """The equations f_t M_a - N_a f_s = 0 as sparse rows {unknown: coef}.
+
+    Entry (i, j) of arrow a reads sum_k f_t[i, k] M_a[k, j] -
+    sum_l N_a[i, l] f_s[l, j]; f_v[i, k] is unknown offset_v + i + k dim N_v.
+    Only the nonzero entries of M_a and N_a are visited.
+    """
     q = M.quiver
-    offsets = {}
-    total = 0
-    for v in q.vertices:
-        offsets[v] = total
-        total += N.dim(v) * M.dim(v)
-    if total == 0:
-        return []
     rows = []
     for a in q.arrows:
-        s, t = q.source[a], q.target[a]
-        ms, mt = M.dim(s), M.dim(t)
-        ns, nt = N.dim(s), N.dim(t)
+        os_, ns, ms = blocks[q.source[a]]
+        ot, nt, _ = blocks[q.target[a]]
         if nt * ms == 0:
             continue
-        # f_t M_a - N_a f_s = 0, columns are vec_col(f_v) per vertex
-        block = np.zeros((nt * ms, total), dtype=np.int64)
-        if mt:
-            block[:, offsets[t]: offsets[t] + nt * mt] = np.kron(
-                M.maps[a].T, np.eye(nt, dtype=np.int64))
-        if ns:
-            block[:, offsets[s]: offsets[s] + ns * ms] -= np.kron(
-                np.eye(ms, dtype=np.int64), N.maps[a])
-        rows.append(block % F.p)
-    if rows:
-        system = np.vstack(rows)
-        kernel = F.null_space(system)
-    else:
-        kernel = F.eye(total)
-    basis = []
-    for k in range(kernel.shape[1]):
-        vec = kernel[:, k]
-        f = {}
-        for v in q.vertices:
-            nv, mv = N.dim(v), M.dim(v)
-            f[v] = vec[offsets[v]: offsets[v] + nv * mv].reshape(
-                (nv, mv), order="F")
-        basis.append(f)
-    return basis
+        # m_cols[j] pairs (unknown of f_t[0, k], M_a[k, j]),
+        # n_rows[i] pairs (unknown of f_s[l, 0], N_a[i, l])
+        m_cols = _column_entries(M.maps[a], ot, nt)
+        n_rows = _column_entries(N.maps[a].T, os_, 1)
+        for j, m_col in enumerate(m_cols):
+            shift = j * ns
+            for i, n_row in enumerate(n_rows):
+                if not (m_col or n_row):
+                    continue
+                row = {u + i: c for u, c in m_col}
+                for u, c in n_row:  # u + shift may equal a key above on a loop
+                    row[u + shift] = row.get(u + shift, 0) - c
+                rows.append(row)
+    return rows
+
+
+def hom_basis(M: Representation, N: Representation) -> list:
+    """Basis of Hom(M, N) as a list of per-vertex matrix dicts."""
+    F, q, qn = M.field, M.quiver, N.quiver
+    if F != N.field:
+        raise ValueError(f"modules over different fields: {F}, {N.field}")
+    if q is not qn and (q.vertices, q.source, q.target) != (
+            qn.vertices, qn.source, qn.target):
+        raise ValueError("modules over different quivers")
+    blocks, total = _hom_unknowns(M, N)
+    if total == 0:
+        return []
+    kernel = F.null_space_sparse(_intertwiner_rows(M, N, blocks), total)
+    return [{v: vec[o: o + n * m].reshape((n, m), order="F")
+             for v, (o, n, m) in blocks.items()} for vec in kernel.T]
 
 
 def compose_maps(F, f, g):
@@ -590,38 +628,43 @@ def kernel_rep(M: Representation, N: Representation, f):
     return K, incl
 
 
+def complement_indices(F, img) -> list:
+    """The indices i of the unit vectors e_i that extend the independent
+    columns of ``img`` to a basis, taken greedily: e_i is kept iff it lies
+    outside the span of ``img`` and e_0, ..., e_{i-1}.  These are the pivots
+    of [img | I] among the identity columns."""
+    n, k = img.shape
+    if k == n:  # img already spans, as on every zero vertex space
+        return []
+    _, pivots = F.rref(np.hstack([img, F.eye(n)]))
+    return [c - k for c in pivots if c >= k]
+
+
+def _quotient(F, a):
+    """(projection, section) of F^n onto F^n / (column space of ``a``), in
+    the coordinates of the complement that ``complement_indices`` picks."""
+    n = a.shape[0]
+    img = F.column_space(a)
+    chosen = complement_indices(F, img)
+    section = F.zeros(n, len(chosen))
+    section[chosen, range(len(chosen))] = 1
+    if n:
+        proj = F.inv_matrix(np.hstack([img, section]))[img.shape[1]:, :]
+    else:
+        proj = F.zeros(0, 0)
+    return proj, section
+
+
 def cokernel_rep(M: Representation, N: Representation, f):
     """(Q, projection N -> Q) for a module map f: M -> N."""
     F = N.field
     q = N.quiver
     proj = {}
     section = {}
-    dims = {}
     for v in q.vertices:
-        img = F.column_space(f[v]) if M.dim(v) else F.zeros(N.dim(v), 0)
-        n = N.dim(v)
-        cols = [img[:, k] for k in range(img.shape[1])]
-        chosen = []
-        cur = img
-        for i in range(n):
-            e = F.zeros(n, 1)
-            e[i, 0] = 1
-            cand = np.hstack([cur, e])
-            if F.rank(cand) > cur.shape[1]:
-                chosen.append(i)
-                cur = cand
-        dims[v] = len(chosen)
-        basis = cur  # [image | complement]
-        if n:
-            inv = F.inv_matrix(basis)
-            proj[v] = inv[img.shape[1]:, :]
-        else:
-            proj[v] = F.zeros(0, 0)
-        sec = F.zeros(n, len(chosen))
-        for k, i in enumerate(chosen):
-            sec[i, k] = 1
-        section[v] = sec
-    spaces = {v: tuple(("c", i) for i in range(dims[v])) for v in q.vertices}
+        proj[v], section[v] = _quotient(F, f[v])
+    spaces = {v: tuple(("c", i) for i in range(section[v].shape[1]))
+              for v in q.vertices}
     maps = {}
     for a in q.arrows:
         s, t = q.source[a], q.target[a]
@@ -704,44 +747,28 @@ def realize_ses(cand: SesCandidate, right_local=True, tries=200) -> SesCandidate
 
 
 def is_split(cand: SesCandidate) -> bool:
-    """True iff a retraction r with r f = id exists (exact linear solve)."""
-    assert cand.f is not None, "realize the sequence first"
+    """True iff a retraction r with r f = id exists (exact linear solve).
+
+    The unknowns are those of Hom(middle, left); the rows r_v f_v = id carry
+    their right-hand side in one extra column, and the system is solvable iff
+    that column is not a pivot.
+    """
+    if cand.f is None:
+        raise ValueError("realize the sequence first")
     X, E = cand.left, cand.middle
     F = X.field
-    q = X.quiver
-    offsets, total = {}, 0
-    for v in q.vertices:
-        offsets[v] = total
-        total += X.dim(v) * E.dim(v)
+    blocks, total = _hom_unknowns(E, X)
     if total == 0:
         return True
-    rows, rhs = [], []
-    for a in q.arrows:  # intertwiner constraints on r
-        s, t = q.source[a], q.target[a]
-        xs, xt, es, et = X.dim(s), X.dim(t), E.dim(s), E.dim(t)
-        if xt * es == 0:
-            continue
-        block = np.zeros((xt * es, total), dtype=np.int64)
-        if et:
-            block[:, offsets[t]: offsets[t] + xt * et] = np.kron(
-                E.maps[a].T, np.eye(xt, dtype=np.int64))
-        if xs:
-            block[:, offsets[s]: offsets[s] + xs * es] -= np.kron(
-                np.eye(es, dtype=np.int64), X.maps[a])
-        rows.append(block % F.p)
-        rhs.append(F.zeros(xt * es, 1))
-    for v in q.vertices:  # r_v f_v = id_v
-        xv, ev = X.dim(v), E.dim(v)
-        if xv == 0:
-            continue
-        block = np.zeros((xv * xv, total), dtype=np.int64)
-        block[:, offsets[v]: offsets[v] + xv * ev] = np.kron(
-            cand.f[v].T, np.eye(xv, dtype=np.int64))
-        rows.append(block % F.p)
-        rhs.append(F.eye(xv).reshape(-1, 1, order="F"))
-    system = np.vstack(rows)
-    target = np.vstack(rhs)
-    return F.solve(system, target) is not None
+    rows = _intertwiner_rows(E, X, blocks)
+    for v, (o, xv, _) in blocks.items():  # (r_v f_v)[i, j] = delta_ij
+        for j, f_col in enumerate(_column_entries(cand.f[v], o, xv)):
+            for i in range(xv):
+                row = {u + i: c for u, c in f_col}
+                if i == j:
+                    row[total] = 1
+                rows.append(row)
+    return total not in F.rref_sparse(rows)
 
 
 # -- projective covers and the AR translate ---------------------------------------
@@ -768,17 +795,8 @@ def top_generators(M: Representation):
     rad = radical_embedding(M)
     gens = {}
     for v in M.quiver.vertices:
-        n = M.dim(v)
-        cur = rad[v]
-        picked = []
-        for i in range(n):
-            e = F.zeros(n, 1)
-            e[i, 0] = 1
-            cand = np.hstack([cur, e])
-            if F.rank(cand) > cur.shape[1]:
-                picked.append(e)
-                cur = cand
-        gens[v] = picked
+        eye = F.eye(M.dim(v))
+        gens[v] = [eye[:, [i]] for i in complement_indices(F, rad[v])]
     return gens
 
 
@@ -924,32 +942,12 @@ def ar_translate(M: Representation, algebra) -> Representation:
     dom_maps = _sum_right_maps(q, F, right0)
     cod_maps = _sum_right_maps(q, F, right1)
     proj = {}
-    dims_tr = {}
     section = {}
     for w in q.vertices:
-        img = F.column_space(dmat[w]) if dims_dom[w] else F.zeros(dims_cod[w], 0)
-        n = dims_cod[w]
-        cur = img
-        chosen = []
-        for i in range(n):
-            e = F.zeros(n, 1)
-            e[i, 0] = 1
-            cand = np.hstack([cur, e])
-            if F.rank(cand) > cur.shape[1]:
-                chosen.append(i)
-                cur = cand
-        dims_tr[w] = len(chosen)
-        if n:
-            inv = F.inv_matrix(cur)
-            proj[w] = inv[img.shape[1]:, :]
-        else:
-            proj[w] = F.zeros(0, 0)
-        sec = F.zeros(n, len(chosen))
-        for k, i in enumerate(chosen):
-            sec[i, k] = 1
-        section[w] = sec
+        proj[w], section[w] = _quotient(F, dmat[w])
 
-    spaces = {w: tuple(("d", i) for i in range(dims_tr[w])) for w in q.vertices}
+    spaces = {w: tuple(("d", i) for i in range(section[w].shape[1]))
+              for w in q.vertices}
     maps = {}
     for a in q.arrows:
         s, t = q.source[a], q.target[a]

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tworay import (StringWord, ar_translate, hom_basis,
                     is_indecomposable, is_isomorphic, is_split, realize_ses)
 from tworay.field import PrimeField
 from tworay.homlab import (ArVerifier, IndecVerdict, NotRealizable,
-                           ProjectiveSummand, SesCandidate, compose_maps,
-                           find_iso, is_intertwiner, is_projective,
-                           total_matrix)
+                           ProjectiveSummand, SesCandidate, complement_indices,
+                           compose_maps, find_iso, is_intertwiner,
+                           is_projective, total_matrix)
 from tworay.string_modules import Representation
 
-from conftest import ctx
+from conftest import SYSTEMS, Ctx, ctx
 
 
 def test_hom_identity_and_simples(fund21):
@@ -314,3 +316,193 @@ def test_one_call_verification():
     report = verify_defining_system(
         {"p": [2], "q": [1], "S": [[]], "T": [[]]}, 5)
     assert report["failures"] == []
+
+
+# -- the sparse Hom solver against the dense Kronecker system ---------------------
+
+
+def _unknown_offsets(M, N):
+    offsets, total = {}, 0
+    for v in M.quiver.vertices:
+        offsets[v] = total
+        total += N.dim(v) * M.dim(v)
+    return offsets, total
+
+
+def _kron_system(M, N, offsets, total):
+    """Dense rows of f_t M_a - N_a f_s = 0 over column-major vec(f_v)."""
+    F, q = M.field, M.quiver
+    blocks = [F.zeros(0, total)]
+    for a in q.arrows:
+        s, t = q.source[a], q.target[a]
+        ms, mt, ns, nt = M.dim(s), M.dim(t), N.dim(s), N.dim(t)
+        block = np.zeros((nt * ms, total), dtype=np.int64)
+        block[:, offsets[t]: offsets[t] + nt * mt] += np.kron(
+            M.maps[a].T, np.eye(nt, dtype=np.int64))
+        block[:, offsets[s]: offsets[s] + ns * ms] -= np.kron(
+            np.eye(ms, dtype=np.int64), N.maps[a])
+        blocks.append(block % F.p)
+    return np.vstack(blocks)
+
+
+def _dense_hom_basis(M, N):
+    F = M.field
+    offsets, total = _unknown_offsets(M, N)
+    if total == 0:
+        return []
+    kernel = F.null_space(_kron_system(M, N, offsets, total))
+    return [{v: kernel[offsets[v]: offsets[v] + N.dim(v) * M.dim(v), k]
+             .reshape((N.dim(v), M.dim(v)), order="F")
+             for v in M.quiver.vertices} for k in range(kernel.shape[1])]
+
+
+def _dense_is_split(cand):
+    X, E = cand.left, cand.middle
+    F = X.field
+    offsets, total = _unknown_offsets(E, X)
+    if total == 0:
+        return True
+    rows = [_kron_system(E, X, offsets, total)]
+    rhs = [F.zeros(rows[0].shape[0], 1)]
+    for v in X.quiver.vertices:  # r_v f_v = id
+        xv, ev = X.dim(v), E.dim(v)
+        block = np.zeros((xv * xv, total), dtype=np.int64)
+        block[:, offsets[v]: offsets[v] + xv * ev] = np.kron(
+            cand.f[v].T, np.eye(xv, dtype=np.int64))
+        rows.append(block % F.p)
+        rhs.append(F.eye(xv).reshape(-1, 1, order="F"))
+    return F.solve(np.vstack(rows), np.vstack(rhs)) is not None
+
+
+def _assert_same_basis(M, N):
+    got, want = hom_basis(M, N), _dense_hom_basis(M, N)
+    assert len(got) == len(want)
+    for f, g in zip(got, want):
+        for v in M.quiver.vertices:
+            assert f[v].shape == g[v].shape
+            assert np.array_equal(f[v], g[v]), v
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_hom_basis_matches_dense_reference(name):
+    c = ctx(name)
+    inv = c.modules.theorem_inventory(8)
+    picked = inv[::max(1, len(inv) // 8)]
+    bands = [e for e in inv if e.tag == "R"][::2]
+    assert any(e.params[1] != 1 for e in bands)
+    mods = [e.rep for e in picked + bands]
+    mods += [picked[k].rep.direct_sum(picked[-1 - k].rep) for k in range(2)]
+    taus = []
+    for e in picked[:6] + bands[:2]:
+        if not is_projective(e.rep, c.algebra):
+            taus.append(ar_translate(e.rep, c.algebra))
+    assert taus
+    mods += taus
+    for M in mods:
+        for N in mods:
+            _assert_same_basis(M, N)
+
+
+def test_hom_basis_rejects_mixed_pairs():
+    small, big = Ctx(SYSTEMS["tsys"], PrimeField(3)), Ctx(SYSTEMS["tsys"])
+    a = small.modules.construct_Qband("x:1:2", 1)
+    b = big.modules.construct_Qband("x:1:2", 1)
+    assert len(hom_basis(a, a)) == len(hom_basis(b, b)) >= 1
+    with pytest.raises(ValueError, match="fields"):
+        hom_basis(a, b)
+    with pytest.raises(ValueError, match="fields"):
+        hom_basis(b, a)
+    other = ctx("s_only").modules.construct_M(ctx("s_only").calc.mu("x:1:2"))
+    with pytest.raises(ValueError, match="quivers"):
+        hom_basis(b, other)
+    same_shape = Ctx(SYSTEMS["tsys"]).modules.construct_Qband("x:1:2", 1)
+    assert len(hom_basis(b, same_shape)) == len(hom_basis(b, b))
+
+
+def test_is_split_requires_realized_sequence(fund21):
+    s = fund21.modules.construct_M(fund21.calc.trivial("x:1:0"))
+    with pytest.raises(ValueError, match="realize"):
+        is_split(SesCandidate(s, [s.direct_sum(s)], s))
+
+
+def test_is_split_matches_dense_solve(tsys):
+    ver = ArVerifier(tsys.modules, tsys.algebra)
+    rows = [r for r in ver.rows(10) if r["middle_dim"] <= 10]
+    assert rows
+    verdicts = set()
+    for row in rows:
+        left = ver._sum_rep(row["left"])
+        right = ver._sum_rep(row["right"])
+        for middle in ([ver.atom_rep(a) for a in row["middle"]],
+                       [left, right]):
+            cand = SesCandidate(left, middle, right)
+            try:
+                realize_ses(cand, right_local=len(row["right"]) == 1)
+            except NotRealizable:
+                continue
+            got = is_split(cand)
+            assert got == _dense_is_split(cand), row["key"]
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+_PRIMES = (2, 3, 32003)
+
+
+@st.composite
+def _systems(draw):
+    """(field, dense matrix, the same rows as {column: coefficient} dicts).
+
+    Entries run over [-2p, 2p), so coefficients that vanish mod p appear in
+    the dicts; sparse draws keep about one entry in five, so empty rows are
+    common."""
+    F = PrimeField(draw(st.sampled_from(_PRIMES)))
+    n_rows, n_cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    keep = 5 if draw(st.booleans()) else 1
+    rows = []
+    for _ in range(n_rows):
+        row = {}
+        for c in range(n_cols):
+            if draw(st.integers(0, keep - 1)) == 0:
+                row[c] = draw(st.integers(-2 * F.p, 2 * F.p - 1))
+        rows.append(row)
+    dense = F.zeros(n_rows, n_cols)
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            dense[r, c] = v % F.p
+    return F, dense, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_sparse_elimination_matches_dense(system):
+    F, dense, rows = system
+    n_cols = dense.shape[1]
+    kernel = F.null_space_sparse(rows, n_cols)
+    want = F.null_space(dense)
+    assert kernel.shape == want.shape and np.array_equal(kernel, want)
+    pivots = F.rref_sparse(rows)
+    if dense.size:
+        m, cols = F.rref(dense)
+        assert sorted(pivots) == cols
+        for r, pc in enumerate(cols):
+            assert pivots[pc] == {c: int(x) for c, x in enumerate(m[r]) if x}
+    else:
+        assert pivots == {}
+    assert F.rref_sparse(rows[::-1]) == pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+def test_complement_indices_match_greedy_extension(system):
+    F, dense, _ = system
+    img = F.column_space(dense)
+    n = dense.shape[0]
+    greedy, cur = [], img
+    for i in range(n):
+        e = F.zeros(n, 1)
+        e[i, 0] = 1
+        if F.rank(np.hstack([cur, e])) > cur.shape[1]:
+            greedy.append(i)
+            cur = np.hstack([cur, e])
+    assert complement_indices(F, img) == greedy
