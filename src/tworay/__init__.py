@@ -21,8 +21,7 @@ from .vsc import (AdmissiblePoset, SubspaceTriple, VscModel, build_model,
                   subspace_rows_family, subspace_rows_single, zero_bar)
 
 
-def verify_defining_system(raw, bound, field=None, lam_sample=(2, 3, 5),
-                           jobs=1):
+def verify_defining_system(raw, bound, field=None, lam_sample=(2, 3, 5)):
     """One-call verification: build everything for a system and run the
     almost-split-sequence checks at the given dimension bound."""
     ds = validate(raw)
@@ -30,7 +29,7 @@ def verify_defining_system(raw, bound, field=None, lam_sample=(2, 3, 5),
     relations = build_relations(ds, quiver)
     algebra = AlgebraBasis(quiver, relations, field)
     modules = StringModules(WordCalculus(quiver), algebra.field)
-    return ArVerifier(modules, algebra, lam_sample).verify(bound, jobs=jobs)
+    return ArVerifier(modules, algebra, lam_sample).verify(bound)
 
 __all__ = [
     "AdmissibleVertex", "DefiningSystem", "validate", "from_json",

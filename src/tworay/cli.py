@@ -4,7 +4,6 @@ extend | reduce, all emitting deterministic machine-readable artifacts."""
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 from . import __version__
@@ -38,21 +37,12 @@ def _load_system(path):
         return from_json(fh.read())
 
 
-def _threads(args):
-    env = os.environ.get("TWORAY_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, args.jobs)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="tworay",
         description="defining systems, their bound quiver algebras, and the "
                     "classification of their modules",
     )
-    ap.add_argument("-j", "--jobs", type=int, default=1,
-                    help="worker threads (TWORAY_THREADS overrides)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("validate", help="check the defining-system invariants")
@@ -199,7 +189,7 @@ def main(argv=None) -> int:
 
     if args.cmd == "verify":
         ver = ArVerifier(modules, algebra, lam)
-        report = ver.verify(args.max_dim, jobs=_threads(args))
+        report = ver.verify(args.max_dim)
         inv = ver.inventory
         inventory_replayed = None
         if args.from_inventory:

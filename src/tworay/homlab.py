@@ -20,6 +20,23 @@ Kronecker matrix of the same equations: bases, isomorphisms and certificates
 do not depend on how the system was reduced.  ``is_split`` reuses the same
 rows for the retraction equations, with the right-hand side as one extra
 column.
+
+Isomorphism is decided without random numbers.  ``find_iso`` first returns
+the first Hom(M, N) basis element f_i that is invertible at every vertex.
+When End(N) is LOCAL that scan is complete: if h = sum c_i f_i is an
+isomorphism with inverse sum d_j g_j, then id = sum c_i d_j f_i g_j, so some
+f_i g_j is a unit of the local ring End(N), f_i is split epi, and with equal
+dimension vectors f_i is an isomorphism; the same holds with End(M) LOCAL
+and g_j f_i (Auslander-Reiten-Smalo, Representation Theory of Artin
+Algebras, 1995).  Without a LOCAL certificate, N is split into LOCAL
+summands on the idempotents ``is_indecomposable`` exhibits, and the summands
+are grouped up to isomorphism.  For a group of m copies of Z with End(Z)/rad
+= k, the pairing Hom(Z, M) x Hom(M, Z) -> k that sends (g, f) to the single
+eigenvalue of f g has rank the multiplicity of Z in M, so M = N iff every
+group's pairing has rank >= m.  Then m independent columns f_1, ..., f_m,
+each sent onto one copy of Z in N, make M -> N split epi on every group;
+maps between non-isomorphic summands lie in the radical, so the sum over
+the groups is an isomorphism, and it is checked before it is returned.
 """
 
 import numpy as np
@@ -32,10 +49,6 @@ class ProjectiveSummand(ValueError):
 
 
 class NotRealizable(RuntimeError):
-    pass
-
-
-class Inconclusive(RuntimeError):
     pass
 
 
@@ -534,10 +547,9 @@ def _sqrt_mod(F, a):
 
 
 class IsoVerdict:
-    def __init__(self, isomorphic, certificate=None, certain=True):
+    def __init__(self, isomorphic, certificate=None):
         self.isomorphic = isomorphic
         self.certificate = certificate
-        self.certain = certain
 
     def __bool__(self):
         return self.isomorphic
@@ -552,55 +564,110 @@ def _invertible_everywhere(F, M, N, f) -> bool:
     return True
 
 
-def find_iso(M: Representation, N: Representation, tries: int = 128):
-    """An explicit isomorphism M -> N, or None if none was found."""
+def find_iso(M: Representation, N: Representation, local: bool = False):
+    """An explicit isomorphism M -> N, or None if M and N are not isomorphic.
+
+    ``local`` asserts that End(M) or End(N) is certified LOCAL; one side is
+    enough.  Then a failed basis scan answers "not isomorphic".  Without it,
+    N is split into LOCAL summands (Krull-Schmidt), which raises ValueError
+    on a summand that is not LOCAL over the working field.
+    """
     if M.dim_tuple() != N.dim_tuple():
         return None
+    if M.is_zero():
+        return zero_map(M, N)
     F = M.field
     basis = hom_basis(M, N)
-    if not basis:
-        return None
     for f in basis:
         if _invertible_everywhere(F, M, N, f):
             return f
-    rng = np.random.default_rng(20259)
-    for _ in range(tries):
-        coeffs = rng.integers(0, F.p, len(basis))
-        f = basis[0]
-        f = {v: sum(int(c) * g[v] for c, g in zip(coeffs, basis)) % F.p
-             for v in f}
-        if _invertible_everywhere(F, M, N, f):
-            return f
-    return None
+    if local or not basis:
+        return None
+    return _krull_schmidt_iso(M, N)
 
 
-def is_isomorphic(M: Representation, N: Representation, both_local=False,
-                  hom_mn=None, hom_nm=None) -> IsoVerdict:
-    """Deterministic for LOCAL pairs; randomized search otherwise."""
-    if M.is_zero() and N.is_zero():
-        return IsoVerdict(True)
-    if M.dim_tuple() != N.dim_tuple():
-        return IsoVerdict(False)
+def _local_summands(N: Representation):
+    """N = sum of LOCAL summands, as (Z, inclusion Z -> N) pairs: split on
+    the idempotent e of a DECOMPOSABLE verdict, N = ker e + ker(1 - e)."""
+    verdict = is_indecomposable(N)
+    if verdict.status == IndecVerdict.LOCAL and not verdict.note:
+        return [(N, identity_map(N))]
+    if verdict.status != IndecVerdict.DECOMPOSABLE:
+        raise ValueError(f"no Krull-Schmidt split over GF(p): {verdict}")
+    F, e = N.field, verdict.certificate
+    one_minus_e = map_add(F, identity_map(N), map_scale(F, F.neg(1), e))
+    out = []
+    for p in (e, one_minus_e):
+        K, incl = kernel_rep(N, N, p)
+        out += [(Z, compose_maps(F, incl, i)) for Z, i in _local_summands(K)]
+    return out
+
+
+def _residue(Z: Representation, endo) -> int:
+    """The single eigenvalue l of an endomorphism of a LOCAL module, read
+    from (l + n)^q = l + n^q = l for q = p^k >= dim Z: Frobenius fixes GF(p)
+    and the nilpotent part n dies."""
+    F = Z.field
+    a = total_matrix(Z, endo)
+    q = F.p
+    while q < len(a):
+        q *= F.p
+    power = F.eye(len(a))
+    while q:
+        if q & 1:
+            power = F.mul(power, a)
+        a = F.mul(a, a)
+        q >>= 1
+    lam = int(power[0, 0])
+    if not F.is_zero(F.sub(power, F.scale(lam, F.eye(len(power))))):
+        raise ValueError("endomorphism is not scalar plus nilpotent")
+    return lam
+
+
+def _krull_schmidt_iso(M: Representation, N: Representation):
+    """An isomorphism M -> N from the LOCAL summands of N, or None.
+
+    The summands are grouped up to isomorphism.  For a group of m copies of
+    Z, the pairing Hom(Z, M) x Hom(M, Z) -> k, (g, f) -> residue of f g, has
+    rank the multiplicity of Z in M; m independent columns pick maps
+    f_1, ..., f_m: M -> Z, sent onto the m copies.
+    """
     F = M.field
-    fs = hom_mn if hom_mn is not None else hom_basis(M, N)
-    if not fs:
-        return IsoVerdict(False)
-    gs = hom_nm if hom_nm is not None else hom_basis(N, M)
-    if not gs:
-        return IsoVerdict(False)
-    if both_local:
-        for f in fs:
-            for g in gs:
-                comp = compose_maps(F, g, f)
-                if not is_nilpotent(F, total_matrix(M, comp)):
-                    iso = find_iso(M, N)
-                    return IsoVerdict(True, iso)
-        return IsoVerdict(False)
-    iso = find_iso(M, N)
-    if iso is not None:
-        return IsoVerdict(True, iso)
-    raise Inconclusive(
-        "randomized isomorphism search failed on a non-certified pair")
+    groups = []  # (Z, embeddings Z -> N of the summands isomorphic to Z)
+    for Z, incl in _local_summands(N):
+        for rep, embeds in groups:
+            sigma = find_iso(rep, Z, local=True)
+            if sigma is not None:
+                embeds.append(compose_maps(F, incl, sigma))
+                break
+        else:
+            groups.append((Z, [incl]))
+    iso = zero_map(M, N)
+    for Z, embeds in groups:
+        gs, fs = hom_basis(Z, M), hom_basis(M, Z)
+        pairing = F.zeros(len(gs), len(fs))
+        for i, g in enumerate(gs):
+            for j, f in enumerate(fs):
+                pairing[i, j] = _residue(Z, compose_maps(F, f, g))
+        _, pivots = F.rref(pairing)
+        if len(pivots) < len(embeds):
+            return None
+        for j, embed in zip(pivots, embeds):
+            iso = map_add(F, iso, compose_maps(F, embed, fs[j]))
+    if not _invertible_everywhere(F, M, N, iso):
+        raise RuntimeError("Krull-Schmidt map is not an isomorphism")
+    return iso
+
+
+def is_isomorphic(M: Representation, N: Representation,
+                  both_local=False) -> IsoVerdict:
+    """Exact and deterministic; the certificate is the isomorphism.
+
+    ``both_local`` asserts a LOCAL certificate for End(M) or End(N) (one
+    side suffices) and passes it to ``find_iso`` as ``local``.
+    """
+    iso = find_iso(M, N, local=both_local)
+    return IsoVerdict(iso is not None, iso)
 
 
 # -- kernels, cokernels, exact sequences ----------------------------------------
@@ -702,7 +769,12 @@ class SesCandidate:
 
 def realize_ses(cand: SesCandidate, right_local=True, tries=200) -> SesCandidate:
     """Find injective f and surjective g with coker(f) isomorphic to the right
-    term; exactness then holds by construction."""
+    term; exactness then holds by construction.
+
+    ``right_local`` asserts that End(right term) is certified LOCAL; it is
+    passed to ``find_iso`` as ``local``.  The seeded combinations of the
+    Hom(left, middle) basis only choose which injection to try next.
+    """
     if not cand.dims_additive():
         raise NotRealizable("dimension vectors are not additive")
     X, E, Z = cand.left, cand.middle, cand.right
@@ -716,16 +788,9 @@ def realize_ses(cand: SesCandidate, right_local=True, tries=200) -> SesCandidate
             if X.dim(v) and F.rank(f[v]) != X.dim(v):
                 return None
         Q, proj = cokernel_rep(X, E, f)
-        iso = find_iso(Q, Z)
+        iso = find_iso(Q, Z, local=right_local)
         if iso is None:
-            try:
-                matched = is_isomorphic(Q, Z, both_local=right_local)
-            except Inconclusive:
-                return None  # not certifiable for this f; keep searching
-            if matched.isomorphic:
-                iso = find_iso(Q, Z, tries=512)
-            if iso is None:
-                return None
+            return None
         g = {v: F.mul(iso[v], proj[v]) for v in X.quiver.vertices}
         return f, g
 
@@ -1017,7 +1082,6 @@ class ArVerifier:
         self.lams = lams
         self._rep_cache = {}
         self._indec_cache = {}
-        self._hom_cache = {}
         self._band_len = {name: b.length for name, b in self.calc.bands()}
         self._band_word = {name: b for name, b in self.calc.bands()}
 
@@ -1318,7 +1382,7 @@ class ArVerifier:
             used[hit] = True
         return True
 
-    def verify(self, bound: int, progress=None, jobs: int = 1):
+    def verify(self, bound: int, progress=None):
         """Check every row with middle dim <= bound, plus right-term coverage.
 
         The inventory it checks coverage against stays on ``self.inventory``;
@@ -1382,14 +1446,8 @@ class ArVerifier:
                 problems.append("DTr(right) does not match left")
             return status, problems, cand
 
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(check_row, to_check))
-        else:
-            outcomes = [check_row(r) for r in to_check]
-        for row, (status, problems, cand) in zip(to_check, outcomes):
+        for row in to_check:
+            status, problems, cand = check_row(row)
             cert = None
             if cand is not None and cand.f is not None:
                 cert = {
@@ -1436,5 +1494,5 @@ class ArVerifier:
         }
 
 
-def verify_ar_list(modules, algebra, bound, lam_sample=(2, 3, 5), jobs=1):
-    return ArVerifier(modules, algebra, lam_sample).verify(bound, jobs=jobs)
+def verify_ar_list(modules, algebra, bound, lam_sample=(2, 3, 5)):
+    return ArVerifier(modules, algebra, lam_sample).verify(bound)

@@ -132,17 +132,6 @@ def test_verify_from_inventory(sysfile, tmp_path):
     assert json.loads(vout)["inventory_replayed"] is True
 
 
-def test_verify_threads_env(sysfile, monkeypatch):
-    args = ["verify", sysfile("fund21"), "--max-dim", "5", "--lemma-len", "3"]
-    code, serial = run(args)
-    assert code == 0
-    monkeypatch.setenv("TWORAY_THREADS", "2")
-    code, threaded = run(args)
-    assert code == 0
-    assert json.loads(threaded)["failures"] == []
-    assert threaded == serial  # worker count must not leak into artifacts
-
-
 def test_bad_lambda_rejected(sysfile):
     code, out = run(["classify", sysfile("fund21"), "--max-dim", "4",
                      "--lambda", "0,2"])

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,13 @@ from hypothesis import strategies as st
 
 from tworay import (StringWord, ar_translate, hom_basis,
                     is_indecomposable, is_isomorphic, is_split, realize_ses)
+from tworay import homlab
 from tworay.field import PrimeField
 from tworay.homlab import (ArVerifier, IndecVerdict, NotRealizable,
                            ProjectiveSummand, SesCandidate, complement_indices,
                            compose_maps, find_iso, is_intertwiner,
-                           is_projective, total_matrix)
-from tworay.string_modules import Representation
+                           is_nilpotent, is_projective, total_matrix)
+from tworay.string_modules import Representation, zero_representation
 
 from conftest import SYSTEMS, Ctx, ctx
 
@@ -506,3 +509,139 @@ def test_complement_indices_match_greedy_extension(system):
             greedy.append(i)
             cur = np.hstack([cur, e])
     assert complement_indices(F, img) == greedy
+
+
+# -- deterministic isomorphism ---------------------------------------------------
+
+
+def _nilpotent_composite_reference(M, N):
+    """M and N with End(M) or End(N) local are isomorphic iff some composite
+    g f of the two Hom bases is not nilpotent."""
+    if M.dim_tuple() != N.dim_tuple():
+        return False
+    F = M.field
+    return any(not is_nilpotent(F, total_matrix(M, compose_maps(F, g, f)))
+               for f in hom_basis(M, N) for g in hom_basis(N, M))
+
+
+def _assert_isomorphism(M, N, f):
+    F = M.field
+    assert is_intertwiner(M, N, f)
+    for v in M.quiver.vertices:
+        assert f[v].shape == (N.dim(v), M.dim(v)) and M.dim(v) == N.dim(v)
+        if M.dim(v):
+            assert F.rank(f[v]) == M.dim(v)
+
+
+def _check_local_decision(M, N):
+    want = _nilpotent_composite_reference(M, N)
+    f = find_iso(M, N, local=True)
+    assert (f is not None) == want
+    verdict = is_isomorphic(M, N, both_local=True)
+    assert verdict.isomorphic == want
+    if want:
+        _assert_isomorphism(M, N, f)
+        _assert_isomorphism(M, N, verdict.certificate)
+    return want
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_local_iso_decision_matches_nilpotent_composites(name):
+    c = ctx(name)
+    inv = c.modules.theorem_inventory(8)
+    groups = {}
+    for e in inv:
+        groups.setdefault(e.rep.dim_tuple(), []).append(e.rep)
+    decided = [_check_local_decision(a, b) for reps in groups.values()
+               for k, a in enumerate(reps) for b in reps[k:]]
+    assert decided.count(True) == len(inv)  # each entry only with itself
+    ver = ArVerifier(c.modules, c.algebra)
+    taus = 0
+    for row in ver.rows(8):
+        if row["middle_dim"] > 8 or len(row["right"]) != 1:
+            continue
+        right = ver.atom_rep(row["right"][0])
+        if is_projective(right, c.algebra):
+            continue
+        tau = ar_translate(right, c.algebra)
+        for a in row["left"]:
+            taus += _check_local_decision(tau, ver.atom_rep(a))
+    assert taus > 0
+
+
+def _sum_cases(fund21, tsys):
+    """(M, N, isomorphic) for direct sums that the basis scan alone cannot
+    decide: permuted sums, and sums with equal dimension vectors that
+    differ in one summand, with lambda != 1 band summands among them."""
+    sm, calc = fund21.modules, fund21.calc
+    a = sm.construct_M(calc.word(("alpha:1:1", "alpha:1:2")))
+    b = sm.construct_M(calc.word(("alpha:1:2", "beta:1:1")))
+    r5 = sm.construct_R(calc.band_b0(), 5, 1)
+    r6 = sm.construct_R(calc.band_b0(), 6, 1)
+    smt = tsys.modules
+    c = smt.construct_M(tsys.calc.mu("x:1:2"))
+    d = smt.construct_M(tsys.calc.trivial("z:1:2"))
+    s = lambda *ms: ms[0] if len(ms) == 1 else ms[0].direct_sum(s(*ms[1:]))
+    return [
+        (s(a, a, b), s(b, a, a), True),
+        (s(c, c, d), s(d, c, c), True),
+        (s(a, a), s(a, b), False),
+        (s(a, b, b), s(a, a, b), False),
+        (s(r5, a), s(a, r5), True),
+        (s(r5, a), s(r6, a), False),
+        (s(r5, r5, b), s(b, r5, r5), True),
+        (s(r5, r6), s(r6, r6), False),
+    ]
+
+
+def test_krull_schmidt_sums(fund21, tsys):
+    for M, N, want in _sum_cases(fund21, tsys):
+        assert M.dim_tuple() == N.dim_tuple()
+        f = find_iso(M, N)
+        assert (f is not None) == want
+        assert is_isomorphic(M, N).isomorphic == want
+        if want:
+            _assert_isomorphism(M, N, f)
+        assert (find_iso(N, M) is not None) == want
+
+
+def test_krull_schmidt_rejects_field_obstruction(fund21):
+    # End of the band glued along t^2 + 1 over GF(3) is GF(9): its square has
+    # no invertible Hom basis element and no summand LOCAL over GF(3)
+    F3 = PrimeField(3)
+    eye = np.eye(2, dtype=np.int64)
+    rep = Representation(fund21.quiver, F3,
+                         {v: (("v", 0), ("v", 1))
+                          for v in fund21.quiver.vertices},
+                         {"alpha:1:1": eye, "alpha:1:2": eye,
+                          "beta:1:1": np.array([[0, 2], [1, 0]])})
+    with pytest.raises(ValueError):
+        find_iso(rep.direct_sum(rep), rep.direct_sum(rep))
+
+
+def test_zero_modules_are_isomorphic(fund21):
+    zero = zero_representation(fund21.quiver, fund21.field)
+    for local in (False, True):
+        f = find_iso(zero, zero, local=local)
+        assert f is not None
+        assert all(f[v].shape == (0, 0) for v in fund21.quiver.vertices)
+    verdict = is_isomorphic(zero, zero)
+    assert verdict.isomorphic and verdict.certificate is not None
+    s = fund21.modules.construct_M(fund21.calc.trivial("x:1:0"))
+    assert find_iso(zero, s) is None and not is_isomorphic(s, zero)
+
+
+def test_isomorphism_draws_no_random_numbers(monkeypatch, fund21, tsys):
+    real = np.random.default_rng
+
+    def only_realize_ses(*args, **kwargs):
+        if sys._getframe(1).f_code is not homlab.realize_ses.__code__:
+            raise AssertionError("random numbers drawn outside realize_ses")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", only_realize_ses)
+    for M, N, want in _sum_cases(fund21, tsys):
+        assert (find_iso(M, N) is not None) == want
+        assert is_isomorphic(M, N).isomorphic == want
+    report = ArVerifier(tsys.modules, tsys.algebra).verify(10)
+    assert report["failures"] == [] and report["rows_checked"] > 0
