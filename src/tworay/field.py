@@ -70,11 +70,14 @@ class PrimeField:
         return np.eye(n, dtype=np.int64)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.shape[1] != b.shape[0]:
+        """``a @ b`` mod p.  Stacks multiply through ``np.matmul``: a k x n x m
+        stack times a k x m x l stack, or times one m x l matrix, is the k
+        products, each an inner product of length m under the bound above."""
+        if a.shape[-1] != b.shape[-2]:
             raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-        if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-            return self.zeros(a.shape[0], b.shape[1])
-        return (a @ b) % self.p
+        if a.size and b.size:
+            return np.matmul(a, b) % self.p
+        return np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a + b) % self.p

@@ -37,6 +37,21 @@ group's pairing has rank >= m.  Then m independent columns f_1, ..., f_m,
 each sent onto one copy of Z in N, make M -> N split epi on every group;
 maps between non-isomorphic summands lie in the radical, so the sum over
 the groups is an isomorphism, and it is checked before it is returned.
+
+Indecomposability is certified as End(M) = k id + rad.  Every End basis
+element f_j is tried as l_j id + n_j with n_j nilpotent (l_j = trace / d
+when p does not divide d, else the root of the charpoly); then End(M) =
+k id + span(n_j), and End(M) is LOCAL iff the n_j generate a nilpotent
+algebra A.  The flag V_0 = k^d, V_(i+1) = sum_j n_j V_i decides this within
+d steps, one stacked product and one elimination each.  If some V_m = 0,
+every product of m shifts vanishes, so A is nilpotent, End(M) = k id + A is
+local and A is its radical.  Conversely, if End(M) is local, every n_j lies
+in rad, and rad^d = 0 (a nilpotent algebra of d x d matrices is
+simultaneously triangularizable: Levitzki; Radjavi-Rosenthal, Simultaneous
+Triangularization, 2000), so V_d lies in rad^d k^d = 0.  The flag only
+descends, so a step that keeps the rank has stalled at a nonzero subspace
+and End(M) is not local; only then are products of the shifts searched for
+a non-nilpotent one, whose Fitting decomposition gives the idempotent.
 """
 
 import numpy as np
@@ -148,17 +163,23 @@ def is_intertwiner(M, N, f) -> bool:
     return True
 
 
-def total_matrix(M: Representation, f) -> np.ndarray:
-    """Block-diagonal matrix of an endomorphism on the total space."""
+def total_matrices(M: Representation, maps) -> np.ndarray:
+    """k x d x d stack of the block-diagonal matrices of k endomorphisms on
+    the total space."""
     d = M.total_dim
-    out = np.zeros((d, d), dtype=np.int64)
+    out = np.zeros((len(maps), d, d), dtype=np.int64)
     pos = 0
     for v in M.quiver.vertices:
         dv = M.dim(v)
         if dv:
-            out[pos: pos + dv, pos: pos + dv] = f[v]
+            out[:, pos: pos + dv, pos: pos + dv] = [f[v] for f in maps]
         pos += dv
     return out
+
+
+def total_matrix(M: Representation, f) -> np.ndarray:
+    """Block-diagonal matrix of an endomorphism on the total space."""
+    return total_matrices(M, [f])[0]
 
 
 # -- polynomial helpers over GF(p) ---------------------------------------------
@@ -225,17 +246,39 @@ def poly_apply(F, coeffs, mat):
     return out
 
 
-def is_nilpotent(F, mat) -> bool:
-    n = mat.shape[0]
-    if n == 0:
-        return True
-    m = mat % F.p
-    steps = max(1, n).bit_length()
-    for _ in range(steps):
-        if F.is_zero(m):
-            return True
+def _nilpotent_mask(F, stack) -> np.ndarray:
+    """Which matrices of a k x n x n stack are nilpotent: m^(2^s) = 0 with
+    2^s > n, by repeated squaring of the whole stack."""
+    m = stack % F.p
+    for _ in range(max(1, stack.shape[-1]).bit_length()):
+        if not m.any():
+            break
         m = F.mul(m, m)
-    return F.is_zero(m)
+    return ~m.any(axis=(-2, -1))
+
+
+def is_nilpotent(F, mat) -> bool:
+    """Whether one square matrix is nilpotent."""
+    return bool(_nilpotent_mask(F, mat[None])[0])
+
+
+def _generates_nilpotent(F, stack) -> bool:
+    """Whether the k x d x d stack n_1, ..., n_k generates a nilpotent
+    algebra: the flag V_0 = k^d, V_(i+1) = sum_j n_j V_i reaches 0.
+
+    V_i is kept as the columns of a d x r basis; the rows of the (k r) x d
+    transpose of n_j V_i span V_(i+1).  The flag only descends, so equal
+    ranks mean it has stalled at a nonzero subspace.
+    """
+    d = stack.shape[-1]
+    basis = F.eye(d)
+    while basis.shape[1]:
+        image = F.mul(stack, basis)
+        reduced, pivots = F.rref(image.transpose(0, 2, 1).reshape(-1, d))
+        if len(pivots) == basis.shape[1]:
+            return False
+        basis = reduced[:len(pivots)].T
+    return True
 
 
 def factor_charpoly(F, coeffs):
@@ -315,52 +358,73 @@ def _split_from_factors(M, endo, factors):
     return idem
 
 
-def _certify(M: Representation, basis, shift_candidates):
+def _shift_map(M: Representation, f, lam):
+    """f - lam id, per vertex."""
+    F = M.field
+    return {v: F.sub(m, F.scale(lam, F.eye(len(m)))) for v, m in f.items()}
+
+
+def _certify(M: Representation, basis):
     """LOCAL / DECOMPOSABLE / obstructed analysis for one endomorphism basis.
 
-    shift_candidates(endo_total) yields field elements to try as the single
-    eigenvalue; returning None for an element routes it to charpoly analysis.
+    Every element f is tested as l id + nilpotent with l = trace / d (when p
+    does not divide d), all at once on the stack of total matrices; an
+    element that fails goes to charpoly analysis, in basis order.  Once
+    every element is scalar + nilpotent, End(M) is LOCAL iff the shifts
+    generate a nilpotent algebra, which the flag decides; only a stalled
+    flag pays for a Fitting idempotent.
     """
     F = M.field
     d = M.total_dim
-    shifted = []
-    for f in basis:
-        total = total_matrix(M, f)
-        lam = shift_candidates(total)
-        if lam is not None and is_nilpotent(F, total - F.scale(lam, F.eye(d))):
-            shifted.append(map_add(F, f, map_scale(F, F.neg(lam), identity_map(M))))
+    eye = F.eye(d)
+    totals = total_matrices(M, basis)
+    lams = np.zeros(len(basis), dtype=np.int64)
+    nil = np.zeros(len(basis), dtype=bool)
+    if d % F.p:
+        lams = np.trace(totals, axis1=1, axis2=2) % F.p * F.inv(d) % F.p
+        nil = _nilpotent_mask(F, totals - lams[:, None, None] * eye)
+    for i, f in enumerate(basis):
+        if nil[i]:
             continue
         # not scalar + nilpotent: inspect the characteristic polynomial
-        factors = factor_charpoly(F, F.charpoly(total))
+        factors = factor_charpoly(F, F.charpoly(totals[i]))
         if len(factors) > 1:
             if any(len(fac) == 2 for fac, _ in factors):
                 fac = next(fac for fac, _ in factors if len(fac) == 2)
                 lam = F.neg(fac[0])  # root of the linear factor
-                nshift = map_add(F, f, map_scale(F, F.neg(lam), identity_map(M)))
-                return IndecVerdict(IndecVerdict.DECOMPOSABLE,
-                                    _fitting_idempotent(M, nshift))
+                idem = _fitting_idempotent(M, _shift_map(M, f, lam))
+                return IndecVerdict(IndecVerdict.DECOMPOSABLE, idem)
             return IndecVerdict(IndecVerdict.DECOMPOSABLE,
                                 _split_from_factors(M, f, factors))
         fac, exp = factors[0]
         if len(fac) == 2:
-            lam = F.neg(fac[0])
-            nf = map_add(F, f, map_scale(F, F.neg(lam), identity_map(M)))
-            if is_nilpotent(F, total_matrix(M, nf)):
-                shifted.append(nf)
+            lams[i] = F.neg(fac[0])
+            if is_nilpotent(F, totals[i] - lams[i] * eye):
                 continue
             raise AssertionError("charpoly (t-l)^d but shift not nilpotent")
         return IndecVerdict("OBSTRUCTED", (f, fac))
-    # Every basis element is scalar + nilpotent; End(M) is local iff the
-    # shifts generate a nilpotent algebra.  In the local case the iterated
-    # span equals rad^k, which strictly decreases to zero within d steps
-    # (Nakayama); otherwise some finite product of the shifts is
-    # non-nilpotent (a multiplicative semigroup of nilpotents spans a
-    # nilpotent algebra) and Fitting splits the module on it.
-    gens = [(total_matrix(M, f), f) for f in shifted]
+    shifts = (totals - lams[:, None, None] * eye) % F.p
+    if _generates_nilpotent(F, shifts):
+        return IndecVerdict(IndecVerdict.LOCAL)
+    gens = [(m, _shift_map(M, f, int(lam)))
+            for m, f, lam in zip(shifts, basis, lams)]
+    return IndecVerdict(IndecVerdict.DECOMPOSABLE, _fitting_witness(M, gens))
+
+
+def _fitting_witness(M: Representation, gens):
+    """Fitting idempotent of a non-nilpotent product of the shifts.
+
+    ``gens`` pairs each shift's total matrix with its per-vertex maps.  It
+    is called only when the flag has stalled, so the shifts do not generate
+    a nilpotent algebra, and some product of them is non-nilpotent (a
+    multiplicative semigroup of nilpotent matrices spans a nilpotent
+    algebra: Levitzki).  The search multiplies the generators into a
+    spanning subset of the products of each length and returns on the first
+    non-nilpotent one.
+    """
+    F = M.field
     current = list(gens)
-    for _ in range(2 * d + 2):
-        if not current:
-            return IndecVerdict(IndecVerdict.LOCAL)
+    for _ in range(2 * M.total_dim + 2):
         nxt = []
         for gm, gf in gens:
             for cm, cf in current:
@@ -369,16 +433,15 @@ def _certify(M: Representation, basis, shift_candidates):
                     continue
                 prod_f = compose_maps(F, gf, cf)
                 if not is_nilpotent(F, prod_m):
-                    return IndecVerdict(IndecVerdict.DECOMPOSABLE,
-                                        _fitting_idempotent(M, prod_f))
+                    return _fitting_idempotent(M, prod_f)
                 nxt.append((prod_m, prod_f))
         if not nxt:
-            return IndecVerdict(IndecVerdict.LOCAL)
+            break
         # keep a spanning subset so the product frontier cannot blow up
         flat = np.stack([m.reshape(-1) for m, _ in nxt], axis=1) % F.p
         _, pivots = F.rref(flat)
         current = [nxt[i] for i in pivots]
-    raise RuntimeError("endomorphism analysis did not terminate")
+    raise RuntimeError("no non-nilpotent product of the shifts found")
 
 
 def is_indecomposable(M: Representation, end_basis=None) -> IndecVerdict:
@@ -389,19 +452,10 @@ def is_indecomposable(M: Representation, end_basis=None) -> IndecVerdict:
     """
     if M.is_zero():
         raise ValueError("the zero module is neither")
-    F = M.field
     basis = end_basis if end_basis is not None else hom_basis(M, M)
     if len(basis) == 1:
         return IndecVerdict(IndecVerdict.LOCAL)
-    d = M.total_dim
-
-    def trace_shift(total):
-        if d % F.p == 0:
-            return None
-        tr = int(np.trace(total)) % F.p
-        return (tr * F.inv(d % F.p)) % F.p
-
-    verdict = _certify(M, basis, trace_shift)
+    verdict = _certify(M, basis)
     if verdict.status != "OBSTRUCTED":
         return verdict
     ext_verdict = _certify_over_extension(M, basis)
@@ -427,7 +481,10 @@ def _certify_over_extension(M: Representation, basis) -> IndecVerdict:
 
     Elements of GF(p^2) are handled through the regular 2x2 embedding: a
     matrix X over GF(p) becomes kron(X, I2), the generator acts as
-    kron(I, w).  Nilpotency and algebra generation transfer verbatim.
+    kron(I, w).  Nilpotency and algebra generation transfer verbatim: the
+    shifts generate a nilpotent GF(p^2)-algebra iff the GF(p)-matrices
+    {m, w m} do, since they span the same space, so the flag decides LOCAL
+    and a stalled flag means that End(M) over GF(p^2) is not local.
     """
     F = M.field
     d = M.total_dim
@@ -473,32 +530,14 @@ def _certify_over_extension(M: Representation, basis) -> IndecVerdict:
             if not deep_factor:
                 return IndecVerdict(IndecVerdict.DECOMPOSABLE)
             return IndecVerdict("OBSTRUCTED")
-    # span-nilpotency over GF(p^2): close the GF(p)-span under the generator
-    gens = []
+    # the GF(p)-span of {m, w m} is the GF(p^2)-span of the shifts; w acts
+    # as kron(I, w), which commutes with every m, so w m = m w
+    stack = np.stack(shifted)
     wmat = np.kron(np.eye(d, dtype=np.int64), w)
-    for m in shifted:
-        gens.append(m)
-        gens.append((wmat @ m) % F.p)
-    current = list(gens)
-    for _ in range(4 * d + 4):
-        if not current:
-            return IndecVerdict(IndecVerdict.LOCAL)
-        nxt = []
-        for g in gens:
-            for c in current:
-                prod = F.mul(g, c)
-                if F.is_zero(prod):
-                    continue
-                if not is_nilpotent(F, prod):
-                    return IndecVerdict(IndecVerdict.DECOMPOSABLE)
-                nxt.append(prod)
-        if not nxt:
-            return IndecVerdict(IndecVerdict.LOCAL)
-        flat = np.array([m.reshape(-1) for m in nxt], dtype=np.int64)
-        if F.rank(flat) == 0:
-            return IndecVerdict(IndecVerdict.LOCAL)
-        current = nxt
-    return IndecVerdict("OBSTRUCTED")
+    gens = np.concatenate([stack, F.mul(stack, wmat)])
+    if _generates_nilpotent(F, gens):
+        return IndecVerdict(IndecVerdict.LOCAL)
+    return IndecVerdict(IndecVerdict.DECOMPOSABLE)
 
 
 def _quadratic_roots_ext(F, b, c0, w):
@@ -1382,7 +1421,7 @@ class ArVerifier:
             used[hit] = True
         return True
 
-    def verify(self, bound: int, progress=None):
+    def verify(self, bound: int):
         """Check every row with middle dim <= bound, plus right-term coverage.
 
         The inventory it checks coverage against stays on ``self.inventory``;
@@ -1461,8 +1500,6 @@ class ArVerifier:
                             "certificate": cert})
             for pb in problems:
                 failures.append(f"row {row['key']}: {pb}")
-            if progress:
-                progress(row, status)
 
         counts = {}
         for row in rows:

@@ -136,3 +136,21 @@ def test_prime_field_rejects_overflowing_order():
     assert F.mul(a, a.T).tolist() == [[3]]
     big = F.mat([[F.p - 1] * 4096])
     assert F.mul(big, big.T).tolist() == [[4096 % F.p]]
+
+
+def test_prime_field_multiplies_stacks():
+    F = PrimeField(7)
+    rng = np.random.default_rng(3)
+    a = F.mat(rng.integers(0, 7, (3, 4, 5)))
+    b = F.mat(rng.integers(0, 7, (3, 5, 2)))
+    c = F.mat(rng.integers(0, 7, (5, 2)))
+    assert np.array_equal(F.mul(a, b), np.stack([F.mul(x, y)
+                                                 for x, y in zip(a, b)]))
+    assert np.array_equal(F.mul(a, c), np.stack([F.mul(x, c) for x in a]))
+    empty = ((a[:, :0], b, (3, 0, 2)), (a[:, :, :0], b[:, :0], (3, 4, 2)),
+             (F.zeros(0, 5), c, (0, 2)), (F.zeros(2, 0), F.zeros(0, 3), (2, 3)))
+    for x, y, shape in empty:
+        z = F.mul(x, y)
+        assert z.shape == shape and z.dtype == np.int64 and not z.any()
+    with pytest.raises(ValueError, match="shape mismatch"):
+        F.mul(a, a)

@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tworay import (StringWord, ar_translate, hom_basis,
@@ -645,3 +645,189 @@ def test_isomorphism_draws_no_random_numbers(monkeypatch, fund21, tsys):
         assert is_isomorphic(M, N).isomorphic == want
     report = ArVerifier(tsys.modules, tsys.algebra).verify(10)
     assert report["failures"] == [] and report["rows_checked"] > 0
+
+
+# -- LOCAL certification by the radical flag -------------------------------------
+
+
+def _power(F, a, n):
+    out = F.eye(len(a))
+    for _ in range(n):
+        out = out @ a % F.p
+    return out
+
+
+def _scalar_part(F, t):
+    """l with t = l id + nilpotent, or None.  (l + n)^q = l for q = p^k >= d,
+    since Frobenius fixes GF(p) and n^q = 0."""
+    d, q = len(t), F.p
+    while q < d:
+        q *= F.p
+    power, base = F.eye(d), t % F.p
+    while q:
+        if q & 1:
+            power = power @ base % F.p
+        base = base @ base % F.p
+        q >>= 1
+    lam = int(power[0, 0])
+    shift = (t - lam * np.eye(d, dtype=np.int64)) % F.p
+    return None if _power(F, shift, d).any() else lam
+
+
+def _local_reference(M, basis):
+    """End(M) is local iff every basis element is l id + nilpotent and every
+    product of d shifts vanishes: the span of the products of each length is
+    closed under left multiplication by the shifts, d times."""
+    F, d = M.field, M.total_dim
+    shifts = []
+    for f in basis:
+        t = total_matrix(M, f)
+        lam = _scalar_part(F, t)
+        if lam is None:
+            return False
+        shifts.append((t - lam * np.eye(d, dtype=np.int64)) % F.p)
+    span = shifts
+    for _ in range(d - 1):
+        prods = [g @ m % F.p for g in shifts for m in span]
+        _, pivots = F.rref(np.array([m.reshape(-1) for m in prods]).T)
+        span = [prods[i] for i in pivots]
+        if not span:
+            return True
+    return not any(m.any() for m in span)
+
+
+def _assert_certified(M, basis=None):
+    """The verdict equals the product-closure reference; a DECOMPOSABLE
+    certificate is a nontrivial idempotent intertwiner."""
+    basis = hom_basis(M, M) if basis is None else basis
+    verdict = is_indecomposable(M, basis)
+    local = _local_reference(M, basis)
+    assert (verdict.status == IndecVerdict.LOCAL) == local
+    if not local:
+        assert verdict.status == IndecVerdict.DECOMPOSABLE
+        F, e = M.field, verdict.certificate
+        assert is_intertwiner(M, M, e)
+        sq = compose_maps(F, e, e)
+        assert all(np.array_equal(sq[v], e[v] % F.p) for v in e)
+        assert 0 < F.rank(total_matrix(M, e)) < M.total_dim
+    return local
+
+
+def _square_with_nilpotent_basis(M):
+    """M + M with an End basis of scalar + nilpotent elements spanning
+    End(M + M) = M_2(End M), which is not local: n (x) b for b in an End(M)
+    basis and n in {id, E12, E21, [[1, 1], [-1, -1]]}.  Only the product
+    search behind a stalled flag can split it."""
+    F = M.field
+    ns = [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]],
+          [[1, 1], [-1, -1]]]
+    basis = [{v: np.kron(np.array(n), b[v]) % F.p for v in b}
+             for n in ns for b in hom_basis(M, M)]
+    return M.direct_sum(M), basis
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_certify_matches_product_closure(name):
+    c = ctx(name)
+    inv = c.modules.theorem_inventory(8)
+    assert all(_assert_certified(e.rep) for e in inv)
+    translated = 0
+    for e in inv:
+        if e.rep.total_dim <= 6 and not is_projective(e.rep, c.algebra):
+            translated += _assert_certified(ar_translate(e.rep, c.algebra))
+    assert translated > 0
+
+
+def test_certify_sums_match_product_closure(fund21, tsys):
+    from tworay.string_modules import StringModules
+
+    sums = {id(M): M for M, N, _ in _sum_cases(fund21, tsys) for M in (M, N)}
+    assert not any(_assert_certified(M) for M in sums.values())
+    sm2 = StringModules(fund21.calc, PrimeField(2))
+    atoms = [fund21.modules.construct_R(fund21.calc.band_b0(), 5, 1),
+             fund21.modules.construct_M(fund21.calc.word(("alpha:1:1",))),
+             tsys.modules.construct_M(tsys.calc.mu("x:1:2")),
+             sm2.construct_M(fund21.calc.trivial("x:1:0"))]
+    for M in atoms:
+        assert _assert_certified(M)
+        assert not _assert_certified(*_square_with_nilpotent_basis(M))
+
+
+def test_local_certification_never_searches_products(monkeypatch, fund21):
+    # LOCAL needs neither the product search nor, with p not dividing the
+    # dimension, the charpoly: l = trace / d is the eigenvalue
+    def forbidden(*args):
+        raise AssertionError("product search entered")
+
+    def no_charpoly(*args):
+        raise AssertionError("charpoly factored")
+
+    monkeypatch.setattr(homlab, "_fitting_witness", forbidden)
+    monkeypatch.setattr(homlab, "factor_charpoly", no_charpoly)
+    for name in ("tsys", "s24", "ex14"):
+        for e in ctx(name).modules.theorem_inventory(10):
+            assert is_indecomposable(e.rep).status == IndecVerdict.LOCAL
+    s = fund21.modules.construct_M(fund21.calc.trivial("x:1:0"))
+    with pytest.raises(AssertionError, match="product search"):
+        is_indecomposable(*_square_with_nilpotent_basis(s))
+
+
+def test_extension_flag(fund21):
+    # over GF(p^2) the blown-up shifts go through the same flag
+    r = fund21.modules.construct_R(fund21.calc.band_b0(), 5, 2)
+    ext = homlab._certify_over_extension(r, hom_basis(r, r))
+    assert ext.status == IndecVerdict.LOCAL
+    ext = homlab._certify_over_extension(*_square_with_nilpotent_basis(r))
+    assert ext.status == IndecVerdict.DECOMPOSABLE
+
+
+def _brute_nilpotent(F, mats, length):
+    """Every product of ``length`` matrices from ``mats`` vanishes."""
+    prods = [F.eye(mats.shape[-1])]
+    for _ in range(length):
+        prods = [g @ m % F.p for g in mats for m in prods]
+    return not any(m.any() for m in prods)
+
+
+@st.composite
+def _matrix_sets(draw):
+    """(field, k x d x d stack): uniform entries, or a strictly upper
+    triangular set conjugated by an invertible P = (row permutation of a
+    unit lower triangular) @ unit upper triangular."""
+    F = PrimeField(draw(st.sampled_from((2, 3))))
+    d, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def mats(n):
+        flat = draw(st.lists(st.integers(0, F.p - 1), min_size=n * d * d,
+                             max_size=n * d * d))
+        return np.array(flat, dtype=np.int64).reshape(n, d, d)
+
+    stack = mats(k)
+    if draw(st.booleans()):
+        lower, upper = mats(2)
+        perm = draw(st.permutations(range(d)))
+        P = ((np.tril(lower, -1) + F.eye(d))[perm] @
+             (np.triu(upper, 1) + F.eye(d))) % F.p
+        stack = P @ np.triu(stack, 1) @ F.inv_matrix(P) % F.p
+    return F, stack
+
+
+def _e12_e21(p, d):
+    """{E12, E21}: nilpotent matrices whose products E11, E22 are not."""
+    pair = np.zeros((2, d, d), dtype=np.int64)
+    pair[0, 0, 1] = pair[1, 1, 0] = 1
+    return PrimeField(p), pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_sets())
+@example(_e12_e21(2, 2))
+@example(_e12_e21(3, 4))
+def test_flag_matches_brute_force(case):
+    F, stack = case
+    d = stack.shape[-1]
+    assert homlab._generates_nilpotent(F, stack) == _brute_nilpotent(
+        F, stack, d + 1)
+    single = [_brute_nilpotent(F, m[None], d) for m in stack]
+    assert homlab._nilpotent_mask(F, stack).tolist() == single
+    assert [is_nilpotent(F, m) for m in stack] == single
