@@ -11,10 +11,10 @@ from .quiver import Quiver, Relation, build_quiver, build_relations
 from .strings import EMPTY, StringWord, WordCalculus
 from .string_modules import (Representation, StringModules, check_relations,
                              dim_vector, zero_representation)
-from .algebra import AlgebraBasis, algebra_basis
+from .algebra import AlgebraBasis
 from .homlab import (ArVerifier, IndecVerdict, SesCandidate, ar_translate,
                      hom_basis, is_indecomposable, is_isomorphic, is_split,
-                     realize_ses, verify_ar_list)
+                     realize_ses)
 from .vsc import (AdmissiblePoset, SubspaceTriple, VscModel, build_model,
                   hom_pattern_of_functor, match_model,
                   subspace_objects_family, subspace_objects_single,
@@ -39,10 +39,9 @@ __all__ = [
     "EMPTY", "StringWord", "WordCalculus",
     "Representation", "StringModules", "check_relations", "dim_vector",
     "zero_representation",
-    "AlgebraBasis", "algebra_basis",
+    "AlgebraBasis",
     "ArVerifier", "IndecVerdict", "SesCandidate", "ar_translate", "hom_basis",
     "is_indecomposable", "is_isomorphic", "is_split", "realize_ses",
-    "verify_ar_list",
     "AdmissiblePoset", "SubspaceTriple", "VscModel", "build_model",
     "hom_pattern_of_functor", "match_model", "subspace_objects_family",
     "subspace_objects_single", "subspace_rows_family",

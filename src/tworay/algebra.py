@@ -271,7 +271,3 @@ class AlgebraBasis:
                 assert phi[i][j].denominator == 1, "Coxeter matrix not integral"
                 out[i, j] = int(phi[i][j])
         return out
-
-
-def algebra_basis(quiver: Quiver, relations, field=None) -> AlgebraBasis:
-    return AlgebraBasis(quiver, relations, field)

@@ -54,6 +54,8 @@ and End(M) is not local; only then are products of the shifts searched for
 a non-nilpotent one, whose Fitting decomposition gives the idempotent.
 """
 
+import functools
+
 import numpy as np
 
 from .string_modules import Representation, zero_representation
@@ -1129,12 +1131,6 @@ class ArVerifier:
     def _wkey(self, w):
         return self.calc.word_key(w)
 
-    def _unkey(self, wkey):
-        from .strings import StringWord
-
-        letters, terminus = wkey
-        return StringWord(letters, terminus if not letters else None)
-
     def atom_dim(self, atom):
         tag = atom[0]
         if tag == "M":
@@ -1158,14 +1154,14 @@ class ArVerifier:
         tag = atom[0]
         sm = self.sm
         if tag == "M":
-            rep = sm.construct_M(self._unkey(atom[1]))
+            rep = sm.construct_M(self.calc.from_key(atom[1]))
         elif tag == "N":
-            rep = sm.construct_N(atom[1], self._unkey(atom[2]))
+            rep = sm.construct_N(atom[1], self.calc.from_key(atom[2]))
         elif tag == "L":
-            rep = sm.construct_L(atom[1], self._unkey(atom[2]))
+            rep = sm.construct_L(atom[1], self.calc.from_key(atom[2]))
         elif tag == "NCC":
-            rep = sm.construct_NCC(atom[1], self._unkey(atom[2]),
-                                   self._unkey(atom[3]))
+            rep = sm.construct_NCC(atom[1], self.calc.from_key(atom[2]),
+                                   self.calc.from_key(atom[3]))
         elif tag == "R":
             rep = sm.construct_R(self._band_word[atom[1]], atom[2], atom[3])
         elif tag == "Qband":
@@ -1244,10 +1240,42 @@ class ArVerifier:
     def rows(self, bound: int):
         """Rows with right-term dimension or middle dimension within bound.
 
-        String parameters are enumerated with a margin covering how much a
-        successor can shrink a word (at most 1 + max |omega| on one side and
-        1 + max |nu| on the other), so every row whose right term fits inside
-        the bound is produced.
+        Every family is enumerated forwards from its left parameters, so the
+        coverage check in ``verify`` stays a real check.  Write |EMPTY| = -1,
+        w = max |omega_v| and n = max |nu_v| over all vertices.
+
+        Budgets.  Families 4-9 take their words from S' and S_x up to
+        length ``bound + w + n + 4``: a successor shrinks a word by at most
+        1 + w at one end, a co-successor by at most 1 + n at the other, so
+        every row whose right term fits the bound is produced.  Family 10
+        takes the pairs of P_x with |C| + |C'| <= bound + 2w - 1, and
+        skips a pair with |C+| + |C'+| + 3 > bound before canonicalising
+        it.  Both cuts rest on two lemmas.
+
+        Lemma A.  Either C+ = EMPTY and |C| <= w, or |C+| >= |C| - 1 - w.
+        Proof: C+ either appends letters, so |C+| > |C|, or it strips the
+        last Q1''-letter together with the Q1'-run after it.  That run is a
+        Q1'-only string terminating at some vertex v; by thinness such
+        strings are the prefixes of omega_v, so the run has at most w
+        letters.  With no Q1''-letter to strip, C+ = EMPTY and C itself is
+        a prefix of omega_x.
+
+        Lemma B.  For a != EMPTY, a term canon_NCC(x, a, b) that does not
+        raise has dimension >= |a| + |b| + 3.  Proof, case by case:
+        N(a, EMPTY) = M(gamma a) has dimension |a| + 2; N(a, a) = N_a + M_a
+        has 2|a| + 4; N(a, B_x a) = L(B_x a) + M(gamma a) has
+        (|B_x a| + 2) + (|a| + 2) = |a| + |b| + 4; NCC(a, b) has
+        |a| + |b| + 4.
+
+        C+ = EMPTY only for C = omega_x: a shorter prefix of omega_x takes
+        the next letter of omega_x.  In a family-10 row, C < C' and omega_x
+        is the largest string at x, so C+ != EMPTY.  The right term canon_NCC(x, C+, C'+) then has
+        dimension >= |C+| + |C'+| + 3 by Lemma B, and the middle
+        canon_NCC(x, C, C'+) + canon_NCC(x, C+, C') has more, namely
+        >= |C+| + |C'+| + |C| + |C'| + 6.  So the prefilter only drops rows
+        the dimension filter would drop.  A surviving pair has
+        |C+| + |C'+| <= bound - 3, and Lemma A gives |C| <= |C+| + 1 + w
+        in both of its cases, hence |C| + |C'| <= bound + 2w - 1.
         """
         calc = self.calc
         q = self.quiver
@@ -1258,13 +1286,20 @@ class ArVerifier:
         margin = bound + max_omega + max_nu + 4
         out = []
         self.row_anomalies = []
+        plus = {}  # C -> C+, one successor per word
+
+        def succ(c):
+            cp = plus.get(c)
+            if cp is None:
+                cp = plus[c] = calc.successor(c)
+            return cp
 
         def emit(family, params, *term_thunks):
             # term parameters are computed lazily so an inconsistent instance
             # (a pair leaving P_x, say) surfaces as an anomaly, not a crash
             try:
                 left, middle, right = [t() for t in term_thunks]
-            except (ValueError, AssertionError) as exc:
+            except ValueError as exc:
                 self.row_anomalies.append(
                     f"row family {family} at {params}: {exc}")
                 return
@@ -1334,9 +1369,9 @@ class ArVerifier:
                 bi = calc.bi_successor(c)
 
                 def row5_left(c=c, pc=pc, cprime=cprime, x=x):
-                    assert pc is not EMPTY and \
-                        self._wkey(pc) == self._wkey(cprime), \
-                        f"co-successor of alpha_x C is not C at {x}"
+                    if pc is EMPTY or self._wkey(pc) != self._wkey(cprime):
+                        raise ValueError(
+                            f"co-successor of alpha_x C is not C at {x}")
                     return self.canon_M(c)
 
                 emit(5, (x, self._wkey(cprime)),
@@ -1344,7 +1379,7 @@ class ArVerifier:
                      lambda: self.canon_M(cp) + self.canon_NCC(x, mu, pc),
                      lambda: self.canon_NCC(x, mu, bi))
             for c in sx:
-                cp = calc.successor(c)
+                cp = succ(c)
                 emit(6, (x, self._wkey(c)),
                      lambda: self.canon_M(c),
                      lambda: self.canon_NCC(x, c, cp),
@@ -1354,8 +1389,10 @@ class ArVerifier:
                          lambda: self.canon_N(x, c),
                          lambda: self.canon_NCC(x, c, cp),
                          lambda: self.canon_M(cp))
-            for c, c2 in calc.pairs_p_x(x, 2 * bound + 2 * max_omega + 4):
-                cp, c2p = calc.successor(c), calc.successor(c2)
+            for c, c2 in calc.pairs_p_x(x, bound + 2 * max_omega - 1):
+                cp, c2p = succ(c), succ(c2)
+                if cp.length + c2p.length + 3 > bound:
+                    continue
                 emit(10, (x, self._wkey(c), self._wkey(c2)),
                      lambda: self.canon_NCC(x, c, c2),
                      lambda: self.canon_NCC(x, c, c2p)
@@ -1366,11 +1403,13 @@ class ArVerifier:
             gamma = q.gamma_of(x)
             bx = calc.band_of(x)
             for c in calc.s_x(x, margin):
-                cp = calc.successor(c)
+                cp = succ(c)
 
+                @functools.cache  # six thunks below share one evaluation
                 def words7(c=c, cp=cp, x=x):
-                    assert cp is not EMPTY, \
-                        f"omega_{x} cannot lie in S_x for x in Q0''"
+                    if cp is EMPTY:
+                        raise ValueError(
+                            f"omega_{x} cannot lie in S_x for x in Q0''")
                     bxc = StringWord(bx.letters + c.letters)
                     bxcp = StringWord(bx.letters + cp.letters)
                     gc = calc.word((gamma,) + c.letters)
@@ -1529,7 +1568,3 @@ class ArVerifier:
             "coverage": coverage,
             "failures": failures,
         }
-
-
-def verify_ar_list(modules, algebra, bound, lam_sample=(2, 3, 5)):
-    return ArVerifier(modules, algebra, lam_sample).verify(bound)

@@ -10,6 +10,18 @@ The extension structure of Q* is thin: at any vertex there is at most one
 Q1'-letter and at most one Q1''-letter available on either side, which makes
 the order, successors and extremal strings all deterministic scans.
 
+Extending a string by one letter.  The forbidden runs are contiguous, so if
+c_1 ... c_n is a string and c_{n+1} composes with c_n, any forbidden run in
+c_1 ... c_{n+1} that is not already in c_1 ... c_n occupies the last
+position: it ends at c_{n+1}.  The run alpha_{i,T_{i,j}} ... alpha_{i,p_i+j}
+ends at alpha_{i,p_i+j} and starts at alpha_{i,T_{i,j}}; both indices are
+distinct for distinct j, so each letter ends at most one run and starts at
+most one.  Appending a is therefore decided by comparing the last
+len(run) - 1 letters with the run ending at a, and prepending by comparing
+the first len(run) - 1 letters with the run starting at a, in time
+independent of the word's length.  (A word shorter than that gives a
+shorter slice, which never matches.)
+
 The order key.  Among strings with a common terminus, C < D is decided at the
 first position k where they differ: C < D when C carries a Q1''-letter there,
 or D carries a Q1'-letter there.  Both words walk the same vertices up to k,
@@ -87,7 +99,9 @@ class WordCalculus:
                     f"alpha:{i}:{k}" for k in range(tj, ds.p[i - 1] + j + 1)
                 )
                 self.forbidden.append(run)
-        self._fwd_starts = {run[0]: run for run in self.forbidden}
+        # letter -> the rest of the unique forbidden run it ends / starts
+        self._run_head = {run[-1]: run[:-1] for run in self.forbidden}
+        self._run_tail = {run[0]: run[1:] for run in self.forbidden}
 
         # unique one-sided extensions (thinness of Q*)
         self._ext_primed = {}      # u -> alpha with t*(alpha) = u   (source-end)
@@ -104,6 +118,12 @@ class WordCalculus:
             fwd[quiver.t_star[a]] = a
             bwd[quiver.s_star[a]] = a
 
+        # the four extremal strings at each vertex, built once like the bands
+        src, term, vs = self._grow_source, self._grow_terminus, quiver.vertices
+        self._omega = {v: src(v, self._ext_primed) for v in vs}
+        self._mu = {v: src(v, self._ext_unprimed) for v in vs}
+        self._pi = {v: term(v, self._pre_primed) for v in vs}
+        self._nu = {v: term(v, self._pre_unprimed) for v in vs}
         self._bands = {x: self._build_band(x) for x in quiver.q0_doubleprimed()}
         for x in quiver.q0_primed():
             self._bands.setdefault(x, StringWord((), x))
@@ -137,6 +157,11 @@ class WordCalculus:
         """Canonical identity of a string: letters plus terminus."""
         return (w.letters, self.terminus(w))
 
+    def from_key(self, key: tuple) -> StringWord:
+        """The string with the given ``word_key``."""
+        letters, terminus = key
+        return StringWord(letters, terminus if not letters else None)
+
     def check_string(self, letters) -> tuple:
         """(True, '') if the letter tuple is a string, else (False, diagnostic)."""
         letters = tuple(letters)
@@ -148,13 +173,22 @@ class WordCalculus:
             if q.t_star[letters[k + 1]] != q.s_star[letters[k]]:
                 return False, f"not composable in Q* at position {k + 1}"
         for k, c in enumerate(letters):
-            run = self._fwd_starts.get(c)
-            if run and letters[k : k + len(run)] == run:
+            tail = self._run_tail.get(c)
+            if tail is not None and letters[k + 1 : k + 1 + len(tail)] == tail:
                 return False, f"forbidden alpha-run at position {k}"
         return True, ""
 
-    def is_string(self, letters) -> tuple:
-        return self.check_string(letters)
+    def _appends(self, letters: tuple, a: str) -> bool:
+        """Whether string + (a,) is a string, for a letter a composing at the
+        source end (see the module docstring)."""
+        head = self._run_head.get(a)
+        return head is None or letters[len(letters) - len(head):] != head
+
+    def _prepends(self, a: str, letters: tuple) -> bool:
+        """Whether (a,) + string is a string, for a letter a composing at the
+        terminus end."""
+        tail = self._run_tail.get(a)
+        return tail is None or letters[: len(tail)] != tail
 
     def concat(self, left: StringWord, right: StringWord) -> StringWord:
         """left * right with right as starting substring (left at the terminus)."""
@@ -195,53 +229,49 @@ class WordCalculus:
 
     # -- extremal strings ----------------------------------------------------
 
+    def _extremal(self, table, x: str) -> StringWord:
+        w = table.get(x)
+        if w is None:
+            raise NotAString(f"unknown vertex {x}")
+        return w
+
     def omega(self, x: str) -> StringWord:
         """Longest Q1'-only string terminating at x."""
-        return self._grow_source(self.trivial(x), self._ext_primed)
+        return self._extremal(self._omega, x)
 
     def mu(self, x: str) -> StringWord:
         """Longest Q1''-only string terminating at x."""
-        return self._grow_source(self.trivial(x), self._ext_unprimed)
+        return self._extremal(self._mu, x)
 
     def pi(self, x: str) -> StringWord:
         """Longest Q1'-only string starting at x."""
-        return self._grow_terminus(self.trivial(x), self._pre_primed)
+        return self._extremal(self._pi, x)
 
     def nu(self, x: str) -> StringWord:
         """Longest Q1''-only string starting at x."""
-        return self._grow_terminus(self.trivial(x), self._pre_unprimed)
+        return self._extremal(self._nu, x)
 
     def extremal_strings(self, x: str):
         """(omega_x, mu_x, pi_x, nu_x): the four maximal one-sided strings."""
         return (self.omega(x), self.mu(x), self.pi(x), self.nu(x))
 
-    def _grow_source(self, w: StringWord, table) -> StringWord:
-        letters = list(w.letters)
-        cur = self.source(w)
-        while True:
-            c = table.get(cur)
-            if c is None:
-                break
-            cand = tuple(letters) + (c,)
-            if not self.check_string(cand)[0]:
-                break
-            letters.append(c)
-            cur = self.quiver.s_star[c]
-        return StringWord(tuple(letters), w.vertex)
+    def _grow_source(self, x: str, table) -> StringWord:
+        """Extend the trivial string at x at its source end while it stays one."""
+        letters = ()
+        c = table.get(x)
+        while c is not None and self._appends(letters, c):
+            letters += (c,)
+            c = table.get(self.quiver.s_star[c])
+        return StringWord(letters, x)
 
-    def _grow_terminus(self, w: StringWord, table) -> StringWord:
-        letters = list(w.letters)
-        cur = self.terminus(w)
-        while True:
-            c = table.get(cur)
-            if c is None:
-                break
-            cand = (c,) + tuple(letters)
-            if not self.check_string(cand)[0]:
-                break
-            letters.insert(0, c)
-            cur = self.quiver.t_star[c]
-        return StringWord(tuple(letters), w.vertex)
+    def _grow_terminus(self, x: str, table) -> StringWord:
+        """Extend the trivial string at x at its terminus end while it stays one."""
+        letters = ()
+        c = table.get(x)
+        while c is not None and self._prepends(c, letters):
+            letters = (c,) + letters
+            c = table.get(self.quiver.t_star[c])
+        return StringWord(letters, x)
 
     # -- bands ---------------------------------------------------------------
 
@@ -319,10 +349,9 @@ class WordCalculus:
 
     def successor(self, w: StringWord):
         """C+ : append the unique alpha and the full mu, or strip beta omega."""
-        src = self.source(w)
-        a = self._ext_primed.get(src)
-        if a is not None and self.check_string(w.letters + (a,))[0]:
-            tail = self.mu(self.quiver.source[a])
+        a = self._ext_primed.get(self.source(w))
+        if a is not None and self._appends(w.letters, a):
+            tail = self._mu[self.quiver.source[a]]
             return StringWord(w.letters + (a,) + tail.letters, w.vertex)
         k = w.length - 1
         while k >= 0 and w.letters[k] in self.quiver.primed:
@@ -333,10 +362,9 @@ class WordCalculus:
 
     def co_successor(self, w: StringWord):
         """+C : prepend the unique beta and the full pi, or strip nu alpha."""
-        term = self.terminus(w)
-        b = self._pre_unprimed.get(term)
-        if b is not None and self.check_string((b,) + w.letters)[0]:
-            head = self.pi(self.quiver.source[b])
+        b = self._pre_unprimed.get(self.terminus(w))
+        if b is not None and self._prepends(b, w.letters):
+            head = self._pi[self.quiver.source[b]]
             return StringWord(head.letters + (b,) + w.letters, w.vertex)
         k = 0
         while k < w.length and w.letters[k] not in self.quiver.primed:
@@ -379,9 +407,8 @@ class WordCalculus:
                     c = table.get(src)
                     if c is None:
                         continue
-                    cand = w.letters + (c,)
-                    if self.check_string(cand)[0]:
-                        nxt.append(StringWord(cand, w.vertex))
+                    if self._appends(w.letters, c):
+                        nxt.append(StringWord(w.letters + (c,), w.vertex))
             out.extend(nxt)
             frontier = nxt
         self._string_cache = (bound, out)

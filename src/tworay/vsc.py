@@ -13,7 +13,6 @@ import numpy as np
 from dataclasses import dataclass
 
 from .homlab import hom_basis, compose_maps
-from .strings import StringWord
 
 
 class BadArity(ValueError):
@@ -302,10 +301,6 @@ class LemmaContext:
             max_present=calc.omega(x).length <= bound,
         )
 
-    def _unkey(self, wkey):
-        letters, terminus = wkey
-        return StringWord(letters, terminus if not letters else None)
-
     def _strand_data(self, i: int, j0: int):
         ds = self.quiver.ds
         js = [j for j in ds.s_sorted(i) if j > j0]
@@ -319,10 +314,10 @@ class LemmaContext:
         i, j0 = int(i_s), int(j_s)
 
         def n_of(y, wkey):
-            return sm.construct_N(y, self._unkey(wkey))
+            return sm.construct_N(y, calc.from_key(wkey))
 
         def m_of(wkey):
-            return sm.construct_M(self._unkey(wkey))
+            return sm.construct_M(calc.from_key(wkey))
 
         def m_word(letters):
             return sm.construct_M(calc.word(letters))
@@ -362,7 +357,7 @@ class LemmaContext:
                     if g[0] == "str":
                         y = f"x:{i}:{anchors[p]}"
                         assign[("X", p, g)] = sm.construct_NCC(
-                            y, self._unkey(g[1]), calc.omega(y))
+                            y, calc.from_key(g[1]), calc.omega(y))
                     else:
                         jv = g[1]
                         if jv in anchors:
@@ -403,7 +398,7 @@ class LemmaContext:
                     if g[0] == "str":
                         y = f"x:{i}:{js[p - 1]}"
                         assign[("X", p, g)] = sm.construct_NCC(
-                            y, self._unkey(g[1]), calc.omega(y))
+                            y, calc.from_key(g[1]), calc.omega(y))
                     else:
                         jv = g[1]
                         if jv == j0:

@@ -1,0 +1,110 @@
+"""Row enumeration: the family-10 budget and prefilter lose no row, the two
+lemmas behind them hold, and inconsistent instances stay anomalies."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tworay import EMPTY
+from tworay.homlab import ArVerifier
+
+from conftest import SYSTEMS, Ctx, ctx
+
+TESTS = Path(__file__).resolve().parent
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_pruned_enumeration_is_complete(name):
+    # rows(b + 6) enumerates with a larger margin and budget; the rows it
+    # finds within b must be exactly those rows(b) finds
+    c = ctx(name)
+    ver = ArVerifier(c.modules, c.algebra)
+    for b in range(3, 11):
+        wide = [r for r in ver.rows(b + 6)
+                if r["right_dim"] <= b or r["middle_dim"] <= b]
+        assert ver.rows(b) == wide, b
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_family10_lemmas(name):
+    c = ctx(name)
+    calc, q = c.calc, c.quiver
+    ver = ArVerifier(c.modules, c.algebra)
+    w = max(calc.omega(v).length for v in q.vertices)
+
+    def dim(atoms):
+        return sum(ver.atom_dim(a) for a in atoms)
+
+    for x in q.q0_primed():
+        for a, b in calc.pairs_p_x(x, 2 * 8 + 2 * w + 4):
+            ap, bp = calc.successor(a), calc.successor(b)
+            # Lemma A on both words of the pair
+            for word, plus in ((a, ap), (b, bp)):
+                if plus is EMPTY:
+                    assert word.length <= w
+                else:
+                    assert plus.length >= word.length - 1 - w
+            assert ap is not EMPTY
+            # Lemma B on the right term; the middle is larger still
+            right = dim(ver.canon_NCC(x, ap, bp))
+            middle = dim(ver.canon_NCC(x, a, bp) + ver.canon_NCC(x, ap, b))
+            assert right >= ap.length + bp.length + 3
+            assert middle >= right + a.length + b.length + 3
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_family10_budget_covers_every_surviving_pair(name, monkeypatch):
+    # rows() may emit the same list with a smaller budget when no pair at the
+    # budget's edge yields a row; what it must never do is ask pairs_p_x for
+    # less than a pair the prefilter would keep.  On s_only and tsys at
+    # bound 6 such a pair has |C| + |C'| equal to the budget.
+    c = ctx(name)
+    calc, q = c.calc, c.quiver
+    ver = ArVerifier(c.modules, c.algebra)
+    w = max(calc.omega(v).length for v in q.vertices)
+    pairs_p_x, asked = calc.pairs_p_x, {}
+
+    def spy(x, budget):
+        asked[x] = budget
+        return pairs_p_x(x, budget)
+
+    monkeypatch.setattr(calc, "pairs_p_x", spy)
+    for b in range(3, 11):
+        asked.clear()
+        ver.rows(b)
+        for x in q.q0_primed():
+            for a, a2 in pairs_p_x(x, 2 * b + 2 * w + 4):
+                ap, a2p = calc.successor(a), calc.successor(a2)
+                if ap.length + a2p.length + 3 <= b:
+                    assert a.length + a2.length <= asked[x], (b, a, a2)
+
+
+def _wrong_co_successor_anomalies():
+    """Anomalies of tsys rows(8) when the co-successor returns a wrong word."""
+    c = Ctx(SYSTEMS["tsys"])
+    calc = c.calc
+    calc.co_successor = lambda w: calc.trivial(calc.terminus(w))
+    ver = ArVerifier(c.modules, c.algebra)
+    ver.rows(8)
+    return [a for a in ver.row_anomalies if "co-successor" in a]
+
+
+def test_wrong_co_successor_is_an_anomaly():
+    assert _wrong_co_successor_anomalies()
+
+
+def test_wrong_co_successor_is_an_anomaly_under_optimisation():
+    # ``python -O`` strips assert statements; the check must not be one
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"),
+                                           str(TESTS)]))
+    script = ("import test_rows; "
+              "print(__debug__, len(test_rows._wrong_co_successor_anomalies()))")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         cwd=TESTS, capture_output=True, text=True, check=True)
+    debug, count = out.stdout.split()
+    assert debug == "False"
+    assert int(count) == len(_wrong_co_successor_anomalies()) > 0

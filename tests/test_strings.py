@@ -55,24 +55,24 @@ def by_terminus(c, bound):
 
 def test_forbidden_run_detected(ex14):
     calc = ex14.calc
-    ok, why = calc.is_string(("alpha:1:4", "alpha:1:5", "alpha:1:6",
+    ok, why = calc.check_string(("alpha:1:4", "alpha:1:5", "alpha:1:6",
                               "alpha:1:7"))
     assert not ok and "position 0" in why
 
 
 def test_band_word_is_string(ex14):
-    ok, _ = ex14.calc.is_string(
+    ok, _ = ex14.calc.check_string(
         ("alpha:1:5", "alpha:1:6", "alpha:1:7", "xi:1:1", "gamma:1:4"))
     assert ok
 
 
 def test_single_arrows_are_strings(ex14):
     for a in ex14.quiver.arrows:
-        assert ex14.calc.is_string((a,))[0]
+        assert ex14.calc.check_string((a,))[0]
 
 
 def test_not_composable_diagnostic(ex14):
-    ok, why = ex14.calc.is_string(("alpha:1:1", "alpha:1:3"))
+    ok, why = ex14.calc.check_string(("alpha:1:1", "alpha:1:3"))
     assert not ok and "composable" in why
 
 
@@ -133,7 +133,7 @@ def test_band_powers_are_strings(ex14):
     for x in ex14.quiver.q0_doubleprimed():
         bx = calc.band_of(x)
         for power in (1, 2, 3):
-            assert calc.is_string(bx.letters * power)[0]
+            assert calc.check_string(bx.letters * power)[0]
 
 
 def test_p_count(ex14):
@@ -234,7 +234,7 @@ def test_nu_omega_always_strings(ex14):
     calc = ex14.calc
     for x in ex14.quiver.vertices:
         w = calc.concat(calc.nu(x), calc.omega(x))
-        assert calc.is_string(w.letters)[0]
+        assert calc.check_string(w.letters)[0]
 
 
 def test_s_x_families(ex14, tsys):
@@ -255,7 +255,7 @@ def test_s_x_families(ex14, tsys):
         _, rest = calct.strip_band(w, xt)
         assert not calct.is_terminating_substring(om, rest)
         gamma_w = ("gamma:1:2",) + w.letters
-        assert calct.is_string(gamma_w)[0]
+        assert calct.check_string(gamma_w)[0]
 
 
 def test_s_prime_exclusions(ex14):
@@ -322,7 +322,7 @@ def test_alpha_x_membership_rule(tsys):
     alpha = tsys.quiver.alpha_of(x)
     omega = calc.omega(x)
     for w in calc.strings_terminating_at(x, 6):
-        lhs = calc.is_string((alpha,) + w.letters)[0]
+        lhs = calc.check_string((alpha,) + w.letters)[0]
         rhs = not calc.is_terminating_substring(omega, w)
         assert lhs == rhs
 
@@ -453,3 +453,140 @@ def test_cached_band_and_s_x_membership(name):
         # in S_x
         for v in c.quiver.vertices:
             assert calc.in_s_x(calc.trivial(v), x) == (v == x)
+
+
+# -- whole-word reference for the one-letter extension test -------------------
+
+
+def ref_runs(ds):
+    """The forbidden runs alpha_{i,T_{i,j}} ... alpha_{i,p_i+j}."""
+    return [tuple(f"alpha:{i}:{k}" for k in range(t, ds.p[i - 1] + j + 1))
+            for i in range(1, ds.strands + 1)
+            for j, t in enumerate(ds.t_sorted(i), start=1)]
+
+
+def ref_is_string(c, letters):
+    """String test on the whole word: composable in Q*, and no forbidden run
+    at any position."""
+    q = c.quiver
+    if any(a not in q.aindex for a in letters):
+        return False
+    if any(q.t_star[letters[k + 1]] != q.s_star[letters[k]]
+           for k in range(len(letters) - 1)):
+        return False
+    return not any(letters[k: k + len(run)] == run
+                   for run in ref_runs(c.ds) for k in range(len(letters)))
+
+
+def ref_letter(c, w, primed, at_source):
+    """The unique Q1' (primed) or Q1'' letter composing with w at one end."""
+    q = c.quiver
+    if at_source:
+        v, end = c.calc.source(w), q.t_star
+    else:
+        v, end = c.calc.terminus(w), q.s_star
+    for a in q.arrows:
+        if (a in q.primed) == primed and end[a] == v:
+            return a
+    return None
+
+
+def ref_grow(c, x, primed, at_source):
+    w = StringWord((), x)
+    while True:
+        a = ref_letter(c, w, primed, at_source)
+        if a is None:
+            return w
+        cand = w.letters + (a,) if at_source else (a,) + w.letters
+        if not ref_is_string(c, cand):
+            return w
+        w = StringWord(cand, x)
+
+
+def ref_successor(c, w):
+    q = c.quiver
+    a = ref_letter(c, w, True, True)
+    if a is not None and ref_is_string(c, w.letters + (a,)):
+        tail = ref_grow(c, q.source[a], False, True)
+        return StringWord(w.letters + (a,) + tail.letters, w.vertex)
+    k = w.length - 1
+    while k >= 0 and w.letters[k] in q.primed:
+        k -= 1
+    if k < 0:
+        return EMPTY
+    return StringWord(w.letters[:k], c.calc.terminus(w) if k == 0 else None)
+
+
+def ref_co_successor(c, w):
+    q = c.quiver
+    b = ref_letter(c, w, False, False)
+    if b is not None and ref_is_string(c, (b,) + w.letters):
+        head = ref_grow(c, q.source[b], True, False)
+        return StringWord(head.letters + (b,) + w.letters, w.vertex)
+    k = 0
+    while k < w.length and w.letters[k] not in q.primed:
+        k += 1
+    if k == w.length:
+        return EMPTY
+    rest = w.letters[k + 1:]
+    return StringWord(rest, c.calc.source(w) if not rest else None)
+
+
+def ref_bi_successor(c, w):
+    s, p = ref_successor(c, w), ref_co_successor(c, w)
+    if s.length + p.length < w.length:
+        return EMPTY
+    return ref_co_successor(c, s) if s is not EMPTY else ref_successor(c, p)
+
+
+def ref_all_strings(c, bound):
+    """Breadth-first by length; at each word the Q1' letter before the Q1''
+    letter, each kept when the whole new word passes ``ref_is_string``."""
+    out = [StringWord((), v) for v in c.quiver.vertices]
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            if w.length >= bound:
+                continue
+            for primed in (True, False):
+                a = ref_letter(c, w, primed, True)
+                if a is not None and ref_is_string(c, w.letters + (a,)):
+                    nxt.append(StringWord(w.letters + (a,), w.vertex))
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_word_calculus_matches_whole_word_reference(name):
+    c = ctx(name)
+    calc = c.calc
+    strings = calc.all_strings(12)
+    assert strings == ref_all_strings(c, 12)
+    for v in c.quiver.vertices:
+        assert calc.omega(v) == ref_grow(c, v, True, True)
+        assert calc.mu(v) == ref_grow(c, v, False, True)
+        assert calc.pi(v) == ref_grow(c, v, True, False)
+        assert calc.nu(v) == ref_grow(c, v, False, False)
+    for w in strings:
+        assert calc.check_string(w.letters)[0] == ref_is_string(c, w.letters)
+        assert calc.successor(w) == ref_successor(c, w)
+        assert calc.co_successor(w) == ref_co_successor(c, w)
+        assert calc.bi_successor(w) == ref_bi_successor(c, w)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_one_letter_extensions_match_whole_word_test(name):
+    # every composable one-letter extension of every short string, at both
+    # ends, including the ones that complete a forbidden run
+    c = ctx(name)
+    calc, q = c.calc, c.quiver
+    for w in calc.all_strings(10):
+        for a in q.arrows:
+            if q.t_star[a] == calc.source(w):
+                assert calc._appends(w.letters, a) == \
+                    ref_is_string(c, w.letters + (a,)), (w, a)
+            if q.s_star[a] == calc.terminus(w):
+                assert calc._prepends(a, w.letters) == \
+                    ref_is_string(c, (a,) + w.letters), (a, w)
