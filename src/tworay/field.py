@@ -1,17 +1,18 @@
 """Exact linear algebra over prime fields (and, as a slow fallback, QQ).
 
 Matrices are numpy int64 arrays with entries reduced into [0, p), and
-products are formed in int64 before reduction (in ``mul``, in the row updates
-of ``rref`` and in callers that multiply reduced matrices directly).  An inner
-product of length n is exact while n * (p - 1)^2 < 2^63, so the order is capped
-at ``MAX_PRIME``: below 2^21 every inner dimension up to 2^21 is safe.  With
-the default prime 32003 the limit is about 9 * 10^9.
+products are formed in int64 before reduction (in ``mul`` and in callers
+that multiply reduced matrices directly).  An inner product of length n is
+exact while n * (p - 1)^2 < 2^63, so the order is capped at ``MAX_PRIME``:
+below 2^21 every inner dimension up to 2^21 is safe.  With the default
+prime 32003 the limit is about 9 * 10^9.
 
-Sparse systems (rows given as ``{column: coefficient}`` dicts) are reduced by
-``rref_sparse`` in Python integers, so no overflow bound applies there.  It
-returns the reduced row echelon form, which is unique for the row space, so
-``null_space_sparse`` gives exactly the basis ``null_space`` gives for the
-same system written densely.
+One reducer serves dense and sparse input.  ``rref_sparse`` reduces rows
+given as ``{column: coefficient}`` dicts in Python integers, so no overflow
+bound applies there, and ``rref`` passes the nonzero rows of a dense matrix
+through it and rebuilds the dense form.  The reduced row echelon form is
+unique for the row space, so ``null_space_sparse`` gives exactly the basis
+``null_space`` gives for the same system written densely.
 """
 
 from collections import defaultdict
@@ -89,29 +90,22 @@ class PrimeField:
         return (int(c) % self.p * a) % self.p
 
     def rref(self, a: np.ndarray):
-        """Row-reduce a copy of ``a``; returns (rref matrix, pivot column list)."""
-        m = (np.array(a, dtype=np.int64)) % self.p
-        rows, cols = m.shape
-        pivots = []
-        r = 0
-        for c in range(cols):
-            if r >= rows:
-                break
-            nz = np.nonzero(m[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                m[[r, i]] = m[[i, r]]
-            m[r] = (m[r] * self.inv(m[r, c])) % self.p
-            col = m[:, c].copy()
-            col[r] = 0
-            nzrows = np.nonzero(col)[0]
-            if nzrows.size:
-                m[nzrows] = (m[nzrows] - np.outer(col[nzrows], m[r])) % self.p
-            pivots.append(c)
-            r += 1
-        return m, pivots
+        """Row-reduce a copy of ``a``; returns (rref matrix, pivot column list).
+
+        The nonzero rows of ``a`` mod p go through ``rref_sparse``, and the
+        dense RREF is rebuilt from its pivot rows in pivot order."""
+        m = np.array(a, dtype=np.int64) % self.p
+        pivots = self.rref_sparse(
+            {c: v for c, v in enumerate(row) if v}
+            for row in m.tolist() if any(row))
+        order = sorted(pivots)
+        m[:] = 0
+        for r, pc in enumerate(order):
+            dense = [0] * m.shape[1]
+            for c, v in pivots[pc].items():
+                dense[c] = v
+            m[r] = dense
+        return m, order
 
     def rank(self, a: np.ndarray) -> int:
         if a.size == 0:

@@ -6,6 +6,16 @@ intertwiner system f_t M_a = N_a f_s is solved exactly over the prime field;
 everything downstream (endomorphism certification, cokernels, DTr) is built
 from that one solver.
 
+A string or band module is zero at most vertices (on the 20-vertex worked
+example, 6.6 of 20 on average), so every per-module loop runs over the
+support that ``Representation`` fixes when it is built: its nonzero
+vertices and the arrows between them.  Off the support a map still has a
+matrix at every vertex, with a zero-size side; an unknown f_v exists only
+where M_v and N_v are both nonzero, an equation only on an arrow from the
+support of M to the support of N, and Hom(M, N) = 0 at once when the two
+supports do not meet.  Kernels, cokernels, radicals, projective covers and
+the quotients of DTr are taken vertex by vertex on the support only.
+
 The system is sparse: the arrow maps of string and band modules have few
 nonzero entries, so an equation has about two nonzero coefficients, and
 Hom between string modules is spanned by graph maps (Crawley-Boevey, J.
@@ -58,7 +68,8 @@ import functools
 
 import numpy as np
 
-from .string_modules import Representation, zero_representation
+from .string_modules import (Representation, zero_representation,
+                             zero_size_block)
 
 
 class ProjectiveSummand(ValueError):
@@ -73,13 +84,16 @@ class NotRealizable(RuntimeError):
 
 
 def _hom_unknowns(M: Representation, N: Representation):
-    """For each vertex v, (offset of vec_col(f_v) among the unknowns of
-    Hom(M, N), dim N_v, dim M_v); and the number of unknowns."""
+    """For each vertex v in both supports, (offset of vec_col(f_v) among the
+    unknowns of Hom(M, N), dim N_v, dim M_v); and the number of unknowns.
+    Off the common support f_v has a zero-size side and no unknowns."""
     blocks, total = {}, 0
-    for v in M.quiver.vertices:
-        n, m = N.dim(v), M.dim(v)
-        blocks[v] = (total, n, m)
-        total += n * m
+    for v in M.support:
+        n = N.dim(v)
+        if n:
+            m = M.dim(v)
+            blocks[v] = (total, n, m)
+            total += n * m
     return blocks, total
 
 
@@ -94,20 +108,33 @@ def _column_entries(a, base: int, stride: int) -> list:
     return cols
 
 
+_NO_BLOCK = (0, 0, 0)
+
+
+def _hom_arrows(M: Representation, N: Representation):
+    """The arrows s -> t with M_s and N_t nonzero: on every other arrow the
+    equation f_t M_a = N_a f_s has a zero-size side."""
+    q = M.quiver
+    for s in M.support:
+        for a in q.out_arrows[s]:
+            if N.dim(q.target[a]):
+                yield a
+
+
 def _intertwiner_rows(M: Representation, N: Representation, blocks) -> list:
     """The equations f_t M_a - N_a f_s = 0 as sparse rows {unknown: coef}.
 
     Entry (i, j) of arrow a reads sum_k f_t[i, k] M_a[k, j] -
     sum_l N_a[i, l] f_s[l, j]; f_v[i, k] is unknown offset_v + i + k dim N_v.
-    Only the nonzero entries of M_a and N_a are visited.
+    Only the arrows of ``_hom_arrows`` and the nonzero entries of M_a and N_a
+    are visited.  A vertex without a block has M_t = 0 or N_s = 0, so its
+    side of the equation has no entries.
     """
     q = M.quiver
     rows = []
-    for a in q.arrows:
-        os_, ns, ms = blocks[q.source[a]]
-        ot, nt, _ = blocks[q.target[a]]
-        if nt * ms == 0:
-            continue
+    for a in _hom_arrows(M, N):
+        os_, ns, _ = blocks.get(q.source[a], _NO_BLOCK)
+        ot, nt, _ = blocks.get(q.target[a], _NO_BLOCK)
         # m_cols[j] pairs (unknown of f_t[0, k], M_a[k, j]),
         # n_rows[i] pairs (unknown of f_s[l, 0], N_a[i, l])
         m_cols = _column_entries(M.maps[a], ot, nt)
@@ -124,8 +151,19 @@ def _intertwiner_rows(M: Representation, N: Representation, blocks) -> list:
     return rows
 
 
+def _map_template(M: Representation, N: Representation, support) -> dict:
+    """A map M -> N as a dict over every vertex, in vertex order: the
+    zero-size dim N_v x dim M_v matrix off ``support``, a placeholder for
+    the caller to fill on it."""
+    return {v: None if v in support else zero_size_block(n, m)
+            for v, n, m in zip(M.quiver.vertices, N.dims, M.dims)}
+
+
 def hom_basis(M: Representation, N: Representation) -> list:
-    """Basis of Hom(M, N) as a list of per-vertex matrix dicts."""
+    """Basis of Hom(M, N) as a list of per-vertex matrix dicts.
+
+    Every vertex has a matrix; off the common support it has a zero-size
+    side, and Hom(M, N) = 0 at once when the supports do not meet."""
     F, q, qn = M.field, M.quiver, N.quiver
     if F != N.field:
         raise ValueError(f"modules over different fields: {F}, {N.field}")
@@ -136,13 +174,24 @@ def hom_basis(M: Representation, N: Representation) -> list:
     if total == 0:
         return []
     kernel = F.null_space_sparse(_intertwiner_rows(M, N, blocks), total)
-    return [{v: vec[o: o + n * m].reshape((n, m), order="F")
-             for v, (o, n, m) in blocks.items()} for vec in kernel.T]
+    template = _map_template(M, N, blocks)
+    basis = []
+    for vec in kernel.T:
+        f = dict(template)
+        for v, (o, n, m) in blocks.items():
+            f[v] = vec[o: o + n * m].reshape((n, m), order="F")
+        basis.append(f)
+    return basis
 
 
 def compose_maps(F, f, g):
-    """f after g, per vertex."""
-    return {v: F.mul(f[v], g[v]) for v in f}
+    """f after g, per vertex; a zero-size factor gives a zero block."""
+    out = {}
+    for v, a in f.items():
+        b = g[v]
+        out[v] = (F.mul(a, b) if a.size and b.size
+                  else F.zeros(a.shape[0], b.shape[1]))
+    return out
 
 def map_add(F, f, g):
     return {v: F.add(f[v], g[v]) for v in f}
@@ -151,14 +200,18 @@ def map_scale(F, c, f):
     return {v: F.scale(c, f[v]) for v in f}
 
 def identity_map(M: Representation):
-    return {v: M.field.eye(M.dim(v)) for v in M.quiver.vertices}
+    f = _map_template(M, M, M.support)
+    for v in M.support:
+        f[v] = M.field.eye(M.dim(v))
+    return f
 
 def zero_map(M: Representation, N: Representation):
-    return {v: M.field.zeros(N.dim(v), M.dim(v)) for v in M.quiver.vertices}
+    F = M.field
+    return {v: F.zeros(N.dim(v), M.dim(v)) for v in M.quiver.vertices}
 
 def is_intertwiner(M, N, f) -> bool:
     F = M.field
-    for a in M.quiver.arrows:
+    for a in _hom_arrows(M, N):
         s, t = M.quiver.source[a], M.quiver.target[a]
         if not F.is_zero(F.sub(F.mul(f[t], M.maps[a]), F.mul(N.maps[a], f[s]))):
             return False
@@ -171,10 +224,9 @@ def total_matrices(M: Representation, maps) -> np.ndarray:
     d = M.total_dim
     out = np.zeros((len(maps), d, d), dtype=np.int64)
     pos = 0
-    for v in M.quiver.vertices:
+    for v in M.support:
         dv = M.dim(v)
-        if dv:
-            out[:, pos: pos + dv, pos: pos + dv] = [f[v] for f in maps]
+        out[:, pos: pos + dv, pos: pos + dv] = [f[v] for f in maps]
         pos += dv
     return out
 
@@ -597,12 +649,9 @@ class IsoVerdict:
 
 
 def _invertible_everywhere(F, M, N, f) -> bool:
-    for v in M.quiver.vertices:
-        if M.dim(v) != N.dim(v):
-            return False
-        if M.dim(v) and F.rank(f[v]) != M.dim(v):
-            return False
-    return True
+    if M.dims != N.dims:
+        return False
+    return all(F.rank(f[v]) == M.dim(v) for v in M.support)
 
 
 def find_iso(M: Representation, N: Representation, local: bool = False):
@@ -613,7 +662,7 @@ def find_iso(M: Representation, N: Representation, local: bool = False):
     N is split into LOCAL summands (Krull-Schmidt), which raises ValueError
     on a summand that is not LOCAL over the working field.
     """
-    if M.dim_tuple() != N.dim_tuple():
+    if M.dims != N.dims:
         return None
     if M.is_zero():
         return zero_map(M, N)
@@ -718,22 +767,19 @@ def kernel_rep(M: Representation, N: Representation, f):
     """(K, inclusion K -> M) for a module map f: M -> N."""
     F = M.field
     q = M.quiver
-    bases = {v: F.null_space(f[v]) if M.dim(v) else F.zeros(0, 0)
-             for v in q.vertices}
-    spaces = {v: tuple(("k", i) for i in range(bases[v].shape[1]))
-              for v in q.vertices}
+    incl = {v: F.null_space(f[v]) if M.dim(v) else F.zeros(0, 0)
+            for v in q.vertices}
+    spaces = {v: tuple(("k", i) for i in range(incl[v].shape[1]))
+              for v in M.support}
     maps = {}
-    for a in q.arrows:
+    for a in M.support_arrows:
         s, t = q.source[a], q.target[a]
-        img = F.mul(M.maps[a], bases[s])
-        coords = F.solve(bases[t], img) if bases[t].size else F.zeros(
-            0, img.shape[1])
-        if coords is None:
-            raise AssertionError("kernel is not arrow-stable")
-        maps[a] = coords
-    K = Representation(q, F, spaces, maps)
-    incl = {v: bases[v] for v in q.vertices}
-    return K, incl
+        if spaces[s] and spaces[t]:
+            coords = F.solve(incl[t], F.mul(M.maps[a], incl[s]))
+            if coords is None:
+                raise AssertionError("kernel is not arrow-stable")
+            maps[a] = coords
+    return Representation(q, F, spaces, maps), incl
 
 
 def complement_indices(F, img) -> list:
@@ -767,16 +813,17 @@ def cokernel_rep(M: Representation, N: Representation, f):
     """(Q, projection N -> Q) for a module map f: M -> N."""
     F = N.field
     q = N.quiver
-    proj = {}
+    proj = {v: F.zeros(0, 0) for v in q.vertices}
     section = {}
-    for v in q.vertices:
+    for v in N.support:
         proj[v], section[v] = _quotient(F, f[v])
     spaces = {v: tuple(("c", i) for i in range(section[v].shape[1]))
-              for v in q.vertices}
+              for v in N.support}
     maps = {}
-    for a in q.arrows:
+    for a in N.support_arrows:
         s, t = q.source[a], q.target[a]
-        maps[a] = F.mul(proj[t], F.mul(N.maps[a], section[s]))
+        if spaces[s] and spaces[t]:
+            maps[a] = F.mul(proj[t], F.mul(N.maps[a], section[s]))
     Q = Representation(q, F, spaces, maps)
     return Q, proj
 
@@ -801,11 +848,8 @@ class SesCandidate:
         return acc
 
     def dims_additive(self) -> bool:
-        mid = self.middle
-        return all(
-            self.left.dim(v) + self.right.dim(v) == mid.dim(v)
-            for v in self.left.quiver.vertices
-        )
+        return self.middle.dims == tuple(
+            l + r for l, r in zip(self.left.dims, self.right.dims))
 
 
 def realize_ses(cand: SesCandidate, right_local=True, tries=200) -> SesCandidate:
@@ -825,15 +869,13 @@ def realize_ses(cand: SesCandidate, right_local=True, tries=200) -> SesCandidate
         raise NotRealizable("Hom(left, middle) = 0")
 
     def attempt(f):
-        for v in X.quiver.vertices:
-            if X.dim(v) and F.rank(f[v]) != X.dim(v):
-                return None
+        if any(F.rank(f[v]) != X.dim(v) for v in X.support):
+            return None
         Q, proj = cokernel_rep(X, E, f)
         iso = find_iso(Q, Z, local=right_local)
         if iso is None:
             return None
-        g = {v: F.mul(iso[v], proj[v]) for v in X.quiver.vertices}
-        return f, g
+        return f, compose_maps(F, iso, proj)
 
     for f in basis:
         got = attempt(f)
@@ -867,7 +909,8 @@ def is_split(cand: SesCandidate) -> bool:
     if total == 0:
         return True
     rows = _intertwiner_rows(E, X, blocks)
-    for v, (o, xv, _) in blocks.items():  # (r_v f_v)[i, j] = delta_ij
+    for v in X.support:  # (r_v f_v)[i, j] = delta_ij; E_v = 0 leaves 0 = id
+        o, xv, _ = blocks.get(v, (0, X.dim(v), 0))
         for j, f_col in enumerate(_column_entries(cand.f[v], o, xv)):
             for i in range(xv):
                 row = {u + i: c for u, c in f_col}
@@ -884,10 +927,9 @@ def radical_embedding(M: Representation):
     """Per-vertex basis matrices of rad M = sum of arrow images."""
     F = M.field
     q = M.quiver
-    rad = {}
-    for v in q.vertices:
-        imgs = [F.mul(M.maps[a], F.eye(M.dim(q.source[a])))
-                for a in q.in_arrows[v] if M.dim(q.source[a])]
+    rad = {v: F.zeros(0, 0) for v in q.vertices}
+    for v in M.support:
+        imgs = [M.maps[a] for a in q.in_arrows[v] if M.dim(q.source[a])]
         if imgs:
             rad[v] = F.column_space(np.hstack(imgs))
         else:
@@ -899,8 +941,8 @@ def top_generators(M: Representation):
     """For each vertex, vectors of M_v projecting to a basis of (M / rad M)_v."""
     F = M.field
     rad = radical_embedding(M)
-    gens = {}
-    for v in M.quiver.vertices:
+    gens = {v: [] for v in M.quiver.vertices}
+    for v in M.support:
         eye = F.eye(M.dim(v))
         gens[v] = [eye[:, [i]] for i in complement_indices(F, rad[v])]
     return gens
@@ -923,20 +965,19 @@ def projective_cover(M: Representation, algebra):
     for r in reps[1:]:
         P = P.direct_sum(r)
     h = {v: F.zeros(M.dim(v), P.dim(v)) for v in q.vertices}
-    col_offset = {v: 0 for v in q.vertices}
+    col_offset = {v: 0 for v in M.support}
     for (gen_v, gen_vec), rep in zip(summands, reps):
-        for w in q.vertices:
+        for w in M.support:
             paths = algebra.basis_paths.get((gen_v, w), [])
             for k, path in enumerate(paths):
-                col = col_offset[w] + k
+                if M.acts_as_zero(path[1]):
+                    continue
                 vec = gen_vec if not path[1] else F.mul(
                     M.path_matrix(path[1]), gen_vec)
-                h[w][:, col] = vec[:, 0]
-        for w in q.vertices:
+                h[w][:, col_offset[w] + k] = vec[:, 0]
             col_offset[w] += rep.dim(w)
-    for v in q.vertices:  # covers are epi
-        if M.dim(v):
-            assert F.rank(h[v]) == M.dim(v), "cover map is not surjective"
+    for v in M.support:  # covers are epi
+        assert F.rank(h[v]) == M.dim(v), "cover map is not surjective"
     return P, h, summands
 
 
@@ -947,9 +988,7 @@ def minimal_presentation(M: Representation, algebra):
     if K.is_zero():
         return None, P0, None, [], gens0
     P1, h1, gens1 = projective_cover(K, algebra)
-    F = M.field
-    d = {v: F.mul(incl[v], h1[v]) for v in M.quiver.vertices}
-    return P1, P0, d, gens1, gens0
+    return P1, P0, compose_maps(M.field, incl, h1), gens1, gens0
 
 
 def is_projective(M: Representation, algebra) -> bool:
@@ -1028,10 +1067,12 @@ def ar_translate(M: Representation, algebra) -> Representation:
             comp[j][i] = coeffs
 
     # transpose: map  +_i e_{v_i}A -> +_j e_{u_j}A  by left multiplication
+    # only vertices where the codomain is nonzero carry a quotient
     dims_dom = {w: sum(r[0][w] for r in right0) for w in q.vertices}
     dims_cod = {w: sum(r[0][w] for r in right1) for w in q.vertices}
-    dmat = {w: F.zeros(dims_cod[w], dims_dom[w]) for w in q.vertices}
-    for w in q.vertices:
+    cod_support = [w for w in q.vertices if dims_cod[w]]
+    dmat = {w: F.zeros(dims_cod[w], dims_dom[w]) for w in cod_support}
+    for w in cod_support:
         roff = 0
         for j, r1 in enumerate(right1):
             coff = 0
@@ -1045,21 +1086,21 @@ def ar_translate(M: Representation, algebra) -> Representation:
             roff += r1[0][w]
 
     # right-module cokernel of dmat, then vector-space dual back to the left
-    dom_maps = _sum_right_maps(q, F, right0)
-    cod_maps = _sum_right_maps(q, F, right1)
     proj = {}
     section = {}
-    for w in q.vertices:
+    for w in cod_support:
         proj[w], section[w] = _quotient(F, dmat[w])
 
     spaces = {w: tuple(("d", i) for i in range(section[w].shape[1]))
-              for w in q.vertices}
+              for w in cod_support}
     maps = {}
     for a in q.arrows:
         s, t = q.source[a], q.target[a]
-        # right action of a on Tr: Tr_t -> Tr_s; dualize to get s -> t
-        act = F.mul(proj[s], F.mul(cod_maps[a], section[t]))
-        maps[a] = act.T % F.p
+        if spaces.get(s) and spaces.get(t):
+            # right action of a on Tr: Tr_t -> Tr_s; dualize to get s -> t
+            cod_map = _sum_right_map(F, [r[1][a] for r in right1])
+            act = F.mul(proj[s], F.mul(cod_map, section[t]))
+            maps[a] = act.T % F.p
     return Representation(q, F, spaces, maps)
 
 
@@ -1079,22 +1120,18 @@ def _left_mult(algebra, element, path):
     return {k: v for k, v in out.items() if v}
 
 
-def _sum_right_maps(quiver, F, rights):
-    maps = {}
-    for a in quiver.arrows:
-        s, t = quiver.source[a], quiver.target[a]
-        blocks = [r[1][a] for r in rights]
-        rows = sum(b.shape[0] for b in blocks)
-        cols = sum(b.shape[1] for b in blocks)
-        m = F.zeros(rows, cols)
-        ro = co = 0
-        for b in blocks:
-            if b.size:
-                m[ro: ro + b.shape[0], co: co + b.shape[1]] = b
-            ro += b.shape[0]
-            co += b.shape[1]
-        maps[a] = m
-    return maps
+def _sum_right_map(F, blocks):
+    """Block-diagonal sum of one arrow's action on several right modules."""
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    m = F.zeros(rows, cols)
+    ro = co = 0
+    for b in blocks:
+        if b.size:
+            m[ro: ro + b.shape[0], co: co + b.shape[1]] = b
+        ro += b.shape[0]
+        co += b.shape[1]
+    return m
 
 
 # -- the almost-split-sequence list ----------------------------------------------
@@ -1355,11 +1392,14 @@ class ArVerifier:
                  lambda: self.canon_M(cp) + self.canon_M(pc),
                  lambda: self.canon_M(bi))
 
+        # Q0'' lies inside Q0' (T_i is a subset of S_i), so both loops below
+        # share one S_x per vertex
+        sx_at = {x: calc.s_x(x, margin) for x in q.q0_primed()}
         for x in q.q0_primed():
             alpha = q.alpha_of(x)
             mu = calc.mu(x)
             omega = calc.omega(x)
-            sx = calc.s_x(x, margin)
+            sx = sx_at[x]
             for cprime in sx:
                 if not calc.check_string((alpha,) + cprime.letters)[0]:
                     continue
@@ -1402,7 +1442,7 @@ class ArVerifier:
         for x in q.q0_doubleprimed():
             gamma = q.gamma_of(x)
             bx = calc.band_of(x)
-            for c in calc.s_x(x, margin):
+            for c in sx_at[x]:
                 cp = succ(c)
 
                 @functools.cache  # six thunks below share one evaluation
@@ -1475,14 +1515,15 @@ class ArVerifier:
         anomalies = list(self.row_anomalies)
 
         projective_keys = set()
-        proj_reps = [self.algebra.projective_module(v)
-                     for v in self.quiver.vertices]
+        proj_reps = {}  # dimension tuple -> the projectives with it
+        for v in self.quiver.vertices:
+            P = self.algebra.projective_module(v)
+            proj_reps.setdefault(P.dims, []).append(P)
         for entry in inventory:
-            for P in proj_reps:
-                if entry.rep.dim_tuple() == P.dim_tuple():
-                    if is_isomorphic(entry.rep, P, both_local=True).isomorphic:
-                        projective_keys.add(entry.key)
-                        break
+            for P in proj_reps.get(entry.rep.dims, ()):
+                if is_isomorphic(entry.rep, P, both_local=True).isomorphic:
+                    projective_keys.add(entry.key)
+                    break
 
         failures = []
         results = []

@@ -10,6 +10,8 @@ Basis labels sort v'' < v' < v_i < v_i' < v_i^{(j)} at every vertex, so all
 matrices are reproducible across runs.
 """
 
+import functools
+
 import numpy as np
 
 from .field import PrimeField
@@ -44,42 +46,75 @@ def _label_key(label):
     return (_LABEL_RANK[label[0]],) + tuple(label[1:])
 
 
+@functools.lru_cache(maxsize=None)
+def zero_size_block(rows: int, cols: int) -> np.ndarray:
+    """The rows x cols matrix with rows * cols = 0, as on an arrow or at a
+    vertex outside a support.  It holds no entries, so one array per shape
+    is shared by every module and map."""
+    assert not (rows and cols), (rows, cols)
+    return np.zeros((rows, cols), dtype=np.int64)
+
+
 class Representation:
-    """Vertex spaces with ordered basis labels plus one matrix per arrow."""
+    """Vertex spaces with ordered basis labels plus one matrix per arrow.
+
+    The support is fixed when the module is built: ``dims`` is the dimension
+    tuple in vertex order, ``support`` the vertices with a nonzero space and
+    ``support_arrows`` the arrows between two of them.  Every other arrow
+    map has a zero-size side and is stored as the shared
+    ``zero_size_block``, and a path through a vertex outside the support
+    acts as 0, so loops over a module visit only its support.
+    """
+
+    __slots__ = ("quiver", "field", "spaces", "dims", "support",
+                 "support_arrows", "maps")
 
     def __init__(self, quiver: Quiver, field, spaces, maps):
         self.quiver = quiver
         self.field = field
         self.spaces = {v: tuple(spaces.get(v, ())) for v in quiver.vertices}
+        dim = {v: len(labels) for v, labels in self.spaces.items()}
+        self.dims = tuple(dim.values())
+        self.support = tuple(v for v, d in dim.items() if d)
         self.maps = {}
+        support_arrows = []
         for a in quiver.arrows:
-            rows = len(self.spaces[quiver.target[a]])
-            cols = len(self.spaces[quiver.source[a]])
+            rows, cols = dim[quiver.target[a]], dim[quiver.source[a]]
             m = maps.get(a)
-            if m is None:
-                m = field.zeros(rows, cols)
-            else:
+            if m is not None:
                 m = np.asarray(m, dtype=np.int64) % field.p
                 assert m.shape == (rows, cols), f"bad shape for {a}: {m.shape}"
+            if rows and cols:
+                support_arrows.append(a)
+                if m is None:
+                    m = field.zeros(rows, cols)
+            else:
+                m = zero_size_block(rows, cols)
             self.maps[a] = m
-        for v, labels in self.spaces.items():
+        self.support_arrows = tuple(support_arrows)
+        for v in self.support:
+            labels = self.spaces[v]
             assert len(set(labels)) == len(labels), f"duplicate labels at {v}"
 
     def dim(self, v: str) -> int:
         return len(self.spaces[v])
 
     def dim_vector(self) -> dict:
-        return {v: len(ls) for v, ls in self.spaces.items()}
+        return dict(zip(self.quiver.vertices, self.dims))
 
     def dim_tuple(self) -> tuple:
-        return tuple(len(self.spaces[v]) for v in self.quiver.vertices)
+        return self.dims
+
+    def acts_as_zero(self, arrows) -> bool:
+        """Whether a path passes through a zero vertex space."""
+        return not all(a in self.support_arrows for a in arrows)
 
     @property
     def total_dim(self) -> int:
-        return sum(len(ls) for ls in self.spaces.values())
+        return sum(self.dims)
 
     def is_zero(self) -> bool:
-        return self.total_dim == 0
+        return not self.support
 
     def path_matrix(self, arrows) -> np.ndarray:
         """Matrix of a path acting on the module (rightmost arrow acts first)."""
@@ -97,7 +132,7 @@ class Representation:
                 ("R",) + l for l in other.spaces[v]
             )
         maps = {}
-        for a in self.quiver.arrows:
+        for a in set(self.support_arrows) | set(other.support_arrows):
             m1, m2 = self.maps[a], other.maps[a]
             m = self.field.zeros(m1.shape[0] + m2.shape[0],
                                  m1.shape[1] + m2.shape[1])
@@ -127,15 +162,20 @@ def zero_representation(quiver: Quiver, field) -> Representation:
 
 
 def check_relations(rep: Representation, relations) -> list:
-    """Evaluate every relation on the representation; list the violations."""
+    """Evaluate every relation on the representation; list the violations.
+
+    A term whose path passes through a zero vertex space acts as 0 and is
+    skipped, so a relation with no term inside the support holds."""
     bad = []
     F = rep.field
     for rel in relations:
         acc = None
         for coef, arrows in rel.terms:
+            if rep.acts_as_zero(arrows):
+                continue
             term = F.scale(coef, rep.path_matrix(arrows))
             acc = term if acc is None else F.add(acc, term)
-        if not F.is_zero(acc):
+        if acc is not None and not F.is_zero(acc):
             bad.append((rel, acc))
     return bad
 

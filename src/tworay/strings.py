@@ -415,9 +415,22 @@ class WordCalculus:
         return out
 
     def strings_terminating_at(self, x: str, bound: int):
-        """C_x truncated at the length bound, sorted by the linear order."""
-        out = [w for w in self.all_strings(bound) if self.terminus(w) == x]
-        return sorted(out, key=lambda w: self._key(w.letters))
+        """C_x truncated at the length bound, sorted by the linear order.
+
+        The strings are grouped by terminus once per indexed bound, and a
+        group is sorted when it is first asked for; a smaller bound filters
+        the sorted group by length."""
+        indexed_bound, groups, ordered = getattr(
+            self, "_by_terminus", (-1, {}, {}))
+        if indexed_bound < bound:
+            groups, ordered = {}, {}
+            for w in self.all_strings(bound):
+                groups.setdefault(self.terminus(w), []).append(w)
+            self._by_terminus = (bound, groups, ordered)
+        if x not in ordered:
+            ordered[x] = sorted(groups.get(x, ()),
+                                key=lambda w: self._key(w.letters))
+        return [w for w in ordered[x] if w.length <= bound]
 
     def in_s_x(self, w: StringWord, x: str) -> bool:
         """Membership of the family S_x, for x in Q0'."""

@@ -401,9 +401,16 @@ def test_hom_basis_matches_dense_reference(name):
             taus.append(ar_translate(e.rep, c.algebra))
     assert taus
     mods += taus
+    mods += [c.modules.construct_M(c.calc.trivial(v))
+             for v in (c.quiver.vertices[0], c.quiver.vertices[-1])]
+    disjoint = 0
     for M in mods:
         for N in mods:
             _assert_same_basis(M, N)
+            if not set(M.support) & set(N.support):
+                assert hom_basis(M, N) == []
+                disjoint += 1
+    assert disjoint  # the pairs include supports that do not meet
 
 
 def test_hom_basis_rejects_mixed_pairs():
@@ -476,23 +483,94 @@ def _systems(draw):
     return F, dense, rows
 
 
+def _gauss_jordan(F, a):
+    """Reference RREF mod p, independent of ``PrimeField``'s reducer: a numpy
+    Gauss-Jordan sweep over the columns.  Returns (rref, pivot columns)."""
+    m = np.array(a, dtype=np.int64) % F.p
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), -1, F.p)) % F.p
+        col = m[:, c].copy()
+        col[r] = 0
+        nzrows = np.nonzero(col)[0]
+        if nzrows.size:
+            m[nzrows] = (m[nzrows] - np.outer(col[nzrows], m[r])) % F.p
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _gauss_jordan_null_space(F, a):
+    """Kernel basis read from the reference RREF: one column per free column,
+    1 there and minus the free column's entries in the pivot rows."""
+    m, pivots = _gauss_jordan(F, a)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = np.zeros((a.shape[1], len(free)), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1
+        for r, pc in enumerate(pivots):
+            basis[pc, k] = (-m[r, fc]) % F.p
+    return basis
+
+
+def _fixed_system(p, rows, n_cols):
+    """A fixed ``_systems`` draw: rows as {column: unreduced coefficient}."""
+    F = PrimeField(p)
+    dense = F.zeros(len(rows), n_cols)
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            dense[r, c] = v % p
+    return F, dense, rows
+
+
+_EDGE_SYSTEMS = [
+    case for p in _PRIMES for case in (
+        _fixed_system(p, [], 0),                  # empty shape
+        _fixed_system(p, [], 4),                  # no rows
+        _fixed_system(p, [{}, {}, {}], 0),        # no columns
+        _fixed_system(p, [{}, {1: -1}, {}, {1: 2 * p}], 3),  # zero rows
+        _fixed_system(p, [{0: -1, 2: -p - 2}, {0: p + 1, 1: -2 * p, 2: 1}],
+                      3),                         # negative, 0 mod p
+    )]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_systems())
 def test_sparse_elimination_matches_dense(system):
+    """``rref``, ``null_space``, ``null_space_sparse`` and ``rref_sparse``
+    against the reference Gauss-Jordan, on unreduced input."""
     F, dense, rows = system
     n_cols = dense.shape[1]
-    kernel = F.null_space_sparse(rows, n_cols)
-    want = F.null_space(dense)
-    assert kernel.shape == want.shape and np.array_equal(kernel, want)
-    pivots = F.rref_sparse(rows)
-    if dense.size:
-        m, cols = F.rref(dense)
-        assert sorted(pivots) == cols
-        for r, pc in enumerate(cols):
-            assert pivots[pc] == {c: int(x) for c, x in enumerate(m[r]) if x}
-    else:
-        assert pivots == {}
-    assert F.rref_sparse(rows[::-1]) == pivots
+    raw = np.zeros(dense.shape, dtype=np.int64)
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            raw[r, c] = v
+    want_m, want_pivots = _gauss_jordan(F, raw)
+    m, pivots = F.rref(raw)
+    assert pivots == want_pivots and np.array_equal(m, want_m)
+    want = _gauss_jordan_null_space(F, raw)
+    for got in (F.null_space(raw), F.null_space_sparse(rows, n_cols)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    sparse = F.rref_sparse(rows)
+    assert sorted(sparse) == want_pivots
+    for r, pc in enumerate(want_pivots):
+        assert sparse[pc] == {c: int(x) for c, x in enumerate(want_m[r]) if x}
+    assert F.rref_sparse(rows[::-1]) == sparse
+
+
+for _case in _EDGE_SYSTEMS:
+    test_sparse_elimination_matches_dense = example(_case)(
+        test_sparse_elimination_matches_dense)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,14 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 from tworay import EMPTY, StringWord, check_relations
 from tworay.string_modules import (LambdaZero, NotABand, NotAPair, NotInSx,
-                                   PrefixMissing)
+                                   PrefixMissing, Representation)
 from tworay.strings import NotAString
 from tworay import homlab
 
-from conftest import ctx
+from conftest import SYSTEMS, ctx
 
 
 def test_simple_modules(ex14):
@@ -183,6 +184,74 @@ def test_check_relations_negative_control(tsys):
     assert not check_relations(rep, tsys.relations)
     rep.maps["gamma:1:2"] = (rep.maps["gamma:1:2"] + 1) % sm.field.p
     assert check_relations(rep, tsys.relations)
+
+
+def _all_vertex_violations(rep, relations):
+    """Every relation evaluated by multiplying the arrow matrices along each
+    term's path at every vertex, zero spaces included."""
+    p = rep.field.p
+    bad = []
+    for rel in relations:
+        acc = 0
+        for coef, path in rel.terms:
+            m = np.eye(rep.dim(rep.quiver.path_source(path)), dtype=np.int64)
+            for a in reversed(path):  # the rightmost arrow acts first
+                m = rep.maps[a] @ m % p
+            acc = (acc + coef * m) % p
+        if np.any(acc):
+            bad.append((rel, acc))
+    return bad
+
+
+def _same_violations(got, want):
+    return len(got) == len(want) and all(
+        r1 is r2 and np.array_equal(m1, m2)
+        for (r1, m1), (r2, m2) in zip(got, want))
+
+
+def _path_module(c, path):
+    """k at every vertex the path visits, 1 on each of its arrows: it
+    violates a relation with the path as a term, and any other term that
+    leaves these vertices passes through a zero space."""
+    q = c.quiver
+    on = {q.source[a] for a in path} | {q.target[a] for a in path}
+    return Representation(q, c.field, {v: (("v",),) for v in on},
+                          {a: [[1]] for a in q.arrows
+                           if q.source[a] in on and q.target[a] in on})
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_check_relations_matches_all_vertex_evaluation(name):
+    """``check_relations`` reports what the all-vertex evaluation reports on
+    every inventory entry, on the path module of every relation term, and
+    on each of these with one map entry moved off by one.  The violations
+    seen must include one where every term lies inside the support and,
+    when a relation has two terms, one where a term is skipped."""
+    c = ctx(name)
+    p = c.field.p
+    reps = [e.rep for e in c.modules.theorem_inventory(8)]
+    assert all(check_relations(rep, c.relations) == [] for rep in reps)
+    reps += [_path_module(c, path) for rel in c.relations
+             for _, path in rel.terms]
+    kinds = set()
+    for rep in reps:
+        controls = [None] + list(rep.support_arrows)
+        for a in controls:
+            if a is not None:
+                kept = rep.maps[a]
+                rep.maps[a] = kept.copy()
+                rep.maps[a][0, 0] = (kept[0, 0] + 1) % p
+            want = _all_vertex_violations(rep, c.relations)
+            got = check_relations(rep, c.relations)
+            if a is not None:
+                rep.maps[a] = kept
+            assert _same_violations(got, want), (rep, a)
+            for rel, _ in want:
+                kinds.add(any(rep.acts_as_zero(path) for _, path in rel.terms))
+    if c.relations:
+        assert False in kinds
+    if any(len(rel.terms) > 1 for rel in c.relations):
+        assert True in kinds
 
 
 def test_inventory_well_defined(tsys):
