@@ -107,6 +107,8 @@ class AlgebraBasis:
 
         self._nf = {}
         self._mult_cache = {}
+        self._projectives = {}
+        self._right_projectives = {}
 
     # -- normal forms and multiplication -------------------------------------
 
@@ -210,7 +212,13 @@ class AlgebraBasis:
     # -- modules over A ---------------------------------------------------------
 
     def projective_module(self, v: str):
-        """Indecomposable projective P(v) = A e_v as a representation."""
+        """Indecomposable projective P(v) = A e_v as a representation.
+
+        Built once per vertex and shared by every caller, so its arrow maps
+        are read-only."""
+        P = self._projectives.get(v)
+        if P is not None:
+            return P
         from .string_modules import Representation
 
         q = self.quiver
@@ -234,7 +242,38 @@ class AlgebraBasis:
                 for r, cf in self.multiply(arrow_path, p).items():
                     m[pos[t][r], col] = cf
             maps[a] = m
-        return Representation(q, F, spaces, maps)
+        P = Representation(q, F, spaces, maps)
+        for a in P.support_arrows:  # the others are shared zero-size blocks
+            P.maps[a].flags.writeable = False
+        self._projectives[v] = P
+        return P
+
+    def right_projective(self, v: str):
+        """e_v A with its right arrow action, built once per vertex:
+        (dims, maps, basis_at, pos).  At w it has the basis paths w -> v
+        (``basis_at[w]``, indexed by ``pos[w]``); arrow a: s -> t acts
+        e_v A e_t -> e_v A e_s by the read-only matrix ``maps[a]``."""
+        out = self._right_projectives.get(v)
+        if out is not None:
+            return out
+        q = self.quiver
+        F = self.field
+        basis_at = {w: self.basis_paths.get((w, v), []) for w in q.vertices}
+        pos = {w: {p: k for k, p in enumerate(basis_at[w])}
+               for w in q.vertices}
+        dims = {w: len(basis_at[w]) for w in q.vertices}
+        maps = {}
+        for a in q.arrows:
+            s, t = q.source[a], q.target[a]
+            m = F.zeros(dims[s], dims[t])
+            arrow_path = (s, (a,), t)
+            for col, p in enumerate(basis_at[t]):
+                for r, cf in self.multiply(p, arrow_path).items():
+                    m[pos[s][r], col] = cf
+            m.flags.writeable = False
+            maps[a] = m
+        out = self._right_projectives[v] = (dims, maps, basis_at, pos)
+        return out
 
     def cartan_matrix(self) -> np.ndarray:
         """C with C[w, v] = dim P(v)_w, rows and columns in quiver vertex order."""

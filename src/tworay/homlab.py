@@ -21,15 +21,16 @@ nonzero entries, so an equation has about two nonzero coefficients, and
 Hom between string modules is spanned by graph maps (Crawley-Boevey, J.
 Algebra 126, 1989).  ``_intertwiner_rows`` writes each equation as a dict
 {unknown: coefficient} from the nonzero entries of M_a and N_a only, the
-unknowns being vec_col(f_v) stacked in vertex order, and
-``PrimeField.rref_sparse`` reduces the rows to reduced row echelon form.  The
-RREF is unique for the row space, so the kernel basis read from it (one
-vector per free column, 1 there and minus the free column's entries in the
-pivot rows) is exactly the one ``PrimeField.null_space`` reads from the dense
-Kronecker matrix of the same equations: bases, isomorphisms and certificates
-do not depend on how the system was reduced.  ``is_split`` reuses the same
-rows for the retraction equations, with the right-hand side as one extra
-column.
+unknowns being vec_col(f_v) stacked in vertex order.
+``PrimeField.null_space_sparse`` substitutes the rows of one and two terms
+(91 to 94% of them in the three benchmark workloads) and reduces the rest to
+reduced row echelon form.  Its kernel basis (one vector per free column, 1
+there and minus the free column's entries in the pivot rows) is exactly the
+one ``PrimeField.null_space`` reads from the RREF of the dense Kronecker
+matrix of the same equations, as the ``field`` module docstring shows:
+bases, isomorphisms and certificates do not depend on how the system was
+reduced.  ``is_split`` reuses the same rows for the retraction equations,
+with the right-hand side as one extra column.
 
 Isomorphism is decided without random numbers.  ``find_iso`` first returns
 the first Hom(M, N) basis element f_i that is invertible at every vertex.
@@ -48,7 +49,23 @@ each sent onto one copy of Z in N, make M -> N split epi on every group;
 maps between non-isomorphic summands lie in the radical, so the sum over
 the groups is an isomorphism, and it is checked before it is returned.
 
-Indecomposability is certified as End(M) = k id + rad.  Every End basis
+Indecomposability is certified as End(M) = k id + rad, that is LOCAL.  When
+p > d = dim M, the trace form decides it first (Dickson's criterion;
+Curtis-Reiner, Representation Theory of Finite Groups and Associative
+Algebras, 1962).  Let A = End(M) inside M_d(k) and I = {a in A : tr(a b) = 0
+for all b in A}, an ideal.  For a in I, tr(a^n) = tr(a a^(n-1)) = 0 for
+every n >= 1, since id lies in A; Newton's identities divide by 1, ..., d,
+all units when p > d, so every coefficient of the charpoly of a below t^d
+vanishes and a is nilpotent.  So I is a nil ideal and lies in rad A;
+conversely a in rad A makes every a b nilpotent, of trace 0.  Hence I = rad
+A, the Gram matrix G_ij = tr(f_i f_j) of an End basis has rank dim A/rad A,
+and M is LOCAL iff that rank is 1.  A rank >= 2 leaves M not LOCAL, and the
+route below finds the idempotent or the field obstruction.  When p <= d, as
+over GF(2) and GF(3) for all but the smallest modules, the trace form can
+vanish on A/rad A itself (tr id = d = 0 in k is the first case), and the
+flag alone decides.
+
+Without the trace form, or past it, LOCAL is decided thus.  Every End basis
 element f_j is tried as l_j id + n_j with n_j nilpotent (l_j = trace / d
 when p does not divide d, else the root of the charpoly); then End(M) =
 k id + span(n_j), and End(M) is LOCAL iff the n_j generate a nilpotent
@@ -78,6 +95,12 @@ class ProjectiveSummand(ValueError):
 
 class NotRealizable(RuntimeError):
     pass
+
+
+class ConsistencyError(RuntimeError):
+    """A computed map or decomposition failed the check made on it: the
+    code, not the input, is at fault.  Raised, not asserted, so that
+    ``python -O`` keeps the check."""
 
 
 # -- hom spaces ---------------------------------------------------------------
@@ -360,13 +383,12 @@ class IndecVerdict:
     DECOMPOSABLE = "DECOMPOSABLE"
     FIELD_OBSTRUCTION = "FIELD_OBSTRUCTION"
 
-    def __init__(self, status, certificate=None, note=""):
+    def __init__(self, status, certificate=None):
         self.status = status
         self.certificate = certificate
-        self.note = note
 
     def __repr__(self):
-        return f"IndecVerdict({self.status}{', ' + self.note if self.note else ''})"
+        return f"IndecVerdict({self.status})"
 
     def __eq__(self, other):
         return self.status == other if isinstance(other, str) else NotImplemented
@@ -389,7 +411,8 @@ def _fitting_idempotent(M: Representation, endo):
         ker = F.null_space(pv)
         basis = np.hstack([ker, img]) if ker.size or img.size else F.zeros(
             pv.shape[0], 0)
-        assert basis.shape[1] == pv.shape[0], "Fitting decomposition failed"
+        if basis.shape[1] != pv.shape[0]:
+            raise ConsistencyError("Fitting decomposition failed")
         proj = F.zeros(pv.shape[0], pv.shape[0])
         proj[:, ker.shape[1]:] = img
         idem[v] = F.mul(proj, F.inv_matrix(basis))
@@ -418,18 +441,52 @@ def _shift_map(M: Representation, f, lam):
     return {v: F.sub(m, F.scale(lam, F.eye(len(m)))) for v, m in f.items()}
 
 
-def _certify(M: Representation, basis):
-    """LOCAL / DECOMPOSABLE / obstructed analysis for one endomorphism basis.
+def _trace_form_rank(M: Representation, basis) -> int:
+    """Rank of the Gram matrix G_ij = tr(f_i f_j) of an End basis.
 
-    Every element f is tested as l id + nilpotent with l = trace / d (when p
-    does not divide d), all at once on the stack of total matrices; an
-    element that fails goes to charpoly analysis, in basis order.  Once
-    every element is scalar + nilpotent, End(M) is LOCAL iff the shifts
-    generate a nilpotent algebra, which the flag decides; only a stalled
-    flag pays for a Fitting idempotent.
+    tr(f_i f_j) = sum_v sum_(a, b) f_i[v][a, b] f_j[v][b, a].  Row i of
+    ``flat`` holds the blocks f_i[v] read row by row and row j of ``flat_t``
+    the blocks of f_j transposed, so G = flat flat_t^T: k x k, with inner
+    length sum_v dim M_v^2, taken in slices under the overflow bound of
+    ``PrimeField.mul``.  No product f_i f_j and no total matrix is formed.
+    """
+    F = M.field
+    k = len(basis)
+    width = sum(n * n for n in M.dims)
+    flat = np.empty((k, width), dtype=np.int64)
+    flat_t = np.empty((k, width), dtype=np.int64)
+    o = 0
+    for v in M.support:
+        blocks = np.array([f[v] for f in basis])
+        n2 = blocks[0].size
+        flat[:, o: o + n2] = blocks.reshape(k, n2)
+        flat_t[:, o: o + n2] = blocks.transpose(0, 2, 1).reshape(k, n2)
+        o += n2
+    flat %= F.p
+    flat_t %= F.p
+    gram = F.zeros(k, k)
+    for lo in range(0, width, F.max_inner):
+        hi = lo + F.max_inner
+        gram = F.add(gram, F.mul(flat[:, lo: hi], flat_t[:, lo: hi].T))
+    return F.rank(gram)
+
+
+def _certify(M: Representation, basis):
+    """LOCAL / DECOMPOSABLE / FIELD_OBSTRUCTION for one endomorphism basis.
+
+    When p > dim M the trace form decides LOCAL (Dickson, see the module
+    docstring).  Otherwise, or when it does not, every element f is tested
+    as l id + nilpotent with l = trace / d (when p does not divide d), all
+    at once on the stack of total matrices; an element that fails goes to
+    charpoly analysis, in basis order.  Once every element is scalar +
+    nilpotent, End(M) is LOCAL iff the shifts generate a nilpotent algebra,
+    which the flag decides; only a stalled flag pays for a Fitting
+    idempotent.
     """
     F = M.field
     d = M.total_dim
+    if F.p > d and _trace_form_rank(M, basis) == 1:
+        return IndecVerdict(IndecVerdict.LOCAL)
     eye = F.eye(d)
     totals = total_matrices(M, basis)
     lams = np.zeros(len(basis), dtype=np.int64)
@@ -456,7 +513,7 @@ def _certify(M: Representation, basis):
             if is_nilpotent(F, totals[i] - lams[i] * eye):
                 continue
             raise AssertionError("charpoly (t-l)^d but shift not nilpotent")
-        return IndecVerdict("OBSTRUCTED", (f, fac))
+        return IndecVerdict(IndecVerdict.FIELD_OBSTRUCTION, (f, fac))
     shifts = (totals - lams[:, None, None] * eye) % F.p
     if _generates_nilpotent(F, shifts):
         return IndecVerdict(IndecVerdict.LOCAL)
@@ -501,139 +558,17 @@ def _fitting_witness(M: Representation, gens):
 def is_indecomposable(M: Representation, end_basis=None) -> IndecVerdict:
     """Certify End(M) = k . id + nilpotents, or exhibit an idempotent.
 
-    FIELD_OBSTRUCTION is reported only when certification fails over the
-    working field and over its quadratic extension.
+    FIELD_OBSTRUCTION carries an element f whose charpoly is a power of one
+    irreducible factor g of degree >= 2.  Then k[f] is local with residue
+    field k[t]/(g), a proper extension of k: End(M) is not k id + rad, and
+    k[f] has no idempotent to split M with.
     """
     if M.is_zero():
         raise ValueError("the zero module is neither")
     basis = end_basis if end_basis is not None else hom_basis(M, M)
     if len(basis) == 1:
         return IndecVerdict(IndecVerdict.LOCAL)
-    verdict = _certify(M, basis)
-    if verdict.status != "OBSTRUCTED":
-        return verdict
-    ext_verdict = _certify_over_extension(M, basis)
-    if ext_verdict.status == IndecVerdict.LOCAL:
-        return IndecVerdict(IndecVerdict.LOCAL, note="quadratic extension")
-    return IndecVerdict(IndecVerdict.FIELD_OBSTRUCTION, verdict.certificate,
-                        note=f"extension retry: {ext_verdict.status}")
-
-
-def _ext_tables(F):
-    """A model of GF(p^2): 2x2 matrix embedding of the generator."""
-    p = F.p
-    if p == 2:
-        w = np.array([[0, 1], [1, 1]], dtype=np.int64)  # w^2 = w + 1
-    else:
-        c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
-        w = np.array([[0, c], [1, 0]], dtype=np.int64)  # w^2 = c
-    return w
-
-
-def _certify_over_extension(M: Representation, basis) -> IndecVerdict:
-    """Re-run the scalar+nilpotent certification over GF(p^2).
-
-    Elements of GF(p^2) are handled through the regular 2x2 embedding: a
-    matrix X over GF(p) becomes kron(X, I2), the generator acts as
-    kron(I, w).  Nilpotency and algebra generation transfer verbatim: the
-    shifts generate a nilpotent GF(p^2)-algebra iff the GF(p)-matrices
-    {m, w m} do, since they span the same space, so the flag decides LOCAL
-    and a stalled flag means that End(M) over GF(p^2) is not local.
-    """
-    F = M.field
-    d = M.total_dim
-    w = _ext_tables(F)
-    I2 = np.eye(2, dtype=np.int64)
-
-    def blow(total):
-        return np.kron(total % F.p, I2)
-
-    def scalar(u, v_coef, n):
-        return np.kron(np.eye(n, dtype=np.int64),
-                       (u * I2 + v_coef * w) % F.p)
-
-    shifted = []
-    for f in basis:
-        total = blow(total_matrix(M, f))
-        found = False
-        deep_factor = False
-        for fac, exp in factor_charpoly(F, F.charpoly(total_matrix(M, f))):
-            if len(fac) == 2:
-                lam = F.neg(fac[0])
-                cand = (total - scalar(lam, 0, d)) % F.p
-                if is_nilpotent(F, cand):
-                    shifted.append(cand)
-                    found = True
-                    break
-            elif len(fac) == 3:
-                # roots u +- v w of a quadratic factor t^2 + b t + c0
-                b, c0 = fac[1], fac[0]
-                for u, v_coef in _quadratic_roots_ext(F, b, c0, w):
-                    cand = (total - scalar(u, v_coef, d)) % F.p
-                    if is_nilpotent(F, cand):
-                        shifted.append(cand)
-                        found = True
-                        break
-                if found:
-                    break
-            else:
-                deep_factor = True
-        if not found:
-            # all eigenvalues known and no single shift works: the element has
-            # several eigenvalues over GF(p^2) and Fitting splits the module
-            if not deep_factor:
-                return IndecVerdict(IndecVerdict.DECOMPOSABLE)
-            return IndecVerdict("OBSTRUCTED")
-    # the GF(p)-span of {m, w m} is the GF(p^2)-span of the shifts; w acts
-    # as kron(I, w), which commutes with every m, so w m = m w
-    stack = np.stack(shifted)
-    wmat = np.kron(np.eye(d, dtype=np.int64), w)
-    gens = np.concatenate([stack, F.mul(stack, wmat)])
-    if _generates_nilpotent(F, gens):
-        return IndecVerdict(IndecVerdict.LOCAL)
-    return IndecVerdict(IndecVerdict.DECOMPOSABLE)
-
-
-def _quadratic_roots_ext(F, b, c0, w):
-    """Roots u + v*omega of t^2 + b t + c0 over GF(p^2), as (u, v) pairs."""
-    p = F.p
-    if p == 2:
-        # brute force over the four elements
-        out = []
-        for u in range(2):
-            for v in range(2):
-                # (u + v w)^2 + b (u + v w) + c0 with w^2 = w + 1
-                sq_u, sq_v = (u * u + v * v) % 2, (v * v) % 2  # (u+vw)^2
-                tu = (sq_u + b * u + c0) % 2
-                tv = (sq_v + b * v) % 2
-                if tu == 0 and tv == 0:
-                    out.append((u, v))
-        return out
-    half = F.inv(2)
-    disc = (b * b - 4 * c0) % p
-    c = int(w[0, 1])  # omega^2 = c
-    ratio = (disc * F.inv(c)) % p
-    v = _sqrt_mod(F, ratio)
-    if v is None:
-        return []
-    u = (F.neg(b) * half) % p
-    vv = (v * half) % p
-    return [(u, vv), (u, F.neg(vv))]
-
-
-def _sqrt_mod(F, a):
-    p = F.p
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    for x in range(1, p):  # small fields only reach this branch in practice
-        if (x * x) % p == a:
-            return x
-    return None
+    return _certify(M, basis)
 
 
 # -- isomorphism -----------------------------------------------------------------
@@ -680,7 +615,7 @@ def _local_summands(N: Representation):
     """N = sum of LOCAL summands, as (Z, inclusion Z -> N) pairs: split on
     the idempotent e of a DECOMPOSABLE verdict, N = ker e + ker(1 - e)."""
     verdict = is_indecomposable(N)
-    if verdict.status == IndecVerdict.LOCAL and not verdict.note:
+    if verdict.status == IndecVerdict.LOCAL:
         return [(N, identity_map(N))]
     if verdict.status != IndecVerdict.DECOMPOSABLE:
         raise ValueError(f"no Krull-Schmidt split over GF(p): {verdict}")
@@ -977,7 +912,8 @@ def projective_cover(M: Representation, algebra):
                 h[w][:, col_offset[w] + k] = vec[:, 0]
             col_offset[w] += rep.dim(w)
     for v in M.support:  # covers are epi
-        assert F.rank(h[v]) == M.dim(v), "cover map is not surjective"
+        if F.rank(h[v]) != M.dim(v):
+            raise ConsistencyError("cover map is not surjective")
     return P, h, summands
 
 
@@ -996,35 +932,6 @@ def is_projective(M: Representation, algebra) -> bool:
     return d is None
 
 
-class _RightModule:
-    """A right A-module presented vertex-wise with arrow action N_t -> N_s."""
-
-    def __init__(self, quiver, field, dims, maps):
-        self.quiver = quiver
-        self.field = field
-        self.dims = dims
-        self.maps = maps  # arrow -> matrix (dim_s x dim_t)
-
-
-def _projective_right(algebra, v):
-    """e_v A with its right arrow action."""
-    q = algebra.quiver
-    F = algebra.field
-    basis_at = {w: algebra.basis_paths.get((w, v), []) for w in q.vertices}
-    pos = {w: {p: k for k, p in enumerate(basis_at[w])} for w in q.vertices}
-    dims = {w: len(basis_at[w]) for w in q.vertices}
-    maps = {}
-    for a in q.arrows:
-        s, t = q.source[a], q.target[a]
-        m = F.zeros(dims[s], dims[t])
-        arrow_path = (s, (a,), t)
-        for col, p in enumerate(basis_at[t]):
-            for r, cf in algebra.multiply(p, arrow_path).items():
-                m[pos[s][r], col] = cf
-        maps[a] = m
-    return dims, maps, basis_at, pos
-
-
 def ar_translate(M: Representation, algebra) -> Representation:
     """DTr M from a minimal projective presentation; errors on projectives."""
     F = M.field
@@ -1034,8 +941,8 @@ def ar_translate(M: Representation, algebra) -> Representation:
         raise ProjectiveSummand("module is projective")
 
     # components a[j][i] in e_{u_j} A e_{v_i}, from the generator columns of P1
-    right0 = [_projective_right(algebra, v) for v, _ in gens0]
-    right1 = [_projective_right(algebra, u) for u, _ in gens1]
+    right0 = [algebra.right_projective(v) for v, _ in gens0]
+    right1 = [algebra.right_projective(u) for u, _ in gens1]
 
     # locate each P1 generator column inside d and expand over path basis of P0
     comp = [[None] * len(gens0) for _ in gens1]

@@ -12,7 +12,7 @@ length bound.
 import numpy as np
 from dataclasses import dataclass
 
-from .homlab import hom_basis, compose_maps
+from .homlab import ConsistencyError, compose_maps, hom_basis
 
 
 class BadArity(ValueError):
@@ -426,34 +426,39 @@ def _flatten_map(f, quiver):
 
 
 def measure_pattern(R, assign, field, quiver):
-    """Measured objdim and homdim matrices through the functor Hom(R, -)."""
+    """Measured objdim and homdim matrices through the functor Hom(R, -).
+
+    homdim(u, v) is the rank of f -> (f h)_h, from Hom(u, v) to the maps
+    Hom(R, u) -> Hom(R, v).  Every composite f h into v is written in the
+    basis of Hom(R, v) by one solve per v, all of them as its columns.
+    """
     objects = sorted(assign, key=repr)
     hom_from_r = {o: hom_basis(R, assign[o]) for o in objects}
     objdim = {o: len(hom_from_r[o]) for o in objects}
-    homdim = {}
-    for u in objects:
-        hu = hom_from_r[u]
-        for v in objects:
-            hv = hom_from_r[v]
+    homdim = {(u, v): 0 for u in objects for v in objects}
+    for v in objects:
+        hv = hom_from_r[v]
+        blocks, composites = [], []  # (u, len Hom(u, v)), flat composites
+        for u in objects:
+            hu = hom_from_r[u]
             fs = hom_basis(assign[u], assign[v])
-            if not fs or not hu:
-                homdim[(u, v)] = 0
-                continue
-            if not hv:
-                homdim[(u, v)] = 0
-                continue
-            kmat = np.stack([_flatten_map(k, quiver) for k in hv], axis=1)
-            rows = []
-            for f in fs:
-                coords = []
-                for h in hu:
-                    comp = compose_maps(field, f, h)
-                    sol = field.solve(kmat, _flatten_map(comp, quiver)
-                                      .reshape(-1, 1))
-                    assert sol is not None, "composite outside Hom(R,.) span"
-                    coords.append(sol[:, 0])
-                rows.append(np.concatenate(coords))
-            homdim[(u, v)] = field.rank(np.stack(rows))
+            if fs and hu and hv:
+                blocks.append((u, len(fs)))
+                composites += [_flatten_map(compose_maps(field, f, h), quiver)
+                               for f in fs for h in hu]
+        if not blocks:
+            continue
+        kmat = np.stack([_flatten_map(k, quiver) for k in hv], axis=1)
+        coords = field.solve(kmat, np.stack(composites, axis=1))
+        if coords is None:
+            raise ConsistencyError("composite outside the span of Hom(R, v)")
+        start = 0
+        for u, n_f in blocks:
+            width = n_f * len(hom_from_r[u])
+            # row i: the coordinates of f_i h_1, f_i h_2, ... in turn
+            rows = coords[:, start: start + width].T.reshape(n_f, -1)
+            homdim[(u, v)] = field.rank(rows)
+            start += width
     return objects, objdim, homdim
 
 

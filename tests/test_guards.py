@@ -1,0 +1,81 @@
+"""The consistency checks on certificates raise ``ConsistencyError``, so
+that ``python -O``, which strips ``assert`` statements, keeps them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from tworay import homlab, vsc
+from tworay.field import PrimeField
+from tworay.homlab import ConsistencyError
+
+from conftest import SYSTEMS, Ctx
+
+TESTS = Path(__file__).resolve().parent
+
+
+def _raised(call):
+    try:
+        call()
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def _guard_failures():
+    """The message of each check, each made to fail on fund21: a Hom(R, v)
+    basis of zero maps, a cover that drops a top generator, and a Fitting
+    decomposition whose kernel basis is lost."""
+    c = Ctx(SYSTEMS["fund21"])
+    simple = lambda: c.modules.construct_M(c.calc.trivial("x:1:0"))
+    R, a, b = simple(), simple(), simple()
+    hom_basis, top_generators = vsc.hom_basis, homlab.top_generators
+    null_space = PrimeField.null_space
+
+    def zero_r_to_b(X, Y):
+        basis = hom_basis(X, Y)
+        if X is R and Y is b:
+            return [{v: 0 * m for v, m in f.items()} for f in basis]
+        return basis
+
+    ss = a.direct_sum(b)
+    first = {v: ss.field.zeros(ss.dim(v), ss.dim(v)) for v in ss.spaces}
+    first["x:1:0"][0, 0] = 1  # the projection onto the first summand
+    out = []
+    try:
+        vsc.hom_basis = zero_r_to_b
+        out.append(_raised(lambda: vsc.measure_pattern(
+            R, {"a": a, "b": b}, c.field, c.quiver)))
+        vsc.hom_basis = hom_basis
+        homlab.top_generators = lambda M: {
+            v: g[:1] for v, g in top_generators(M).items()}
+        out.append(_raised(lambda: homlab.projective_cover(ss, c.algebra)))
+        homlab.top_generators = top_generators
+        PrimeField.null_space = lambda F, m: null_space(F, m)[:, :0]
+        out.append(_raised(lambda: homlab._fitting_idempotent(ss, first)))
+    finally:
+        vsc.hom_basis, homlab.top_generators = hom_basis, top_generators
+        PrimeField.null_space = null_space
+    return out
+
+
+WANT = ["composite outside the span of Hom(R, v)",
+        "cover map is not surjective", "Fitting decomposition failed"]
+
+
+def test_guards_raise():
+    assert _guard_failures() == WANT
+
+
+def test_guards_raise_under_optimisation():
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"),
+                                           str(TESTS)]))
+    script = ("import test_guards; "
+              "print(__debug__, test_guards._guard_failures())")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         cwd=TESTS, capture_output=True, text=True, check=True)
+    debug, failures = out.stdout.split(" ", 1)
+    assert debug == "False"
+    assert failures.strip() == repr(WANT)

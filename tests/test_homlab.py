@@ -573,6 +573,57 @@ for _case in _EDGE_SYSTEMS:
         test_sparse_elimination_matches_dense)
 
 
+@st.composite
+def _short_row_systems(draw):
+    """(field, rows, columns) with mostly one- and two-term rows over few
+    columns, so that rows chain unknowns into classes, close cycles whose
+    weights agree or not, and force classes to 0; a few rows have three or
+    more terms.  A row's columns are drawn with repetition and their
+    coefficients summed, so some coefficients vanish mod p, and small
+    coefficients make consistent cycles likely at every p."""
+    F = PrimeField(draw(st.sampled_from(_PRIMES)))
+    n_cols = draw(st.integers(0, 8))
+    coef = st.one_of(st.integers(-3, 3), st.integers(-2 * F.p, 2 * F.p - 1),
+                     st.sampled_from((F.p, -F.p, 2 * F.p)))
+    rows = []
+    for _ in range(draw(st.integers(0, 12)) if n_cols else 0):
+        row = {}
+        for _ in range(draw(st.sampled_from((1, 1, 2, 2, 2, 2, 3, 4)))):
+            c = draw(st.integers(0, n_cols - 1))
+            row[c] = row.get(c, 0) + draw(coef)
+        rows.append(row)
+    return F, rows, n_cols
+
+
+def _triangle(p, w):
+    """x0 = 2 x1, x1 = 3 x2 and 6 x2 = w x0: one cycle, consistent iff
+    w = 1, then a three-term row on top."""
+    return (PrimeField(p), [{0: 1, 1: -2}, {1: 1, 2: -3}, {2: 6, 0: -w},
+                            {0: 1, 3: 1, 4: 1}], 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_short_row_systems())
+@example(_triangle(32003, 1))
+@example(_triangle(32003, 2))
+@example(_triangle(5, 2))
+@example(_triangle(5, 6))  # 6 = 1 mod 5: consistent
+@example((PrimeField(3), [{0: 1}, {0: 1, 1: 1}, {1: 1, 2: 2, 3: 1}], 4))
+@example((PrimeField(2), [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 0: 1}], 3))
+def test_substituted_kernel_matches_dense(system):
+    """``null_space_sparse`` substitutes one- and two-term rows before it
+    eliminates; its basis is the reference Gauss-Jordan kernel."""
+    F, rows, n_cols = system
+    raw = np.zeros((len(rows), n_cols), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            raw[r, c] = v
+    want = _gauss_jordan_null_space(F, raw)
+    got = F.null_space_sparse(rows, n_cols)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(F.null_space_sparse(rows[::-1], n_cols), want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_systems())
 def test_complement_indices_match_greedy_extension(system):
@@ -850,13 +901,129 @@ def test_local_certification_never_searches_products(monkeypatch, fund21):
         is_indecomposable(*_square_with_nilpotent_basis(s))
 
 
-def test_extension_flag(fund21):
-    # over GF(p^2) the blown-up shifts go through the same flag
-    r = fund21.modules.construct_R(fund21.calc.band_b0(), 5, 2)
-    ext = homlab._certify_over_extension(r, hom_basis(r, r))
-    assert ext.status == IndecVerdict.LOCAL
-    ext = homlab._certify_over_extension(*_square_with_nilpotent_basis(r))
-    assert ext.status == IndecVerdict.DECOMPOSABLE
+# -- LOCAL certification by the trace form ---------------------------------------
+
+
+def _trace_rank_and_flag(M, monkeypatch):
+    """rank tr(f_i f_j) on the End basis, and the verdict of the route
+    behind it (charpoly, flag, Fitting witness) with the trace form off."""
+    basis = hom_basis(M, M)
+    rank = homlab._trace_form_rank(M, basis)
+    with monkeypatch.context() as m:
+        m.setattr(homlab, "_trace_form_rank", lambda *args: 0)
+        flag = is_indecomposable(M, basis)
+    return rank, flag
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_trace_form_matches_flag(name, monkeypatch):
+    # Dickson: with p > dim M, rank tr(f_i f_j) = dim End(M)/rad, so LOCAL
+    # iff the rank is 1, as the flag decides
+    c = ctx(name)
+    inv = [e.rep for e in c.modules.theorem_inventory(8)]
+    mods = inv + [ar_translate(M, c.algebra) for M in inv
+                  if not is_projective(M, c.algebra)]
+    assert len(mods) > len(inv)
+    ranks = set()
+    for M in mods:
+        assert M.total_dim < c.field.p
+        rank, flag = _trace_rank_and_flag(M, monkeypatch)
+        assert (rank == 1) == (flag.status == IndecVerdict.LOCAL)
+        assert is_indecomposable(M).status == flag.status
+        ranks.add(rank)
+    assert 1 in ranks
+
+
+def test_trace_form_on_sums(fund21, tsys, monkeypatch):
+    # on the direct sums the trace form has rank >= 2 and the DECOMPOSABLE
+    # certificate is the flag route's, element for element
+    sums = {id(M): M for M, N, _ in _sum_cases(fund21, tsys) for M in (M, N)}
+    for M in sums.values():
+        rank, flag = _trace_rank_and_flag(M, monkeypatch)
+        got = is_indecomposable(M)
+        assert rank >= 2
+        assert got.status == flag.status == IndecVerdict.DECOMPOSABLE
+        assert all(np.array_equal(got.certificate[v], flag.certificate[v])
+                   for v in flag.certificate)
+    # End(M)/rad of a sum of m_i copies of pairwise non-isomorphic LOCAL
+    # modules is a product of the M_(m_i)(k): dimension sum m_i^2
+    sm, calc = fund21.modules, fund21.calc
+    a = sm.construct_M(calc.word(("alpha:1:1", "alpha:1:2")))
+    b = sm.construct_M(calc.word(("alpha:1:2", "beta:1:1")))
+    r5 = sm.construct_R(calc.band_b0(), 5, 1)
+    r6 = sm.construct_R(calc.band_b0(), 6, 1)
+    s = lambda *ms: ms[0] if len(ms) == 1 else ms[0].direct_sum(s(*ms[1:]))
+    for M, residue_dim in ((a, 1), (r5, 1), (s(a, b), 2), (s(r5, r6), 2),
+                           (s(a, a, b), 5), (s(r5, r5, b), 5),
+                           (s(a, a, a), 9)):
+        basis = hom_basis(M, M)
+        assert homlab._trace_form_rank(M, basis) == residue_dim
+        with monkeypatch.context() as m:  # the Gram matrix in short slices
+            m.setattr(M.field, "max_inner", 2)
+            assert homlab._trace_form_rank(M, basis) == residue_dim
+
+
+def test_trace_form_certifies_without_the_flag(monkeypatch):
+    # at GF(32003) > dim M the trace form alone certifies every entry
+    def forbidden(*args):
+        raise AssertionError("flag or nilpotency mask entered")
+
+    monkeypatch.setattr(homlab, "_generates_nilpotent", forbidden)
+    monkeypatch.setattr(homlab, "_nilpotent_mask", forbidden)
+    several = 0
+    for name in ("tsys", "s24", "ex14"):
+        c = ctx(name)
+        assert c.field.p == 32003
+        for e in c.modules.theorem_inventory(10):
+            basis = hom_basis(e.rep, e.rep)
+            several += len(basis) > 1
+            assert is_indecomposable(e.rep, basis).status == IndecVerdict.LOCAL
+    assert several > 0
+
+
+def test_flag_decides_when_p_is_at_most_dim(fund21, monkeypatch):
+    # p <= dim M: Dickson's argument needs p > dim M, the trace form is not
+    # consulted and the flag decides
+    from tworay.string_modules import StringModules
+
+    def forbidden(*args):
+        raise AssertionError("trace form consulted")
+
+    monkeypatch.setattr(homlab, "_trace_form_rank", forbidden)
+    for p in (2, 3):
+        sm = StringModules(fund21.calc, PrimeField(p))
+        r = sm.construct_R(fund21.calc.band_b0(), 1, 2)
+        assert r.total_dim >= p and len(hom_basis(r, r)) == 2
+        assert is_indecomposable(r).status == IndecVerdict.LOCAL
+
+
+def test_field_obstruction_control_above_dim(fund21):
+    # over GF(7) > dim M = 6 the band glued along t^2 + 1, irreducible mod 7,
+    # has End = GF(49): trace form rank 2, then the charpoly route reports
+    # the obstruction with the element and its quadratic factor
+    F7 = PrimeField(7)
+    comp = np.array([[0, 6], [1, 0]])  # companion of t^2 + 1
+    eye = np.eye(2, dtype=np.int64)
+
+    def glued(beta):
+        return Representation(fund21.quiver, F7,
+                              {v: (("v", 0), ("v", 1))
+                               for v in fund21.quiver.vertices},
+                              {"alpha:1:1": eye, "alpha:1:2": eye,
+                               "beta:1:1": beta})
+
+    rep = glued(comp)
+    assert rep.total_dim < F7.p
+    basis = hom_basis(rep, rep)
+    assert len(basis) == 2 and homlab._trace_form_rank(rep, basis) == 2
+    v = is_indecomposable(rep)
+    assert v.status == IndecVerdict.FIELD_OBSTRUCTION
+    f, fac = v.certificate
+    assert is_intertwiner(rep, rep, f) and fac == [1, 0, 1]
+    split = glued(np.array([[1, 0], [0, 2]]))
+    v = is_indecomposable(split)
+    assert v.status == IndecVerdict.DECOMPOSABLE
+    assert is_intertwiner(split, split, v.certificate)
 
 
 def _brute_nilpotent(F, mats, length):
