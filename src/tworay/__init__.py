@@ -15,10 +15,8 @@ from .algebra import AlgebraBasis
 from .homlab import (ArVerifier, IndecVerdict, SesCandidate, ar_translate,
                      hom_basis, is_indecomposable, is_isomorphic, is_split,
                      realize_ses)
-from .vsc import (AdmissiblePoset, SubspaceTriple, VscModel, build_model,
-                  hom_pattern_of_functor, match_model,
-                  subspace_objects_family, subspace_objects_single,
-                  subspace_rows_family, subspace_rows_single, zero_bar)
+from .vsc import (AdmissiblePoset, VscModel, build_model,
+                  hom_pattern_of_functor, match_model)
 
 
 def verify_defining_system(raw, bound, field=None, lam_sample=(2, 3, 5)):
@@ -42,8 +40,6 @@ __all__ = [
     "AlgebraBasis",
     "ArVerifier", "IndecVerdict", "SesCandidate", "ar_translate", "hom_basis",
     "is_indecomposable", "is_isomorphic", "is_split", "realize_ses",
-    "AdmissiblePoset", "SubspaceTriple", "VscModel", "build_model",
-    "hom_pattern_of_functor", "match_model", "subspace_objects_family",
-    "subspace_objects_single", "subspace_rows_family",
-    "subspace_rows_single", "zero_bar", "verify_defining_system",
+    "AdmissiblePoset", "VscModel", "build_model", "hom_pattern_of_functor",
+    "match_model", "verify_defining_system",
 ]

@@ -13,7 +13,7 @@ from .defining_system import (AdmissibleVertex, DefiningSystemError,
 from .field import PrimeField
 from .quiver import build_quiver, build_relations, relations_to_json
 from .strings import WordCalculus
-from .string_modules import StringModules, check_relations
+from .string_modules import StringModules, band_parameters, check_relations
 from .algebra import AlgebraBasis
 from .homlab import ArVerifier, IndecVerdict
 from .vsc import hom_pattern_of_functor, i_lemma_vertices
@@ -162,7 +162,7 @@ def main(argv=None) -> int:
             "provenance": _provenance(ds),
             "max_dim": args.max_dim,
             "field": field.p,
-            "lambda_sample": sorted({field.red(l) for l in lam} | {1}),
+            "lambda_sample": sorted(band_parameters(field, lam)),
             "entries": [{"family": e.tag, "params": repr(e.params),
                          "dim": e.rep.total_dim,
                          "dim_vector": {v: d for v, d in

@@ -81,12 +81,10 @@ and End(M) is not local; only then are products of the shifts searched for
 a non-nilpotent one, whose Fitting decomposition gives the idempotent.
 """
 
-import functools
-
 import numpy as np
 
-from .string_modules import (Representation, zero_representation,
-                             zero_size_block)
+from .string_modules import (Representation, band_parameters,
+                             zero_representation, zero_size_block)
 
 
 class ProjectiveSummand(ValueError):
@@ -730,18 +728,19 @@ def complement_indices(F, img) -> list:
 
 
 def _quotient(F, a):
-    """(projection, section) of F^n onto F^n / (column space of ``a``), in
-    the coordinates of the complement that ``complement_indices`` picks."""
-    n = a.shape[0]
-    img = F.column_space(a)
-    chosen = complement_indices(F, img)
+    """(projection, section) of F^n onto F^n / (column space of ``a``).
+
+    One RREF of [a | I] gives both.  Its pivots among the identity columns
+    are the complement that ``complement_indices`` picks, and its rows below
+    rank a, read in the identity columns, vanish on the columns of ``a`` and
+    are the identity on that complement: they are the projection."""
+    n, k = a.shape
+    m, pivots = F.rref(np.hstack([a, F.eye(n)]))
+    rank = sum(c < k for c in pivots)
+    chosen = [c - k for c in pivots[rank:]]
     section = F.zeros(n, len(chosen))
     section[chosen, range(len(chosen))] = 1
-    if n:
-        proj = F.inv_matrix(np.hstack([img, section]))[img.shape[1]:, :]
-    else:
-        proj = F.zeros(0, 0)
-    return proj, section
+    return m[rank:, k:], section
 
 
 def cokernel_rep(M: Representation, N: Representation, f):
@@ -1059,12 +1058,7 @@ class ArVerifier:
         self.quiver = modules.quiver
         self.field = modules.field
         self.algebra = algebra
-        lams = []
-        for l in tuple(lam_sample) + (1,):
-            l = self.field.red(l)
-            if l and l not in lams:
-                lams.append(l)
-        self.lams = lams
+        self.lams = band_parameters(self.field, lam_sample)
         self._rep_cache = {}
         self._indec_cache = {}
         self._band_len = {name: b.length for name, b in self.calc.bands()}
@@ -1238,11 +1232,12 @@ class ArVerifier:
                 cp = plus[c] = calc.successor(c)
             return cp
 
-        def emit(family, params, *term_thunks):
-            # term parameters are computed lazily so an inconsistent instance
-            # (a pair leaving P_x, say) surfaces as an anomaly, not a crash
+        def emit(family, params, terms):
+            # terms() builds (left, middle, right) inside the try, so an
+            # inconsistent instance (a pair leaving P_x, say) surfaces as an
+            # anomaly, not a crash
             try:
-                left, middle, right = [t() for t in term_thunks]
+                left, middle, right = terms()
             except ValueError as exc:
                 self.row_anomalies.append(
                     f"row family {family} at {params}: {exc}")
@@ -1268,36 +1263,34 @@ class ArVerifier:
                 for lam in self.lams:
                     if lam == 1 and name != "B0":
                         continue
-                    emit(1, (name, lam, m),
-                         lambda: self.canon_R(name, lam, m),
-                         lambda: self.canon_R(name, lam, m + 1)
-                         + self.canon_R(name, lam, m - 1),
-                         lambda: self.canon_R(name, lam, m))
+                    emit(1, (name, lam, m), lambda: (
+                        self.canon_R(name, lam, m),
+                        self.canon_R(name, lam, m + 1)
+                        + self.canon_R(name, lam, m - 1),
+                        self.canon_R(name, lam, m)))
             if name == "B0":
                 continue
             x = name
             for m in range(1, bound // blen + 3):
-                emit(2, (name, m),
-                     lambda: self.canon_R(name, 1, m),
-                     lambda: self.canon_Qb(x, m + 1)
-                     + self.canon_R(name, 1, m - 1),
-                     lambda: self.canon_Qb(x, m))
+                emit(2, (name, m), lambda: (
+                    self.canon_R(name, 1, m),
+                    self.canon_Qb(x, m + 1) + self.canon_R(name, 1, m - 1),
+                    self.canon_Qb(x, m)))
             for m in range(2, bound // blen + 4):
-                emit(3, (name, m),
-                     lambda: self.canon_Qb(x, m),
-                     lambda: self.canon_R(name, 1, m)
-                     + self.canon_Qb(x, m - 1),
-                     lambda: self.canon_R(name, 1, m - 1))
+                emit(3, (name, m), lambda: (
+                    self.canon_Qb(x, m),
+                    self.canon_R(name, 1, m) + self.canon_Qb(x, m - 1),
+                    self.canon_R(name, 1, m - 1)))
 
         # string rows
         for c in calc.s_prime(margin):
             cp = calc.successor(c)
             pc = calc.co_successor(c)
             bi = calc.bi_successor(c)
-            emit(4, ("Sprime", self._wkey(c)),
-                 lambda: self.canon_M(c),
-                 lambda: self.canon_M(cp) + self.canon_M(pc),
-                 lambda: self.canon_M(bi))
+            emit(4, ("Sprime", self._wkey(c)), lambda: (
+                self.canon_M(c),
+                self.canon_M(cp) + self.canon_M(pc),
+                self.canon_M(bi)))
 
         # Q0'' lies inside Q0' (T_i is a subset of S_i), so both loops below
         # share one S_x per vertex
@@ -1315,62 +1308,63 @@ class ArVerifier:
                 pc = calc.co_successor(c)
                 bi = calc.bi_successor(c)
 
-                def row5_left(c=c, pc=pc, cprime=cprime, x=x):
+                def row5():
                     if pc is EMPTY or self._wkey(pc) != self._wkey(cprime):
                         raise ValueError(
                             f"co-successor of alpha_x C is not C at {x}")
-                    return self.canon_M(c)
+                    return (self.canon_M(c),
+                            self.canon_M(cp) + self.canon_NCC(x, mu, pc),
+                            self.canon_NCC(x, mu, bi))
 
-                emit(5, (x, self._wkey(cprime)),
-                     row5_left,
-                     lambda: self.canon_M(cp) + self.canon_NCC(x, mu, pc),
-                     lambda: self.canon_NCC(x, mu, bi))
+                emit(5, (x, self._wkey(cprime)), row5)
             for c in sx:
                 cp = succ(c)
-                emit(6, (x, self._wkey(c)),
-                     lambda: self.canon_M(c),
-                     lambda: self.canon_NCC(x, c, cp),
-                     lambda: self.canon_N(x, cp))
+                emit(6, (x, self._wkey(c)), lambda: (
+                    self.canon_M(c),
+                    self.canon_NCC(x, c, cp),
+                    self.canon_N(x, cp)))
                 if self._wkey(c) != self._wkey(omega):
-                    emit(8, (x, self._wkey(c)),
-                         lambda: self.canon_N(x, c),
-                         lambda: self.canon_NCC(x, c, cp),
-                         lambda: self.canon_M(cp))
+                    emit(8, (x, self._wkey(c)), lambda: (
+                        self.canon_N(x, c),
+                        self.canon_NCC(x, c, cp),
+                        self.canon_M(cp)))
             for c, c2 in calc.pairs_p_x(x, bound + 2 * max_omega - 1):
                 cp, c2p = succ(c), succ(c2)
                 if cp.length + c2p.length + 3 > bound:
                     continue
-                emit(10, (x, self._wkey(c), self._wkey(c2)),
-                     lambda: self.canon_NCC(x, c, c2),
-                     lambda: self.canon_NCC(x, c, c2p)
-                     + self.canon_NCC(x, cp, c2),
-                     lambda: self.canon_NCC(x, cp, c2p))
+                emit(10, (x, self._wkey(c), self._wkey(c2)), lambda: (
+                    self.canon_NCC(x, c, c2),
+                    self.canon_NCC(x, c, c2p) + self.canon_NCC(x, cp, c2),
+                    self.canon_NCC(x, cp, c2p)))
 
         for x in q.q0_doubleprimed():
             gamma = q.gamma_of(x)
             bx = calc.band_of(x)
+
+            def words7():
+                # B_x C, B_x C+, gamma C, gamma C+ at the c, cp of the loop
+                if cp is EMPTY:
+                    raise ValueError(
+                        f"omega_{x} cannot lie in S_x for x in Q0''")
+                return (StringWord(bx.letters + c.letters),
+                        StringWord(bx.letters + cp.letters),
+                        calc.word((gamma,) + c.letters),
+                        calc.word((gamma,) + cp.letters))
+
+            def row7():
+                bxc, bxcp, gc, _ = words7()
+                return (self.canon_M(gc), self.canon_NCC(x, cp, bxc),
+                        self.canon_L(x, bxcp))
+
+            def row9():
+                bxc, _, _, gcp = words7()
+                return (self.canon_L(x, bxc), self.canon_NCC(x, cp, bxc),
+                        self.canon_M(gcp))
+
             for c in sx_at[x]:
                 cp = succ(c)
-
-                @functools.cache  # six thunks below share one evaluation
-                def words7(c=c, cp=cp, x=x):
-                    if cp is EMPTY:
-                        raise ValueError(
-                            f"omega_{x} cannot lie in S_x for x in Q0''")
-                    bxc = StringWord(bx.letters + c.letters)
-                    bxcp = StringWord(bx.letters + cp.letters)
-                    gc = calc.word((gamma,) + c.letters)
-                    gcp = calc.word((gamma,) + cp.letters)
-                    return bxc, bxcp, gc, gcp
-
-                emit(7, (x, self._wkey(c)),
-                     lambda: self.canon_M(words7()[2]),
-                     lambda: self.canon_NCC(x, cp, words7()[0]),
-                     lambda: self.canon_L(x, words7()[1]))
-                emit(9, (x, self._wkey(c)),
-                     lambda: self.canon_L(x, words7()[0]),
-                     lambda: self.canon_NCC(x, cp, words7()[0]),
-                     lambda: self.canon_M(words7()[3]))
+                emit(7, (x, self._wkey(c)), row7)
+                emit(9, (x, self._wkey(c)), row9)
         for row in out:
             row["key"] = (row["family"],) + tuple(repr(p) for p in row["params"])
         out.sort(key=lambda r: r["key"])

@@ -83,7 +83,8 @@ class Representation:
             m = maps.get(a)
             if m is not None:
                 m = np.asarray(m, dtype=np.int64) % field.p
-                assert m.shape == (rows, cols), f"bad shape for {a}: {m.shape}"
+                if m.shape != (rows, cols):
+                    raise ValueError(f"bad shape for {a}: {m.shape}")
             if rows and cols:
                 support_arrows.append(a)
                 if m is None:
@@ -94,7 +95,8 @@ class Representation:
         self.support_arrows = tuple(support_arrows)
         for v in self.support:
             labels = self.spaces[v]
-            assert len(set(labels)) == len(labels), f"duplicate labels at {v}"
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"duplicate labels at {v}")
 
     def dim(self, v: str) -> int:
         return len(self.spaces[v])
@@ -125,7 +127,8 @@ class Representation:
         return m
 
     def direct_sum(self, other: "Representation") -> "Representation":
-        assert self.quiver is other.quiver and self.field == other.field
+        if self.quiver is not other.quiver or self.field != other.field:
+            raise ValueError("direct sum over different quivers or fields")
         spaces = {}
         for v in self.quiver.vertices:
             spaces[v] = tuple(("L",) + l for l in self.spaces[v]) + tuple(
@@ -182,6 +185,17 @@ def check_relations(rep: Representation, relations) -> list:
 
 def dim_vector(rep: Representation) -> dict:
     return rep.dim_vector()
+
+
+def band_parameters(field, lam_sample) -> list:
+    """The band parameters in use: lam_sample reduced mod p, then 1, with
+    zeros and repeats dropped and the first occurrence kept."""
+    lams = []
+    for l in tuple(lam_sample) + (1,):
+        l = field.red(l)
+        if l and l not in lams:
+            lams.append(l)
+    return lams
 
 
 class InventoryEntry:
@@ -423,11 +437,7 @@ class StringModules:
                 entries.append(InventoryEntry(
                     "NCC", (x, calc.word_key(c), calc.word_key(cp)),
                     self.construct_NCC(x, c, cp)))
-        lams = []
-        for l in tuple(lam_sample) + (1,):
-            l = self.field.red(l)
-            if l and l not in lams:
-                lams.append(l)
+        lams = band_parameters(self.field, lam_sample)
         for name, band in calc.bands():
             if band.length <= 0:
                 continue

@@ -62,24 +62,9 @@ class AdmissiblePoset:
             return AdmissiblePoset(self.elements[:-1], self.min_present, False)
         return self
 
-    def minus(self) -> "AdmissiblePoset":
-        """I_- = {*} + I with a fresh minimum."""
-        return AdmissiblePoset((("minus_star",),) + self.elements, True,
-                               self.max_present)
-
-    def plus(self) -> "AdmissiblePoset":
-        """I_+ = I + {*} with a fresh maximum."""
-        return AdmissiblePoset(self.elements + (("plus_star",),),
-                               self.min_present, True)
-
     def ordered_sum(self, other: "AdmissiblePoset") -> "AdmissiblePoset":
         return AdmissiblePoset(self.elements + other.elements,
                                self.min_present, other.max_present)
-
-    def lex_product(self, other: "AdmissiblePoset") -> "AdmissiblePoset":
-        elems = tuple((a, b) for a in self.elements for b in other.elements)
-        return AdmissiblePoset(elems, self.min_present and other.min_present,
-                               self.max_present and other.max_present)
 
 
 def interval_poset(lo: int, hi: int) -> AdmissiblePoset:
@@ -97,15 +82,6 @@ class VscModel:
 
     def hom(self, u, v) -> int:
         return self.homdim.get((u, v), 0)
-
-    def to_csv(self) -> str:
-        cols = ",".join(repr(o) for o in self.objects)
-        lines = [f"object,objdim,{cols}"]
-        for u in self.objects:
-            row = [repr(u), str(self.objdim[u])]
-            row += [str(self.hom(u, v)) for v in self.objects]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
 
 
 def build_model(kind: str, posets) -> VscModel:
@@ -313,9 +289,6 @@ class LemmaContext:
         kind, i_s, j_s = x.split(":")
         i, j0 = int(i_s), int(j_s)
 
-        def n_of(y, wkey):
-            return sm.construct_N(y, calc.from_key(wkey))
-
         def m_of(wkey):
             return sm.construct_M(calc.from_key(wkey))
 
@@ -503,309 +476,3 @@ def i_lemma_vertices(quiver):
                 out.append(f"x:{i}:{j}")
     return out
 
-
-# -- subspace-category triples and the formal label inventories -------------------
-
-
-@dataclass(frozen=True)
-class SubspaceTriple:
-    """A triple (V0, V1, gamma) over a model: V0 a formal sum of model
-    objects, V1 a plain vector space dimension, gamma a matrix into |V0|."""
-
-    model: VscModel
-    v0: tuple
-    v1: int
-    gamma: tuple  # row-major, len = sum of objdims of v0
-
-    def __post_init__(self):
-        rows = sum(self.model.objdim[o] for o in self.v0)
-        if len(self.gamma) != rows or any(len(r) != self.v1
-                                          for r in self.gamma):
-            raise ValueError("gamma must map a V1-space into |V0|")
-
-
-def zero_bar(model: VscModel) -> SubspaceTriple:
-    """The distinguished triple (0, k, 0)."""
-    return SubspaceTriple(model, (), 1, ())
-
-
-def _extended(poset: AdmissiblePoset):
-    """min* < elements of I < max*, with successor lookup."""
-    elems = (("minus_star",),) + tuple(poset.elements) + (("plus_star",),)
-    nxt = {e: elems[i + 1] for i, e in enumerate(elems[:-1])}
-    return elems, nxt
-
-
-def subspace_objects_single(poset: AdmissiblePoset):
-    """Opaque labels of the indecomposables of the one-poset subspace
-    category: a grid over the extended poset plus split diagonal pairs."""
-    elems, _ = _extended(poset)
-    lo, hi = elems[0], elems[-1]
-    labels = [("M", lo, g) for g in poset.elements]
-    labels += [("M", a, b)
-               for i, a in enumerate(poset.elements)
-               for b in poset.elements[i + 1:]]
-    labels += [("M", g, hi) for g in poset.elements]
-    labels += [("Mp", g, g) for g in poset.elements]
-    labels += [("Mpp", g, g) for g in poset.elements]
-    labels += [("Mpp", hi, hi)]
-    return labels
-
-
-def subspace_rows_single(poset: AdmissiblePoset):
-    """The three formal sequence families over the single-poset labels.
-
-    Terms are rewritten through the two conventions: a diagonal M splits in
-    two, the full-interval M is zero.  Each row is (left, middles, right)
-    with every entry a tuple of labels.
-    """
-    elems, nxt = _extended(poset)
-    lo, hi = elems[0], elems[-1]
-
-    def resolve(a, b):
-        if (a, b) == (lo, hi):
-            return ()
-        if a == b:
-            return (("Mp", a, a), ("Mpp", a, a))
-        return (("M", a, b),)
-
-    rows = []
-    i_minus = (lo,) + tuple(poset.elements)
-    for i, a in enumerate(i_minus):
-        for b in i_minus[i + 1:]:
-            rows.append((resolve(a, b),
-                         resolve(nxt[a], b) + resolve(a, nxt[b]),
-                         resolve(nxt[a], nxt[b])))
-    for g in poset.elements:
-        rows.append(((("Mp", g, g),), resolve(g, nxt[g]),
-                     (("Mpp", nxt[g], nxt[g]),)))
-    for g in poset.elements[:-1]:
-        rows.append(((("Mpp", g, g),), resolve(g, nxt[g]),
-                     (("Mp", nxt[g], nxt[g]),)))
-    return rows
-
-
-def _grid(posets, cap: int):
-    """Lex coordinates (level, element) over I_0, levels -1..cap.
-
-    max-coordinates start at level -1, all others at level 0.  Returns the
-    coordinate list plus lex-order key, successor, and level-bump helpers.
-    """
-    i0 = posets[0]
-    elems = list(i0.elements)
-    top = elems[-1]
-
-    def key(c):
-        return (c[0], elems.index(c[1]))
-
-    def suc(c):
-        n, g = c
-        i = elems.index(g)
-        return (n, elems[i + 1]) if i + 1 < len(elems) else (n + 1, elems[0])
-
-    def bump(c):
-        return (c[0] + 1, c[1])
-
-    coords = [(n, g) for n in range(-1, cap + 1) for g in elems
-              if n >= (-1 if g == top else 0)]
-    coords.sort(key=key)
-    return coords, key, suc, bump, top
-
-
-def _inner_prime(posets, p):
-    """I_p'' as an element list: I_1' minus its minimum, I_p' for p >= 2."""
-    prime = posets[p].prime().elements
-    if p == 1 and posets[p].min_present and prime:
-        return list(prime[1:])
-    return list(prime)
-
-
-def subspace_objects_family(posets, cap: int, lam_sample=(2, 3, 5)):
-    """Opaque labels of the layered subspace category, levels up to cap.
-
-    The object families collapse to: grid pairs c1 < c2 < bump(c1) for M
-    (with diagonal and skew splits), all lex pairs for S_p, chain labels
-    T/V over the inner posets, level chains U/W, and three tube kinds.
-    First chain parameters are raw poset elements; the distinguished top of
-    the last chain is the string "MAX".
-    """
-    r = len(posets) - 2
-    coords, key, suc, bump, top = _grid(posets, cap)
-    labels = []
-    for c1 in coords:
-        c2 = suc(c1)
-        while key(c2) < key(bump(c1)):
-            if c2[0] <= cap:
-                labels.append(("M", c1, c2))
-            c2 = suc(c2)
-    for c in coords:
-        if c[0] >= 0:
-            labels += [("Mp", c, c), ("Mpp", c, c)]
-        labels += [("Mp", c, bump(c)), ("Mpp", c, bump(c))]
-    for lam in lam_sample:
-        if lam != 1:
-            labels += [("R", lam, n) for n in range(1, cap + 1)]
-    labels += [("R1", n) for n in range(1, cap + 1)]
-    labels += [("Rinf", n, i) for n in range(1, cap + 1) for i in (0, 1)]
-    for p in range(1, r + 1):
-        for i, c1 in enumerate(coords):
-            labels += [("S", p, c1, c2) for c2 in coords[i + 1:]]
-        labels += [("Sp", p, c, c) for c in coords]
-        labels += [("Spp", p, c, c) for c in coords]
-    for p in range(1, r + 2):
-        for u in _inner_prime(posets, p):
-            labels += [("T", p, u, c) for c in coords]
-            labels += [("V", p, k, u) for k in range(0, 2 * cap + 4)]
-    mx_top = posets[r + 1].maximum
-    if mx_top is not None:
-        labels += [("T", r + 1, "MAX", c) for c in coords if c != (-1, top)]
-        labels += [("V", r + 1, k, "MAX") for k in range(0, 2 * cap + 4)]
-    for p in range(1, r + 1):
-        labels += [("U", p, k, c) for k in range(0, 2 * cap + 2)
-                   for c in coords]
-        for a in range(0, 2 * cap + 2):
-            labels += [("W", p, a, b) for b in range(0, a)]
-            labels += [("Wp", p, a, a), ("Wpp", p, a, a)]
-    return labels
-
-
-def subspace_rows_family(posets, cap: int, lam_sample=(2, 3, 5)):
-    """Formal sequence rows over the layered labels, conventions applied.
-
-    Terms rewrite through: diagonal and skew splits, vanishing level-zero
-    tubes, and the chain-end identifications gluing T into S or U, and V
-    into U, W, or the shifted last chain.  Row parameters stay two levels
-    inside the window so every term is an enumerated label.
-    """
-    r = len(posets) - 2
-    coords_all, key, suc, bump, top = _grid(posets, cap)
-    inner_rows = [c for c in coords_all if c[0] <= cap - 2]
-
-    def m_pair(a, b):
-        if a == b:
-            return (("Mp", a, a), ("Mpp", a, a))
-        if b == bump(a):
-            return (("Mp", a, b), ("Mpp", a, b))
-        return (("M", a, b),)
-
-    def s_pair(p, a, b):
-        if a == b:
-            return (("Sp", p, a, a), ("Spp", p, a, a))
-        return (("S", p, a, b),)
-
-    def w_of(p, a, b):
-        if a == b:
-            return (("Wp", p, a, a), ("Wpp", p, a, a))
-        return (("W", p, a, b),)
-
-    def t_of(p, u, c):
-        if u == "STAR":
-            if p == 1:
-                return t_of(r + 1, "MAXFULL", bump(c))
-            return (("U", p - 1, 0, c),)
-        if u == "MAXFULL":
-            if p <= r:
-                return s_pair(p, (-1, top), c)
-            if c == (-1, top):
-                return ()
-            return (("T", r + 1, "MAX", c),)
-        return (("T", p, u, c),)
-
-    def v_of(p, k, u):
-        if u == "STAR":
-            if p == 1:
-                return v_of(r + 1, k + 2, "MAXFULL")
-            return w_of(p - 1, k, 0)
-        if u == "MAXFULL":
-            if p <= r:
-                return (("U", p, k, (-1, top)),)
-            return (("V", r + 1, k, "MAX"),)
-        return (("V", p, k, u),)
-
-    def tube(kind, *args):
-        return ((kind,) + args,) if args[-1] > 0 else ()
-
-    def tube_inf(n, i):
-        return (("Rinf", n, i),) if n > 0 else ()
-
-    rows = []
-    for c1 in inner_rows:
-        c2 = suc(c1)
-        while key(c2) < key(bump(c1)):
-            rows.append((m_pair(c1, c2),
-                         m_pair(suc(c1), c2) + m_pair(c1, suc(c2)),
-                         m_pair(suc(c1), suc(c2))))
-            c2 = suc(c2)
-    for c in inner_rows:
-        if c[0] >= 0:
-            rows.append(((("Mp", c, c),), m_pair(c, suc(c)),
-                         (("Mpp", suc(c), suc(c)),)))
-            rows.append(((("Mpp", c, c),), m_pair(c, suc(c)),
-                         (("Mp", suc(c), suc(c)),)))
-        rows.append(((("Mp", c, bump(c)),), m_pair(suc(c), bump(c)),
-                     (("Mpp", suc(c), bump(suc(c))),)))
-        rows.append(((("Mpp", c, bump(c)),), m_pair(suc(c), bump(c)),
-                     (("Mp", suc(c), bump(suc(c))),)))
-    for lam in lam_sample:
-        if lam == 1:
-            continue
-        for n in range(1, cap - 1):
-            rows.append((tube("R", lam, n),
-                         tube("R", lam, n + 1) + tube("R", lam, n - 1),
-                         tube("R", lam, n)))
-    for n in range(1, cap - 1):
-        rows.append((tube("R1", n + 1),
-                     tube("R1", n + 2) + tube("R1", n - 1), tube("R1", n)))
-        for i in (0, 1):
-            rows.append((tube_inf(n, i), tube_inf(n + 1, i)
-                         + tube_inf(n - 1, 1 - i), tube_inf(n, 1 - i)))
-    for p in range(1, r + 1):
-        for i, c1 in enumerate(inner_rows):
-            for c2 in inner_rows[i + 1:]:
-                rows.append((s_pair(p, c1, c2),
-                             s_pair(p, suc(c1), c2) + s_pair(p, c1, suc(c2)),
-                             s_pair(p, suc(c1), suc(c2))))
-        for c in inner_rows:
-            rows.append(((("Sp", p, c, c),), s_pair(p, c, suc(c)),
-                         (("Spp", p, suc(c), suc(c)),)))
-            rows.append(((("Spp", p, c, c),), s_pair(p, c, suc(c)),
-                         (("Sp", p, suc(c), suc(c)),)))
-    i0 = posets[0]
-    first_inner = _inner_prime(posets, 1)
-    if len(i0) >= 2 and first_inner:
-        pre_top = i0.elements[-2]
-        rows.append((t_of(r + 1, "MAXFULL", (0, pre_top)),
-                     t_of(r + 1, "MAXFULL", (0, top)),
-                     t_of(1, first_inner[0], (0, top))))
-    seam = (0, i0.elements[-2]) if len(i0) >= 2 and first_inner else None
-    for p in range(1, r + 2):
-        chain = ["STAR"] + _inner_prime(posets, p) + ["MAXFULL"]
-        for ui in range(len(chain) - 1):
-            u, un = chain[ui], chain[ui + 1]
-            for c in inner_rows:
-                if p == 1 and u == "STAR" and c == seam:
-                    continue  # the explicit boundary row covers this slot
-                rows.append((t_of(p, u, c),
-                             t_of(p, un, c) + t_of(p, u, suc(c)),
-                             t_of(p, un, suc(c))))
-            for n in range(1, 2 * cap + 1):
-                rows.append((v_of(p, n, u),
-                             v_of(p, n, un) + v_of(p, n - 1, u),
-                             v_of(p, n - 1, un)))
-    for p in range(1, r + 1):
-        for n in range(1, 2 * cap + 1):
-            for c in inner_rows:
-                if c[0] < 0:
-                    continue
-                rows.append(((("U", p, n, c),),
-                             (("U", p, n, suc(c)), ("U", p, n - 1, c)),
-                             (("U", p, n - 1, suc(c)),)))
-            for m in range(1, n):
-                rows.append((w_of(p, n, m),
-                             w_of(p, n - 1, m) + w_of(p, n, m - 1),
-                             w_of(p, n - 1, m - 1)))
-            rows.append(((("Wp", p, n, n),), w_of(p, n, n - 1),
-                         (("Wpp", p, n - 1, n - 1),)))
-            rows.append(((("Wpp", p, n, n),), w_of(p, n, n - 1),
-                         (("Wp", p, n - 1, n - 1),)))
-    return rows

@@ -64,3 +64,11 @@ def test_three_strand_system():
     c = Ctx(raw)
     report = ArVerifier(c.modules, c.algebra).verify(8)
     assert report["failures"] == []
+
+
+def test_public_names_resolve():
+    import tworay
+
+    assert len(set(tworay.__all__)) == len(tworay.__all__)
+    missing = [n for n in tworay.__all__ if not hasattr(tworay, n)]
+    assert missing == []

@@ -312,6 +312,22 @@ def test_representation_json(tsys):
     assert total == rep.total_dim
 
 
+def test_representation_rejects_bad_input(fund21):
+    # ValueError, not assert, so the checks also hold under python -O
+    from tworay.field import PrimeField
+
+    q, F = fund21.quiver, fund21.field
+    spaces = {"x:1:0": (("c", 0),), "x:1:1": (("c", 0),)}
+    with pytest.raises(ValueError, match="bad shape for alpha:1:1"):
+        Representation(q, F, spaces, {"alpha:1:1": np.ones((3, 2))})
+    with pytest.raises(ValueError, match="duplicate labels at x:1:0"):
+        Representation(q, F, {"x:1:0": (("c", 0), ("c", 0))}, {})
+    simple = Representation(q, F, spaces, {"alpha:1:1": [[1]]})
+    other = Representation(q, PrimeField(7), spaces, {})
+    with pytest.raises(ValueError, match="different quivers or fields"):
+        simple.direct_sum(other)
+
+
 def test_basis_label_order(tsys):
     sm = tsys.modules
     calc = tsys.calc

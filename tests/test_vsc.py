@@ -15,16 +15,9 @@ def test_poset_operations():
     assert I.successor(("int", 3)) == ("int", 4)
     assert I.successor(("int", 5)) is None
     assert len(I.prime()) == 3 and I.prime().maximum is None
-    minus = I.minus()
-    assert minus.minimum == ("minus_star",) and len(minus) == 5
-    plus = I.plus()
-    assert plus.maximum == ("plus_star",)
     J = interval_poset(7, 8)
     s = I.ordered_sum(J)
     assert s.elements[0] == ("int", 2) and s.elements[-1] == ("int", 8)
-    lex = J.lex_product(I)
-    assert lex.elements[0] == (("int", 7), ("int", 2))
-    assert len(lex) == 8
 
 
 def test_l1_model_smallest():
@@ -108,13 +101,6 @@ def test_model_composability():
                         assert model.hom(u, w), (u, v, w)
 
 
-def test_model_csv():
-    model = build_model("L1", [interval_poset(1, 2)])
-    csv = model.to_csv()
-    assert csv.startswith("object,objdim")
-    assert len(csv.strip().splitlines()) == 1 + len(model.objects)
-
-
 def test_lemma_patterns_small_systems():
     for name in ("fund21", "fund32", "tsys"):
         c = ctx(name)
@@ -173,58 +159,3 @@ def test_one_point_extension_dimension_bookkeeping():
             assert a2.dimension == c.algebra.dimension + R.total_dim + 1, (
                 name, str(v))
 
-
-def test_subspace_triples():
-    from tworay.vsc import SubspaceTriple, zero_bar
-
-    model = build_model("L1", [interval_poset(1, 2)])
-    zb = zero_bar(model)
-    assert zb.v0 == () and zb.v1 == 1 and zb.gamma == ()
-    t = SubspaceTriple(model, (("X", ("int", 1)), ("Y", ("int", 2))), 1,
-                       ((1,), (0,)))
-    assert len(t.gamma) == 2
-    with pytest.raises(ValueError):
-        SubspaceTriple(model, (("X", ("int", 1)),), 2, ((1,),))
-
-
-def test_subspace_inventory_single():
-    from collections import Counter
-
-    from tworay.vsc import subspace_objects_single, subspace_rows_single
-
-    I = interval_poset(1, 4)
-    objs = subspace_objects_single(I)
-    rows = subspace_rows_single(I)
-    known = set(objs)
-    assert len(known) == len(objs)
-    for left, mid, right in rows:
-        for term in left + mid + right:
-            assert term in known
-    counts = Counter(t for _, _, right in rows for t in right)
-    assert all(v == 1 for v in counts.values())
-    lo = ("minus_star",)
-    first = I.elements[0]
-    uncovered = known - set(counts)
-    assert uncovered == ({("M", lo, g) for g in I.elements}
-                         | {("Mp", first, first), ("Mpp", first, first)})
-
-
-def test_subspace_inventory_family():
-    from collections import Counter
-
-    from tworay.vsc import subspace_objects_family, subspace_rows_family
-
-    posets = [interval_poset(0, 1), interval_poset(2, 3), interval_poset(4, 5)]
-    objs = subspace_objects_family(posets, 4)
-    rows = subspace_rows_family(posets, 4)
-    known = set(objs)
-    assert len(known) == len(objs) == 373
-    for left, mid, right in rows:
-        for term in left + mid + right:
-            assert term in known
-    counts = Counter(r[0] for _, _, r in rows if len(r) == 1)
-    assert all(v == 1 for v in counts.values())
-    # the three tube kinds and every chain family are represented
-    kinds = {o[0] for o in objs}
-    assert kinds == {"M", "Mp", "Mpp", "R", "R1", "Rinf", "S", "Sp", "Spp",
-                     "T", "U", "V", "W", "Wp", "Wpp"}
