@@ -18,17 +18,6 @@ from .homlab import (ArVerifier, IndecVerdict, SesCandidate, ar_translate,
 from .vsc import (AdmissiblePoset, VscModel, build_model,
                   hom_pattern_of_functor, match_model)
 
-
-def verify_defining_system(raw, bound, field=None, lam_sample=(2, 3, 5)):
-    """One-call verification: build everything for a system and run the
-    almost-split-sequence checks at the given dimension bound."""
-    ds = validate(raw)
-    quiver = build_quiver(ds)
-    relations = build_relations(ds, quiver)
-    algebra = AlgebraBasis(quiver, relations, field)
-    modules = StringModules(WordCalculus(quiver), algebra.field)
-    return ArVerifier(modules, algebra, lam_sample).verify(bound)
-
 __all__ = [
     "AdmissibleVertex", "DefiningSystem", "validate", "from_json",
     "admissible_vertices", "extend", "reduce_to_fundamental",
@@ -41,5 +30,5 @@ __all__ = [
     "ArVerifier", "IndecVerdict", "SesCandidate", "ar_translate", "hom_basis",
     "is_indecomposable", "is_isomorphic", "is_split", "realize_ses",
     "AdmissiblePoset", "VscModel", "build_model", "hom_pattern_of_functor",
-    "match_model", "verify_defining_system",
+    "match_model",
 ]

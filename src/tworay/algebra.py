@@ -12,7 +12,7 @@ the trivial path at v is (v, (), v).
 
 import numpy as np
 
-from .field import PrimeField
+from .field import DEFAULT_PRIME, PrimeField
 from .quiver import Quiver
 
 
@@ -29,7 +29,7 @@ class AlgebraBasis:
     def __init__(self, quiver: Quiver, relations, field=None):
         self.quiver = quiver
         self.relations = list(relations)
-        self.field = field if field is not None else PrimeField(32003)
+        self.field = field if field is not None else PrimeField(DEFAULT_PRIME)
         self._compute()
         self.check_associativity()
         self.check_relations_vanish()

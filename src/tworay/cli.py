@@ -10,13 +10,14 @@ from . import __version__
 from .defining_system import (AdmissibleVertex, DefiningSystemError,
                               NotAdmissible, from_json, reduce_to_fundamental,
                               extend as extend_ds)
-from .field import PrimeField
+from .field import DEFAULT_PRIME, PrimeField
 from .quiver import build_quiver, build_relations, relations_to_json
 from .strings import WordCalculus
-from .string_modules import StringModules, band_parameters, check_relations
+from .string_modules import DEFAULT_LAMBDAS, StringModules, band_parameters
 from .algebra import AlgebraBasis
-from .homlab import ArVerifier, IndecVerdict
-from .vsc import hom_pattern_of_functor, i_lemma_vertices
+from .homlab import ArVerifier
+
+DEFAULT_LAMBDA_ARG = ",".join(map(str, DEFAULT_LAMBDAS))
 
 
 def _provenance(ds):
@@ -59,20 +60,20 @@ def main(argv=None) -> int:
     sp = sub.add_parser("classify", help="bounded classification inventory")
     sp.add_argument("input")
     sp.add_argument("--max-dim", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", default="2,3,5",
+    sp.add_argument("--lambda", dest="lam", default=DEFAULT_LAMBDA_ARG,
                     help="comma-separated band parameters")
-    sp.add_argument("--field", type=int, default=32003)
+    sp.add_argument("--field", type=int, default=DEFAULT_PRIME)
 
     sp = sub.add_parser("ar", help="instantiate the almost-split sequence rows")
     sp.add_argument("input")
     sp.add_argument("--max-dim", type=int, required=True)
-    sp.add_argument("--field", type=int, default=32003)
+    sp.add_argument("--field", type=int, default=DEFAULT_PRIME)
 
     sp = sub.add_parser("verify", help="full verification report")
     sp.add_argument("input")
     sp.add_argument("--max-dim", type=int, required=True)
-    sp.add_argument("--field", type=int, default=32003)
-    sp.add_argument("--lambda", dest="lam", default="2,3,5")
+    sp.add_argument("--field", type=int, default=DEFAULT_PRIME)
+    sp.add_argument("--lambda", dest="lam", default=DEFAULT_LAMBDA_ARG)
     sp.add_argument("--lemma-len", type=int, default=None,
                     help="string length for the functor pattern checks")
     sp.add_argument("--from-inventory", default=None,
@@ -99,6 +100,24 @@ def main(argv=None) -> int:
 
     if args.cmd == "validate":
         _dump({"provenance": _provenance(ds), "valid": True})
+        return 0
+
+    if args.cmd == "extend":
+        try:
+            v = AdmissibleVertex.parse(args.vertex)
+            out = extend_ds(ds, v)
+        except (ValueError, NotAdmissible) as exc:
+            print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
+            return 2
+        _dump({"provenance": _provenance(ds), "vertex": str(v),
+               "extended": out.to_json_obj()})
+        return 0
+
+    if args.cmd == "reduce":
+        fund, chain = reduce_to_fundamental(ds)
+        _dump({"provenance": _provenance(ds),
+               "fundamental": fund.to_json_obj(),
+               "chain": [str(v) for v in chain]})
         return 0
 
     quiver = build_quiver(ds)
@@ -144,7 +163,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        field = PrimeField(getattr(args, "field", 32003))
+        field = PrimeField(args.field)
     except ValueError as exc:
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
         return 2
@@ -189,80 +208,33 @@ def main(argv=None) -> int:
 
     if args.cmd == "verify":
         ver = ArVerifier(modules, algebra, lam)
-        report = ver.verify(args.max_dim)
-        inv = ver.inventory
+        report = ver.verify(args.max_dim, args.lemma_len)
+        failures = list(report["failures"])
         inventory_replayed = None
         if args.from_inventory:
             with open(args.from_inventory) as fh:
                 stored = json.load(fh)
             want = [(e["family"], e["params"], e["dim"])
                     for e in stored["entries"]]
-            have = [(e.tag, repr(e.params), e.rep.total_dim) for e in inv]
+            have = [(e.tag, repr(e.params), e.rep.total_dim)
+                    for e in ver.inventory]
             inventory_replayed = want == have
-        relation_failures = []
-        indec_failures = []
-        for e in inv:
-            if check_relations(e.rep, relations):
-                relation_failures.append(repr(e.key))
-            verdict = ver.atom_indec(e.key)
-            if verdict.status != IndecVerdict.LOCAL:
-                indec_failures.append((repr(e.key), verdict.status))
-        lemma_len = args.lemma_len if args.lemma_len is not None else min(
-            6, args.max_dim)
-        lemma_reports = []
-        from .defining_system import admissible_vertices
-
-        for v in sorted(str(a) for a in admissible_vertices(ds)):
-            for which in ("R", "X"):
-                _, _, rep = hom_pattern_of_functor(modules, v, which, lemma_len)
-                lemma_reports.append({"vertex": v, "lemma": which,
-                                      "ok": rep["ok"],
-                                      "mismatches": rep["mismatches"]})
-        for v in i_lemma_vertices(quiver):
-            _, _, rep = hom_pattern_of_functor(modules, v, "I", lemma_len)
-            lemma_reports.append({"vertex": v, "lemma": "I", "ok": rep["ok"],
-                                  "mismatches": rep["mismatches"]})
-        failures = list(report["failures"])
-        failures += [f"relations violated by {k}" for k in relation_failures]
-        failures += [f"not indecomposable: {k} ({s})"
-                     for k, s in indec_failures]
-        failures += [f"lemma {r['lemma']} mismatch at {r['vertex']}"
-                     for r in lemma_reports if not r["ok"]]
-        if inventory_replayed is False:
-            failures.append("stored inventory does not replay")
-        out = {
+            if not inventory_replayed:
+                failures.append("stored inventory does not replay")
+        _dump({
             "provenance": _provenance(ds),
             "max_dim": args.max_dim,
             "field": field.p,
-            "well_defined": not relation_failures,
-            "all_indecomposable": not indec_failures,
+            "well_defined": report["well_defined"],
+            "all_indecomposable": report["all_indecomposable"],
             "inventory_replayed": inventory_replayed,
             "ar": {k: report[k] for k in ("rows_enumerated", "rows_checked",
                                           "inventory_size", "coverage")},
             "ar_rows": report["rows"],
-            "lemma_checks": lemma_reports,
+            "lemma_checks": report["lemma_checks"],
             "failures": failures,
-        }
-        _dump(out)
+        })
         return 0 if not failures else 1
-
-    if args.cmd == "extend":
-        try:
-            v = AdmissibleVertex.parse(args.vertex)
-            out = extend_ds(ds, v)
-        except (ValueError, NotAdmissible) as exc:
-            print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
-            return 2
-        _dump({"provenance": _provenance(ds), "vertex": str(v),
-               "extended": out.to_json_obj()})
-        return 0
-
-    if args.cmd == "reduce":
-        fund, chain = reduce_to_fundamental(ds)
-        _dump({"provenance": _provenance(ds),
-               "fundamental": fund.to_json_obj(),
-               "chain": [str(v) for v in chain]})
-        return 0
 
     raise AssertionError("unreachable")
 

@@ -5,7 +5,7 @@ products are formed in int64 before reduction (in ``mul`` and in callers
 that multiply reduced matrices directly).  An inner product of length n is
 exact while n * (p - 1)^2 < 2^63, so the order is capped at ``MAX_PRIME``:
 below 2^21 every inner dimension up to 2^21 is safe.  With the default
-prime 32003 the limit is about 9 * 10^9.
+prime ``DEFAULT_PRIME`` = 32003 the limit is about 9 * 10^9.
 
 One reducer serves dense and sparse input.  ``rref_sparse`` reduces rows
 given as ``{column: coefficient}`` dicts in Python integers, so no overflow
@@ -38,6 +38,7 @@ import numpy as np
 
 
 MAX_PRIME = 2 ** 21
+DEFAULT_PRIME = 32003
 
 
 class PrimeField:

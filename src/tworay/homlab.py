@@ -83,8 +83,10 @@ a non-nilpotent one, whose Fitting decomposition gives the idempotent.
 
 import numpy as np
 
-from .string_modules import (Representation, band_parameters,
-                             zero_representation, zero_size_block)
+from .defining_system import admissible_vertices
+from .string_modules import (DEFAULT_LAMBDAS, Representation,
+                             band_parameters, check_relations, direct_sum_of,
+                             zero_size_block)
 
 
 class ProjectiveSummand(ValueError):
@@ -767,19 +769,10 @@ class SesCandidate:
 
     def __init__(self, left, middles, right):
         self.left = left
-        self.middles = list(middles)
+        self.middle = direct_sum_of(left.quiver, left.field, list(middles))
         self.right = right
         self.f = None
         self.g = None
-
-    @property
-    def middle(self):
-        if not self.middles:
-            return zero_representation(self.left.quiver, self.left.field)
-        acc = self.middles[0]
-        for m in self.middles[1:]:
-            acc = acc.direct_sum(m)
-        return acc
 
     def dims_additive(self) -> bool:
         return self.middle.dims == tuple(
@@ -891,13 +884,8 @@ def projective_cover(M: Representation, algebra):
     for v in q.vertices:
         for gen in gens[v]:
             summands.append((v, gen))
-    if not summands:
-        P = zero_representation(q, F)
-        return P, zero_map(P, M), []
     reps = [algebra.projective_module(v) for v, _ in summands]
-    P = reps[0]
-    for r in reps[1:]:
-        P = P.direct_sum(r)
+    P = direct_sum_of(q, F, reps)
     h = {v: F.zeros(M.dim(v), P.dim(v)) for v in q.vertices}
     col_offset = {v: 0 for v in M.support}
     for (gen_v, gen_vec), rep in zip(summands, reps):
@@ -1052,7 +1040,7 @@ class ArVerifier:
     non-projective inventory entry is the right-hand term of exactly one row.
     """
 
-    def __init__(self, modules, algebra, lam_sample=(2, 3, 5)):
+    def __init__(self, modules, algebra, lam_sample=DEFAULT_LAMBDAS):
         self.sm = modules
         self.calc = modules.calc
         self.quiver = modules.quiver
@@ -1373,12 +1361,8 @@ class ArVerifier:
     # -- verification -----------------------------------------------------------
 
     def _sum_rep(self, atoms):
-        if not atoms:
-            return zero_representation(self.quiver, self.field)
-        rep = self.atom_rep(atoms[0])
-        for a in atoms[1:]:
-            rep = rep.direct_sum(self.atom_rep(a))
-        return rep
+        return direct_sum_of(self.quiver, self.field,
+                             [self.atom_rep(a) for a in atoms])
 
     def _match_tau(self, right_atoms, left_atoms):
         """DTr of every right atom must match the left atoms up to refolding."""
@@ -1401,13 +1385,24 @@ class ArVerifier:
             used[hit] = True
         return True
 
-    def verify(self, bound: int):
-        """Check every row with middle dim <= bound, plus right-term coverage.
+    def verify(self, bound: int, lemma_len=None):
+        """Run every check of the classification at dimension ``bound``.
 
-        The inventory it checks coverage against stays on ``self.inventory``;
-        its representations seed the atom cache, so ``atom_indec`` on an
-        entry key reuses both the module and any verdict already reached.
+        The stages, in the order their failures are listed: the row
+        anomalies of ``rows``; every row with middle dim <= bound (additive,
+        LOCAL ends, realized, nonsplit, DTr(right) = left); right-term
+        coverage of the inventory; the relations on every inventory entry;
+        a LOCAL certificate for every entry; and the functor hom-pattern
+        lemmas on strings of length ``lemma_len`` (default ``min(6,
+        bound)``): R and X at each admissible vertex, then I at each vertex
+        of ``i_lemma_vertices``.
+
+        The inventory stays on ``self.inventory``; its representations seed
+        the atom cache, so ``atom_indec`` on an entry key reuses both the
+        module and any verdict already reached.
         """
+        from .vsc import hom_pattern_of_functor, i_lemma_vertices
+
         inventory = self.sm.theorem_inventory(bound, tuple(self.lams))
         for entry in inventory:
             self._rep_cache.setdefault(entry.key, entry.rep)
@@ -1422,6 +1417,7 @@ class ArVerifier:
             proj_reps.setdefault(P.dims, []).append(P)
         for entry in inventory:
             for P in proj_reps.get(entry.rep.dims, ()):
+                # End P(v) = e_v A e_v = k on an acyclic quiver: P is LOCAL
                 if is_isomorphic(entry.rep, P, both_local=True).isomorphic:
                     projective_keys.add(entry.key)
                     break
@@ -1499,7 +1495,32 @@ class ArVerifier:
                 coverage["multiple"].append((entry.key, hits))
                 failures.append(f"coverage: {len(hits)} rows end at {entry.key}")
 
-        failures = anomalies + failures
+        relation_failures = [repr(e.key) for e in inventory
+                             if check_relations(e.rep, self.algebra.relations)]
+        indec_failures = []
+        for e in inventory:
+            verdict = self.atom_indec(e.key)
+            if verdict.status != IndecVerdict.LOCAL:
+                indec_failures.append((repr(e.key), verdict.status))
+        failures += [f"relations violated by {k}" for k in relation_failures]
+        failures += [f"not indecomposable: {k} ({s})"
+                     for k, s in indec_failures]
+
+        if lemma_len is None:
+            lemma_len = min(6, bound)
+        lemmas = [(v, which)
+                  for v in sorted(map(str, admissible_vertices(self.quiver.ds)))
+                  for which in ("R", "X")]
+        lemmas += [(v, "I") for v in i_lemma_vertices(self.quiver)]
+        lemma_checks = []
+        for v, which in lemmas:
+            _, _, match = hom_pattern_of_functor(self.sm, v, which, lemma_len)
+            lemma_checks.append({"vertex": v, "lemma": which,
+                                 "ok": match["ok"],
+                                 "mismatches": match["mismatches"]})
+        failures += [f"lemma {r['lemma']} mismatch at {r['vertex']}"
+                     for r in lemma_checks if not r["ok"]]
+
         return {
             "bound": bound,
             "rows_enumerated": len(rows),
@@ -1508,5 +1529,8 @@ class ArVerifier:
             "projectives": sorted(map(repr, projective_keys)),
             "rows": results,
             "coverage": coverage,
-            "failures": failures,
+            "well_defined": not relation_failures,
+            "all_indecomposable": not indec_failures,
+            "lemma_checks": lemma_checks,
+            "failures": anomalies + failures,
         }

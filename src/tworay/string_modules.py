@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from .field import PrimeField
+from .field import DEFAULT_PRIME, PrimeField
 from .quiver import Quiver
 from .strings import EMPTY, StringWord, WordCalculus, NotAString
 
@@ -38,6 +38,9 @@ class LambdaZero(ValueError):
 class NotABand(ValueError):
     pass
 
+
+# the band parameters sampled when none are given
+DEFAULT_LAMBDAS = (2, 3, 5)
 
 _LABEL_RANK = {"vpp": 0, "vp": 1, "v": 2, "vq": 3, "vb": 4}
 
@@ -164,6 +167,16 @@ def zero_representation(quiver: Quiver, field) -> Representation:
     return Representation(quiver, field, {}, {})
 
 
+def direct_sum_of(quiver: Quiver, field, reps) -> Representation:
+    """The direct sum of a list of modules, the zero module if it is empty."""
+    if not reps:
+        return zero_representation(quiver, field)
+    acc = reps[0]
+    for rep in reps[1:]:
+        acc = acc.direct_sum(rep)
+    return acc
+
+
 def check_relations(rep: Representation, relations) -> list:
     """Evaluate every relation on the representation; list the violations.
 
@@ -220,7 +233,7 @@ class StringModules:
     def __init__(self, calc: WordCalculus, field=None):
         self.calc = calc
         self.quiver = calc.quiver
-        self.field = field if field is not None else PrimeField(32003)
+        self.field = field if field is not None else PrimeField(DEFAULT_PRIME)
 
     # -- assembly helpers ----------------------------------------------------
 
@@ -410,7 +423,7 @@ class StringModules:
 
     # -- the bounded inventory ---------------------------------------------------
 
-    def theorem_inventory(self, bound: int, lam_sample=(2, 3, 5)):
+    def theorem_inventory(self, bound: int, lam_sample=DEFAULT_LAMBDAS):
         """All classification entries of total dimension <= bound.
 
         The band parameter runs over lam_sample plus 1 (the theorem's family

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -173,11 +174,24 @@ def test_negative_bound_rejected(sysfile):
     assert code == 2
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_verify_worked_example(sysfile):
     # the flagship run: a full verification of the worked example
     code, out = run(["verify", sysfile("ex14"), "--max-dim", "8"])
     data = json.loads(out)
     assert code == 0
+    assert _sha256(out) == (
+        "d915b0e097e9c1317bc11f9758b0f1fade7c0342ad90b2acd87895c043b13c7f")
     assert data["failures"] == []
     assert data["ar"]["coverage"]["missing"] == []
     assert all(r["ok"] for r in data["lemma_checks"])
+
+
+def test_verify_tsys_report_pinned(sysfile):
+    code, out = run(["verify", sysfile("tsys"), "--max-dim", "8"])
+    assert code == 0
+    assert _sha256(out) == (
+        "8ec9acca0017b942f33132545829b07c6c1fe367dff3ae035ffc459ef03c8e65")

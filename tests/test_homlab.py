@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import sys
 
 import numpy as np
@@ -313,12 +316,38 @@ def test_indecomposable_small_characteristic(fund21):
     assert v.status == IndecVerdict.DECOMPOSABLE
 
 
-def test_one_call_verification():
-    from tworay import verify_defining_system
+def test_verify_reports_lemma_mismatch(fund21, monkeypatch, tmp_path):
+    # the first lemma check reports one mismatch: verify must name it, and
+    # the CLI must print exactly the failures verify returns
+    from tworay import cli, vsc
 
-    report = verify_defining_system(
-        {"p": [2], "q": [1], "S": [[]], "T": [[]]}, 5)
-    assert report["failures"] == []
+    match_model = vsc.match_model
+    calls = []
+
+    def one_mismatch(measured, model, objects=None):
+        report = match_model(measured, model, objects)
+        if not calls:
+            report["mismatches"].append(("homdim", ("a", "b"), 1, 0))
+            report["ok"] = False
+        calls.append(report)
+        return report
+
+    monkeypatch.setattr(vsc, "match_model", one_mismatch)
+    report = ArVerifier(fund21.modules, fund21.algebra).verify(5)
+    first = report["lemma_checks"][0]
+    assert (first["vertex"], first["lemma"], first["ok"]) == ("x:1:2", "R",
+                                                              False)
+    assert all(r["ok"] for r in report["lemma_checks"][1:])
+    assert report["failures"] == ["lemma R mismatch at x:1:2"]
+
+    path = tmp_path / "fund21.json"
+    path.write_text(json.dumps(SYSTEMS["fund21"]))
+    calls.clear()
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["verify", str(path), "--max-dim", "5"])
+    assert code == 1
+    assert json.loads(buf.getvalue())["failures"] == report["failures"]
 
 
 # -- the sparse Hom solver against the dense Kronecker system ---------------------

@@ -6,7 +6,6 @@ import random
 from tworay import validate
 from tworay.defining_system import admissible_vertices, extend
 from tworay.homlab import ArVerifier
-from tworay.vsc import hom_pattern_of_functor, i_lemma_vertices
 
 from conftest import Ctx
 
@@ -47,15 +46,11 @@ def test_random_systems_verify_green():
 def test_two_strand_mixed_system_full_check():
     raw = {"p": [3, 2], "q": [2, 1], "S": [[2], [2]], "T": [[2], []]}
     c = Ctx(raw)
-    report = ArVerifier(c.modules, c.algebra).verify(9)
+    report = ArVerifier(c.modules, c.algebra).verify(9, lemma_len=5)
     assert report["failures"] == []
-    for v in sorted(str(a) for a in admissible_vertices(c.ds)):
-        for which in ("R", "X"):
-            _, _, rep = hom_pattern_of_functor(c.modules, v, which, 5)
-            assert rep["ok"], (v, which, rep["mismatches"][:3])
-    for v in i_lemma_vertices(c.quiver):
-        _, _, rep = hom_pattern_of_functor(c.modules, v, "I", 5)
-        assert rep["ok"], (v, rep["mismatches"][:3])
+    assert report["well_defined"] and report["all_indecomposable"]
+    assert report["lemma_checks"] and all(r["ok"]
+                                          for r in report["lemma_checks"])
 
 
 def test_three_strand_system():
