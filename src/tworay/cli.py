@@ -38,6 +38,14 @@ def _load_system(path):
         return from_json(fh.read())
 
 
+def _input_error(what) -> int:
+    """Print an input error as JSON; its exit status, 2."""
+    if isinstance(what, Exception):
+        what = f"{type(what).__name__}: {what}"
+    print(json.dumps({"error": what}))
+    return 2
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="tworay",
@@ -88,15 +96,14 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
 
-    bound = getattr(args, "max_dim", getattr(args, "max_len", 0))
-    if bound is not None and bound < 0:
-        print(json.dumps({"error": "bound must be nonnegative"}))
-        return 2
+    for name in ("max_dim", "max_len", "lemma_len"):
+        if (getattr(args, name, None) or 0) < 0:
+            return _input_error(f"--{name.replace('_', '-')} must be "
+                                f"nonnegative")
     try:
         ds = _load_system(args.input)
     except (OSError, json.JSONDecodeError, DefiningSystemError) as exc:
-        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
-        return 2
+        return _input_error(exc)
 
     if args.cmd == "validate":
         _dump({"provenance": _provenance(ds), "valid": True})
@@ -107,8 +114,7 @@ def main(argv=None) -> int:
             v = AdmissibleVertex.parse(args.vertex)
             out = extend_ds(ds, v)
         except (ValueError, NotAdmissible) as exc:
-            print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
-            return 2
+            return _input_error(exc)
         _dump({"provenance": _provenance(ds), "vertex": str(v),
                "extended": out.to_json_obj()})
         return 0
@@ -165,15 +171,16 @@ def main(argv=None) -> int:
     try:
         field = PrimeField(args.field)
     except ValueError as exc:
-        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
-        return 2
+        return _input_error(exc)
     modules = StringModules(calc, field)
 
     if args.cmd in ("classify", "verify"):
-        lam = tuple(int(x) for x in args.lam.split(","))
+        try:
+            lam = tuple(int(x) for x in args.lam.split(","))
+        except ValueError as exc:
+            return _input_error(f"--lambda: {exc}")
         if any(l % field.p == 0 for l in lam):
-            print(json.dumps({"error": "lambda sample must avoid 0 in k*"}))
-            return 2
+            return _input_error("lambda sample must avoid 0 in k*")
 
     if args.cmd == "classify":
         entries = modules.theorem_inventory(args.max_dim, lam)
@@ -207,15 +214,19 @@ def main(argv=None) -> int:
         return 0
 
     if args.cmd == "verify":
+        want = None
+        if args.from_inventory:
+            try:  # a classify output: (family, params, dim) per entry
+                with open(args.from_inventory) as fh:
+                    want = [(e["family"], e["params"], e["dim"])
+                            for e in json.load(fh)["entries"]]
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                return _input_error(exc)
         ver = ArVerifier(modules, algebra, lam)
         report = ver.verify(args.max_dim, args.lemma_len)
         failures = list(report["failures"])
         inventory_replayed = None
-        if args.from_inventory:
-            with open(args.from_inventory) as fh:
-                stored = json.load(fh)
-            want = [(e["family"], e["params"], e["dim"])
-                    for e in stored["entries"]]
+        if want is not None:
             have = [(e.tag, repr(e.params), e.rep.total_dim)
                     for e in ver.inventory]
             inventory_replayed = want == have

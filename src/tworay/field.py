@@ -11,24 +11,6 @@ One reducer serves dense and sparse input.  ``rref_sparse`` reduces rows
 given as ``{column: coefficient}`` dicts in Python integers, so no overflow
 bound applies there, and ``rref`` passes the nonzero rows of a dense matrix
 through it and rebuilds the dense form.
-
-``null_space_sparse`` substitutes before it eliminates: most rows of a Hom
-system have one or two terms.  A row a x_c = 0 forces x_c = 0, and a row
-a x_c + b x_d = 0 ties x_c to x_d.  A weighted union-find writes every
-unknown as x_c = w_c x_r, r the largest unknown of its class, or marks the
-class 0 (also when a cycle of ties closes with weights that disagree).  The
-longer rows, rewritten in the roots r, go through ``rref_sparse``; the
-kernel is read in the roots and spread back by the weights.  This is the
-basis ``null_space`` reads from the RREF of the same system.  That basis is
-fixed by the kernel alone: its vector for the free column f is 1 at f, 0 at
-every other free column, and nonzero elsewhere only at pivots left of f (a
-pivot row has its pivot as smallest column), so it is the one basis whose
-vectors are 1 at their largest nonzero column and 0 at the others'.  The
-substituted vector for a free root r has that shape: in the roots it is 1
-at r and nonzero elsewhere only at pivot roots below r, and spread back it
-lives on r's class, whose largest unknown is r with weight 1, and on the
-classes of smaller roots; every other free root is the root of another
-class.  So the two bases agree column for column.
 """
 
 from collections import defaultdict
@@ -195,96 +177,6 @@ class PrimeField:
                     holders[c].add(pc)
             pivots[pc] = row
         return pivots
-
-    def null_space_sparse(self, rows, cols: int) -> np.ndarray:
-        """``null_space`` of the ``cols``-column system given by sparse rows.
-
-        Rows of one and two terms are substituted first (see the module
-        docstring): unknown c is written x_c = weight[c] x_parent[c], and
-        following parents, which only grow, ends at the root of its class,
-        the largest unknown in it; or its class is forced to 0.  Only the
-        longer rows, rewritten in the roots, go through ``rref_sparse``.
-        """
-        p = self.p
-        parent = list(range(cols))
-        weight = [1] * cols
-        zero = [False] * cols  # read at roots: the class is forced to 0
-
-        def find(c):
-            """(root of c, weight of c over it), compressing the path."""
-            path = []
-            while parent[c] != c:
-                path.append(c)
-                c = parent[c]
-            w = 1
-            for u in reversed(path):
-                w = w * weight[u] % p
-                weight[u], parent[u] = w, c
-            return c, w
-
-        long_rows = []
-        for raw in rows:
-            if len(raw) > 2:
-                long_rows.append(raw)
-                continue
-            row = [(c, x) for c, v in raw.items() if (x := v % p)]
-            if not row:
-                continue
-            rc, a = row[0]
-            if parent[rc] != rc:
-                rc, w = find(rc)
-                a *= w
-            if len(row) == 1:
-                zero[rc] = True
-                continue
-            rd, b = row[1]
-            if parent[rd] != rd:
-                rd, w = find(rd)
-                b *= w
-            # a x_rc + b x_rd = 0
-            if zero[rc] or zero[rd]:
-                zero[rc] = zero[rd] = True
-            elif rc == rd:
-                if (a + b) % p:
-                    zero[rc] = True
-            elif rc < rd:
-                parent[rc], weight[rc] = rd, -b * pow(a, -1, p) % p
-            else:
-                parent[rd], weight[rd] = rc, -a * pow(b, -1, p) % p
-        # parents only grow, so a downward sweep settles every unknown
-        for c in range(cols - 1, -1, -1):
-            r = parent[c]
-            if r != c:
-                weight[c] = weight[c] * weight[r] % p
-                parent[c] = parent[r]
-        for c in range(cols):
-            if zero[parent[c]]:
-                weight[c] = 0
-        reduced = []
-        for raw in long_rows:
-            out = {}
-            for c, x in raw.items():
-                if weight[c]:
-                    r = parent[c]
-                    out[r] = out.get(r, 0) + x * weight[c]
-            reduced.append(out)
-        pivots = self.rref_sparse(reduced)
-        free = [c for c in range(cols)
-                if parent[c] == c and weight[c] and c not in pivots]
-        index = {c: k for k, c in enumerate(free)}
-        # the kernel in the roots, one column per free root, read back as
-        # x_c = weight[c] x_root(c)
-        at_root = self.zeros(cols, len(free))
-        at_root[free, range(len(free))] = 1
-        at_r, at_k, vals = [], [], []
-        for pc, row in pivots.items():
-            for c, v in row.items():
-                if c != pc:
-                    at_r.append(pc)
-                    at_k.append(index[c])
-                    vals.append(p - v)
-        at_root[at_r, at_k] = vals
-        return at_root[parent] * np.array(weight, dtype=np.int64)[:, None] % p
 
     def column_space(self, a: np.ndarray) -> np.ndarray:
         """Columns of ``a`` restricted to a basis of the column space."""

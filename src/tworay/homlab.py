@@ -17,20 +17,34 @@ supports do not meet.  Kernels, cokernels, radicals, projective covers and
 the quotients of DTr are taken vertex by vertex on the support only.
 
 The system is sparse: the arrow maps of string and band modules have few
-nonzero entries, so an equation has about two nonzero coefficients, and
-Hom between string modules is spanned by graph maps (Crawley-Boevey, J.
-Algebra 126, 1989).  ``_intertwiner_rows`` writes each equation as a dict
-{unknown: coefficient} from the nonzero entries of M_a and N_a only, the
-unknowns being vec_col(f_v) stacked in vertex order.
-``PrimeField.null_space_sparse`` substitutes the rows of one and two terms
-(91 to 94% of them in the three benchmark workloads) and reduces the rest to
-reduced row echelon form.  Its kernel basis (one vector per free column, 1
-there and minus the free column's entries in the pivot rows) is exactly the
-one ``PrimeField.null_space`` reads from the RREF of the dense Kronecker
-matrix of the same equations, as the ``field`` module docstring shows:
-bases, isomorphisms and certificates do not depend on how the system was
-reduced.  ``is_split`` reuses the same rows for the retraction equations,
-with the right-hand side as one extra column.
+nonzero entries, and Hom between string modules is spanned by graph maps
+(Crawley-Boevey, J. Algebra 126, 1989), so 91 to 94% of the equations in
+the three benchmark workloads have one or two terms.  ``_hom_kernel`` sweeps
+the equations arrow by arrow from the nonzero entries of M_a and N_a only,
+the unknowns being vec_col(f_v) stacked in vertex order, and substitutes
+each short one as it comes.  A row a x_c = 0 forces x_c = 0, and a row
+a x_c + b x_d = 0 ties x_c to x_d.  A weighted union-find writes every
+unknown as x_c = w_c x_r, r the largest unknown of its class, or marks the
+class 0 (also when a cycle of ties closes with weights that disagree).  The
+rows of three or more terms, rewritten in the roots r, go through
+``PrimeField.rref_sparse``; the kernel is read in the roots and spread back
+by the weights, one row of a k x (number of unknowns) array per basis
+vector, and the blocks f_v are views into it.
+
+This is the basis ``PrimeField.null_space`` reads from the RREF of the dense
+Kronecker matrix of the same equations, so bases, isomorphisms and
+certificates do not depend on how the system was reduced.  That basis is
+fixed by the kernel alone: its vector for the free column f is 1 at f, 0 at
+every other free column, and nonzero elsewhere only at pivots left of f (a
+pivot row has its pivot as smallest column), so it is the one basis whose
+vectors are 1 at their largest nonzero column and 0 at the others'.  The
+substituted vector for a free root r has that shape: in the roots it is 1
+at r and nonzero elsewhere only at pivot roots below r, and spread back it
+lives on r's class, whose largest unknown is r with weight 1, and on the
+classes of smaller roots; every other free root is the root of another
+class.  So the two bases agree column for column.  ``is_split`` asks
+whether id lies in the span of the r f over a basis r of Hom(middle,
+left), one more solve.
 
 Isomorphism is decided without random numbers.  ``find_iso`` first returns
 the first Hom(M, N) basis element f_i that is invertible at every vertex.
@@ -120,17 +134,6 @@ def _hom_unknowns(M: Representation, N: Representation):
     return blocks, total
 
 
-def _column_entries(a, base: int, stride: int) -> list:
-    """For each column j of ``a``, the pairs (base + k stride, a[k, j]) over
-    its nonzero entries."""
-    cols = [[] for _ in range(a.shape[1])]
-    for k, row in enumerate(a.tolist()):
-        for j, c in enumerate(row):
-            if c:
-                cols[j].append((base + k * stride, c))
-    return cols
-
-
 _NO_BLOCK = (0, 0, 0)
 
 
@@ -144,34 +147,118 @@ def _hom_arrows(M: Representation, N: Representation):
                 yield a
 
 
-def _intertwiner_rows(M: Representation, N: Representation, blocks) -> list:
-    """The equations f_t M_a - N_a f_s = 0 as sparse rows {unknown: coef}.
+def _hom_kernel(M: Representation, N: Representation, blocks,
+                total: int) -> np.ndarray:
+    """The reduced kernel basis of the equations f_t M_a - N_a f_s = 0, as
+    the rows of one k x ``total`` array, by the sweep and substitution of
+    the module docstring.
 
     Entry (i, j) of arrow a reads sum_k f_t[i, k] M_a[k, j] -
     sum_l N_a[i, l] f_s[l, j]; f_v[i, k] is unknown offset_v + i + k dim N_v.
-    Only the arrows of ``_hom_arrows`` and the nonzero entries of M_a and N_a
-    are visited.  A vertex without a block has M_t = 0 or N_s = 0, so its
-    side of the equation has no entries.
+    Unknown c is x_c = weight[c] x_parent[c]; parents only grow.
     """
+    p = M.field.p
+    parent = list(range(total))
+    weight = [1] * total
+    zero = [False] * total  # read at roots: the class is forced to 0
+    long_rows = []
+
+    def find(c):
+        """(root of c, weight of c over it), compressing the path."""
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        w = 1
+        for u in reversed(path):
+            w = w * weight[u] % p
+            weight[u], parent[u] = w, c
+        return c, w
+
     q = M.quiver
-    rows = []
-    for a in _hom_arrows(M, N):
-        os_, ns, _ = blocks.get(q.source[a], _NO_BLOCK)
-        ot, nt, _ = blocks.get(q.target[a], _NO_BLOCK)
-        # m_cols[j] pairs (unknown of f_t[0, k], M_a[k, j]),
-        # n_rows[i] pairs (unknown of f_s[l, 0], N_a[i, l])
-        m_cols = _column_entries(M.maps[a], ot, nt)
-        n_rows = _column_entries(N.maps[a].T, os_, 1)
+    for arrow in _hom_arrows(M, N):
+        os_, ns, _ = blocks.get(q.source[arrow], _NO_BLOCK)
+        ot, nt, _ = blocks.get(q.target[arrow], _NO_BLOCK)
+        # m_cols[j] pairs (unknown of f_t[0, k], M_a[k, j]), n_rows[i] pairs
+        # (unknown of f_s[l, 0], -N_a[i, l]), over the nonzero entries; a
+        # vertex without a block has no entries on its side
+        m_cols = [[(ot + k * nt, c) for k, c in enumerate(col) if c]
+                  for col in M.maps[arrow].T.tolist()]
+        n_rows = [[(os_ + l, p - c) for l, c in enumerate(row) if c]
+                  for row in N.maps[arrow].tolist()]
         for j, m_col in enumerate(m_cols):
             shift = j * ns
             for i, n_row in enumerate(n_rows):
-                if not (m_col or n_row):
+                terms = len(m_col) + len(n_row)
+                if terms == 2 and m_col and n_row:
+                    (c, a), = m_col
+                    (d, b), = n_row
+                    c, d = c + i, d + shift
+                elif terms == 2:  # both terms on one side
+                    (c, a), (d, b) = m_col or n_row
+                    o = i if m_col else shift
+                    c, d = c + o, d + o
+                elif terms == 1:  # a x_c = 0, read as a x_c + 0 x_c = 0
+                    (c, a), = m_col or n_row
+                    c += i if m_col else shift
+                    d, b = c, 0
+                else:
+                    if terms:
+                        long_rows.append([(u + i, x) for u, x in m_col]
+                                         + [(u + shift, x) for u, x in n_row])
                     continue
-                row = {u + i: c for u, c in m_col}
-                for u, c in n_row:  # u + shift may equal a key above on a loop
-                    row[u + shift] = row.get(u + shift, 0) - c
-                rows.append(row)
-    return rows
+                if parent[c] != c:
+                    c, w = find(c)
+                    a *= w
+                if parent[d] != d:
+                    d, w = find(d)
+                    b *= w
+                # a x_c + b x_d = 0; c and d may be one unknown
+                if zero[c] or zero[d]:
+                    zero[c] = zero[d] = True
+                elif c == d:
+                    if (a + b) % p:
+                        zero[c] = True
+                elif c < d:
+                    parent[c], weight[c] = d, -b * pow(a, -1, p) % p
+                else:
+                    parent[d], weight[d] = c, -a * pow(b, -1, p) % p
+    # parents only grow, so a downward sweep settles every unknown, and a
+    # class forced to 0 takes weight 0 at its root before its members
+    members = {}
+    for c in range(total - 1, -1, -1):
+        r = parent[c]
+        if r == c:
+            if zero[c]:
+                weight[c] = 0
+        else:
+            weight[c] = weight[c] * weight[r] % p
+            r = parent[c] = parent[r]
+        if weight[c]:
+            members.setdefault(r, []).append(c)
+    reduced = []
+    for terms in long_rows:
+        out = {}
+        for c, x in terms:
+            if weight[c]:
+                r = parent[c]
+                out[r] = out.get(r, 0) + x * weight[c]
+        reduced.append(out)
+    pivots = M.field.rref_sparse(reduced)
+    # one row per free root f: x_c = weight[c] at the members of f, and
+    # -row[f] weight[c] at the members of each pivot root whose row has f
+    kernel = []
+    for f in sorted(members.keys() - pivots.keys()):
+        vec = [0] * total
+        for c in members[f]:
+            vec[c] = weight[c]
+        for pc, row in pivots.items():
+            v = row.get(f)
+            if v:
+                for c in members[pc]:
+                    vec[c] = (p - v) * weight[c] % p
+        kernel.append(vec)
+    return np.array(kernel, dtype=np.int64).reshape(-1, total)
 
 
 def _map_template(M: Representation, N: Representation, support) -> dict:
@@ -186,7 +273,8 @@ def hom_basis(M: Representation, N: Representation) -> list:
     """Basis of Hom(M, N) as a list of per-vertex matrix dicts.
 
     Every vertex has a matrix; off the common support it has a zero-size
-    side, and Hom(M, N) = 0 at once when the supports do not meet."""
+    side, and Hom(M, N) = 0 at once when the supports do not meet.  On the
+    support the matrices are views into the one kernel array."""
     F, q, qn = M.field, M.quiver, N.quiver
     if F != N.field:
         raise ValueError(f"modules over different fields: {F}, {N.field}")
@@ -196,14 +284,17 @@ def hom_basis(M: Representation, N: Representation) -> list:
     blocks, total = _hom_unknowns(M, N)
     if total == 0:
         return []
-    kernel = F.null_space_sparse(_intertwiner_rows(M, N, blocks), total)
+    kernel = _hom_kernel(M, N, blocks, total)
+    k = len(kernel)
+    if not k:
+        return []
     template = _map_template(M, N, blocks)
-    basis = []
-    for vec in kernel.T:
-        f = dict(template)
-        for v, (o, n, m) in blocks.items():
-            f[v] = vec[o: o + n * m].reshape((n, m), order="F")
-        basis.append(f)
+    basis = [dict(template) for _ in range(k)]
+    for v, (o, n, m) in blocks.items():
+        # row i of the kernel holds vec_col(f_v) at o: the blocks transposed
+        for f, block in zip(basis, kernel[:, o: o + n * m].reshape(
+                k, m, n).transpose(0, 2, 1)):
+            f[v] = block
     return basis
 
 
@@ -512,7 +603,8 @@ def _certify(M: Representation, basis):
             lams[i] = F.neg(fac[0])
             if is_nilpotent(F, totals[i] - lams[i] * eye):
                 continue
-            raise AssertionError("charpoly (t-l)^d but shift not nilpotent")
+            raise ConsistencyError(
+                "charpoly (t-l)^d but shift not nilpotent")
         return IndecVerdict(IndecVerdict.FIELD_OBSTRUCTION, (f, fac))
     shifts = (totals - lams[:, None, None] * eye) % F.p
     if _generates_nilpotent(F, shifts):
@@ -680,7 +772,7 @@ def _krull_schmidt_iso(M: Representation, N: Representation):
         for j, embed in zip(pivots, embeds):
             iso = map_add(F, iso, compose_maps(F, embed, fs[j]))
     if not _invertible_everywhere(F, M, N, iso):
-        raise RuntimeError("Krull-Schmidt map is not an isomorphism")
+        raise ConsistencyError("Krull-Schmidt map is not an isomorphism")
     return iso
 
 
@@ -712,7 +804,7 @@ def kernel_rep(M: Representation, N: Representation, f):
         if spaces[s] and spaces[t]:
             coords = F.solve(incl[t], F.mul(M.maps[a], incl[s]))
             if coords is None:
-                raise AssertionError("kernel is not arrow-stable")
+                raise ConsistencyError("kernel is not arrow-stable")
             maps[a] = coords
     return Representation(q, F, spaces, maps), incl
 
@@ -824,27 +916,22 @@ def realize_ses(cand: SesCandidate, right_local=True, tries=200) -> SesCandidate
 def is_split(cand: SesCandidate) -> bool:
     """True iff a retraction r with r f = id exists (exact linear solve).
 
-    The unknowns are those of Hom(middle, left); the rows r_v f_v = id carry
-    their right-hand side in one extra column, and the system is solvable iff
-    that column is not a pivot.
+    r f is linear in r, so such an r exists iff id lies in the span of the
+    r_i f over a basis r_i of Hom(middle, left): one ``solve`` with a column
+    per r_i f, the blocks on the support of left read row by row.
     """
     if cand.f is None:
         raise ValueError("realize the sequence first")
     X, E = cand.left, cand.middle
     F = X.field
-    blocks, total = _hom_unknowns(E, X)
-    if total == 0:
-        return True
-    rows = _intertwiner_rows(E, X, blocks)
-    for v in X.support:  # (r_v f_v)[i, j] = delta_ij; E_v = 0 leaves 0 = id
-        o, xv, _ = blocks.get(v, (0, X.dim(v), 0))
-        for j, f_col in enumerate(_column_entries(cand.f[v], o, xv)):
-            for i in range(xv):
-                row = {u + i: c for u, c in f_col}
-                if i == j:
-                    row[total] = 1
-                rows.append(row)
-    return total not in F.rref_sparse(rows)
+    basis = hom_basis(E, X)
+    if not basis:
+        return X.is_zero()
+    k = len(basis)
+    cols = np.hstack([F.mul(np.array([r[v] for r in basis]), cand.f[v])
+                      .reshape(k, -1) for v in X.support])
+    ident = np.hstack([F.eye(X.dim(v)).reshape(-1) for v in X.support])
+    return F.solve(cols.T, ident) is not None
 
 
 # -- projective covers and the AR translate ---------------------------------------
@@ -1399,10 +1486,14 @@ class ArVerifier:
 
         The inventory stays on ``self.inventory``; its representations seed
         the atom cache, so ``atom_indec`` on an entry key reuses both the
-        module and any verdict already reached.
+        module and any verdict already reached.  A negative ``bound`` or
+        ``lemma_len`` raises ValueError.
         """
         from .vsc import hom_pattern_of_functor, i_lemma_vertices
 
+        if bound < 0 or (lemma_len or 0) < 0:
+            raise ValueError(f"bound and lemma length must be nonnegative, "
+                             f"got {bound} and {lemma_len}")
         inventory = self.sm.theorem_inventory(bound, tuple(self.lams))
         for entry in inventory:
             self._rep_cache.setdefault(entry.key, entry.rep)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from tworay.cli import main
+from tworay.homlab import ArVerifier
 
 from conftest import SYSTEMS
 
@@ -137,6 +138,38 @@ def test_bad_lambda_rejected(sysfile):
     code, out = run(["classify", sysfile("fund21"), "--max-dim", "4",
                      "--lambda", "0,2"])
     assert code == 2
+    for cmd in ("classify", "verify"):
+        for lam in ("2,x", ","):
+            code, out = run([cmd, sysfile("fund21"), "--max-dim", "4",
+                             "--lambda", lam])
+            assert code == 2
+            assert "--lambda" in json.loads(out)["error"]
+
+
+def test_verify_bad_inventory_rejected(sysfile, tmp_path):
+    # the stored inventory is read before the run, and a bad one is an
+    # input error
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    wrong = tmp_path / "wrong.json"
+    wrong.write_text(json.dumps({"entries": [{"family": "M"}]}))
+    for path, kind in ((tmp_path / "missing.json", "FileNotFoundError"),
+                       (bad, "JSONDecodeError"), (wrong, "KeyError")):
+        code, out = run(["verify", sysfile("fund21"), "--max-dim", "4",
+                         "--from-inventory", str(path)])
+        assert code == 2
+        assert json.loads(out)["error"].startswith(kind)
+
+
+def test_negative_lemma_len_rejected(sysfile, fund21):
+    code, out = run(["verify", sysfile("fund21"), "--max-dim", "4",
+                     "--lemma-len", "-1"])
+    assert code == 2
+    assert "--lemma-len" in json.loads(out)["error"]
+    ver = ArVerifier(fund21.modules, fund21.algebra)
+    for bound, lemma_len in ((4, -1), (-1, None)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ver.verify(bound, lemma_len)
 
 
 def test_oversized_field_rejected(sysfile):

@@ -25,13 +25,18 @@ def _raised(call):
 
 def _guard_failures():
     """The message of each check, each made to fail on fund21: a Hom(R, v)
-    basis of zero maps, a cover that drops a top generator, and a Fitting
-    decomposition whose kernel basis is lost."""
+    basis of zero maps, a cover that drops a top generator, a Fitting
+    decomposition whose kernel basis is lost, a charpoly claimed to be t^d
+    for an element that is not nilpotent, a kernel whose arrow maps cannot
+    be solved for, and a Krull-Schmidt map that is declared singular."""
     c = Ctx(SYSTEMS["fund21"])
     simple = lambda: c.modules.construct_M(c.calc.trivial("x:1:0"))
     R, a, b = simple(), simple(), simple()
     hom_basis, top_generators = vsc.hom_basis, homlab.top_generators
-    null_space = PrimeField.null_space
+    null_space, solve = PrimeField.null_space, PrimeField.solve
+    factor_charpoly = homlab.factor_charpoly
+    invertible_everywhere = homlab._invertible_everywhere
+    string = c.modules.construct_M(c.calc.word(("alpha:1:1",)))
 
     def zero_r_to_b(X, Y):
         basis = hom_basis(X, Y)
@@ -54,14 +59,29 @@ def _guard_failures():
         homlab.top_generators = top_generators
         PrimeField.null_space = lambda F, m: null_space(F, m)[:, :0]
         out.append(_raised(lambda: homlab._fitting_idempotent(ss, first)))
+        PrimeField.null_space = null_space
+        homlab.factor_charpoly = lambda F, coeffs: [([0, 1], len(coeffs) - 1)]
+        out.append(_raised(lambda: homlab.is_indecomposable(ss)))
+        homlab.factor_charpoly = factor_charpoly
+        PrimeField.solve = lambda F, a, b: None
+        out.append(_raised(lambda: homlab.kernel_rep(
+            string, string, homlab.zero_map(string, string))))
+        PrimeField.solve = solve
+        homlab._invertible_everywhere = lambda F, M, N, f: False
+        out.append(_raised(lambda: homlab.find_iso(ss, ss)))
     finally:
         vsc.hom_basis, homlab.top_generators = hom_basis, top_generators
-        PrimeField.null_space = null_space
+        PrimeField.null_space, PrimeField.solve = null_space, solve
+        homlab.factor_charpoly = factor_charpoly
+        homlab._invertible_everywhere = invertible_everywhere
     return out
 
 
 WANT = ["composite outside the span of Hom(R, v)",
-        "cover map is not surjective", "Fitting decomposition failed"]
+        "cover map is not surjective", "Fitting decomposition failed",
+        "charpoly (t-l)^d but shift not nilpotent",
+        "kernel is not arrow-stable",
+        "Krull-Schmidt map is not an isomorphism"]
 
 
 def test_guards_raise():

@@ -576,8 +576,8 @@ _EDGE_SYSTEMS = [
 @settings(max_examples=200, deadline=None)
 @given(_systems())
 def test_sparse_elimination_matches_dense(system):
-    """``rref``, ``null_space``, ``null_space_sparse`` and ``rref_sparse``
-    against the reference Gauss-Jordan, on unreduced input."""
+    """``rref``, ``null_space`` and ``rref_sparse`` against the reference
+    Gauss-Jordan, on unreduced input."""
     F, dense, rows = system
     n_cols = dense.shape[1]
     raw = np.zeros(dense.shape, dtype=np.int64)
@@ -588,8 +588,8 @@ def test_sparse_elimination_matches_dense(system):
     m, pivots = F.rref(raw)
     assert pivots == want_pivots and np.array_equal(m, want_m)
     want = _gauss_jordan_null_space(F, raw)
-    for got in (F.null_space(raw), F.null_space_sparse(rows, n_cols)):
-        assert got.shape == want.shape and np.array_equal(got, want)
+    got = F.null_space(raw)
+    assert got.shape == want.shape and np.array_equal(got, want)
     sparse = F.rref_sparse(rows)
     assert sorted(sparse) == want_pivots
     for r, pc in enumerate(want_pivots):
@@ -602,55 +602,108 @@ for _case in _EDGE_SYSTEMS:
         test_sparse_elimination_matches_dense)
 
 
+class _LoopQuiver:
+    """u -> v by two parallel arrows a and b, a loop l at v, and c: v -> w.
+    The sweep of ``hom_basis`` merges the two sides of an equation on l, and
+    closes tie cycles through a and b whose weights may disagree."""
+
+    vertices = ("u", "v", "w")
+    arrows = ("a", "b", "l", "c")
+    source = {"a": "u", "b": "u", "l": "v", "c": "v"}
+    target = {"a": "v", "b": "v", "l": "v", "c": "w"}
+    out_arrows = {"u": ("a", "b"), "v": ("l", "c"), "w": ()}
+
+
+_LOOP_QUIVER = _LoopQuiver()
+
+
+def _loop_rep(F, dims, maps):
+    spaces = {v: tuple(("e", i) for i in range(d))
+              for v, d in zip(_LOOP_QUIVER.vertices, dims)}
+    return Representation(_LOOP_QUIVER, F, spaces, maps)
+
+
 @st.composite
-def _short_row_systems(draw):
-    """(field, rows, columns) with mostly one- and two-term rows over few
-    columns, so that rows chain unknowns into classes, close cycles whose
-    weights agree or not, and force classes to 0; a few rows have three or
-    more terms.  A row's columns are drawn with repetition and their
-    coefficients summed, so some coefficients vanish mod p, and small
-    coefficients make consistent cycles likely at every p."""
+def _loop_maps(draw, F, rows, cols):
+    """A matrix rows[t] x cols[s] for every arrow s -> t, with sparse
+    entries: small coefficients make consistent tie cycles likely at every
+    p."""
+    q = _LOOP_QUIVER
+    entry = st.one_of(st.just(0), st.just(0), st.sampled_from((1, 2, F.p - 1)),
+                      st.integers(0, F.p - 1))
+    maps = {}
+    for a in q.arrows:
+        shape = (rows[q.vertices.index(q.target[a])],
+                 cols[q.vertices.index(q.source[a])])
+        maps[a] = np.reshape([draw(entry) for _ in range(shape[0] * shape[1])],
+                             shape)
+    return maps
+
+
+@st.composite
+def _loop_reps(draw, F):
+    dims = [draw(st.integers(0, 3)) for _ in _LOOP_QUIVER.vertices]
+    return _loop_rep(F, dims, draw(_loop_maps(F, dims, dims)))
+
+
+def _extension(X, Z, d_maps):
+    """E with E_v = X_v + Z_v and E_a = [[X_a, D_a], [0, Z_a]]: X is a
+    submodule, Z the quotient, and D = 0 splits."""
+    q, dims = _LOOP_QUIVER, dict(zip(_LOOP_QUIVER.vertices,
+                                     zip(X.dims, Z.dims)))
+    maps = {}
+    for a in q.arrows:
+        (xs, zs), (xt, zt) = dims[q.source[a]], dims[q.target[a]]
+        e = np.zeros((xt + zt, xs + zs), dtype=np.int64)
+        e[:xt, :xs] = X.maps[a]
+        e[:xt, xs:] = d_maps.get(a, 0)
+        e[xt:, xs:] = Z.maps[a]
+        maps[a] = e
+    return _loop_rep(X.field, [x + z for x, z in zip(X.dims, Z.dims)], maps)
+
+
+@st.composite
+def _loop_extensions(draw):
+    """(X, Z, E) over ``_LoopQuiver``, dimensions up to 3 at each vertex."""
     F = PrimeField(draw(st.sampled_from(_PRIMES)))
-    n_cols = draw(st.integers(0, 8))
-    coef = st.one_of(st.integers(-3, 3), st.integers(-2 * F.p, 2 * F.p - 1),
-                     st.sampled_from((F.p, -F.p, 2 * F.p)))
-    rows = []
-    for _ in range(draw(st.integers(0, 12)) if n_cols else 0):
-        row = {}
-        for _ in range(draw(st.sampled_from((1, 1, 2, 2, 2, 2, 3, 4)))):
-            c = draw(st.integers(0, n_cols - 1))
-            row[c] = row.get(c, 0) + draw(coef)
-        rows.append(row)
-    return F, rows, n_cols
+    X, Z = draw(_loop_reps(F)), draw(_loop_reps(F))
+    return X, Z, _extension(X, Z, draw(_loop_maps(F, X.dims, Z.dims)))
 
 
-def _triangle(p, w):
-    """x0 = 2 x1, x1 = 3 x2 and 6 x2 = w x0: one cycle, consistent iff
-    w = 1, then a three-term row on top."""
-    return (PrimeField(p), [{0: 1, 1: -2}, {1: 1, 2: -3}, {2: 6, 0: -w},
-                            {0: 1, 3: 1, 4: 1}], 5)
+def _loop_case(p, x_dims, x_maps, z_dims, z_maps, d_maps=None):
+    F = PrimeField(p)
+    X, Z = _loop_rep(F, x_dims, x_maps), _loop_rep(F, z_dims, z_maps)
+    return X, Z, _extension(X, Z, d_maps or {})
 
 
 @settings(max_examples=300, deadline=None)
-@given(_short_row_systems())
-@example(_triangle(32003, 1))
-@example(_triangle(32003, 2))
-@example(_triangle(5, 2))
-@example(_triangle(5, 6))  # 6 = 1 mod 5: consistent
-@example((PrimeField(3), [{0: 1}, {0: 1, 1: 1}, {1: 1, 2: 2, 3: 1}], 4))
-@example((PrimeField(2), [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 0: 1}], 3))
-def test_substituted_kernel_matches_dense(system):
-    """``null_space_sparse`` substitutes one- and two-term rows before it
-    eliminates; its basis is the reference Gauss-Jordan kernel."""
-    F, rows, n_cols = system
-    raw = np.zeros((len(rows), n_cols), dtype=np.int64)
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            raw[r, c] = v
-    want = _gauss_jordan_null_space(F, raw)
-    got = F.null_space_sparse(rows, n_cols)
-    assert got.shape == want.shape and np.array_equal(got, want)
-    assert np.array_equal(F.null_space_sparse(rows[::-1], n_cols), want)
+@given(_loop_extensions())
+# f_v = 2 f_u on a and f_v = w f_u on b: the tie cycle agrees iff w = 2
+@example(_loop_case(32003, (1, 1, 0), {"a": [[1]], "b": [[1]]},
+                    (1, 1, 0), {"a": [[2]], "b": [[2]]}))
+@example(_loop_case(32003, (1, 1, 0), {"a": [[1]], "b": [[1]]},
+                    (1, 1, 0), {"a": [[2]], "b": [[3]]}))
+@example(_loop_case(5, (1, 1, 0), {"a": [[1]], "b": [[3]]},
+                    (1, 1, 0), {"a": [[2]], "b": [[1]]}))  # 6 = 1 mod 5
+# on the loop f_v l_X = l_Z f_v merges into (l_X - l_Z) f_v = 0
+@example(_loop_case(3, (0, 1, 0), {"l": [[2]]}, (0, 1, 0), {"l": [[2]]}))
+@example(_loop_case(3, (0, 1, 0), {"l": [[2]]}, (0, 1, 0), {"l": [[1]]}))
+# a 0 forced through a tie, and a row of three terms on top
+@example(_loop_case(2, (1, 2, 1), {"a": [[1], [1]], "c": [[1, 1]]},
+                    (1, 1, 1), {"a": [[1]], "c": [[0]]}))
+# 0 -> S_v -> P -> S_u -> 0 does not split
+@example(_loop_case(3, (0, 1, 0), {}, (1, 0, 0), {}, {"a": [[1]]}))
+def test_hom_sweep_matches_dense(case):
+    """``hom_basis`` substitutes one- and two-term equations as it sweeps
+    them; its basis is the dense reference kernel.  ``is_split`` on the
+    inclusion of X in the extension E agrees with the dense solve."""
+    X, Z, E = case
+    for M, N in ((X, Z), (Z, X), (X, E), (E, X)):
+        _assert_same_basis(M, N)
+    cand = SesCandidate(X, [E], Z)
+    cand.f = {v: np.eye(e, x, dtype=np.int64)
+              for v, x, e in zip(_LOOP_QUIVER.vertices, X.dims, E.dims)}
+    assert is_split(cand) == _dense_is_split(cand)
 
 
 @settings(max_examples=100, deadline=None)
