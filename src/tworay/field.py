@@ -90,15 +90,19 @@ class PrimeField:
     def scale(self, c: int, a: np.ndarray) -> np.ndarray:
         return (int(c) % self.p * a) % self.p
 
+    def _pivot_rows(self, a: np.ndarray):
+        """The copy of ``a`` mod p, and ``rref_sparse`` of its nonzero rows."""
+        m = np.array(a, dtype=np.int64) % self.p
+        return m, self.rref_sparse(
+            {c: v for c, v in enumerate(row) if v}
+            for row in m.tolist() if any(row))
+
     def rref(self, a: np.ndarray):
         """Row-reduce a copy of ``a``; returns (rref matrix, pivot column list).
 
         The nonzero rows of ``a`` mod p go through ``rref_sparse``, and the
         dense RREF is rebuilt from its pivot rows in pivot order."""
-        m = np.array(a, dtype=np.int64) % self.p
-        pivots = self.rref_sparse(
-            {c: v for c, v in enumerate(row) if v}
-            for row in m.tolist() if any(row))
+        m, pivots = self._pivot_rows(a)
         order = sorted(pivots)
         m[:] = 0
         for r, pc in enumerate(order):
@@ -109,9 +113,10 @@ class PrimeField:
         return m, order
 
     def rank(self, a: np.ndarray) -> int:
+        """The number of pivots of ``rref_sparse``; no dense RREF is built."""
         if a.size == 0:
             return 0
-        return len(self.rref(a)[1])
+        return len(self._pivot_rows(a)[1])
 
     def null_space(self, a: np.ndarray) -> np.ndarray:
         """Columns form a basis of the right kernel of ``a``."""

@@ -29,7 +29,7 @@ class 0 (also when a cycle of ties closes with weights that disagree).  The
 rows of three or more terms, rewritten in the roots r, go through
 ``PrimeField.rref_sparse``; the kernel is read in the roots and spread back
 by the weights, one row of a k x (number of unknowns) array per basis
-vector, and the blocks f_v are views into it.
+vector.
 
 This is the basis ``PrimeField.null_space`` reads from the RREF of the dense
 Kronecker matrix of the same equations, so bases, isomorphisms and
@@ -42,9 +42,19 @@ substituted vector for a free root r has that shape: in the roots it is 1
 at r and nonzero elsewhere only at pivot roots below r, and spread back it
 lives on r's class, whose largest unknown is r with weight 1, and on the
 classes of smaller roots; every other free root is the root of another
-class.  So the two bases agree column for column.  ``is_split`` asks
-whether id lies in the span of the r f over a basis r of Hom(middle,
-left), one more solve.
+class.  So the two bases agree column for column.
+
+Hom(M, N) is kept as that one array.  ``hom_space`` returns it, read-only,
+with its blocks {v: (offset, dim N_v, dim M_v)} over the common support:
+row i holds vec_col(f_v) of basis map i at the offset of v, so the stack of
+the f_v^T is one column slice, reshaped (``transposed_blocks``).  The
+callers that need only the span read the array: ``is_indecomposable``
+takes dim End(M) and the trace form from it, ``is_split`` the retractions
+r of Hom(middle, left), to ask in one solve whether id lies in the span of
+the r f, and ``vsc.measure_pattern`` the composites and their coordinates.
+``hom_basis`` is its dict view, one map per row whose blocks are views into
+the array, for the callers that compose or invert single maps:
+``find_iso``, ``realize_ses`` and the Krull-Schmidt route.
 
 Isomorphism is decided without random numbers.  ``find_iso`` first returns
 the first Hom(M, N) basis element f_i that is invertible at every vertex.
@@ -261,20 +271,13 @@ def _hom_kernel(M: Representation, N: Representation, blocks,
     return np.array(kernel, dtype=np.int64).reshape(-1, total)
 
 
-def _map_template(M: Representation, N: Representation, support) -> dict:
-    """A map M -> N as a dict over every vertex, in vertex order: the
-    zero-size dim N_v x dim M_v matrix off ``support``, a placeholder for
-    the caller to fill on it."""
-    return {v: None if v in support else zero_size_block(n, m)
-            for v, n, m in zip(M.quiver.vertices, N.dims, M.dims)}
+def hom_space(M: Representation, N: Representation):
+    """Hom(M, N) as one array: (kernel, blocks).
 
-
-def hom_basis(M: Representation, N: Representation) -> list:
-    """Basis of Hom(M, N) as a list of per-vertex matrix dicts.
-
-    Every vertex has a matrix; off the common support it has a zero-size
-    side, and Hom(M, N) = 0 at once when the supports do not meet.  On the
-    support the matrices are views into the one kernel array."""
+    ``kernel`` is the read-only k x (number of unknowns) array of
+    ``_hom_kernel``, one basis map per row; ``blocks`` maps each vertex v of
+    the common support to (offset, dim N_v, dim M_v), and row i holds
+    vec_col(f_v) at that offset.  Off the common support every f_v is 0."""
     F, q, qn = M.field, M.quiver, N.quiver
     if F != N.field:
         raise ValueError(f"modules over different fields: {F}, {N.field}")
@@ -282,20 +285,40 @@ def hom_basis(M: Representation, N: Representation) -> list:
             qn.vertices, qn.source, qn.target):
         raise ValueError("modules over different quivers")
     blocks, total = _hom_unknowns(M, N)
-    if total == 0:
-        return []
-    kernel = _hom_kernel(M, N, blocks, total)
-    k = len(kernel)
-    if not k:
-        return []
-    template = _map_template(M, N, blocks)
-    basis = [dict(template) for _ in range(k)]
-    for v, (o, n, m) in blocks.items():
-        # row i of the kernel holds vec_col(f_v) at o: the blocks transposed
-        for f, block in zip(basis, kernel[:, o: o + n * m].reshape(
-                k, m, n).transpose(0, 2, 1)):
-            f[v] = block
+    kernel = (_hom_kernel(M, N, blocks, total) if total
+              else np.zeros((0, 0), dtype=np.int64))
+    kernel.flags.writeable = False
+    return kernel, blocks
+
+
+def transposed_blocks(kernel, block) -> np.ndarray:
+    """The k x m x n stack of the transposes f_v^T of the basis maps at one
+    vertex, read from its (offset, n, m) block of a Hom kernel array."""
+    o, n, m = block
+    return kernel[:, o: o + n * m].reshape(len(kernel), m, n)
+
+
+def _basis_maps(M: Representation, N: Representation, kernel,
+                blocks) -> list:
+    """The rows of a Hom kernel array as per-vertex matrix dicts: views
+    into the array on the common support, the shared zero-size block
+    elsewhere."""
+    template = {v: None if v in blocks else zero_size_block(n, m)
+                for v, n, m in zip(M.quiver.vertices, N.dims, M.dims)}
+    basis = [dict(template) for _ in range(len(kernel))]
+    for v, block in blocks.items():
+        for f, fvt in zip(basis, transposed_blocks(kernel, block)):
+            f[v] = fvt.T
     return basis
+
+
+def hom_basis(M: Representation, N: Representation) -> list:
+    """Basis of Hom(M, N) as a list of per-vertex matrix dicts: the dict
+    view of ``hom_space``.
+
+    Every vertex has a matrix; off the common support it has a zero-size
+    side, and Hom(M, N) = 0 at once when the supports do not meet."""
+    return _basis_maps(M, N, *hom_space(M, N))
 
 
 def compose_maps(F, f, g):
@@ -314,10 +337,8 @@ def map_scale(F, c, f):
     return {v: F.scale(c, f[v]) for v in f}
 
 def identity_map(M: Representation):
-    f = _map_template(M, M, M.support)
-    for v in M.support:
-        f[v] = M.field.eye(M.dim(v))
-    return f
+    return {v: M.field.eye(n) if n else zero_size_block(0, 0)
+            for v, n in zip(M.quiver.vertices, M.dims)}
 
 def zero_map(M: Representation, N: Representation):
     F = M.field
@@ -532,52 +553,41 @@ def _shift_map(M: Representation, f, lam):
     return {v: F.sub(m, F.scale(lam, F.eye(len(m)))) for v, m in f.items()}
 
 
-def _trace_form_rank(M: Representation, basis) -> int:
-    """Rank of the Gram matrix G_ij = tr(f_i f_j) of an End basis.
+def _trace_form_rank(M: Representation, kernel, blocks) -> int:
+    """Rank of the Gram matrix G_ij = tr(f_i f_j) of an End basis, given as
+    the kernel array and blocks of ``hom_space(M, M)``.
 
-    tr(f_i f_j) = sum_v sum_(a, b) f_i[v][a, b] f_j[v][b, a].  Row i of
-    ``flat`` holds the blocks f_i[v] read row by row and row j of ``flat_t``
-    the blocks of f_j transposed, so G = flat flat_t^T: k x k, with inner
-    length sum_v dim M_v^2, taken in slices under the overflow bound of
-    ``PrimeField.mul``.  No product f_i f_j and no total matrix is formed.
+    tr(f_i f_j) = sum_v sum_(a, b) f_i[v][a, b] f_j[v][b, a].  Row i of the
+    kernel holds the blocks f_i[v] read column by column, and row j of
+    ``flat_t`` the blocks of f_j read row by row, so G = kernel flat_t^T:
+    k x k, with inner length sum_v dim M_v^2, taken in slices under the
+    overflow bound of ``PrimeField.mul``.  No product f_i f_j and no total
+    matrix is formed.
     """
     F = M.field
-    k = len(basis)
-    width = sum(n * n for n in M.dims)
-    flat = np.empty((k, width), dtype=np.int64)
-    flat_t = np.empty((k, width), dtype=np.int64)
-    o = 0
-    for v in M.support:
-        blocks = np.array([f[v] for f in basis])
-        n2 = blocks[0].size
-        flat[:, o: o + n2] = blocks.reshape(k, n2)
-        flat_t[:, o: o + n2] = blocks.transpose(0, 2, 1).reshape(k, n2)
-        o += n2
-    flat %= F.p
-    flat_t %= F.p
+    k, width = kernel.shape
+    flat_t = np.hstack([transposed_blocks(kernel, block).transpose(0, 2, 1)
+                        .reshape(k, -1) for block in blocks.values()])
     gram = F.zeros(k, k)
     for lo in range(0, width, F.max_inner):
         hi = lo + F.max_inner
-        gram = F.add(gram, F.mul(flat[:, lo: hi], flat_t[:, lo: hi].T))
+        gram = F.add(gram, F.mul(kernel[:, lo: hi], flat_t[:, lo: hi].T))
     return F.rank(gram)
 
 
 def _certify(M: Representation, basis):
-    """LOCAL / DECOMPOSABLE / FIELD_OBSTRUCTION for one endomorphism basis.
+    """LOCAL / DECOMPOSABLE / FIELD_OBSTRUCTION for one endomorphism basis
+    that neither its size nor the trace form has decided.
 
-    When p > dim M the trace form decides LOCAL (Dickson, see the module
-    docstring).  Otherwise, or when it does not, every element f is tested
-    as l id + nilpotent with l = trace / d (when p does not divide d), all
-    at once on the stack of total matrices; an element that fails goes to
-    charpoly analysis, in basis order.  Once every element is scalar +
-    nilpotent, End(M) is LOCAL iff the shifts generate a nilpotent algebra,
-    which the flag decides; only a stalled flag pays for a Fitting
-    idempotent.
+    Every element f is tested as l id + nilpotent with l = trace / d (when
+    p does not divide d), all at once on the stack of total matrices; an
+    element that fails goes to charpoly analysis, in basis order.  Once
+    every element is scalar + nilpotent, End(M) is LOCAL iff the shifts
+    generate a nilpotent algebra, which the flag decides; only a stalled
+    flag pays for a Fitting idempotent.
     """
     F = M.field
     d = M.total_dim
-    if F.p > d and _trace_form_rank(M, basis) == 1:
-        return IndecVerdict(IndecVerdict.LOCAL)
     eye = F.eye(d)
     totals = total_matrices(M, basis)
     lams = np.zeros(len(basis), dtype=np.int64)
@@ -650,6 +660,12 @@ def _fitting_witness(M: Representation, gens):
 def is_indecomposable(M: Representation, end_basis=None) -> IndecVerdict:
     """Certify End(M) = k . id + nilpotents, or exhibit an idempotent.
 
+    End(M) is read as the kernel array of ``hom_space(M, M)``, or packed
+    from ``end_basis`` when one is given.  dim End(M) = 1 is LOCAL, and
+    when p > dim M the trace form decides LOCAL (Dickson, see the module
+    docstring); only a module these leave open is unpacked into maps for
+    ``_certify``.
+
     FIELD_OBSTRUCTION carries an element f whose charpoly is a power of one
     irreducible factor g of degree >= 2.  Then k[f] is local with residue
     field k[t]/(g), a proper extension of k: End(M) is not k id + rad, and
@@ -657,10 +673,19 @@ def is_indecomposable(M: Representation, end_basis=None) -> IndecVerdict:
     """
     if M.is_zero():
         raise ValueError("the zero module is neither")
-    basis = end_basis if end_basis is not None else hom_basis(M, M)
-    if len(basis) == 1:
+    if end_basis is None:
+        kernel, blocks = hom_space(M, M)
+    else:
+        blocks, _ = _hom_unknowns(M, M)
+        kernel = np.hstack([np.array([f[v].T for f in end_basis])
+                            .reshape(len(end_basis), -1)
+                            for v in blocks]) % M.field.p
+    if len(kernel) == 1 or (M.field.p > M.total_dim
+                            and _trace_form_rank(M, kernel, blocks) == 1):
         return IndecVerdict(IndecVerdict.LOCAL)
-    return _certify(M, basis)
+    if end_basis is None:
+        end_basis = _basis_maps(M, M, kernel, blocks)
+    return _certify(M, end_basis)
 
 
 # -- isomorphism -----------------------------------------------------------------
@@ -918,19 +943,23 @@ def is_split(cand: SesCandidate) -> bool:
 
     r f is linear in r, so such an r exists iff id lies in the span of the
     r_i f over a basis r_i of Hom(middle, left): one ``solve`` with a column
-    per r_i f, the blocks on the support of left read row by row.
+    per r_i f.  The stack of the r_i at a vertex is the block of the
+    ``hom_space`` array, transposed; (r_i f)^T = f^T r_i^T is read row by
+    row, which pairs its entries with those of the symmetric id.
     """
     if cand.f is None:
         raise ValueError("realize the sequence first")
     X, E = cand.left, cand.middle
     F = X.field
-    basis = hom_basis(E, X)
-    if not basis:
+    kernel, blocks = hom_space(E, X)
+    if not len(kernel):
         return X.is_zero()
-    k = len(basis)
-    cols = np.hstack([F.mul(np.array([r[v] for r in basis]), cand.f[v])
-                      .reshape(k, -1) for v in X.support])
-    ident = np.hstack([F.eye(X.dim(v)).reshape(-1) for v in X.support])
+    if len(blocks) < len(X.support):  # f is 0 on some X_v: no retraction
+        return False
+    cols = np.hstack([F.mul(cand.f[v].T, transposed_blocks(kernel, block))
+                      .reshape(len(kernel), -1)
+                      for v, block in blocks.items()])
+    ident = np.hstack([F.eye(X.dim(v)).reshape(-1) for v in blocks])
     return F.solve(cols.T, ident) is not None
 
 
@@ -1604,8 +1633,10 @@ class ArVerifier:
                   for which in ("R", "X")]
         lemmas += [(v, "I") for v in i_lemma_vertices(self.quiver)]
         lemma_checks = []
+        spaces = {}  # the Hom systems of the lemma objects, for this call
         for v, which in lemmas:
-            _, _, match = hom_pattern_of_functor(self.sm, v, which, lemma_len)
+            _, _, match = hom_pattern_of_functor(self.sm, v, which, lemma_len,
+                                                 spaces)
             lemma_checks.append({"vertex": v, "lemma": which,
                                  "ok": match["ok"],
                                  "mismatches": match["mismatches"]})

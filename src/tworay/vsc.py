@@ -12,7 +12,7 @@ length bound.
 import numpy as np
 from dataclasses import dataclass
 
-from .homlab import ConsistencyError, compose_maps, hom_basis
+from .homlab import ConsistencyError, hom_space, transposed_blocks
 
 
 class BadArity(ValueError):
@@ -394,40 +394,80 @@ class LemmaContext:
         raise ValueError(f"unknown lemma selector {which!r}")
 
 
-def _flatten_map(f, quiver):
-    return np.concatenate([np.asarray(f[v]).reshape(-1) for v in quiver.vertices])
+def _slot(spaces, M):
+    """(id, row) of the content of M in ``spaces``: the ids number the
+    distinct contents, and row[id of N] is hom_space(M, N) once solved.
+    The content is the dimension tuple and the bytes of the maps on the
+    support arrows, which fix the Hom system on either side."""
+    key = (M.dims, b"".join(M.maps[a].tobytes() for a in M.support_arrows))
+    slot = spaces.get(key)
+    if slot is None:
+        slot = spaces[key] = (len(spaces), {})
+    return slot
 
 
-def measure_pattern(R, assign, field, quiver):
+def measure_pattern(R, assign, field, spaces=None):
     """Measured objdim and homdim matrices through the functor Hom(R, -).
 
     homdim(u, v) is the rank of f -> (f h)_h, from Hom(u, v) to the maps
-    Hom(R, u) -> Hom(R, v).  Every composite f h into v is written in the
-    basis of Hom(R, v) by one solve per v, all of them as its columns.
+    Hom(R, u) -> Hom(R, v).  All composites f h into v are formed from the
+    ``hom_space`` arrays, one stacked product (f h)^T = h^T f^T per vertex
+    in the supports of R, u and v (elsewhere f h is 0), straight in the
+    unknown layout of Hom(R, v), and written in its basis by one solve
+    against that kernel array, all of them as its columns.
+
+    Each Hom system is solved once per content pair in ``spaces`` (see
+    ``_slot``).  ``ArVerifier.verify`` shares one such dict among all of
+    its lemma checks, and drops it when it returns: the lemma objects of
+    one vertex, and of the R and X lemmas at a vertex, repeat.  A memo for
+    the whole run would hold every Hom system to its end: one kept for
+    every ``hom_basis`` call measured +2.7 MB ``peak_rss_mb`` on the
+    ``ex14-rows`` benchmark, +5.1 MB on ``tsys-deep`` and +11.2 MB (+25%)
+    on ``ex14-certify``.
     """
     objects = sorted(assign, key=repr)
-    hom_from_r = {o: hom_basis(R, assign[o]) for o in objects}
-    objdim = {o: len(hom_from_r[o]) for o in objects}
+    spaces = {} if spaces is None else spaces
+    slots = {o: _slot(spaces, assign[o]) for o in objects}
+
+    def space(M, m_slot, N, n_slot):
+        row, j = m_slot[1], n_slot[0]
+        if j not in row:
+            row[j] = hom_space(M, N)
+        return row[j]
+
+    r_slot = _slot(spaces, R)
+    from_r = {o: space(R, r_slot, assign[o], slots[o]) for o in objects}
+    objdim = {o: len(from_r[o][0]) for o in objects}
     homdim = {(u, v): 0 for u in objects for v in objects}
     for v in objects:
-        hv = hom_from_r[v]
-        blocks, composites = [], []  # (u, len Hom(u, v)), flat composites
+        kv, bv = from_r[v]
+        if not len(kv):
+            continue
+        blocks, composites = [], []  # (u, len Hom(u, v)), composite arrays
         for u in objects:
-            hu = hom_from_r[u]
-            fs = hom_basis(assign[u], assign[v])
-            if fs and hu and hv:
-                blocks.append((u, len(fs)))
-                composites += [_flatten_map(compose_maps(field, f, h), quiver)
-                               for f in fs for h in hu]
+            ku, bu = from_r[u]
+            if not len(ku):
+                continue
+            kf, bf = space(assign[u], slots[u], assign[v], slots[v])
+            if not len(kf):
+                continue
+            comp = np.zeros((len(kf), len(ku), kv.shape[1]), dtype=np.int64)
+            for w, (o, n, m) in bv.items():
+                if w in bu and w in bf:
+                    comp[:, :, o: o + n * m] = field.mul(
+                        transposed_blocks(ku, bu[w])[None],
+                        transposed_blocks(kf, bf[w])[:, None]).reshape(
+                            len(kf), len(ku), n * m)
+            blocks.append((u, len(kf)))
+            composites.append(comp.reshape(-1, kv.shape[1]))
         if not blocks:
             continue
-        kmat = np.stack([_flatten_map(k, quiver) for k in hv], axis=1)
-        coords = field.solve(kmat, np.stack(composites, axis=1))
+        coords = field.solve(kv.T, np.vstack(composites).T)
         if coords is None:
             raise ConsistencyError("composite outside the span of Hom(R, v)")
         start = 0
         for u, n_f in blocks:
-            width = n_f * len(hom_from_r[u])
+            width = n_f * objdim[u]
             # row i: the coordinates of f_i h_1, f_i h_2, ... in turn
             rows = coords[:, start: start + width].T.reshape(n_f, -1)
             homdim[(u, v)] = field.rank(rows)
@@ -455,12 +495,15 @@ def match_model(measured, model: VscModel, objects=None) -> dict:
             "ok": not mismatches}
 
 
-def hom_pattern_of_functor(modules, x: str, which: str, bound: int):
-    """Run one lemma check; returns (model, measured, match report)."""
+def hom_pattern_of_functor(modules, x: str, which: str, bound: int,
+                           spaces=None):
+    """Run one lemma check; returns (model, measured, match report).
+
+    ``spaces`` is passed to ``measure_pattern``."""
     ctx = LemmaContext(modules)
     model, assign = ctx.instantiate(x, which, bound)
     R = {"R": ctx.module_R, "X": ctx.module_X, "I": ctx.module_I}[which](x)
-    measured = measure_pattern(R, assign, modules.field, modules.quiver)
+    measured = measure_pattern(R, assign, modules.field, spaces)
     report = match_model(measured, model)
     return model, measured, report
 

@@ -32,27 +32,27 @@ def _guard_failures():
     c = Ctx(SYSTEMS["fund21"])
     simple = lambda: c.modules.construct_M(c.calc.trivial("x:1:0"))
     R, a, b = simple(), simple(), simple()
-    hom_basis, top_generators = vsc.hom_basis, homlab.top_generators
+    hom_space, top_generators = vsc.hom_space, homlab.top_generators
     null_space, solve = PrimeField.null_space, PrimeField.solve
     factor_charpoly = homlab.factor_charpoly
     invertible_everywhere = homlab._invertible_everywhere
     string = c.modules.construct_M(c.calc.word(("alpha:1:1",)))
 
-    def zero_r_to_b(X, Y):
-        basis = hom_basis(X, Y)
-        if X is R and Y is b:
-            return [{v: 0 * m for v, m in f.items()} for f in basis]
-        return basis
+    def zero_r_to_a(X, Y):
+        # measure_pattern solves each Hom system once per content pair, so
+        # the maps R -> ss -> a must leave Hom(R, a): R = a = b in content
+        kernel, blocks = hom_space(X, Y)
+        return (0 * kernel if X is R and Y is a else kernel), blocks
 
     ss = a.direct_sum(b)
     first = {v: ss.field.zeros(ss.dim(v), ss.dim(v)) for v in ss.spaces}
     first["x:1:0"][0, 0] = 1  # the projection onto the first summand
     out = []
     try:
-        vsc.hom_basis = zero_r_to_b
+        vsc.hom_space = zero_r_to_a
         out.append(_raised(lambda: vsc.measure_pattern(
-            R, {"a": a, "b": b}, c.field, c.quiver)))
-        vsc.hom_basis = hom_basis
+            R, {"a": a, "ss": ss}, c.field)))
+        vsc.hom_space = hom_space
         homlab.top_generators = lambda M: {
             v: g[:1] for v, g in top_generators(M).items()}
         out.append(_raised(lambda: homlab.projective_cover(ss, c.algebra)))
@@ -70,7 +70,7 @@ def _guard_failures():
         homlab._invertible_everywhere = lambda F, M, N, f: False
         out.append(_raised(lambda: homlab.find_iso(ss, ss)))
     finally:
-        vsc.hom_basis, homlab.top_generators = hom_basis, top_generators
+        vsc.hom_space, homlab.top_generators = hom_space, top_generators
         PrimeField.null_space, PrimeField.solve = null_space, solve
         homlab.factor_charpoly = factor_charpoly
         homlab._invertible_everywhere = invertible_everywhere

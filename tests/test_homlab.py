@@ -990,7 +990,7 @@ def _trace_rank_and_flag(M, monkeypatch):
     """rank tr(f_i f_j) on the End basis, and the verdict of the route
     behind it (charpoly, flag, Fitting witness) with the trace form off."""
     basis = hom_basis(M, M)
-    rank = homlab._trace_form_rank(M, basis)
+    rank = homlab._trace_form_rank(M, *homlab.hom_space(M, M))
     with monkeypatch.context() as m:
         m.setattr(homlab, "_trace_form_rank", lambda *args: 0)
         flag = is_indecomposable(M, basis)
@@ -1038,11 +1038,11 @@ def test_trace_form_on_sums(fund21, tsys, monkeypatch):
     for M, residue_dim in ((a, 1), (r5, 1), (s(a, b), 2), (s(r5, r6), 2),
                            (s(a, a, b), 5), (s(r5, r5, b), 5),
                            (s(a, a, a), 9)):
-        basis = hom_basis(M, M)
-        assert homlab._trace_form_rank(M, basis) == residue_dim
+        space = homlab.hom_space(M, M)
+        assert homlab._trace_form_rank(M, *space) == residue_dim
         with monkeypatch.context() as m:  # the Gram matrix in short slices
             m.setattr(M.field, "max_inner", 2)
-            assert homlab._trace_form_rank(M, basis) == residue_dim
+            assert homlab._trace_form_rank(M, *space) == residue_dim
 
 
 def test_trace_form_certifies_without_the_flag(monkeypatch):
@@ -1096,8 +1096,8 @@ def test_field_obstruction_control_above_dim(fund21):
 
     rep = glued(comp)
     assert rep.total_dim < F7.p
-    basis = hom_basis(rep, rep)
-    assert len(basis) == 2 and homlab._trace_form_rank(rep, basis) == 2
+    space = homlab.hom_space(rep, rep)
+    assert len(space[0]) == 2 and homlab._trace_form_rank(rep, *space) == 2
     v = is_indecomposable(rep)
     assert v.status == IndecVerdict.FIELD_OBSTRUCTION
     f, fac = v.certificate

@@ -1,12 +1,15 @@
+import numpy as np
 import pytest
 
-from tworay import build_quiver, build_relations, AlgebraBasis
+from tworay import build_quiver, build_relations, AlgebraBasis, vsc
 from tworay.defining_system import admissible_vertices
+from tworay.homlab import compose_maps, hom_basis
+from tworay.string_modules import Representation
 from tworay.vsc import (BadArity, LemmaContext, build_model,
                         hom_pattern_of_functor, i_lemma_vertices,
                         interval_poset, match_model, measure_pattern)
 
-from conftest import ctx
+from conftest import SYSTEMS, ctx
 
 
 def test_poset_operations():
@@ -127,7 +130,7 @@ def test_match_model_detects_truncation_skew():
     ctxo = LemmaContext(c.modules)
     model, assign = ctxo.instantiate("x:1:2", "R", 3)
     R = ctxo.module_R("x:1:2")
-    measured = measure_pattern(R, assign, c.field, c.quiver)
+    measured = measure_pattern(R, assign, c.field)
     # deliberately compare against a model built from a longer truncation:
     # the poset gains elements and the object sets disagree
     model_long, assign_long = ctxo.instantiate("x:1:2", "R", 5)
@@ -159,3 +162,84 @@ def test_one_point_extension_dimension_bookkeeping():
             assert a2.dimension == c.algebra.dimension + R.total_dim + 1, (
                 name, str(v))
 
+
+
+# -- measure_pattern against the per-map reference --------------------------------
+
+
+def _dict_measure(R, assign, F, quiver):
+    """The pattern from ``hom_basis`` maps: each composite f h formed with
+    ``compose_maps``, flattened over every vertex, and written in the
+    flattened Hom(R, v) basis by one solve per pair (u, v)."""
+    def flat(f):
+        return np.concatenate([f[w].reshape(-1) for w in quiver.vertices])
+
+    objects = sorted(assign, key=repr)
+    from_r = {o: hom_basis(R, assign[o]) for o in objects}
+    homdim = {}
+    for u in objects:
+        for v in objects:
+            fs = hom_basis(assign[u], assign[v])
+            comps = [flat(compose_maps(F, f, h)) for f in fs for h in from_r[u]]
+            homdim[(u, v)] = 0
+            if comps and from_r[v]:
+                coords = F.solve(np.stack([flat(h) for h in from_r[v]], axis=1),
+                                 np.stack(comps, axis=1))
+                assert coords is not None
+                homdim[(u, v)] = F.rank(coords.T.reshape(len(fs), -1))
+    return objects, {o: len(from_r[o]) for o in objects}, homdim
+
+
+def _lemmas(c, bound):
+    """(R, assign) of every R, X and I lemma of a system."""
+    lc = LemmaContext(c.modules)
+    module = {"R": lc.module_R, "X": lc.module_X, "I": lc.module_I}
+    picks = [(v, which) for v in sorted(map(str, admissible_vertices(c.ds)))
+             for which in ("R", "X")]
+    picks += [(v, "I") for v in i_lemma_vertices(c.quiver)]
+    return [(module[which](v), lc.instantiate(v, which, bound)[1])
+            for v, which in picks]
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_measure_pattern_matches_dict_reference(name, monkeypatch):
+    # the composites read from the kernel arrays give the reference's
+    # objdim and homdim, with one memo for every lemma as with one each
+    c = ctx(name)
+    lemmas = _lemmas(c, 4)
+    solves = []
+    hom_space = vsc.hom_space
+    monkeypatch.setattr(vsc, "hom_space",
+                        lambda M, N: solves.append(1) or hom_space(M, N))
+    fresh = [measure_pattern(R, assign, c.field) for R, assign in lemmas]
+    fresh_solves = len(solves)
+    spaces = {}
+    shared = [measure_pattern(R, assign, c.field, spaces)
+              for R, assign in lemmas]
+    assert shared == fresh
+    objects = any(got[0] for got in fresh)  # none on tsys at length 4
+    assert len(solves) - fresh_solves < fresh_solves or not objects
+    nonzero = 0
+    for (R, assign), got in zip(lemmas, fresh):
+        assert got == _dict_measure(R, assign, c.field, c.quiver)
+        nonzero += any(got[2].values())
+    assert nonzero or not objects
+
+
+def test_hom_space_memo_key_is_content(fund21):
+    # modules built apart with one content share a slot; one changed map
+    # entry gives a new one
+    sm, calc = fund21.modules, fund21.calc
+    word = calc.word(("alpha:1:1", "alpha:1:2"))
+    a, b = sm.construct_M(word), sm.construct_M(word)
+    arrow = a.support_arrows[0]
+    maps = {x: m.copy() for x, m in a.maps.items()}
+    maps[arrow][0, 0] += 1
+    c = Representation(a.quiver, a.field, a.spaces, maps)
+    spaces = {}
+    assert a is not b and vsc._slot(spaces, a) is vsc._slot(spaces, b)
+    assert len(spaces) == 1
+    assert vsc._slot(spaces, c)[0] == 1 and len(spaces) == 2
+    measure_pattern(a, {"a": a, "b": b, "c": c}, a.field, spaces)
+    row = vsc._slot(spaces, a)[1]
+    assert sorted(row) == [0, 1]  # Hom(a, a) = Hom(a, b) and Hom(a, c)
