@@ -14,7 +14,7 @@ matrix at every vertex, with a zero-size side; an unknown f_v exists only
 where M_v and N_v are both nonzero, an equation only on an arrow from the
 support of M to the support of N, and Hom(M, N) = 0 at once when the two
 supports do not meet.  Kernels, cokernels, radicals, projective covers and
-the quotients of DTr are taken vertex by vertex on the support only.
+the quotients of DTr are taken on the support only.
 
 The system is sparse: the arrow maps of string and band modules have few
 nonzero entries, and Hom between string modules is spanned by graph maps
@@ -72,6 +72,28 @@ group's pairing has rank >= m.  Then m independent columns f_1, ..., f_m,
 each sent onto one copy of Z in N, make M -> N split epi on every group;
 maps between non-isomorphic summands lie in the radical, so the sum over
 the groups is an isomorphism, and it is checked before it is returned.
+
+The AR translate DTr M is read from a minimal projective presentation
+P1 --d--> P0 --h--> M -> 0 (Auslander-Reiten-Smalo, Ch. IV), built from one
+projective cover.  The cover h sends one summand P(v) of P0 to each top
+generator x of M at v, a unit vector of M_v outside rad M_v (the span of
+the arrow images into v), and the basis path p of that summand to p x.
+K = ker h is kept in P0 coordinates, K_u the null space of h_u.  It is a
+submodule, so rad K_u is the span of the P0_a K_s over the arrows a: s -> u,
+and the columns of K_u that are pivots of [rad K_u | K_u] are a basis of
+(K / rad K)_u.  They are the P1 generators: each is a vector of P0_u, the
+image under d of the trivial path of its summand P(u), and its coordinates
+over the basis paths of the summands of P0 are the entries of d as a matrix
+over A, which Tr transposes.  Two checks stand in for the second cover that
+this saves: h vanishes on every P0_a K_s, and the images of the generators
+under the basis paths span K at every vertex (Nakayama's lemma says they
+must).
+
+Each elimination a module needs at its vertices, for the cokernels, the top
+generators, the P1 generators and the rank checks, is one ``rref_sparse``
+call with the matrices of all vertices in disjoint columns
+(``_reduce_blocks``): no row mixes two vertices, so every vertex gets its
+own RREF.
 
 Indecomposability is certified as End(M) = k id + rad, that is LOCAL.  When
 p > d = dim M, the trace form decides it first (Dickson's criterion;
@@ -834,51 +856,74 @@ def kernel_rep(M: Representation, N: Representation, f):
     return Representation(q, F, spaces, maps), incl
 
 
-def complement_indices(F, img) -> list:
-    """The indices i of the unit vectors e_i that extend the independent
-    columns of ``img`` to a basis, taken greedily: e_i is kept iff it lies
-    outside the span of ``img`` and e_0, ..., e_{i-1}.  These are the pivots
-    of [img | I] among the identity columns."""
-    n, k = img.shape
-    if k == n:  # img already spans, as on every zero vertex space
-        return []
-    _, pivots = F.rref(np.hstack([img, F.eye(n)]))
-    return [c - k for c in pivots if c >= k]
+def _reduce_blocks(F, blocks, augment=False) -> dict:
+    """The RREF of every matrix a of ``blocks`` {key: a}, or of [a | I] with
+    ``augment``, from one ``rref_sparse`` call.
+
+    The matrices sit side by side in disjoint columns, so no row ever mixes
+    two of them, and the pivot rows that fall in a matrix's columns are its
+    own RREF.  Returns {key: [(pivot, {column: coefficient})]}, the pivot
+    rows in pivot order, in the matrix's own columns."""
+    rows, starts, base = [], [], 0
+    for a in blocks.values():
+        starts.append(base)
+        n, k = a.shape
+        for i, row in enumerate(a.tolist()):
+            r = {base + c: x for c, x in enumerate(row) if x}
+            if augment:
+                r[base + k + i] = 1
+            rows.append(r)
+        base += k + n if augment else k
+    pivots = F.rref_sparse(rows)
+    out = {key: [] for key in blocks}
+    spans = iter(zip(blocks, starts, starts[1:] + [base]))
+    stop = 0
+    for pc in sorted(pivots):
+        while pc >= stop:
+            key, start, stop = next(spans)
+        out[key].append((pc - start, {c - start: x
+                                      for c, x in pivots[pc].items()}))
+    return out
 
 
-def _quotient(F, a):
-    """(projection, section) of F^n onto F^n / (column space of ``a``).
+def _quotients(F, mats) -> dict:
+    """{key: (projection, section)} of F^n onto F^n / (column space of a),
+    for every n x k matrix a of ``mats``, all in one elimination.
 
-    One RREF of [a | I] gives both.  Its pivots among the identity columns
-    are the complement that ``complement_indices`` picks, and its rows below
-    rank a, read in the identity columns, vanish on the columns of ``a`` and
-    are the identity on that complement: they are the projection."""
-    n, k = a.shape
-    m, pivots = F.rref(np.hstack([a, F.eye(n)]))
-    rank = sum(c < k for c in pivots)
-    chosen = [c - k for c in pivots[rank:]]
-    section = F.zeros(n, len(chosen))
-    section[chosen, range(len(chosen))] = 1
-    return m[rank:, k:], section
+    The RREF of [a | I] gives both.  Its pivots among the identity columns
+    are the unit vectors e_i kept greedily, e_i lying outside the span of a
+    and e_0, ..., e_(i-1): they span the section.  Its rows past rank a,
+    read in the identity columns, vanish on the columns of a and are the
+    identity on that complement: they are the projection."""
+    reduced = _reduce_blocks(F, mats, augment=True)
+    out = {}
+    for key, a in mats.items():
+        n, k = a.shape
+        rows = [(pc - k, row) for pc, row in reduced[key] if pc >= k]
+        proj, section = F.zeros(len(rows), n), F.zeros(n, len(rows))
+        for r, (i, row) in enumerate(rows):
+            section[i, r] = 1
+            for c, x in row.items():
+                proj[r, c - k] = x
+        out[key] = proj, section
+    return out
 
 
 def cokernel_rep(M: Representation, N: Representation, f):
     """(Q, projection N -> Q) for a module map f: M -> N."""
     F = N.field
     q = N.quiver
+    quot = _quotients(F, {v: f[v] for v in N.support})
     proj = {v: F.zeros(0, 0) for v in q.vertices}
-    section = {}
-    for v in N.support:
-        proj[v], section[v] = _quotient(F, f[v])
-    spaces = {v: tuple(("c", i) for i in range(section[v].shape[1]))
-              for v in N.support}
-    maps = {}
+    spaces, maps = {}, {}
+    for v, (pv, section) in quot.items():
+        proj[v] = pv
+        spaces[v] = tuple(("c", i) for i in range(section.shape[1]))
     for a in N.support_arrows:
         s, t = q.source[a], q.target[a]
         if spaces[s] and spaces[t]:
-            maps[a] = F.mul(proj[t], F.mul(N.maps[a], section[s]))
-    Q = Representation(q, F, spaces, maps)
-    return Q, proj
+            maps[a] = F.mul(proj[t], F.mul(N.maps[a], quot[s][1]))
+    return Representation(q, F, spaces, maps), proj
 
 
 class SesCandidate:
@@ -966,115 +1011,143 @@ def is_split(cand: SesCandidate) -> bool:
 # -- projective covers and the AR translate ---------------------------------------
 
 
-def radical_embedding(M: Representation):
-    """Per-vertex basis matrices of rad M = sum of arrow images."""
-    F = M.field
-    q = M.quiver
-    rad = {v: F.zeros(0, 0) for v in q.vertices}
+def top_generators(M: Representation):
+    """For each vertex v, the unit vectors of M_v that project to a basis of
+    (M / rad M)_v, as columns: the section of M_v onto M_v / rad M_v, where
+    rad M_v is spanned by the images of the arrows into v."""
+    F, q = M.field, M.quiver
+    rad = {}
     for v in M.support:
         imgs = [M.maps[a] for a in q.in_arrows[v] if M.dim(q.source[a])]
-        if imgs:
-            rad[v] = F.column_space(np.hstack(imgs))
-        else:
-            rad[v] = F.zeros(M.dim(v), 0)
-    return rad
-
-
-def top_generators(M: Representation):
-    """For each vertex, vectors of M_v projecting to a basis of (M / rad M)_v."""
-    F = M.field
-    rad = radical_embedding(M)
-    gens = {v: [] for v in M.quiver.vertices}
-    for v in M.support:
-        eye = F.eye(M.dim(v))
-        gens[v] = [eye[:, [i]] for i in complement_indices(F, rad[v])]
+        rad[v] = np.hstack(imgs) if imgs else F.zeros(M.dim(v), 0)
+    gens = {v: [] for v in q.vertices}
+    for v, (_, section) in _quotients(F, rad).items():
+        gens[v] = [section[:, [j]] for j in range(section.shape[1])]
     return gens
 
 
+def _path_images(M: Representation, algebra, v, vecs) -> dict:
+    """The images of the columns of ``vecs``, vectors of M_v, under the
+    basis paths of A from v: {w: stack} over the vertices w of M's support
+    that such a path reaches, the stack being (paths v -> w, in basis order)
+    x dim M_w x (columns).  Each prefix of a path is applied once."""
+    F, paths = M.field, algebra.basis_paths
+    memo = {(): vecs}
+
+    def image(arrows):  # arrows[0] acts last
+        got = memo.get(arrows)
+        if got is None:
+            got = memo[arrows] = F.mul(M.maps[arrows[0]], image(arrows[1:]))
+        return got
+
+    return {w: np.stack([image(p[1]) for p in paths[v, w]])
+            for w in M.support if (v, w) in paths}
+
+
 def projective_cover(M: Representation, algebra):
-    """(P, h) with h: P -> M a projective cover."""
-    F = M.field
-    q = M.quiver
+    """(P, h, summands) with h: P -> M a projective cover.
+
+    P is the sum of one P(v) per top generator x of M at v, in vertex
+    order, and ``summands`` lists these (v, x); h sends the basis path p of
+    that summand to p x."""
+    F, q = M.field, M.quiver
     gens = top_generators(M)
-    summands = []
-    for v in q.vertices:
-        for gen in gens[v]:
-            summands.append((v, gen))
-    reps = [algebra.projective_module(v) for v, _ in summands]
-    P = direct_sum_of(q, F, reps)
+    summands = [(v, x) for v in q.vertices for x in gens[v]]
+    P = direct_sum_of(q, F, [algebra.projective_module(v)
+                             for v, _ in summands])
     h = {v: F.zeros(M.dim(v), P.dim(v)) for v in q.vertices}
-    col_offset = {v: 0 for v in M.support}
-    for (gen_v, gen_vec), rep in zip(summands, reps):
-        for w in M.support:
-            paths = algebra.basis_paths.get((gen_v, w), [])
-            for k, path in enumerate(paths):
-                if M.acts_as_zero(path[1]):
-                    continue
-                vec = gen_vec if not path[1] else F.mul(
-                    M.path_matrix(path[1]), gen_vec)
-                h[w][:, col_offset[w] + k] = vec[:, 0]
-            col_offset[w] += rep.dim(w)
-    for v in M.support:  # covers are epi
-        if F.rank(h[v]) != M.dim(v):
-            raise ConsistencyError("cover map is not surjective")
+    offset = dict.fromkeys(M.support, 0)
+    for v in q.vertices:  # the summands of v are consecutive
+        if not gens[v]:
+            continue
+        for w, stack in _path_images(M, algebra, v, np.hstack(gens[v])).items():
+            # summand t of v takes the columns t k, ..., t k + k - 1 at w
+            k, rows, n = stack.shape
+            h[w][:, offset[w]: offset[w] + n * k] = (
+                stack.transpose(1, 2, 0).reshape(rows, n * k))
+            offset[w] += n * k
+    # covers are epi: rank h_v = dim M_v
+    reduced = _reduce_blocks(F, {v: h[v] for v in M.support})
+    if any(len(rows) != M.dim(v) for v, rows in reduced.items()):
+        raise ConsistencyError("cover map is not surjective")
     return P, h, summands
 
 
 def minimal_presentation(M: Representation, algebra):
-    """(P1, P0, d, gens1, gens0) with P1 --d--> P0 -> M -> 0 minimal."""
+    """(P0, h, gens0, gens1) of a minimal projective presentation
+    P1 --d--> P0 --h--> M -> 0.
+
+    h is the projective cover and gens0 its summands.  P1 is the sum of one
+    P(u) per entry (u, x) of gens1, x a vector of P0_u, and d sends the
+    basis path p of that summand to p x.  The x are read from K = ker h in
+    P0 coordinates, as in the module docstring; M is projective iff gens1
+    is empty."""
+    F, q = M.field, M.quiver
     P0, h, gens0 = projective_cover(M, algebra)
-    K, incl = kernel_rep(P0, M, h)
-    if K.is_zero():
-        return None, P0, None, [], gens0
-    P1, h1, gens1 = projective_cover(K, algebra)
-    return P1, P0, compose_maps(M.field, incl, h1), gens1, gens0
+    kernel = {}
+    for u in P0.support:
+        k = F.null_space(h[u])
+        if k.shape[1]:
+            kernel[u] = k
+    # [rad K_u | K_u], rad K_u spanned by the P0_a K_s over the arrows
+    # a: s -> u; h_u must vanish on all of it
+    blocks = {}
+    for u, k in kernel.items():
+        blocks[u] = np.hstack([F.mul(P0.maps[a], kernel[q.source[a]])
+                               for a in q.in_arrows[u]
+                               if q.source[a] in kernel] + [k])
+        if not F.is_zero(F.mul(h[u], blocks[u])):
+            raise ConsistencyError("kernel is not arrow-stable")
+    at = {}  # the P1 generators at u, as the columns of one matrix
+    for u, rows in _reduce_blocks(F, blocks).items():
+        r = blocks[u].shape[1] - kernel[u].shape[1]
+        chosen = [pc - r for pc, _ in rows if pc >= r]
+        if chosen:
+            at[u] = kernel[u][:, chosen]
+    gens1 = [(u, x[:, [j]]) for u, x in at.items() for j in range(x.shape[1])]
+    # the images of gens1 under the basis paths must span K_w: in the RREF
+    # of [images | K_w] no pivot falls in K_w, and there are dim K_w pivots
+    images = {w: [] for w in P0.support}
+    for u, x in at.items():
+        for w, stack in _path_images(P0, algebra, u, x).items():
+            images[w].append(stack.transpose(1, 0, 2).reshape(P0.dim(w), -1))
+    spans = {w: np.hstack(images[w] + [kernel.get(w, F.zeros(P0.dim(w), 0))])
+             for w in P0.support}
+    for w, rows in _reduce_blocks(F, spans).items():
+        n = kernel[w].shape[1] if w in kernel else 0
+        if len(rows) != n or (rows and rows[-1][0] >= spans[w].shape[1] - n):
+            raise ConsistencyError("presentation does not cover the kernel")
+    return P0, h, gens0, gens1
 
 
 def is_projective(M: Representation, algebra) -> bool:
-    _, _, d, _, _ = minimal_presentation(M, algebra)
-    return d is None
+    return not minimal_presentation(M, algebra)[3]
 
 
 def ar_translate(M: Representation, algebra) -> Representation:
-    """DTr M from a minimal projective presentation; errors on projectives."""
+    """DTr M from a minimal projective presentation; errors on projectives.
+
+    Tr M is the cokernel of Hom(d, A): Hom(P0, A) -> Hom(P1, A), a map of
+    right modules, and D takes it back to the left by transposing."""
     F = M.field
     q = M.quiver
-    P1, P0, d, gens1, gens0 = minimal_presentation(M, algebra)
-    if d is None:
+    _, _, gens0, gens1 = minimal_presentation(M, algebra)
+    if not gens1:
         raise ProjectiveSummand("module is projective")
 
-    # components a[j][i] in e_{u_j} A e_{v_i}, from the generator columns of P1
+    # components a[j][i] in e_{u_j} A e_{v_i}: the block of the P1 generator
+    # x_j in the summand P(v_i) of P0, over the basis paths v_i -> u_j
     right0 = [algebra.right_projective(v) for v, _ in gens0]
     right1 = [algebra.right_projective(u) for u, _ in gens1]
-
-    # locate each P1 generator column inside d and expand over path basis of P0
-    comp = [[None] * len(gens0) for _ in gens1]
-    col_offset = {v: 0 for v in q.vertices}
-    gen_cols = []
-    for (u, _gen) in gens1:
-        trivial = (u, (), u)
-        k = algebra.basis_paths[(u, u)].index(trivial)
-        gen_cols.append((u, col_offset[u] + k))
-        for w in q.vertices:
-            col_offset[w] += _proj_dim_at(algebra, u, w)
-
-    row_offsets = []
-    off = {v: 0 for v in q.vertices}
-    for (v, _gen) in gens0:
-        row_offsets.append(dict(off))
-        for w in q.vertices:
-            off[w] += _proj_dim_at(algebra, v, w)
-
-    for j, (u, col) in enumerate(gen_cols):
-        for i, (v, _gen) in enumerate(gens0):
-            paths = algebra.basis_paths.get((v, u), [])
-            coeffs = {}
-            base = row_offsets[i][u]
-            for k, p in enumerate(paths):
-                c = int(d[u][base + k, col]) % F.p
-                if c:
-                    coeffs[p] = c
-            comp[j][i] = coeffs
+    comp = [[] for _ in gens1]
+    base = dict.fromkeys((u for u, _ in gens1), 0)
+    for v, _ in gens0:
+        for j, (u, x) in enumerate(gens1):
+            paths = algebra.basis_paths.get((v, u), ())
+            coeffs = x[base[u]: base[u] + len(paths), 0].tolist()
+            comp[j].append({p: c for p, c in zip(paths, coeffs) if c})
+        for u in base:
+            base[u] += len(algebra.basis_paths.get((v, u), ()))
 
     # transpose: map  +_i e_{v_i}A -> +_j e_{u_j}A  by left multiplication
     # only vertices where the codomain is nonzero carry a quotient
@@ -1096,26 +1169,18 @@ def ar_translate(M: Representation, algebra) -> Representation:
             roff += r1[0][w]
 
     # right-module cokernel of dmat, then vector-space dual back to the left
-    proj = {}
-    section = {}
-    for w in cod_support:
-        proj[w], section[w] = _quotient(F, dmat[w])
-
-    spaces = {w: tuple(("d", i) for i in range(section[w].shape[1]))
-              for w in cod_support}
+    quot = _quotients(F, dmat)
+    spaces = {w: tuple(("d", i) for i in range(section.shape[1]))
+              for w, (_, section) in quot.items()}
     maps = {}
     for a in q.arrows:
         s, t = q.source[a], q.target[a]
         if spaces.get(s) and spaces.get(t):
             # right action of a on Tr: Tr_t -> Tr_s; dualize to get s -> t
             cod_map = _sum_right_map(F, [r[1][a] for r in right1])
-            act = F.mul(proj[s], F.mul(cod_map, section[t]))
+            act = F.mul(quot[s][0], F.mul(cod_map, quot[t][1]))
             maps[a] = act.T % F.p
     return Representation(q, F, spaces, maps)
-
-
-def _proj_dim_at(algebra, v, w) -> int:
-    return len(algebra.basis_paths.get((v, w), ()))
 
 
 def _left_mult(algebra, element, path):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from tworay import homlab, vsc
 from tworay.field import PrimeField
 from tworay.homlab import ConsistencyError
@@ -28,7 +30,10 @@ def _guard_failures():
     basis of zero maps, a cover that drops a top generator, a Fitting
     decomposition whose kernel basis is lost, a charpoly claimed to be t^d
     for an element that is not nilpotent, a kernel whose arrow maps cannot
-    be solved for, and a Krull-Schmidt map that is declared singular."""
+    be solved for, a Krull-Schmidt map that is declared singular, a
+    presentation whose kernel K = ker h is taken to be all of P0 (not
+    arrow-stable), and one whose basis of K repeats its columns, so that
+    the P1 generators span less than K claims."""
     c = Ctx(SYSTEMS["fund21"])
     simple = lambda: c.modules.construct_M(c.calc.trivial("x:1:0"))
     R, a, b = simple(), simple(), simple()
@@ -37,6 +42,7 @@ def _guard_failures():
     factor_charpoly = homlab.factor_charpoly
     invertible_everywhere = homlab._invertible_everywhere
     string = c.modules.construct_M(c.calc.word(("alpha:1:1",)))
+    source_simple = c.modules.construct_M(c.calc.trivial("x:1:1"))
 
     def zero_r_to_a(X, Y):
         # measure_pattern solves each Hom system once per content pair, so
@@ -69,6 +75,13 @@ def _guard_failures():
         PrimeField.solve = solve
         homlab._invertible_everywhere = lambda F, M, N, f: False
         out.append(_raised(lambda: homlab.find_iso(ss, ss)))
+        homlab._invertible_everywhere = invertible_everywhere
+        PrimeField.null_space = lambda F, m: F.eye(m.shape[1])
+        out.append(_raised(lambda: homlab.minimal_presentation(
+            string, c.algebra)))
+        PrimeField.null_space = lambda F, m: np.hstack([null_space(F, m)] * 2)
+        out.append(_raised(lambda: homlab.minimal_presentation(
+            source_simple, c.algebra)))
     finally:
         vsc.hom_space, homlab.top_generators = hom_space, top_generators
         PrimeField.null_space, PrimeField.solve = null_space, solve
@@ -81,7 +94,9 @@ WANT = ["composite outside the span of Hom(R, v)",
         "cover map is not surjective", "Fitting decomposition failed",
         "charpoly (t-l)^d but shift not nilpotent",
         "kernel is not arrow-stable",
-        "Krull-Schmidt map is not an isomorphism"]
+        "Krull-Schmidt map is not an isomorphism",
+        "kernel is not arrow-stable",
+        "presentation does not cover the kernel"]
 
 
 def test_guards_raise():

@@ -13,7 +13,7 @@ from tworay import (StringWord, ar_translate, hom_basis,
 from tworay import homlab
 from tworay.field import PrimeField
 from tworay.homlab import (ArVerifier, IndecVerdict, NotRealizable,
-                           ProjectiveSummand, SesCandidate, complement_indices,
+                           ProjectiveSummand, SesCandidate, _quotients,
                            compose_maps, find_iso, is_intertwiner,
                            is_nilpotent, is_projective, total_matrix)
 from tworay.string_modules import Representation, zero_representation
@@ -708,7 +708,9 @@ def test_hom_sweep_matches_dense(case):
 
 @settings(max_examples=100, deadline=None)
 @given(_systems())
-def test_complement_indices_match_greedy_extension(system):
+def test_quotients_match_greedy_extension(system):
+    """The section of ``_quotients`` spans the unit vectors e_i that extend
+    the column space, taken greedily."""
     F, dense, _ = system
     img = F.column_space(dense)
     n = dense.shape[0]
@@ -719,7 +721,67 @@ def test_complement_indices_match_greedy_extension(system):
         if F.rank(np.hstack([cur, e])) > cur.shape[1]:
             greedy.append(i)
             cur = np.hstack([cur, e])
-    assert complement_indices(F, img) == greedy
+    _, section = _quotients(F, {"v": img})["v"]
+    assert section.shape == (n, len(greedy))
+    assert np.array_equal(section, F.eye(n)[:, greedy])
+
+
+@st.composite
+def _matrix_batches(draw):
+    """(field, list of matrices) over one field: random sparse or dense
+    matrices with zero, empty and full-rank ones mixed in."""
+    F = PrimeField(draw(st.sampled_from(_PRIMES)))
+    mats = []
+    for _ in range(draw(st.integers(0, 5))):
+        n, k = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        kind = draw(st.sampled_from(("random", "zero", "full")))
+        if kind == "zero":
+            mats.append(F.zeros(n, k))
+        elif kind == "full":  # rank min(n, k): an identity, scrambled
+            a = F.eye(max(n, k))[:n, :k]
+            mixer = np.triu(np.ones((n, n), dtype=np.int64))
+            mats.append(F.mul(mixer, a) if n and k else a)
+        else:
+            keep = draw(st.integers(1, 4))
+            mats.append(np.array(
+                [[draw(st.integers(0, F.p - 1))
+                  if draw(st.integers(1, keep)) == 1 else 0
+                  for _ in range(k)] for _ in range(n)],
+                dtype=np.int64).reshape(n, k))
+    return F, mats
+
+
+def _edge_batch(p):
+    """Zero, empty and full-rank blocks side by side, and a random one."""
+    F = PrimeField(p)
+    rand = np.array([[1, 0, p - 1], [2 % p, 0, 1], [0, 0, 0]], dtype=np.int64)
+    return F, [F.zeros(3, 2), F.zeros(0, 3), F.zeros(2, 0), F.zeros(0, 0),
+               F.eye(3), rand, F.eye(4)[:, :2]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrix_batches())
+@example(_edge_batch(2))
+@example(_edge_batch(3))
+@example(_edge_batch(32003))
+def test_quotients_match_per_matrix_reference(batch):
+    """One batched elimination gives every matrix its own quotient: the
+    projection is the reference Gauss-Jordan RREF of [a | I] past rank a,
+    read in the identity columns, the section the unit vectors at its
+    pivots there; proj a = 0 and proj section = I."""
+    F, mats = batch
+    got = _quotients(F, dict(enumerate(mats)))
+    assert list(got) == list(range(len(mats)))
+    for key, a in enumerate(mats):
+        n, k = a.shape
+        m, pivots = _gauss_jordan(F, np.hstack([a, F.eye(n)]))
+        rank = sum(c < k for c in pivots)
+        chosen = [c - k for c in pivots[rank:]]
+        proj, section = got[key]
+        assert np.array_equal(proj, m[rank:n, k:])
+        assert np.array_equal(section, F.eye(n)[:, chosen])
+        assert F.is_zero(F.mul(proj, a))
+        assert np.array_equal(F.mul(proj, section), F.eye(len(chosen)))
 
 
 # -- deterministic isomorphism ---------------------------------------------------

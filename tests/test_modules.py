@@ -247,7 +247,9 @@ def test_check_relations_matches_all_vertex_evaluation(name):
                 rep.maps[a] = kept
             assert _same_violations(got, want), (rep, a)
             for rel, _ in want:
-                kinds.add(any(rep.acts_as_zero(path) for _, path in rel.terms))
+                support = set(rep.support_arrows)
+                kinds.add(any(not support.issuperset(path)
+                              for _, path in rel.terms))
     if c.relations:
         assert False in kinds
     if any(len(rel.terms) > 1 for rel in c.relations):

@@ -1,0 +1,144 @@
+"""DTr from one projective cover against the two-cover construction.
+
+``_two_cover_translate`` is the construction the package used before it read
+the P1 generators from K = ker h directly: it builds K as a module
+(``kernel_rep``), covers it a second time, and composes the inclusion with
+that cover to get d: P1 -> P0.  Its covers take rad M as a column space and
+the top generators as the unit vectors outside it, one elimination each, and
+its quotients take one elimination per vertex."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from tworay import ar_translate, is_isomorphic
+from tworay.homlab import (_left_mult, _sum_right_map, compose_maps,
+                           is_projective, kernel_rep, minimal_presentation)
+from tworay.string_modules import Representation
+
+from conftest import SYSTEMS, ctx
+
+
+def _quotient(F, a):
+    n, k = a.shape
+    m, pivots = F.rref(np.hstack([a, F.eye(n)]))
+    rank = sum(c < k for c in pivots)
+    chosen = [c - k for c in pivots[rank:]]
+    section = F.zeros(n, len(chosen))
+    section[chosen, range(len(chosen))] = 1
+    return m[rank:, k:], section
+
+
+def _cover(M, algebra):
+    F, q = M.field, M.quiver
+    summands = []
+    for v in q.vertices:
+        if not M.dim(v):
+            continue
+        imgs = [M.maps[a] for a in q.in_arrows[v] if M.dim(q.source[a])]
+        rad = (F.column_space(np.hstack(imgs)) if imgs
+               else F.zeros(M.dim(v), 0))
+        _, section = _quotient(F, rad)
+        summands += [(v, section[:, [j]]) for j in range(section.shape[1])]
+    reps = [algebra.projective_module(v) for v, _ in summands]
+    P = reps[0]
+    for rep in reps[1:]:
+        P = P.direct_sum(rep)
+    h = {v: F.zeros(M.dim(v), P.dim(v)) for v in q.vertices}
+    offset = dict.fromkeys(q.vertices, 0)
+    for (v, x), rep in zip(summands, reps):
+        for w in M.support:
+            for k, path in enumerate(algebra.basis_paths.get((v, w), [])):
+                y = x
+                for a in reversed(path[1]):  # path[1][-1] acts first
+                    y = F.mul(M.maps[a], y)
+                h[w][:, offset[w] + k] = y[:, 0]
+            offset[w] += rep.dim(w)
+    assert all(F.rank(h[v]) == M.dim(v) for v in M.support)
+    return P, h, summands
+
+
+def _two_cover_translate(M, algebra):
+    """(DTr M or None for a projective M, the vertices of the P1 summands)."""
+    F, q = M.field, M.quiver
+    P0, h, gens0 = _cover(M, algebra)
+    K, incl = kernel_rep(P0, M, h)
+    if K.is_zero():
+        return None, []
+    _, h1, gens1 = _cover(K, algebra)
+    d = compose_maps(F, incl, h1)
+    right0 = [algebra.right_projective(v) for v, _ in gens0]
+    right1 = [algebra.right_projective(u) for u, _ in gens1]
+    # the column of each P1 generator in d, and each P0 summand's first row
+    cols, col_offset = [], dict.fromkeys(q.vertices, 0)
+    for u, _ in gens1:
+        cols.append(col_offset[u] + algebra.basis_paths[u, u].index((u, (), u)))
+        for w in q.vertices:
+            col_offset[w] += len(algebra.basis_paths.get((u, w), ()))
+    rows, row_offset = [], dict.fromkeys(q.vertices, 0)
+    for v, _ in gens0:
+        rows.append(dict(row_offset))
+        for w in q.vertices:
+            row_offset[w] += len(algebra.basis_paths.get((v, w), ()))
+    comp = [[{p: int(d[u][rows[i][u] + k, col])
+              for k, p in enumerate(algebra.basis_paths.get((v, u), []))
+              if d[u][rows[i][u] + k, col]}
+             for i, (v, _) in enumerate(gens0)]
+            for (u, _), col in zip(gens1, cols)]
+    spaces, quot = {}, {}
+    for w in q.vertices:
+        n_cod = sum(r[0][w] for r in right1)
+        if not n_cod:
+            continue
+        dmat = F.zeros(n_cod, sum(r[0][w] for r in right0))
+        roff = 0
+        for j, r1 in enumerate(right1):
+            coff = 0
+            for i, r0 in enumerate(right0):
+                for col, p in enumerate(r0[2][w]):
+                    for rpath, cf in _left_mult(algebra, comp[j][i], p).items():
+                        dmat[roff + r1[3][w][rpath], coff + col] += cf
+                coff += r0[0][w]
+            roff += r1[0][w]
+        quot[w] = _quotient(F, dmat % F.p)
+        spaces[w] = tuple(("d", i) for i in range(quot[w][1].shape[1]))
+    maps = {}
+    for a in q.arrows:
+        s, t = q.source[a], q.target[a]
+        if spaces.get(s) and spaces.get(t):
+            cod_map = _sum_right_map(F, [r[1][a] for r in right1])
+            maps[a] = F.mul(quot[s][0], F.mul(cod_map, quot[t][1])).T
+    return Representation(q, F, spaces, maps), [u for u, _ in gens1]
+
+
+def _check(M, algebra):
+    """Returns whether M is projective, after comparing with the oracle."""
+    want, want_gens = _two_cover_translate(M, algebra)
+    assert is_projective(M, algebra) == (want is None)
+    gens1 = minimal_presentation(M, algebra)[3]
+    assert Counter(u for u, _ in gens1) == Counter(want_gens)
+    if want is not None:
+        got = ar_translate(M, algebra)
+        assert got.dims == want.dims
+        assert is_isomorphic(got, want).isomorphic
+    return want is None
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_translate_matches_two_cover_reference(name):
+    c = ctx(name)
+    projective = [_check(e.rep, c.algebra)
+                  for e in c.modules.theorem_inventory(8)]
+    assert not all(projective)
+
+
+@pytest.mark.parametrize("name", ("fund21", "tsys", "ex14"))
+def test_translate_of_sums_matches_two_cover_reference(name):
+    c = ctx(name)
+    inv = c.modules.theorem_inventory(6)
+    plain = [e.rep for e in inv if not is_projective(e.rep, c.algebra)]
+    proj = c.algebra.projective_module(c.quiver.vertices[0])
+    sums = [plain[0].direct_sum(plain[-1]), plain[1].direct_sum(plain[1]),
+            proj.direct_sum(plain[2]), proj.direct_sum(proj)]
+    assert [_check(M, c.algebra) for M in sums] == [False] * 3 + [True]
