@@ -214,8 +214,8 @@ class AlgebraBasis:
     def projective_module(self, v: str):
         """Indecomposable projective P(v) = A e_v as a representation.
 
-        Built once per vertex and shared by every caller, so its arrow maps
-        are read-only."""
+        Built once per vertex and shared by every caller; like every
+        module's, its arrow maps are read-only."""
         P = self._projectives.get(v)
         if P is not None:
             return P
@@ -243,8 +243,6 @@ class AlgebraBasis:
                     m[pos[t][r], col] = cf
             maps[a] = m
         P = Representation(q, F, spaces, maps)
-        for a in P.support_arrows:  # the others are shared zero-size blocks
-            P.maps[a].flags.writeable = False
         self._projectives[v] = P
         return P
 

@@ -120,18 +120,26 @@ class PrimeField:
 
     def null_space(self, a: np.ndarray) -> np.ndarray:
         """Columns form a basis of the right kernel of ``a``."""
-        rows, cols = a.shape
-        if cols == 0:
+        if a.shape[1] == 0:
             return self.zeros(0, 0)
-        if rows == 0:
-            return self.eye(cols)
-        m, pivots = self.rref(a)
-        free = [c for c in range(cols) if c not in pivots]
+        return self.null_space_from_rref(self._pivot_rows(a)[1].items(),
+                                         a.shape[1])
+
+    def null_space_from_rref(self, pivot_rows, cols: int) -> np.ndarray:
+        """The kernel basis of a ``cols``-column matrix, as columns, read from
+        its RREF rows: a collection of pairs (pivot, {column: coefficient})
+        that can be iterated twice.  One vector per free column f, 1 at f
+        and minus the row's entry at f at each pivot."""
+        pivots = {pc for pc, _ in pivot_rows}
+        free = {c: k for k, c in enumerate(
+            c for c in range(cols) if c not in pivots)}
         basis = self.zeros(cols, len(free))
-        for k, fc in enumerate(free):
-            basis[fc, k] = 1
-            for r, pc in enumerate(pivots):
-                basis[pc, k] = (-m[r, fc]) % self.p
+        for c, k in free.items():
+            basis[c, k] = 1
+        for pc, row in pivot_rows:
+            for c, x in row.items():
+                if c != pc:
+                    basis[pc, free[c]] = -x % self.p
         return basis
 
     def rref_sparse(self, rows):

@@ -56,7 +56,14 @@ the r f, and ``vsc.measure_pattern`` the composites and their coordinates.
 the array, for the callers that compose or invert single maps:
 ``find_iso``, ``realize_ses`` and the Krull-Schmidt route.
 
-Isomorphism is decided without random numbers.  ``find_iso`` first returns
+Isomorphism is decided without random numbers.  Two invariants settle most
+pairs with equal dimension vectors before any Hom system is solved: dim
+End(M), and the ranks of the arrow maps of M on its support (an isomorphism
+g turns M_a into g_t M_a g_s^-1).  Both are read from the module's maps,
+never from its key, and they are used only once recorded: dim End(M) when
+``is_indecomposable`` has solved End(M), the ranks on first use after that.
+A module without a recorded dim End takes the Hom route below, and no
+invariant is solved for on its behalf.  Otherwise ``find_iso`` first returns
 the first Hom(M, N) basis element f_i that is invertible at every vertex.
 When End(N) is LOCAL that scan is complete: if h = sum c_i f_i is an
 isomorphism with inverse sum d_j g_j, then id = sum c_i d_j f_i g_j, so some
@@ -78,7 +85,8 @@ P1 --d--> P0 --h--> M -> 0 (Auslander-Reiten-Smalo, Ch. IV), built from one
 projective cover.  The cover h sends one summand P(v) of P0 to each top
 generator x of M at v, a unit vector of M_v outside rad M_v (the span of
 the arrow images into v), and the basis path p of that summand to p x.
-K = ker h is kept in P0 coordinates, K_u the null space of h_u.  It is a
+K = ker h is kept in P0 coordinates, K_u the null space of h_u, read from
+the RREF of h_u that the cover takes to check that h is onto.  It is a
 submodule, so rad K_u is the span of the P0_a K_s over the arrows a: s -> u,
 and the columns of K_u that are pivots of [rad K_u | K_u] are a basis of
 (K / rad K)_u.  They are the P1 generators: each is a vector of P0_u, the
@@ -89,8 +97,9 @@ this saves: h vanishes on every P0_a K_s, and the images of the generators
 under the basis paths span K at every vertex (Nakayama's lemma says they
 must).
 
-Each elimination a module needs at its vertices, for the cokernels, the top
-generators, the P1 generators and the rank checks, is one ``rref_sparse``
+Each elimination a module needs at its vertices or arrows, for the
+cokernels, the top generators, the cover's rank check and kernel, the P1
+generators and the arrow ranks of ``find_iso``, is one ``rref_sparse``
 call with the matrices of all vertices in disjoint columns
 (``_reduce_blocks``): no row mixes two vertices, so every vertex gets its
 own RREF.
@@ -293,6 +302,16 @@ def _hom_kernel(M: Representation, N: Representation, blocks,
     return np.array(kernel, dtype=np.int64).reshape(-1, total)
 
 
+def _check_pair(M: Representation, N: Representation):
+    """ValueError unless M and N are modules over one field and quiver."""
+    F, q, qn = M.field, M.quiver, N.quiver
+    if F != N.field:
+        raise ValueError(f"modules over different fields: {F}, {N.field}")
+    if q is not qn and (q.vertices, q.source, q.target) != (
+            qn.vertices, qn.source, qn.target):
+        raise ValueError("modules over different quivers")
+
+
 def hom_space(M: Representation, N: Representation):
     """Hom(M, N) as one array: (kernel, blocks).
 
@@ -300,12 +319,7 @@ def hom_space(M: Representation, N: Representation):
     ``_hom_kernel``, one basis map per row; ``blocks`` maps each vertex v of
     the common support to (offset, dim N_v, dim M_v), and row i holds
     vec_col(f_v) at that offset.  Off the common support every f_v is 0."""
-    F, q, qn = M.field, M.quiver, N.quiver
-    if F != N.field:
-        raise ValueError(f"modules over different fields: {F}, {N.field}")
-    if q is not qn and (q.vertices, q.source, q.target) != (
-            qn.vertices, qn.source, qn.target):
-        raise ValueError("modules over different quivers")
+    _check_pair(M, N)
     blocks, total = _hom_unknowns(M, N)
     kernel = (_hom_kernel(M, N, blocks, total) if total
               else np.zeros((0, 0), dtype=np.int64))
@@ -683,7 +697,9 @@ def is_indecomposable(M: Representation, end_basis=None) -> IndecVerdict:
     """Certify End(M) = k . id + nilpotents, or exhibit an idempotent.
 
     End(M) is read as the kernel array of ``hom_space(M, M)``, or packed
-    from ``end_basis`` when one is given.  dim End(M) = 1 is LOCAL, and
+    from ``end_basis`` when one is given.  A solved End(M) leaves its
+    dimension on the module as ``M.end_dim``, for ``find_iso``; a given
+    ``end_basis`` is not trusted with that.  dim End(M) = 1 is LOCAL, and
     when p > dim M the trace form decides LOCAL (Dickson, see the module
     docstring); only a module these leave open is unpacked into maps for
     ``_certify``.
@@ -697,6 +713,7 @@ def is_indecomposable(M: Representation, end_basis=None) -> IndecVerdict:
         raise ValueError("the zero module is neither")
     if end_basis is None:
         kernel, blocks = hom_space(M, M)
+        M.end_dim = len(kernel)
     else:
         blocks, _ = _hom_unknowns(M, M)
         kernel = np.hstack([np.array([f[v].T for f in end_basis])
@@ -728,6 +745,16 @@ def _invertible_everywhere(F, M, N, f) -> bool:
     return all(F.rank(f[v]) == M.dim(v) for v in M.support)
 
 
+def _arrow_ranks(M: Representation) -> tuple:
+    """The ranks of the support-arrow maps of M, in ``support_arrows``
+    order, from one elimination; computed once and kept on the module."""
+    if M.arrow_ranks is None:
+        reduced = _reduce_blocks(M.field,
+                                 {a: M.maps[a] for a in M.support_arrows})
+        M.arrow_ranks = tuple(len(rows) for rows in reduced.values())
+    return M.arrow_ranks
+
+
 def find_iso(M: Representation, N: Representation, local: bool = False):
     """An explicit isomorphism M -> N, or None if M and N are not isomorphic.
 
@@ -735,11 +762,19 @@ def find_iso(M: Representation, N: Representation, local: bool = False):
     enough.  Then a failed basis scan answers "not isomorphic".  Without it,
     N is split into LOCAL summands (Krull-Schmidt), which raises ValueError
     on a summand that is not LOCAL over the working field.
+
+    When both modules carry a recorded dim End (``is_indecomposable`` has
+    solved it), M and N with different dim End or different arrow-map ranks
+    are not isomorphic, and no Hom system is solved.
     """
     if M.dims != N.dims:
         return None
     if M.is_zero():
         return zero_map(M, N)
+    _check_pair(M, N)
+    if M.end_dim is not None and N.end_dim is not None and (
+            M.end_dim != N.end_dim or _arrow_ranks(M) != _arrow_ranks(N)):
+        return None
     F = M.field
     basis = hom_basis(M, N)
     for f in basis:
@@ -1045,11 +1080,13 @@ def _path_images(M: Representation, algebra, v, vecs) -> dict:
 
 
 def projective_cover(M: Representation, algebra):
-    """(P, h, summands) with h: P -> M a projective cover.
+    """(P, h, summands, kernel) with h: P -> M a projective cover.
 
     P is the sum of one P(v) per top generator x of M at v, in vertex
     order, and ``summands`` lists these (v, x); h sends the basis path p of
-    that summand to p x."""
+    that summand to p x.  ``kernel`` holds K_v = ker h_v, in P coordinates,
+    at each vertex where it is not 0, read from the same RREF of the h_v as
+    the check that h is onto."""
     F, q = M.field, M.quiver
     gens = top_generators(M)
     summands = [(v, x) for v in q.vertices for x in gens[v]]
@@ -1067,10 +1104,16 @@ def projective_cover(M: Representation, algebra):
                 stack.transpose(1, 2, 0).reshape(rows, n * k))
             offset[w] += n * k
     # covers are epi: rank h_v = dim M_v
-    reduced = _reduce_blocks(F, {v: h[v] for v in M.support})
+    reduced = _reduce_blocks(F, {v: h[v] for v in q.vertices
+                                 if M.dim(v) or P.dim(v)})
     if any(len(rows) != M.dim(v) for v, rows in reduced.items()):
         raise ConsistencyError("cover map is not surjective")
-    return P, h, summands
+    kernel = {}
+    for v, rows in reduced.items():
+        k = F.null_space_from_rref(rows, P.dim(v))
+        if k.shape[1]:
+            kernel[v] = k
+    return P, h, summands, kernel
 
 
 def minimal_presentation(M: Representation, algebra):
@@ -1083,12 +1126,7 @@ def minimal_presentation(M: Representation, algebra):
     P0 coordinates, as in the module docstring; M is projective iff gens1
     is empty."""
     F, q = M.field, M.quiver
-    P0, h, gens0 = projective_cover(M, algebra)
-    kernel = {}
-    for u in P0.support:
-        k = F.null_space(h[u])
-        if k.shape[1]:
-            kernel[u] = k
+    P0, h, gens0, kernel = projective_cover(M, algebra)
     # [rad K_u | K_u], rad K_u spanned by the P0_a K_s over the arrows
     # a: s -> u; h_u must vanish on all of it
     blocks = {}

@@ -67,10 +67,16 @@ class Representation:
     map has a zero-size side and is stored as the shared
     ``zero_size_block``, and a path through a vertex outside the support
     acts as 0, so loops over a module visit only its support.
+
+    The support-arrow maps are read-only, so two isomorphism invariants can
+    be recorded on the module without going stale: ``end_dim``, dim End(M),
+    set by ``homlab.is_indecomposable`` when it solves End(M), and
+    ``arrow_ranks``, the ranks of the support-arrow maps in that order, set
+    by ``homlab.find_iso`` when it first compares them.  Both start as None.
     """
 
     __slots__ = ("quiver", "field", "spaces", "dims", "support",
-                 "support_arrows", "maps")
+                 "support_arrows", "maps", "end_dim", "arrow_ranks")
 
     def __init__(self, quiver: Quiver, field, spaces, maps):
         self.quiver = quiver
@@ -92,10 +98,12 @@ class Representation:
                 support_arrows.append(a)
                 if m is None:
                     m = field.zeros(rows, cols)
+                m.flags.writeable = False
             else:
                 m = zero_size_block(rows, cols)
             self.maps[a] = m
         self.support_arrows = tuple(support_arrows)
+        self.end_dim = self.arrow_ranks = None
         for v in self.support:
             labels = self.spaces[v]
             if len(set(labels)) != len(labels):
@@ -143,12 +151,16 @@ def direct_sum_of(quiver: Quiver, field, reps) -> Representation:
 
     The block-diagonal sum is built in one pass, with the labels of the left
     fold of ``direct_sum``: the last of n summands is tagged ("R",), the one
-    before ("L", "R"), and so on, and the first ("L",) * (n - 1)."""
+    before ("L", "R"), and so on, and the first ("L",) * (n - 1).  One
+    summand has the empty tag, so its labels and maps are the sum's, and it
+    is returned itself."""
     if not reps:
         return zero_representation(quiver, field)
     if any(r.quiver is not quiver or r.field != field for r in reps):
         raise ValueError("direct sum over different quivers or fields")
     n = len(reps)
+    if n == 1:
+        return reps[0]
     tags = [("L",) * (n - 1)] + [("L",) * (n - 1 - i) + ("R",)
                                  for i in range(1, n)]
     spaces = {v: tuple(tag + l for tag, r in zip(tags, reps)

@@ -39,6 +39,7 @@ def _guard_failures():
     R, a, b = simple(), simple(), simple()
     hom_space, top_generators = vsc.hom_space, homlab.top_generators
     null_space, solve = PrimeField.null_space, PrimeField.solve
+    null_space_from_rref = PrimeField.null_space_from_rref
     factor_charpoly = homlab.factor_charpoly
     invertible_everywhere = homlab._invertible_everywhere
     string = c.modules.construct_M(c.calc.word(("alpha:1:1",)))
@@ -76,10 +77,11 @@ def _guard_failures():
         homlab._invertible_everywhere = lambda F, M, N, f: False
         out.append(_raised(lambda: homlab.find_iso(ss, ss)))
         homlab._invertible_everywhere = invertible_everywhere
-        PrimeField.null_space = lambda F, m: F.eye(m.shape[1])
+        PrimeField.null_space_from_rref = lambda F, rows, n: F.eye(n)
         out.append(_raised(lambda: homlab.minimal_presentation(
             string, c.algebra)))
-        PrimeField.null_space = lambda F, m: np.hstack([null_space(F, m)] * 2)
+        PrimeField.null_space_from_rref = lambda F, rows, n: np.hstack(
+            [null_space_from_rref(F, rows, n)] * 2)
         out.append(_raised(lambda: homlab.minimal_presentation(
             source_simple, c.algebra)))
     finally:
@@ -87,6 +89,7 @@ def _guard_failures():
         PrimeField.null_space, PrimeField.solve = null_space, solve
         homlab.factor_charpoly = factor_charpoly
         homlab._invertible_everywhere = invertible_everywhere
+        PrimeField.null_space_from_rref = null_space_from_rref
     return out
 
 

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tworay import (StringWord, ar_translate, hom_basis,
@@ -918,6 +918,123 @@ def test_isomorphism_draws_no_random_numbers(monkeypatch, fund21, tsys):
         assert is_isomorphic(M, N).isomorphic == want
     report = ArVerifier(tsys.modules, tsys.algebra).verify(10)
     assert report["failures"] == [] and report["rows_checked"] > 0
+
+
+# -- isomorphism invariants -------------------------------------------------------
+
+
+@st.composite
+def _loop_conjugates(draw):
+    """(M, N) over ``_LoopQuiver`` with N_a = g_t M_a g_s^-1 for a random
+    invertible g_v = (row permutation of a unit lower triangular) @ upper
+    triangular with a nonzero diagonal, at every vertex."""
+    F = PrimeField(draw(st.sampled_from(_PRIMES)))
+    M = draw(_loop_reps(F))
+    units = st.integers(1, F.p - 1)
+    g = {}
+    for v, d in zip(_LOOP_QUIVER.vertices, M.dims):
+        lower, upper = (np.array([draw(st.integers(0, F.p - 1))
+                                  for _ in range(d * d)],
+                                 dtype=np.int64).reshape(d, d)
+                        for _ in range(2))
+        diag = np.diag([draw(units) for _ in range(d)]).astype(np.int64)
+        perm = draw(st.permutations(range(d)))
+        g[v] = ((np.tril(lower, -1) + F.eye(d))[perm] @
+                (np.triu(upper, 1) + diag)) % F.p
+    q = _LOOP_QUIVER
+    maps = {a: F.mul(F.mul(g[q.target[a]], M.maps[a]),
+                     F.inv_matrix(g[q.source[a]]))
+            if M.maps[a].size else M.maps[a] for a in q.arrows}
+    return M, _loop_rep(F, M.dims, maps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_loop_conjugates())
+def test_recorded_invariants_agree_on_isomorphic_modules(case):
+    """Once End is solved on both sides, isomorphic modules carry the same
+    dim End and arrow ranks, so ``find_iso`` goes on to the Hom scan and
+    returns an isomorphism."""
+    M, N = case
+    assume(not M.is_zero())
+    verdicts = [is_indecomposable(X) for X in (M, N)]
+    assert M.end_dim == N.end_dim == len(hom_basis(M, M))
+    assert homlab._arrow_ranks(M) == homlab._arrow_ranks(N) == tuple(
+        M.field.rank(M.maps[a]) for a in M.support_arrows)
+    local = verdicts[0].status == IndecVerdict.LOCAL
+    assert verdicts[1].status == verdicts[0].status
+    try:
+        f = find_iso(M, N, local=local)
+    except ValueError as exc:
+        # a summand with End/rad larger than GF(p): Krull-Schmidt over GF(p)
+        # does not decide, with or without the invariants
+        assert not local and "Krull-Schmidt" in str(exc)
+        return
+    assert f is not None
+    _assert_isomorphism(M, N, f)
+
+
+def test_invariants_settle_inventory_pairs_as_the_hom_scan(monkeypatch):
+    """On every same-dimension pair of the bound-8 inventories of the eight
+    systems, once each entry is certified, ``find_iso`` agrees with a full
+    scan of the Hom(M, N) basis for a map invertible at every vertex, and
+    solves no Hom system for a pair whose invariants differ.  Some pairs
+    are settled by dim End and some, with equal dim End, by the arrow
+    ranks alone."""
+    solved = []
+    real = homlab.hom_basis
+    monkeypatch.setattr(homlab, "hom_basis",
+                        lambda M, N: solved.append((M, N)) or real(M, N))
+    by_end = by_ranks = 0
+    for name in sorted(SYSTEMS):
+        c = ctx(name)
+        groups = {}
+        for e in c.modules.theorem_inventory(8):
+            assert is_indecomposable(e.rep).status == IndecVerdict.LOCAL
+            groups.setdefault(e.rep.dims, []).append(e.rep)
+        for reps in groups.values():
+            for k, M in enumerate(reps):
+                for N in reps[k + 1:]:
+                    F = M.field
+                    want = any(all(F.rank(f[v]) == M.dim(v)
+                                   for v in M.support)
+                               for f in real(M, N))
+                    ends = [len(real(X, X)) for X in (M, N)]
+                    ranks = [tuple(F.rank(X.maps[a])
+                                   for a in X.support_arrows)
+                             for X in (M, N)]
+                    assert [M.end_dim, N.end_dim] == ends
+                    settled = ends[0] != ends[1] or ranks[0] != ranks[1]
+                    by_end += ends[0] != ends[1]
+                    by_ranks += ends[0] == ends[1] and settled
+                    del solved[:]
+                    f = find_iso(M, N, local=True)
+                    assert (f is not None) == want, (name, M, N)
+                    assert solved == ([] if settled else [(M, N)])
+                    for X, r in zip((M, N), ranks):
+                        assert X.arrow_ranks in (None, r)
+                    if want:
+                        _assert_isomorphism(M, N, f)
+    assert by_end and by_ranks
+
+
+def test_fresh_modules_take_the_hom_route(fund21, monkeypatch):
+    """Without a recorded dim End on both sides no invariant is used or
+    solved for: ``find_iso`` solves Hom(M, N) and nothing else."""
+    sm, calc = fund21.modules, fund21.calc
+    a = sm.construct_M(calc.word(("alpha:1:1", "alpha:1:2")))
+    b = sm.construct_M(calc.word(("alpha:1:2", "beta:1:1")))
+    assert a.dims == b.dims
+    solved = []
+    real = homlab.hom_space
+    monkeypatch.setattr(homlab, "hom_space",
+                        lambda M, N: solved.append((M, N)) or real(M, N))
+    is_indecomposable(a)
+    assert solved == [(a, a)] and a.end_dim == 1
+    assert find_iso(a, b, local=True) is None
+    assert solved == [(a, a), (a, b)]
+    assert a.arrow_ranks is None and b.end_dim is None
+    is_indecomposable(b, hom_basis(b, b))  # a given basis is not recorded
+    assert b.end_dim is None
 
 
 # -- LOCAL certification by the radical flag -------------------------------------

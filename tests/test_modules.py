@@ -5,7 +5,8 @@ import pytest
 
 from tworay import EMPTY, StringWord, check_relations
 from tworay.string_modules import (LambdaZero, NotABand, NotAPair, NotInSx,
-                                   PrefixMissing, Representation)
+                                   PrefixMissing, Representation,
+                                   direct_sum_of)
 from tworay.strings import NotAString
 from tworay import homlab
 
@@ -328,6 +329,42 @@ def test_representation_rejects_bad_input(fund21):
     other = Representation(q, PrimeField(7), spaces, {})
     with pytest.raises(ValueError, match="different quivers or fields"):
         simple.direct_sum(other)
+
+
+def test_direct_sum_of_one_summand_is_itself(tsys):
+    # one summand has the empty tag; with more, the labels are those of the
+    # left fold of direct_sum, and the maps are block diagonal
+    q, F, sm = tsys.quiver, tsys.field, tsys.modules
+    a = sm.construct_Qband("x:1:2", 1)
+    b = sm.construct_M(tsys.calc.mu("x:1:2"))
+    assert direct_sum_of(q, F, [a]) is a
+    ab = direct_sum_of(q, F, [a, b])
+    for v in q.vertices:
+        assert ab.spaces[v] == (tuple(("L",) + l for l in a.spaces[v])
+                                + tuple(("R",) + l for l in b.spaces[v]))
+    aba = direct_sum_of(q, F, [a, b, a])
+    fold = ab.direct_sum(a)
+    assert aba.spaces == fold.spaces and aba.spaces["x:1:2"][0][:2] == (
+        "L", "L")
+    for x in q.arrows:
+        assert np.array_equal(aba.maps[x], fold.maps[x])
+        assert np.array_equal(ab.maps[x][:a.dim(q.target[x]),
+                                         :a.dim(q.source[x])], a.maps[x])
+
+
+def test_support_arrow_maps_are_read_only(tsys):
+    # invariants recorded on a module cannot go stale under it; the
+    # caller's own matrices stay writeable
+    rep = tsys.modules.construct_Qband("x:1:2", 2)
+    assert rep.support_arrows
+    for a in rep.support_arrows:
+        with pytest.raises(ValueError, match="read-only"):
+            rep.maps[a][0, 0] = 1
+    given = {a: rep.maps[a].copy() for a in rep.support_arrows}
+    copy = Representation(rep.quiver, rep.field, rep.spaces, given)
+    for a in copy.support_arrows:
+        assert not copy.maps[a].flags.writeable
+        given[a][0, 0] += 1
 
 
 def test_basis_label_order(tsys):
