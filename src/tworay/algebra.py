@@ -12,7 +12,7 @@ the trivial path at v is (v, (), v).
 
 import numpy as np
 
-from .field import DEFAULT_PRIME, PrimeField
+from .field import DEFAULT_PRIME, PrimeField, RationalField
 from .quiver import Quiver
 
 
@@ -282,29 +282,13 @@ class AlgebraBasis:
         return C
 
     def coxeter_matrix(self) -> np.ndarray:
-        """Integer matrix sending dim M to dim DTr M for hereditary A."""
-        from fractions import Fraction
-
+        """Integer matrix sending dim M to dim DTr M for hereditary A: phi =
+        -C^T C^-1, with C^-1 read from the RREF of [C | I] over QQ."""
         C = self.cartan_matrix()
         n = C.shape[0]
-        aug = [[Fraction(int(C[i, j])) for j in range(n)]
-               + [Fraction(1 if j == i else 0) for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        Cinv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-        phi = [[-sum(Fraction(int(C[k, i])) * Cinv[k][j] for k in range(n))
-                for j in range(n)] for i in range(n)]
-        out = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                assert phi[i][j].denominator == 1, "Coxeter matrix not integral"
-                out[i, j] = int(phi[i][j])
-        return out
+        QQ = RationalField()
+        reduced, _ = QQ.rref(np.hstack([QQ.mat(C), QQ.eye(n)]))
+        phi = -QQ.mul(QQ.mat(C.T), reduced[:, n:])
+        if any(x.denominator != 1 for x in phi.reshape(-1)):
+            raise ValueError("Coxeter matrix not integral")
+        return phi.astype(np.int64)

@@ -70,15 +70,20 @@ isomorphism with inverse sum d_j g_j, then id = sum c_i d_j f_i g_j, so some
 f_i g_j is a unit of the local ring End(N), f_i is split epi, and with equal
 dimension vectors f_i is an isomorphism; the same holds with End(M) LOCAL
 and g_j f_i (Auslander-Reiten-Smalo, Representation Theory of Artin
-Algebras, 1995).  Without a LOCAL certificate, N is split into LOCAL
-summands on the idempotents ``is_indecomposable`` exhibits, and the summands
-are grouped up to isomorphism.  For a group of m copies of Z with End(Z)/rad
-= k, the pairing Hom(Z, M) x Hom(M, Z) -> k that sends (g, f) to the single
-eigenvalue of f g has rank the multiplicity of Z in M, so M = N iff every
-group's pairing has rank >= m.  Then m independent columns f_1, ..., f_m,
-each sent onto one copy of Z in N, make M -> N split epi on every group;
-maps between non-isomorphic summands lie in the radical, so the sum over
-the groups is an isomorphism, and it is checked before it is returned.
+Algebras, 1995).  LOCAL is read from the modules themselves, never promised
+by a caller: ``is_indecomposable`` records its verdict on the module, and
+after a failed scan ``find_iso`` answers "not isomorphic" when M or N
+carries a LOCAL verdict.  Otherwise it certifies N, once, and a LOCAL N
+again ends the search.  Only a certified N that is not LOCAL is split into
+LOCAL summands on the idempotents ``is_indecomposable`` exhibits, and the
+summands are grouped up to isomorphism.  For a group of m copies of Z with
+End(Z)/rad = k, the pairing Hom(Z, M) x Hom(M, Z) -> k that sends (g, f)
+to the single eigenvalue of f g has rank the multiplicity of Z in M, so
+M = N iff every group's pairing has rank >= m.  Then m independent columns
+f_1, ..., f_m, each sent onto one copy of Z in N, make M -> N split epi on
+every group; maps between non-isomorphic summands lie in the radical, so
+the sum over the groups is an isomorphism, and it is checked before it is
+returned.
 
 The AR translate DTr M is read from a minimal projective presentation
 P1 --d--> P0 --h--> M -> 0 (Auslander-Reiten-Smalo, Ch. IV), built from one
@@ -697,9 +702,11 @@ def is_indecomposable(M: Representation, end_basis=None) -> IndecVerdict:
     """Certify End(M) = k . id + nilpotents, or exhibit an idempotent.
 
     End(M) is read as the kernel array of ``hom_space(M, M)``, or packed
-    from ``end_basis`` when one is given.  A solved End(M) leaves its
-    dimension on the module as ``M.end_dim``, for ``find_iso``; a given
-    ``end_basis`` is not trusted with that.  dim End(M) = 1 is LOCAL, and
+    from ``end_basis`` when one is given.  A solved End(M) leaves the
+    verdict on the module as ``M.indec`` and its dimension as
+    ``M.end_dim``, for ``find_iso``, and a later call returns the recorded
+    verdict; a given ``end_basis`` is not trusted with either, and is
+    always certified afresh.  dim End(M) = 1 is LOCAL, and
     when p > dim M the trace form decides LOCAL (Dickson, see the module
     docstring); only a module these leave open is unpacked into maps for
     ``_certify``.
@@ -711,20 +718,25 @@ def is_indecomposable(M: Representation, end_basis=None) -> IndecVerdict:
     """
     if M.is_zero():
         raise ValueError("the zero module is neither")
-    if end_basis is None:
-        kernel, blocks = hom_space(M, M)
-        M.end_dim = len(kernel)
-    else:
+    given = end_basis is not None
+    if not given and M.indec is not None:
+        return M.indec
+    if given:
         blocks, _ = _hom_unknowns(M, M)
         kernel = np.hstack([np.array([f[v].T for f in end_basis])
                             .reshape(len(end_basis), -1)
                             for v in blocks]) % M.field.p
+    else:
+        kernel, blocks = hom_space(M, M)
     if len(kernel) == 1 or (M.field.p > M.total_dim
                             and _trace_form_rank(M, kernel, blocks) == 1):
-        return IndecVerdict(IndecVerdict.LOCAL)
-    if end_basis is None:
-        end_basis = _basis_maps(M, M, kernel, blocks)
-    return _certify(M, end_basis)
+        verdict = IndecVerdict(IndecVerdict.LOCAL)
+    else:
+        verdict = _certify(M, end_basis if given
+                           else _basis_maps(M, M, kernel, blocks))
+    if not given:
+        M.end_dim, M.indec = len(kernel), verdict
+    return verdict
 
 
 # -- isomorphism -----------------------------------------------------------------
@@ -755,17 +767,18 @@ def _arrow_ranks(M: Representation) -> tuple:
     return M.arrow_ranks
 
 
-def find_iso(M: Representation, N: Representation, local: bool = False):
+def find_iso(M: Representation, N: Representation):
     """An explicit isomorphism M -> N, or None if M and N are not isomorphic.
-
-    ``local`` asserts that End(M) or End(N) is certified LOCAL; one side is
-    enough.  Then a failed basis scan answers "not isomorphic".  Without it,
-    N is split into LOCAL summands (Krull-Schmidt), which raises ValueError
-    on a summand that is not LOCAL over the working field.
 
     When both modules carry a recorded dim End (``is_indecomposable`` has
     solved it), M and N with different dim End or different arrow-map ranks
-    are not isomorphic, and no Hom system is solved.
+    are not isomorphic, and no Hom system is solved.  Otherwise the Hom(M,
+    N) basis is scanned for a map invertible at every vertex.  A failed
+    scan answers "not isomorphic" when M or N carries a LOCAL verdict, or
+    when N, certified by ``is_indecomposable`` (once: the verdict is kept on
+    N), is LOCAL.  Only a certified N that is not LOCAL is split into LOCAL
+    summands (Krull-Schmidt), which raises ValueError on a summand that is
+    not LOCAL over the working field.
     """
     if M.dims != N.dims:
         return None
@@ -780,7 +793,8 @@ def find_iso(M: Representation, N: Representation, local: bool = False):
     for f in basis:
         if _invertible_everywhere(F, M, N, f):
             return f
-    if local or not basis:
+    if (not basis or M.indec == IndecVerdict.LOCAL
+            or is_indecomposable(N) == IndecVerdict.LOCAL):
         return None
     return _krull_schmidt_iso(M, N)
 
@@ -835,7 +849,7 @@ def _krull_schmidt_iso(M: Representation, N: Representation):
     groups = []  # (Z, embeddings Z -> N of the summands isomorphic to Z)
     for Z, incl in _local_summands(N):
         for rep, embeds in groups:
-            sigma = find_iso(rep, Z, local=True)
+            sigma = find_iso(rep, Z)
             if sigma is not None:
                 embeds.append(compose_maps(F, incl, sigma))
                 break
@@ -862,10 +876,14 @@ def is_isomorphic(M: Representation, N: Representation,
                   both_local=False) -> IsoVerdict:
     """Exact and deterministic; the certificate is the isomorphism.
 
-    ``both_local`` asserts a LOCAL certificate for End(M) or End(N) (one
-    side suffices) and passes it to ``find_iso`` as ``local``.
+    ``both_local`` claims that M or N (one side suffices) carries a LOCAL
+    verdict recorded by ``is_indecomposable``.  The claim is checked, and
+    ValueError raised when it does not hold; it never changes the answer,
+    which ``find_iso`` reads from the modules themselves.
     """
-    iso = find_iso(M, N, local=both_local)
+    if both_local and IndecVerdict.LOCAL not in (M.indec, N.indec):
+        raise ValueError("both_local: neither module carries a LOCAL verdict")
+    iso = find_iso(M, N)
     return IsoVerdict(iso is not None, iso)
 
 
@@ -976,13 +994,18 @@ class SesCandidate:
             l + r for l, r in zip(self.left.dims, self.right.dims))
 
 
-def realize_ses(cand: SesCandidate, right_local=True, tries=200) -> SesCandidate:
+_REALIZE_TRIES = 200
+
+
+def realize_ses(cand: SesCandidate) -> SesCandidate:
     """Find injective f and surjective g with coker(f) isomorphic to the right
     term; exactness then holds by construction.
 
-    ``right_local`` asserts that End(right term) is certified LOCAL; it is
-    passed to ``find_iso`` as ``local``.  The seeded combinations of the
-    Hom(left, middle) basis only choose which injection to try next.
+    Each cokernel is compared with the right term by ``find_iso``, which
+    reads a LOCAL right term from its recorded verdict, or certifies it on
+    the first miss.  The Hom(left, middle) basis is tried first, then
+    ``_REALIZE_TRIES`` seeded combinations of it; the seed only chooses
+    which injection to try next.
     """
     if not cand.dims_additive():
         raise NotRealizable("dimension vectors are not additive")
@@ -996,7 +1019,7 @@ def realize_ses(cand: SesCandidate, right_local=True, tries=200) -> SesCandidate
         if any(F.rank(f[v]) != X.dim(v) for v in X.support):
             return None
         Q, proj = cokernel_rep(X, E, f)
-        iso = find_iso(Q, Z, local=right_local)
+        iso = find_iso(Q, Z)
         if iso is None:
             return None
         return f, compose_maps(F, iso, proj)
@@ -1007,7 +1030,7 @@ def realize_ses(cand: SesCandidate, right_local=True, tries=200) -> SesCandidate
             cand.f, cand.g = got
             return cand
     rng = np.random.default_rng(40111)
-    for _ in range(tries):
+    for _ in range(_REALIZE_TRIES):
         coeffs = rng.integers(0, F.p, len(basis))
         f = {v: sum(int(c) * h[v] for c, h in zip(coeffs, basis)) % F.p
              for v in basis[0]}
@@ -1255,7 +1278,9 @@ class ArVerifier:
 
     Terms of the list are canonicalized to atoms (family tag + parameters);
     the degenerate pair conventions N(C, EMPTY), N(C, C), N(C, B_x C) expand
-    to direct sums during canonicalization.  Coverage then asserts that every
+    to direct sums during canonicalization.  The end terms of an
+    almost-split sequence are indecomposable, so a row whose left or right
+    term is not one atom is a row anomaly.  Coverage then asserts that every
     non-projective inventory entry is the right-hand term of exactly one row.
     """
 
@@ -1267,7 +1292,6 @@ class ArVerifier:
         self.algebra = algebra
         self.lams = band_parameters(self.field, lam_sample)
         self._rep_cache = {}
-        self._indec_cache = {}
         self._band_len = {name: b.length for name, b in self.calc.bands()}
         self._band_word = {name: b for name, b in self.calc.bands()}
 
@@ -1317,11 +1341,7 @@ class ArVerifier:
         return rep
 
     def atom_indec(self, atom):
-        v = self._indec_cache.get(atom)
-        if v is None:
-            v = is_indecomposable(self.atom_rep(atom))
-            self._indec_cache[atom] = v
-        return v
+        return is_indecomposable(self.atom_rep(atom))
 
     # -- canonical terms ----------------------------------------------------
 
@@ -1449,7 +1469,12 @@ class ArVerifier:
                 self.row_anomalies.append(
                     f"row family {family} at {params}: {exc}")
                 return
-            rdim = sum(self.atom_dim(a) for a in right)
+            if len(left) != 1 or len(right) != 1:
+                self.row_anomalies.append(
+                    f"row family {family} at {params}: ends {left} and "
+                    f"{right} are not one atom each")
+                return
+            rdim = self.atom_dim(right[0])
             mdim = sum(self.atom_dim(a) for a in middle)
             if rdim > bound and mdim > bound:
                 return
@@ -1579,30 +1604,10 @@ class ArVerifier:
 
     # -- verification -----------------------------------------------------------
 
-    def _sum_rep(self, atoms):
-        return direct_sum_of(self.quiver, self.field,
-                             [self.atom_rep(a) for a in atoms])
-
-    def _match_tau(self, right_atoms, left_atoms):
-        """DTr of every right atom must match the left atoms up to refolding."""
-        taus = [ar_translate(self.atom_rep(a), self.algebra)
-                for a in right_atoms]
-        lefts = [self.atom_rep(a) for a in left_atoms]
-        if len(taus) != len(lefts):
-            return False
-        used = [False] * len(lefts)
-        for t in taus:
-            hit = None
-            for i, l in enumerate(lefts):
-                if used[i]:
-                    continue
-                if is_isomorphic(t, l, both_local=True).isomorphic:
-                    hit = i
-                    break
-            if hit is None:
-                return False
-            used[hit] = True
-        return True
+    def _match_tau(self, right, left):
+        """DTr(right) is isomorphic to left."""
+        return is_isomorphic(ar_translate(right, self.algebra),
+                             left).isomorphic
 
     def verify(self, bound: int, lemma_len=None):
         """Run every check of the classification at dimension ``bound``.
@@ -1617,8 +1622,10 @@ class ArVerifier:
         of ``i_lemma_vertices``.
 
         The inventory stays on ``self.inventory``; its representations seed
-        the atom cache, so ``atom_indec`` on an entry key reuses both the
-        module and any verdict already reached.  A negative ``bound`` or
+        the atom cache, so a row end that is an entry is the entry's module.
+        Every entry is certified before the projective stage compares it
+        with the indecomposable projectives, so each comparison and each row
+        reads the verdicts recorded on the modules.  A negative ``bound`` or
         ``lemma_len`` raises ValueError.
         """
         from .vsc import hom_pattern_of_functor, i_lemma_vertices
@@ -1632,6 +1639,11 @@ class ArVerifier:
         self.inventory = inventory
         rows = self.rows(bound)
         anomalies = list(self.row_anomalies)
+        indec_failures = []
+        for e in inventory:
+            verdict = self.atom_indec(e.key)
+            if verdict.status != IndecVerdict.LOCAL:
+                indec_failures.append((repr(e.key), verdict.status))
 
         projective_keys = set()
         proj_reps = {}  # dimension tuple -> the projectives with it
@@ -1640,8 +1652,7 @@ class ArVerifier:
             proj_reps.setdefault(P.dims, []).append(P)
         for entry in inventory:
             for P in proj_reps.get(entry.rep.dims, ()):
-                # End P(v) = e_v A e_v = k on an acyclic quiver: P is LOCAL
-                if is_isomorphic(entry.rep, P, both_local=True).isomorphic:
+                if is_isomorphic(entry.rep, P).isomorphic:
                     projective_keys.add(entry.key)
                     break
 
@@ -1653,8 +1664,8 @@ class ArVerifier:
             status = {"additivity": None, "realized": None, "nonsplit": None,
                       "ends_indecomposable": None, "tau": None}
             problems = []
-            left = self._sum_rep(row["left"])
-            right = self._sum_rep(row["right"])
+            (left_atom,), (right_atom,) = row["left"], row["right"]
+            left, right = self.atom_rep(left_atom), self.atom_rep(right_atom)
             cand = SesCandidate(left, [self.atom_rep(a) for a in row["middle"]],
                                 right)
             status["additivity"] = cand.dims_additive()
@@ -1662,13 +1673,13 @@ class ArVerifier:
                 problems.append("dimension vectors not additive")
                 return status, problems, None
             end_ok = True
-            for a in row["left"] + row["right"]:
+            for a in (left_atom, right_atom):
                 if self.atom_indec(a).status != IndecVerdict.LOCAL:
                     end_ok = False
                     problems.append(f"end not indecomposable: {a}")
             status["ends_indecomposable"] = end_ok
             try:
-                realize_ses(cand, right_local=len(row["right"]) == 1)
+                realize_ses(cand)
                 status["realized"] = True
             except NotRealizable as exc:
                 status["realized"] = False
@@ -1678,7 +1689,7 @@ class ArVerifier:
             if not status["nonsplit"]:
                 problems.append("sequence splits")
             try:
-                status["tau"] = self._match_tau(row["right"], row["left"])
+                status["tau"] = self._match_tau(right, left)
             except ProjectiveSummand:
                 status["tau"] = False
             if not status["tau"]:
@@ -1703,7 +1714,7 @@ class ArVerifier:
 
         counts = {}
         for row in rows:
-            if row["right_dim"] <= bound and len(row["right"]) == 1:
+            if row["right_dim"] <= bound:
                 counts.setdefault(row["right"][0], []).append(row["key"])
         coverage = {"checked": 0, "missing": [], "multiple": []}
         for entry in inventory:
@@ -1720,11 +1731,6 @@ class ArVerifier:
 
         relation_failures = [repr(e.key) for e in inventory
                              if check_relations(e.rep, self.algebra.relations)]
-        indec_failures = []
-        for e in inventory:
-            verdict = self.atom_indec(e.key)
-            if verdict.status != IndecVerdict.LOCAL:
-                indec_failures.append((repr(e.key), verdict.status))
         failures += [f"relations violated by {k}" for k in relation_failures]
         failures += [f"not indecomposable: {k} ({s})"
                      for k, s in indec_failures]

@@ -68,21 +68,30 @@ class Representation:
     ``zero_size_block``, and a path through a vertex outside the support
     acts as 0, so loops over a module visit only its support.
 
-    The support-arrow maps are read-only, so two isomorphism invariants can
-    be recorded on the module without going stale: ``end_dim``, dim End(M),
-    set by ``homlab.is_indecomposable`` when it solves End(M), and
+    The support-arrow maps are read-only, so what is certified about the
+    module can be recorded on it without going stale: ``indec``, the
+    ``homlab.IndecVerdict`` that ``homlab.is_indecomposable`` reaches from
+    a solved End(M), and with it ``end_dim``, dim End(M); and
     ``arrow_ranks``, the ranks of the support-arrow maps in that order, set
-    by ``homlab.find_iso`` when it first compares them.  Both start as None.
+    by ``homlab.find_iso`` when it first compares them.  All start as None.
+
+    A space at a vertex, or a map on an arrow, that the quiver does not
+    have raises ValueError, as does a map of the wrong shape.
     """
 
     __slots__ = ("quiver", "field", "spaces", "dims", "support",
-                 "support_arrows", "maps", "end_dim", "arrow_ranks")
+                 "support_arrows", "maps", "indec", "end_dim", "arrow_ranks")
 
     def __init__(self, quiver: Quiver, field, spaces, maps):
         self.quiver = quiver
         self.field = field
         self.spaces = {v: tuple(spaces.get(v, ())) for v in quiver.vertices}
         dim = {v: len(labels) for v, labels in self.spaces.items()}
+        for keys, known, what in ((spaces, dim, "vertex"),
+                                  (maps, quiver.source, "arrow")):
+            for k in keys:
+                if k not in known:
+                    raise ValueError(f"unknown {what} {k!r}")
         self.dims = tuple(dim.values())
         self.support = tuple(v for v, d in dim.items() if d)
         self.maps = {}
@@ -103,7 +112,7 @@ class Representation:
                 m = zero_size_block(rows, cols)
             self.maps[a] = m
         self.support_arrows = tuple(support_arrows)
-        self.end_dim = self.arrow_ranks = None
+        self.indec = self.end_dim = self.arrow_ranks = None
         for v in self.support:
             labels = self.spaces[v]
             if len(set(labels)) != len(labels):
@@ -243,27 +252,29 @@ class StringModules:
 
     # -- assembly helpers ----------------------------------------------------
 
-    def _skeleton(self, word: StringWord, side: str, vertex_labels, entries,
+    def _skeleton(self, word: StringWord, tag: tuple, vertex_labels, entries,
                   band: bool = False):
         """Lay out one word's positions and generic arrow action.
 
         Positions run over the I-set [0, n] for strings and the J-set
-        [0, n-1] for bands.  Labels are (side, i) or (side, copy, i).
+        [0, n-1] for bands.  Position i is labelled ``tag + (i,)``.
         """
         n = word.length
         top = n - 1 if band else n
         for i in range(top + 1):
             v = self.calc.position_vertex(word, i)
-            vertex_labels.setdefault(v, []).append((side, i))
+            vertex_labels.setdefault(v, []).append(tag + (i,))
         primed = self.quiver.primed
         for i in range(1, top + 1):
             c = word.letters[i - 1]
             if c in primed:
-                entries.setdefault(c, []).append(((side, i - 1), (side, i), 1))
+                entries.setdefault(c, []).append(
+                    (tag + (i - 1,), tag + (i,), 1))
         for i in range(0, (n - 2 if band else n - 1) + 1):
             c = word.letters[i]
             if c not in primed:
-                entries.setdefault(c, []).append(((side, i + 1), (side, i), 1))
+                entries.setdefault(c, []).append(
+                    (tag + (i + 1,), tag + (i,), 1))
 
     def _assemble(self, vertex_labels, entries) -> Representation:
         spaces = {
@@ -301,7 +312,7 @@ class StringModules:
         if not ok:
             raise NotAString(why)
         vertex_labels, entries = {}, {}
-        self._skeleton(word, "v", vertex_labels, entries)
+        self._skeleton(word, ("v",), vertex_labels, entries)
         return self._assemble(vertex_labels, entries)
 
     def construct_N(self, x: str, word) -> Representation:
@@ -313,7 +324,7 @@ class StringModules:
         if not self.calc.in_s_x(word, x):
             raise NotInSx(f"{word} is not in S_{x}")
         vertex_labels, entries = {}, {}
-        self._skeleton(word, "v", vertex_labels, entries)
+        self._skeleton(word, ("v",), vertex_labels, entries)
         alpha, gamma = self.quiver.alpha_of(x), self.quiver.gamma_of(x)
         vertex_labels.setdefault(self.quiver.target[alpha], []).append(("vp",))
         vertex_labels.setdefault(self.quiver.source[gamma], []).append(("vpp",))
@@ -333,7 +344,7 @@ class StringModules:
         if p_c == 0:
             raise PrefixMissing(f"{word} carries no B_x prefix at {x}")
         vertex_labels, entries = {}, {}
-        self._skeleton(word, "v", vertex_labels, entries)
+        self._skeleton(word, ("v",), vertex_labels, entries)
         alpha = self.quiver.alpha_of(x)
         vertex_labels.setdefault(self.quiver.target[alpha], []).append(("vp",))
         blen = self.calc.band_of(x).length
@@ -365,8 +376,8 @@ class StringModules:
         if calc.compare(c, cp) >= 0:
             raise NotAPair(f"({c}, {cp}) violates C < C'")
         vertex_labels, entries = {}, {}
-        self._skeleton(c, "v", vertex_labels, entries)
-        self._skeleton(cp, "vq", vertex_labels, entries)
+        self._skeleton(c, ("v",), vertex_labels, entries)
+        self._skeleton(cp, ("vq",), vertex_labels, entries)
         alpha, gamma = self.quiver.alpha_of(x), self.quiver.gamma_of(x)
         vertex_labels.setdefault(self.quiver.target[alpha], []).append(("vp",))
         vertex_labels.setdefault(self.quiver.source[gamma], []).append(("vpp",))
@@ -384,21 +395,8 @@ class StringModules:
         closing = band.letters[-1]
         assert closing not in self.quiver.primed, "band must close on a reversed letter"
         vertex_labels, entries = {}, {}
-        primed = self.quiver.primed
         for j in range(1, m + 1):
-            for i in range(n):
-                v = self.calc.position_vertex(band, i)
-                vertex_labels.setdefault(v, []).append(("vb", j, i))
-            for i in range(1, n):
-                c = band.letters[i - 1]
-                if c in primed:
-                    entries.setdefault(c, []).append(
-                        (("vb", j, i - 1), ("vb", j, i), 1))
-            for i in range(0, n - 1):
-                c = band.letters[i]
-                if c not in primed:
-                    entries.setdefault(c, []).append(
-                        (("vb", j, i + 1), ("vb", j, i), 1))
+            self._skeleton(band, ("vb", j), vertex_labels, entries, band=True)
             entries.setdefault(closing, []).append(
                 (("vb", j, 0), ("vb", j, n - 1), lam))
             if j < m:
@@ -438,7 +436,7 @@ class StringModules:
         """
         calc = self.calc
         entries = []
-        for w in calc.all_strings(max(bound - 1, 0)):
+        for w in calc.all_strings(bound - 1):
             entries.append(InventoryEntry("M", (calc.word_key(w),),
                                           self.construct_M(w)))
         for x in self.quiver.q0_primed():

@@ -237,12 +237,11 @@ def _build_lf(posets) -> VscModel:
 class LemmaContext:
     """Everything needed to run one functor pattern check."""
 
-    def __init__(self, modules, algebra=None):
+    def __init__(self, modules):
         self.sm = modules
         self.calc = modules.calc
         self.quiver = modules.quiver
         self.field = modules.field
-        self.algebra = algebra
 
     # designated modules of the three lemmas
     def module_R(self, x: str):

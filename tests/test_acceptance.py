@@ -97,6 +97,9 @@ def test_criterion_4_pairwise_nonisomorphism():
         for e in inv:
             groups.setdefault(e.rep.dim_tuple(), []).append(e)
         for group in groups.values():
+            if len(group) > 1:  # both_local below claims these verdicts
+                for e in group:
+                    assert is_indecomposable(e.rep) == IndecVerdict.LOCAL
             for a, b in itertools.combinations(group, 2):
                 pairs += 1
                 assert not is_isomorphic(a.rep, b.rep,
@@ -213,7 +216,7 @@ def test_criterion_9_band_periodicity():
                 for m in (1, 2, 3):
                     r = c.modules.construct_R(band, lam, m)
                     tau = ar_translate(r, c.algebra)
-                    assert is_isomorphic(tau, r, both_local=True), (
+                    assert is_isomorphic(tau, r), (
                         name, band_name, lam, m)
                     checked += 1
     _report(9, time.time() - t0, 120.0,

@@ -228,3 +228,10 @@ def test_verify_tsys_report_pinned(sysfile):
     assert code == 0
     assert _sha256(out) == (
         "8ec9acca0017b942f33132545829b07c6c1fe367dff3ae035ffc459ef03c8e65")
+
+
+def test_ar_worked_example_pinned(sysfile):
+    code, out = run(["ar", sysfile("ex14"), "--max-dim", "12"])
+    assert code == 0
+    assert _sha256(out) == (
+        "42c9aab901fbaab5573e7866bae56fc1c15ad380895ebd140a78d7c12f9777a2")

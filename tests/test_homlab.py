@@ -103,12 +103,11 @@ def test_is_isomorphic_basics(fund21):
     b = sm.construct_M(calc.word(("alpha:1:2", "beta:1:1")))
     r = sm.construct_R(calc.band_b0(), 5, 1)
     assert a.dim_tuple() == b.dim_tuple() == r.dim_tuple()
-    assert is_isomorphic(a, a2, both_local=True)
-    assert not is_isomorphic(a, b, both_local=True)
-    assert not is_isomorphic(a, r, both_local=True)
-    assert not is_isomorphic(r, sm.construct_R(calc.band_b0(), 6, 1),
-                             both_local=True)
-    iso = is_isomorphic(a, a2, both_local=True).certificate
+    assert is_isomorphic(a, a2)
+    assert not is_isomorphic(a, b)
+    assert not is_isomorphic(a, r)
+    assert not is_isomorphic(r, sm.construct_R(calc.band_b0(), 6, 1))
+    iso = is_isomorphic(a, a2).certificate
     assert iso is not None and is_intertwiner(a, a2, iso)
 
 
@@ -117,7 +116,7 @@ def test_realize_split_candidate(fund21):
     x = sm.construct_M(fund21.calc.word(("alpha:1:1",)))
     z = sm.construct_M(fund21.calc.trivial("x:1:2"))
     cand = SesCandidate(x, [x.direct_sum(z)], z)
-    realize_ses(cand, right_local=True)
+    realize_ses(cand)
     assert is_split(cand)
 
 
@@ -204,14 +203,12 @@ def test_band_periodicity(fund21, tsys):
     for lam in (2, 3):
         for m in (1, 2):
             r = sm.construct_R(b0, lam, m)
-            assert is_isomorphic(r, ar_translate(r, fund21.algebra),
-                                 both_local=True)
+            assert is_isomorphic(r, ar_translate(r, fund21.algebra))
     smt = tsys.modules
     bx = tsys.calc.band_of("x:1:2")
     for lam in (2, 5):
         r = smt.construct_R(bx, lam, 1)
-        assert is_isomorphic(r, ar_translate(r, tsys.algebra),
-                             both_local=True)
+        assert is_isomorphic(r, ar_translate(r, tsys.algebra))
 
 
 def test_tube_mouth_translate(tsys):
@@ -221,10 +218,9 @@ def test_tube_mouth_translate(tsys):
     for m in (1, 2):
         qb = sm.construct_Qband("x:1:2", m)
         tau = ar_translate(qb, tsys.algebra)
-        assert is_isomorphic(tau, sm.construct_R(bx, 1, m), both_local=True)
+        assert is_isomorphic(tau, sm.construct_R(bx, 1, m))
         r = sm.construct_R(bx, 1, m)
-        assert not is_isomorphic(ar_translate(r, tsys.algebra), r,
-                                 both_local=True).isomorphic
+        assert not is_isomorphic(ar_translate(r, tsys.algebra), r).isomorphic
 
 
 def test_verifier_negative_control(fund21):
@@ -273,7 +269,7 @@ def test_verify_row2_instance_with_zero_term(tsys):
     realize_ses(cand)
     assert not is_split(cand)
     tau = ar_translate(right, tsys.algebra)
-    assert is_isomorphic(tau, left, both_local=True)
+    assert is_isomorphic(tau, left)
 
 
 def test_find_iso_permuted_sum(tsys):
@@ -470,13 +466,13 @@ def test_is_split_matches_dense_solve(tsys):
     assert rows
     verdicts = set()
     for row in rows:
-        left = ver._sum_rep(row["left"])
-        right = ver._sum_rep(row["right"])
+        (left,), (right,) = ([ver.atom_rep(a) for a in row[end]]
+                             for end in ("left", "right"))
         for middle in ([ver.atom_rep(a) for a in row["middle"]],
                        [left, right]):
             cand = SesCandidate(left, middle, right)
             try:
-                realize_ses(cand, right_local=len(row["right"]) == 1)
+                realize_ses(cand)
             except NotRealizable:
                 continue
             got = is_split(cand)
@@ -808,8 +804,9 @@ def _assert_isomorphism(M, N, f):
 
 def _check_local_decision(M, N):
     want = _nilpotent_composite_reference(M, N)
-    f = find_iso(M, N, local=True)
+    f = find_iso(M, N)
     assert (f is not None) == want
+    assert is_indecomposable(N).status == IndecVerdict.LOCAL
     verdict = is_isomorphic(M, N, both_local=True)
     assert verdict.isomorphic == want
     if want:
@@ -894,10 +891,9 @@ def test_krull_schmidt_rejects_field_obstruction(fund21):
 
 def test_zero_modules_are_isomorphic(fund21):
     zero = zero_representation(fund21.quiver, fund21.field)
-    for local in (False, True):
-        f = find_iso(zero, zero, local=local)
-        assert f is not None
-        assert all(f[v].shape == (0, 0) for v in fund21.quiver.vertices)
+    f = find_iso(zero, zero)
+    assert f is not None
+    assert all(f[v].shape == (0, 0) for v in fund21.quiver.vertices)
     verdict = is_isomorphic(zero, zero)
     assert verdict.isomorphic and verdict.certificate is not None
     s = fund21.modules.construct_M(fund21.calc.trivial("x:1:0"))
@@ -963,7 +959,7 @@ def test_recorded_invariants_agree_on_isomorphic_modules(case):
     local = verdicts[0].status == IndecVerdict.LOCAL
     assert verdicts[1].status == verdicts[0].status
     try:
-        f = find_iso(M, N, local=local)
+        f = find_iso(M, N)
     except ValueError as exc:
         # a summand with End/rad larger than GF(p): Krull-Schmidt over GF(p)
         # does not decide, with or without the invariants
@@ -1007,7 +1003,7 @@ def test_invariants_settle_inventory_pairs_as_the_hom_scan(monkeypatch):
                     by_end += ends[0] != ends[1]
                     by_ranks += ends[0] == ends[1] and settled
                     del solved[:]
-                    f = find_iso(M, N, local=True)
+                    f = find_iso(M, N)
                     assert (f is not None) == want, (name, M, N)
                     assert solved == ([] if settled else [(M, N)])
                     for X, r in zip((M, N), ranks):
@@ -1030,11 +1026,52 @@ def test_fresh_modules_take_the_hom_route(fund21, monkeypatch):
                         lambda M, N: solved.append((M, N)) or real(M, N))
     is_indecomposable(a)
     assert solved == [(a, a)] and a.end_dim == 1
-    assert find_iso(a, b, local=True) is None
+    assert find_iso(a, b) is None
     assert solved == [(a, a), (a, b)]
     assert a.arrow_ranks is None and b.end_dim is None
     is_indecomposable(b, hom_basis(b, b))  # a given basis is not recorded
     assert b.end_dim is None
+
+
+def test_both_local_is_a_checked_claim(fund21):
+    """``both_local`` must be backed by a recorded LOCAL verdict, and it does
+    not change the answer."""
+    sm, calc = fund21.modules, fund21.calc
+    a = sm.construct_M(calc.word(("alpha:1:1", "alpha:1:2")))
+    b = sm.construct_M(calc.word(("alpha:1:2", "beta:1:1")))
+    with pytest.raises(ValueError, match="both_local"):
+        is_isomorphic(a, b, both_local=True)
+    assert a.indec is None and b.indec is None
+    assert is_indecomposable(b).status == IndecVerdict.LOCAL
+    assert not is_isomorphic(a, b, both_local=True)
+    assert is_isomorphic(b, b, both_local=True)
+
+
+def test_uncertified_local_pair_certifies_target_once(fund21, monkeypatch):
+    """On a failed scan with no verdict on either side, ``find_iso`` solves
+    End(N) once, keeps the verdict on N, and answers from it without the
+    Krull-Schmidt route; a LOCAL verdict on M answers with no End solve."""
+    sm, calc = fund21.modules, fund21.calc
+    a = sm.construct_M(calc.word(("alpha:1:2", "beta:1:1")))
+    b = sm.construct_M(calc.word(("beta:1:1", "alpha:1:1")))
+    assert a.dims == b.dims and len(hom_basis(a, b)) == 1
+    solved = []
+    real = homlab.hom_space
+    monkeypatch.setattr(homlab, "hom_space",
+                        lambda M, N: solved.append((M, N)) or real(M, N))
+    monkeypatch.setattr(homlab, "_krull_schmidt_iso",
+                        lambda M, N: pytest.fail("Krull-Schmidt route"))
+    assert find_iso(a, b) is None
+    assert solved == [(a, b), (b, b)]
+    assert b.indec == IndecVerdict.LOCAL and a.indec is None
+    assert find_iso(a, b) is None
+    assert solved == [(a, b), (b, b), (a, b)]
+    # a LOCAL verdict already on M ends the search with no End solve
+    is_indecomposable(a)
+    fresh = sm.construct_M(calc.word(("beta:1:1", "alpha:1:1")))
+    del solved[:]
+    assert find_iso(a, fresh) is None
+    assert solved == [(a, fresh)] and fresh.indec is None
 
 
 # -- LOCAL certification by the radical flag -------------------------------------

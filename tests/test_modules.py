@@ -287,6 +287,18 @@ def test_inventory_bound_one_is_simples(ex14):
     assert all(e.tag == "M" and e.rep.total_dim == 1 for e in inv)
 
 
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_inventory_within_small_bounds(name):
+    # bound 0 is empty: the simples (dimension 1) are above it
+    c = ctx(name)
+    for bound in range(4):
+        inv = c.modules.theorem_inventory(bound)
+        assert all(e.rep.total_dim <= bound for e in inv), bound
+        assert inv or bound == 0
+    report = homlab.ArVerifier(c.modules, c.algebra).verify(0)
+    assert report["failures"] == [] and report["inventory_size"] == 0
+
+
 def test_inventory_fundamental_families(fund21):
     tags = {e.tag for e in fund21.modules.theorem_inventory(9)}
     assert tags == {"M", "R"}
@@ -325,6 +337,10 @@ def test_representation_rejects_bad_input(fund21):
         Representation(q, F, spaces, {"alpha:1:1": np.ones((3, 2))})
     with pytest.raises(ValueError, match="duplicate labels at x:1:0"):
         Representation(q, F, {"x:1:0": (("c", 0), ("c", 0))}, {})
+    with pytest.raises(ValueError, match="unknown vertex 'nope'"):
+        Representation(q, F, {"x:1:0": (("c", 0),), "nope": (("c", 0),)}, {})
+    with pytest.raises(ValueError, match="unknown arrow 'alpha:9:9'"):
+        Representation(q, F, spaces, {"alpha:9:9": np.ones((1, 1))})
     simple = Representation(q, F, spaces, {"alpha:1:1": [[1]]})
     other = Representation(q, PrimeField(7), spaces, {})
     with pytest.raises(ValueError, match="different quivers or fields"):

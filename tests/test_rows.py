@@ -1,6 +1,8 @@
 """Row enumeration: the family-10 budget and prefilter lose no row, the two
-lemmas behind them hold, and inconsistent instances stay anomalies."""
+lemmas behind them hold, every row has one indecomposable at each end, and
+inconsistent instances stay anomalies."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from tworay import EMPTY
+from tworay import EMPTY, StringModules, WordCalculus, build_quiver
+from tworay.defining_system import (DefiningSystemError, admissible_vertices,
+                                    extend, validate)
 from tworay.homlab import ArVerifier
 
 from conftest import SYSTEMS, Ctx, ctx
@@ -108,3 +112,67 @@ def test_wrong_co_successor_is_an_anomaly_under_optimisation():
     debug, count = out.stdout.split()
     assert debug == "False"
     assert int(count) == len(_wrong_co_successor_anomalies()) > 0
+
+
+def _census():
+    """Every system reachable by ``extend`` from a fundamental system with at
+    most 2 strands, p_i <= 4 and q_i <= 2, that has at most 9 vertices."""
+    todo = []
+    for n in (1, 2):
+        for p in itertools.product(range(1, 5), repeat=n):
+            for q in itertools.product(range(1, 3), repeat=n):
+                try:
+                    todo.append(validate({"p": p, "q": q, "S": [[]] * n,
+                                          "T": [[]] * n}))
+                except DefiningSystemError:  # sum(p) < 2
+                    pass
+    seen, out = set(), []
+    while todo:
+        ds = todo.pop()
+        if ds in seen:
+            continue
+        seen.add(ds)
+        quiver = build_quiver(ds)
+        if len(quiver.vertices) <= 9:
+            out.append(quiver)
+            todo += [extend(ds, v) for v in admissible_vertices(ds)]
+    return out
+
+
+def test_census_rows_have_one_atom_at_each_end():
+    # the end terms of an almost-split sequence are indecomposable; rows()
+    # needs no algebra
+    quivers = _census()
+    assert len(quivers) == 229
+    total = 0
+    for quiver in quivers:
+        ver = ArVerifier(StringModules(WordCalculus(quiver)), None)
+        rows = ver.rows(12)
+        assert ver.row_anomalies == [], quiver.ds
+        assert all(len(r["left"]) == len(r["right"]) == 1 for r in rows)
+        total += len(rows)
+    assert total == 36470
+
+
+def test_row_end_of_two_atoms_is_an_anomaly(tsys, monkeypatch):
+    ver = ArVerifier(tsys.modules, tsys.algebra)
+    canon_N, target = ver.canon_N, []
+
+    def two_atoms(x, w):
+        # the first N-term canonicalised gains a second atom
+        atoms = canon_N(x, w)
+        target[:] = target or [(x, repr(w))]
+        if target == [(x, repr(w))]:
+            atoms += ver.canon_M(ver.calc.trivial(x))
+        return atoms
+
+    monkeypatch.setattr(ver, "canon_N", two_atoms)
+    clean = ArVerifier(tsys.modules, tsys.algebra).rows(8)
+    rows = ver.rows(8)
+    # the term is the right end of a family-6 row and the left end of a
+    # family-8 row, and both rows leave the list
+    bad = [a for a in ver.row_anomalies if "not one atom" in a]
+    assert [a[:12] for a in bad] == ["row family 6", "row family 8"]
+    assert len(rows) == len(clean) - 2
+    report = ver.verify(8)
+    assert bad[0] in report["failures"]
