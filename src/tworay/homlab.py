@@ -144,9 +144,9 @@ a non-nilpotent one, whose Fitting decomposition gives the idempotent.
 import numpy as np
 
 from .defining_system import admissible_vertices
-from .string_modules import (DEFAULT_LAMBDAS, Representation,
-                             band_parameters, check_relations, direct_sum_of,
-                             zero_size_block)
+from .string_modules import (DEFAULT_LAMBDAS, ConsistencyError,
+                             Representation, band_parameters, block_diagonal,
+                             check_relations, direct_sum_of, zero_size_block)
 
 
 class ProjectiveSummand(ValueError):
@@ -155,12 +155,6 @@ class ProjectiveSummand(ValueError):
 
 class NotRealizable(RuntimeError):
     pass
-
-
-class ConsistencyError(RuntimeError):
-    """A computed map or decomposition failed the check made on it: the
-    code, not the input, is at fault.  Raised, not asserted, so that
-    ``python -O`` keeps the check."""
 
 
 # -- hom spaces ---------------------------------------------------------------
@@ -695,7 +689,7 @@ def _fitting_witness(M: Representation, gens):
         flat = np.stack([m.reshape(-1) for m, _ in nxt], axis=1) % F.p
         _, pivots = F.rref(flat)
         current = [nxt[i] for i in pivots]
-    raise RuntimeError("no non-nilpotent product of the shifts found")
+    raise ConsistencyError("no non-nilpotent product of the shifts found")
 
 
 def is_indecomposable(M: Representation, end_basis=None) -> IndecVerdict:
@@ -1238,7 +1232,7 @@ def ar_translate(M: Representation, algebra) -> Representation:
         s, t = q.source[a], q.target[a]
         if spaces.get(s) and spaces.get(t):
             # right action of a on Tr: Tr_t -> Tr_s; dualize to get s -> t
-            cod_map = _sum_right_map(F, [r[1][a] for r in right1])
+            cod_map = block_diagonal(F, [r[1][a] for r in right1])
             act = F.mul(quot[s][0], F.mul(cod_map, quot[t][1]))
             maps[a] = act.T % F.p
     return Representation(q, F, spaces, maps)
@@ -1256,32 +1250,20 @@ def _left_mult(algebra, element, path):
     return {k: v for k, v in out.items() if v}
 
 
-def _sum_right_map(F, blocks):
-    """Block-diagonal sum of one arrow's action on several right modules."""
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    m = F.zeros(rows, cols)
-    ro = co = 0
-    for b in blocks:
-        if b.size:
-            m[ro: ro + b.shape[0], co: co + b.shape[1]] = b
-        ro += b.shape[0]
-        co += b.shape[1]
-    return m
-
-
 # -- the almost-split-sequence list ----------------------------------------------
 
 
 class ArVerifier:
     """Instantiate and verify the classification's almost-split sequences.
 
-    Terms of the list are canonicalized to atoms (family tag + parameters);
-    the degenerate pair conventions N(C, EMPTY), N(C, C), N(C, B_x C) expand
-    to direct sums during canonicalization.  The end terms of an
-    almost-split sequence are indecomposable, so a row whose left or right
-    term is not one atom is a row anomaly.  Coverage then asserts that every
-    non-projective inventory entry is the right-hand term of exactly one row.
+    The rows name their terms by atoms; ``StringModules`` (``self.sm``)
+    owns the conventions, canonicalising each family term to atoms
+    (``canon_*``), giving their dimensions (``atom_dim``) and building their
+    modules (``atom``).  This class keeps the rows, the checks and a cache
+    of the atoms' modules.  The end terms of an almost-split sequence are
+    indecomposable, so a row whose left or right term is not one atom is a
+    row anomaly.  Coverage then asserts that every non-projective inventory
+    entry is the right-hand term of exactly one row.
     """
 
     def __init__(self, modules, algebra, lam_sample=DEFAULT_LAMBDAS):
@@ -1292,113 +1274,15 @@ class ArVerifier:
         self.algebra = algebra
         self.lams = band_parameters(self.field, lam_sample)
         self._rep_cache = {}
-        self._band_len = {name: b.length for name, b in self.calc.bands()}
-        self._band_word = {name: b for name, b in self.calc.bands()}
-
-    # -- atoms ------------------------------------------------------------
-
-    def _wkey(self, w):
-        return self.calc.word_key(w)
-
-    def atom_dim(self, atom):
-        tag = atom[0]
-        if tag == "M":
-            return len(atom[1][0]) + 1
-        if tag == "N":
-            return len(atom[2][0]) + 3
-        if tag == "L":
-            return len(atom[2][0]) + 2
-        if tag == "NCC":
-            return len(atom[2][0]) + len(atom[3][0]) + 4
-        if tag == "R":
-            return atom[3] * self._band_len[atom[1]]
-        if tag == "Qband":
-            return atom[2] * self._band_len[atom[1]] + 1
-        raise ValueError(atom)
 
     def atom_rep(self, atom):
         rep = self._rep_cache.get(atom)
-        if rep is not None:
-            return rep
-        tag = atom[0]
-        sm = self.sm
-        if tag == "M":
-            rep = sm.construct_M(self.calc.from_key(atom[1]))
-        elif tag == "N":
-            rep = sm.construct_N(atom[1], self.calc.from_key(atom[2]))
-        elif tag == "L":
-            rep = sm.construct_L(atom[1], self.calc.from_key(atom[2]))
-        elif tag == "NCC":
-            rep = sm.construct_NCC(atom[1], self.calc.from_key(atom[2]),
-                                   self.calc.from_key(atom[3]))
-        elif tag == "R":
-            rep = sm.construct_R(self._band_word[atom[1]], atom[2], atom[3])
-        elif tag == "Qband":
-            rep = sm.construct_Qband(atom[1], atom[2])
-        else:
-            raise ValueError(atom)
-        self._rep_cache[atom] = rep
+        if rep is None:
+            rep = self._rep_cache[atom] = self.sm.atom(atom)
         return rep
 
     def atom_indec(self, atom):
         return is_indecomposable(self.atom_rep(atom))
-
-    # -- canonical terms ----------------------------------------------------
-
-    def canon_M(self, w):
-        from .strings import EMPTY
-
-        if w is EMPTY:
-            return ()
-        return (("M", self._wkey(w)),)
-
-    def canon_N(self, x, w):
-        from .strings import EMPTY
-
-        if w is EMPTY:
-            z = self.quiver.source[self.quiver.gamma_of(x)]
-            return (("M", self._wkey(self.calc.trivial(z))),)
-        if not self.calc.in_s_x(w, x):
-            raise ValueError(f"N-term parameter outside S_x: {w} at {x}")
-        return (("N", x, self._wkey(w)),)
-
-    def canon_L(self, x, w):
-        if not (self.calc.in_s_x(w, x) and self.calc.p_count(w, x) > 0):
-            raise ValueError(f"L-term parameter invalid: {w} at {x}")
-        return (("L", x, self._wkey(w)),)
-
-    def canon_NCC(self, x, c, cp):
-        from .strings import EMPTY, StringWord
-
-        calc = self.calc
-        gamma = self.quiver.gamma_of(x)
-        if cp is EMPTY:
-            return self.canon_M(calc.word((gamma,) + c.letters))
-        if not (calc.in_s_x(c, x) and calc.in_s_x(cp, x)):
-            raise ValueError(f"pair outside S_x: ({c}, {cp}) at {x}")
-        if self._wkey(c) == self._wkey(cp):
-            return (("N", x, self._wkey(c)), ("M", self._wkey(c)))
-        bx = calc.band_of(x)
-        if not bx.is_trivial:
-            bxc = StringWord(bx.letters + c.letters)
-            if self._wkey(cp) == self._wkey(bxc):
-                return (("L", x, self._wkey(bxc)),) + self.canon_M(
-                    calc.word((gamma,) + c.letters))
-            if calc.compare(cp, bxc) > 0:
-                raise ValueError(f"pair violates C' < B_x C: ({c}, {cp}) at {x}")
-        if calc.compare(c, cp) > 0:
-            raise ValueError(f"pair out of order: ({c}, {cp}) at {x}")
-        return (("NCC", x, self._wkey(c), self._wkey(cp)),)
-
-    def canon_R(self, band_name, lam, m):
-        if m <= 0:
-            return ()
-        return (("R", band_name, int(self.field.red(lam)), m),)
-
-    def canon_Qb(self, x, m):
-        if m <= 0:
-            return ()
-        return (("Qband", x, m),)
 
     # -- row enumeration ------------------------------------------------------
 
@@ -1442,8 +1326,8 @@ class ArVerifier:
         |C+| + |C'+| <= bound - 3, and Lemma A gives |C| <= |C+| + 1 + w
         in both of its cases, hence |C| + |C'| <= bound + 2w - 1.
         """
-        calc = self.calc
-        q = self.quiver
+        sm, calc, q = self.sm, self.calc, self.quiver
+        wkey = calc.word_key
         from .strings import EMPTY, StringWord
 
         max_omega = max(calc.omega(v).length for v in q.vertices)
@@ -1474,8 +1358,8 @@ class ArVerifier:
                     f"row family {family} at {params}: ends {left} and "
                     f"{right} are not one atom each")
                 return
-            rdim = self.atom_dim(right[0])
-            mdim = sum(self.atom_dim(a) for a in middle)
+            rdim = sm.atom_dim(right[0])
+            mdim = sum(sm.atom_dim(a) for a in middle)
             if rdim > bound and mdim > bound:
                 return
             out.append({
@@ -1496,33 +1380,33 @@ class ArVerifier:
                     if lam == 1 and name != "B0":
                         continue
                     emit(1, (name, lam, m), lambda: (
-                        self.canon_R(name, lam, m),
-                        self.canon_R(name, lam, m + 1)
-                        + self.canon_R(name, lam, m - 1),
-                        self.canon_R(name, lam, m)))
+                        sm.canon_R(name, lam, m),
+                        sm.canon_R(name, lam, m + 1)
+                        + sm.canon_R(name, lam, m - 1),
+                        sm.canon_R(name, lam, m)))
             if name == "B0":
                 continue
             x = name
             for m in range(1, bound // blen + 3):
                 emit(2, (name, m), lambda: (
-                    self.canon_R(name, 1, m),
-                    self.canon_Qb(x, m + 1) + self.canon_R(name, 1, m - 1),
-                    self.canon_Qb(x, m)))
+                    sm.canon_R(name, 1, m),
+                    sm.canon_Qb(x, m + 1) + sm.canon_R(name, 1, m - 1),
+                    sm.canon_Qb(x, m)))
             for m in range(2, bound // blen + 4):
                 emit(3, (name, m), lambda: (
-                    self.canon_Qb(x, m),
-                    self.canon_R(name, 1, m) + self.canon_Qb(x, m - 1),
-                    self.canon_R(name, 1, m - 1)))
+                    sm.canon_Qb(x, m),
+                    sm.canon_R(name, 1, m) + sm.canon_Qb(x, m - 1),
+                    sm.canon_R(name, 1, m - 1)))
 
         # string rows
         for c in calc.s_prime(margin):
             cp = calc.successor(c)
             pc = calc.co_successor(c)
             bi = calc.bi_successor(c)
-            emit(4, ("Sprime", self._wkey(c)), lambda: (
-                self.canon_M(c),
-                self.canon_M(cp) + self.canon_M(pc),
-                self.canon_M(bi)))
+            emit(4, ("Sprime", wkey(c)), lambda: (
+                sm.canon_M(c),
+                sm.canon_M(cp) + sm.canon_M(pc),
+                sm.canon_M(bi)))
 
         # Q0'' lies inside Q0' (T_i is a subset of S_i), so both loops below
         # share one S_x per vertex
@@ -1541,33 +1425,33 @@ class ArVerifier:
                 bi = calc.bi_successor(c)
 
                 def row5():
-                    if pc is EMPTY or self._wkey(pc) != self._wkey(cprime):
+                    if pc is EMPTY or wkey(pc) != wkey(cprime):
                         raise ValueError(
                             f"co-successor of alpha_x C is not C at {x}")
-                    return (self.canon_M(c),
-                            self.canon_M(cp) + self.canon_NCC(x, mu, pc),
-                            self.canon_NCC(x, mu, bi))
+                    return (sm.canon_M(c),
+                            sm.canon_M(cp) + sm.canon_NCC(x, mu, pc),
+                            sm.canon_NCC(x, mu, bi))
 
-                emit(5, (x, self._wkey(cprime)), row5)
+                emit(5, (x, wkey(cprime)), row5)
             for c in sx:
                 cp = succ(c)
-                emit(6, (x, self._wkey(c)), lambda: (
-                    self.canon_M(c),
-                    self.canon_NCC(x, c, cp),
-                    self.canon_N(x, cp)))
-                if self._wkey(c) != self._wkey(omega):
-                    emit(8, (x, self._wkey(c)), lambda: (
-                        self.canon_N(x, c),
-                        self.canon_NCC(x, c, cp),
-                        self.canon_M(cp)))
+                emit(6, (x, wkey(c)), lambda: (
+                    sm.canon_M(c),
+                    sm.canon_NCC(x, c, cp),
+                    sm.canon_N(x, cp)))
+                if wkey(c) != wkey(omega):
+                    emit(8, (x, wkey(c)), lambda: (
+                        sm.canon_N(x, c),
+                        sm.canon_NCC(x, c, cp),
+                        sm.canon_M(cp)))
             for c, c2 in calc.pairs_p_x(x, bound + 2 * max_omega - 1):
                 cp, c2p = succ(c), succ(c2)
                 if cp.length + c2p.length + 3 > bound:
                     continue
-                emit(10, (x, self._wkey(c), self._wkey(c2)), lambda: (
-                    self.canon_NCC(x, c, c2),
-                    self.canon_NCC(x, c, c2p) + self.canon_NCC(x, cp, c2),
-                    self.canon_NCC(x, cp, c2p)))
+                emit(10, (x, wkey(c), wkey(c2)), lambda: (
+                    sm.canon_NCC(x, c, c2),
+                    sm.canon_NCC(x, c, c2p) + sm.canon_NCC(x, cp, c2),
+                    sm.canon_NCC(x, cp, c2p)))
 
         for x in q.q0_doubleprimed():
             gamma = q.gamma_of(x)
@@ -1585,18 +1469,18 @@ class ArVerifier:
 
             def row7():
                 bxc, bxcp, gc, _ = words7()
-                return (self.canon_M(gc), self.canon_NCC(x, cp, bxc),
-                        self.canon_L(x, bxcp))
+                return (sm.canon_M(gc), sm.canon_NCC(x, cp, bxc),
+                        sm.canon_L(x, bxcp))
 
             def row9():
                 bxc, _, _, gcp = words7()
-                return (self.canon_L(x, bxc), self.canon_NCC(x, cp, bxc),
-                        self.canon_M(gcp))
+                return (sm.canon_L(x, bxc), sm.canon_NCC(x, cp, bxc),
+                        sm.canon_M(gcp))
 
             for c in sx_at[x]:
                 cp = succ(c)
-                emit(7, (x, self._wkey(c)), row7)
-                emit(9, (x, self._wkey(c)), row9)
+                emit(7, (x, wkey(c)), row7)
+                emit(9, (x, wkey(c)), row9)
         for row in out:
             row["key"] = (row["family"],) + tuple(repr(p) for p in row["params"])
         out.sort(key=lambda r: r["key"])

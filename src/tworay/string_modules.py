@@ -39,6 +39,12 @@ class NotABand(ValueError):
     pass
 
 
+class ConsistencyError(RuntimeError):
+    """A computed map or decomposition failed the check made on it: the
+    code, not the input, is at fault.  Raised, not asserted, so that
+    ``python -O`` keeps the check."""
+
+
 # the band parameters sampled when none are given
 DEFAULT_LAMBDAS = (2, 3, 5)
 
@@ -155,6 +161,17 @@ def zero_representation(quiver: Quiver, field) -> Representation:
     return Representation(quiver, field, {}, {})
 
 
+def block_diagonal(field, blocks) -> np.ndarray:
+    """The block-diagonal matrix with the given blocks, in order."""
+    m = field.zeros(sum(b.shape[0] for b in blocks),
+                    sum(b.shape[1] for b in blocks))
+    row = col = 0
+    for b in blocks:
+        m[row: row + b.shape[0], col: col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
+    return m
+
+
 def direct_sum_of(quiver: Quiver, field, reps) -> Representation:
     """The direct sum of a list of modules, the zero module if it is empty.
 
@@ -174,16 +191,8 @@ def direct_sum_of(quiver: Quiver, field, reps) -> Representation:
                                  for i in range(1, n)]
     spaces = {v: tuple(tag + l for tag, r in zip(tags, reps)
                        for l in r.spaces[v]) for v in quiver.vertices}
-    maps = {}
-    for a in {a for r in reps for a in r.support_arrows}:
-        blocks = [r.maps[a] for r in reps]
-        m = field.zeros(sum(b.shape[0] for b in blocks),
-                        sum(b.shape[1] for b in blocks))
-        row = col = 0
-        for b in blocks:
-            m[row: row + b.shape[0], col: col + b.shape[1]] = b
-            row, col = row + b.shape[0], col + b.shape[1]
-        maps[a] = m
+    maps = {a: block_diagonal(field, [r.maps[a] for r in reps])
+            for a in {a for r in reps for a in r.support_arrows}}
     return Representation(quiver, field, spaces, maps)
 
 
@@ -243,12 +252,31 @@ class InventoryEntry:
 
 
 class StringModules:
-    """The six representation families over one defining-system algebra."""
+    """The six representation families over one defining-system algebra,
+    and the conventions that name their modules.
+
+    An atom names one module by family tag and parameters, words given by
+    their ``word_key``: ("M", C), ("N", x, C), ("L", x, C),
+    ("NCC", x, C, C'), ("R", band, lambda, m) and ("Qband", x, m).  This
+    class is the one owner of the conventions:
+
+    - ``atom`` is the only map from an atom to its module, and
+      ``theorem_inventory`` builds every entry through it;
+    - ``atom_dim`` reads the module's total dimension off the atom;
+    - the ``canon_*`` methods turn a family term of the paper into the
+      atoms of its direct sum, with the degenerate identifications
+      N(C, EMPTY) = M(gamma C), N(C, C) = N_C + M_C and
+      N(C, B_x C) = L(B_x C) + M(gamma C), and N_EMPTY = M(e_z) at the
+      source z of gamma_x.  A term outside its family raises ``NotAPair``.
+      ``construct_N`` and ``construct_NCC`` build a degenerate term as the
+      direct sum of these atoms.
+    """
 
     def __init__(self, calc: WordCalculus, field=None):
         self.calc = calc
         self.quiver = calc.quiver
         self.field = field if field is not None else PrimeField(DEFAULT_PRIME)
+        self._bands = dict(calc.bands())
 
     # -- assembly helpers ----------------------------------------------------
 
@@ -294,8 +322,10 @@ class StringModules:
             cols = len(spaces.get(self.quiver.source[a], ()))
             m = F.zeros(rows, cols)
             for tgt, src, coef in triples:
-                assert label_vertex[src] == self.quiver.source[a], (a, src)
-                assert label_vertex[tgt] == self.quiver.target[a], (a, tgt)
+                if (label_vertex[src], label_vertex[tgt]) != (
+                        self.quiver.source[a], self.quiver.target[a]):
+                    raise ConsistencyError(
+                        f"arrow {a} does not join labels {src} and {tgt}")
                 m[label_pos[tgt], label_pos[src]] = (
                     m[label_pos[tgt], label_pos[src]] + coef) % F.p
             maps[a] = m
@@ -319,8 +349,7 @@ class StringModules:
         if x not in self.quiver.q0_primed():
             raise NotInSx(f"{x} is not in Q0'")
         if word is EMPTY:
-            gamma = self.quiver.gamma_of(x)
-            return self.construct_M(self.calc.trivial(self.quiver.source[gamma]))
+            return self._sum_of_atoms(self.canon_N(x, word))
         if not self.calc.in_s_x(word, x):
             raise NotInSx(f"{word} is not in S_{x}")
         vertex_labels, entries = {}, {}
@@ -353,35 +382,18 @@ class StringModules:
         return self._assemble(vertex_labels, entries)
 
     def construct_NCC(self, x: str, c, cp) -> Representation:
-        """N(C, C') with the degenerate conventions for C' in {EMPTY, C, B_x C}."""
-        if x not in self.quiver.q0_primed():
-            raise NotAPair(f"{x} is not in Q0'")
+        """N(C, C'); a degenerate pair is the sum of its canon_NCC atoms."""
+        atoms = self.canon_NCC(x, c, cp)
+        if atoms[0][0] != "NCC":
+            return self._sum_of_atoms(atoms)
         calc = self.calc
-        if cp is EMPTY:
-            gamma = self.quiver.gamma_of(x)
-            return self.construct_M(calc.word((gamma,) + c.letters))
-        if not (calc.in_s_x(c, x) and calc.in_s_x(cp, x)):
-            raise NotAPair(f"({c}, {cp}) not inside S_{x} x S_{x}")
-        if calc.word_key(c) == calc.word_key(cp):
-            return self.construct_N(x, c).direct_sum(self.construct_M(c))
-        bx = calc.band_of(x)
-        if not bx.is_trivial:
-            bxc = StringWord(bx.letters + c.letters)
-            if calc.word_key(cp) == calc.word_key(bxc):
-                gamma = self.quiver.gamma_of(x)
-                return self.construct_L(x, bxc).direct_sum(
-                    self.construct_M(calc.word((gamma,) + c.letters)))
-            if calc.compare(cp, bxc) > 0:
-                raise NotAPair(f"({c}, {cp}) violates C' < B_x C at {x}")
-        if calc.compare(c, cp) >= 0:
-            raise NotAPair(f"({c}, {cp}) violates C < C'")
         vertex_labels, entries = {}, {}
         self._skeleton(c, ("v",), vertex_labels, entries)
         self._skeleton(cp, ("vq",), vertex_labels, entries)
         alpha, gamma = self.quiver.alpha_of(x), self.quiver.gamma_of(x)
         vertex_labels.setdefault(self.quiver.target[alpha], []).append(("vp",))
         vertex_labels.setdefault(self.quiver.source[gamma], []).append(("vpp",))
-        blen = self.calc.band_of(x).length
+        blen = calc.band_of(x).length
         for p in range(calc.p_count(c, x) + 1):
             entries.setdefault(alpha, []).append((("vp",), ("v", p * blen), 1))
         for p in range(calc.p_count(cp, x) + 1):
@@ -393,7 +405,8 @@ class StringModules:
         """m copies of the band word coupled through the closing letter."""
         n = band.length
         closing = band.letters[-1]
-        assert closing not in self.quiver.primed, "band must close on a reversed letter"
+        if closing in self.quiver.primed:
+            raise ConsistencyError("band must close on a reversed letter")
         vertex_labels, entries = {}, {}
         for j in range(1, m + 1):
             self._skeleton(band, ("vb", j), vertex_labels, entries, band=True)
@@ -425,52 +438,128 @@ class StringModules:
         entries.setdefault(alpha, []).append((("vp",), ("vb", 1, 0), 1))
         return self._assemble(vertex_labels, entries)
 
+    # -- atoms and the family conventions -----------------------------------
+
+    def atom(self, key) -> Representation:
+        """The module of an atom: the one map from a key to a module."""
+        tag, word = key[0], self.calc.from_key
+        if tag == "M":
+            return self.construct_M(word(key[1]))
+        if tag == "N":
+            return self.construct_N(key[1], word(key[2]))
+        if tag == "L":
+            return self.construct_L(key[1], word(key[2]))
+        if tag == "NCC":
+            return self.construct_NCC(key[1], word(key[2]), word(key[3]))
+        if tag == "R":
+            return self.construct_R(self._bands[key[1]], key[2], key[3])
+        if tag == "Qband":
+            return self.construct_Qband(key[1], key[2])
+        raise ValueError(key)
+
+    def atom_dim(self, atom) -> int:
+        """The total dimension of the module of an atom, read off the key."""
+        tag = atom[0]
+        if tag == "M":
+            return len(atom[1][0]) + 1
+        if tag == "N":
+            return len(atom[2][0]) + 3
+        if tag == "L":
+            return len(atom[2][0]) + 2
+        if tag == "NCC":
+            return len(atom[2][0]) + len(atom[3][0]) + 4
+        if tag == "R":
+            return atom[3] * self._bands[atom[1]].length
+        if tag == "Qband":
+            return atom[2] * self._bands[atom[1]].length + 1
+        raise ValueError(atom)
+
+    def _sum_of_atoms(self, atoms) -> Representation:
+        return direct_sum_of(self.quiver, self.field,
+                             [self.atom(a) for a in atoms])
+
+    def canon_M(self, w):
+        if w is EMPTY:
+            return ()
+        return (("M", self.calc.word_key(w)),)
+
+    def canon_N(self, x, w):
+        calc = self.calc
+        if w is EMPTY:
+            z = self.quiver.source[self.quiver.gamma_of(x)]
+            return (("M", calc.word_key(calc.trivial(z))),)
+        if not calc.in_s_x(w, x):
+            raise NotAPair(f"N-term parameter outside S_x: {w} at {x}")
+        return (("N", x, calc.word_key(w)),)
+
+    def canon_L(self, x, w):
+        if not (self.calc.in_s_x(w, x) and self.calc.p_count(w, x) > 0):
+            raise NotAPair(f"L-term parameter invalid: {w} at {x}")
+        return (("L", x, self.calc.word_key(w)),)
+
+    def canon_NCC(self, x, c, cp):
+        if x not in self.quiver.q0_primed():
+            raise NotAPair(f"{x} is not in Q0'")
+        calc, wkey = self.calc, self.calc.word_key
+        gamma = self.quiver.gamma_of(x)
+        if cp is EMPTY:
+            return self.canon_M(calc.word((gamma,) + c.letters))
+        if not (calc.in_s_x(c, x) and calc.in_s_x(cp, x)):
+            raise NotAPair(f"pair outside S_x: ({c}, {cp}) at {x}")
+        if wkey(c) == wkey(cp):
+            return (("N", x, wkey(c)), ("M", wkey(c)))
+        bx = calc.band_of(x)
+        if not bx.is_trivial:
+            bxc = StringWord(bx.letters + c.letters)
+            if wkey(cp) == wkey(bxc):
+                return (("L", x, wkey(bxc)),) + self.canon_M(
+                    calc.word((gamma,) + c.letters))
+            if calc.compare(cp, bxc) > 0:
+                raise NotAPair(
+                    f"pair violates C' < B_x C: ({c}, {cp}) at {x}")
+        if calc.compare(c, cp) > 0:
+            raise NotAPair(f"pair out of order: ({c}, {cp}) at {x}")
+        return (("NCC", x, wkey(c), wkey(cp)),)
+
+    def canon_R(self, band_name, lam, m):
+        if m <= 0:
+            return ()
+        return (("R", band_name, int(self.field.red(lam)), m),)
+
+    def canon_Qb(self, x, m):
+        if m <= 0:
+            return ()
+        return (("Qband", x, m),)
+
     # -- the bounded inventory ---------------------------------------------------
 
     def theorem_inventory(self, bound: int, lam_sample=DEFAULT_LAMBDAS):
-        """All classification entries of total dimension <= bound.
+        """All classification entries of total dimension <= bound, each
+        built by ``atom`` from its key and sorted by the key's repr.
 
         The band parameter runs over lam_sample plus 1 (the theorem's family
         carries every unit; 1 is included for every band so the tube mouths
         referenced by the almost-split-sequence rows are present).
         """
-        calc = self.calc
-        entries = []
-        for w in calc.all_strings(bound - 1):
-            entries.append(InventoryEntry("M", (calc.word_key(w),),
-                                          self.construct_M(w)))
-        for x in self.quiver.q0_primed():
-            for w in calc.s_x(x, bound - 3):
-                entries.append(InventoryEntry("N", (x, calc.word_key(w)),
-                                              self.construct_N(x, w)))
-        for x in self.quiver.q0_doubleprimed():
+        calc, q, wkey = self.calc, self.quiver, self.calc.word_key
+        keys = [("M", wkey(w)) for w in calc.all_strings(bound - 1)]
+        for x in q.q0_primed():
+            keys += [("N", x, wkey(w)) for w in calc.s_x(x, bound - 3)]
+        for x in q.q0_doubleprimed():
             bx = calc.band_of(x)
-            for w in calc.s_x(x, bound - 2 - bx.length):
-                bxw = StringWord(bx.letters + w.letters)
-                entries.append(InventoryEntry("L", (x, calc.word_key(bxw)),
-                                              self.construct_L(x, bxw)))
-        for x in self.quiver.q0_primed():
-            for c, cp in calc.pairs_p_x(x, bound - 4):
-                entries.append(InventoryEntry(
-                    "NCC", (x, calc.word_key(c), calc.word_key(cp)),
-                    self.construct_NCC(x, c, cp)))
+            keys += [("L", x, wkey(StringWord(bx.letters + w.letters)))
+                     for w in calc.s_x(x, bound - 2 - bx.length)]
+        for x in q.q0_primed():
+            keys += [("NCC", x, wkey(c), wkey(cp))
+                     for c, cp in calc.pairs_p_x(x, bound - 4)]
         lams = band_parameters(self.field, lam_sample)
-        for name, band in calc.bands():
-            if band.length <= 0:
-                continue
-            m = 1
-            while m * band.length <= bound:
-                for lam in lams:
-                    entries.append(InventoryEntry(
-                        "R", (name, int(lam), m),
-                        self.construct_R(band, lam, m)))
-                m += 1
-        for x in self.quiver.q0_doubleprimed():
-            blen = calc.band_of(x).length
-            m = 1
-            while m * blen + 1 <= bound:
-                entries.append(InventoryEntry("Qband", (x, m),
-                                              self.construct_Qband(x, m)))
-                m += 1
+        for name, band in self._bands.items():
+            keys += [("R", name, int(lam), m)
+                     for m in range(1, bound // band.length + 1)
+                     for lam in lams]
+        for x in q.q0_doubleprimed():
+            top = (bound - 1) // self._bands[x].length
+            keys += [("Qband", x, m) for m in range(1, top + 1)]
+        entries = [InventoryEntry(k[0], k[1:], self.atom(k)) for k in keys]
         entries.sort(key=lambda e: repr(e.key))
         return entries

@@ -109,6 +109,22 @@ def _lex_le(posets, p, g, q, h):
     return poset.index(g) <= poset.index(h)
 
 
+_X_KINDS = ("X", "Xp", "Xpp")
+
+
+def _x_hom(idx, u, v):
+    """Whether Hom(u, v) is nonzero among the X, Xp and Xpp objects, the
+    rule the K- and L-family models share; None when u or v is of another
+    kind.  ``idx`` maps each poset index p of an ("X", p, g) to its poset."""
+    if u[0] not in _X_KINDS or v[0] not in _X_KINDS:
+        return None
+    if u[0] == "X" and v[0] == "X":
+        return _lex_le(idx, u[1], u[2], v[1], v[2])
+    if u[0] == "X" or u[0] == v[0]:  # X -> Xp, Xpp; Xp -> Xp; Xpp -> Xpp
+        return u[1] <= v[1]
+    return u[1] < v[1]  # Xp, Xpp -> X; Xp -> Xpp; Xpp -> Xp
+
+
 def _build_k(posets) -> VscModel:
     r = len(posets) - 1
     objects = []
@@ -124,24 +140,7 @@ def _build_k(posets) -> VscModel:
     idx = {i + 1: poset for i, poset in enumerate(posets)}
     for u in objects:
         for v in objects:
-            hit = False
-            if u[0] == "X" and v[0] == "X":
-                hit = _lex_le(idx, u[1], u[2], v[1], v[2])
-            elif u[0] == "X" and v[0] in ("Xp", "Xpp"):
-                hit = u[1] <= v[1]
-            elif u[0] == "Xp" and v[0] == "X":
-                hit = u[1] < v[1]
-            elif u[0] == "Xp" and v[0] == "Xp":
-                hit = u[1] <= v[1]
-            elif u[0] == "Xp" and v[0] == "Xpp":
-                hit = u[1] < v[1]
-            elif u[0] == "Xpp" and v[0] == "X":
-                hit = u[1] < v[1]
-            elif u[0] == "Xpp" and v[0] == "Xp":
-                hit = u[1] < v[1]
-            elif u[0] == "Xpp" and v[0] == "Xpp":
-                hit = u[1] <= v[1]
-            if hit:
+            if _x_hom(idx, u, v):
                 homdim[(u, v)] = 1
     return VscModel("K", objects, objdim, homdim)
 
@@ -187,36 +186,17 @@ def _build_lf(posets) -> VscModel:
     homdim = {}
     for u in objects:
         for v in objects:
-            hit = False
-            if u[0] == "X" and v[0] == "X":
-                hit = _lex_le(idx, u[1], u[2], v[1], v[2])
-            elif u[0] == "X" and v[0] in ("Xp", "Xpp"):
-                hit = u[1] <= v[1]
-            elif u[0] == "X" and v[0] == "Y":
+            kinds = (u[0], v[0])
+            hit = _x_hom(idx, u, v)
+            if kinds == ("X", "Y"):
                 hit = u[1] == 0 and idx[0].index(u[2]) <= idx[0].index(v[1])
-            elif u[0] == "X" and v[0] == "Z":
+            elif kinds in (("X", "Z"), ("Xpp", "Z")):
                 hit = u[1] == 0
-            elif u[0] == "Xp" and v[0] == "X":
-                hit = u[1] < v[1]
-            elif u[0] == "Xp" and v[0] == "Xp":
-                hit = u[1] <= v[1]
-            elif u[0] == "Xp" and v[0] == "Xpp":
-                hit = u[1] < v[1]
-            elif u[0] == "Xpp" and v[0] == "X":
-                hit = u[1] < v[1]
-            elif u[0] == "Xpp" and v[0] == "Xp":
-                hit = u[1] < v[1]
-            elif u[0] == "Xpp" and v[0] == "Xpp":
-                hit = u[1] <= v[1]
-            elif u[0] == "Xpp" and v[0] == "Z":
-                hit = u[1] == 0
-            elif u[0] == "Y" and v[0] == "X":
-                hit = x_min_i1 is not None and v == x_min_i1
-            elif u[0] == "Y" and v[0] == "Y":
+            elif kinds == ("Y", "X"):
+                hit = v == x_min_i1
+            elif kinds == ("Y", "Y"):
                 hit = idx[0].index(u[1]) <= idx[0].index(v[1])
-            elif u[0] == "Y" and v[0] == "Z":
-                hit = True
-            elif u[0] == "Z" and v[0] == "Z":
+            elif kinds in (("Y", "Z"), ("Z", "Z")):
                 hit = True
             # the X_{min I_1} -> Z cell: exact computation of the induced
             # category always exhibits the surviving morphism, so the

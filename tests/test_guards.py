@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tworay import homlab, vsc
+from tworay import homlab, string_modules, vsc
 from tworay.field import PrimeField
 from tworay.homlab import ConsistencyError
 
@@ -32,8 +32,10 @@ def _guard_failures():
     for an element that is not nilpotent, a kernel whose arrow maps cannot
     be solved for, a Krull-Schmidt map that is declared singular, a
     presentation whose kernel K = ker h is taken to be all of P0 (not
-    arrow-stable), and one whose basis of K repeats its columns, so that
-    the P1 generators span less than K claims."""
+    arrow-stable), one whose basis of K repeats its columns, so that
+    the P1 generators span less than K claims, a Fitting witness sought
+    among nilpotent shifts alone, an arrow entry between labels at the
+    wrong vertices, and a band that closes on an alpha-letter."""
     c = Ctx(SYSTEMS["fund21"])
     simple = lambda: c.modules.construct_M(c.calc.trivial("x:1:0"))
     R, a, b = simple(), simple(), simple()
@@ -84,6 +86,17 @@ def _guard_failures():
             [null_space_from_rref(F, rows, n)] * 2)
         out.append(_raised(lambda: homlab.minimal_presentation(
             source_simple, c.algebra)))
+        PrimeField.null_space_from_rref = null_space_from_rref
+        shift = string.field.zeros(2, 2)
+        shift[0, 1] = 1  # squares to 0, so every product of it vanishes
+        out.append(_raised(lambda: homlab._fitting_witness(
+            string, [(shift, None)])))
+        # alpha:1:1 runs from x:1:1 to x:1:0; the entry swaps its ends
+        out.append(_raised(lambda: c.modules._assemble(
+            {"x:1:0": [("v", 0)], "x:1:1": [("v", 1)]},
+            {"alpha:1:1": [(("v", 1), ("v", 0), 1)]})))
+        out.append(_raised(lambda: c.modules._band_skeleton(
+            c.calc.word(("alpha:1:1",)), 1, 1)))
     finally:
         vsc.hom_space, homlab.top_generators = hom_space, top_generators
         PrimeField.null_space, PrimeField.solve = null_space, solve
@@ -99,11 +112,15 @@ WANT = ["composite outside the span of Hom(R, v)",
         "kernel is not arrow-stable",
         "Krull-Schmidt map is not an isomorphism",
         "kernel is not arrow-stable",
-        "presentation does not cover the kernel"]
+        "presentation does not cover the kernel",
+        "no non-nilpotent product of the shifts found",
+        "arrow alpha:1:1 does not join labels ('v', 0) and ('v', 1)",
+        "band must close on a reversed letter"]
 
 
 def test_guards_raise():
     assert _guard_failures() == WANT
+    assert homlab.ConsistencyError is string_modules.ConsistencyError
 
 
 def test_guards_raise_under_optimisation():

@@ -287,7 +287,7 @@ def test_verify_reports_mutated_row(fund21):
                and len(r["middle"]) == 2)
     mutated = dict(row)
     mutated["middle"] = mutated["middle"][:1]
-    mutated["middle_dim"] = sum(ver.atom_dim(a) for a in mutated["middle"])
+    mutated["middle_dim"] = sum(map(ver.sm.atom_dim, mutated["middle"]))
     ver.rows = lambda bound: [mutated]
     report = ver.verify(6)
     assert any("row" in f for f in report["failures"])

@@ -299,6 +299,44 @@ def test_inventory_within_small_bounds(name):
     assert report["failures"] == [] and report["inventory_size"] == 0
 
 
+def _same_module(a, b):
+    return a.spaces == b.spaces and all(
+        np.array_equal(a.maps[x], b.maps[x]) for x in a.quiver.arrows)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_inventory_entries_are_their_atoms(name):
+    # every entry is the module of its key, of the dimension read off the key
+    sm = ctx(name).modules
+    for e in sm.theorem_inventory(10):
+        assert _same_module(sm.atom(e.key), e.rep), e.key
+        assert sm.atom_dim(e.key) == e.rep.total_dim, e.key
+
+
+def test_degenerate_terms_are_sums_of_their_atoms(tsys):
+    # a degenerate N(C, C') or N_EMPTY is the direct sum of the atoms its
+    # canon_* names, label for label
+    sm, calc, x = tsys.modules, tsys.calc, "x:1:2"
+    mu = calc.mu(x)
+    gmu = calc.word(("gamma:1:2",) + mu.letters)
+    bxmu = StringWord(calc.band_of(x).letters + mu.letters)
+    for cp, summands in ((EMPTY, [sm.construct_M(gmu)]),
+                         (mu, [sm.construct_N(x, mu), sm.construct_M(mu)]),
+                         (bxmu, [sm.construct_L(x, bxmu),
+                                 sm.construct_M(gmu)])):
+        want = direct_sum_of(sm.quiver, sm.field, summands)
+        assert _same_module(sm.construct_NCC(x, mu, cp), want), cp
+    z = tsys.quiver.source["gamma:1:2"]
+    assert _same_module(sm.construct_N(x, EMPTY),
+                        sm.construct_M(calc.trivial(z)))
+    with pytest.raises(NotAPair):
+        sm.canon_NCC(x, calc.trivial(x), mu)  # out of order
+    with pytest.raises(NotAPair):
+        sm.canon_L(x, mu)  # no B_x prefix
+    with pytest.raises(ValueError):
+        sm.atom(("X", x))
+
+
 def test_inventory_fundamental_families(fund21):
     tags = {e.tag for e in fund21.modules.theorem_inventory(9)}
     assert tags == {"M", "R"}

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from tworay import ar_translate, is_isomorphic
-from tworay.homlab import (_left_mult, _sum_right_map, compose_maps,
+from tworay.homlab import (_left_mult, compose_maps,
                            is_projective, kernel_rep, minimal_presentation)
-from tworay.string_modules import Representation
+from tworay.string_modules import Representation, block_diagonal
 
 from conftest import SYSTEMS, ctx
 
@@ -107,7 +107,7 @@ def _two_cover_translate(M, algebra):
     for a in q.arrows:
         s, t = q.source[a], q.target[a]
         if spaces.get(s) and spaces.get(t):
-            cod_map = _sum_right_map(F, [r[1][a] for r in right1])
+            cod_map = block_diagonal(F, [r[1][a] for r in right1])
             maps[a] = F.mul(quot[s][0], F.mul(cod_map, quot[t][1])).T
     return Representation(q, F, spaces, maps), [u for u, _ in gens1]
 
