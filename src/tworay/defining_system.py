@@ -5,6 +5,7 @@ operations here are pure; systems are immutable once validated.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 
@@ -109,11 +110,31 @@ class DefiningSystem:
         return self.to_json()
 
 
+def _sequence(name, value, kinds=(list, tuple)):
+    """``value``, checked to be one of ``kinds``."""
+    if not isinstance(value, kinds):
+        raise DefiningSystemError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _integers(name, entries, kinds=(list, tuple)) -> tuple:
+    """``entries`` as a tuple of ints, checked to be one of ``kinds`` and to
+    hold integers only: not floats, strings or booleans, which ``int``
+    would silently convert."""
+    for x in _sequence(name, entries, kinds):
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise DefiningSystemError(
+                f"{name} entries must be integers, got {x!r}")
+    return tuple(int(x) for x in entries)
+
+
 def validate(raw) -> DefiningSystem:
     """Check the five invariants of a candidate quadruple.
 
-    ``raw`` may be a mapping with keys p/q/S/T, a 4-tuple, or a DefiningSystem.
-    Raises the subclass of DefiningSystemError naming the first violation.
+    ``raw`` may be a mapping with keys p/q/S/T, a 4-sequence, or a
+    DefiningSystem.  p and q are lists of integers, S and T lists of
+    integer lists (or sets).  Raises the subclass of DefiningSystemError
+    naming the first violation.
     """
     if isinstance(raw, DefiningSystem):
         p, q, S, T = raw.p, raw.q, raw.S, raw.T
@@ -122,13 +143,19 @@ def validate(raw) -> DefiningSystem:
             p, q, S, T = raw["p"], raw["q"], raw["S"], raw["T"]
         except KeyError as exc:
             raise LengthMismatch(f"missing field {exc}") from None
-    else:
+    elif isinstance(raw, (list, tuple)) and len(raw) == 4:
         p, q, S, T = raw
+    else:
+        raise DefiningSystemError(
+            f"a defining system is an object with fields p, q, S, T or a "
+            f"4-sequence, got {raw!r}")
 
-    p = tuple(int(x) for x in p)
-    q = tuple(int(x) for x in q)
-    S = tuple(frozenset(int(x) for x in s) for s in S)
-    T = tuple(frozenset(int(x) for x in t) for t in T)
+    p, q = _integers("p", p), _integers("q", q)
+    sets = (list, tuple, set, frozenset)
+    S = tuple(frozenset(_integers(f"S_{i}", s, sets))
+              for i, s in enumerate(_sequence("S", S), start=1))
+    T = tuple(frozenset(_integers(f"T_{i}", t, sets))
+              for i, t in enumerate(_sequence("T", T), start=1))
 
     if any(x < 1 for x in p) or any(x < 1 for x in q):
         raise SetOutOfRange("entries of p and q must be positive")

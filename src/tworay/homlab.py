@@ -139,6 +139,20 @@ Triangularization, 2000), so V_d lies in rad^d k^d = 0.  The flag only
 descends, so a step that keeps the rank has stalled at a nonzero subspace
 and End(M) is not local; only then are products of the shifts searched for
 a non-nilpotent one, whose Fitting decomposition gives the idempotent.
+
+An element f that its trace does not show to be l id + nilpotent goes to
+``factor_charpoly``, which reads from its charpoly c only what the verdict
+needs, with no factorization.  A root l of c, found by evaluating c at every
+element of GF(p) at once, either makes f - l nilpotent, and f joins the
+flag, or gives the Fitting idempotent of f - l, and M is DECOMPOSABLE.
+Without a root, u = f^q for a power q >= d of p generates k[f]/rad, a
+product of one field k[t]/(g_i) per distinct irreducible factor g_i of c,
+and the fixed space of x -> x^p on k[u] has one dimension per g_i
+(Berlekamp).  One g_i, the minimal polynomial of u, is FIELD_OBSTRUCTION;
+with more, a fixed x outside k id has its eigenvalues in GF(p), and the
+Fitting idempotent of x - l splits M.  Idempotents are found on the total
+matrix, whose Fitting projection is block-diagonal: its blocks are the
+per-vertex maps of the certificate.
 """
 
 import numpy as np
@@ -406,68 +420,42 @@ def total_matrix(M: Representation, f) -> np.ndarray:
     return total_matrices(M, [f])[0]
 
 
-# -- polynomial helpers over GF(p) ---------------------------------------------
+# -- powers, roots and the charpoly route ------------------------------------------
 
 
-def _poly_trim(c):
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-def _poly_divmod(F, a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = F.inv(lb)
-    qcoef = [0] * max(len(a) - db, 1)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = (a[k] * inv) % F.p
-        qcoef[k - db] = c
-        if c:
-            for i in range(db + 1):
-                a[k - db + i] = (a[k - db + i] - c * b[i]) % F.p
-    return _poly_trim(qcoef), _poly_trim(a[:db] or [0])
-
-def _poly_mul(F, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % F.p
-    return _poly_trim(out)
-
-def _poly_sub(F, a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _poly_trim([(x - y) % F.p for x, y in zip(a, b)])
-
-
-def _poly_xgcd(F, a, b):
-    """(g, s, t) with s a + t b = g monic, all coefficient lists ascending."""
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [1], [0]
-    t0, t1 = [0], [1]
-    while r1 != [0]:
-        qc, rem = _poly_divmod(F, r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(F, s0, _poly_mul(F, qc, s1))
-        t0, t1 = t1, _poly_sub(F, t0, _poly_mul(F, qc, t1))
-    inv = F.inv(r0[-1])
-    return ([(x * inv) % F.p for x in r0],
-            [(x * inv) % F.p for x in s0],
-            [(x * inv) % F.p for x in t0])
-
-
-def poly_apply(F, coeffs, mat):
-    """Evaluate an ascending-coefficient polynomial on a square matrix."""
-    n = mat.shape[0]
-    out = F.scale(coeffs[0], F.eye(n))
-    power = F.eye(n)
-    for c in coeffs[1:]:
-        power = F.mul(power, mat)
-        if c:
-            out = F.add(out, F.scale(c, power))
+def _power(F, a, n: int) -> np.ndarray:
+    """a^n for a square matrix, by repeated squaring."""
+    out = F.eye(len(a))
+    while n:
+        if n & 1:
+            out = F.mul(out, a)
+        n >>= 1
+        if n:
+            a = F.mul(a, a)
     return out
+
+
+def _frobenius_power(F, a) -> np.ndarray:
+    """a^q for the least q = p^j >= dim a.  For a = s + n, s semisimple and n
+    nilpotent, both polynomials in a, a^q = s^q + n^q = s^q: l for a = l + n,
+    and in general a generator of F[a]/rad, since s^q is a Galois conjugate
+    of s, with the same minimal polynomial."""
+    q = F.p
+    while q < len(a):
+        q *= F.p
+    return _power(F, a, q)
+
+
+def _roots(F, coeffs) -> np.ndarray:
+    """The roots in GF(p) of an ascending-coefficient polynomial, in
+    increasing order: Horner's rule at every element of GF(p) at once, on
+    int64 arrays of p entries (0.25 MB at the default prime; the products
+    stay below p^2 < 2^42)."""
+    xs = np.arange(F.p, dtype=np.int64)
+    values = np.zeros(F.p, dtype=np.int64)
+    for c in reversed(coeffs):
+        values = (values * xs + c) % F.p
+    return np.flatnonzero(values == 0)
 
 
 def _nilpotent_mask(F, stack) -> np.ndarray:
@@ -505,21 +493,46 @@ def _generates_nilpotent(F, stack) -> bool:
     return True
 
 
-def factor_charpoly(F, coeffs):
-    """Factor an ascending-coefficient polynomial over GF(p) via sympy.
-
-    Returns a list of (ascending coeff list, exponent) with monic factors.
-    """
-    import sympy
-
-    t = sympy.Symbol("t")
-    poly = sympy.Poly(list(reversed(coeffs)), t, modulus=F.p)
-    _, factors = poly.factor_list()
-    out = []
-    for fac, exp in factors:
-        asc = [int(c) % F.p for c in reversed(fac.all_coeffs())]
-        out.append((asc, int(exp)))
-    return out
+def factor_charpoly(F, a):
+    """What ``_certify`` needs from the charpoly c of a square matrix a,
+    found without factoring c (see the module docstring): an int l with
+    a - l nilpotent, when c = (t - l)^d; a d x d nontrivial idempotent of
+    F[a], when c has two coprime factors; or the monic irreducible g of
+    degree >= 2 with c = g^m, as an ascending coefficient list.  The fixed
+    space of x -> x^p counts the distinct factors (Berlekamp, Bell System
+    Tech. J. 46, 1967; von zur Gathen-Gerhard, Modern Computer Algebra,
+    Ch. 14)."""
+    d = len(a)
+    eye = F.eye(d)
+    roots = _roots(F, F.charpoly(a))
+    if len(roots):
+        lam = int(roots[0])
+        shift = (a - lam * eye) % F.p
+        if is_nilpotent(F, shift):
+            return lam
+        return _fitting_idempotent(F, shift)
+    u = _frobenius_power(F, a)
+    powers = [eye]
+    for _ in range(d):
+        powers.append(F.mul(powers[-1], u))
+    powers = np.array(powers)
+    # the first k powers are a basis of F[u], and u^k = sum_i r_i u^i
+    reduced, pivots = F.rref(powers.reshape(d + 1, -1).T)
+    k = len(pivots)
+    w, frobenius = _power(F, u, F.p), [eye]
+    for _ in range(k - 1):
+        frobenius.append(F.mul(frobenius[-1], w))
+    # sum_i c_i u^i is fixed iff sum_i c_i (w^i - u^i) = 0, w = u^p
+    moved = (np.array(frobenius) - powers[:k]) % F.p
+    fixed = F.null_space(moved.reshape(k, -1).T)
+    if fixed.shape[1] == 1:  # only k id
+        return [int(-r) % F.p for r in reduced[:k, k]] + [1]
+    x = np.tensordot(fixed[:, 1], powers[:k], 1) % F.p
+    roots = _roots(F, F.charpoly(x))
+    if not len(roots):
+        raise ConsistencyError(
+            "Frobenius-fixed element has no eigenvalue in GF(p)")
+    return _fitting_idempotent(F, (x - int(roots[0]) * eye) % F.p)
 
 
 # -- indecomposability ----------------------------------------------------------
@@ -541,51 +554,34 @@ class IndecVerdict:
         return self.status == other if isinstance(other, str) else NotImplemented
 
 
-def _fitting_idempotent(M: Representation, endo):
-    """Nontrivial idempotent from a non-nilpotent, somewhere-singular endo."""
-    F = M.field
-    d = M.total_dim
-    power = {v: m.copy() for v, m in endo.items()}
-    for _ in range(max(1, d).bit_length()):
-        power = compose_maps(F, power, power)
-    idem = {}
-    for v in M.quiver.vertices:
-        pv = power[v]
-        if pv.shape[0] == 0:
-            idem[v] = pv
-            continue
-        img = F.column_space(pv)
-        ker = F.null_space(pv)
-        basis = np.hstack([ker, img]) if ker.size or img.size else F.zeros(
-            pv.shape[0], 0)
-        if basis.shape[1] != pv.shape[0]:
-            raise ConsistencyError("Fitting decomposition failed")
-        proj = F.zeros(pv.shape[0], pv.shape[0])
-        proj[:, ker.shape[1]:] = img
-        idem[v] = F.mul(proj, F.inv_matrix(basis))
-    return idem
+def _fitting_idempotent(F, a) -> np.ndarray:
+    """The projection onto Im a^d along Ker a^d, d = dim a: the Fitting
+    idempotent, a polynomial in a, nontrivial when a is singular and not
+    nilpotent.  When a is the block-diagonal total matrix of an
+    endomorphism, so are a^d, its image, its kernel and the projection,
+    whose blocks are the per-vertex Fitting idempotents."""
+    d = len(a)
+    power = _power(F, a, d)
+    img = F.column_space(power)
+    ker = F.null_space(power)
+    basis = np.hstack([ker, img])
+    if basis.shape[1] != d:
+        raise ConsistencyError("Fitting decomposition failed")
+    proj = F.zeros(d, d)
+    proj[:, ker.shape[1]:] = img
+    return F.mul(proj, F.inv_matrix(basis))
 
 
-def _split_from_factors(M, endo, factors):
-    """Idempotent in End(M) from a coprime factor split of a charpoly."""
-    F = M.field
-    f = factors[0][0]
-    for _ in range(factors[0][1] - 1):
-        f = _poly_mul(F, f, factors[0][0])
-    g = [1]
-    for fac, exp in factors[1:]:
-        for _ in range(exp):
-            g = _poly_mul(F, g, fac)
-    _, s, t = _poly_xgcd(F, f, g)
-    sf = _poly_mul(F, s, f)
-    idem = {v: poly_apply(F, sf, endo[v]) for v in endo}
-    return idem
-
-
-def _shift_map(M: Representation, f, lam):
-    """f - lam id, per vertex."""
-    F = M.field
-    return {v: F.sub(m, F.scale(lam, F.eye(len(m)))) for v, m in f.items()}
+def _vertex_maps(M: Representation, total) -> dict:
+    """The endomorphism of M whose total matrix is the block-diagonal
+    ``total``: its diagonal blocks, in the order of ``total_matrices``."""
+    out = {v: zero_size_block(0, 0) for v in M.quiver.vertices}
+    pos = 0
+    for v in M.support:
+        dv = M.dim(v)
+        out[v] = total[pos: pos + dv, pos: pos + dv]
+        pos += dv
+    return out
 
 
 def _trace_form_rank(M: Representation, kernel, blocks) -> int:
@@ -616,10 +612,12 @@ def _certify(M: Representation, basis):
 
     Every element f is tested as l id + nilpotent with l = trace / d (when
     p does not divide d), all at once on the stack of total matrices; an
-    element that fails goes to charpoly analysis, in basis order.  Once
+    element that fails goes to ``factor_charpoly``, in basis order, which
+    finds its eigenvalue, an idempotent or the field obstruction.  Once
     every element is scalar + nilpotent, End(M) is LOCAL iff the shifts
     generate a nilpotent algebra, which the flag decides; only a stalled
-    flag pays for a Fitting idempotent.
+    flag pays for a Fitting idempotent.  Idempotents are found as total
+    matrices and read back per vertex for the certificate.
     """
     F = M.field
     d = M.total_dim
@@ -633,103 +631,79 @@ def _certify(M: Representation, basis):
     for i, f in enumerate(basis):
         if nil[i]:
             continue
-        # not scalar + nilpotent: inspect the characteristic polynomial
-        factors = factor_charpoly(F, F.charpoly(totals[i]))
-        if len(factors) > 1:
-            if any(len(fac) == 2 for fac, _ in factors):
-                fac = next(fac for fac, _ in factors if len(fac) == 2)
-                lam = F.neg(fac[0])  # root of the linear factor
-                idem = _fitting_idempotent(M, _shift_map(M, f, lam))
-                return IndecVerdict(IndecVerdict.DECOMPOSABLE, idem)
+        found = factor_charpoly(F, totals[i])
+        if isinstance(found, int):
+            lams[i] = found
+        elif isinstance(found, list):
+            return IndecVerdict(IndecVerdict.FIELD_OBSTRUCTION, (f, found))
+        else:
             return IndecVerdict(IndecVerdict.DECOMPOSABLE,
-                                _split_from_factors(M, f, factors))
-        fac, exp = factors[0]
-        if len(fac) == 2:
-            lams[i] = F.neg(fac[0])
-            if is_nilpotent(F, totals[i] - lams[i] * eye):
-                continue
-            raise ConsistencyError(
-                "charpoly (t-l)^d but shift not nilpotent")
-        return IndecVerdict(IndecVerdict.FIELD_OBSTRUCTION, (f, fac))
+                                _vertex_maps(M, found))
     shifts = (totals - lams[:, None, None] * eye) % F.p
     if _generates_nilpotent(F, shifts):
         return IndecVerdict(IndecVerdict.LOCAL)
-    gens = [(m, _shift_map(M, f, int(lam)))
-            for m, f, lam in zip(shifts, basis, lams)]
-    return IndecVerdict(IndecVerdict.DECOMPOSABLE, _fitting_witness(M, gens))
+    return IndecVerdict(IndecVerdict.DECOMPOSABLE,
+                        _vertex_maps(M, _fitting_witness(F, shifts)))
 
 
-def _fitting_witness(M: Representation, gens):
-    """Fitting idempotent of a non-nilpotent product of the shifts.
+def _fitting_witness(F, shifts) -> np.ndarray:
+    """Fitting idempotent of a non-nilpotent product of the shifts, a
+    k x d x d stack of total matrices.
 
-    ``gens`` pairs each shift's total matrix with its per-vertex maps.  It
-    is called only when the flag has stalled, so the shifts do not generate
-    a nilpotent algebra, and some product of them is non-nilpotent (a
-    multiplicative semigroup of nilpotent matrices spans a nilpotent
+    It is called only when the flag has stalled, so the shifts do not
+    generate a nilpotent algebra, and some product of them is non-nilpotent
+    (a multiplicative semigroup of nilpotent matrices spans a nilpotent
     algebra: Levitzki).  The search multiplies the generators into a
     spanning subset of the products of each length and returns on the first
     non-nilpotent one.
     """
-    F = M.field
-    current = list(gens)
-    for _ in range(2 * M.total_dim + 2):
+    current = list(shifts)
+    for _ in range(2 * shifts.shape[-1] + 2):
         nxt = []
-        for gm, gf in gens:
-            for cm, cf in current:
-                prod_m = F.mul(gm, cm)
-                if F.is_zero(prod_m):
+        for g in shifts:
+            for c in current:
+                prod = F.mul(g, c)
+                if F.is_zero(prod):
                     continue
-                prod_f = compose_maps(F, gf, cf)
-                if not is_nilpotent(F, prod_m):
-                    return _fitting_idempotent(M, prod_f)
-                nxt.append((prod_m, prod_f))
+                if not is_nilpotent(F, prod):
+                    return _fitting_idempotent(F, prod)
+                nxt.append(prod)
         if not nxt:
             break
         # keep a spanning subset so the product frontier cannot blow up
-        flat = np.stack([m.reshape(-1) for m, _ in nxt], axis=1) % F.p
+        flat = np.stack([m.reshape(-1) for m in nxt], axis=1) % F.p
         _, pivots = F.rref(flat)
         current = [nxt[i] for i in pivots]
     raise ConsistencyError("no non-nilpotent product of the shifts found")
 
 
-def is_indecomposable(M: Representation, end_basis=None) -> IndecVerdict:
+def is_indecomposable(M: Representation) -> IndecVerdict:
     """Certify End(M) = k . id + nilpotents, or exhibit an idempotent.
 
-    End(M) is read as the kernel array of ``hom_space(M, M)``, or packed
-    from ``end_basis`` when one is given.  A solved End(M) leaves the
-    verdict on the module as ``M.indec`` and its dimension as
-    ``M.end_dim``, for ``find_iso``, and a later call returns the recorded
-    verdict; a given ``end_basis`` is not trusted with either, and is
-    always certified afresh.  dim End(M) = 1 is LOCAL, and
-    when p > dim M the trace form decides LOCAL (Dickson, see the module
-    docstring); only a module these leave open is unpacked into maps for
-    ``_certify``.
+    End(M) is read as the kernel array of ``hom_space(M, M)``.  The verdict
+    is left on the module as ``M.indec`` and dim End(M) as ``M.end_dim``,
+    for ``find_iso``, and a later call returns the recorded verdict.  dim
+    End(M) = 1 is LOCAL, and when p > dim M the trace form decides LOCAL
+    (Dickson, see the module docstring); only a module these leave open is
+    unpacked into maps for ``_certify``.
 
-    FIELD_OBSTRUCTION carries an element f whose charpoly is a power of one
-    irreducible factor g of degree >= 2.  Then k[f] is local with residue
-    field k[t]/(g), a proper extension of k: End(M) is not k id + rad, and
-    k[f] has no idempotent to split M with.
+    DECOMPOSABLE carries a nontrivial idempotent endomorphism.
+    FIELD_OBSTRUCTION carries an element f and the monic irreducible g of
+    degree >= 2 whose power is the charpoly of f.  Then k[f] is local with
+    residue field k[t]/(g), a proper extension of k: End(M) is not k id +
+    rad, and k[f] has no idempotent to split M with.
     """
     if M.is_zero():
         raise ValueError("the zero module is neither")
-    given = end_basis is not None
-    if not given and M.indec is not None:
+    if M.indec is not None:
         return M.indec
-    if given:
-        blocks, _ = _hom_unknowns(M, M)
-        kernel = np.hstack([np.array([f[v].T for f in end_basis])
-                            .reshape(len(end_basis), -1)
-                            for v in blocks]) % M.field.p
-    else:
-        kernel, blocks = hom_space(M, M)
+    kernel, blocks = hom_space(M, M)
     if len(kernel) == 1 or (M.field.p > M.total_dim
                             and _trace_form_rank(M, kernel, blocks) == 1):
         verdict = IndecVerdict(IndecVerdict.LOCAL)
     else:
-        verdict = _certify(M, end_basis if given
-                           else _basis_maps(M, M, kernel, blocks))
-    if not given:
-        M.end_dim, M.indec = len(kernel), verdict
+        verdict = _certify(M, _basis_maps(M, M, kernel, blocks))
+    M.end_dim, M.indec = len(kernel), verdict
     return verdict
 
 
@@ -812,19 +786,9 @@ def _local_summands(N: Representation):
 
 def _residue(Z: Representation, endo) -> int:
     """The single eigenvalue l of an endomorphism of a LOCAL module, read
-    from (l + n)^q = l + n^q = l for q = p^k >= dim Z: Frobenius fixes GF(p)
-    and the nilpotent part n dies."""
+    from ``_frobenius_power``: (l + n)^q = l."""
     F = Z.field
-    a = total_matrix(Z, endo)
-    q = F.p
-    while q < len(a):
-        q *= F.p
-    power = F.eye(len(a))
-    while q:
-        if q & 1:
-            power = F.mul(power, a)
-        a = F.mul(a, a)
-        q >>= 1
+    power = _frobenius_power(F, total_matrix(Z, endo))
     lam = int(power[0, 0])
     if not F.is_zero(F.sub(power, F.scale(lam, F.eye(len(power))))):
         raise ValueError("endomorphism is not scalar plus nilpotent")

@@ -12,6 +12,13 @@ from dataclasses import dataclass
 
 from .defining_system import DefiningSystem
 
+
+class ConsistencyError(RuntimeError):
+    """A computed map or decomposition failed the check made on it: the
+    code, not the input, is at fault.  Raised, not asserted, so that
+    ``python -O`` keeps the check."""
+
+
 _KIND_ORDER = {"x": 0, "y": 1, "z": 2}
 _ARROW_ORDER = {"alpha": 0, "beta": 1, "gamma": 2, "xi": 3}
 
@@ -184,9 +191,13 @@ def build_relations(ds: DefiningSystem, quiver: Quiver) -> list:
     for r in rels:
         endpoints = {(quiver.path_source(p), quiver.path_target(p))
                      for _, p in r.terms}
-        assert len(endpoints) == 1, f"relation terms disagree on endpoints: {r}"
+        if len(endpoints) != 1:
+            raise ConsistencyError(
+                f"relation terms disagree on endpoints: {r}")
         for _, path in r.terms:
-            assert quiver.is_path(path), f"relation term not composable: {path}"
+            if not quiver.is_path(path):
+                raise ConsistencyError(
+                    f"relation term not composable: {path}")
     return rels
 
 

@@ -15,7 +15,7 @@ import functools
 import numpy as np
 
 from .field import DEFAULT_PRIME, PrimeField
-from .quiver import Quiver
+from .quiver import ConsistencyError, Quiver
 from .strings import EMPTY, StringWord, WordCalculus, NotAString
 
 
@@ -39,12 +39,6 @@ class NotABand(ValueError):
     pass
 
 
-class ConsistencyError(RuntimeError):
-    """A computed map or decomposition failed the check made on it: the
-    code, not the input, is at fault.  Raised, not asserted, so that
-    ``python -O`` keeps the check."""
-
-
 # the band parameters sampled when none are given
 DEFAULT_LAMBDAS = (2, 3, 5)
 
@@ -60,7 +54,8 @@ def zero_size_block(rows: int, cols: int) -> np.ndarray:
     """The rows x cols matrix with rows * cols = 0, as on an arrow or at a
     vertex outside a support.  It holds no entries, so one array per shape
     is shared by every module and map."""
-    assert not (rows and cols), (rows, cols)
+    if rows and cols:
+        raise ConsistencyError(f"a {rows} x {cols} block is not zero-size")
     return np.zeros((rows, cols), dtype=np.int64)
 
 

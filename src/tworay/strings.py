@@ -34,7 +34,7 @@ Q1'' < end < Q1' at every position.
 
 from dataclasses import dataclass
 
-from .quiver import Quiver
+from .quiver import ConsistencyError, Quiver
 
 
 class NotAString(ValueError):
@@ -113,8 +113,8 @@ class WordCalculus:
                 fwd, bwd = self._ext_primed, self._pre_primed
             else:
                 fwd, bwd = self._ext_unprimed, self._pre_unprimed
-            assert quiver.t_star[a] not in fwd, "Q* extension not unique"
-            assert quiver.s_star[a] not in bwd, "Q* extension not unique"
+            if quiver.t_star[a] in fwd or quiver.s_star[a] in bwd:
+                raise ConsistencyError("Q* extension not unique")
             fwd[quiver.t_star[a]] = a
             bwd[quiver.s_star[a]] = a
 

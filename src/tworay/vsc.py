@@ -304,7 +304,6 @@ class LemmaContext:
             model = build_model("LF", posets)
             assign = {}
             for p, poset in enumerate(posets):
-                anchor_x = f"x:{i}:{anchors[p]}" if p < len(anchors) else None
                 for g in poset.prime().elements:
                     if g[0] == "str":
                         y = f"x:{i}:{anchors[p]}"

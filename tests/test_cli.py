@@ -1,10 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from tworay import homlab
 from tworay.cli import main
 from tworay.homlab import ArVerifier
 
@@ -45,6 +49,23 @@ def test_validate_malformed(tmp_path):
     code, out = run(["validate", str(bad)])
     assert code == 2
     assert "SumTooSmall" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("text", [
+    '{"p": ["a"], "q": [1], "S": [[]], "T": [[]]}',
+    '{"p": 3, "q": [1], "S": [[]], "T": [[]]}',
+    '[[2], [1], [[]]]',
+    'null',
+    '{"p": [2.5], "q": [1], "S": [[]], "T": [[]]}',
+    '{"p": [true, true], "q": [1, 1], "S": [[], []], "T": [[], []]}',
+])
+def test_malformed_system_exits_two(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for argv in (["validate", str(bad)], ["verify", str(bad), "--max-dim", "4"]):
+        code, out = run(argv)
+        assert code == 2
+        assert json.loads(out)["error"].startswith("DefiningSystemError: ")
 
 
 def test_quiver_counts(sysfile):
@@ -235,3 +256,30 @@ def test_ar_worked_example_pinned(sysfile):
     assert code == 0
     assert _sha256(out) == (
         "42c9aab901fbaab5573e7866bae56fc1c15ad380895ebd140a78d7c12f9777a2")
+
+
+def test_verify_small_prime_pinned(sysfile, monkeypatch):
+    # over GF(3), with both units as band parameters, 24 endomorphisms are
+    # not scalar + nilpotent by their trace and take the charpoly route
+    calls = []
+    real = homlab.factor_charpoly
+    monkeypatch.setattr(homlab, "factor_charpoly",
+                        lambda F, a: calls.append(a) or real(F, a))
+    code, out = run(["verify", sysfile("tsys"), "--max-dim", "8",
+                     "--field", "3", "--lambda", "1,2"])
+    assert code == 0 and len(calls) == 24
+    assert _sha256(out) == (
+        "88eb761b191807f43ce7d27ffaedd681bc74f39b48837e1a6f14064d9ff3d984")
+
+
+def test_small_prime_verify_imports_no_sympy(sysfile):
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys; from tworay.cli import main; "
+              "code = main(sys.argv[1:]); "
+              "print(code, 'sympy' in sys.modules, file=sys.stderr)")
+    out = subprocess.run(
+        [sys.executable, "-c", script, "verify", sysfile("tsys"),
+         "--max-dim", "8", "--field", "3", "--lambda", "1,2"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, check=True)
+    assert out.stderr.split() == ["0", "False"]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from tworay.defining_system import (AdmissibleVertex, ConsecutiveInS,
+                                    DefiningSystemError,
                                     LengthMismatch, NotAdmissible,
                                     SetOutOfRange, SumTooSmall, TopInT,
                                     admissible_vertices, extend, from_json,
@@ -38,6 +39,33 @@ def test_other_violations():
         validate({"p": [2], "q": [1], "S": [[]], "T": [[2]]})  # T not in S
     with pytest.raises(TopInT):
         validate({"p": [2], "q": [1], "S": [[2, 4]], "T": [[2, 4]]})
+
+
+@pytest.mark.parametrize("raw", [
+    {"p": ["a"], "q": [1], "S": [[]], "T": [[]]},
+    {"p": 3, "q": [1], "S": [[]], "T": [[]]},
+    {"p": [2], "q": [1], "S": [[]], "T": 0},
+    {"p": [2.5], "q": [1], "S": [[]], "T": [[]]},
+    {"p": [True, True], "q": [1, 1], "S": [[], []], "T": [[], []]},
+    {"p": [2], "q": [1.0], "S": [[]], "T": [[]]},
+    {"p": [3], "q": [1], "S": [["2"]], "T": [[]]},
+    {"p": [3], "q": [1], "S": [2], "T": [[]]},
+    [[2], [1], [[]]],
+    None,
+    "p q S T",
+])
+def test_malformed_input_rejected(raw):
+    """Entries that are not integers (booleans and floats too), fields that
+    are not lists, and a top level that is neither an object nor a
+    4-sequence are errors of the system, never silently converted."""
+    with pytest.raises(DefiningSystemError):
+        validate(raw)
+
+
+def test_four_sequence_is_accepted():
+    assert validate(([2], [1], [[]], [[]])) == validate(SYSTEMS["fund21"])
+    assert validate([[6, 3], [2, 2], [[2, 4, 6, 8], [2]], [[4, 6], []]]) == (
+        validate(SYSTEMS["ex14"]))
 
 
 def test_json_round_trip():

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tworay import homlab, string_modules, vsc
+from tworay import (WordCalculus, build_quiver, build_relations, homlab,
+                    quiver, string_modules, vsc)
 from tworay.field import PrimeField
 from tworay.homlab import ConsistencyError
 
@@ -28,21 +29,24 @@ def _raised(call):
 def _guard_failures():
     """The message of each check, each made to fail on fund21: a Hom(R, v)
     basis of zero maps, a cover that drops a top generator, a Fitting
-    decomposition whose kernel basis is lost, a charpoly claimed to be t^d
-    for an element that is not nilpotent, a kernel whose arrow maps cannot
-    be solved for, a Krull-Schmidt map that is declared singular, a
-    presentation whose kernel K = ker h is taken to be all of P0 (not
-    arrow-stable), one whose basis of K repeats its columns, so that
-    the P1 generators span less than K claims, a Fitting witness sought
-    among nilpotent shifts alone, an arrow entry between labels at the
-    wrong vertices, and a band that closes on an alpha-letter."""
+    decomposition whose kernel basis is lost, a charpoly without roots for
+    an idempotent, whose Frobenius-fixed elements then have no eigenvalue,
+    a kernel whose arrow maps cannot be solved for, a Krull-Schmidt map
+    that is declared singular, a presentation whose kernel K = ker h is
+    taken to be all of P0 (not arrow-stable), one whose basis of K repeats
+    its columns, so that the P1 generators span less than K claims, a
+    Fitting witness sought among nilpotent shifts alone, an arrow entry
+    between labels at the wrong vertices, a band that closes on an
+    alpha-letter, a block with entries taken for a zero-size one, two
+    alpha-arrows with one Q* target, and, on tsys, relation terms that
+    disagree on their source or are not composable."""
     c = Ctx(SYSTEMS["fund21"])
     simple = lambda: c.modules.construct_M(c.calc.trivial("x:1:0"))
     R, a, b = simple(), simple(), simple()
     hom_space, top_generators = vsc.hom_space, homlab.top_generators
     null_space, solve = PrimeField.null_space, PrimeField.solve
     null_space_from_rref = PrimeField.null_space_from_rref
-    factor_charpoly = homlab.factor_charpoly
+    charpoly = PrimeField.charpoly
     invertible_everywhere = homlab._invertible_everywhere
     string = c.modules.construct_M(c.calc.word(("alpha:1:1",)))
     source_simple = c.modules.construct_M(c.calc.trivial("x:1:1"))
@@ -67,11 +71,13 @@ def _guard_failures():
         out.append(_raised(lambda: homlab.projective_cover(ss, c.algebra)))
         homlab.top_generators = top_generators
         PrimeField.null_space = lambda F, m: null_space(F, m)[:, :0]
-        out.append(_raised(lambda: homlab._fitting_idempotent(ss, first)))
+        out.append(_raised(lambda: homlab._fitting_idempotent(
+            ss.field, homlab.total_matrix(ss, first))))
         PrimeField.null_space = null_space
-        homlab.factor_charpoly = lambda F, coeffs: [([0, 1], len(coeffs) - 1)]
+        # t^2 + 1 has no root mod 32003 = 3 mod 4
+        PrimeField.charpoly = lambda F, a: [1, 0, 1]
         out.append(_raised(lambda: homlab.is_indecomposable(ss)))
-        homlab.factor_charpoly = factor_charpoly
+        PrimeField.charpoly = charpoly
         PrimeField.solve = lambda F, a, b: None
         out.append(_raised(lambda: homlab.kernel_rep(
             string, string, homlab.zero_map(string, string))))
@@ -90,17 +96,28 @@ def _guard_failures():
         shift = string.field.zeros(2, 2)
         shift[0, 1] = 1  # squares to 0, so every product of it vanishes
         out.append(_raised(lambda: homlab._fitting_witness(
-            string, [(shift, None)])))
+            string.field, shift[None])))
         # alpha:1:1 runs from x:1:1 to x:1:0; the entry swaps its ends
         out.append(_raised(lambda: c.modules._assemble(
             {"x:1:0": [("v", 0)], "x:1:1": [("v", 1)]},
             {"alpha:1:1": [(("v", 1), ("v", 0), 1)]})))
         out.append(_raised(lambda: c.modules._band_skeleton(
             c.calc.word(("alpha:1:1",)), 1, 1)))
+        out.append(_raised(lambda: string_modules.zero_size_block(1, 2)))
+        q = build_quiver(c.ds)
+        q.t_star["alpha:1:2"] = q.t_star["alpha:1:1"]
+        out.append(_raised(lambda: WordCalculus(q)))
+        t = Ctx(SYSTEMS["tsys"])
+        q = build_quiver(t.ds)
+        q.path_source = lambda path: path[-1]
+        out.append(_raised(lambda: build_relations(t.ds, q)))
+        q = build_quiver(t.ds)
+        q.is_path = lambda path: False
+        out.append(_raised(lambda: build_relations(t.ds, q)))
     finally:
         vsc.hom_space, homlab.top_generators = hom_space, top_generators
         PrimeField.null_space, PrimeField.solve = null_space, solve
-        homlab.factor_charpoly = factor_charpoly
+        PrimeField.charpoly = charpoly
         homlab._invertible_everywhere = invertible_everywhere
         PrimeField.null_space_from_rref = null_space_from_rref
     return out
@@ -108,19 +125,26 @@ def _guard_failures():
 
 WANT = ["composite outside the span of Hom(R, v)",
         "cover map is not surjective", "Fitting decomposition failed",
-        "charpoly (t-l)^d but shift not nilpotent",
+        "Frobenius-fixed element has no eigenvalue in GF(p)",
         "kernel is not arrow-stable",
         "Krull-Schmidt map is not an isomorphism",
         "kernel is not arrow-stable",
         "presentation does not cover the kernel",
         "no non-nilpotent product of the shifts found",
         "arrow alpha:1:1 does not join labels ('v', 0) and ('v', 1)",
-        "band must close on a reversed letter"]
+        "band must close on a reversed letter",
+        "a 1 x 2 block is not zero-size",
+        "Q* extension not unique",
+        "relation terms disagree on endpoints: "
+        "alpha:1:2 gamma:1:2 xi:1:1  - alpha:1:2 alpha:1:3",
+        "relation term not composable: "
+        "('alpha:1:1', 'alpha:1:2', 'gamma:1:2')"]
 
 
 def test_guards_raise():
     assert _guard_failures() == WANT
     assert homlab.ConsistencyError is string_modules.ConsistencyError
+    assert string_modules.ConsistencyError is quiver.ConsistencyError
 
 
 def test_guards_raise_under_optimisation():

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import io
 import json
 import sys
@@ -1029,8 +1030,6 @@ def test_fresh_modules_take_the_hom_route(fund21, monkeypatch):
     assert find_iso(a, b) is None
     assert solved == [(a, a), (a, b)]
     assert a.arrow_ranks is None and b.end_dim is None
-    is_indecomposable(b, hom_basis(b, b))  # a given basis is not recorded
-    assert b.end_dim is None
 
 
 def test_both_local_is_a_checked_claim(fund21):
@@ -1127,7 +1126,7 @@ def _assert_certified(M, basis=None):
     """The verdict equals the product-closure reference; a DECOMPOSABLE
     certificate is a nontrivial idempotent intertwiner."""
     basis = hom_basis(M, M) if basis is None else basis
-    verdict = is_indecomposable(M, basis)
+    verdict = homlab._certify(M, basis)
     local = _local_reference(M, basis)
     assert (verdict.status == IndecVerdict.LOCAL) == local
     if not local:
@@ -1196,25 +1195,22 @@ def test_local_certification_never_searches_products(monkeypatch, fund21):
             assert is_indecomposable(e.rep).status == IndecVerdict.LOCAL
     s = fund21.modules.construct_M(fund21.calc.trivial("x:1:0"))
     with pytest.raises(AssertionError, match="product search"):
-        is_indecomposable(*_square_with_nilpotent_basis(s))
+        homlab._certify(*_square_with_nilpotent_basis(s))
 
 
 # -- LOCAL certification by the trace form ---------------------------------------
 
 
-def _trace_rank_and_flag(M, monkeypatch):
+def _trace_rank_and_flag(M):
     """rank tr(f_i f_j) on the End basis, and the verdict of the route
-    behind it (charpoly, flag, Fitting witness) with the trace form off."""
-    basis = hom_basis(M, M)
+    behind it (charpoly, flag, Fitting witness), which ``_certify`` takes
+    without the trace form."""
     rank = homlab._trace_form_rank(M, *homlab.hom_space(M, M))
-    with monkeypatch.context() as m:
-        m.setattr(homlab, "_trace_form_rank", lambda *args: 0)
-        flag = is_indecomposable(M, basis)
-    return rank, flag
+    return rank, homlab._certify(M, hom_basis(M, M))
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
-def test_trace_form_matches_flag(name, monkeypatch):
+def test_trace_form_matches_flag(name):
     # Dickson: with p > dim M, rank tr(f_i f_j) = dim End(M)/rad, so LOCAL
     # iff the rank is 1, as the flag decides
     c = ctx(name)
@@ -1225,7 +1221,7 @@ def test_trace_form_matches_flag(name, monkeypatch):
     ranks = set()
     for M in mods:
         assert M.total_dim < c.field.p
-        rank, flag = _trace_rank_and_flag(M, monkeypatch)
+        rank, flag = _trace_rank_and_flag(M)
         assert (rank == 1) == (flag.status == IndecVerdict.LOCAL)
         assert is_indecomposable(M).status == flag.status
         ranks.add(rank)
@@ -1237,7 +1233,7 @@ def test_trace_form_on_sums(fund21, tsys, monkeypatch):
     # certificate is the flag route's, element for element
     sums = {id(M): M for M, N, _ in _sum_cases(fund21, tsys) for M in (M, N)}
     for M in sums.values():
-        rank, flag = _trace_rank_and_flag(M, monkeypatch)
+        rank, flag = _trace_rank_and_flag(M)
         got = is_indecomposable(M)
         assert rank >= 2
         assert got.status == flag.status == IndecVerdict.DECOMPOSABLE
@@ -1273,9 +1269,8 @@ def test_trace_form_certifies_without_the_flag(monkeypatch):
         c = ctx(name)
         assert c.field.p == 32003
         for e in c.modules.theorem_inventory(10):
-            basis = hom_basis(e.rep, e.rep)
-            several += len(basis) > 1
-            assert is_indecomposable(e.rep, basis).status == IndecVerdict.LOCAL
+            assert is_indecomposable(e.rep).status == IndecVerdict.LOCAL
+            several += e.rep.end_dim > 1
     assert several > 0
 
 
@@ -1374,3 +1369,121 @@ def test_flag_matches_brute_force(case):
     single = [_brute_nilpotent(F, m[None], d) for m in stack]
     assert homlab._nilpotent_mask(F, stack).tolist() == single
     assert [is_nilpotent(F, m) for m in stack] == single
+
+
+# -- the charpoly route against trial division -------------------------------------
+
+
+def _poly_divmod(p, a, b):
+    """Quotient and remainder of ascending coefficient lists, b monic."""
+    a, n = list(a), len(b) - 1
+    quotient = [0] * max(len(a) - n, 0)
+    for k in range(len(a) - 1 - n, -1, -1):
+        c = quotient[k] = a[k + n] % p
+        for i, x in enumerate(b):
+            a[k + i] = (a[k + i] - c * x) % p
+    return quotient, a[:n]
+
+
+def _monic(p, degree):
+    for low in itertools.product(range(p), repeat=degree):
+        yield list(low) + [1]
+
+
+def _distinct_factors(p, c):
+    """The distinct monic irreducible factors of a monic c, by trial
+    division in increasing degree: each divisor found is irreducible,
+    since every factor of smaller degree is already divided out."""
+    factors, degree = [], 1
+    while 2 * degree <= len(c) - 1:
+        for g in _monic(p, degree):
+            quotient, rest = _poly_divmod(p, c, g)
+            if any(rest):
+                continue
+            factors.append(g)
+            while not any(rest):
+                c = quotient
+                quotient, rest = _poly_divmod(p, c, g)
+        degree += 1
+    return factors + ([c] if len(c) > 1 else [])
+
+
+def _companion(p, c):
+    d = len(c) - 1
+    a = np.zeros((d, d), dtype=np.int64)
+    a[1:, :-1] = np.eye(d - 1, dtype=np.int64)
+    a[:, -1] = [-x % p for x in c[:-1]]
+    return a
+
+
+def _power_poly(p, g, m):
+    out = [1]
+    for _ in range(m):
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(g):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        out = prod
+    return out
+
+
+def _assert_route(F, a, factors):
+    """``factor_charpoly`` answers as the distinct factors say: the root of
+    the one linear factor, the one irreducible factor, or, with two or
+    more, an idempotent of F[a] other than 0 and 1."""
+    got = homlab.factor_charpoly(F, a)
+    if len(factors) > 1:
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(F.mul(got, got), got)
+        assert 0 < F.rank(got) < len(a)
+        assert np.array_equal(F.mul(got, a), F.mul(a, got))
+    elif len(factors[0]) == 2:
+        assert got == F.neg(factors[0][0])
+    else:
+        assert got == factors[0]
+
+
+@pytest.mark.parametrize("p, top", [(2, 6), (3, 6), (5, 5)])
+def test_charpoly_route_matches_trial_division(p, top):
+    """Every monic polynomial of degree <= top, as its companion matrix,
+    whose commutant is F[a]: so an idempotent commuting with a lies in
+    F[a]."""
+    F = PrimeField(p)
+    moebius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}
+    for degree in range(1, top + 1):
+        irreducible = 0
+        for c in _monic(p, degree):
+            factors = _distinct_factors(p, c)
+            irreducible += factors == [c]
+            _assert_route(F, _companion(p, c), factors)
+        # the oracle counts the irreducibles as Gauss's formula does
+        assert irreducible * degree == sum(
+            moebius[k] * p ** (degree // k)
+            for k in range(1, degree + 1) if degree % k == 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_charpoly_route_on_repeated_blocks(p):
+    """C(g^i) + C(g^j) for one irreducible g, conjugated: not cyclic, with
+    charpoly g^(i+j) and minimal polynomial g^max(i, j)."""
+    F = PrimeField(p)
+    seen = 0
+    for degree in (1, 2, 3):
+        for g in _monic(p, degree):
+            if _distinct_factors(p, g) != [g]:
+                continue
+            for i, j in ((1, 1), (1, 2), (2, 2)):
+                if degree * (i + j) > 6:
+                    continue
+                blocks = [_companion(p, c) for c in
+                          (_power_poly(p, g, i), _power_poly(p, g, j))]
+                d = sum(map(len, blocks))
+                a = np.zeros((d, d), dtype=np.int64)
+                a[:len(blocks[0]), :len(blocks[0])] = blocks[0]
+                a[len(blocks[0]):, len(blocks[0]):] = blocks[1]
+                ones = np.ones((d, d), dtype=np.int64)
+                P = np.tril(ones) @ np.triu(ones) % p  # determinant 1
+                _assert_route(F, F.mul(F.mul(P, a), F.inv_matrix(P)), [g])
+                seen += 1
+    assert seen
+
