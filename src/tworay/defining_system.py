@@ -142,7 +142,7 @@ def validate(raw) -> DefiningSystem:
         try:
             p, q, S, T = raw["p"], raw["q"], raw["S"], raw["T"]
         except KeyError as exc:
-            raise LengthMismatch(f"missing field {exc}") from None
+            raise DefiningSystemError(f"missing field {exc}") from None
     elif isinstance(raw, (list, tuple)) and len(raw) == 4:
         p, q, S, T = raw
     else:

@@ -1257,21 +1257,19 @@ class ArVerifier:
         coverage check in ``verify`` stays a real check.  Write |EMPTY| = -1,
         w = max |omega_v| and n = max |nu_v| over all vertices.
 
-        Budgets.  Families 4-9 take their words from S' and S_x up to
-        length ``bound + w + n + 4``: a successor shrinks a word by at most
-        1 + w at one end, a co-successor by at most 1 + n at the other, so
-        every row whose right term fits the bound is produced.  Family 10
-        takes the pairs of P_x with |C| + |C'| <= bound + 2w - 1, and
-        skips a pair with |C+| + |C'+| + 3 > bound before canonicalising
-        it.  Both cuts rest on two lemmas.
-
         Lemma A.  Either C+ = EMPTY and |C| <= w, or |C+| >= |C| - 1 - w.
         Proof: C+ either appends letters, so |C+| > |C|, or it strips the
         last Q1''-letter together with the Q1'-run after it.  That run is a
         Q1'-only string terminating at some vertex v; by thinness such
         strings are the prefixes of omega_v, so the run has at most w
         letters.  With no Q1''-letter to strip, C+ = EMPTY and C itself is
-        a prefix of omega_x.
+        a prefix of omega_x.  A shorter prefix of omega_x takes the next
+        letter of omega_x, so C+ = EMPTY only for C = omega_x.
+
+        Lemma A'.  Either +C = EMPTY and |C| <= n, or |+C| >= |C| - 1 - n.
+        Proof: the mirror image.  +C either prepends letters or strips the
+        first Q1'-letter together with the Q1''-run before it, a Q1''-only
+        string starting at some vertex v and so a suffix of nu_v.
 
         Lemma B.  For a != EMPTY, a term canon_NCC(x, a, b) that does not
         raise has dimension >= |a| + |b| + 3.  Proof, case by case:
@@ -1280,15 +1278,102 @@ class ArVerifier:
         (|B_x a| + 2) + (|a| + 2) = |a| + |b| + 4; NCC(a, b) has
         |a| + |b| + 4.
 
-        C+ = EMPTY only for C = omega_x: a shorter prefix of omega_x takes
-        the next letter of omega_x.  In a family-10 row, C < C' and omega_x
-        is the largest string at x, so C+ != EMPTY.  The right term canon_NCC(x, C+, C'+) then has
-        dimension >= |C+| + |C'+| + 3 by Lemma B, and the middle
-        canon_NCC(x, C, C'+) + canon_NCC(x, C+, C') has more, namely
-        >= |C+| + |C'+| + |C| + |C'| + 6.  So the prefilter only drops rows
-        the dimension filter would drop.  A surviving pair has
-        |C+| + |C'+| <= bound - 3, and Lemma A gives |C| <= |C+| + 1 + w
-        in both of its cases, hence |C| + |C'| <= bound + 2w - 1.
+        Prefilter.  Before canonicalising a candidate, rows() bounds its
+        right term and its middle from below by word lengths, and skips it
+        when both bounds exceed ``bound``: the dimension filter would drop
+        its row.  M(C), N_C and L(C) have dimensions |C| + 1, |C| + 3 and
+        |C| + 2 for C != EMPTY, and Lemma B bounds the NCC terms.  C is the
+        loop word, except in family 5, whose loop word is C' and
+        C = alpha_x C':
+
+        fam right term     right bound       middle bound
+        4   M(+C+)         |+C+| + 1         |C+| + |+C| + 2
+        5   N(mu_x, +C+)   |mu_x|+|+C+|+3    |C+| + |mu_x| + |+C| + 4
+        6   N_{C+}         |C+| + 3          |C| + |C+| + 3
+        7   L(B_x C+)      |B_x| + |C+| + 2  |C+| + |B_x| + |C| + 3
+        8   M(C+)          |C+| + 1          |C| + |C+| + 3
+        9   M(gamma_x C+)  |C+| + 2          |C+| + |B_x| + |C| + 3
+        10  N(C+, C'+)     |C+| + |C'+| + 3  |C| + |C'| + |C+| + |C'+| + 6
+
+        A middle summand M(EMPTY) is no atom, of dimension 0 = |EMPTY| + 1,
+        and Lemma B allows b = EMPTY.  An M, N or L right term of EMPTY is
+        no atom, M(e_z) or an error, so a candidate with +C+ = EMPTY in
+        family 4 or C+ = EMPTY in families 6-9 is always canonicalised.
+        Row anomalies are therefore reported for the candidates that can
+        fall within the bound: one that raises, or has a sum at one end,
+        is reported when a bound allows an in-bound row or its right term
+        is of EMPTY, and skipped unreported otherwise.
+
+        Budgets.  The enumeration stops where the lemmas show that longer
+        words give no candidate the prefilter keeps.
+        - Family 4 takes S' up to |C| <= bound + w + n + 1.  +C+ is +(C+),
+          or (+C)+ when C+ = EMPTY, and EMPTY when |C+| + |+C| < |C|.  If
+          no step meets EMPTY, Lemmas A and A' give |+C+| >= |C| - 2 - w - n
+          and |C+| + |+C| >= 2|C| - 2 - w - n, so a kept candidate has
+          |C| <= bound + w + n + 1.  A step that meets EMPTY, or
+          |C+| + |+C| < |C|, leaves |C| <= w + n + 1.
+        - Families 5-9 take S_x up to |C| <= bound + w.  In families 6 and
+          8, C+ = EMPTY means C = omega_x, and otherwise a kept candidate
+          has |C+| <= bound - 1, so |C| <= bound + w by Lemma A; families
+          7 and 9 keep only |C+| <= bound - 2.  In family 5, C starts with
+          the Q1'-letter alpha_x, so +C strips only alpha_x or prepends:
+          |+C| >= |C'|, and a kept middle has |C'| <= bound - 3.  C+ = EMPTY
+          means |C| <= w; otherwise C+ keeps alpha_x at its start and
+          +C+ = +(C+) has |+C+| >= |C+| - 1 >= |C| - 2 - w, so a kept right
+          term has |C'| <= bound + w - 2.
+        - Family 10 takes the pairs of P_x with |C| + |C'| <= bound + 2w - 1.
+          C < C' and omega_x is the largest string at x, so C+ != EMPTY; a
+          kept pair has |C+| + |C'+| <= bound - 3, and Lemma A gives
+          |C| <= |C+| + 1 + w in both of its cases.
+        """
+        sm = self.sm
+        out = []
+        self.row_anomalies = []
+        for family, right, middle, params, terms in self._candidates(bound):
+            if right is not None and right > bound and middle > bound:
+                continue
+            params = params()
+            # terms() builds (left, middle, right) inside the try, so an
+            # inconsistent instance (a pair leaving P_x, say) surfaces as an
+            # anomaly, not a crash
+            try:
+                left, mid, rt = terms()
+            except ValueError as exc:
+                self.row_anomalies.append(
+                    f"row family {family} at {params}: {exc}")
+                continue
+            if len(left) != 1 or len(rt) != 1:
+                self.row_anomalies.append(
+                    f"row family {family} at {params}: ends {left} and "
+                    f"{rt} are not one atom each")
+                continue
+            rdim = sm.atom_dim(rt[0])
+            mdim = sum(sm.atom_dim(a) for a in mid)
+            if rdim > bound and mdim > bound:
+                continue
+            out.append({
+                "family": family,
+                "params": params,
+                "left": left,
+                "middle": mid,
+                "right": rt,
+                "right_dim": rdim,
+                "middle_dim": mdim,
+                "key": (family,) + tuple(repr(p) for p in params),
+            })
+        out.sort(key=lambda r: r["key"])
+        return out
+
+    def _candidates(self, bound: int):
+        """Yield the candidates of ``rows(bound)`` within the word budgets,
+        as (family, right, middle, params, terms).
+
+        right and middle are the prefilter's lower bounds on the dimensions
+        of the right term and of the middle; right is None for a candidate
+        that is always canonicalised (the band rows, and the EMPTY cases).
+        params() gives the row's parameters and terms() its (left, middle,
+        right) as atoms; both read the loop's words, so call them before
+        asking for the next candidate.
         """
         sm, calc, q = self.sm, self.calc, self.quiver
         wkey = calc.word_key
@@ -1296,9 +1381,6 @@ class ArVerifier:
 
         max_omega = max(calc.omega(v).length for v in q.vertices)
         max_nu = max(calc.nu(v).length for v in q.vertices)
-        margin = bound + max_omega + max_nu + 4
-        out = []
-        self.row_anomalies = []
         plus = {}  # C -> C+, one successor per word
 
         def succ(c):
@@ -1307,35 +1389,6 @@ class ArVerifier:
                 cp = plus[c] = calc.successor(c)
             return cp
 
-        def emit(family, params, terms):
-            # terms() builds (left, middle, right) inside the try, so an
-            # inconsistent instance (a pair leaving P_x, say) surfaces as an
-            # anomaly, not a crash
-            try:
-                left, middle, right = terms()
-            except ValueError as exc:
-                self.row_anomalies.append(
-                    f"row family {family} at {params}: {exc}")
-                return
-            if len(left) != 1 or len(right) != 1:
-                self.row_anomalies.append(
-                    f"row family {family} at {params}: ends {left} and "
-                    f"{right} are not one atom each")
-                return
-            rdim = sm.atom_dim(right[0])
-            mdim = sum(sm.atom_dim(a) for a in middle)
-            if rdim > bound and mdim > bound:
-                return
-            out.append({
-                "family": family,
-                "params": params,
-                "left": left,
-                "middle": middle,
-                "right": right,
-                "right_dim": rdim,
-                "middle_dim": mdim,
-            })
-
         # band rows
         for name, band in calc.bands():
             blen = band.length
@@ -1343,38 +1396,40 @@ class ArVerifier:
                 for lam in self.lams:
                     if lam == 1 and name != "B0":
                         continue
-                    emit(1, (name, lam, m), lambda: (
+                    yield 1, None, None, lambda: (name, lam, m), lambda: (
                         sm.canon_R(name, lam, m),
                         sm.canon_R(name, lam, m + 1)
                         + sm.canon_R(name, lam, m - 1),
-                        sm.canon_R(name, lam, m)))
+                        sm.canon_R(name, lam, m))
             if name == "B0":
                 continue
             x = name
             for m in range(1, bound // blen + 3):
-                emit(2, (name, m), lambda: (
+                yield 2, None, None, lambda: (name, m), lambda: (
                     sm.canon_R(name, 1, m),
                     sm.canon_Qb(x, m + 1) + sm.canon_R(name, 1, m - 1),
-                    sm.canon_Qb(x, m)))
+                    sm.canon_Qb(x, m))
             for m in range(2, bound // blen + 4):
-                emit(3, (name, m), lambda: (
+                yield 3, None, None, lambda: (name, m), lambda: (
                     sm.canon_Qb(x, m),
                     sm.canon_R(name, 1, m) + sm.canon_Qb(x, m - 1),
-                    sm.canon_R(name, 1, m - 1)))
+                    sm.canon_R(name, 1, m - 1))
 
         # string rows
-        for c in calc.s_prime(margin):
+        for c in calc.s_prime(bound + max_omega + max_nu + 1):
             cp = calc.successor(c)
             pc = calc.co_successor(c)
             bi = calc.bi_successor(c)
-            emit(4, ("Sprime", wkey(c)), lambda: (
-                sm.canon_M(c),
-                sm.canon_M(cp) + sm.canon_M(pc),
-                sm.canon_M(bi)))
+            yield (4, None if bi is EMPTY else bi.length + 1,
+                   cp.length + pc.length + 2,
+                   lambda: ("Sprime", wkey(c)), lambda: (
+                       sm.canon_M(c),
+                       sm.canon_M(cp) + sm.canon_M(pc),
+                       sm.canon_M(bi)))
 
         # Q0'' lies inside Q0' (T_i is a subset of S_i), so both loops below
         # share one S_x per vertex
-        sx_at = {x: calc.s_x(x, margin) for x in q.q0_primed()}
+        sx_at = {x: calc.s_x(x, bound + max_omega) for x in q.q0_primed()}
         for x in q.q0_primed():
             alpha = q.alpha_of(x)
             mu = calc.mu(x)
@@ -1396,26 +1451,32 @@ class ArVerifier:
                             sm.canon_M(cp) + sm.canon_NCC(x, mu, pc),
                             sm.canon_NCC(x, mu, bi))
 
-                emit(5, (x, wkey(cprime)), row5)
+                yield (5, mu.length + bi.length + 3,
+                       cp.length + mu.length + pc.length + 4,
+                       lambda: (x, wkey(cprime)), row5)
             for c in sx:
                 cp = succ(c)
-                emit(6, (x, wkey(c)), lambda: (
-                    sm.canon_M(c),
-                    sm.canon_NCC(x, c, cp),
-                    sm.canon_N(x, cp)))
+                middle = c.length + cp.length + 3
+                yield (6, None if cp is EMPTY else cp.length + 3, middle,
+                       lambda: (x, wkey(c)),
+                       lambda: (sm.canon_M(c),
+                                sm.canon_NCC(x, c, cp),
+                                sm.canon_N(x, cp)))
                 if wkey(c) != wkey(omega):
-                    emit(8, (x, wkey(c)), lambda: (
-                        sm.canon_N(x, c),
-                        sm.canon_NCC(x, c, cp),
-                        sm.canon_M(cp)))
+                    yield (8, None if cp is EMPTY else cp.length + 1, middle,
+                           lambda: (x, wkey(c)),
+                           lambda: (sm.canon_N(x, c),
+                                    sm.canon_NCC(x, c, cp),
+                                    sm.canon_M(cp)))
             for c, c2 in calc.pairs_p_x(x, bound + 2 * max_omega - 1):
                 cp, c2p = succ(c), succ(c2)
-                if cp.length + c2p.length + 3 > bound:
-                    continue
-                emit(10, (x, wkey(c), wkey(c2)), lambda: (
-                    sm.canon_NCC(x, c, c2),
-                    sm.canon_NCC(x, c, c2p) + sm.canon_NCC(x, cp, c2),
-                    sm.canon_NCC(x, cp, c2p)))
+                yield (10, cp.length + c2p.length + 3,
+                       c.length + c2.length + cp.length + c2p.length + 6,
+                       lambda: (x, wkey(c), wkey(c2)),
+                       lambda: (sm.canon_NCC(x, c, c2),
+                                sm.canon_NCC(x, c, c2p)
+                                + sm.canon_NCC(x, cp, c2),
+                                sm.canon_NCC(x, cp, c2p)))
 
         for x in q.q0_doubleprimed():
             gamma = q.gamma_of(x)
@@ -1443,12 +1504,11 @@ class ArVerifier:
 
             for c in sx_at[x]:
                 cp = succ(c)
-                emit(7, (x, wkey(c)), row7)
-                emit(9, (x, wkey(c)), row9)
-        for row in out:
-            row["key"] = (row["family"],) + tuple(repr(p) for p in row["params"])
-        out.sort(key=lambda r: r["key"])
-        return out
+                middle = cp.length + bx.length + c.length + 3
+                yield (7, None if cp is EMPTY else bx.length + cp.length + 2,
+                       middle, lambda: (x, wkey(c)), row7)
+                yield (9, None if cp is EMPTY else cp.length + 2, middle,
+                       lambda: (x, wkey(c)), row9)
 
     # -- verification -----------------------------------------------------------
 

@@ -58,6 +58,7 @@ def test_validate_malformed(tmp_path):
     'null',
     '{"p": [2.5], "q": [1], "S": [[]], "T": [[]]}',
     '{"p": [true, true], "q": [1, 1], "S": [[], []], "T": [[], []]}',
+    '{"p": [2], "q": [1], "S": [[]]}',
 ])
 def test_malformed_system_exits_two(tmp_path, text):
     bad = tmp_path / "bad.json"
@@ -256,6 +257,14 @@ def test_ar_worked_example_pinned(sysfile):
     assert code == 0
     assert _sha256(out) == (
         "42c9aab901fbaab5573e7866bae56fc1c15ad380895ebd140a78d7c12f9777a2")
+
+
+def test_ar_tsys_deep_pinned(sysfile):
+    # the rows of the tsys-deep benchmark workload, at its own bound
+    code, out = run(["ar", sysfile("tsys"), "--max-dim", "20"])
+    assert code == 0
+    assert _sha256(out) == (
+        "6adc2399edfbbcb5c2a5bc3e96f7a688c613749a3260f460a15c1cd07fd3e7c4")
 
 
 def test_verify_small_prime_pinned(sysfile, monkeypatch):

@@ -62,6 +62,12 @@ def test_malformed_input_rejected(raw):
         validate(raw)
 
 
+def test_missing_field_is_named():
+    with pytest.raises(DefiningSystemError, match="missing field 'T'") as exc:
+        validate({"p": [2], "q": [1], "S": [[]]})
+    assert type(exc.value) is DefiningSystemError
+
+
 def test_four_sequence_is_accepted():
     assert validate(([2], [1], [[]], [[]])) == validate(SYSTEMS["fund21"])
     assert validate([[6, 3], [2, 2], [[2, 4, 6, 8], [2]], [[4, 6], []]]) == (

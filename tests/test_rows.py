@@ -1,6 +1,6 @@
-"""Row enumeration: the family-10 budget and prefilter lose no row, the two
-lemmas behind them hold, every row has one indecomposable at each end, and
-inconsistent instances stay anomalies."""
+"""Row enumeration: the word budgets and the prefilter lose no row, the
+lemmas and bounds behind them hold, every row has one indecomposable at each
+end, the census verifies, and inconsistent instances stay anomalies."""
 
 import itertools
 import os
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from tworay import EMPTY, StringModules, WordCalculus, build_quiver
+from tworay import (EMPTY, AlgebraBasis, StringModules, WordCalculus,
+                    build_quiver, build_relations)
 from tworay.defining_system import (DefiningSystemError, admissible_vertices,
                                     extend, validate)
 from tworay.homlab import ArVerifier
@@ -22,7 +23,7 @@ TESTS = Path(__file__).resolve().parent
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_pruned_enumeration_is_complete(name):
-    # rows(b + 6) enumerates with a larger margin and budget; the rows it
+    # rows(b + 6) enumerates with larger budgets; the rows it
     # finds within b must be exactly those rows(b) finds
     c = ctx(name)
     ver = ArVerifier(c.modules, c.algebra)
@@ -84,6 +85,61 @@ def test_family10_budget_covers_every_surviving_pair(name, monkeypatch):
                 ap, a2p = calc.successor(a), calc.successor(a2)
                 if ap.length + a2p.length + 3 <= b:
                     assert a.length + a2.length <= asked[x], (b, a, a2)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_prefilter_bounds_hold(name):
+    # Lemmas A and A' on every string, and the prefilter's bounds against
+    # the atoms canon_* returns on every candidate of _candidates(8 + n + 4),
+    # most of them beyond bound 8
+    c = ctx(name)
+    calc, q, sm = c.calc, c.quiver, c.modules
+    w = max(calc.omega(v).length for v in q.vertices)
+    n = max(calc.nu(v).length for v in q.vertices)
+    for word in calc.all_strings(8 + w + n + 4):
+        plus, co_plus = calc.successor(word), calc.co_successor(word)
+        assert (word.length <= w if plus is EMPTY
+                else plus.length >= word.length - 1 - w)
+        assert (word.length <= n if co_plus is EMPTY
+                else co_plus.length >= word.length - 1 - n)
+
+    def dim(atoms):
+        return sum(sm.atom_dim(a) for a in atoms)
+
+    seen, checked = set(), set()
+    for family, right, middle, params, terms in ArVerifier(
+            sm, None)._candidates(8 + n + 4):
+        if right is None:
+            continue
+        seen.add(family)
+        try:
+            _, mid, rt = terms()
+        except ValueError:
+            continue
+        assert dim(rt) >= right and dim(mid) >= middle, (family, params())
+        checked.add(family)
+    assert checked == seen
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_budgets_cover_every_kept_candidate(name):
+    # rows(b) may leave a candidate out of its budgets only where the
+    # prefilter would drop it: every family 4-9 candidate of a wider
+    # enumeration that the prefilter keeps at b is one of rows(b)'s (family
+    # 10 has its own test above)
+    c = ctx(name)
+    calc, q = c.calc, c.quiver
+    ver = ArVerifier(c.modules, None)
+    n = max(calc.nu(v).length for v in q.vertices)
+    wide = [(family, right, middle, params())
+            for family, right, middle, params, _ in ver._candidates(10 + n + 4)
+            if 4 <= family <= 9]
+    for b in range(0, 11):
+        have = {(family, params())
+                for family, _, _, params, _ in ver._candidates(b)}
+        for family, right, middle, params in wide:
+            if right is None or right <= b or middle <= b:
+                assert (family, params) in have, (b, family, params)
 
 
 def _wrong_co_successor_anomalies():
@@ -152,6 +208,23 @@ def test_census_rows_have_one_atom_at_each_end():
         assert all(len(r["left"]) == len(r["right"]) == 1 for r in rows)
         total += len(rows)
     assert total == 36470
+
+
+def test_census_verify_green():
+    # verify(8) on the census systems with at most 7 vertices: its coverage
+    # check fails if rows() loses an in-bound row, whatever rows() tests say
+    quivers = [qv for qv in _census() if len(qv.vertices) <= 7]
+    assert len(quivers) == 68
+    checked = covered = 0
+    for quiver in quivers:
+        modules = StringModules(WordCalculus(quiver))
+        algebra = AlgebraBasis(quiver, build_relations(quiver.ds, quiver),
+                               modules.field)
+        report = ArVerifier(modules, algebra).verify(8)
+        assert report["failures"] == [], quiver.ds
+        checked += report["rows_checked"]
+        covered += report["coverage"]["checked"]
+    assert (checked, covered) == (1305, 4278)
 
 
 def test_row_end_of_two_atoms_is_an_anomaly(tsys, monkeypatch):
