@@ -13,7 +13,7 @@ the trivial path at v is (v, (), v).
 import numpy as np
 
 from .field import DEFAULT_PRIME, PrimeField, RationalField
-from .quiver import Quiver
+from .quiver import ConsistencyError, Quiver
 
 
 class NonStabilizing(RuntimeError):
@@ -186,7 +186,7 @@ class AlgebraBasis:
                     left = {k: v for k, v in left.items() if v}
                     right = {k: v for k, v in right.items() if v}
                     if left != right:
-                        raise AssertionError(
+                        raise ConsistencyError(
                             f"associativity fails at {a}, {b}, {c}"
                         )
 
@@ -199,7 +199,7 @@ class AlgebraBasis:
                 for r, cf in self.reduce_path(path).items():
                     self._acc(acc, r, coef * cf)
             if any(v for v in acc.values()):
-                raise AssertionError(f"relation does not vanish: {rel}")
+                raise ConsistencyError(f"relation does not vanish: {rel}")
 
     def check_admissibility_witness(self):
         """Every path of length >= l_max reduces to strictly shorter representatives."""
@@ -207,7 +207,7 @@ class AlgebraBasis:
             if len(p[1]) >= self.l_max:
                 nf = self.reduce_path(p)
                 if any(len(r[1]) >= len(p[1]) for r in nf):
-                    raise AssertionError(f"path {p} does not shorten")
+                    raise ConsistencyError(f"path {p} does not shorten")
 
     # -- modules over A ---------------------------------------------------------
 

@@ -155,6 +155,8 @@ matrix, whose Fitting projection is block-diagonal: its blocks are the
 per-vertex maps of the certificate.
 """
 
+import itertools
+
 import numpy as np
 
 from .defining_system import admissible_vertices
@@ -719,10 +721,13 @@ class IsoVerdict:
         return self.isomorphic
 
 
-def _invertible_everywhere(F, M, N, f) -> bool:
-    if M.dims != N.dims:
-        return False
+def _full_rank(F, f, M) -> bool:
+    """f_v has rank dim M_v on M's support: f is injective on M, or onto M."""
     return all(F.rank(f[v]) == M.dim(v) for v in M.support)
+
+
+def _invertible_everywhere(F, M, N, f) -> bool:
+    return M.dims == N.dims and _full_rank(F, f, M)
 
 
 def _arrow_ranks(M: Representation) -> tuple:
@@ -938,11 +943,13 @@ def cokernel_rep(M: Representation, N: Representation, f):
 
 
 class SesCandidate:
-    """A claimed almost-split sequence awaiting realization."""
+    """A claimed almost-split sequence, with its middle summands, awaiting
+    realization."""
 
     def __init__(self, left, middles, right):
         self.left = left
-        self.middle = direct_sum_of(left.quiver, left.field, list(middles))
+        self.middles = list(middles)
+        self.middle = direct_sum_of(left.quiver, left.field, self.middles)
         self.right = right
         self.f = None
         self.g = None
@@ -952,50 +959,43 @@ class SesCandidate:
             l + r for l, r in zip(self.left.dims, self.right.dims))
 
 
-_REALIZE_TRIES = 200
-
-
 def realize_ses(cand: SesCandidate) -> SesCandidate:
-    """Find injective f and surjective g with coker(f) isomorphic to the right
-    term; exactness then holds by construction.
+    """Find injective f: X -> E and surjective g: E -> Z with coker(f) = Z.
 
-    Each cokernel is compared with the right term by ``find_iso``, which
-    reads a LOCAL right term from its recorded verdict, or certifies it on
-    the first miss.  The Hom(left, middle) basis is tried first, then
-    ``_REALIZE_TRIES`` seeded combinations of it; the seed only chooses
-    which injection to try next.
+    For each middle summand E_i, the candidates are the Hom(X, E_i) basis
+    maps that are injective or onto ([0] if none).  f runs over their
+    product, summands in order and the last varying fastest, and the first
+    injective f whose cokernel ``find_iso`` matches with Z wins.
+
+    The search is complete (Auslander-Reiten-Smalo, Representation Theory of
+    Artin Algebras, 1995, Ch. V and VII).  Let the row be almost split, each
+    E_i LOCAL with End(E_i)/rad = k, and no E_i isomorphic to X.  Every map
+    X -> E_i is a non-isomorphism between indecomposables, so Hom(X, E_i) =
+    rad(X, E_i), and its basis spans Irr(X, E_i) = rad/rad^2.  A map X -> E
+    is left minimal almost split, hence injective with cokernel = Z, iff for
+    each E_i of multiplicity m_i the classes of its components into the m_i
+    copies form a basis of Irr(X, E_i).  Such a basis can be picked among
+    the basis maps; each has a nonzero class, so it is irreducible, hence
+    injective or onto, and a candidate, and the product contains the f they
+    make.  This holds for every p, p = 2 included, where no fixed "generic"
+    combination of the basis maps is sure to work.  For a candidate that is
+    not almost split, the search can miss an exact sequence that exists.
     """
     if not cand.dims_additive():
         raise NotRealizable("dimension vectors are not additive")
     X, E, Z = cand.left, cand.middle, cand.right
     F = X.field
-    basis = hom_basis(X, E)
-    if not basis:
-        raise NotRealizable("Hom(left, middle) = 0")
-
-    def attempt(f):
-        if any(F.rank(f[v]) != X.dim(v) for v in X.support):
-            return None
-        Q, proj = cokernel_rep(X, E, f)
-        iso = find_iso(Q, Z)
-        if iso is None:
-            return None
-        return f, compose_maps(F, iso, proj)
-
-    for f in basis:
-        got = attempt(f)
-        if got:
-            cand.f, cand.g = got
-            return cand
-    rng = np.random.default_rng(40111)
-    for _ in range(_REALIZE_TRIES):
-        coeffs = rng.integers(0, F.p, len(basis))
-        f = {v: sum(int(c) * h[v] for c, h in zip(coeffs, basis)) % F.p
-             for v in basis[0]}
-        got = attempt(f)
-        if got:
-            cand.f, cand.g = got
-            return cand
+    choices = [[h for h in hom_basis(X, Y)
+                if _full_rank(F, h, X) or _full_rank(F, h, Y)]
+               or [zero_map(X, Y)] for Y in cand.middles]
+    for parts in itertools.product(*choices):
+        f = {v: np.vstack([h[v] for h in parts]) for v in X.quiver.vertices}
+        if _full_rank(F, f, X):
+            Q, proj = cokernel_rep(X, E, f)
+            iso = find_iso(Q, Z)
+            if iso is not None:
+                cand.f, cand.g = f, compose_maps(F, iso, proj)
+                return cand
     raise NotRealizable("no injective map with the right cokernel was found")
 
 

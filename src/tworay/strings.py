@@ -458,13 +458,13 @@ class WordCalculus:
         sx = self.s_x(x, bound)
         keys = [self._key(w.letters) for w in sx]
         head = self._key(self.band_of(x).letters)[:-1]
+        lengths = [w.length for w in sx]
         out = []
         for i, a in enumerate(sx):
-            room = bound - a.length
+            room = bound - lengths[i]
             limit = head + keys[i] if head else (3,)
-            for j in range(i + 1, len(sx)):
-                if sx[j].length <= room and keys[j] < limit:
-                    out.append((a, sx[j]))
+            out += [(a, sx[j]) for j in range(i + 1, len(sx))
+                    if lengths[j] <= room and keys[j] < limit]
         return out
 
     def s_prime(self, bound: int):

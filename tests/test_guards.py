@@ -38,8 +38,11 @@ def _guard_failures():
     Fitting witness sought among nilpotent shifts alone, an arrow entry
     between labels at the wrong vertices, a band that closes on an
     alpha-letter, a block with entries taken for a zero-size one, two
-    alpha-arrows with one Q* target, and, on tsys, relation terms that
-    disagree on their source or are not composable."""
+    alpha-arrows with one Q* target, and, on tsys, an algebra whose product
+    of an arrow with the trivial path at its source is doubled, one in which
+    no path reduces, so that relations do not vanish and long paths do not
+    shorten, and relation terms that disagree on their source or are not
+    composable."""
     c = Ctx(SYSTEMS["fund21"])
     simple = lambda: c.modules.construct_M(c.calc.trivial("x:1:0"))
     R, a, b = simple(), simple(), simple()
@@ -108,6 +111,13 @@ def _guard_failures():
         q.t_star["alpha:1:2"] = q.t_star["alpha:1:1"]
         out.append(_raised(lambda: WordCalculus(q)))
         t = Ctx(SYSTEMS["tsys"])
+        algebra = t.algebra
+        arrow = next(p for p in algebra.rep_paths if len(p[1]) == 1)
+        algebra._mult_cache[arrow, (arrow[0], (), arrow[0])] = {arrow: 2}
+        out.append(_raised(algebra.check_associativity))
+        algebra.reduce_path = lambda path: {path: 1}
+        out.append(_raised(algebra.check_relations_vanish))
+        out.append(_raised(algebra.check_admissibility_witness))
         q = build_quiver(t.ds)
         q.path_source = lambda path: path[-1]
         out.append(_raised(lambda: build_relations(t.ds, q)))
@@ -135,6 +145,11 @@ WANT = ["composite outside the span of Hom(R, v)",
         "band must close on a reversed letter",
         "a 1 x 2 block is not zero-size",
         "Q* extension not unique",
+        "associativity fails at ('z:1:2', ('beta:1:1', 'gamma:1:2'), "
+        "'x:1:0'), ('x:1:3', ('xi:1:1',), 'z:1:2'), ('x:1:3', (), 'x:1:3')",
+        "relation does not vanish: alpha:1:1 alpha:1:2 gamma:1:2",
+        "path ('x:1:3', ('alpha:1:1', 'alpha:1:2', 'gamma:1:2', 'xi:1:1'), "
+        "'x:1:0') does not shorten",
         "relation terms disagree on endpoints: "
         "alpha:1:2 gamma:1:2 xi:1:1  - alpha:1:2 alpha:1:3",
         "relation term not composable: "

@@ -210,21 +210,35 @@ def test_census_rows_have_one_atom_at_each_end():
     assert total == 36470
 
 
-def test_census_verify_green():
-    # verify(8) on the census systems with at most 7 vertices: its coverage
-    # check fails if rows() loses an in-bound row, whatever rows() tests say
-    quivers = [qv for qv in _census() if len(qv.vertices) <= 7]
-    assert len(quivers) == 68
+def _census_verify(quivers, bound):
+    """verify(bound) on each system, which must come back green; returns the
+    rows checked and the entries covered, summed."""
     checked = covered = 0
     for quiver in quivers:
         modules = StringModules(WordCalculus(quiver))
         algebra = AlgebraBasis(quiver, build_relations(quiver.ds, quiver),
                                modules.field)
-        report = ArVerifier(modules, algebra).verify(8)
+        report = ArVerifier(modules, algebra).verify(bound)
         assert report["failures"] == [], quiver.ds
         checked += report["rows_checked"]
         covered += report["coverage"]["checked"]
-    assert (checked, covered) == (1305, 4278)
+    return checked, covered
+
+
+def test_census_verify_green():
+    # verify(8) on the census systems with at most 7 vertices: its coverage
+    # check fails if rows() loses an in-bound row, whatever rows() tests say
+    quivers = [qv for qv in _census() if len(qv.vertices) <= 7]
+    assert len(quivers) == 68
+    assert _census_verify(quivers, 8) == (1305, 4278)
+
+
+@pytest.mark.census
+def test_census_verify_green_at_ten():
+    # all 229 census systems at bound 10; run with pytest -m census
+    quivers = _census()
+    assert len(quivers) == 229
+    assert _census_verify(quivers, 10) == (8429, 27258)
 
 
 def test_row_end_of_two_atoms_is_an_anomaly(tsys, monkeypatch):
