@@ -159,7 +159,6 @@ import itertools
 
 import numpy as np
 
-from .defining_system import admissible_vertices
 from .string_modules import (DEFAULT_LAMBDAS, ConsistencyError,
                              Representation, band_parameters, block_diagonal,
                              check_relations, direct_sum_of, zero_size_block)
@@ -1526,8 +1525,8 @@ class ArVerifier:
         coverage of the inventory; the relations on every inventory entry;
         a LOCAL certificate for every entry; and the functor hom-pattern
         lemmas on strings of length ``lemma_len`` (default ``min(6,
-        bound)``): R and X at each admissible vertex, then I at each vertex
-        of ``i_lemma_vertices``.
+        bound)``) at each site of ``vsc.lemma_sites``: R and X at each
+        admissible vertex, then I at each vertex of ``i_lemma_vertices``.
 
         The inventory stays on ``self.inventory``; its representations seed
         the atom cache, so a row end that is an entry is the entry's module.
@@ -1536,7 +1535,7 @@ class ArVerifier:
         reads the verdicts recorded on the modules.  A negative ``bound`` or
         ``lemma_len`` raises ValueError.
         """
-        from .vsc import hom_pattern_of_functor, i_lemma_vertices
+        from .vsc import hom_pattern_of_functor, lemma_sites
 
         if bound < 0 or (lemma_len or 0) < 0:
             raise ValueError(f"bound and lemma length must be nonnegative, "
@@ -1645,13 +1644,9 @@ class ArVerifier:
 
         if lemma_len is None:
             lemma_len = min(6, bound)
-        lemmas = [(v, which)
-                  for v in sorted(map(str, admissible_vertices(self.quiver.ds)))
-                  for which in ("R", "X")]
-        lemmas += [(v, "I") for v in i_lemma_vertices(self.quiver)]
         lemma_checks = []
         spaces = {}  # the Hom systems of the lemma objects, for this call
-        for v, which in lemmas:
+        for v, which in lemma_sites(self.quiver):
             _, _, match = hom_pattern_of_functor(self.sm, v, which, lemma_len,
                                                  spaces)
             lemma_checks.append({"vertex": v, "lemma": which,

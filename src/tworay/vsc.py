@@ -12,6 +12,7 @@ length bound.
 import numpy as np
 from dataclasses import dataclass
 
+from .defining_system import admissible_vertices
 from .homlab import ConsistencyError, hom_space, transposed_blocks
 
 
@@ -102,13 +103,6 @@ def build_model(kind: str, posets) -> VscModel:
     raise BadArity(f"unknown model kind {kind!r}")
 
 
-def _lex_le(posets, p, g, q, h):
-    if p != q:
-        return p < q
-    poset = posets[p]
-    return poset.index(g) <= poset.index(h)
-
-
 _X_KINDS = ("X", "Xp", "Xpp")
 
 
@@ -119,25 +113,30 @@ def _x_hom(idx, u, v):
     if u[0] not in _X_KINDS or v[0] not in _X_KINDS:
         return None
     if u[0] == "X" and v[0] == "X":
-        return _lex_le(idx, u[1], u[2], v[1], v[2])
+        # lexicographic: by poset, then by position in it
+        return (u[1], idx[u[1]].index(u[2])) <= (v[1], idx[v[1]].index(v[2]))
     if u[0] == "X" or u[0] == v[0]:  # X -> Xp, Xpp; Xp -> Xp; Xpp -> Xpp
         return u[1] <= v[1]
     return u[1] < v[1]  # Xp, Xpp -> X; Xp -> Xpp; Xpp -> Xp
 
 
+def _x_objects(idx) -> list:
+    """The X, Xp and Xpp objects over the posets ``idx[p]``, the enumeration
+    the K- and L-family models share: ("X", p, g) for g in each I_p', then
+    ("Xp", p) and ("Xpp", p) at each p but the last whose maximum
+    survived the truncation."""
+    objects = [("X", p, g) for p in idx for g in idx[p].prime().elements]
+    for p in list(idx)[:-1]:
+        if idx[p].max_present:
+            objects += [("Xp", p), ("Xpp", p)]
+    return objects
+
+
 def _build_k(posets) -> VscModel:
-    r = len(posets) - 1
-    objects = []
-    for p, poset in enumerate(posets, start=1):
-        for g in poset.prime().elements:
-            objects.append(("X", p, g))
-    for p in range(1, r + 1):
-        if posets[p - 1].max_present:
-            objects.append(("Xp", p))
-            objects.append(("Xpp", p))
+    idx = dict(enumerate(posets, start=1))
+    objects = _x_objects(idx)
     objdim = {o: 1 for o in objects}
     homdim = {}
-    idx = {i + 1: poset for i, poset in enumerate(posets)}
     for u in objects:
         for v in objects:
             if _x_hom(idx, u, v):
@@ -160,29 +159,13 @@ def _build_l1(poset: AdmissiblePoset) -> VscModel:
 
 
 def _build_lf(posets) -> VscModel:
-    r = len(posets) - 2
-    idx = {p: poset for p, poset in enumerate(posets)}
-    objects = []
-    for p in range(0, r + 2):
-        for g in idx[p].prime().elements:
-            objects.append(("X", p, g))
-    for p in range(0, r + 1):
-        if idx[p].max_present:
-            objects.append(("Xp", p))
-            objects.append(("Xpp", p))
+    idx = dict(enumerate(posets))
+    objects = _x_objects(idx)
     i0_prime = idx[0].prime().elements
-    for g in i0_prime:
-        objects.append(("Y", g))
-    objects.append(("Z",))
-
-    min_i1 = idx[1].minimum
-    x_min_i1 = None
-    if min_i1 is not None and min_i1 in idx[1].prime().elements:
-        x_min_i1 = ("X", 1, min_i1)
-
-    objdim = {o: 1 for o in objects}
-    if x_min_i1 is not None:
-        objdim[x_min_i1] = 2
+    objects += [("Y", g) for g in i0_prime] + [("Z",)]
+    # an object when I_1 kept its minimum and it is not also I_1's maximum
+    x_min_i1 = ("X", 1, idx[1].minimum)
+    objdim = {o: 2 if o == x_min_i1 else 1 for o in objects}
     homdim = {}
     for u in objects:
         for v in objects:
@@ -191,21 +174,19 @@ def _build_lf(posets) -> VscModel:
             if kinds == ("X", "Y"):
                 hit = u[1] == 0 and idx[0].index(u[2]) <= idx[0].index(v[1])
             elif kinds in (("X", "Z"), ("Xpp", "Z")):
-                hit = u[1] == 0
+                # the X_{min I_1} -> Z cell: exact computation of the induced
+                # category always exhibits the surviving morphism, so the
+                # order-theoretic pattern carries it
+                hit = u[1] == 0 or u == x_min_i1
             elif kinds == ("Y", "X"):
                 hit = v == x_min_i1
             elif kinds == ("Y", "Y"):
                 hit = idx[0].index(u[1]) <= idx[0].index(v[1])
             elif kinds in (("Y", "Z"), ("Z", "Z")):
                 hit = True
-            # the X_{min I_1} -> Z cell: exact computation of the induced
-            # category always exhibits the surviving morphism, so the
-            # order-theoretic pattern carries it
-            if x_min_i1 is not None and u == x_min_i1 and v == ("Z",):
-                hit = True
             if hit:
                 homdim[(u, v)] = 1
-    if x_min_i1 is not None:
+    if x_min_i1 in objdim:
         for g in i0_prime:
             homdim[(("X", 0, g), x_min_i1)] = 2
     return VscModel("LF", objects, objdim, homdim)
@@ -225,7 +206,7 @@ class LemmaContext:
 
     # designated modules of the three lemmas
     def module_R(self, x: str):
-        calc, q = self.calc, self.quiver
+        calc = self.calc
         kind, i, j = x.split(":")
         if kind == "x":
             alpha = f"alpha:{i}:{j}"
@@ -256,120 +237,87 @@ class LemmaContext:
             max_present=calc.omega(x).length <= bound,
         )
 
-    def _strand_data(self, i: int, j0: int):
-        ds = self.quiver.ds
-        js = [j for j in ds.s_sorted(i) if j > j0]
-        jr1 = ds.top(i) + 1
-        return js, jr1
+    def _strand_posets(self, i: int, j0: int, bound: int, last: int):
+        """(anchors, posets) of a strand lemma at x_(i,j0) or z_(i,j0): the
+        anchors j0 < j_1 < ... < j_r are j0 and the entries of S_i above
+        it, I_p = [j_(p-1), j_p - 1] + C_(x_(i,j_p)) for p = 1..r, and
+        I_(r+1) = [j_r, last]."""
+        anchors = [j0] + [j for j in self.quiver.ds.s_sorted(i) if j > j0]
+        posets = [interval_poset(lo, hi - 1).ordered_sum(
+                      self._c_poset(f"x:{i}:{hi}", bound))
+                  for lo, hi in zip(anchors, anchors[1:])]
+        return anchors, posets + [interval_poset(anchors[-1], last)]
+
+    def _strand_module(self, o, i: int, anchors, prefixed):
+        """The module of object ``o`` of a strand lemma on strand i.  The
+        X, Xp and Xpp objects over I_p sit at y = x_(i, anchors[p]): X over
+        a string C is N(C, omega_y), Xp is M(omega_y) and Xpp is
+        N(y, omega_y).  X over an integer j is M(omega) at x_(i,j), with a
+        gamma_(i,j) prefix when j is in ``prefixed``.  Y over C is
+        M(gamma_(i,j0) C) and Z is M of the trivial string at z_(i,j0)."""
+        calc, sm = self.calc, self.sm
+        if o[0] == "Z":
+            return sm.construct_M(calc.trivial(f"z:{i}:{anchors[0]}"))
+        if o[0] == "Y":
+            return sm.construct_M(calc.word(
+                (f"gamma:{i}:{anchors[0]}",) + o[1][1][0]))
+        if o[0] == "X" and o[2][0] == "int":
+            j = o[2][1]
+            omega = calc.omega(f"x:{i}:{j}")
+            if j in prefixed:
+                return sm.construct_M(calc.word(
+                    (f"gamma:{i}:{j}",) + omega.letters))
+            return sm.construct_M(omega)
+        y = f"x:{i}:{anchors[o[1]]}"
+        omega = calc.omega(y)
+        if o[0] == "Xp":
+            return sm.construct_M(omega)
+        if o[0] == "Xpp":
+            return sm.construct_N(y, omega)
+        return sm.construct_NCC(y, calc.from_key(o[2][1]), omega)
 
     def instantiate(self, x: str, which: str, bound: int):
-        """(model, assignment dict object -> Representation) for one lemma."""
-        calc, q, sm = self.calc, self.quiver, self.sm
-        kind, i_s, j_s = x.split(":")
-        i, j0 = int(i_s), int(j_s)
+        """(model, assignment dict object -> Representation) for one lemma.
 
-        def m_of(wkey):
-            return sm.construct_M(calc.from_key(wkey))
-
-        def m_word(letters):
-            return sm.construct_M(calc.word(letters))
-
+        The model is built on the lemma's posets, truncated at string length
+        ``bound``: the K-family on C_x for X, the single-L model on C_x for
+        R at an x-vertex, the L-family on C_(x_(i,j0)), I_1, ..., I_(r+1)
+        for R at z_(i,j0), and the K-family on I_1, ..., I_(r+1) for I at
+        x_(i,j0) (see ``_strand_posets``).  Each object of the model gets its
+        module by one rule per lemma: M(C) over C for X; M(alpha_(i,j) C)
+        for X over C and M(C) for Y over C in the single-L model; and
+        ``_strand_module``, with all anchors prefixed for R and all but j0
+        for I.  A pair (x, which) outside ``lemma_sites`` raises ValueError.
+        """
+        if (x, which) not in lemma_sites(self.quiver):
+            raise ValueError(f"{x!r} is not a site of lemma {which!r}")
+        calc, sm = self.calc, self.sm
+        kind, i, j0 = x.split(":")
+        i, j0 = int(i), int(j0)
         if which == "X":
             # C_x is taken at the vertex itself, z-vertices included
-            poset = self._c_poset(x, bound)
-            model = build_model("K", [poset])
-            assign = {("X", 1, g): m_of(g[1]) for g in poset.prime().elements}
-            return model, assign
-
+            model = build_model("K", [self._c_poset(x, bound)])
+            return model, {o: sm.construct_M(calc.from_key(o[2][1]))
+                           for o in model.objects}
         if which == "R" and kind == "x":
-            poset = self._c_poset(x, bound)
-            model = build_model("L1", [poset])
+            model = build_model("L1", [self._c_poset(x, bound)])
             alpha = f"alpha:{i}:{j0}"
-            assign = {}
-            for g in poset.elements:
-                letters, term = g[1]
-                assign[("X", g)] = m_word((alpha,) + letters)
-                assign[("Y", g)] = m_of(g[1])
-            return model, assign
-
-        if which == "R" and kind == "z":
-            js, jr1 = self._strand_data(i, j0)
-            anchors = [j0] + js
-            posets = [self._c_poset(f"x:{i}:{j0}", bound)]
-            for p in range(1, len(js) + 1):
-                posets.append(interval_poset(anchors[p - 1], js[p - 1] - 1)
-                              .ordered_sum(self._c_poset(f"x:{i}:{js[p-1]}",
-                                                         bound)))
-            posets.append(interval_poset(anchors[-1], jr1))
-            model = build_model("LF", posets)
-            assign = {}
-            for p, poset in enumerate(posets):
-                for g in poset.prime().elements:
-                    if g[0] == "str":
-                        y = f"x:{i}:{anchors[p]}"
-                        assign[("X", p, g)] = sm.construct_NCC(
-                            y, calc.from_key(g[1]), calc.omega(y))
-                    else:
-                        jv = g[1]
-                        if jv in anchors:
-                            gamma = f"gamma:{i}:{jv}"
-                            om = calc.omega(f"x:{i}:{jv}")
-                            assign[("X", p, g)] = m_word((gamma,) + om.letters)
-                        else:
-                            assign[("X", p, g)] = sm.construct_M(
-                                calc.omega(f"x:{i}:{jv}"))
-                if p <= len(js) and poset.max_present:
-                    y = f"x:{i}:{anchors[p]}"
-                    om = calc.omega(y)
-                    assign[("Xp", p)] = sm.construct_M(om)
-                    assign[("Xpp", p)] = sm.construct_N(y, om)
-            gamma0 = f"gamma:{i}:{j0}"
-            for g in posets[0].prime().elements:
-                assign[("Y", g)] = m_word((gamma0,) + g[1][0])
-            assign[("Z",)] = sm.construct_M(calc.trivial(f"z:{i}:{j0}"))
-            return model, assign
-
-        if which == "I":
-            ds = q.ds
-            if kind != "x" or j0 in ds.S[i - 1] or not (
-                    ds.t_last(i) + 1 <= j0 <= ds.top(i)):
-                raise ValueError(f"{x} is not an I-lemma vertex")
-            js, jr1 = self._strand_data(i, j0)
-            anchors = [j0] + js
-            posets = []
-            for p in range(1, len(js) + 1):
-                posets.append(interval_poset(anchors[p - 1], js[p - 1] - 1)
-                              .ordered_sum(self._c_poset(f"x:{i}:{js[p-1]}",
-                                                         bound)))
-            posets.append(interval_poset(anchors[-1], jr1 - 1))
+            return model, {
+                o: sm.construct_M(calc.word((alpha,) + o[1][1][0]))
+                if o[0] == "X" else sm.construct_M(calc.from_key(o[1][1]))
+                for o in model.objects}
+        top = self.quiver.ds.top(i)
+        if which == "R":
+            anchors, posets = self._strand_posets(i, j0, bound, top + 1)
+            model = build_model(
+                "LF", [self._c_poset(f"x:{i}:{j0}", bound)] + posets)
+            prefixed = anchors
+        else:
+            anchors, posets = self._strand_posets(i, j0, bound, top)
             model = build_model("K", posets)
-            assign = {}
-            for p, poset in enumerate(posets, start=1):
-                for g in poset.prime().elements:
-                    if g[0] == "str":
-                        y = f"x:{i}:{js[p - 1]}"
-                        assign[("X", p, g)] = sm.construct_NCC(
-                            y, calc.from_key(g[1]), calc.omega(y))
-                    else:
-                        jv = g[1]
-                        if jv == j0:
-                            assign[("X", p, g)] = sm.construct_M(
-                                calc.omega(f"x:{i}:{j0}"))
-                        elif jv in js:
-                            gamma = f"gamma:{i}:{jv}"
-                            om = calc.omega(f"x:{i}:{jv}")
-                            assign[("X", p, g)] = m_word((gamma,) + om.letters)
-                        else:
-                            assign[("X", p, g)] = sm.construct_M(
-                                calc.omega(f"x:{i}:{jv}"))
-                if p <= len(js) and poset.max_present:
-                    y = f"x:{i}:{js[p - 1]}"
-                    om = calc.omega(y)
-                    assign[("Xp", p)] = sm.construct_M(om)
-                    assign[("Xpp", p)] = sm.construct_N(y, om)
-            return model, assign
-
-        raise ValueError(f"unknown lemma selector {which!r}")
+            prefixed = anchors[1:]
+        return model, {o: self._strand_module(o, i, anchors, prefixed)
+                       for o in model.objects}
 
 
 def _slot(spaces, M):
@@ -475,9 +423,13 @@ def match_model(measured, model: VscModel, objects=None) -> dict:
 
 def hom_pattern_of_functor(modules, x: str, which: str, bound: int,
                            spaces=None):
-    """Run one lemma check; returns (model, measured, match report).
+    """Run the lemma ``which`` ("R", "X" or "I") at vertex ``x`` on strings
+    of length ``bound``; returns (model, measured, match report).
 
-    ``spaces`` is passed to ``measure_pattern``."""
+    The measured objects are the model's (see ``LemmaContext.instantiate``),
+    so ``report["objects"]`` counts the objects compared.  A pair
+    (x, which) outside ``lemma_sites`` raises ValueError.  ``spaces`` is
+    passed to ``measure_pattern``."""
     ctx = LemmaContext(modules)
     model, assign = ctx.instantiate(x, which, bound)
     R = {"R": ctx.module_R, "X": ctx.module_X, "I": ctx.module_I}[which](x)
@@ -497,3 +449,11 @@ def i_lemma_vertices(quiver):
                 out.append(f"x:{i}:{j}")
     return out
 
+
+def lemma_sites(quiver):
+    """The (vertex, lemma) pairs whose hypotheses hold, in the order
+    ``ArVerifier.verify`` checks them: R and X at each admissible vertex,
+    sorted, then I at each of ``i_lemma_vertices``."""
+    vertices = sorted(map(str, admissible_vertices(quiver.ds)))
+    return ([(v, which) for v in vertices for which in ("R", "X")]
+            + [(v, "I") for v in i_lemma_vertices(quiver)])

@@ -252,6 +252,14 @@ def test_verify_tsys_report_pinned(sysfile):
         "9eed66b9a2427d36fa7da4decfabfbea54bd31f756c86702df8af181641df1d2")
 
 
+def test_verify_fund32_report_pinned(sysfile):
+    # R and X at x-vertices: the single-L model of the R lemma
+    code, out = run(["verify", sysfile("fund32"), "--max-dim", "8"])
+    assert code == 0
+    assert _sha256(out) == (
+        "d701ae7769313f4b1db94758f91b1289fa6193d917b3a6d6bfa5d9cab51b27fa")
+
+
 def test_ar_worked_example_pinned(sysfile):
     code, out = run(["ar", sysfile("ex14"), "--max-dim", "12"])
     assert code == 0

@@ -243,3 +243,41 @@ def test_hom_space_memo_key_is_content(fund21):
     measure_pattern(a, {"a": a, "b": b, "c": c}, a.field, spaces)
     row = vsc._slot(spaces, a)[1]
     assert sorted(row) == [0, 1]  # Hom(a, a) = Hom(a, b) and Hom(a, c)
+
+
+@pytest.mark.parametrize("vertex, which", [
+    ("y:1:1", "R"),  # not a vertex of the quiver
+    ("x:1:0", "R"),  # a vertex, but not admissible
+    ("x:1:1", "X"),  # x:1:2 is in S_1, so x:1:1 is not admissible
+    ("z:1:8", "Q"),  # an admissible vertex, but no such lemma
+])
+def test_lemma_outside_its_sites_rejected(ex14, vertex, which):
+    assert (vertex, which) not in vsc.lemma_sites(ex14.quiver)
+    with pytest.raises(ValueError) as err:
+        hom_pattern_of_functor(ex14.modules, vertex, which, 6)
+    assert vertex in str(err.value) and repr(which) in str(err.value)
+
+
+# the number of objects each lemma site compares at string length 6
+OBJECT_COUNTS = {
+    "ex14": {("z:1:8", "R"): 30, ("z:1:8", "X"): 11, ("z:2:2", "R"): 17,
+             ("z:2:2", "X"): 6, ("x:1:7", "I"): 16, ("x:2:1", "I"): 10,
+             ("x:2:3", "I"): 0},
+    "s24": {("z:1:2", "R"): 27, ("z:1:2", "X"): 6, ("z:1:4", "R"): 17,
+            ("z:1:4", "X"): 6, ("x:1:1", "I"): 20, ("x:1:3", "I"): 10,
+            ("x:1:5", "I"): 0},
+    "fund32": {**{(v, which): n for v in ("x:1:2", "x:1:3", "x:2:2")
+                  for which, n in (("R", 14), ("X", 6))},
+               ("x:1:1", "I"): 2, ("x:1:2", "I"): 1, ("x:1:3", "I"): 0,
+               ("x:2:1", "I"): 1, ("x:2:2", "I"): 0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJECT_COUNTS))
+def test_lemma_object_counts_pinned(name):
+    # the assignment is read off the model, so a model that lost objects
+    # would still match; the counts pin the models themselves
+    c = ctx(name)
+    counts = {(v, which): hom_pattern_of_functor(c.modules, v, which, 6)[2]
+              ["objects"] for v, which in vsc.lemma_sites(c.quiver)}
+    assert counts == OBJECT_COUNTS[name]
