@@ -10,7 +10,7 @@ from .field import PrimeField, RationalField
 from .quiver import Quiver, Relation, build_quiver, build_relations
 from .strings import EMPTY, StringWord, WordCalculus
 from .string_modules import (Representation, StringModules, check_relations,
-                             dim_vector, zero_representation)
+                             zero_representation)
 from .algebra import AlgebraBasis
 from .homlab import (ArVerifier, IndecVerdict, SesCandidate, ar_translate,
                      hom_basis, is_indecomposable, is_isomorphic, is_split,
@@ -24,7 +24,7 @@ __all__ = [
     "PrimeField", "RationalField",
     "Quiver", "Relation", "build_quiver", "build_relations",
     "EMPTY", "StringWord", "WordCalculus",
-    "Representation", "StringModules", "check_relations", "dim_vector",
+    "Representation", "StringModules", "check_relations",
     "zero_representation",
     "AlgebraBasis",
     "ArVerifier", "IndecVerdict", "SesCandidate", "ar_translate", "hom_basis",

@@ -589,22 +589,20 @@ def _trace_form_rank(M: Representation, kernel, blocks) -> int:
     """Rank of the Gram matrix G_ij = tr(f_i f_j) of an End basis, given as
     the kernel array and blocks of ``hom_space(M, M)``.
 
-    tr(f_i f_j) = sum_v sum_(a, b) f_i[v][a, b] f_j[v][b, a].  Row i of the
-    kernel holds the blocks f_i[v] read column by column, and row j of
-    ``flat_t`` the blocks of f_j read row by row, so G = kernel flat_t^T:
-    k x k, with inner length sum_v dim M_v^2, taken in slices under the
-    overflow bound of ``PrimeField.mul``.  No product f_i f_j and no total
-    matrix is formed.
+    tr(f_i f_j) = sum_v sum_(a, b) f_i[v][a, b] f_j[v][b, a].  Column
+    o + a + b n of the kernel holds f[v][a, b] for the block (o, n, n) of
+    v, so one index permutation, a <-> b within each block, gives ``flat_t``
+    whose row j holds f_j[v][b, a] there, and G = kernel flat_t^T: k x k,
+    with inner length sum_v dim M_v^2, taken in slices under the overflow
+    bound of ``PrimeField.mul`` and summed unreduced (``rank`` reduces).
+    No product f_i f_j and no total matrix is formed.
     """
-    F = M.field
-    k, width = kernel.shape
-    flat_t = np.hstack([transposed_blocks(kernel, block).transpose(0, 2, 1)
-                        .reshape(k, -1) for block in blocks.values()])
-    gram = F.zeros(k, k)
-    for lo in range(0, width, F.max_inner):
-        hi = lo + F.max_inner
-        gram = F.add(gram, F.mul(kernel[:, lo: hi], flat_t[:, lo: hi].T))
-    return F.rank(gram)
+    F, step = M.field, M.field.max_inner
+    flat_t = kernel[:, [o + b + a * n for o, n, _ in blocks.values()
+                        for b in range(n) for a in range(n)]]
+    return F.rank(sum(F.mul(kernel[:, lo: lo + step],
+                            flat_t[:, lo: lo + step].T)
+                      for lo in range(0, kernel.shape[1], step)))
 
 
 def _certify(M: Representation, basis):
@@ -1432,6 +1430,7 @@ class ArVerifier:
         for x in q.q0_primed():
             alpha = q.alpha_of(x)
             mu = calc.mu(x)
+            mlen = mu.length
             omega = calc.omega(x)
             sx = sx_at[x]
             for cprime in sx:
@@ -1450,27 +1449,28 @@ class ArVerifier:
                             sm.canon_M(cp) + sm.canon_NCC(x, mu, pc),
                             sm.canon_NCC(x, mu, bi))
 
-                yield (5, mu.length + bi.length + 3,
-                       cp.length + mu.length + pc.length + 4,
+                yield (5, mlen + bi.length + 3,
+                       cp.length + mlen + pc.length + 4,
                        lambda: (x, wkey(cprime)), row5)
             for c in sx:
                 cp = succ(c)
-                middle = c.length + cp.length + 3
-                yield (6, None if cp is EMPTY else cp.length + 3, middle,
+                cplen = cp.length
+                middle = c.length + cplen + 3
+                yield (6, None if cp is EMPTY else cplen + 3, middle,
                        lambda: (x, wkey(c)),
                        lambda: (sm.canon_M(c),
                                 sm.canon_NCC(x, c, cp),
                                 sm.canon_N(x, cp)))
                 if wkey(c) != wkey(omega):
-                    yield (8, None if cp is EMPTY else cp.length + 1, middle,
+                    yield (8, None if cp is EMPTY else cplen + 1, middle,
                            lambda: (x, wkey(c)),
                            lambda: (sm.canon_N(x, c),
                                     sm.canon_NCC(x, c, cp),
                                     sm.canon_M(cp)))
             for c, c2 in calc.pairs_p_x(x, bound + 2 * max_omega - 1):
                 cp, c2p = succ(c), succ(c2)
-                yield (10, cp.length + c2p.length + 3,
-                       c.length + c2.length + cp.length + c2p.length + 6,
+                right = cp.length + c2p.length + 3
+                yield (10, right, right + c.length + c2.length + 3,
                        lambda: (x, wkey(c), wkey(c2)),
                        lambda: (sm.canon_NCC(x, c, c2),
                                 sm.canon_NCC(x, c, c2p)
@@ -1480,6 +1480,7 @@ class ArVerifier:
         for x in q.q0_doubleprimed():
             gamma = q.gamma_of(x)
             bx = calc.band_of(x)
+            blen = bx.length
 
             def words7():
                 # B_x C, B_x C+, gamma C, gamma C+ at the c, cp of the loop
@@ -1503,10 +1504,11 @@ class ArVerifier:
 
             for c in sx_at[x]:
                 cp = succ(c)
-                middle = cp.length + bx.length + c.length + 3
-                yield (7, None if cp is EMPTY else bx.length + cp.length + 2,
+                cplen = cp.length
+                middle = cplen + blen + c.length + 3
+                yield (7, None if cp is EMPTY else blen + cplen + 2,
                        middle, lambda: (x, wkey(c)), row7)
-                yield (9, None if cp is EMPTY else cp.length + 2, middle,
+                yield (9, None if cp is EMPTY else cplen + 2, middle,
                        lambda: (x, wkey(c)), row9)
 
     # -- verification -----------------------------------------------------------

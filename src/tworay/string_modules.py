@@ -69,50 +69,66 @@ class Representation:
     ``zero_size_block``, and a path through a vertex outside the support
     acts as 0, so loops over a module visit only its support.
 
-    The support-arrow maps are read-only, so what is certified about the
-    module can be recorded on it without going stale: ``indec``, the
-    ``homlab.IndecVerdict`` that ``homlab.is_indecomposable`` reaches from
-    a solved End(M), and with it ``end_dim``, dim End(M); and
+    The support-arrow maps are views into one int64 buffer per module, laid
+    out in ``support_arrows`` order, each map row by row.  The buffer is
+    packed from a copy of the input, reduced mod p and made read-only once;
+    nothing else holds it, so a caller's later writes to its own matrices
+    do not reach it, and its views cannot be written.  So what is certified
+    about the module can be recorded on it without going stale: ``indec``,
+    the ``homlab.IndecVerdict`` that ``homlab.is_indecomposable`` reaches
+    from a solved End(M), and with it ``end_dim``, dim End(M); and
     ``arrow_ranks``, the ranks of the support-arrow maps in that order, set
     by ``homlab.find_iso`` when it first compares them.  All start as None.
 
-    A space at a vertex, or a map on an arrow, that the quiver does not
-    have raises ValueError, as does a map of the wrong shape.
+    The constructor takes dense matrices (arrays or nested lists),
+    ``from_entries`` a list of (row, column, coefficient) per arrow, whose
+    entries at one position add.  Both go through the checks of ``_pack``:
+    a space at a vertex, or a map on an arrow, that the quiver does not
+    have raises ValueError, as does a dense map of the wrong shape.
     """
 
     __slots__ = ("quiver", "field", "spaces", "dims", "support",
                  "support_arrows", "maps", "indec", "end_dim", "arrow_ranks")
 
     def __init__(self, quiver: Quiver, field, spaces, maps):
-        self.quiver = quiver
-        self.field = field
+        self._pack(quiver, field, spaces, maps, _dense_buffer)
+
+    @classmethod
+    def from_entries(cls, quiver: Quiver, field, spaces, entries):
+        rep = cls.__new__(cls)
+        rep._pack(quiver, field, spaces, entries, _entry_buffer)
+        return rep
+
+    def _pack(self, quiver, field, spaces, given, buffer):
+        """Check the spaces and the per-arrow input ``given``, and take the
+        buffer from ``buffer(given, shape, layout, total)``: shape maps each
+        arrow to (rows, cols), layout each support arrow to (start, rows,
+        cols)."""
+        self.quiver, self.field = quiver, field
         self.spaces = {v: tuple(spaces.get(v, ())) for v in quiver.vertices}
         dim = {v: len(labels) for v, labels in self.spaces.items()}
         for keys, known, what in ((spaces, dim, "vertex"),
-                                  (maps, quiver.source, "arrow")):
+                                  (given, quiver.source, "arrow")):
             for k in keys:
                 if k not in known:
                     raise ValueError(f"unknown {what} {k!r}")
         self.dims = tuple(dim.values())
         self.support = tuple(v for v, d in dim.items() if d)
-        self.maps = {}
-        support_arrows = []
+        self.maps, shape, layout, total = {}, {}, {}, 0
         for a in quiver.arrows:
-            rows, cols = dim[quiver.target[a]], dim[quiver.source[a]]
-            m = maps.get(a)
-            if m is not None:
-                m = np.asarray(m, dtype=np.int64) % field.p
-                if m.shape != (rows, cols):
-                    raise ValueError(f"bad shape for {a}: {m.shape}")
+            rows, cols = shape[a] = (dim[quiver.target[a]],
+                                     dim[quiver.source[a]])
             if rows and cols:
-                support_arrows.append(a)
-                if m is None:
-                    m = field.zeros(rows, cols)
-                m.flags.writeable = False
+                layout[a] = total, rows, cols
+                total += rows * cols
+                self.maps[a] = None  # the view into the buffer, set below
             else:
-                m = zero_size_block(rows, cols)
-            self.maps[a] = m
-        self.support_arrows = tuple(support_arrows)
+                self.maps[a] = zero_size_block(rows, cols)
+        buf = buffer(given, shape, layout, total) % field.p
+        buf.flags.writeable = False
+        for a, (start, rows, cols) in layout.items():
+            self.maps[a] = buf[start: start + rows * cols].reshape(rows, cols)
+        self.support_arrows = tuple(layout)
         self.indec = self.end_dim = self.arrow_ranks = None
         for v in self.support:
             labels = self.spaces[v]
@@ -156,6 +172,29 @@ def zero_representation(quiver: Quiver, field) -> Representation:
     return Representation(quiver, field, {}, {})
 
 
+def _dense_buffer(maps, shape, layout, total) -> np.ndarray:
+    """The given dense matrices, row by row, at their places in the
+    layout; zeros on a support arrow without one."""
+    buf = np.zeros(total, dtype=np.int64)
+    for a, m in maps.items():
+        m = np.asarray(m, dtype=np.int64)
+        if m.shape != shape[a]:
+            raise ValueError(f"bad shape for {a}: {m.shape}")
+        if a in layout:
+            buf[layout[a][0]: layout[a][0] + m.size] = m.ravel()
+    return buf
+
+
+def _entry_buffer(entries, shape, layout, total) -> np.ndarray:
+    """One flat list of the sums of the given (row, column, coefficient)
+    entries, at their places in the layout."""
+    flat = [0] * total
+    for a, (start, _, cols) in layout.items():
+        for r, c, x in entries.get(a, ()):
+            flat[start + r * cols + c] += x
+    return np.array(flat, dtype=np.int64)
+
+
 def block_diagonal(field, blocks) -> np.ndarray:
     """The block-diagonal matrix with the given blocks, in order."""
     m = field.zeros(sum(b.shape[0] for b in blocks),
@@ -196,27 +235,24 @@ def check_relations(rep: Representation, relations) -> list:
 
     A term whose path passes through a zero vertex space acts as 0 and is
     skipped, so a relation with no term inside the support holds.  Every
-    path is multiplied out from its first arrow."""
+    other term is multiplied out once from its first arrow, the terms are
+    added unreduced (each term's entries below p^2) and the sum is reduced
+    once."""
     bad = []
-    F = rep.field
+    F, maps = rep.field, rep.maps
     support = set(rep.support_arrows)
     for rel in relations:
         acc = None
         for coef, arrows in rel.terms:
-            if not support.issuperset(arrows):
-                continue
-            m = rep.maps[arrows[-1]]
-            for a in arrows[-2::-1]:
-                m = F.mul(rep.maps[a], m)
-            term = F.scale(coef, m)
-            acc = term if acc is None else F.add(acc, term)
-        if acc is not None and not F.is_zero(acc):
+            if support.issuperset(arrows):
+                m = maps[arrows[-1]]
+                for a in arrows[-2::-1]:
+                    m = F.mul(maps[a], m)
+                m = coef % F.p * m
+                acc = m if acc is None else acc + m
+        if acc is not None and (acc := acc % F.p).any():
             bad.append((rel, acc))
     return bad
-
-
-def dim_vector(rep: Representation) -> dict:
-    return rep.dim_vector()
 
 
 def band_parameters(field, lam_sample) -> list:
@@ -282,49 +318,36 @@ class StringModules:
         Positions run over the I-set [0, n] for strings and the J-set
         [0, n-1] for bands.  Position i is labelled ``tag + (i,)``.
         """
-        n = word.length
-        top = n - 1 if band else n
-        for i in range(top + 1):
-            v = self.calc.position_vertex(word, i)
+        letters, primed = word.letters, self.quiver.primed
+        vertices = [self.quiver.t_star[c] for c in letters]
+        if not band:
+            vertices.append(self.calc.source(word))
+        for i, v in enumerate(vertices):
             vertex_labels.setdefault(v, []).append(tag + (i,))
-        primed = self.quiver.primed
-        for i in range(1, top + 1):
-            c = word.letters[i - 1]
-            if c in primed:
-                entries.setdefault(c, []).append(
-                    (tag + (i - 1,), tag + (i,), 1))
-        for i in range(0, (n - 2 if band else n - 1) + 1):
-            c = word.letters[i]
-            if c not in primed:
-                entries.setdefault(c, []).append(
-                    (tag + (i + 1,), tag + (i,), 1))
+        for k in range(len(vertices) - 1):
+            c, lo, hi = letters[k], tag + (k,), tag + (k + 1,)
+            entries.setdefault(c, []).append(
+                (lo, hi, 1) if c in primed else (hi, lo, 1))
 
     def _assemble(self, vertex_labels, entries) -> Representation:
+        q = self.quiver
         spaces = {
             v: tuple(sorted(labels, key=_label_key))
             for v, labels in vertex_labels.items()
         }
-        label_pos = {}
-        label_vertex = {}
-        for v, labels in spaces.items():
-            for k, l in enumerate(labels):
-                label_pos[l] = k
-                label_vertex[l] = v
-        F = self.field
-        maps = {}
+        where = {l: (v, k) for v, labels in spaces.items()
+                 for k, l in enumerate(labels)}
+        by_arrow = {}
         for a, triples in entries.items():
-            rows = len(spaces.get(self.quiver.target[a], ()))
-            cols = len(spaces.get(self.quiver.source[a], ()))
-            m = F.zeros(rows, cols)
+            ends, out = (q.source[a], q.target[a]), []
             for tgt, src, coef in triples:
-                if (label_vertex[src], label_vertex[tgt]) != (
-                        self.quiver.source[a], self.quiver.target[a]):
+                (vs, col), (vt, row) = where[src], where[tgt]
+                if (vs, vt) != ends:
                     raise ConsistencyError(
                         f"arrow {a} does not join labels {src} and {tgt}")
-                m[label_pos[tgt], label_pos[src]] = (
-                    m[label_pos[tgt], label_pos[src]] + coef) % F.p
-            maps[a] = m
-        return Representation(self.quiver, F, spaces, maps)
+                out.append((row, col, coef))
+            by_arrow[a] = out
+        return Representation.from_entries(q, self.field, spaces, by_arrow)
 
     # -- the six families ------------------------------------------------------
 

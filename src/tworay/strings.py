@@ -211,11 +211,6 @@ class WordCalculus:
 
     # -- index sets ---------------------------------------------------------
 
-    def position_vertex(self, w: StringWord, i: int) -> str:
-        if i < w.length:
-            return self.quiver.t_star[w.letters[i]]
-        return self.source(w)
-
     def index_sets(self, w: StringWord):
         """(J, I) mapping vertex -> sorted position lists."""
         if w is EMPTY:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from tworay.string_modules import (LambdaZero, NotABand, NotAPair, NotInSx,
                                    PrefixMissing, Representation,
                                    direct_sum_of)
 from tworay.strings import NotAString
-from tworay import homlab
+from tworay import homlab, string_modules
 
 from conftest import SYSTEMS, ctx
 
@@ -337,6 +338,34 @@ def test_degenerate_terms_are_sums_of_their_atoms(tsys):
         sm.atom(("X", x))
 
 
+# sha256 of every inventory entry's key, spaces and arrow maps, in order
+INVENTORY_DIGESTS = {
+    ("ex14", 12): (844, "448e50bdb169338b3c0301f6556cda77"
+                        "89181ab1fc005fb6509836ada0ba45de"),
+    ("tsys", 16): (398, "b233629295d55f2027828c3f8c97943d"
+                        "a0c1f72a6372aeda10dd99b69fac12ed"),
+    ("s24", 12): (164, "d69d78a203a301d1da7f57f51439306698"
+                       "b22be128d8dc22b508b3161f0ede95"),
+}
+
+
+@pytest.mark.parametrize("name, bound", sorted(INVENTORY_DIGESTS))
+def test_inventory_matrices_pinned(name, bound):
+    # the stdout pins see only the modules inside checked rows'
+    # certificates; this pins every matrix of the inventory byte for byte
+    c = ctx(name)
+    inv = c.modules.theorem_inventory(bound)
+    h = hashlib.sha256()
+    for e in inv:
+        h.update(repr(e.key).encode())
+        h.update(repr(sorted(e.rep.spaces.items())).encode())
+        for a in c.quiver.arrows:
+            m = e.rep.maps[a]
+            h.update(f"{a}{m.shape}{m.dtype}".encode())
+            h.update(m.tobytes())
+    assert (len(inv), h.hexdigest()) == INVENTORY_DIGESTS[name, bound]
+
+
 def test_inventory_fundamental_families(fund21):
     tags = {e.tag for e in fund21.modules.theorem_inventory(9)}
     assert tags == {"M", "R"}
@@ -419,6 +448,56 @@ def test_support_arrow_maps_are_read_only(tsys):
     for a in copy.support_arrows:
         assert not copy.maps[a].flags.writeable
         given[a][0, 0] += 1
+
+
+def test_representation_input_paths(tsys):
+    """Entry lists, nested lists, int64 arrays and unreduced entries give one
+    module: equal read-only maps that share no memory with the caller's,
+    and off the support the shared zero-size block of shape dim N_t x 0 or
+    0 x dim N_s, which ``homlab._hom_kernel`` reads to emit its one-term
+    equations."""
+    q, F, p = tsys.quiver, tsys.field, tsys.field.p
+    word = tsys.calc.word(("xi:1:1", "gamma:1:2", "alpha:1:3", "xi:1:1",
+                           "gamma:1:2", "beta:1:1"))
+    spaces = tsys.modules.construct_M(word).spaces
+    shape = {a: (len(spaces[q.target[a]]), len(spaces[q.source[a]]))
+             for a in q.arrows}
+    assert {(r > 0, c > 0) for r, c in shape.values()} == {
+        (True, True), (True, False), (False, True)}
+    arrays = {a: (np.arange(r * c).reshape(r, c) * 7919 + 1) % p
+              for a, (r, c) in shape.items() if r and c}
+    want = {a: m.copy() for a, m in arrays.items()}
+    entries = {a: [(r, c, int(x)) for (r, c), x in np.ndenumerate(m)]
+               for a, m in arrays.items()}
+    unreduced = {a: [(r, c, x - 3 * p) for r, c, x in es]
+                 + [(r, c, p) for r, c, _ in es] for a, es in entries.items()}
+    built = [Representation(q, F, spaces, arrays),
+             Representation(q, F, spaces,
+                            {a: m.tolist() for a, m in arrays.items()}),
+             Representation(q, F, spaces,
+                            {a: m - 2 * p for a, m in arrays.items()}),
+             Representation(q, F, spaces,
+                            {a: m + 5 * p for a, m in arrays.items()}),
+             Representation.from_entries(q, F, spaces, entries),
+             Representation.from_entries(q, F, spaces, unreduced)]
+    for a, m in arrays.items():
+        m += 1  # the caller's arrays stay writeable
+    for rep in built:
+        assert rep.support_arrows == tuple(arrays)
+        for a, (r, c) in shape.items():
+            m = rep.maps[a]
+            assert m.shape == (r, c)
+            if not (r and c):
+                assert m is string_modules.zero_size_block(r, c)
+                continue
+            assert np.array_equal(m, want[a]) and m.dtype == np.int64
+            assert not np.shares_memory(m, arrays[a])
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 0
+    with pytest.raises(ValueError, match="unknown arrow 'alpha:9:9'"):
+        Representation.from_entries(q, F, spaces, {"alpha:9:9": []})
+    with pytest.raises(ValueError, match="duplicate labels at x:1:0"):
+        Representation.from_entries(q, F, {"x:1:0": (("c",), ("c",))}, {})
 
 
 def test_basis_label_order(tsys):
