@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .defining_system import (AdmissibleVertex, DefiningSystem, validate,
                               from_json, admissible_vertices, extend,
                               reduce_to_fundamental)
-from .field import PrimeField, RationalField
+from .field import PrimeField
 from .quiver import Quiver, Relation, build_quiver, build_relations
 from .strings import EMPTY, StringWord, WordCalculus
 from .string_modules import (Representation, StringModules, check_relations,
@@ -21,7 +21,7 @@ from .vsc import (AdmissiblePoset, VscModel, build_model,
 __all__ = [
     "AdmissibleVertex", "DefiningSystem", "validate", "from_json",
     "admissible_vertices", "extend", "reduce_to_fundamental",
-    "PrimeField", "RationalField",
+    "PrimeField",
     "Quiver", "Relation", "build_quiver", "build_relations",
     "EMPTY", "StringWord", "WordCalculus",
     "Representation", "StringModules", "check_relations",

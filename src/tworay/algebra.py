@@ -12,7 +12,7 @@ the trivial path at v is (v, (), v).
 
 import numpy as np
 
-from .field import DEFAULT_PRIME, PrimeField, RationalField
+from .field import DEFAULT_PRIME, PrimeField
 from .quiver import ConsistencyError, Quiver
 
 
@@ -84,10 +84,7 @@ class AlgebraBasis:
                         row[self.path_index[full]] += coef
                     rows.append(row)
         if rows:
-            if isinstance(F, PrimeField):
-                red, pivots = F.rref(np.array(rows, dtype=np.int64) % F.p)
-            else:
-                red, pivots = F.rref(F.mat(rows))
+            red, pivots = F.rref(np.array(rows, dtype=np.int64) % F.p)
         else:
             red, pivots = np.zeros((0, n), dtype=np.int64), []
         self._red = red
@@ -223,9 +220,6 @@ class AlgebraBasis:
 
         q = self.quiver
         F = self.field
-        if not isinstance(F, PrimeField):
-            raise NotImplementedError(
-                "representations are computed over prime fields")
         spaces = {}
         basis_at = {}
         for w in q.vertices:
@@ -283,12 +277,13 @@ class AlgebraBasis:
 
     def coxeter_matrix(self) -> np.ndarray:
         """Integer matrix sending dim M to dim DTr M for hereditary A: phi =
-        -C^T C^-1, with C^-1 read from the RREF of [C | I] over QQ."""
-        C = self.cartan_matrix()
+        -C^T C^-1.  The quiver is acyclic, so C = I + N with N nilpotent and
+        C^-1 = sum_{k<n} (-N)^k, summed in Python integers."""
+        C = self.cartan_matrix().astype(object)
         n = C.shape[0]
-        QQ = RationalField()
-        reduced, _ = QQ.rref(np.hstack([QQ.mat(C), QQ.eye(n)]))
-        phi = -QQ.mul(QQ.mat(C.T), reduced[:, n:])
-        if any(x.denominator != 1 for x in phi.reshape(-1)):
-            raise ValueError("Coxeter matrix not integral")
-        return phi.astype(np.int64)
+        minus_n = np.eye(n, dtype=object) - C
+        term = inverse = np.eye(n, dtype=object)
+        for _ in range(1, n):
+            term = term @ minus_n
+            inverse = inverse + term
+        return (-C.T @ inverse).astype(np.int64)

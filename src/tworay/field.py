@@ -1,4 +1,4 @@
-"""Exact linear algebra over prime fields (and, as a slow fallback, QQ).
+"""Exact linear algebra over prime fields.
 
 Matrices are numpy int64 arrays with entries reduced into [0, p), and
 products are formed in int64 before reduction (in ``mul`` and in callers
@@ -14,7 +14,6 @@ through it and rebuilds the dense form.
 """
 
 from collections import defaultdict
-from fractions import Fraction
 
 import numpy as np
 
@@ -266,76 +265,3 @@ class PrimeField:
                     tp[: i] = (tp[: i] - coef * polys[i - 1]) % self.p
             polys.append(tp % self.p)
         return [int(c) for c in polys[n]]
-
-
-class RationalField:
-    """Exact QQ linear algebra on object arrays of Fractions (small inputs only)."""
-
-    p = 0
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    def red(self, a):
-        return Fraction(a)
-
-    def mat(self, data):
-        arr = np.empty(np.shape(data), dtype=object)
-        flat = np.asarray(data, dtype=object).reshape(-1)
-        arr.reshape(-1)[:] = [Fraction(x) for x in flat]
-        return arr
-
-    def zeros(self, rows, cols):
-        arr = np.empty((rows, cols), dtype=object)
-        arr[:] = Fraction(0)
-        return arr
-
-    def eye(self, n):
-        arr = self.zeros(n, n)
-        for i in range(n):
-            arr[i, i] = Fraction(1)
-        return arr
-
-    def mul(self, a, b):
-        return a @ b if a.size and b.size else self.zeros(a.shape[0], b.shape[1])
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def is_zero(self, a):
-        return a.size == 0 or all(x == 0 for x in a.reshape(-1))
-
-    def rref(self, a):
-        m = np.array(a, dtype=object)
-        rows, cols = m.shape
-        pivots = []
-        r = 0
-        for c in range(cols):
-            if r >= rows:
-                break
-            piv = next((i for i in range(r, rows) if m[i, c] != 0), None)
-            if piv is None:
-                continue
-            if piv != r:
-                m[[r, piv]] = m[[piv, r]]
-            m[r] = m[r] / m[r, c]
-            for i in range(rows):
-                if i != r and m[i, c] != 0:
-                    m[i] = m[i] - m[i, c] * m[r]
-            pivots.append(c)
-            r += 1
-        return m, pivots
-
-    def rank(self, a):
-        if a.size == 0:
-            return 0
-        return len(self.rref(a)[1])

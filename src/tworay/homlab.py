@@ -1522,23 +1522,18 @@ class ArVerifier:
         """Run every check of the classification at dimension ``bound``.
 
         The stages, in the order their failures are listed: the row
-        anomalies of ``rows``; every row with middle dim <= bound (additive,
-        LOCAL ends, realized, nonsplit, DTr(right) = left); right-term
-        coverage of the inventory; the relations on every inventory entry;
-        a LOCAL certificate for every entry; and the functor hom-pattern
-        lemmas on strings of length ``lemma_len`` (default ``min(6,
-        bound)``) at each site of ``vsc.lemma_sites``: R and X at each
-        admissible vertex, then I at each vertex of ``i_lemma_vertices``.
+        anomalies of ``rows``; ``_check_row`` on every row with middle dim
+        <= bound; ``_coverage`` of the inventory by the rows' right terms;
+        the relations on every inventory entry; a LOCAL certificate for
+        every entry; and ``_lemma_checks`` on strings of length
+        ``lemma_len`` (default ``min(6, bound)``).
 
         The inventory stays on ``self.inventory``; its representations seed
         the atom cache, so a row end that is an entry is the entry's module.
-        Every entry is certified before the projective stage compares it
-        with the indecomposable projectives, so each comparison and each row
-        reads the verdicts recorded on the modules.  A negative ``bound`` or
-        ``lemma_len`` raises ValueError.
+        Every entry is certified first, so ``_projective_keys`` and each
+        row read the verdicts recorded on the modules.  A negative
+        ``bound`` or ``lemma_len`` raises ValueError.
         """
-        from .vsc import hom_pattern_of_functor, lemma_sites
-
         if bound < 0 or (lemma_len or 0) < 0:
             raise ValueError(f"bound and lemma length must be nonnegative, "
                              f"got {bound} and {lemma_len}")
@@ -1546,88 +1541,105 @@ class ArVerifier:
         for entry in inventory:
             self._rep_cache.setdefault(entry.key, entry.rep)
         self.inventory = inventory
+        verdicts = [(e.key, self.atom_indec(e.key).status) for e in inventory]
+        not_local = [(k, s) for k, s in verdicts if s != IndecVerdict.LOCAL]
         rows = self.rows(bound)
-        anomalies = list(self.row_anomalies)
-        indec_failures = []
-        for e in inventory:
-            verdict = self.atom_indec(e.key)
-            if verdict.status != IndecVerdict.LOCAL:
-                indec_failures.append((repr(e.key), verdict.status))
+        projectives = self._projective_keys()
+        checked = [self._check_row(r) for r in rows if r["middle_dim"] <= bound]
+        coverage, uncovered = self._coverage(rows, bound, projectives)
+        relation_failures = [e.key for e in inventory
+                             if check_relations(e.rep, self.algebra.relations)]
+        lemma_checks = self._lemma_checks(
+            min(6, bound) if lemma_len is None else lemma_len)
+        failures = (
+            list(self.row_anomalies)
+            + [f"row {r['key']}: {pb}" for r in checked for pb in r["problems"]]
+            + uncovered
+            + [f"relations violated by {k!r}" for k in relation_failures]
+            + [f"not indecomposable: {k!r} ({s})" for k, s in not_local]
+            + [f"lemma {r['lemma']} mismatch at {r['vertex']}"
+               for r in lemma_checks if not r["ok"]])
+        return {
+            "bound": bound,
+            "rows_enumerated": len(rows),
+            "rows_checked": len(checked),
+            "inventory_size": len(inventory),
+            "projectives": sorted(map(repr, projectives)),
+            "rows": checked,
+            "coverage": coverage,
+            "well_defined": not relation_failures,
+            "all_indecomposable": not not_local,
+            "lemma_checks": lemma_checks,
+            "failures": failures,
+        }
 
-        projective_keys = set()
-        proj_reps = {}  # dimension tuple -> the projectives with it
+    def _projective_keys(self):
+        """The keys of the inventory entries isomorphic to an indecomposable
+        projective P(v)."""
+        by_dims = {}
         for v in self.quiver.vertices:
             P = self.algebra.projective_module(v)
-            proj_reps.setdefault(P.dims, []).append(P)
-        for entry in inventory:
-            for P in proj_reps.get(entry.rep.dims, ()):
-                if is_isomorphic(entry.rep, P).isomorphic:
-                    projective_keys.add(entry.key)
-                    break
+            by_dims.setdefault(P.dims, []).append(P)
+        return {e.key for e in self.inventory
+                if any(is_isomorphic(e.rep, P).isomorphic
+                       for P in by_dims.get(e.rep.dims, ()))}
 
-        failures = []
-        results = []
-        to_check = [r for r in rows if r["middle_dim"] <= bound]
+    def _check_row(self, row):
+        """The report entry of one row: its status (additive, LOCAL ends,
+        realized, nonsplit, DTr(right) = left), the problems found, and the
+        realized maps f and g as its certificate.  A row that is not
+        additive or not realized stops there, with no certificate."""
+        status = dict.fromkeys(("additivity", "realized", "nonsplit",
+                                "ends_indecomposable", "tau"))
+        problems = []
+        entry = {"key": row["key"], "family": row["family"], "status": status,
+                 "problems": problems, "certificate": None}
+        (left_atom,), (right_atom,) = row["left"], row["right"]
+        left, right = self.atom_rep(left_atom), self.atom_rep(right_atom)
+        cand = SesCandidate(left, [self.atom_rep(a) for a in row["middle"]],
+                            right)
+        status["additivity"] = cand.dims_additive()
+        if not status["additivity"]:
+            problems.append("dimension vectors not additive")
+            return entry
+        split_ends = [a for a in (left_atom, right_atom)
+                      if self.atom_indec(a).status != IndecVerdict.LOCAL]
+        status["ends_indecomposable"] = not split_ends
+        problems += [f"end not indecomposable: {a}" for a in split_ends]
+        try:
+            realize_ses(cand)
+        except NotRealizable as exc:
+            status["realized"] = False
+            problems.append(f"not realizable: {exc}")
+            return entry
+        status["realized"] = True
+        status["nonsplit"] = not is_split(cand)
+        if not status["nonsplit"]:
+            problems.append("sequence splits")
+        try:
+            status["tau"] = self._match_tau(right, left)
+        except ProjectiveSummand:
+            status["tau"] = False
+        if not status["tau"]:
+            problems.append("DTr(right) does not match left")
+        entry["certificate"] = {
+            "injection": {v: m.tolist() for v, m in cand.f.items() if m.size},
+            "surjection": {v: m.tolist() for v, m in cand.g.items() if m.size},
+        }
+        return entry
 
-        def check_row(row):
-            status = {"additivity": None, "realized": None, "nonsplit": None,
-                      "ends_indecomposable": None, "tau": None}
-            problems = []
-            (left_atom,), (right_atom,) = row["left"], row["right"]
-            left, right = self.atom_rep(left_atom), self.atom_rep(right_atom)
-            cand = SesCandidate(left, [self.atom_rep(a) for a in row["middle"]],
-                                right)
-            status["additivity"] = cand.dims_additive()
-            if not status["additivity"]:
-                problems.append("dimension vectors not additive")
-                return status, problems, None
-            end_ok = True
-            for a in (left_atom, right_atom):
-                if self.atom_indec(a).status != IndecVerdict.LOCAL:
-                    end_ok = False
-                    problems.append(f"end not indecomposable: {a}")
-            status["ends_indecomposable"] = end_ok
-            try:
-                realize_ses(cand)
-                status["realized"] = True
-            except NotRealizable as exc:
-                status["realized"] = False
-                problems.append(f"not realizable: {exc}")
-                return status, problems, None
-            status["nonsplit"] = not is_split(cand)
-            if not status["nonsplit"]:
-                problems.append("sequence splits")
-            try:
-                status["tau"] = self._match_tau(right, left)
-            except ProjectiveSummand:
-                status["tau"] = False
-            if not status["tau"]:
-                problems.append("DTr(right) does not match left")
-            return status, problems, cand
-
-        for row in to_check:
-            status, problems, cand = check_row(row)
-            cert = None
-            if cand is not None and cand.f is not None:
-                cert = {
-                    "injection": {v: m.tolist() for v, m in cand.f.items()
-                                  if m.size},
-                    "surjection": {v: m.tolist() for v, m in cand.g.items()
-                                   if m.size},
-                }
-            results.append({"key": row["key"], "family": row["family"],
-                            "status": status, "problems": problems,
-                            "certificate": cert})
-            for pb in problems:
-                failures.append(f"row {row['key']}: {pb}")
-
+    def _coverage(self, rows, bound, projectives):
+        """Every inventory entry outside ``projectives`` is the right term of
+        exactly one row with right-term dim <= bound: the coverage report
+        and its failure lines, in inventory order."""
         counts = {}
         for row in rows:
             if row["right_dim"] <= bound:
                 counts.setdefault(row["right"][0], []).append(row["key"])
         coverage = {"checked": 0, "missing": [], "multiple": []}
-        for entry in inventory:
-            if entry.key in projective_keys:
+        failures = []
+        for entry in self.inventory:
+            if entry.key in projectives:
                 continue
             coverage["checked"] += 1
             hits = counts.get(entry.key, [])
@@ -1637,36 +1649,19 @@ class ArVerifier:
             elif len(hits) > 1:
                 coverage["multiple"].append((entry.key, hits))
                 failures.append(f"coverage: {len(hits)} rows end at {entry.key}")
+        return coverage, failures
 
-        relation_failures = [repr(e.key) for e in inventory
-                             if check_relations(e.rep, self.algebra.relations)]
-        failures += [f"relations violated by {k}" for k in relation_failures]
-        failures += [f"not indecomposable: {k} ({s})"
-                     for k, s in indec_failures]
+    def _lemma_checks(self, lemma_len):
+        """The functor hom-pattern lemmas on strings of length ``lemma_len``
+        at each site of ``vsc.lemma_sites``: R and X at each admissible
+        vertex, then I at each vertex of ``i_lemma_vertices``."""
+        from .vsc import hom_pattern_of_functor, lemma_sites
 
-        if lemma_len is None:
-            lemma_len = min(6, bound)
-        lemma_checks = []
+        checks = []
         spaces = {}  # the Hom systems of the lemma objects, for this call
         for v, which in lemma_sites(self.quiver):
             _, _, match = hom_pattern_of_functor(self.sm, v, which, lemma_len,
                                                  spaces)
-            lemma_checks.append({"vertex": v, "lemma": which,
-                                 "ok": match["ok"],
-                                 "mismatches": match["mismatches"]})
-        failures += [f"lemma {r['lemma']} mismatch at {r['vertex']}"
-                     for r in lemma_checks if not r["ok"]]
-
-        return {
-            "bound": bound,
-            "rows_enumerated": len(rows),
-            "rows_checked": len(results),
-            "inventory_size": len(inventory),
-            "projectives": sorted(map(repr, projective_keys)),
-            "rows": results,
-            "coverage": coverage,
-            "well_defined": not relation_failures,
-            "all_indecomposable": not indec_failures,
-            "lemma_checks": lemma_checks,
-            "failures": anomalies + failures,
-        }
+            checks.append({"vertex": v, "lemma": which, "ok": match["ok"],
+                           "mismatches": match["mismatches"]})
+        return checks

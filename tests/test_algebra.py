@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from tworay import AlgebraBasis
-from tworay.field import PrimeField, RationalField
+from tworay.field import PrimeField
 
-from conftest import ctx
+from conftest import SYSTEMS, ctx
 
 
 def test_fundamental_21_dimension():
@@ -73,21 +73,14 @@ def test_admissibility_witness_and_lmax():
 
 
 def test_dimension_field_independent():
-    for name in ("tsys", "s24"):
+    # the relations have coefficients +-1, so the residue paths do not
+    # depend on the prime
+    for name in sorted(SYSTEMS):
         c = ctx(name)
-        a2 = AlgebraBasis(c.quiver, c.relations, PrimeField(2))
-        assert a2.dimension == c.algebra.dimension
-
-
-def test_rational_flag_agrees():
-    # the quotient dimension over QQ matches the prime-field computation
-    for name in ("tsys", "s24"):
-        c = ctx(name)
-        over_q = AlgebraBasis(c.quiver, c.relations, RationalField())
-        assert over_q.dimension == c.algebra.dimension
-        assert sorted(over_q.basis_paths) == sorted(c.algebra.basis_paths)
-    with pytest.raises(NotImplementedError):
-        over_q.projective_module("x:1:0")
+        for p in (2, 3):
+            small = AlgebraBasis(c.quiver, c.relations, PrimeField(p))
+            assert small.dimension == c.algebra.dimension
+            assert small.rep_paths == c.algebra.rep_paths
 
 
 def test_structure_constants_closed():
@@ -115,6 +108,15 @@ def test_projective_top_is_simple():
             gens = top_generators(P)
             assert sum(len(g) for g in gens.values()) == 1
             assert len(gens[v]) == 1
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_coxeter_matrix_inverts_cartan(name):
+    # phi = -C^T C^-1 exactly, whatever route computes C^-1
+    a = ctx(name).algebra
+    C, phi = a.cartan_matrix(), a.coxeter_matrix()
+    assert phi.dtype == np.int64
+    assert np.array_equal(phi @ C, -C.T)
 
 
 def test_dimension_is_sum_of_hom_blocks():

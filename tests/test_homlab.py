@@ -295,6 +295,59 @@ def test_verify_reports_mutated_row(fund21):
     assert bad["problems"]
 
 
+def test_verify_lists_failures_in_stage_order(fund21, monkeypatch):
+    # one planted failure per stage; the failures come out stage by stage:
+    # row anomalies, checked rows, coverage, relations, LOCAL certificates,
+    # lemmas
+    from tworay import vsc
+
+    ver = ArVerifier(fund21.modules, fund21.algebra)
+    row = next(r for r in ver.rows(6)
+               if r["middle_dim"] <= 6 and len(r["middle"]) == 2)
+    mutated = dict(row, middle=row["middle"][:1])
+    mutated["middle_dim"] = ver.sm.atom_dim(mutated["middle"][0])
+
+    def planted_rows(bound):
+        ver.row_anomalies = ["planted anomaly"]
+        return [mutated]
+
+    ver.rows = planted_rows
+    check_relations, is_indec = homlab.check_relations, homlab.is_indecomposable
+    monkeypatch.setattr(homlab, "check_relations", lambda rep, relations: (
+        ["planted"] if rep is ver.inventory[3].rep
+        else check_relations(rep, relations)))
+    monkeypatch.setattr(homlab, "is_indecomposable", lambda M: (
+        IndecVerdict(IndecVerdict.DECOMPOSABLE) if M is ver.inventory[7].rep
+        else is_indec(M)))
+    match_model = vsc.match_model
+    calls = []
+
+    def first_mismatches(measured, model, objects=None):
+        report = match_model(measured, model, objects)
+        if not calls:
+            report["mismatches"].append(("homdim", ("a", "b"), 1, 0))
+            report["ok"] = False
+        calls.append(report)
+        return report
+
+    monkeypatch.setattr(vsc, "match_model", first_mismatches)
+    report = ver.verify(6)
+
+    # P(x:1:0), P(x:1:1), P(x:1:2), and the right end of the one row
+    skip = {("M", ((), "x:1:0")), ("M", (("alpha:1:1",), "x:1:0")),
+            ("M", (("alpha:1:1", "alpha:1:2", "beta:1:1"), "x:1:0")),
+            row["right"][0]}
+    uncovered = [e.key for e in ver.inventory if e.key not in skip]
+    assert len(uncovered) == 22
+    assert report["failures"] == (
+        ["planted anomaly",
+         f"row {row['key']}: dimension vectors not additive"]
+        + [f"coverage: no row ends at {k}" for k in uncovered]
+        + [f"relations violated by {ver.inventory[3].key!r}",
+           f"not indecomposable: {ver.inventory[7].key!r} (DECOMPOSABLE)",
+           "lemma R mismatch at x:1:2"])
+
+
 def test_indecomposable_small_characteristic(fund21):
     # when the total dimension vanishes mod p the trace cannot locate the
     # eigenvalue and the charpoly route takes over
