@@ -64,7 +64,6 @@ class AlgebraBasis:
         paths = sorted(self._all_paths(), key=self._key, reverse=True)
         self.paths = paths
         self.path_index = {p: k for k, p in enumerate(paths)}
-        n = len(paths)
 
         by_source = {}
         by_target = {}
@@ -78,22 +77,16 @@ class AlgebraBasis:
             rel_tgt = q.path_target(rel.terms[0][1])
             for u in by_source.get(rel_tgt, ()):      # left factor: u starts at t(r)
                 for v in by_target.get(rel_src, ()):  # right factor: v ends at s(r)
-                    row = np.zeros(n, dtype=np.int64)
+                    row = {}
                     for coef, arrows in rel.terms:
-                        full = (v[0], u[1] + arrows + v[1], u[2])
-                        row[self.path_index[full]] += coef
+                        c = self.path_index[(v[0], u[1] + arrows + v[1], u[2])]
+                        row[c] = row.get(c, 0) + coef
                     rows.append(row)
-        if rows:
-            red, pivots = F.rref(np.array(rows, dtype=np.int64) % F.p)
-        else:
-            red, pivots = np.zeros((0, n), dtype=np.int64), []
-        self._red = red
-        self._pivot_row = {c: r for r, c in enumerate(pivots)}
-
-        self.rep_cols = [c for c in range(n) if c not in self._pivot_row]
-        self._rep_pos = {c: k for k, c in enumerate(self.rep_cols)}
-        self.rep_paths = [paths[c] for c in self.rep_cols]
-        self.dimension = len(self.rep_cols)
+        # {pivot column: reduced row}; the other paths represent the residues
+        self._pivots = F.rref_sparse(rows)
+        self.rep_paths = [p for c, p in enumerate(paths)
+                          if c not in self._pivots]
+        self.dimension = len(self.rep_paths)
         self.l_max = max((len(p[1]) for p in self.rep_paths), default=0) + 1
 
         self.basis_paths = {}
@@ -115,19 +108,15 @@ class AlgebraBasis:
         if cached is not None:
             return cached
         col = self.path_index[path]
-        row = self._pivot_row.get(col)
-        one = self.field.red(1)
+        row = self._pivots.get(col)
         if row is None:
-            out = {path: one}
+            out = {path: 1}
         else:
-            out = {}
-            red_row = self._red[row]
-            for c in np.nonzero(red_row)[0]:
-                c = int(c)
-                if c == col:
-                    continue
-                # pivot columns other than col cannot appear in a reduced row
-                out[self.paths[c]] = self.field.red(-red_row[c])
+            # a reduced row holds no pivot column but its own; the terms
+            # go in column order, so every normal form lists them the same way
+            p = self.field.p
+            out = {self.paths[c]: -x % p for c, x in sorted(row.items())
+                   if c != col}
         self._nf[path] = out
         return out
 
@@ -214,30 +203,14 @@ class AlgebraBasis:
         Built once per vertex and shared by every caller; like every
         module's, its arrow maps are read-only."""
         P = self._projectives.get(v)
-        if P is not None:
-            return P
-        from .string_modules import Representation
+        if P is None:
+            from .string_modules import Representation
 
-        q = self.quiver
-        F = self.field
-        spaces = {}
-        basis_at = {}
-        for w in q.vertices:
-            ps = self.basis_paths.get((v, w), [])
-            basis_at[w] = ps
-            spaces[w] = tuple(("p",) + p[1] for p in ps)
-        pos = {w: {p: k for k, p in enumerate(basis_at[w])} for w in q.vertices}
-        maps = {}
-        for a in q.arrows:
-            s, t = q.source[a], q.target[a]
-            m = F.zeros(len(basis_at[t]), len(basis_at[s]))
-            arrow_path = (s, (a,), t)
-            for col, p in enumerate(basis_at[s]):
-                for r, cf in self.multiply(arrow_path, p).items():
-                    m[pos[t][r], col] = cf
-            maps[a] = m
-        P = Representation(q, F, spaces, maps)
-        self._projectives[v] = P
+            basis_at, maps, _ = self._arrow_action(v, True)
+            spaces = {w: tuple(("p",) + p[1] for p in ps)
+                      for w, ps in basis_at.items()}
+            P = self._projectives[v] = Representation(
+                self.quiver, self.field, spaces, maps)
         return P
 
     def right_projective(self, v: str):
@@ -246,26 +219,35 @@ class AlgebraBasis:
         (``basis_at[w]``, indexed by ``pos[w]``); arrow a: s -> t acts
         e_v A e_t -> e_v A e_s by the read-only matrix ``maps[a]``."""
         out = self._right_projectives.get(v)
-        if out is not None:
-            return out
+        if out is None:
+            basis_at, maps, pos = self._arrow_action(v, False)
+            dims = {w: len(ps) for w, ps in basis_at.items()}
+            out = self._right_projectives[v] = (dims, maps, basis_at, pos)
+        return out
+
+    def _arrow_action(self, v: str, left: bool):
+        """A e_v if ``left``, else e_v A: (basis_at, maps, pos), with the
+        basis paths v -> w (else w -> v) at each vertex w, indexed by pos[w],
+        and the read-only matrix of each arrow a: s -> t, acting p -> a p
+        from s to t (else p -> p a from t to s)."""
         q = self.quiver
-        F = self.field
-        basis_at = {w: self.basis_paths.get((w, v), []) for w in q.vertices}
-        pos = {w: {p: k for k, p in enumerate(basis_at[w])}
-               for w in q.vertices}
-        dims = {w: len(basis_at[w]) for w in q.vertices}
+        basis_at = {w: self.basis_paths.get((v, w) if left else (w, v), [])
+                    for w in q.vertices}
+        pos = {w: {p: k for k, p in enumerate(ps)}
+               for w, ps in basis_at.items()}
         maps = {}
         for a in q.arrows:
             s, t = q.source[a], q.target[a]
-            m = F.zeros(dims[s], dims[t])
-            arrow_path = (s, (a,), t)
-            for col, p in enumerate(basis_at[t]):
-                for r, cf in self.multiply(p, arrow_path).items():
-                    m[pos[s][r], col] = cf
+            dom, cod = (s, t) if left else (t, s)
+            arrow = (s, (a,), t)
+            m = self.field.zeros(len(basis_at[cod]), len(basis_at[dom]))
+            for col, p in enumerate(basis_at[dom]):
+                nf = self.multiply(arrow, p) if left else self.multiply(p, arrow)
+                for r, cf in nf.items():
+                    m[pos[cod][r], col] = cf
             m.flags.writeable = False
             maps[a] = m
-        out = self._right_projectives[v] = (dims, maps, basis_at, pos)
-        return out
+        return basis_at, maps, pos
 
     def cartan_matrix(self) -> np.ndarray:
         """C with C[w, v] = dim P(v)_w, rows and columns in quiver vertex order."""

@@ -13,6 +13,7 @@ bound applies there, and ``rref`` passes the nonzero rows of a dense matrix
 through it and rebuilds the dense form.
 """
 
+import numbers
 from collections import defaultdict
 
 import numpy as np
@@ -26,6 +27,9 @@ class PrimeField:
     """GF(p) arithmetic on numpy integer matrices."""
 
     def __init__(self, p: int):
+        if isinstance(p, bool) or not isinstance(p, numbers.Integral):
+            raise ValueError(f"field order must be an integer, got {p!r}")
+        p = int(p)
         if p >= MAX_PRIME:
             raise ValueError(
                 f"field order {p} is too large: int64 products are exact only "

@@ -19,14 +19,6 @@ from .quiver import ConsistencyError, Quiver
 from .strings import EMPTY, StringWord, WordCalculus, NotAString
 
 
-class NotInSx(ValueError):
-    pass
-
-
-class PrefixMissing(ValueError):
-    pass
-
-
 class NotAPair(ValueError):
     pass
 
@@ -298,9 +290,10 @@ class StringModules:
       atoms of its direct sum, with the degenerate identifications
       N(C, EMPTY) = M(gamma C), N(C, C) = N_C + M_C and
       N(C, B_x C) = L(B_x C) + M(gamma C), and N_EMPTY = M(e_z) at the
-      source z of gamma_x.  A term outside its family raises ``NotAPair``.
-      ``construct_N`` and ``construct_NCC`` build a degenerate term as the
-      direct sum of these atoms.
+      source z of gamma_x.  A term outside its family raises ``NotAPair``;
+      ``construct_N``, ``construct_L`` and ``construct_NCC`` check their
+      term here first and build a degenerate one as the direct sum of its
+      atoms.
     """
 
     def __init__(self, calc: WordCalculus, field=None):
@@ -364,60 +357,44 @@ class StringModules:
         return self._assemble(vertex_labels, entries)
 
     def construct_N(self, x: str, word) -> Representation:
-        if x not in self.quiver.q0_primed():
-            raise NotInSx(f"{x} is not in Q0'")
-        if word is EMPTY:
-            return self._sum_of_atoms(self.canon_N(x, word))
-        if not self.calc.in_s_x(word, x):
-            raise NotInSx(f"{word} is not in S_{x}")
-        vertex_labels, entries = {}, {}
-        self._skeleton(word, ("v",), vertex_labels, entries)
-        alpha, gamma = self.quiver.alpha_of(x), self.quiver.gamma_of(x)
-        vertex_labels.setdefault(self.quiver.target[alpha], []).append(("vp",))
-        vertex_labels.setdefault(self.quiver.source[gamma], []).append(("vpp",))
-        blen = self.calc.band_of(x).length
-        p_c = self.calc.p_count(word, x)
-        for p in range(p_c + 1):
-            entries.setdefault(alpha, []).append((("vp",), ("v", p * blen), 1))
-        entries.setdefault(gamma, []).append((("v", 0), ("vpp",), 1))
-        return self._assemble(vertex_labels, entries)
+        atoms = self.canon_N(x, word)
+        if atoms[0][0] != "N":
+            return self._sum_of_atoms(atoms)
+        return self._glued(x, (word,), with_vpp=True)
 
     def construct_L(self, x: str, word: StringWord) -> Representation:
-        if x not in self.quiver.q0_doubleprimed():
-            raise NotInSx(f"{x} is not in Q0''")
-        if not self.calc.in_s_x(word, x):
-            raise NotInSx(f"{word} is not in S_{x}")
-        p_c = self.calc.p_count(word, x)
-        if p_c == 0:
-            raise PrefixMissing(f"{word} carries no B_x prefix at {x}")
-        vertex_labels, entries = {}, {}
-        self._skeleton(word, ("v",), vertex_labels, entries)
-        alpha = self.quiver.alpha_of(x)
-        vertex_labels.setdefault(self.quiver.target[alpha], []).append(("vp",))
-        blen = self.calc.band_of(x).length
-        for p in range(p_c + 1):
-            entries.setdefault(alpha, []).append((("vp",), ("v", p * blen), 1))
-        return self._assemble(vertex_labels, entries)
+        self.canon_L(x, word)
+        return self._glued(x, (word,), with_vpp=False)
 
     def construct_NCC(self, x: str, c, cp) -> Representation:
-        """N(C, C'); a degenerate pair is the sum of its canon_NCC atoms."""
         atoms = self.canon_NCC(x, c, cp)
         if atoms[0][0] != "NCC":
             return self._sum_of_atoms(atoms)
-        calc = self.calc
-        vertex_labels, entries = {}, {}
-        self._skeleton(c, ("v",), vertex_labels, entries)
-        self._skeleton(cp, ("vq",), vertex_labels, entries)
-        alpha, gamma = self.quiver.alpha_of(x), self.quiver.gamma_of(x)
-        vertex_labels.setdefault(self.quiver.target[alpha], []).append(("vp",))
-        vertex_labels.setdefault(self.quiver.source[gamma], []).append(("vpp",))
+        return self._glued(x, (c, cp), with_vpp=True)
+
+    def _glued(self, x: str, words, with_vpp: bool) -> Representation:
+        """N, L and N(C, C'): the skeletons of ``words`` tagged v and vq, v'
+        sent to by position p|B_x| of each word for p <= p_x(word), and for
+        N and N(C, C') v'' sending to v_0 along gamma_x."""
+        calc, q = self.calc, self.quiver
+        vertex_labels, entries, anchors = {}, {}, []
         blen = calc.band_of(x).length
-        for p in range(calc.p_count(c, x) + 1):
-            entries.setdefault(alpha, []).append((("vp",), ("v", p * blen), 1))
-        for p in range(calc.p_count(cp, x) + 1):
-            entries.setdefault(alpha, []).append((("vp",), ("vq", p * blen), 1))
-        entries.setdefault(gamma, []).append((("v", 0), ("vpp",), 1))
+        for tag, w in zip(("v", "vq"), words):
+            self._skeleton(w, (tag,), vertex_labels, entries)
+            anchors += [(tag, p * blen) for p in range(calc.p_count(w, x) + 1)]
+        self._glue_vp(x, anchors, vertex_labels, entries)
+        if with_vpp:
+            gamma = q.gamma_of(x)
+            vertex_labels.setdefault(q.source[gamma], []).append(("vpp",))
+            entries.setdefault(gamma, []).append((("v", 0), ("vpp",), 1))
         return self._assemble(vertex_labels, entries)
+
+    def _glue_vp(self, x: str, anchors, vertex_labels, entries):
+        """Add v' at the target of alpha_x, which sends each anchor to v'."""
+        alpha = self.quiver.alpha_of(x)
+        vertex_labels.setdefault(self.quiver.target[alpha], []).append(("vp",))
+        entries.setdefault(alpha, []).extend(
+            (("vp",), a, 1) for a in anchors)
 
     def _band_skeleton(self, band: StringWord, m: int, lam: int):
         """m copies of the band word coupled through the closing letter."""
@@ -439,6 +416,8 @@ class StringModules:
         lam = self.field.red(lam)
         if lam == 0:
             raise LambdaZero("lambda must be a unit")
+        if m < 0:
+            raise NotABand("m must not be negative")
         if m == 0:
             return zero_representation(self.quiver, self.field)
         vertex_labels, entries = self._band_skeleton(band, m, lam)
@@ -451,9 +430,7 @@ class StringModules:
             raise NotABand("m must be positive")
         band = self.calc.band_of(x)
         vertex_labels, entries = self._band_skeleton(band, m, 1)
-        alpha = self.quiver.alpha_of(x)
-        vertex_labels.setdefault(self.quiver.target[alpha], []).append(("vp",))
-        entries.setdefault(alpha, []).append((("vp",), ("vb", 1, 0), 1))
+        self._glue_vp(x, [("vb", 1, 0)], vertex_labels, entries)
         return self._assemble(vertex_labels, entries)
 
     # -- atoms and the family conventions -----------------------------------
@@ -503,6 +480,8 @@ class StringModules:
 
     def canon_N(self, x, w):
         calc = self.calc
+        if x not in self.quiver.q0_primed():
+            raise NotAPair(f"{x} is not in Q0'")
         if w is EMPTY:
             z = self.quiver.source[self.quiver.gamma_of(x)]
             return (("M", calc.word_key(calc.trivial(z))),)
@@ -511,6 +490,8 @@ class StringModules:
         return (("N", x, calc.word_key(w)),)
 
     def canon_L(self, x, w):
+        if x not in self.quiver.q0_doubleprimed():
+            raise NotAPair(f"{x} is not in Q0''")
         if not (self.calc.in_s_x(w, x) and self.calc.p_count(w, x) > 0):
             raise NotAPair(f"L-term parameter invalid: {w} at {x}")
         return (("L", x, self.calc.word_key(w)),)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,36 @@ def test_coxeter_matrix_inverts_cartan(name):
     assert np.array_equal(phi @ C, -C.T)
 
 
+PROJECTIVE_DIGESTS = {
+    "ex14": "084b68cb6ca44ef85f01c503b26166817922b7e6865802c388fa6c8a4732962f",
+    "ex14_display":
+        "eab3586879f047b4b1988759bfbcc2d04cb534e92e68112612e2cefb557f10a6",
+    "fund21": "d6d2b0cd6a48b78977f8975db47d8f5ad8f411de498ed07884e50871d1f8af2d",
+    "fund22": "442c150889683cb7fec619226ec5982fa597c2f9dc92e2ebefa146ac5a70bb8f",
+    "fund32": "e11191610e3e48c73ef3347e6e36890548c065f1423f988611987a6fbf79ffac",
+    "s24": "a8bba16ff6bd549b77a273ff3091209708643d6ad74c891cb784a742589986b3",
+    "s_only": "9f1b48856b7f5263a3d10bb9d0cae6bfd9ca93adc315acccb23907a4d865611d",
+    "tsys": "47d7e3d643ec678172ccaba71f1a628cbcdfc1b8551ae51eaef72b9eb052c0a2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_projectives_pinned(name):
+    # P(v), e_vA and the multiplication table byte for byte, in vertex and
+    # arrow order; the table's normal forms keep their term order
+    a = ctx(name).algebra
+    q = a.quiver
+    h = hashlib.sha256()
+    for v in q.vertices:
+        P = a.projective_module(v)
+        dims, maps, _, _ = a.right_projective(v)
+        h.update(repr((P.spaces, dims)).encode())
+        for m in [P.maps[x] for x in q.arrows] + [maps[x] for x in q.arrows]:
+            h.update(repr((m.dtype.str, m.shape)).encode() + m.tobytes())
+    h.update(repr(list(a.structure_constants().items())).encode())
+    assert h.hexdigest() == PROJECTIVE_DIGESTS[name]
+
+
 def test_dimension_is_sum_of_hom_blocks():
     for name in ("fund21", "tsys", "ex14"):
         a = ctx(name).algebra
@@ -138,6 +170,20 @@ def test_prime_field_rejects_overflowing_order():
     assert F.mul(a, a.T).tolist() == [[3]]
     big = F.mat([[F.p - 1] * 4096])
     assert F.mul(big, big.T).tolist() == [[4096 % F.p]]
+
+
+def test_prime_field_takes_integer_orders_only():
+    # GF(2.5) used to reduce [[3]] to the float [[0.5]], and GF(7.0) failed
+    # later inside pow
+    for p in (2.5, 7.0, True, "7", None):
+        with pytest.raises(ValueError, match="integer"):
+            PrimeField(p)
+    for p in (7, np.int64(7)):
+        F = PrimeField(p)
+        assert type(F.p) is int and F == PrimeField(7)
+        assert F.inv(3) == 5 and F.rank(F.mat([[3]])) == 1
+    with pytest.raises(ValueError, match="prime"):
+        PrimeField(9)
 
 
 def test_prime_field_multiplies_stacks():

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from tworay import EMPTY, StringWord, check_relations
-from tworay.string_modules import (LambdaZero, NotABand, NotAPair, NotInSx,
-                                   PrefixMissing, Representation,
-                                   direct_sum_of)
+from tworay.string_modules import (LambdaZero, NotABand, NotAPair,
+                                   Representation, direct_sum_of)
 from tworay.strings import NotAString
 from tworay import homlab, string_modules
 
@@ -57,9 +56,9 @@ def test_n_smallest_site():
 
 
 def test_n_rejects_outside_sx(tsys):
-    with pytest.raises(NotInSx):
+    with pytest.raises(NotAPair):
         tsys.modules.construct_N("x:1:2", tsys.calc.omega("x:1:2"))
-    with pytest.raises(NotInSx):
+    with pytest.raises(NotAPair):
         tsys.modules.construct_N("x:1:0", tsys.calc.trivial("x:1:0"))
 
 
@@ -76,7 +75,7 @@ def test_l_dimension_and_prefix(ex14):
     hits = [col_labels[k] for k in range(alpha.shape[1])
             if alpha[vp_row, k] != 0]
     assert hits == [("v", 0), ("v", 5)]
-    with pytest.raises(PrefixMissing):
+    with pytest.raises(NotAPair):
         sm.construct_L(x, sm.calc.trivial(x))
 
 
@@ -125,6 +124,9 @@ def test_r_band_modules(fund21):
     sm = fund21.modules
     b0 = sm.calc.band_b0()
     assert sm.construct_R(b0, 5, 0).is_zero()
+    # atom_dim would read m * |B| < 0 for a module built as zero
+    with pytest.raises(NotABand):
+        sm.atom(("R", "B0", 5, -2))
     with pytest.raises(LambdaZero):
         sm.construct_R(b0, 0, 1)
     r1 = sm.construct_R(b0, 5, 1)
