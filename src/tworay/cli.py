@@ -13,7 +13,7 @@ from .defining_system import (AdmissibleVertex, DefiningSystemError,
 from .field import DEFAULT_PRIME, PrimeField
 from .quiver import build_quiver, build_relations, relations_to_json
 from .strings import WordCalculus
-from .string_modules import DEFAULT_LAMBDAS, StringModules, band_parameters
+from .string_modules import DEFAULT_LAMBDAS, StringModules
 from .algebra import AlgebraBasis
 from .homlab import ArVerifier
 
@@ -172,8 +172,7 @@ def main(argv=None) -> int:
         field = PrimeField(args.field)
     except ValueError as exc:
         return _input_error(exc)
-    modules = StringModules(calc, field)
-
+    lam = DEFAULT_LAMBDAS  # ar has no --lambda
     if args.cmd in ("classify", "verify"):
         try:
             lam = tuple(int(x) for x in args.lam.split(","))
@@ -181,14 +180,15 @@ def main(argv=None) -> int:
             return _input_error(f"--lambda: {exc}")
         if any(l % field.p == 0 for l in lam):
             return _input_error("lambda sample must avoid 0 in k*")
+    modules = StringModules(calc, field, lam)
 
     if args.cmd == "classify":
-        entries = modules.theorem_inventory(args.max_dim, lam)
+        entries = modules.theorem_inventory(args.max_dim)
         _dump({
             "provenance": _provenance(ds),
             "max_dim": args.max_dim,
             "field": field.p,
-            "lambda_sample": sorted(band_parameters(field, lam)),
+            "lambda_sample": sorted(modules.lams),
             "entries": [{"family": e.tag, "params": repr(e.params),
                          "dim": e.rep.total_dim,
                          "dim_vector": {v: d for v, d in
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
                             for e in json.load(fh)["entries"]]
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 return _input_error(exc)
-        ver = ArVerifier(modules, algebra, lam)
+        ver = ArVerifier(modules, algebra)
         report = ver.verify(args.max_dim, args.lemma_len)
         failures = list(report["failures"])
         inventory_replayed = None

@@ -38,7 +38,7 @@ class NotAdmissible(ValueError):
 
 
 class NoValidOrder(RuntimeError):
-    """Backtracking reduction exhausted all insertion orders (should not occur)."""
+    """A reduction step found no admissible insertion (cannot occur)."""
 
 
 @dataclass(frozen=True)
@@ -214,42 +214,30 @@ def extend(ds: DefiningSystem, v: AdmissibleVertex) -> DefiningSystem:
 def reduce_to_fundamental(ds: DefiningSystem):
     """Express ds as a chain of admissible insertions from its fundamental system.
 
-    Returns (fundamental, chain) with replay(extend, chain) == ds.  Deterministic:
-    at each step S-insertions are tried left to right per strand before
-    T-insertions, backtracking if a prefix cannot be completed.
+    Returns (fundamental, chain) with replay(extend, chain) == ds.  Each step
+    takes the first admissible insertion among the missing entries: S entries
+    strand by strand in increasing order, then T entries the same way.  This
+    never stalls.  On the walk, strand i has S_i inside ds.S_i and T_i the k
+    smallest entries of ds.T_i = {t_1 < ... < t_n}, so its top is p_i + k.
+    A missing S entry j is admissible once j <= p_i + k (ds.S_i holds no
+    consecutive integers), and one above p_i + k means k < n (ds.S_i lies in
+    [2, p_i + n]).  Then t_(k+1) is admissible: it is at least t_k + 2, and
+    at most t_n - 2(n - k - 1) <= p_i + k (as t_n < p_i + n), so already in
+    S_i.  So a backtracking search in this order would never backtrack.
+    ``NoValidOrder`` is raised should a step find no admissible insertion.
     """
-    target = ds
-    fund = ds.fundamental()
-
-    def candidates(cur: DefiningSystem):
+    fund = cur = ds.fundamental()
+    chain = []
+    while cur != ds:
         adm = admissible_vertices(cur)
-        for i in range(1, cur.strands + 1):
-            for j in sorted(target.S[i - 1] - cur.S[i - 1]):
-                v = AdmissibleVertex("x", i, j)
-                if v in adm:
-                    yield v
-        for i in range(1, cur.strands + 1):
-            for j in sorted(target.T[i - 1] - cur.T[i - 1]):
-                v = AdmissibleVertex("z", i, j)
-                if v in adm:
-                    yield v
-
-    dead = set()
-
-    def search(cur: DefiningSystem, chain: list):
-        if cur.S == target.S and cur.T == target.T:
-            return chain
-        key = (cur.S, cur.T)
-        if key in dead:
-            return None
-        for v in candidates(cur):
-            found = search(extend(cur, v), chain + [v])
-            if found is not None:
-                return found
-        dead.add(key)
-        return None
-
-    chain = search(fund, [])
-    if chain is None:
-        raise NoValidOrder(f"no admissible insertion order reaches {ds}")
+        missing = (AdmissibleVertex(kind, i, j)
+                   for kind, want, have in (("x", ds.S, cur.S),
+                                            ("z", ds.T, cur.T))
+                   for i in range(1, ds.strands + 1)
+                   for j in sorted(want[i - 1] - have[i - 1]))
+        v = next((v for v in missing if v in adm), None)
+        if v is None:
+            raise NoValidOrder(f"no admissible insertion order reaches {ds}")
+        cur = extend(cur, v)
+        chain.append(v)
     return fund, chain

@@ -159,9 +159,9 @@ import itertools
 
 import numpy as np
 
-from .string_modules import (DEFAULT_LAMBDAS, ConsistencyError,
-                             Representation, band_parameters, block_diagonal,
-                             check_relations, direct_sum_of, zero_size_block)
+from .string_modules import (ConsistencyError, Representation,
+                             block_diagonal, check_relations, direct_sum_of,
+                             zero_size_block)
 
 
 class ProjectiveSummand(ValueError):
@@ -1227,13 +1227,12 @@ class ArVerifier:
     entry is the right-hand term of exactly one row.
     """
 
-    def __init__(self, modules, algebra, lam_sample=DEFAULT_LAMBDAS):
+    def __init__(self, modules, algebra):
         self.sm = modules
         self.calc = modules.calc
         self.quiver = modules.quiver
         self.field = modules.field
         self.algebra = algebra
-        self.lams = band_parameters(self.field, lam_sample)
         self._rep_cache = {}
 
     def atom_rep(self, atom):
@@ -1390,7 +1389,7 @@ class ArVerifier:
         for name, band in calc.bands():
             blen = band.length
             for m in range(1, bound // blen + 3):
-                for lam in self.lams:
+                for lam in sm.lams:
                     if lam == 1 and name != "B0":
                         continue
                     yield 1, None, None, lambda: (name, lam, m), lambda: (
@@ -1537,7 +1536,7 @@ class ArVerifier:
         if bound < 0 or (lemma_len or 0) < 0:
             raise ValueError(f"bound and lemma length must be nonnegative, "
                              f"got {bound} and {lemma_len}")
-        inventory = self.sm.theorem_inventory(bound, tuple(self.lams))
+        inventory = self.sm.theorem_inventory(bound)
         for entry in inventory:
             self._rep_cache.setdefault(entry.key, entry.rep)
         self.inventory = inventory

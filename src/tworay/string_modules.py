@@ -247,17 +247,6 @@ def check_relations(rep: Representation, relations) -> list:
     return bad
 
 
-def band_parameters(field, lam_sample) -> list:
-    """The band parameters in use: lam_sample reduced mod p, then 1, with
-    zeros and repeats dropped and the first occurrence kept."""
-    lams = []
-    for l in tuple(lam_sample) + (1,):
-        l = field.red(l)
-        if l and l not in lams:
-            lams.append(l)
-    return lams
-
-
 class InventoryEntry:
     """One classification entry: family tag, parameters, representation."""
 
@@ -293,14 +282,19 @@ class StringModules:
       source z of gamma_x.  A term outside its family raises ``NotAPair``;
       ``construct_N``, ``construct_L`` and ``construct_NCC`` check their
       term here first and build a degenerate one as the direct sum of its
-      atoms.
+      atoms;
+    - ``lams``, the band parameters of the inventory and the rows, is
+      ``lam_sample`` mod p then 1, zeros and repeats dropped, in order.
     """
 
-    def __init__(self, calc: WordCalculus, field=None):
+    def __init__(self, calc: WordCalculus, field=None,
+                 lam_sample=DEFAULT_LAMBDAS):
         self.calc = calc
         self.quiver = calc.quiver
         self.field = field if field is not None else PrimeField(DEFAULT_PRIME)
         self._bands = dict(calc.bands())
+        self.lams = list(dict.fromkeys(
+            lam for lam in map(self.field.red, (*lam_sample, 1)) if lam))
 
     # -- assembly helpers ----------------------------------------------------
 
@@ -521,23 +515,26 @@ class StringModules:
         return (("NCC", x, wkey(c), wkey(cp)),)
 
     def canon_R(self, band_name, lam, m):
-        if m <= 0:
-            return ()
-        return (("R", band_name, int(self.field.red(lam)), m),)
+        if band_name not in self._bands or m < 0:
+            raise NotABand(f"R-term outside its family: {band_name}, m = {m}")
+        lam = self.field.red(lam)
+        if lam == 0:
+            raise LambdaZero("lambda must be a unit")
+        return (("R", band_name, lam, m),) if m else ()
 
     def canon_Qb(self, x, m):
-        if m <= 0:
-            return ()
-        return (("Qband", x, m),)
+        if x not in self.quiver.q0_doubleprimed() or m < 0:
+            raise NotABand(f"Q_band term outside its family: {x}, m = {m}")
+        return (("Qband", x, m),) if m else ()
 
     # -- the bounded inventory ---------------------------------------------------
 
-    def theorem_inventory(self, bound: int, lam_sample=DEFAULT_LAMBDAS):
+    def theorem_inventory(self, bound: int):
         """All classification entries of total dimension <= bound, each
         built by ``atom`` from its key and sorted by the key's repr.
 
-        The band parameter runs over lam_sample plus 1 (the theorem's family
-        carries every unit; 1 is included for every band so the tube mouths
+        The band parameter runs over ``lams`` (the theorem's family carries
+        every unit; 1 is included for every band so the tube mouths
         referenced by the almost-split-sequence rows are present).
         """
         calc, q, wkey = self.calc, self.quiver, self.calc.word_key
@@ -551,11 +548,10 @@ class StringModules:
         for x in q.q0_primed():
             keys += [("NCC", x, wkey(c), wkey(cp))
                      for c, cp in calc.pairs_p_x(x, bound - 4)]
-        lams = band_parameters(self.field, lam_sample)
         for name, band in self._bands.items():
-            keys += [("R", name, int(lam), m)
+            keys += [("R", name, lam, m)
                      for m in range(1, bound // band.length + 1)
-                     for lam in lams]
+                     for lam in self.lams]
         for x in q.q0_doubleprimed():
             top = (bound - 1) // self._bands[x].length
             keys += [("Qband", x, m) for m in range(1, top + 1)]

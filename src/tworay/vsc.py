@@ -132,64 +132,52 @@ def _x_objects(idx) -> list:
     return objects
 
 
+def _model(kind, objects, hit) -> VscModel:
+    """The model with every object of dimension 1 and a 1-dimensional Hom
+    from u to v wherever ``hit(u, v)`` holds."""
+    homdim = {(u, v): 1 for u in objects for v in objects if hit(u, v)}
+    return VscModel(kind, objects, {o: 1 for o in objects}, homdim)
+
+
 def _build_k(posets) -> VscModel:
     idx = dict(enumerate(posets, start=1))
-    objects = _x_objects(idx)
-    objdim = {o: 1 for o in objects}
-    homdim = {}
-    for u in objects:
-        for v in objects:
-            if _x_hom(idx, u, v):
-                homdim[(u, v)] = 1
-    return VscModel("K", objects, objdim, homdim)
+    return _model("K", _x_objects(idx), lambda u, v: _x_hom(idx, u, v))
 
 
 def _build_l1(poset: AdmissiblePoset) -> VscModel:
-    objects = [("X", g) for g in poset.elements]
-    objects += [("Y", g) for g in poset.elements]
-    objdim = {o: 1 for o in objects}
-    homdim = {}
-    for u in objects:
-        for v in objects:
-            if u[0] == "Y" and v[0] == "X":
-                continue
-            if poset.index(u[1]) <= poset.index(v[1]):
-                homdim[(u, v)] = 1
-    return VscModel("L1", objects, objdim, homdim)
+    objects = [(kind, g) for kind in ("X", "Y") for g in poset.elements]
+    return _model("L1", objects, lambda u, v: (u[0], v[0]) != ("Y", "X")
+                  and poset.index(u[1]) <= poset.index(v[1]))
 
 
 def _build_lf(posets) -> VscModel:
     idx = dict(enumerate(posets))
-    objects = _x_objects(idx)
     i0_prime = idx[0].prime().elements
-    objects += [("Y", g) for g in i0_prime] + [("Z",)]
+    objects = _x_objects(idx) + [("Y", g) for g in i0_prime] + [("Z",)]
     # an object when I_1 kept its minimum and it is not also I_1's maximum
     x_min_i1 = ("X", 1, idx[1].minimum)
-    objdim = {o: 2 if o == x_min_i1 else 1 for o in objects}
-    homdim = {}
-    for u in objects:
-        for v in objects:
-            kinds = (u[0], v[0])
-            hit = _x_hom(idx, u, v)
-            if kinds == ("X", "Y"):
-                hit = u[1] == 0 and idx[0].index(u[2]) <= idx[0].index(v[1])
-            elif kinds in (("X", "Z"), ("Xpp", "Z")):
-                # the X_{min I_1} -> Z cell: exact computation of the induced
-                # category always exhibits the surviving morphism, so the
-                # order-theoretic pattern carries it
-                hit = u[1] == 0 or u == x_min_i1
-            elif kinds == ("Y", "X"):
-                hit = v == x_min_i1
-            elif kinds == ("Y", "Y"):
-                hit = idx[0].index(u[1]) <= idx[0].index(v[1])
-            elif kinds in (("Y", "Z"), ("Z", "Z")):
-                hit = True
-            if hit:
-                homdim[(u, v)] = 1
-    if x_min_i1 in objdim:
+
+    def hit(u, v):
+        kinds = (u[0], v[0])
+        if kinds == ("X", "Y"):
+            return u[1] == 0 and idx[0].index(u[2]) <= idx[0].index(v[1])
+        if kinds in (("X", "Z"), ("Xpp", "Z")):
+            # the X_{min I_1} -> Z cell: exact computation of the induced
+            # category always exhibits the surviving morphism, so the
+            # order-theoretic pattern carries it
+            return u[1] == 0 or u == x_min_i1
+        if kinds == ("Y", "X"):
+            return v == x_min_i1
+        if kinds == ("Y", "Y"):
+            return idx[0].index(u[1]) <= idx[0].index(v[1])
+        return kinds in (("Y", "Z"), ("Z", "Z")) or _x_hom(idx, u, v)
+
+    model = _model("LF", objects, hit)
+    if x_min_i1 in model.objdim:
+        model.objdim[x_min_i1] = 2
         for g in i0_prime:
-            homdim[(("X", 0, g), x_min_i1)] = 2
-    return VscModel("LF", objects, objdim, homdim)
+            model.homdim[(("X", 0, g), x_min_i1)] = 2
+    return model
 
 
 # -- lemma instantiation ---------------------------------------------------------

@@ -158,8 +158,8 @@ def test_criterion_7_bruteforce_oracle():
     quiver = build_quiver(ds)
     calc = WordCalculus(quiver)
     gf2 = PrimeField(2)
-    modules = StringModules(calc, gf2)
-    inv = modules.theorem_inventory(len(quiver.vertices), lam_sample=())
+    modules = StringModules(calc, gf2, lam_sample=())
+    inv = modules.theorem_inventory(len(quiver.vertices))
     inv_counts = {}
     for e in inv:
         dims = e.rep.dim_tuple()

@@ -289,6 +289,21 @@ def test_verify_small_prime_pinned(sysfile, monkeypatch):
         "a729a1ee74dbef99c965c1bb99f2e7f1a0aa0f94129067300daad8dab2161f6a")
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["reduce", "ex14"],
+     "eeaad01045f5ce42e13744702676bafd48d948d98645b238d0a22f38ae9d3fd4"),
+    (["reduce", "tsys"],
+     "b0db253955bd8a7ff1e744be186df47fb00b3bf0dd888c01a205959bc0101dac"),
+    # the band sample reduced mod 3, with 1 once
+    (["classify", "tsys", "--max-dim", "8", "--field", "3", "--lambda", "1,2"],
+     "e10ef6a6c6e8c9d3552a9ac6c0eb331d3dfa1f50e108a23a2a11c8beb9643471"),
+])
+def test_reduce_and_classify_pinned(sysfile, argv, digest):
+    code, out = run([argv[0], sysfile(argv[1])] + argv[2:])
+    assert code == 0
+    assert _sha256(out) == digest
+
+
 @pytest.mark.parametrize("name", ["tsys", "fund22", "s24", "ex14"])
 def test_verify_green_over_gf2(sysfile, name):
     # over GF(2) no fixed combination of Hom basis maps is generic, and

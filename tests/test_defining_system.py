@@ -3,14 +3,17 @@ import random
 
 import pytest
 
+from tworay import defining_system
 from tworay.defining_system import (AdmissibleVertex, ConsecutiveInS,
                                     DefiningSystemError,
                                     LengthMismatch, NotAdmissible,
+                                    NoValidOrder,
                                     SetOutOfRange, SumTooSmall, TopInT,
                                     admissible_vertices, extend, from_json,
                                     reduce_to_fundamental, validate)
 
 from conftest import SYSTEMS
+from test_rows import _census
 
 
 def test_worked_example_is_valid():
@@ -144,6 +147,64 @@ def test_reduce_worked_example_chain():
     for v in chain:
         cur = extend(cur, v)
     assert cur == ds
+
+
+# the chain of each system, one insertion site per step
+CHAINS = {
+    "fund21": [], "fund32": [], "fund22": [],
+    "s_only": ["x:1:2"],
+    "s24": ["x:1:2", "x:1:4"],
+    "tsys": ["x:1:2", "z:1:2"],
+    "ex14": ["x:1:2", "x:1:4", "x:1:6", "x:2:2", "z:1:4", "z:1:6", "x:1:8"],
+    "ex14_display": ["x:1:2", "x:1:4", "x:1:6", "x:2:2", "z:1:2", "z:1:6",
+                     "x:1:8"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_reduce_chains_pinned(name):
+    fund, chain = reduce_to_fundamental(validate(SYSTEMS[name]))
+    assert [str(v) for v in chain] == CHAINS[name]
+
+
+def _search_chain(ds):
+    """The chain by a backtracking search over the same candidate order as
+    ``reduce_to_fundamental`` (missing S entries strand by strand in
+    increasing order, then missing T entries), or None if none exists."""
+
+    def candidates(cur):
+        adm = admissible_vertices(cur)
+        for kind, want, have in (("x", ds.S, cur.S), ("z", ds.T, cur.T)):
+            for i in range(1, ds.strands + 1):
+                for j in sorted(want[i - 1] - have[i - 1]):
+                    if (v := AdmissibleVertex(kind, i, j)) in adm:
+                        yield v
+
+    def search(cur, chain):
+        if cur.S == ds.S and cur.T == ds.T:
+            return chain
+        for v in candidates(cur):
+            found = search(extend(cur, v), chain + [v])
+            if found is not None:
+                return found
+        return None
+
+    return search(ds.fundamental(), [])
+
+
+def test_reduce_equals_search_on_census():
+    systems = [quiver.ds for quiver in _census()]
+    assert len(systems) == 229
+    for ds in systems:
+        fund, chain = reduce_to_fundamental(ds)
+        assert chain == _search_chain(ds), ds
+
+
+def test_reduce_without_candidate_raises(monkeypatch):
+    monkeypatch.setattr(defining_system, "admissible_vertices",
+                        lambda ds: set())
+    with pytest.raises(NoValidOrder):
+        reduce_to_fundamental(validate(SYSTEMS["s_only"]))
 
 
 def _random_system(rng):

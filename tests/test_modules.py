@@ -129,6 +129,16 @@ def test_r_band_modules(fund21):
         sm.atom(("R", "B0", 5, -2))
     with pytest.raises(LambdaZero):
         sm.construct_R(b0, 0, 1)
+    # canon_R checks its term as construct_R does; m = 0 names no atom
+    assert sm.canon_R("B0", 5, 0) == ()
+    assert sm.canon_R("B0", 5 - sm.field.p, 1) == (("R", "B0", 5, 1),)
+    for name, m in (("B0", -1), ("nope", 1)):
+        with pytest.raises(NotABand):
+            sm.canon_R(name, 5, m)
+    with pytest.raises(LambdaZero):
+        sm.canon_R("B0", 0, 1)
+    with pytest.raises(NotABand):  # fund21 has no vertex in Q0''
+        sm.canon_Qb("x:1:2", 1)
     r1 = sm.construct_R(b0, 5, 1)
     assert r1.dim_tuple() == (1, 1, 1)
     assert r1.maps["beta:1:1"].tolist() == [[5]]
@@ -160,6 +170,12 @@ def test_qband(tsys):
         assert qb.total_dim == m * blen + 1
     with pytest.raises(NotABand):
         sm.construct_Qband("x:1:1", 1)
+    # canon_Qb checks its term as construct_Qband does; m = 0 names no atom
+    assert sm.canon_Qb(x, 0) == ()
+    assert sm.canon_Qb(x, 2) == (("Qband", x, 2),)
+    for v, m in ((x, -3), ("x:1:0", 2), ("x:1:1", 1)):
+        with pytest.raises(NotABand):
+            sm.canon_Qb(v, m)
     # away from v', Q(B, m) has the R(B, 1, m) skeleton
     qb = sm.construct_Qband(x, 2)
     r = sm.construct_R(sm.calc.band_of(x), 1, 2)

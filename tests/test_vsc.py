@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -281,3 +283,23 @@ def test_lemma_object_counts_pinned(name):
     counts = {(v, which): hom_pattern_of_functor(c.modules, v, which, 6)[2]
               ["objects"] for v, which in vsc.lemma_sites(c.quiver)}
     assert counts == OBJECT_COUNTS[name]
+
+
+def test_lemma_models_pinned():
+    # every model of every lemma site of the eight systems at lemma lengths
+    # 4, 6 and 8: its kind, objects, object dimensions and hom dimensions
+    digest, count = hashlib.sha256(), 0
+    for name in SYSTEMS:
+        c = ctx(name)
+        lemma_ctx = LemmaContext(c.modules)
+        for bound in (4, 6, 8):
+            for v, which in vsc.lemma_sites(c.quiver):
+                model, _ = lemma_ctx.instantiate(v, which, bound)
+                digest.update(repr((
+                    model.kind, model.objects,
+                    sorted(model.objdim.items(), key=repr),
+                    sorted(model.homdim.items(), key=repr))).encode())
+                count += 1
+    assert count == 144
+    assert digest.hexdigest() == (
+        "619230a4adf1f19ef47c59e3ad84b908e964fa006b79b6ea6b83e129742b3ad8")
