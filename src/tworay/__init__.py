@@ -15,8 +15,8 @@ from .algebra import AlgebraBasis
 from .homlab import (ArVerifier, IndecVerdict, SesCandidate, ar_translate,
                      hom_basis, is_indecomposable, is_isomorphic, is_split,
                      realize_ses)
-from .vsc import (AdmissiblePoset, VscModel, build_model,
-                  hom_pattern_of_functor, match_model)
+from .vsc import (AdmissiblePoset, VscModel, hom_pattern_of_functor,
+                  match_model)
 
 __all__ = [
     "AdmissibleVertex", "DefiningSystem", "validate", "from_json",
@@ -29,6 +29,5 @@ __all__ = [
     "AlgebraBasis",
     "ArVerifier", "IndecVerdict", "SesCandidate", "ar_translate", "hom_basis",
     "is_indecomposable", "is_isomorphic", "is_split", "realize_ses",
-    "AdmissiblePoset", "VscModel", "build_model", "hom_pattern_of_functor",
-    "match_model",
+    "AdmissiblePoset", "VscModel", "hom_pattern_of_functor", "match_model",
 ]

@@ -17,8 +17,6 @@ from .string_modules import DEFAULT_LAMBDAS, StringModules
 from .algebra import AlgebraBasis
 from .homlab import ArVerifier
 
-DEFAULT_LAMBDA_ARG = ",".join(map(str, DEFAULT_LAMBDAS))
-
 
 def _provenance(ds):
     return {
@@ -68,8 +66,9 @@ def main(argv=None) -> int:
     sp = sub.add_parser("classify", help="bounded classification inventory")
     sp.add_argument("input")
     sp.add_argument("--max-dim", type=int, required=True)
-    sp.add_argument("--lambda", dest="lam", default=DEFAULT_LAMBDA_ARG,
-                    help="comma-separated band parameters")
+    sp.add_argument("--lambda", dest="lam", default=None,
+                    help="comma-separated band parameters, none 0 mod p "
+                         "(default: 2,3,5 reduced mod p, zeros dropped)")
     sp.add_argument("--field", type=int, default=DEFAULT_PRIME)
 
     sp = sub.add_parser("ar", help="instantiate the almost-split sequence rows")
@@ -81,7 +80,7 @@ def main(argv=None) -> int:
     sp.add_argument("input")
     sp.add_argument("--max-dim", type=int, required=True)
     sp.add_argument("--field", type=int, default=DEFAULT_PRIME)
-    sp.add_argument("--lambda", dest="lam", default=DEFAULT_LAMBDA_ARG)
+    sp.add_argument("--lambda", dest="lam", default=None)
     sp.add_argument("--lemma-len", type=int, default=None,
                     help="string length for the functor pattern checks")
     sp.add_argument("--from-inventory", default=None,
@@ -172,8 +171,8 @@ def main(argv=None) -> int:
         field = PrimeField(args.field)
     except ValueError as exc:
         return _input_error(exc)
-    lam = DEFAULT_LAMBDAS  # ar has no --lambda
-    if args.cmd in ("classify", "verify"):
+    lam = DEFAULT_LAMBDAS  # reduced mod p by StringModules, zeros dropped
+    if getattr(args, "lam", None) is not None:
         try:
             lam = tuple(int(x) for x in args.lam.split(","))
         except ValueError as exc:

@@ -6,8 +6,8 @@ the terminating end).  The skeleton action is: an alpha-letter c_i sends v_i
 to v_{i-1}, a reversed letter c_{i+1} sends v_i to v_{i+1}.  On top of that
 the families add the extra vectors v', v'' and the band couplings.
 
-Basis labels sort v'' < v' < v_i < v_i' < v_i^{(j)} at every vertex, so all
-matrices are reproducible across runs.
+Basis labels are added in the order v'' < v' < v_i < v_i' < v_i^{(j)} at
+every vertex, v' and v'' at the front, so all matrices are reproducible.
 """
 
 import functools
@@ -33,13 +33,6 @@ class NotABand(ValueError):
 
 # the band parameters sampled when none are given
 DEFAULT_LAMBDAS = (2, 3, 5)
-
-_LABEL_RANK = {"vpp": 0, "vp": 1, "v": 2, "vq": 3, "vb": 4}
-
-
-def _label_key(label):
-    return (_LABEL_RANK[label[0]],) + tuple(label[1:])
-
 
 @functools.lru_cache(maxsize=None)
 def zero_size_block(rows: int, cols: int) -> np.ndarray:
@@ -318,11 +311,7 @@ class StringModules:
 
     def _assemble(self, vertex_labels, entries) -> Representation:
         q = self.quiver
-        spaces = {
-            v: tuple(sorted(labels, key=_label_key))
-            for v, labels in vertex_labels.items()
-        }
-        where = {l: (v, k) for v, labels in spaces.items()
+        where = {l: (v, k) for v, labels in vertex_labels.items()
                  for k, l in enumerate(labels)}
         by_arrow = {}
         for a, triples in entries.items():
@@ -334,7 +323,8 @@ class StringModules:
                         f"arrow {a} does not join labels {src} and {tgt}")
                 out.append((row, col, coef))
             by_arrow[a] = out
-        return Representation.from_entries(q, self.field, spaces, by_arrow)
+        return Representation.from_entries(q, self.field, vertex_labels,
+                                           by_arrow)
 
     # -- the six families ------------------------------------------------------
 
@@ -379,14 +369,15 @@ class StringModules:
         self._glue_vp(x, anchors, vertex_labels, entries)
         if with_vpp:
             gamma = q.gamma_of(x)
-            vertex_labels.setdefault(q.source[gamma], []).append(("vpp",))
+            vertex_labels.setdefault(q.source[gamma], []).insert(0, ("vpp",))
             entries.setdefault(gamma, []).append((("v", 0), ("vpp",), 1))
         return self._assemble(vertex_labels, entries)
 
     def _glue_vp(self, x: str, anchors, vertex_labels, entries):
         """Add v' at the target of alpha_x, which sends each anchor to v'."""
         alpha = self.quiver.alpha_of(x)
-        vertex_labels.setdefault(self.quiver.target[alpha], []).append(("vp",))
+        vertex_labels.setdefault(self.quiver.target[alpha], []).insert(
+            0, ("vp",))
         entries.setdefault(alpha, []).extend(
             (("vp",), a, 1) for a in anchors)
 

@@ -16,13 +16,9 @@ from .defining_system import admissible_vertices
 from .homlab import ConsistencyError, hom_space, transposed_blocks
 
 
-class BadArity(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AdmissiblePoset:
-    """A finite slice of a linearly ordered set with direct successors.
+    """A finite slice of a linearly ordered set.
 
     ``min_present`` / ``max_present`` record whether the abstract minimum and
     maximum survived the truncation; rules that name them are skipped when
@@ -33,9 +29,6 @@ class AdmissiblePoset:
     min_present: bool = True
     max_present: bool = True
 
-    def __len__(self):
-        return len(self.elements)
-
     def index(self, e):
         return self.elements.index(e)
 
@@ -44,18 +37,6 @@ class AdmissiblePoset:
         if not (self.min_present and self.elements):
             return None
         return self.elements[0]
-
-    @property
-    def maximum(self):
-        if not (self.max_present and self.elements):
-            return None
-        return self.elements[-1]
-
-    def successor(self, e):
-        i = self.index(e)
-        if i + 1 >= len(self.elements):
-            return None
-        return self.elements[i + 1]
 
     def prime(self) -> "AdmissiblePoset":
         """I' = I minus its maximum."""
@@ -83,24 +64,6 @@ class VscModel:
 
     def hom(self, u, v) -> int:
         return self.homdim.get((u, v), 0)
-
-
-def build_model(kind: str, posets) -> VscModel:
-    """kind 'K' (posets I_1..I_{r+1}), 'L1' (one poset), 'LF' (I_0..I_{r+1})."""
-    posets = list(posets)
-    if kind == "K":
-        if len(posets) < 1:
-            raise BadArity("K-family needs at least one poset")
-        return _build_k(posets)
-    if kind == "L1":
-        if len(posets) != 1:
-            raise BadArity("single-L model takes exactly one poset")
-        return _build_l1(posets[0])
-    if kind == "LF":
-        if len(posets) < 2:
-            raise BadArity("L-family needs at least two posets")
-        return _build_lf(posets)
-    raise BadArity(f"unknown model kind {kind!r}")
 
 
 _X_KINDS = ("X", "Xp", "Xpp")
@@ -180,132 +143,109 @@ def _build_lf(posets) -> VscModel:
     return model
 
 
-# -- lemma instantiation ---------------------------------------------------------
+# -- the lemma sites -------------------------------------------------------------
 
 
-class LemmaContext:
-    """Everything needed to run one functor pattern check."""
+def _c_poset(modules, x: str, bound: int) -> AdmissiblePoset:
+    calc = modules.calc
+    words = calc.strings_terminating_at(x, bound)
+    return AdmissiblePoset(
+        tuple(("str", calc.word_key(w)) for w in words),
+        min_present=calc.mu(x).length <= bound,
+        max_present=calc.omega(x).length <= bound,
+    )
 
-    def __init__(self, modules):
-        self.sm = modules
-        self.calc = modules.calc
-        self.quiver = modules.quiver
-        self.field = modules.field
 
-    # designated modules of the three lemmas
-    def module_R(self, x: str):
-        calc = self.calc
-        kind, i, j = x.split(":")
-        if kind == "x":
-            alpha = f"alpha:{i}:{j}"
-            mu = calc.mu(x)
-            return self.sm.construct_M(calc.word((alpha,) + mu.letters))
-        y = f"x:{i}:{j}"
-        return self.sm.construct_NCC(y, calc.mu(y), calc.omega(y))
+def _strand_posets(modules, i: int, j0: int, bound: int, last: int):
+    """(anchors, posets) of a strand lemma at x_(i,j0) or z_(i,j0): the
+    anchors j0 < j_1 < ... < j_r are j0 and the entries of S_i above
+    it, I_p = [j_(p-1), j_p - 1] + C_(x_(i,j_p)) for p = 1..r, and
+    I_(r+1) = [j_r, last]."""
+    anchors = [j0] + [j for j in modules.quiver.ds.s_sorted(i) if j > j0]
+    posets = [interval_poset(lo, hi - 1).ordered_sum(
+                  _c_poset(modules, f"x:{i}:{hi}", bound))
+              for lo, hi in zip(anchors, anchors[1:])]
+    return anchors, posets + [interval_poset(anchors[-1], last)]
 
-    def module_X(self, x: str):
-        calc = self.calc
-        kind, i, j = x.split(":")
-        if kind == "x":
-            return self.sm.construct_M(calc.mu(x))
-        y = f"x:{i}:{j}"
-        gamma = f"gamma:{i}:{j}"
-        mu_y = calc.mu(y)
-        return self.sm.construct_M(calc.word((gamma,) + mu_y.letters))
 
-    def module_I(self, x: str):
-        return self.sm.construct_M(self.calc.omega(x))
+def _strand_module(modules, o, i: int, anchors, prefixed):
+    """The module of object ``o`` of a strand lemma on strand i.  The
+    X, Xp and Xpp objects over I_p sit at y = x_(i, anchors[p]): X over
+    a string C is N(C, omega_y), Xp is M(omega_y) and Xpp is
+    N(y, omega_y).  X over an integer j is M(omega) at x_(i,j), with a
+    gamma_(i,j) prefix when j is in ``prefixed``.  Y over C is
+    M(gamma_(i,j0) C) and Z is M of the trivial string at z_(i,j0)."""
+    calc, M = modules.calc, modules.construct_M
+    if o[0] == "Z":
+        return M(calc.trivial(f"z:{i}:{anchors[0]}"))
+    if o[0] == "Y":
+        return M(calc.word((f"gamma:{i}:{anchors[0]}",) + o[1][1][0]))
+    if o[0] == "X" and o[2][0] == "int":
+        j = o[2][1]
+        omega = calc.omega(f"x:{i}:{j}")
+        if j in prefixed:
+            return M(calc.word((f"gamma:{i}:{j}",) + omega.letters))
+        return M(omega)
+    y = f"x:{i}:{anchors[o[1]]}"
+    omega = calc.omega(y)
+    if o[0] == "Xp":
+        return M(omega)
+    if o[0] == "Xpp":
+        return modules.construct_N(y, omega)
+    return modules.construct_NCC(y, calc.from_key(o[2][1]), omega)
 
-    def _c_poset(self, x: str, bound: int) -> AdmissiblePoset:
-        calc = self.calc
-        words = calc.strings_terminating_at(x, bound)
-        return AdmissiblePoset(
-            tuple(("str", calc.word_key(w)) for w in words),
-            min_present=calc.mu(x).length <= bound,
-            max_present=calc.omega(x).length <= bound,
-        )
 
-    def _strand_posets(self, i: int, j0: int, bound: int, last: int):
-        """(anchors, posets) of a strand lemma at x_(i,j0) or z_(i,j0): the
-        anchors j0 < j_1 < ... < j_r are j0 and the entries of S_i above
-        it, I_p = [j_(p-1), j_p - 1] + C_(x_(i,j_p)) for p = 1..r, and
-        I_(r+1) = [j_r, last]."""
-        anchors = [j0] + [j for j in self.quiver.ds.s_sorted(i) if j > j0]
-        posets = [interval_poset(lo, hi - 1).ordered_sum(
-                      self._c_poset(f"x:{i}:{hi}", bound))
-                  for lo, hi in zip(anchors, anchors[1:])]
-        return anchors, posets + [interval_poset(anchors[-1], last)]
+def lemma(modules, x: str, which: str, bound: int):
+    """(model, R, assign) of the lemma ``which`` ("R", "X" or "I") at
+    vertex ``x``: the model on the lemma's posets truncated at string
+    length ``bound``, the designated module R, and ``assign``, the module
+    of each object of the model.  With y = x_(i,j0) for x = x_(i,j0) or
+    z_(i,j0), one branch per kind of site:
 
-    def _strand_module(self, o, i: int, anchors, prefixed):
-        """The module of object ``o`` of a strand lemma on strand i.  The
-        X, Xp and Xpp objects over I_p sit at y = x_(i, anchors[p]): X over
-        a string C is N(C, omega_y), Xp is M(omega_y) and Xpp is
-        N(y, omega_y).  X over an integer j is M(omega) at x_(i,j), with a
-        gamma_(i,j) prefix when j is in ``prefixed``.  Y over C is
-        M(gamma_(i,j0) C) and Z is M of the trivial string at z_(i,j0)."""
-        calc, sm = self.calc, self.sm
-        if o[0] == "Z":
-            return sm.construct_M(calc.trivial(f"z:{i}:{anchors[0]}"))
-        if o[0] == "Y":
-            return sm.construct_M(calc.word(
-                (f"gamma:{i}:{anchors[0]}",) + o[1][1][0]))
-        if o[0] == "X" and o[2][0] == "int":
-            j = o[2][1]
-            omega = calc.omega(f"x:{i}:{j}")
-            if j in prefixed:
-                return sm.construct_M(calc.word(
-                    (f"gamma:{i}:{j}",) + omega.letters))
-            return sm.construct_M(omega)
-        y = f"x:{i}:{anchors[o[1]]}"
-        omega = calc.omega(y)
-        if o[0] == "Xp":
-            return sm.construct_M(omega)
-        if o[0] == "Xpp":
-            return sm.construct_N(y, omega)
-        return sm.construct_NCC(y, calc.from_key(o[2][1]), omega)
+    - X: the K-family on C_x, taken at the vertex itself; R is M(mu_x) at
+      an x-vertex and M(gamma_(i,j0) mu_y) at a z-vertex; X over C is M(C).
+    - R at an x-vertex: the single-L model on C_x; R is M(alpha_x mu_x),
+      X over C is M(alpha_x C) and Y over C is M(C).
+    - R at z_(i,j0): the L-family on C_y, I_1, ..., I_(r+1) (see
+      ``_strand_posets``); R is N(mu_y, omega_y), and ``_strand_module``
+      gives the objects' modules with all anchors prefixed.
+    - I at x_(i,j0): the K-family on I_1, ..., I_(r+1); R is M(omega_x),
+      and ``_strand_module`` prefixes all anchors but j0.
 
-    def instantiate(self, x: str, which: str, bound: int):
-        """(model, assignment dict object -> Representation) for one lemma.
-
-        The model is built on the lemma's posets, truncated at string length
-        ``bound``: the K-family on C_x for X, the single-L model on C_x for
-        R at an x-vertex, the L-family on C_(x_(i,j0)), I_1, ..., I_(r+1)
-        for R at z_(i,j0), and the K-family on I_1, ..., I_(r+1) for I at
-        x_(i,j0) (see ``_strand_posets``).  Each object of the model gets its
-        module by one rule per lemma: M(C) over C for X; M(alpha_(i,j) C)
-        for X over C and M(C) for Y over C in the single-L model; and
-        ``_strand_module``, with all anchors prefixed for R and all but j0
-        for I.  A pair (x, which) outside ``lemma_sites`` raises ValueError.
-        """
-        if (x, which) not in lemma_sites(self.quiver):
-            raise ValueError(f"{x!r} is not a site of lemma {which!r}")
-        calc, sm = self.calc, self.sm
-        kind, i, j0 = x.split(":")
-        i, j0 = int(i), int(j0)
-        if which == "X":
-            # C_x is taken at the vertex itself, z-vertices included
-            model = build_model("K", [self._c_poset(x, bound)])
-            return model, {o: sm.construct_M(calc.from_key(o[2][1]))
-                           for o in model.objects}
-        if which == "R" and kind == "x":
-            model = build_model("L1", [self._c_poset(x, bound)])
-            alpha = f"alpha:{i}:{j0}"
-            return model, {
-                o: sm.construct_M(calc.word((alpha,) + o[1][1][0]))
-                if o[0] == "X" else sm.construct_M(calc.from_key(o[1][1]))
-                for o in model.objects}
-        top = self.quiver.ds.top(i)
-        if which == "R":
-            anchors, posets = self._strand_posets(i, j0, bound, top + 1)
-            model = build_model(
-                "LF", [self._c_poset(f"x:{i}:{j0}", bound)] + posets)
-            prefixed = anchors
-        else:
-            anchors, posets = self._strand_posets(i, j0, bound, top)
-            model = build_model("K", posets)
-            prefixed = anchors[1:]
-        return model, {o: self._strand_module(o, i, anchors, prefixed)
-                       for o in model.objects}
+    A pair (x, which) outside ``lemma_sites`` raises ValueError.
+    """
+    if (x, which) not in lemma_sites(modules.quiver):
+        raise ValueError(f"{x!r} is not a site of lemma {which!r}")
+    calc, M = modules.calc, modules.construct_M
+    kind, i, j0 = x.split(":")
+    i, j0 = int(i), int(j0)
+    y = f"x:{i}:{j0}"
+    if which == "X":
+        model = _build_k([_c_poset(modules, x, bound)])
+        R = M(calc.mu(x)) if kind == "x" else M(
+            calc.word((f"gamma:{i}:{j0}",) + calc.mu(y).letters))
+        return model, R, {o: M(calc.from_key(o[2][1]))
+                          for o in model.objects}
+    if which == "R" and kind == "x":
+        model = _build_l1(_c_poset(modules, x, bound))
+        alpha = f"alpha:{i}:{j0}"
+        R = M(calc.word((alpha,) + calc.mu(x).letters))
+        return model, R, {o: M(calc.word((alpha,) + o[1][1][0]))
+                          if o[0] == "X" else M(calc.from_key(o[1][1]))
+                          for o in model.objects}
+    top = modules.quiver.ds.top(i)
+    if which == "R":
+        anchors, posets = _strand_posets(modules, i, j0, bound, top + 1)
+        model = _build_lf([_c_poset(modules, y, bound)] + posets)
+        R = modules.construct_NCC(y, calc.mu(y), calc.omega(y))
+        prefixed = anchors
+    else:
+        anchors, posets = _strand_posets(modules, i, j0, bound, top)
+        model = _build_k(posets)
+        R = M(calc.omega(x))
+        prefixed = anchors[1:]
+    return model, R, {o: _strand_module(modules, o, i, anchors, prefixed)
+                      for o in model.objects}
 
 
 def _slot(spaces, M):
@@ -414,13 +354,11 @@ def hom_pattern_of_functor(modules, x: str, which: str, bound: int,
     """Run the lemma ``which`` ("R", "X" or "I") at vertex ``x`` on strings
     of length ``bound``; returns (model, measured, match report).
 
-    The measured objects are the model's (see ``LemmaContext.instantiate``),
-    so ``report["objects"]`` counts the objects compared.  A pair
-    (x, which) outside ``lemma_sites`` raises ValueError.  ``spaces`` is
-    passed to ``measure_pattern``."""
-    ctx = LemmaContext(modules)
-    model, assign = ctx.instantiate(x, which, bound)
-    R = {"R": ctx.module_R, "X": ctx.module_X, "I": ctx.module_I}[which](x)
+    The measured objects are the model's (see ``lemma``), so
+    ``report["objects"]`` counts the objects compared.  A pair (x, which)
+    outside ``lemma_sites`` raises ValueError.  ``spaces`` is passed to
+    ``measure_pattern``."""
+    model, R, assign = lemma(modules, x, which, bound)
     measured = measure_pattern(R, assign, modules.field, spaces)
     report = match_model(measured, model)
     return model, measured, report

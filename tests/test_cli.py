@@ -157,10 +157,11 @@ def test_verify_from_inventory(sysfile, tmp_path):
 
 
 def test_bad_lambda_rejected(sysfile):
-    code, out = run(["classify", sysfile("fund21"), "--max-dim", "4",
-                     "--lambda", "0,2"])
-    assert code == 2
+    # an explicit sample must avoid 0 mod p; the default is reduced instead
     for cmd in ("classify", "verify"):
+        code, out = run([cmd, sysfile("fund21"), "--max-dim", "4",
+                         "--lambda", "0,2"])
+        assert code == 2
         for lam in ("2,x", ","):
             code, out = run([cmd, sysfile("fund21"), "--max-dim", "4",
                              "--lambda", lam])
@@ -287,6 +288,20 @@ def test_verify_small_prime_pinned(sysfile, monkeypatch):
     assert code == 0 and len(calls) == 24
     assert _sha256(out) == (
         "a729a1ee74dbef99c965c1bb99f2e7f1a0aa0f94129067300daad8dab2161f6a")
+
+
+@pytest.mark.parametrize("field, digest", [
+    # the default sample 2,3,5 reduced mod p, zeros dropped, as for ar: the
+    # output of --lambda 1 over GF(2), 1,2 over GF(3) and 2,3 over GF(5)
+    (2, "71196f41bc01e57f888b7abec7914e296af660aee648a98bb3469cd12b6856f9"),
+    (3, "a729a1ee74dbef99c965c1bb99f2e7f1a0aa0f94129067300daad8dab2161f6a"),
+    (5, "9f330466ec3efea2a3ec0464fdc1e0289316d6edfba7cb395fac0da7fd91f249"),
+])
+def test_verify_default_lambda_small_field_pinned(sysfile, field, digest):
+    code, out = run(["verify", sysfile("tsys"), "--max-dim", "8",
+                     "--field", str(field)])
+    assert code == 0 and json.loads(out)["failures"] == []
+    assert _sha256(out) == digest
 
 
 @pytest.mark.parametrize("argv, digest", [

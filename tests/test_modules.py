@@ -528,6 +528,28 @@ def test_basis_label_order(tsys):
     assert kinds == sorted(kinds, key=["vpp", "vp", "v", "vq", "vb"].index)
 
 
+# the basis label order at every vertex: v'' < v' < v_i < v_i' < v_i^(j)
+_LABEL_RANK = {"vpp": 0, "vp": 1, "v": 2, "vq": 3, "vb": 4}
+
+
+def _label_key(label):
+    return (_LABEL_RANK[label[0]],) + tuple(label[1:])
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_row_atom_labels_built_in_order(name):
+    # the constructors add each vertex's labels in the order of the key;
+    # the atoms of the rows at 12 reach past the pinned inventories
+    c = ctx(name)
+    rows = homlab.ArVerifier(c.modules, c.algebra).rows(12)
+    atoms = {a for row in rows for part in ("left", "middle", "right")
+             for a in row[part]}
+    assert atoms
+    for a in sorted(atoms, key=repr):
+        for labels in c.modules.atom(a).spaces.values():
+            assert list(labels) == sorted(labels, key=_label_key), a
+
+
 GOLDEN_NCC = {
     "field": 32003,
     "maps": {"alpha:1:1": [[0]], "alpha:1:2": [[1, 1]],

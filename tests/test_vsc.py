@@ -7,26 +7,25 @@ from tworay import build_quiver, build_relations, AlgebraBasis, vsc
 from tworay.defining_system import admissible_vertices
 from tworay.homlab import compose_maps, hom_basis
 from tworay.string_modules import Representation
-from tworay.vsc import (BadArity, LemmaContext, build_model,
+from tworay.vsc import (_build_k, _build_l1, _build_lf,
                         hom_pattern_of_functor, i_lemma_vertices,
-                        interval_poset, match_model, measure_pattern)
+                        interval_poset, lemma, match_model, measure_pattern)
 
 from conftest import SYSTEMS, ctx
 
 
 def test_poset_operations():
     I = interval_poset(2, 5)
-    assert I.minimum == ("int", 2) and I.maximum == ("int", 5)
-    assert I.successor(("int", 3)) == ("int", 4)
-    assert I.successor(("int", 5)) is None
-    assert len(I.prime()) == 3 and I.prime().maximum is None
+    assert I.minimum == ("int", 2)
+    assert I.prime().elements == (("int", 2), ("int", 3), ("int", 4))
+    assert not I.prime().max_present
     J = interval_poset(7, 8)
     s = I.ordered_sum(J)
     assert s.elements[0] == ("int", 2) and s.elements[-1] == ("int", 8)
 
 
 def test_l1_model_smallest():
-    model = build_model("L1", [interval_poset(1, 1)])
+    model = _build_l1(interval_poset(1, 1))
     x, y = ("X", ("int", 1)), ("Y", ("int", 1))
     assert set(model.objects) == {x, y}
     assert model.hom(x, x) == model.hom(x, y) == model.hom(y, y) == 1
@@ -35,10 +34,10 @@ def test_l1_model_smallest():
 
 def test_k_model_single_poset():
     # one poset of size 2: I' drops the maximum, leaving a single object
-    model = build_model("K", [interval_poset(1, 2)])
+    model = _build_k([interval_poset(1, 2)])
     assert model.objects == [("X", 1, ("int", 1))]
     # size 3 gives two objects with an upper-triangular pattern
-    model3 = build_model("K", [interval_poset(1, 3)])
+    model3 = _build_k([interval_poset(1, 3)])
     a, b = ("X", 1, ("int", 1)), ("X", 1, ("int", 2))
     assert model3.objects == [a, b]
     assert model3.hom(a, b) == 1 and model3.hom(b, a) == 0
@@ -46,7 +45,7 @@ def test_k_model_single_poset():
 
 
 def test_k_model_two_posets():
-    model = build_model("K", [interval_poset(1, 3), interval_poset(4, 5)])
+    model = _build_k([interval_poset(1, 3), interval_poset(4, 5)])
     assert ("Xp", 1) in model.objects and ("Xpp", 1) in model.objects
     assert model.hom(("Xp", 1), ("Xpp", 1)) == 0  # strict p < q required
     assert model.hom(("X", 1, ("int", 1)), ("Xpp", 1)) == 1
@@ -55,7 +54,7 @@ def test_k_model_two_posets():
 
 
 def test_lf_model_dim_two_cells():
-    model = build_model("LF", [interval_poset(0, 2), interval_poset(3, 5)])
+    model = _build_lf([interval_poset(0, 2), interval_poset(3, 5)])
     x_min_i1 = ("X", 1, ("int", 3))
     assert model.objdim[x_min_i1] == 2
     assert all(d == 1 for o, d in model.objdim.items() if o != x_min_i1)
@@ -68,24 +67,15 @@ def test_lf_model_dim_two_cells():
     assert model.hom(("Xp", 0), ("Z",)) == 0
 
 
-def test_bad_arity():
-    with pytest.raises(BadArity):
-        build_model("LF", [interval_poset(0, 1)])
-    with pytest.raises(BadArity):
-        build_model("L1", [interval_poset(0, 1), interval_poset(2, 3)])
-    with pytest.raises(BadArity):
-        build_model("nope", [interval_poset(0, 1)])
-
-
 def test_model_composability():
     # listed hom pairs compose: hom(u,v) and hom(v,w) nonzero forces
     # hom(u,w) nonzero, except through the corrected X_{min I1} -> Z cell
     # (there the measured composites genuinely vanish in the quotient)
     models = [
-        build_model("K", [interval_poset(1, 3), interval_poset(4, 6)]),
-        build_model("L1", [interval_poset(1, 4)]),
-        build_model("LF", [interval_poset(0, 2), interval_poset(3, 4),
-                           interval_poset(5, 6)]),
+        _build_k([interval_poset(1, 3), interval_poset(4, 6)]),
+        _build_l1(interval_poset(1, 4)),
+        _build_lf([interval_poset(0, 2), interval_poset(3, 4),
+                   interval_poset(5, 6)]),
     ]
     def special(u, v):
         # the two lane-changing cells of the L-family: Y -> X_{min I1} and
@@ -129,13 +119,11 @@ def test_lemma_pattern_z_kind_multi_poset():
 
 def test_match_model_detects_truncation_skew():
     c = ctx("fund21")
-    ctxo = LemmaContext(c.modules)
-    model, assign = ctxo.instantiate("x:1:2", "R", 3)
-    R = ctxo.module_R("x:1:2")
+    model, R, assign = lemma(c.modules, "x:1:2", "R", 3)
     measured = measure_pattern(R, assign, c.field)
     # deliberately compare against a model built from a longer truncation:
     # the poset gains elements and the object sets disagree
-    model_long, assign_long = ctxo.instantiate("x:1:2", "R", 5)
+    model_long, _, assign_long = lemma(c.modules, "x:1:2", "R", 5)
     assert len(assign_long) > len(assign)
     report = match_model(measured, model_long,
                          objects=sorted(assign_long, key=repr))
@@ -155,9 +143,8 @@ def test_one_point_extension_dimension_bookkeeping():
 
     for name in ("fund21", "fund32", "s24", "ex14"):
         c = ctx(name)
-        ctxo = LemmaContext(c.modules)
         for v in sorted(admissible_vertices(c.ds), key=str):
-            R = ctxo.module_R(str(v))
+            _, R, _ = lemma(c.modules, str(v), "R", 0)
             extended = extend(c.ds, v)
             q2 = build_quiver(extended)
             a2 = AlgebraBasis(q2, build_relations(extended, q2), c.field)
@@ -194,13 +181,10 @@ def _dict_measure(R, assign, F, quiver):
 
 def _lemmas(c, bound):
     """(R, assign) of every R, X and I lemma of a system."""
-    lc = LemmaContext(c.modules)
-    module = {"R": lc.module_R, "X": lc.module_X, "I": lc.module_I}
     picks = [(v, which) for v in sorted(map(str, admissible_vertices(c.ds)))
              for which in ("R", "X")]
     picks += [(v, "I") for v in i_lemma_vertices(c.quiver)]
-    return [(module[which](v), lc.instantiate(v, which, bound)[1])
-            for v, which in picks]
+    return [lemma(c.modules, v, which, bound)[1:] for v, which in picks]
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -291,10 +275,9 @@ def test_lemma_models_pinned():
     digest, count = hashlib.sha256(), 0
     for name in SYSTEMS:
         c = ctx(name)
-        lemma_ctx = LemmaContext(c.modules)
         for bound in (4, 6, 8):
             for v, which in vsc.lemma_sites(c.quiver):
-                model, _ = lemma_ctx.instantiate(v, which, bound)
+                model, _, _ = lemma(c.modules, v, which, bound)
                 digest.update(repr((
                     model.kind, model.objects,
                     sorted(model.objdim.items(), key=repr),
@@ -303,3 +286,29 @@ def test_lemma_models_pinned():
     assert count == 144
     assert digest.hexdigest() == (
         "619230a4adf1f19ef47c59e3ad84b908e964fa006b79b6ea6b83e129742b3ad8")
+
+
+def test_lemma_modules_pinned():
+    # the designated module R and the objects' modules of every lemma site
+    # of the eight systems at lemma lengths 4, 6 and 8: the spaces, then
+    # each map's arrow, shape and entries, objects in repr order
+    digest, count = hashlib.sha256(), 0
+
+    def add(M):
+        digest.update(repr(M.spaces).encode())
+        for a, m in M.maps.items():
+            digest.update(repr((a, m.shape)).encode())
+            digest.update(m.tobytes())
+
+    for name in SYSTEMS:
+        c = ctx(name)
+        for bound in (4, 6, 8):
+            for v, which in vsc.lemma_sites(c.quiver):
+                _, R, assign = lemma(c.modules, v, which, bound)
+                add(R)
+                for o in sorted(assign, key=repr):
+                    add(assign[o])
+                count += 1
+    assert count == 144
+    assert digest.hexdigest() == (
+        "9541eb4716fbb0b0bb702037151dfa16d9e1a4544e50cc35126a6c9d93bacf7e")
