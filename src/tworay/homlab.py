@@ -44,6 +44,35 @@ lives on r's class, whose largest unknown is r with weight 1, and on the
 classes of smaller roots; every other free root is the root of another
 class.  So the two bases agree column for column.
 
+``hom_spaces`` solves a batch of systems in array passes, ``_CHUNK_UNKNOWNS``
+unknowns at a time, with the unknowns of its systems offset into one index
+space.  The terms (equation, unknown, coefficient) are expanded from the
+nonzero entries of the module buffers and grouped by equation with
+``bincount``.  A one-term row zeroes its unknown, and a two-term row ties
+the smaller unknown to the larger by r = -b/a, the inverse taken as a^(p-2)
+entrywise.  ``_merge`` joins the classes by label propagation with pointer
+jumping: each round hooks every root onto the largest root that a tie joins
+it to, and the jumps multiply the weights mod p, the inverse weights
+alongside, so no inverse is taken in the loop.  Roots only grow, so the
+root of a class is again its largest unknown.  A long row left with one
+root in the roots then zeroes it, and one left with two roots is a tie for
+another pass.  Every tie is then checked against the final weights: a cycle
+that disagrees, a self-tie a x_c + b x_c = 0 with a + b != 0 (on a loop), or
+a zeroed member zeroes the whole class.  The rows of three or more roots go
+through ``rref_sparse``, one call per system, and the kernel is read out as
+above.  The classes, weights and pivots need not be the sweep's, but the
+kernel is the same space, and the vector read out for a free root is again
+1 at its largest nonzero column and 0 at the other free roots; that basis is
+fixed by the kernel alone, so the arrays agree entry for entry.
+
+The sweep stays for small batches.  An array pass costs about 0.5 ms
+whatever its size, against 2 to 6 us per unknown for the sweep (CHANGES.md
+has the crossover), and the systems of ``find_iso``, ``realize_ses``,
+``is_split`` and a lone ``is_indecomposable`` come one at a time.  So
+``hom_spaces`` sweeps a batch of fewer than ``_BATCH_UNKNOWNS`` unknowns.
+``ArVerifier.verify`` solves the End systems of its inventory, and
+``vsc.measure_pattern`` the Hom systems of each lemma site, through it.
+
 Hom(M, N) is kept as that one array.  ``hom_space`` returns it, read-only,
 with its blocks {v: (offset, dim N_v, dim M_v)} over the common support:
 row i holds vec_col(f_v) of basis map i at the offset of v, so the stack of
@@ -334,11 +363,311 @@ def hom_space(M: Representation, N: Representation):
     the common support to (offset, dim N_v, dim M_v), and row i holds
     vec_col(f_v) at that offset.  Off the common support every f_v is 0."""
     _check_pair(M, N)
-    blocks, total = _hom_unknowns(M, N)
+    return _swept(M, N, *_hom_unknowns(M, N))
+
+
+def _swept(M: Representation, N: Representation, blocks, total: int):
+    """``hom_space`` from the blocks and number of unknowns, by the sweep."""
     kernel = (_hom_kernel(M, N, blocks, total) if total
               else np.zeros((0, 0), dtype=np.int64))
     kernel.flags.writeable = False
     return kernel, blocks
+
+
+# Below this many unknowns in all, ``hom_spaces`` sweeps each system: an
+# array pass costs about 0.5 ms whatever its size (see CHANGES.md)
+_BATCH_UNKNOWNS = 512
+# The most unknowns one array pass takes, unless one system has more: it
+# bounds the pass's arrays (at 4096, about 2 MB at their peak)
+_CHUNK_UNKNOWNS = 4096
+
+
+def hom_spaces(pairs):
+    """Yield ``hom_space(M, N)`` for each pair (M, N), in order: the same
+    read-only kernel arrays, in the same canonical basis, and the same
+    blocks.
+
+    A batch of fewer than ``_BATCH_UNKNOWNS`` unknowns in all is swept
+    system by system.  A larger one is split, in order, into chunks of at
+    most ``_CHUNK_UNKNOWNS`` unknowns over one quiver and field, and each
+    chunk is solved in array passes (``_hom_batch``, see the module
+    docstring).  Only one chunk's kernels are held at a time, beyond those
+    the caller keeps."""
+    systems = []
+    for M, N in pairs:
+        _check_pair(M, N)
+        systems.append((M, N, *_hom_unknowns(M, N)))
+    if sum(s[3] for s in systems) < _BATCH_UNKNOWNS:
+        for s in systems:
+            yield _swept(*s)
+        return
+    chunk, size = [], 0
+    for s in systems:
+        M = s[0]
+        if chunk and (size + s[3] > _CHUNK_UNKNOWNS or M.quiver is not
+                      chunk[0][0].quiver or M.field != chunk[0][0].field):
+            yield from _hom_batch(chunk)
+            chunk, size = [], 0
+        chunk.append(s)
+        size += s[3]
+    if chunk:
+        yield from _hom_batch(chunk)
+
+
+def _inverses(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p - 2) mod p entrywise: the inverse of each nonzero entry."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+def _runs(counts: np.ndarray):
+    """For the concatenation of range(n) over n in ``counts``: the run of
+    each position and its index within the run."""
+    run = np.repeat(np.arange(len(counts)), counts)
+    return run, np.arange(len(run)) - (np.cumsum(counts) - counts)[run]
+
+
+def _batch_terms(systems):
+    """The terms (equation, unknown, coefficient, its inverse) of the
+    systems (M, N, blocks, total) of one chunk, with the unknowns of each
+    system offset past those of the systems before it; also the number of
+    equations and each system's number of unknowns.
+
+    Every module's entries are read from its buffer at once: the buffers
+    side by side are one segment per (module, arrow), empty off the module's
+    support arrows.  An entry M_a[r, c] of arrow a: s -> t is the term
+    f_t[i, r] M_a[r, c] of equation (i, c) for every i < dim N_t, and
+    N_a[r, c] gives -N_a[r, c] f_s[c, j] in equation (r, j) for every
+    j < dim M_s.  Equation (i, j) of a is number i + j dim N_t of its arrow.
+    """
+    M0 = systems[0][0]
+    q, p = M0.quiver, M0.field.p
+    vid = {v: i for i, v in enumerate(q.vertices)}
+    src = np.array([vid[q.source[a]] for a in q.arrows], dtype=np.int64)
+    tgt = np.array([vid[q.target[a]] for a in q.arrows], dtype=np.int64)
+    slot, mods = {}, []
+    for M, N, _, _ in systems:
+        for X in (M, N):
+            if id(X) not in slot:
+                slot[id(X)] = len(mods)
+                mods.append(X)
+    dims = np.array([X.dims for X in mods], dtype=np.int64).reshape(
+        len(mods), len(vid))
+    seg = (dims[:, tgt] * dims[:, src]).reshape(-1)
+    ends = np.cumsum(seg)
+    flat = np.concatenate([X.buffer for X in mods])
+    # each nonzero entry: its segment, so its module and arrow, and its row
+    # and column in that arrow's map; the entries come module by module
+    nz = np.flatnonzero(flat)
+    in_seg = np.searchsorted(ends, nz, "right")
+    e_mod, e_arrow = np.divmod(in_seg, len(src))
+    e_row, e_col = np.divmod(nz - (ends - seg)[in_seg],
+                             dims[e_mod, src[e_arrow]])
+    e_val = flat[nz]
+    e_inv = _inverses(e_val, p)
+    e_count = np.bincount(e_mod, minlength=len(mods))
+    e_start = np.cumsum(e_count) - e_count
+    mi = np.array([slot[id(M)] for M, _, _, _ in systems], dtype=np.int64)
+    ni = np.array([slot[id(N)] for _, N, _, _ in systems], dtype=np.int64)
+    dm, dn = dims[mi], dims[ni]
+    prod = dm * dn
+    sizes = prod.sum(axis=1)
+    offsets = (np.cumsum(sizes) - sizes)[:, None] + np.cumsum(prod, 1) - prod
+    eqs = (dn[:, tgt] * dm[:, src]).reshape(-1)
+    eq_base = (np.cumsum(eqs) - eqs).reshape(len(systems), -1)
+    terms = []
+    for from_m, mod in ((True, mi), (False, ni)):
+        k, i = _runs(e_count[mod])
+        e = e_start[mod][k] + i
+        a = e_arrow[e]
+        nt = dn[k, tgt[a]]
+        run, x = _runs(nt if from_m else dm[k, src[a]])
+        k, e, a, nt = k[run], e[run], a[run], nt[run]
+        if from_m:  # x = i, and the entry is M_a[r, c]
+            terms.append((eq_base[k, a] + x + e_col[e] * nt,
+                          offsets[k, tgt[a]] + x + e_row[e] * nt,
+                          e_val[e], e_inv[e]))
+        else:  # x = j, and the entry is N_a[r, c]
+            terms.append((eq_base[k, a] + e_row[e] + x * nt,
+                          offsets[k, src[a]] + e_col[e] + x * dn[k, src[a]],
+                          p - e_val[e], p - e_inv[e]))
+    eq, unk, coef, inv = (np.concatenate(t) for t in zip(*terms))
+    return eq, unk, coef, inv, int(eqs.sum()), sizes
+
+
+def _row_starts(eq: np.ndarray):
+    """The start and the length of each run of equal entries of ``eq``,
+    whose entries are nonnegative."""
+    starts = np.flatnonzero(eq != np.concatenate(([-1], eq[:-1])))
+    return starts, np.diff(np.concatenate((starts, [len(eq)])))
+
+
+def _combine(eq, col, coef, n: int, p: int):
+    """The terms with one (equation, column) summed mod p, zero sums
+    dropped, sorted by equation and then column; columns are below n."""
+    key = eq * n + col
+    order = np.argsort(key)
+    key = key[order]
+    starts, _ = _row_starts(key)
+    total = (np.add.reduceat(coef[order], starts) % p if len(starts)
+             else coef[:0])
+    keep = total != 0
+    eq, col = np.divmod(key[starts[keep]], n)
+    return eq, col, total[keep]
+
+
+def _merge(parent, weight, winv, lo, hi, r, r_inv, p: int):
+    """Join the classes of each tie x_lo = r x_hi, in place.
+
+    Every unknown c points at its root, x_c = weight[c] x_parent[c], and
+    winv[c] is 1 / weight[c].  Each round hooks every root that a tie joins
+    to a larger root onto the largest such root, through one of those ties,
+    and then jumps pointers until every unknown points at its root again.
+    Roots only grow, so the root of a class is its largest unknown.
+    """
+    n = len(parent)
+    while len(lo):
+        rl, rh = parent[lo], parent[hi]
+        live = rl != rh
+        if not live.any():
+            return
+        lo, hi, r, r_inv, rl, rh = (x[live] for x in (lo, hi, r, r_inv,
+                                                      rl, rh))
+        # weight[lo] x_rl = r weight[hi] x_rh
+        up = rl < rh
+        down = r * weight[hi] % p * winv[lo] % p  # x_rl over x_rh
+        back = r_inv * winv[hi] % p * weight[lo] % p  # x_rh over x_rl
+        m = len(lo)
+        pick = np.full(n, -1, dtype=np.int64)  # larger root * m + tie
+        np.maximum.at(pick, np.where(up, rl, rh),
+                      np.where(up, rh, rl) * m + np.arange(m))
+        hooked = np.flatnonzero(pick >= 0)
+        onto, tie = np.divmod(pick[hooked], m)
+        parent[hooked] = onto
+        weight[hooked] = np.where(up, down, back)[tie]
+        winv[hooked] = np.where(up, back, down)[tie]
+        while True:
+            moved = np.flatnonzero(parent[parent] != parent)
+            if not len(moved):
+                break
+            up_ = parent[moved]
+            weight[moved] = weight[moved] * weight[up_] % p
+            winv[moved] = winv[moved] * winv[up_] % p
+            parent[moved] = parent[up_]
+
+
+def _hom_batch(systems) -> list:
+    """``hom_space`` of each system (M, N, blocks, total) of one chunk, in
+    array passes over all of them (see the module docstring)."""
+    F = systems[0][0].field
+    p = F.p
+    eq, unk, coef, inv, n_eq, sizes = _batch_terms(systems)
+    n = int(sizes.sum())
+    count = np.bincount(eq, minlength=n_eq)
+    row_len = count[eq]  # the number of terms of each term's row
+    zero = np.zeros(n, dtype=bool)  # read at roots: the class is 0
+    zero[unk[row_len == 1]] = True
+    # a two-term row's first term by index, and its other one from the sum
+    # of the two indices
+    two = np.flatnonzero(row_len == 2)
+    rows2 = np.flatnonzero(count == 2)
+    first = np.full(n_eq, len(eq), dtype=np.int64)
+    np.minimum.at(first, eq[two], two)
+    t1 = first[rows2]
+    t2 = np.bincount(eq[two], weights=two, minlength=n_eq)[rows2].astype(
+        np.int64) - t1
+    ties = unk[t1], coef[t1], inv[t1], unk[t2], coef[t2], inv[t2]
+    long_rows = eq[row_len >= 3], unk[row_len >= 3], coef[row_len >= 3]
+    parent = np.arange(n)
+    weight = np.ones(n, dtype=np.int64)
+    winv = np.ones(n, dtype=np.int64)
+    checks = []
+    while True:
+        c, a, a_inv, d, b, b_inv = ties
+        loop = c == d  # a x_c + b x_c = 0, on a loop arrow
+        zero[c[loop & ((a + b) % p != 0)]] = True
+        c, a, a_inv, d, b, b_inv = (x[~loop] for x in ties)
+        swap = c > d
+        lo, hi = np.where(swap, d, c), np.where(swap, c, d)
+        r = (p - np.where(swap, a, b)) * np.where(swap, b_inv, a_inv) % p
+        r_inv = (p - np.where(swap, b, a)) * np.where(swap, a_inv, b_inv) % p
+        checks.append((lo, hi, r))  # x_lo = r x_hi
+        _merge(parent, weight, winv, lo, hi, r, r_inv, p)
+        if not len(long_rows[0]):
+            break
+        # a long row left with one root in the roots forces it to 0, one
+        # with two is a tie for the next pass
+        leq, col, co = long_rows
+        leq, col, co = _combine(leq, parent[col], co * weight[col] % p, n, p)
+        starts, length = _row_starts(leq)
+        row_len = np.repeat(length, length)
+        zero[col[row_len == 1]] = True
+        long_rows = leq[row_len >= 3], col[row_len >= 3], co[row_len >= 3]
+        s2 = starts[length == 2]
+        if not len(s2):
+            break
+        a, b = co[s2], co[s2 + 1]
+        ties = col[s2], a, _inverses(a, p), col[s2 + 1], b, _inverses(b, p)
+    lo, hi, r = (np.concatenate(x) for x in zip(*checks))
+    zero[lo[weight[lo] != r * weight[hi] % p]] = True  # a cycle disagrees
+    zero_root = np.zeros(n, dtype=bool)
+    zero_root[parent[zero]] = True
+    weight[zero_root[parent]] = 0
+    system = np.repeat(np.arange(len(systems)), sizes)
+    # the rows of three or more roots, per system, through rref_sparse
+    by_system = {}
+    leq, col, co = long_rows
+    live = weight[col] != 0
+    leq, col, co = _combine(leq[live], parent[col[live]],
+                            co[live] * weight[col[live]] % p, n, p)
+    starts, length = _row_starts(leq)
+    cols, vals = col.tolist(), co.tolist()
+    for s, e, k in zip(starts.tolist(), (starts + length).tolist(),
+                       system[col[starts]].tolist()):
+        by_system.setdefault(k, []).append(dict(zip(cols[s:e], vals[s:e])))
+    pivot = np.zeros(n, dtype=bool)
+    spread = []  # (pivot root, free root, minus its entry in the row)
+    for rows in by_system.values():
+        for pc, row in F.rref_sparse(rows).items():
+            pivot[pc] = True
+            spread += [(pc, f, p - x) for f, x in row.items() if f != pc]
+    # the kernel: one row per free root f, weight[c] at the members c of f
+    # and -row[f] weight[c] at the members of each pivot root whose row has
+    # f; system i's k_i x total_i array is one slice of ``out``
+    free = np.flatnonzero((parent == np.arange(n)) & ~zero_root & ~pivot)
+    bases = np.cumsum(sizes) - sizes
+    first_free = np.searchsorted(free, bases)
+    k = np.searchsorted(free, bases + sizes) - first_free
+    row_of = np.full(n, -1, dtype=np.int64)
+    row_of[free] = np.arange(len(free)) - first_free[system[free]]
+    at = np.cumsum(k * sizes) - k * sizes
+    out = np.zeros(int((k * sizes).sum()), dtype=np.int64)
+
+    def place(c, rows, values):
+        i = system[c]
+        out[at[i] + rows * sizes[i] + c - bases[i]] = values
+
+    c = np.flatnonzero(weight)
+    c = c[row_of[parent[c]] >= 0]
+    place(c, row_of[parent[c]], weight[c])
+    if spread:
+        pc, f, x = np.array(spread, dtype=np.int64).T
+        c = np.flatnonzero(weight * pivot[parent])
+        c = c[np.argsort(parent[c], kind="stable")]
+        lo = np.searchsorted(parent[c], pc)
+        run, i = _runs(np.searchsorted(parent[c], pc, "right") - lo)
+        c = c[lo[run] + i]
+        place(c, row_of[f[run]], x[run] * weight[c] % p)
+    out.flags.writeable = False
+    return [(out[s: s + k_ * total].reshape(k_, total), blocks)
+            for (_, _, blocks, total), s, k_ in zip(systems, at.tolist(),
+                                                     k.tolist())]
 
 
 def transposed_blocks(kernel, block) -> np.ndarray:
@@ -679,12 +1008,14 @@ def _fitting_witness(F, shifts) -> np.ndarray:
 def is_indecomposable(M: Representation) -> IndecVerdict:
     """Certify End(M) = k . id + nilpotents, or exhibit an idempotent.
 
-    End(M) is read as the kernel array of ``hom_space(M, M)``.  The verdict
-    is left on the module as ``M.indec`` and dim End(M) as ``M.end_dim``,
-    for ``find_iso``, and a later call returns the recorded verdict.  dim
-    End(M) = 1 is LOCAL, and when p > dim M the trace form decides LOCAL
-    (Dickson, see the module docstring); only a module these leave open is
-    unpacked into maps for ``_certify``.
+    End(M) is read as the kernel array of ``hom_space(M, M)``, and
+    ``_end_verdict`` decides from it; ``ArVerifier.verify`` feeds the same
+    step from one ``hom_spaces`` batch.  The verdict is left on the module as
+    ``M.indec`` and dim End(M) as ``M.end_dim``, for ``find_iso``, and a
+    later call returns the recorded verdict.  dim End(M) = 1 is LOCAL, and
+    when p > dim M the trace form decides LOCAL (Dickson, see the module
+    docstring); only a module these leave open is unpacked into maps for
+    ``_certify``.
 
     DECOMPOSABLE carries a nontrivial idempotent endomorphism.
     FIELD_OBSTRUCTION carries an element f and the monic irreducible g of
@@ -696,7 +1027,13 @@ def is_indecomposable(M: Representation) -> IndecVerdict:
         raise ValueError("the zero module is neither")
     if M.indec is not None:
         return M.indec
-    kernel, blocks = hom_space(M, M)
+    return _end_verdict(M, *hom_space(M, M))
+
+
+def _end_verdict(M: Representation, kernel, blocks) -> IndecVerdict:
+    """The verdict of ``is_indecomposable`` from End(M), given as the kernel
+    array and blocks of ``hom_space(M, M)``; recorded on M as ``M.indec``,
+    with dim End(M) as ``M.end_dim``."""
     if len(kernel) == 1 or (M.field.p > M.total_dim
                             and _trace_form_rank(M, kernel, blocks) == 1):
         verdict = IndecVerdict(IndecVerdict.LOCAL)
@@ -1529,9 +1866,10 @@ class ArVerifier:
 
         The inventory stays on ``self.inventory``; its representations seed
         the atom cache, so a row end that is an entry is the entry's module.
-        Every entry is certified first, so ``_projective_keys`` and each
-        row read the verdicts recorded on the modules.  A negative
-        ``bound`` or ``lemma_len`` raises ValueError.
+        Every entry is certified first, its End(M) solved in one
+        ``hom_spaces`` call, so ``_projective_keys`` and each row read the
+        verdicts recorded on the modules.  A negative ``bound`` or
+        ``lemma_len`` raises ValueError.
         """
         if bound < 0 or (lemma_len or 0) < 0:
             raise ValueError(f"bound and lemma length must be nonnegative, "
@@ -1540,8 +1878,12 @@ class ArVerifier:
         for entry in inventory:
             self._rep_cache.setdefault(entry.key, entry.rep)
         self.inventory = inventory
-        verdicts = [(e.key, self.atom_indec(e.key).status) for e in inventory]
-        not_local = [(k, s) for k, s in verdicts if s != IndecVerdict.LOCAL]
+        reps = [(e.key, self.atom_rep(e.key)) for e in inventory]
+        todo = [M for _, M in reps if M.indec is None]
+        for M, space in zip(todo, hom_spaces((M, M) for M in todo)):
+            _end_verdict(M, *space)
+        not_local = [(k, M.indec.status) for k, M in reps
+                     if M.indec != IndecVerdict.LOCAL]
         rows = self.rows(bound)
         projectives = self._projective_keys()
         checked = [self._check_row(r) for r in rows if r["middle_dim"] <= bound]

@@ -54,14 +54,15 @@ class Representation:
     ``zero_size_block``, and a path through a vertex outside the support
     acts as 0, so loops over a module visit only its support.
 
-    The support-arrow maps are views into one int64 buffer per module, laid
-    out in ``support_arrows`` order, each map row by row.  The buffer is
-    packed from a copy of the input, reduced mod p and made read-only once;
-    nothing else holds it, so a caller's later writes to its own matrices
-    do not reach it, and its views cannot be written.  So what is certified
-    about the module can be recorded on it without going stale: ``indec``,
-    the ``homlab.IndecVerdict`` that ``homlab.is_indecomposable`` reaches
-    from a solved End(M), and with it ``end_dim``, dim End(M); and
+    The support-arrow maps are views into one int64 buffer per module,
+    ``buffer``, laid out in ``support_arrows`` order, each map row by row;
+    ``homlab.hom_spaces`` reads the entries of many modules from it at once.
+    The buffer is packed from a copy of the input, reduced mod p and made
+    read-only once, so a caller's later writes to its own matrices do not
+    reach it, and neither it nor its views can be written.  So what is
+    certified about the module can be recorded on it without going stale:
+    ``indec``, the ``homlab.IndecVerdict`` that ``homlab.is_indecomposable``
+    reaches from a solved End(M), and with it ``end_dim``, dim End(M); and
     ``arrow_ranks``, the ranks of the support-arrow maps in that order, set
     by ``homlab.find_iso`` when it first compares them.  All start as None.
 
@@ -73,7 +74,8 @@ class Representation:
     """
 
     __slots__ = ("quiver", "field", "spaces", "dims", "support",
-                 "support_arrows", "maps", "indec", "end_dim", "arrow_ranks")
+                 "support_arrows", "maps", "buffer", "indec", "end_dim",
+                 "arrow_ranks")
 
     def __init__(self, quiver: Quiver, field, spaces, maps):
         self._pack(quiver, field, spaces, maps, _dense_buffer)
@@ -111,6 +113,7 @@ class Representation:
                 self.maps[a] = zero_size_block(rows, cols)
         buf = buffer(given, shape, layout, total) % field.p
         buf.flags.writeable = False
+        self.buffer = buf
         for a, (start, rows, cols) in layout.items():
             self.maps[a] = buf[start: start + rows * cols].reshape(rows, cols)
         self.support_arrows = tuple(layout)

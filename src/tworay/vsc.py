@@ -13,7 +13,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .defining_system import admissible_vertices
-from .homlab import ConsistencyError, hom_space, transposed_blocks
+from .homlab import ConsistencyError, hom_spaces, transposed_blocks
 
 
 @dataclass(frozen=True)
@@ -260,6 +260,21 @@ def _slot(spaces, M):
     return slot
 
 
+def _solved(pairs, slots) -> list:
+    """hom_space(M, N) for each pair, from the memo rows of ``slots`` (id of
+    a module -> its ``_slot``); the content pairs not in the memo yet are
+    solved in one ``hom_spaces`` call, each once."""
+    todo = {}  # (content id of M, content id of N) -> (M, N)
+    for M, N in pairs:
+        i, row = slots[id(M)]
+        j = slots[id(N)][0]
+        if j not in row:
+            todo.setdefault((i, j), (M, N))
+    for (M, N), space in zip(todo.values(), hom_spaces(todo.values())):
+        slots[id(M)][1][slots[id(N)][0]] = space
+    return [slots[id(M)][1][slots[id(N)][0]] for M, N in pairs]
+
+
 def measure_pattern(R, assign, field, spaces=None):
     """Measured objdim and homdim matrices through the functor Hom(R, -).
 
@@ -270,39 +285,34 @@ def measure_pattern(R, assign, field, spaces=None):
     unknown layout of Hom(R, v), and written in its basis by one solve
     against that kernel array, all of them as its columns.
 
-    Each Hom system is solved once per content pair in ``spaces`` (see
-    ``_slot``).  ``ArVerifier.verify`` shares one such dict among all of
-    its lemma checks, and drops it when it returns: the lemma objects of
-    one vertex, and of the R and X lemmas at a vertex, repeat.  A memo for
-    the whole run would hold every Hom system to its end: one kept for
-    every ``hom_basis`` call measured +2.7 MB ``peak_rss_mb`` on the
+    The Hom systems are solved in two batches, Hom(R, o) for every object o
+    and then Hom(u, v) for every pair with Hom(R, u) and Hom(R, v) nonzero,
+    each content pair once in ``spaces`` (see ``_slot``).
+    ``ArVerifier.verify`` shares one such dict among all of its lemma
+    checks, and drops it when it returns: the lemma objects of one vertex,
+    and of the R and X lemmas at a vertex, repeat.  A memo for the whole run
+    would hold every Hom system to its end: one kept for every
+    ``hom_basis`` call measured +2.7 MB ``peak_rss_mb`` on the
     ``ex14-rows`` benchmark, +5.1 MB on ``tsys-deep`` and +11.2 MB (+25%)
     on ``ex14-certify``.
     """
     objects = sorted(assign, key=repr)
     spaces = {} if spaces is None else spaces
-    slots = {o: _slot(spaces, assign[o]) for o in objects}
-
-    def space(M, m_slot, N, n_slot):
-        row, j = m_slot[1], n_slot[0]
-        if j not in row:
-            row[j] = hom_space(M, N)
-        return row[j]
-
-    r_slot = _slot(spaces, R)
-    from_r = {o: space(R, r_slot, assign[o], slots[o]) for o in objects}
+    slots = {id(M): _slot(spaces, M) for M in (R, *assign.values())}
+    from_r = dict(zip(objects, _solved([(R, assign[o]) for o in objects],
+                                       slots)))
     objdim = {o: len(from_r[o][0]) for o in objects}
     homdim = {(u, v): 0 for u in objects for v in objects}
-    for v in objects:
+    reached = [o for o in objects if objdim[o]]
+    pairs = [(u, v) for v in reached for u in reached]
+    hom = dict(zip(pairs, _solved([(assign[u], assign[v]) for u, v in pairs],
+                                  slots)))
+    for v in reached:
         kv, bv = from_r[v]
-        if not len(kv):
-            continue
         blocks, composites = [], []  # (u, len Hom(u, v)), composite arrays
-        for u in objects:
+        for u in reached:
             ku, bu = from_r[u]
-            if not len(ku):
-                continue
-            kf, bf = space(assign[u], slots[u], assign[v], slots[v])
+            kf, bf = hom[u, v]
             if not len(kf):
                 continue
             comp = np.zeros((len(kf), len(ku), kv.shape[1]), dtype=np.int64)

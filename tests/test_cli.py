@@ -253,6 +253,15 @@ def test_verify_tsys_report_pinned(sysfile):
         "9eed66b9a2427d36fa7da4decfabfbea54bd31f756c86702df8af181641df1d2")
 
 
+def test_verify_tsys_deep_report_pinned(sysfile):
+    # the tsys-deep benchmark run: its 632 End systems are solved in the
+    # array passes of hom_spaces
+    code, out = run(["verify", sysfile("tsys"), "--max-dim", "20"])
+    assert code == 0
+    assert _sha256(out) == (
+        "6f97e72da28c8fa08b34d98eefebdcdd4d85ad1b4a09041282ab8abc6adee95f")
+
+
 def test_verify_fund32_report_pinned(sysfile):
     # R and X at x-vertices: the single-L model of the R lemma
     code, out = run(["verify", sysfile("fund32"), "--max-dim", "8"])

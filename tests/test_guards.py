@@ -46,7 +46,7 @@ def _guard_failures():
     c = Ctx(SYSTEMS["fund21"])
     simple = lambda: c.modules.construct_M(c.calc.trivial("x:1:0"))
     R, a, b = simple(), simple(), simple()
-    hom_space, top_generators = vsc.hom_space, homlab.top_generators
+    hom_spaces, top_generators = vsc.hom_spaces, homlab.top_generators
     null_space, solve = PrimeField.null_space, PrimeField.solve
     null_space_from_rref = PrimeField.null_space_from_rref
     charpoly = PrimeField.charpoly
@@ -54,21 +54,22 @@ def _guard_failures():
     string = c.modules.construct_M(c.calc.word(("alpha:1:1",)))
     source_simple = c.modules.construct_M(c.calc.trivial("x:1:1"))
 
-    def zero_r_to_a(X, Y):
+    def zero_r_to_a(pairs):
         # measure_pattern solves each Hom system once per content pair, so
         # the maps R -> ss -> a must leave Hom(R, a): R = a = b in content
-        kernel, blocks = hom_space(X, Y)
-        return (0 * kernel if X is R and Y is a else kernel), blocks
+        pairs = list(pairs)
+        for (X, Y), (kernel, blocks) in zip(pairs, hom_spaces(pairs)):
+            yield (0 * kernel if X is R and Y is a else kernel), blocks
 
     ss = a.direct_sum(b)
     first = {v: ss.field.zeros(ss.dim(v), ss.dim(v)) for v in ss.spaces}
     first["x:1:0"][0, 0] = 1  # the projection onto the first summand
     out = []
     try:
-        vsc.hom_space = zero_r_to_a
+        vsc.hom_spaces = zero_r_to_a
         out.append(_raised(lambda: vsc.measure_pattern(
             R, {"a": a, "ss": ss}, c.field)))
-        vsc.hom_space = hom_space
+        vsc.hom_spaces = hom_spaces
         homlab.top_generators = lambda M: {
             v: g[:1] for v, g in top_generators(M).items()}
         out.append(_raised(lambda: homlab.projective_cover(ss, c.algebra)))
@@ -125,7 +126,7 @@ def _guard_failures():
         q.is_path = lambda path: False
         out.append(_raised(lambda: build_relations(t.ds, q)))
     finally:
-        vsc.hom_space, homlab.top_generators = hom_space, top_generators
+        vsc.hom_spaces, homlab.top_generators = hom_spaces, top_generators
         PrimeField.null_space, PrimeField.solve = null_space, solve
         PrimeField.charpoly = charpoly
         homlab._invertible_everywhere = invertible_everywhere

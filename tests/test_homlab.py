@@ -14,9 +14,11 @@ from tworay import homlab
 from tworay.field import PrimeField
 from tworay.homlab import (ArVerifier, IndecVerdict, NotRealizable,
                            ProjectiveSummand, SesCandidate, _quotients,
-                           compose_maps, find_iso, is_intertwiner,
-                           is_nilpotent, is_projective, total_matrix)
+                           compose_maps, find_iso, hom_space, hom_spaces,
+                           is_intertwiner, is_nilpotent, is_projective,
+                           total_matrix)
 from tworay.string_modules import Representation, zero_representation
+from tworay.vsc import lemma, lemma_sites
 
 from conftest import SYSTEMS, Ctx, ctx
 
@@ -312,13 +314,20 @@ def test_verify_lists_failures_in_stage_order(fund21, monkeypatch):
         return [mutated]
 
     ver.rows = planted_rows
-    check_relations, is_indec = homlab.check_relations, homlab.is_indecomposable
+    check_relations, end_verdict = homlab.check_relations, homlab._end_verdict
     monkeypatch.setattr(homlab, "check_relations", lambda rep, relations: (
         ["planted"] if rep is ver.inventory[3].rep
         else check_relations(rep, relations)))
-    monkeypatch.setattr(homlab, "is_indecomposable", lambda M: (
-        IndecVerdict(IndecVerdict.DECOMPOSABLE) if M is ver.inventory[7].rep
-        else is_indec(M)))
+
+    def planted_verdict(M, kernel, blocks):
+        # the verdict step that verify's batched End solve feeds
+        if M is not ver.inventory[7].rep:
+            return end_verdict(M, kernel, blocks)
+        M.end_dim, M.indec = len(kernel), IndecVerdict(
+            IndecVerdict.DECOMPOSABLE)
+        return M.indec
+
+    monkeypatch.setattr(homlab, "_end_verdict", planted_verdict)
     match_model = vsc.match_model
     calls = []
 
@@ -725,34 +734,156 @@ def _loop_case(p, x_dims, x_maps, z_dims, z_maps, d_maps=None):
     return X, Z, _extension(X, Z, d_maps or {})
 
 
+_LOOP_CASES = [
+    # f_v = 2 f_u on a and f_v = w f_u on b: the tie cycle agrees iff w = 2
+    _loop_case(32003, (1, 1, 0), {"a": [[1]], "b": [[1]]},
+               (1, 1, 0), {"a": [[2]], "b": [[2]]}),
+    _loop_case(32003, (1, 1, 0), {"a": [[1]], "b": [[1]]},
+               (1, 1, 0), {"a": [[2]], "b": [[3]]}),
+    _loop_case(5, (1, 1, 0), {"a": [[1]], "b": [[3]]},
+               (1, 1, 0), {"a": [[2]], "b": [[1]]}),  # 6 = 1 mod 5
+    # on the loop f_v l_X = l_Z f_v merges into (l_X - l_Z) f_v = 0
+    _loop_case(3, (0, 1, 0), {"l": [[2]]}, (0, 1, 0), {"l": [[2]]}),
+    _loop_case(3, (0, 1, 0), {"l": [[2]]}, (0, 1, 0), {"l": [[1]]}),
+    # a 0 forced through a tie, and a row of three terms on top
+    _loop_case(2, (1, 2, 1), {"a": [[1], [1]], "c": [[1, 1]]},
+               (1, 1, 1), {"a": [[1]], "c": [[0]]}),
+    # 0 -> S_v -> P -> S_u -> 0 does not split
+    _loop_case(3, (0, 1, 0), {}, (1, 0, 0), {}, {"a": [[1]]}),
+]
+
+
+def _loop_examples(test):
+    for case in reversed(_LOOP_CASES):
+        test = example(case)(test)
+    return test
+
+
+def _loop_pairs(case):
+    X, Z, E = case
+    return [(X, Z), (Z, X), (X, E), (E, X)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_loop_extensions())
-# f_v = 2 f_u on a and f_v = w f_u on b: the tie cycle agrees iff w = 2
-@example(_loop_case(32003, (1, 1, 0), {"a": [[1]], "b": [[1]]},
-                    (1, 1, 0), {"a": [[2]], "b": [[2]]}))
-@example(_loop_case(32003, (1, 1, 0), {"a": [[1]], "b": [[1]]},
-                    (1, 1, 0), {"a": [[2]], "b": [[3]]}))
-@example(_loop_case(5, (1, 1, 0), {"a": [[1]], "b": [[3]]},
-                    (1, 1, 0), {"a": [[2]], "b": [[1]]}))  # 6 = 1 mod 5
-# on the loop f_v l_X = l_Z f_v merges into (l_X - l_Z) f_v = 0
-@example(_loop_case(3, (0, 1, 0), {"l": [[2]]}, (0, 1, 0), {"l": [[2]]}))
-@example(_loop_case(3, (0, 1, 0), {"l": [[2]]}, (0, 1, 0), {"l": [[1]]}))
-# a 0 forced through a tie, and a row of three terms on top
-@example(_loop_case(2, (1, 2, 1), {"a": [[1], [1]], "c": [[1, 1]]},
-                    (1, 1, 1), {"a": [[1]], "c": [[0]]}))
-# 0 -> S_v -> P -> S_u -> 0 does not split
-@example(_loop_case(3, (0, 1, 0), {}, (1, 0, 0), {}, {"a": [[1]]}))
+@_loop_examples
 def test_hom_sweep_matches_dense(case):
     """``hom_basis`` substitutes one- and two-term equations as it sweeps
     them; its basis is the dense reference kernel.  ``is_split`` on the
     inclusion of X in the extension E agrees with the dense solve."""
     X, Z, E = case
-    for M, N in ((X, Z), (Z, X), (X, E), (E, X)):
+    for M, N in _loop_pairs(case):
         _assert_same_basis(M, N)
     cand = SesCandidate(X, [E], Z)
     cand.f = {v: np.eye(e, x, dtype=np.int64)
               for v, x, e in zip(_LOOP_QUIVER.vertices, X.dims, E.dims)}
     assert is_split(cand) == _dense_is_split(cand)
+
+
+@contextlib.contextmanager
+def _array_passes(chunk):
+    """``hom_spaces`` forced through its array passes, in chunks of at most
+    ``chunk`` unknowns (a larger system still makes a chunk of its own)."""
+    saved = homlab._BATCH_UNKNOWNS, homlab._CHUNK_UNKNOWNS
+    homlab._BATCH_UNKNOWNS, homlab._CHUNK_UNKNOWNS = 0, chunk
+    try:
+        yield
+    finally:
+        homlab._BATCH_UNKNOWNS, homlab._CHUNK_UNKNOWNS = saved
+
+
+def _assert_hom_spaces_match(pairs, chunks=(1, 50, 4096)):
+    """``hom_spaces`` equals ``hom_space`` array for array, by the sweep and
+    by array passes over chunks of each size in ``chunks``."""
+    want = [hom_space(M, N) for M, N in pairs]
+    runs = [list(hom_spaces(pairs))]
+    for chunk in chunks:
+        with _array_passes(chunk):
+            runs.append(list(hom_spaces(pairs)))
+    for got in runs:
+        assert len(got) == len(want)
+        for (kernel, blocks), (w_kernel, w_blocks) in zip(got, want):
+            assert blocks == w_blocks
+            assert kernel.dtype == w_kernel.dtype
+            assert kernel.shape == w_kernel.shape
+            assert np.array_equal(kernel, w_kernel)
+            assert not kernel.flags.writeable
+
+
+def test_hom_spaces_matches_on_loop_cases():
+    # every example of test_hom_sweep_matches_dense in one batch, over the
+    # fields 32003, 5, 3 and 2 in turn
+    _assert_hom_spaces_match([pair for case in _LOOP_CASES
+                              for pair in _loop_pairs(case)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_loop_extensions(), min_size=1, max_size=6))
+def test_hom_spaces_matches_on_loop_systems(cases):
+    _assert_hom_spaces_match([pair for case in cases
+                              for pair in _loop_pairs(case)], chunks=(1, 20))
+
+
+@pytest.mark.parametrize("p", [32003, 2, 3, 5])
+def test_hom_spaces_matches_on_inventories_and_lemmas(p):
+    """The End pair of every inventory entry of the eight systems at bound
+    10, and every pair a lemma site compares at length 6, in one batch."""
+    pairs = []
+    for name in sorted(SYSTEMS):
+        c = ctx(name) if p == 32003 else Ctx(SYSTEMS[name], PrimeField(p))
+        pairs += [(e.rep, e.rep) for e in c.modules.theorem_inventory(10)]
+        for v, which in lemma_sites(c.quiver):
+            _, R, assign = lemma(c.modules, v, which, 6)
+            objects = [assign[o] for o in sorted(assign, key=repr)]
+            pairs += [(R, o) for o in objects]
+            pairs += [(u, o) for u in objects for o in objects]
+    assert len(pairs) > 2000
+    _assert_hom_spaces_match(pairs, chunks=(50, 4096))
+
+
+def test_hom_spaces_threshold_keeps_single_pairs_on_the_sweep(ex14,
+                                                              monkeypatch):
+    # a batch below the threshold never reaches the array passes
+    monkeypatch.setattr(homlab, "_hom_batch",
+                        lambda systems: pytest.fail("array pass"))
+    M = ex14.modules.theorem_inventory(8)[-1].rep
+    assert homlab._hom_unknowns(M, M)[1] < homlab._BATCH_UNKNOWNS
+    (kernel, blocks), = hom_spaces([(M, M)])
+    want = hom_space(M, M)
+    assert blocks == want[1] and np.array_equal(kernel, want[0])
+
+
+def test_euler_form_on_hereditary_systems():
+    """dim Hom(X, Y) - dim Hom(Y, tau X) = <dim X, dim Y> for every ordered
+    pair of inventory entries of the hereditary systems at bound 10 (the
+    Auslander-Reiten formula, Ext^1(X, Y) = D Hom(Y, tau X); Assem-Simson-
+    Skowronski, Elements Vol. 1, Ch. III-IV), all Hom systems in one batch
+    per system.  tau X = 0 for a projective X."""
+    checked = 0
+    for name in ("fund21", "fund32", "fund22"):
+        c = ctx(name)
+        assert not c.relations
+        q = c.quiver
+        reps = [e.rep for e in c.modules.theorem_inventory(10)]
+        taus = [None if is_projective(X, c.algebra) else
+                ar_translate(X, c.algebra) for X in reps]
+        dims = np.array([X.dims for X in reps])
+        index = {v: i for i, v in enumerate(q.vertices)}
+        src = [index[q.source[a]] for a in q.arrows]
+        tgt = [index[q.target[a]] for a in q.arrows]
+        euler = dims @ dims.T - dims[:, src] @ dims[:, tgt].T
+        pairs = [(X, Y) for X in reps for Y in reps]
+        pairs += [(Y, tau) for tau in taus if tau is not None for Y in reps]
+        dims_hom = iter([len(kernel) for kernel, _ in hom_spaces(pairs)])
+        hom = np.array([next(dims_hom) for _ in range(len(reps) ** 2)])
+        ext = np.zeros((len(reps), len(reps)), dtype=np.int64)
+        for i, tau in enumerate(taus):
+            if tau is not None:
+                ext[i] = [next(dims_hom) for _ in reps]
+        assert next(dims_hom, None) is None
+        assert np.array_equal(hom.reshape(ext.shape) - ext, euler), name
+        checked += len(reps) ** 2
+    assert checked == 12716
 
 
 @settings(max_examples=100, deadline=None)

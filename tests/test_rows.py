@@ -14,6 +14,7 @@ from tworay import (EMPTY, AlgebraBasis, StringModules, WordCalculus,
                     build_quiver, build_relations)
 from tworay.defining_system import (DefiningSystemError, admissible_vertices,
                                     extend, validate)
+from tworay.field import PrimeField
 from tworay.homlab import ArVerifier
 
 from conftest import SYSTEMS, Ctx, ctx
@@ -210,12 +211,13 @@ def test_census_rows_have_one_atom_at_each_end():
     assert total == 36470
 
 
-def _census_verify(quivers, bound):
-    """verify(bound) on each system, which must come back green; returns the
-    rows checked and the entries covered, summed."""
+def _census_verify(quivers, bound, field=None):
+    """verify(bound) on each system, over GF(32003) or ``field``, which must
+    come back green; returns the rows checked and the entries covered,
+    summed."""
     checked = covered = 0
     for quiver in quivers:
-        modules = StringModules(WordCalculus(quiver))
+        modules = StringModules(WordCalculus(quiver), field)
         algebra = AlgebraBasis(quiver, build_relations(quiver.ds, quiver),
                                modules.field)
         report = ArVerifier(modules, algebra).verify(bound)
@@ -239,6 +241,17 @@ def test_census_verify_green_at_ten():
     quivers = _census()
     assert len(quivers) == 229
     assert _census_verify(quivers, 10) == (8429, 27258)
+
+
+@pytest.mark.census
+@pytest.mark.parametrize("p, counts", [(2, (1233, 3966)), (3, (1257, 4070))])
+def test_census_verify_green_small_fields(p, counts):
+    # verify(8) on the census systems with at most 7 vertices over GF(2) and
+    # GF(3), default band sample: the inverses mod 2 and 3 of the batched
+    # End solves, and the charpoly route of LOCAL certification
+    quivers = [qv for qv in _census() if len(qv.vertices) <= 7]
+    assert len(quivers) == 68
+    assert _census_verify(quivers, 8, PrimeField(p)) == counts
 
 
 def test_row_end_of_two_atoms_is_an_anomaly(tsys, monkeypatch):

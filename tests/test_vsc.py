@@ -194,9 +194,14 @@ def test_measure_pattern_matches_dict_reference(name, monkeypatch):
     c = ctx(name)
     lemmas = _lemmas(c, 4)
     solves = []
-    hom_space = vsc.hom_space
-    monkeypatch.setattr(vsc, "hom_space",
-                        lambda M, N: solves.append(1) or hom_space(M, N))
+    hom_spaces = vsc.hom_spaces
+
+    def counted(pairs):
+        for space in hom_spaces(pairs):
+            solves.append(1)
+            yield space
+
+    monkeypatch.setattr(vsc, "hom_spaces", counted)
     fresh = [measure_pattern(R, assign, c.field) for R, assign in lemmas]
     fresh_solves = len(solves)
     spaces = {}
