@@ -44,26 +44,28 @@ lives on r's class, whose largest unknown is r with weight 1, and on the
 classes of smaller roots; every other free root is the root of another
 class.  So the two bases agree column for column.
 
-``hom_spaces`` solves a batch of systems in array passes, ``_CHUNK_UNKNOWNS``
-unknowns at a time, with the unknowns of its systems offset into one index
-space.  The terms (equation, unknown, coefficient) are expanded from the
-nonzero entries of the module buffers and grouped by equation with
-``bincount``.  A one-term row zeroes its unknown, and a two-term row ties
-the smaller unknown to the larger by r = -b/a, the inverse taken as a^(p-2)
-entrywise.  ``_merge`` joins the classes by label propagation with pointer
-jumping: each round hooks every root onto the largest root that a tie joins
-it to, and the jumps multiply the weights mod p, the inverse weights
-alongside, so no inverse is taken in the loop.  Roots only grow, so the
-root of a class is again its largest unknown.  A long row left with one
-root in the roots then zeroes it, and one left with two roots is a tie for
-another pass.  Every tie is then checked against the final weights: a cycle
+``hom_spaces`` solves a batch of systems in chunks of at most
+``_CHUNK_UNKNOWNS`` unknowns, each in one array pass, with the unknowns of
+its systems offset into one index space.  The terms (equation, unknown,
+coefficient) are expanded from the nonzero entries of the module buffers
+and grouped by equation with ``bincount``.  A one-term row zeroes its
+unknown, and a two-term row ties the smaller unknown to the larger by
+r = -b/a, the inverse taken as a^(p-2) entrywise.  ``_merge`` joins the
+classes by label propagation with pointer jumping: each round hooks every
+root onto the largest root that a tie joins it to, and the jumps multiply
+the weights mod p, the inverse weights alongside, so no inverse is taken in
+the loop.  Roots only grow, so the root of a class is again its largest
+unknown.  Every tie is then checked against the final weights: a cycle
 that disagrees, a self-tie a x_c + b x_c = 0 with a + b != 0 (on a loop), or
-a zeroed member zeroes the whole class.  The rows of three or more roots go
-through ``rref_sparse``, one call per system, and the kernel is read out as
-above.  The classes, weights and pivots need not be the sweep's, but the
-kernel is the same space, and the vector read out for a free root is again
-1 at its largest nonzero column and 0 at the other free roots; that basis is
-fixed by the kernel alone, so the arrays agree entry for entry.
+a zeroed member zeroes the whole class.  The rows of three or more terms,
+rewritten in the roots, go through one ``rref_sparse`` call for the whole
+chunk, also those that fall to one or two roots: their unknowns are offset
+apart and no row mixes two systems, so, as in ``_reduce_blocks``, each
+system gets its own RREF.  The kernel is read out as above.  The classes,
+weights and pivots need not be the sweep's, but the kernel is the same
+space, and the vector read out for a free root is again 1 at its largest
+nonzero column and 0 at the other free roots; that basis is fixed by the
+kernel alone, so the arrays agree entry for entry.
 
 The sweep stays for small batches.  An array pass costs about 0.5 ms
 whatever its size, against 2 to 6 us per unknown for the sweep (CHANGES.md
@@ -231,11 +233,11 @@ def _hom_arrows(M: Representation, N: Representation):
                 yield a
 
 
-def _hom_kernel(M: Representation, N: Representation, blocks,
-                total: int) -> np.ndarray:
-    """The reduced kernel basis of the equations f_t M_a - N_a f_s = 0, as
-    the rows of one k x ``total`` array, by the sweep and substitution of
-    the module docstring.
+def _hom_kernel(M: Representation, N: Representation, blocks, total: int):
+    """``hom_space(M, N)`` from its blocks and number of unknowns, by the
+    sweep and substitution of the module docstring: the reduced kernel basis
+    of the equations f_t M_a - N_a f_s = 0, as the rows of one read-only
+    k x ``total`` array, and the blocks.
 
     Entry (i, j) of arrow a reads sum_k f_t[i, k] M_a[k, j] -
     sum_l N_a[i, l] f_s[l, j]; f_v[i, k] is unknown offset_v + i + k dim N_v.
@@ -342,7 +344,9 @@ def _hom_kernel(M: Representation, N: Representation, blocks,
                 for c in members[pc]:
                     vec[c] = (p - v) * weight[c] % p
         kernel.append(vec)
-    return np.array(kernel, dtype=np.int64).reshape(-1, total)
+    kernel = np.array(kernel, dtype=np.int64).reshape(len(kernel), total)
+    kernel.flags.writeable = False
+    return kernel, blocks
 
 
 def _check_pair(M: Representation, N: Representation):
@@ -363,15 +367,7 @@ def hom_space(M: Representation, N: Representation):
     the common support to (offset, dim N_v, dim M_v), and row i holds
     vec_col(f_v) at that offset.  Off the common support every f_v is 0."""
     _check_pair(M, N)
-    return _swept(M, N, *_hom_unknowns(M, N))
-
-
-def _swept(M: Representation, N: Representation, blocks, total: int):
-    """``hom_space`` from the blocks and number of unknowns, by the sweep."""
-    kernel = (_hom_kernel(M, N, blocks, total) if total
-              else np.zeros((0, 0), dtype=np.int64))
-    kernel.flags.writeable = False
-    return kernel, blocks
+    return _hom_kernel(M, N, *_hom_unknowns(M, N))
 
 
 # Below this many unknowns in all, ``hom_spaces`` sweeps each system: an
@@ -390,16 +386,16 @@ def hom_spaces(pairs):
     A batch of fewer than ``_BATCH_UNKNOWNS`` unknowns in all is swept
     system by system.  A larger one is split, in order, into chunks of at
     most ``_CHUNK_UNKNOWNS`` unknowns over one quiver and field, and each
-    chunk is solved in array passes (``_hom_batch``, see the module
-    docstring).  Only one chunk's kernels are held at a time, beyond those
-    the caller keeps."""
+    chunk is solved in one array pass, with one ``rref_sparse`` call
+    (``_hom_batch``, see the module docstring).  Only one chunk's kernels
+    are held at a time, beyond those the caller keeps."""
     systems = []
     for M, N in pairs:
         _check_pair(M, N)
         systems.append((M, N, *_hom_unknowns(M, N)))
     if sum(s[3] for s in systems) < _BATCH_UNKNOWNS:
         for s in systems:
-            yield _swept(*s)
+            yield _hom_kernel(*s)
         return
     chunk, size = [], 0
     for s in systems:
@@ -564,7 +560,9 @@ def _merge(parent, weight, winv, lo, hi, r, r_inv, p: int):
 
 def _hom_batch(systems) -> list:
     """``hom_space`` of each system (M, N, blocks, total) of one chunk, in
-    array passes over all of them (see the module docstring)."""
+    one array pass over all of them: the two-term rows merged as ties and
+    then checked, and the longer rows, rewritten in the roots, through one
+    ``rref_sparse`` call (see the module docstring)."""
     F = systems[0][0].field
     p = F.p
     eq, unk, coef, inv, n_eq, sizes = _batch_terms(systems)
@@ -582,64 +580,43 @@ def _hom_batch(systems) -> list:
     t1 = first[rows2]
     t2 = np.bincount(eq[two], weights=two, minlength=n_eq)[rows2].astype(
         np.int64) - t1
-    ties = unk[t1], coef[t1], inv[t1], unk[t2], coef[t2], inv[t2]
-    long_rows = eq[row_len >= 3], unk[row_len >= 3], coef[row_len >= 3]
+    c, a, a_inv = unk[t1], coef[t1], inv[t1]
+    d, b, b_inv = unk[t2], coef[t2], inv[t2]
+    loop = c == d  # a x_c + b x_c = 0, on a loop arrow
+    zero[c[loop & ((a + b) % p != 0)]] = True
+    c, a, a_inv, d, b, b_inv = (x[~loop] for x in (c, a, a_inv, d, b, b_inv))
+    swap = c > d
+    lo, hi = np.where(swap, d, c), np.where(swap, c, d)
+    r = (p - np.where(swap, a, b)) * np.where(swap, b_inv, a_inv) % p
+    r_inv = (p - np.where(swap, b, a)) * np.where(swap, a_inv, b_inv) % p
     parent = np.arange(n)
     weight = np.ones(n, dtype=np.int64)
     winv = np.ones(n, dtype=np.int64)
-    checks = []
-    while True:
-        c, a, a_inv, d, b, b_inv = ties
-        loop = c == d  # a x_c + b x_c = 0, on a loop arrow
-        zero[c[loop & ((a + b) % p != 0)]] = True
-        c, a, a_inv, d, b, b_inv = (x[~loop] for x in ties)
-        swap = c > d
-        lo, hi = np.where(swap, d, c), np.where(swap, c, d)
-        r = (p - np.where(swap, a, b)) * np.where(swap, b_inv, a_inv) % p
-        r_inv = (p - np.where(swap, b, a)) * np.where(swap, a_inv, b_inv) % p
-        checks.append((lo, hi, r))  # x_lo = r x_hi
-        _merge(parent, weight, winv, lo, hi, r, r_inv, p)
-        if not len(long_rows[0]):
-            break
-        # a long row left with one root in the roots forces it to 0, one
-        # with two is a tie for the next pass
-        leq, col, co = long_rows
-        leq, col, co = _combine(leq, parent[col], co * weight[col] % p, n, p)
-        starts, length = _row_starts(leq)
-        row_len = np.repeat(length, length)
-        zero[col[row_len == 1]] = True
-        long_rows = leq[row_len >= 3], col[row_len >= 3], co[row_len >= 3]
-        s2 = starts[length == 2]
-        if not len(s2):
-            break
-        a, b = co[s2], co[s2 + 1]
-        ties = col[s2], a, _inverses(a, p), col[s2 + 1], b, _inverses(b, p)
-    lo, hi, r = (np.concatenate(x) for x in zip(*checks))
+    _merge(parent, weight, winv, lo, hi, r, r_inv, p)  # x_lo = r x_hi
     zero[lo[weight[lo] != r * weight[hi] % p]] = True  # a cycle disagrees
     zero_root = np.zeros(n, dtype=bool)
     zero_root[parent[zero]] = True
     weight[zero_root[parent]] = 0
-    system = np.repeat(np.arange(len(systems)), sizes)
-    # the rows of three or more roots, per system, through rref_sparse
-    by_system = {}
-    leq, col, co = long_rows
+    # the rows of three or more terms, in the roots of their live unknowns;
+    # no row mixes two systems, so each system gets its own RREF
+    wide = row_len >= 3
+    leq, col, co = eq[wide], unk[wide], coef[wide]
     live = weight[col] != 0
     leq, col, co = _combine(leq[live], parent[col[live]],
                             co[live] * weight[col[live]] % p, n, p)
     starts, length = _row_starts(leq)
     cols, vals = col.tolist(), co.tolist()
-    for s, e, k in zip(starts.tolist(), (starts + length).tolist(),
-                       system[col[starts]].tolist()):
-        by_system.setdefault(k, []).append(dict(zip(cols[s:e], vals[s:e])))
+    rows = [dict(zip(cols[s:e], vals[s:e]))
+            for s, e in zip(starts.tolist(), (starts + length).tolist())]
     pivot = np.zeros(n, dtype=bool)
     spread = []  # (pivot root, free root, minus its entry in the row)
-    for rows in by_system.values():
-        for pc, row in F.rref_sparse(rows).items():
-            pivot[pc] = True
-            spread += [(pc, f, p - x) for f, x in row.items() if f != pc]
+    for pc, row in F.rref_sparse(rows).items():
+        pivot[pc] = True
+        spread += [(pc, f, p - x) for f, x in row.items() if f != pc]
     # the kernel: one row per free root f, weight[c] at the members c of f
     # and -row[f] weight[c] at the members of each pivot root whose row has
     # f; system i's k_i x total_i array is one slice of ``out``
+    system = np.repeat(np.arange(len(systems)), sizes)
     free = np.flatnonzero((parent == np.arange(n)) & ~zero_root & ~pivot)
     bases = np.cumsum(sizes) - sizes
     first_free = np.searchsorted(free, bases)

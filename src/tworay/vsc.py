@@ -248,31 +248,12 @@ def lemma(modules, x: str, which: str, bound: int):
                       for o in model.objects}
 
 
-def _slot(spaces, M):
-    """(id, row) of the content of M in ``spaces``: the ids number the
-    distinct contents, and row[id of N] is hom_space(M, N) once solved.
-    The content is the dimension tuple and the bytes of the maps on the
-    support arrows, which fix the Hom system on either side."""
-    key = (M.dims, b"".join(M.maps[a].tobytes() for a in M.support_arrows))
-    slot = spaces.get(key)
-    if slot is None:
-        slot = spaces[key] = (len(spaces), {})
-    return slot
-
-
-def _solved(pairs, slots) -> list:
-    """hom_space(M, N) for each pair, from the memo rows of ``slots`` (id of
-    a module -> its ``_slot``); the content pairs not in the memo yet are
-    solved in one ``hom_spaces`` call, each once."""
-    todo = {}  # (content id of M, content id of N) -> (M, N)
-    for M, N in pairs:
-        i, row = slots[id(M)]
-        j = slots[id(N)][0]
-        if j not in row:
-            todo.setdefault((i, j), (M, N))
-    for (M, N), space in zip(todo.values(), hom_spaces(todo.values())):
-        slots[id(M)][1][slots[id(N)][0]] = space
-    return [slots[id(M)][1][slots[id(N)][0]] for M, N in pairs]
+def _content(M) -> tuple:
+    """The memo key of M: the field order, the quiver, the dimension tuple
+    and the bytes of the maps on the support arrows, which fix the Hom
+    system on either side."""
+    return (M.field.p, M.quiver, M.dims,
+            b"".join(M.maps[a].tobytes() for a in M.support_arrows))
 
 
 def measure_pattern(R, assign, field, spaces=None):
@@ -287,7 +268,10 @@ def measure_pattern(R, assign, field, spaces=None):
 
     The Hom systems are solved in two batches, Hom(R, o) for every object o
     and then Hom(u, v) for every pair with Hom(R, u) and Hom(R, v) nonzero,
-    each content pair once in ``spaces`` (see ``_slot``).
+    each content pair once.  ``spaces`` is the memo: one flat dict from the
+    pair of ``_content`` keys of (M, N) to ``hom_space(M, N)``, the keys
+    taken once per module per call.  A key holds the field order and the
+    quiver, so one dict may serve modules over several fields.
     ``ArVerifier.verify`` shares one such dict among all of its lemma
     checks, and drops it when it returns: the lemma objects of one vertex,
     and of the R and X lemmas at a vertex, repeat.  A memo for the whole run
@@ -298,15 +282,21 @@ def measure_pattern(R, assign, field, spaces=None):
     """
     objects = sorted(assign, key=repr)
     spaces = {} if spaces is None else spaces
-    slots = {id(M): _slot(spaces, M) for M in (R, *assign.values())}
-    from_r = dict(zip(objects, _solved([(R, assign[o]) for o in objects],
-                                       slots)))
+    content = {id(M): _content(M) for M in (R, *assign.values())}
+
+    def solved(pairs) -> list:
+        # the content pairs not in ``spaces`` yet, in one batch, each once
+        keys = [(content[id(M)], content[id(N)]) for M, N in pairs]
+        todo = {k: pair for k, pair in zip(keys, pairs) if k not in spaces}
+        spaces.update(zip(todo, hom_spaces(todo.values())))
+        return [spaces[k] for k in keys]
+
+    from_r = dict(zip(objects, solved([(R, assign[o]) for o in objects])))
     objdim = {o: len(from_r[o][0]) for o in objects}
     homdim = {(u, v): 0 for u in objects for v in objects}
     reached = [o for o in objects if objdim[o]]
     pairs = [(u, v) for v in reached for u in reached]
-    hom = dict(zip(pairs, _solved([(assign[u], assign[v]) for u, v in pairs],
-                                  slots)))
+    hom = dict(zip(pairs, solved([(assign[u], assign[v]) for u, v in pairs])))
     for v in reached:
         kv, bv = from_r[v]
         blocks, composites = [], []  # (u, len Hom(u, v)), composite arrays

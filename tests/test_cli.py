@@ -262,6 +262,15 @@ def test_verify_tsys_deep_report_pinned(sysfile):
         "6f97e72da28c8fa08b34d98eefebdcdd4d85ad1b4a09041282ab8abc6adee95f")
 
 
+def test_verify_ex14_bound_12_report_pinned(sysfile):
+    # ex14 at bound 12: 1,986 Hom systems (844 End, 1,142 lemma) in 6 array
+    # passes, 62 of whose long rows fall to one or two roots after the ties
+    code, out = run(["verify", sysfile("ex14"), "--max-dim", "12"])
+    assert code == 0
+    assert _sha256(out) == (
+        "4a36704e7979190b569478ef1bed5cd517f342fd49a7b72a0e11e5dc4a744d0b")
+
+
 def test_verify_fund32_report_pinned(sysfile):
     # R and X at x-vertices: the single-L model of the R lemma
     code, out = run(["verify", sysfile("fund32"), "--max-dim", "8"])

@@ -841,6 +841,15 @@ def test_hom_spaces_matches_on_inventories_and_lemmas(p):
     _assert_hom_spaces_match(pairs, chunks=(50, 4096))
 
 
+def test_hom_spaces_matches_on_tsys_deep_inventory(tsys):
+    """The End pair of every entry of tsys's inventory at bound 20 (the
+    ``tsys-deep`` workload, 632 systems): 765 of their 2,163 rows of three
+    or more terms fall to one or two roots once the ties are merged."""
+    pairs = [(e.rep, e.rep) for e in tsys.modules.theorem_inventory(20)]
+    assert len(pairs) == 632
+    _assert_hom_spaces_match(pairs, chunks=(50, 4096))
+
+
 def test_hom_spaces_threshold_keeps_single_pairs_on_the_sweep(ex14,
                                                               monkeypatch):
     # a batch below the threshold never reaches the array passes

@@ -5,7 +5,8 @@ import pytest
 
 from tworay import build_quiver, build_relations, AlgebraBasis, vsc
 from tworay.defining_system import admissible_vertices
-from tworay.homlab import compose_maps, hom_basis
+from tworay.field import PrimeField
+from tworay.homlab import compose_maps, hom_basis, hom_space
 from tworay.string_modules import Representation
 from tworay.vsc import (_build_k, _build_l1, _build_lf,
                         hom_pattern_of_functor, i_lemma_vertices,
@@ -187,29 +188,36 @@ def _lemmas(c, bound):
     return [lemma(c.modules, v, which, bound)[1:] for v, which in picks]
 
 
+def _counted_solves(monkeypatch):
+    """The pairs ``measure_pattern`` hands to ``hom_spaces``, one list per
+    batch."""
+    batches = []
+    hom_spaces = vsc.hom_spaces
+
+    def counted(pairs):
+        batches.append(list(pairs))
+        return hom_spaces(batches[-1])
+
+    monkeypatch.setattr(vsc, "hom_spaces", counted)
+    return batches
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_measure_pattern_matches_dict_reference(name, monkeypatch):
     # the composites read from the kernel arrays give the reference's
     # objdim and homdim, with one memo for every lemma as with one each
     c = ctx(name)
     lemmas = _lemmas(c, 4)
-    solves = []
-    hom_spaces = vsc.hom_spaces
-
-    def counted(pairs):
-        for space in hom_spaces(pairs):
-            solves.append(1)
-            yield space
-
-    monkeypatch.setattr(vsc, "hom_spaces", counted)
+    batches = _counted_solves(monkeypatch)
     fresh = [measure_pattern(R, assign, c.field) for R, assign in lemmas]
-    fresh_solves = len(solves)
+    fresh_solves = sum(map(len, batches))
     spaces = {}
     shared = [measure_pattern(R, assign, c.field, spaces)
               for R, assign in lemmas]
     assert shared == fresh
     objects = any(got[0] for got in fresh)  # none on tsys at length 4
-    assert len(solves) - fresh_solves < fresh_solves or not objects
+    shared_solves = sum(map(len, batches)) - fresh_solves
+    assert shared_solves < fresh_solves or not objects
     nonzero = 0
     for (R, assign), got in zip(lemmas, fresh):
         assert got == _dict_measure(R, assign, c.field, c.quiver)
@@ -217,9 +225,9 @@ def test_measure_pattern_matches_dict_reference(name, monkeypatch):
     assert nonzero or not objects
 
 
-def test_hom_space_memo_key_is_content(fund21):
-    # modules built apart with one content share a slot; one changed map
-    # entry gives a new one
+def test_hom_space_memo_key_is_content(fund21, monkeypatch):
+    # modules built apart with one content share an entry, one changed map
+    # entry makes a new one, and Hom(a, a) = Hom(a, b) is solved once
     sm, calc = fund21.modules, fund21.calc
     word = calc.word(("alpha:1:1", "alpha:1:2"))
     a, b = sm.construct_M(word), sm.construct_M(word)
@@ -227,13 +235,34 @@ def test_hom_space_memo_key_is_content(fund21):
     maps = {x: m.copy() for x, m in a.maps.items()}
     maps[arrow][0, 0] += 1
     c = Representation(a.quiver, a.field, a.spaces, maps)
+    assert a is not b and vsc._content(a) == vsc._content(b)
+    assert vsc._content(c) != vsc._content(a)
+    batches = _counted_solves(monkeypatch)
     spaces = {}
-    assert a is not b and vsc._slot(spaces, a) is vsc._slot(spaces, b)
-    assert len(spaces) == 1
-    assert vsc._slot(spaces, c)[0] == 1 and len(spaces) == 2
     measure_pattern(a, {"a": a, "b": b, "c": c}, a.field, spaces)
-    row = vsc._slot(spaces, a)[1]
-    assert sorted(row) == [0, 1]  # Hom(a, a) = Hom(a, b) and Hom(a, c)
+    ka, kc = vsc._content(a), vsc._content(c)
+    # the first batch, Hom(R = a, -): Hom(a, a) = Hom(a, b) once, Hom(a, c)
+    assert [(vsc._content(M), vsc._content(N)) for M, N in batches[0]] == [
+        (ka, ka), (ka, kc)]
+    assert sum(map(len, batches)) == len(spaces)
+
+
+def test_hom_space_memo_key_holds_the_field(tsys, monkeypatch):
+    # one quiver and one content over GF(3) and GF(5), with one memo: the
+    # GF(5) pair is solved again, and gets its own kernel
+    q = tsys.quiver
+    spaces = {"x:1:0": (("c", 0),), "x:1:1": (("c", 0),)}
+    batches = _counted_solves(monkeypatch)
+    memo = {}
+    for p, want in ((3, [[2, 1]]), (5, [[3, 1]])):
+        F = PrimeField(p)
+        M = Representation(q, F, spaces, {"alpha:1:1": [[2]]})
+        N = Representation(q, F, spaces, {"alpha:1:1": [[1]]})
+        measure_pattern(M, {"n": N}, F, memo)
+        assert batches[-2] == [(M, N)]  # Hom(M, N), then Hom(N, N)
+        kernel, _ = memo[vsc._content(M), vsc._content(N)]
+        assert kernel.tolist() == want == hom_space(M, N)[0].tolist()
+    assert len(memo) == 4
 
 
 @pytest.mark.parametrize("vertex, which", [
