@@ -76,13 +76,16 @@ class PrimeField:
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a @ b`` mod p.  Stacks multiply through ``np.matmul``: a k x n x m
-        stack times a k x m x l stack, or times one m x l matrix, is the k
-        products, each an inner product of length m under the bound above."""
+        stack times a k x m x l stack, or one factor a stack and the other
+        one matrix, is the k products, each an inner product of length m
+        under the bound above.  A zero-size factor gives the zeros of the
+        shape ``np.matmul`` gives."""
         if a.shape[-1] != b.shape[-2]:
             raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
         if a.size and b.size:
             return np.matmul(a, b) % self.p
-        return np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
+        return np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+                        + (a.shape[-2], b.shape[-1]), dtype=np.int64)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a + b) % self.p

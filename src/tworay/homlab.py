@@ -156,26 +156,32 @@ over GF(2) and GF(3) for all but the smallest modules, the trace form can
 vanish on A/rad A itself (tr id = d = 0 in k is the first case), and the
 flag alone decides.
 
-Without the trace form, or past it, LOCAL is decided thus.  Every End basis
-element f_j is tried as l_j id + n_j with n_j nilpotent (l_j = trace / d
-when p does not divide d, else the root of the charpoly); then End(M) =
-k id + span(n_j), and End(M) is LOCAL iff the n_j generate a nilpotent
-algebra A.  The flag V_0 = k^d, V_(i+1) = sum_j n_j V_i decides this within
-d steps, one stacked product and one elimination each.  If some V_m = 0,
-every product of m shifts vanishes, so A is nilpotent, End(M) = k id + A is
-local and A is its radical.  Conversely, if End(M) is local, every n_j lies
-in rad, and rad^d = 0 (a nilpotent algebra of d x d matrices is
-simultaneously triangularizable: Levitzki; Radjavi-Rosenthal, Simultaneous
+Without the trace form, or past it, LOCAL is decided thus.  Over the
+perfect field GF(p) every f in End(M) is s + n, s semisimple and n
+nilpotent, both polynomials in f (Jordan-Chevalley), so for q the least
+power of p with q >= d, f^q = s^q + n^q = s^q.  Hence f = l id + n exactly
+when f^q = l id: if f^q = l id, every eigenvalue c of s has c^q = l, and
+the Frobenius map x -> x^q is injective on the algebraic closure and fixes
+l in GF(p), so c = l and s = l id (von zur Gathen-Gerhard, Modern Computer
+Algebra, Ch. 14).  One stacked power of the End basis f_j gives every
+scalar part l_j at every prime; then End(M) = k id + span(n_j), n_j = f_j -
+l_j, and End(M) is LOCAL iff the n_j generate a nilpotent algebra A.  The
+flag V_0 = k^d, V_(i+1) = sum_j n_j V_i decides this within d steps, one
+stacked product and one elimination each.  If some V_m = 0, every product
+of m shifts vanishes, so A is nilpotent, End(M) = k id + A is local and A
+is its radical.  Conversely, if End(M) is local, every n_j lies in rad, and
+rad^d = 0 (a nilpotent algebra of d x d matrices is simultaneously
+triangularizable: Levitzki; Radjavi-Rosenthal, Simultaneous
 Triangularization, 2000), so V_d lies in rad^d k^d = 0.  The flag only
 descends, so a step that keeps the rank has stalled at a nonzero subspace
 and End(M) is not local; only then are products of the shifts searched for
 a non-nilpotent one, whose Fitting decomposition gives the idempotent.
 
-An element f that its trace does not show to be l id + nilpotent goes to
-``factor_charpoly``, which reads from its charpoly c only what the verdict
-needs, with no factorization.  A root l of c, found by evaluating c at every
-element of GF(p) at once, either makes f - l nilpotent, and f joins the
-flag, or gives the Fitting idempotent of f - l, and M is DECOMPOSABLE.
+The first basis element f that is not l id + nilpotent, and only that one,
+goes to ``factor_charpoly`` for the certificate, which reads from its
+charpoly c what the verdict needs, with no factorization.  A root l of c,
+found by evaluating c at every element of GF(p) at once, gives the Fitting
+idempotent of f - l, which is not nilpotent, and M is DECOMPOSABLE.
 Without a root, u = f^q for a power q >= d of p generates k[f]/rad, a
 product of one field k[t]/(g_i) per distinct irreducible factor g_i of c,
 and the fixed space of x -> x^p on k[u] has one dimension per g_i
@@ -731,8 +737,9 @@ def total_matrix(M: Representation, f) -> np.ndarray:
 
 
 def _power(F, a, n: int) -> np.ndarray:
-    """a^n for a square matrix, by repeated squaring."""
-    out = F.eye(len(a))
+    """a^n for a square matrix, or for each of a k x d x d stack, by
+    repeated squaring."""
+    out = F.eye(a.shape[-1])
     while n:
         if n & 1:
             out = F.mul(out, a)
@@ -743,12 +750,15 @@ def _power(F, a, n: int) -> np.ndarray:
 
 
 def _frobenius_power(F, a) -> np.ndarray:
-    """a^q for the least q = p^j >= dim a.  For a = s + n, s semisimple and n
-    nilpotent, both polynomials in a, a^q = s^q + n^q = s^q: l for a = l + n,
-    and in general a generator of F[a]/rad, since s^q is a Galois conjugate
-    of s, with the same minimal polynomial."""
+    """a^q for the least q = p^j >= d, of a d x d matrix or of each of a
+    k x d x d stack.  For a = s + n, s semisimple and n nilpotent, both
+    polynomials in a, a^q = s^q + n^q = s^q: l for a = l + n, and in general
+    a generator of F[a]/rad, since s^q is a Galois conjugate of s, with the
+    same minimal polynomial.  Conversely, a^q = l id makes a = l + n: every
+    eigenvalue c of s has c^q = l, and x -> x^q is injective on the
+    algebraic closure and fixes l in GF(p), so c = l and s = l id."""
     q = F.p
-    while q < len(a):
+    while q < a.shape[-1]:
         q *= F.p
     return _power(F, a, q)
 
@@ -765,20 +775,15 @@ def _roots(F, coeffs) -> np.ndarray:
     return np.flatnonzero(values == 0)
 
 
-def _nilpotent_mask(F, stack) -> np.ndarray:
-    """Which matrices of a k x n x n stack are nilpotent: m^(2^s) = 0 with
-    2^s > n, by repeated squaring of the whole stack."""
-    m = stack % F.p
-    for _ in range(max(1, stack.shape[-1]).bit_length()):
-        if not m.any():
-            break
-        m = F.mul(m, m)
-    return ~m.any(axis=(-2, -1))
-
-
 def is_nilpotent(F, mat) -> bool:
-    """Whether one square matrix is nilpotent."""
-    return bool(_nilpotent_mask(F, mat[None])[0])
+    """Whether a square n x n matrix m is nilpotent: m^(2^s) = 0 with
+    2^s > n, by repeated squaring."""
+    m = mat % F.p
+    for _ in range(max(1, len(m)).bit_length()):
+        if not m.any():
+            return True
+        m = F.mul(m, m)
+    return not m.any()
 
 
 def _generates_nilpotent(F, stack) -> bool:
@@ -801,14 +806,15 @@ def _generates_nilpotent(F, stack) -> bool:
 
 
 def factor_charpoly(F, a):
-    """What ``_certify`` needs from the charpoly c of a square matrix a,
-    found without factoring c (see the module docstring): an int l with
-    a - l nilpotent, when c = (t - l)^d; a d x d nontrivial idempotent of
-    F[a], when c has two coprime factors; or the monic irreducible g of
-    degree >= 2 with c = g^m, as an ascending coefficient list.  The fixed
-    space of x -> x^p counts the distinct factors (Berlekamp, Bell System
-    Tech. J. 46, 1967; von zur Gathen-Gerhard, Modern Computer Algebra,
-    Ch. 14)."""
+    """What the charpoly c of a square matrix a says, found without
+    factoring c (see the module docstring): an int l with a - l nilpotent,
+    when c = (t - l)^d; a d x d nontrivial idempotent of F[a], when c has
+    two coprime factors; or the monic irreducible g of degree >= 2 with
+    c = g^m, as an ascending coefficient list.  ``_certify`` needs only the
+    certificate, and calls it only on an element that is not scalar +
+    nilpotent, so never gets the int.  The fixed space of x -> x^p counts
+    the distinct factors (Berlekamp, Bell System Tech. J. 46, 1967; von zur
+    Gathen-Gerhard, Modern Computer Algebra, Ch. 14)."""
     d = len(a)
     eye = F.eye(d)
     roots = _roots(F, F.charpoly(a))
@@ -915,35 +921,28 @@ def _certify(M: Representation, basis):
     """LOCAL / DECOMPOSABLE / FIELD_OBSTRUCTION for one endomorphism basis
     that neither its size nor the trace form has decided.
 
-    Every element f is tested as l id + nilpotent with l = trace / d (when
-    p does not divide d), all at once on the stack of total matrices; an
-    element that fails goes to ``factor_charpoly``, in basis order, which
-    finds its eigenvalue, an idempotent or the field obstruction.  Once
-    every element is scalar + nilpotent, End(M) is LOCAL iff the shifts
-    generate a nilpotent algebra, which the flag decides; only a stalled
-    flag pays for a Fitting idempotent.  Idempotents are found as total
-    matrices and read back per vertex for the certificate.
+    Every element f is l id + nilpotent exactly when f^q = l id, read for
+    the whole stack of total matrices from one ``_frobenius_power``.  The
+    first element, in basis order, that is not goes to ``factor_charpoly``,
+    which finds an idempotent or the field obstruction.  Once every element
+    is scalar + nilpotent, End(M) is LOCAL iff the shifts generate a
+    nilpotent algebra, which the flag decides; only a stalled flag pays for
+    a Fitting idempotent.  Idempotents are found as total matrices and read
+    back per vertex for the certificate.
     """
     F = M.field
-    d = M.total_dim
-    eye = F.eye(d)
+    eye = F.eye(M.total_dim)
     totals = total_matrices(M, basis)
-    lams = np.zeros(len(basis), dtype=np.int64)
-    nil = np.zeros(len(basis), dtype=bool)
-    if d % F.p:
-        lams = np.trace(totals, axis1=1, axis2=2) % F.p * F.inv(d) % F.p
-        nil = _nilpotent_mask(F, totals - lams[:, None, None] * eye)
-    for i, f in enumerate(basis):
-        if nil[i]:
-            continue
+    powers = _frobenius_power(F, totals)
+    lams = powers[:, 0, 0]
+    outside = (powers != lams[:, None, None] * eye).any(axis=(1, 2))
+    if outside.any():
+        i = int(np.argmax(outside))
         found = factor_charpoly(F, totals[i])
-        if isinstance(found, int):
-            lams[i] = found
-        elif isinstance(found, list):
-            return IndecVerdict(IndecVerdict.FIELD_OBSTRUCTION, (f, found))
-        else:
-            return IndecVerdict(IndecVerdict.DECOMPOSABLE,
-                                _vertex_maps(M, found))
+        if isinstance(found, list):
+            return IndecVerdict(IndecVerdict.FIELD_OBSTRUCTION,
+                                (basis[i], found))
+        return IndecVerdict(IndecVerdict.DECOMPOSABLE, _vertex_maps(M, found))
     shifts = (totals - lams[:, None, None] * eye) % F.p
     if _generates_nilpotent(F, shifts):
         return IndecVerdict(IndecVerdict.LOCAL)
@@ -1037,10 +1036,6 @@ def _full_rank(F, f, M) -> bool:
     return all(F.rank(f[v]) == M.dim(v) for v in M.support)
 
 
-def _invertible_everywhere(F, M, N, f) -> bool:
-    return M.dims == N.dims and _full_rank(F, f, M)
-
-
 def _arrow_ranks(M: Representation) -> tuple:
     """The ranks of the support-arrow maps of M, in ``support_arrows``
     order, from one elimination; computed once and kept on the module."""
@@ -1075,7 +1070,7 @@ def find_iso(M: Representation, N: Representation):
     F = M.field
     basis = hom_basis(M, N)
     for f in basis:
-        if _invertible_everywhere(F, M, N, f):
+        if _full_rank(F, f, M):
             return f
     if (not basis or M.indec == IndecVerdict.LOCAL
             or is_indecomposable(N) == IndecVerdict.LOCAL):
@@ -1100,24 +1095,15 @@ def _local_summands(N: Representation):
     return out
 
 
-def _residue(Z: Representation, endo) -> int:
-    """The single eigenvalue l of an endomorphism of a LOCAL module, read
-    from ``_frobenius_power``: (l + n)^q = l."""
-    F = Z.field
-    power = _frobenius_power(F, total_matrix(Z, endo))
-    lam = int(power[0, 0])
-    if not F.is_zero(F.sub(power, F.scale(lam, F.eye(len(power))))):
-        raise ValueError("endomorphism is not scalar plus nilpotent")
-    return lam
-
-
 def _krull_schmidt_iso(M: Representation, N: Representation):
     """An isomorphism M -> N from the LOCAL summands of N, or None.
 
     The summands are grouped up to isomorphism.  For a group of m copies of
     Z, the pairing Hom(Z, M) x Hom(M, Z) -> k, (g, f) -> residue of f g, has
     rank the multiplicity of Z in M; m independent columns pick maps
-    f_1, ..., f_m: M -> Z, sent onto the m copies.
+    f_1, ..., f_m: M -> Z, sent onto the m copies.  The residue l of the
+    endomorphism f g = l + n of the LOCAL Z is read, for the whole pairing
+    at once, from ``_frobenius_power``: (l + n)^q = l.
     """
     F = M.field
     groups = []  # (Z, embeddings Z -> N of the summands isomorphic to Z)
@@ -1132,16 +1118,19 @@ def _krull_schmidt_iso(M: Representation, N: Representation):
     iso = zero_map(M, N)
     for Z, embeds in groups:
         gs, fs = hom_basis(Z, M), hom_basis(M, Z)
-        pairing = F.zeros(len(gs), len(fs))
-        for i, g in enumerate(gs):
-            for j, f in enumerate(fs):
-                pairing[i, j] = _residue(Z, compose_maps(F, f, g))
-        _, pivots = F.rref(pairing)
+        if not gs or not fs:
+            return None
+        powers = _frobenius_power(F, total_matrices(
+            Z, [compose_maps(F, f, g) for g in gs for f in fs]))
+        residues = powers[:, 0, 0]
+        if (powers != residues[:, None, None] * F.eye(Z.total_dim)).any():
+            raise ValueError("endomorphism is not scalar plus nilpotent")
+        _, pivots = F.rref(residues.reshape(len(gs), len(fs)))
         if len(pivots) < len(embeds):
             return None
         for j, embed in zip(pivots, embeds):
             iso = map_add(F, iso, compose_maps(F, embed, fs[j]))
-    if not _invertible_everywhere(F, M, N, iso):
+    if not _full_rank(F, iso, M):
         raise ConsistencyError("Krull-Schmidt map is not an isomorphism")
     return iso
 

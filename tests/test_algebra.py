@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -202,3 +203,21 @@ def test_prime_field_multiplies_stacks():
         assert z.shape == shape and z.dtype == np.int64 and not z.any()
     with pytest.raises(ValueError, match="shape mismatch"):
         F.mul(a, a)
+
+
+def test_prime_field_mul_keeps_the_batch_shape_of_empty_factors():
+    # the zero-size branch used to return a.shape[:-1] + b.shape[-1:]: an
+    # eye times an empty 0 x 3 x 3 stack gave 3 x 3, not 0 x 3 x 3
+    F = PrimeField(5)
+    batches = ((), (0,), (1,), (4,), (2, 1), (2, 4))
+    for lead_a, lead_b in itertools.product(batches, repeat=2):
+        try:
+            np.broadcast_shapes(lead_a, lead_b)
+        except ValueError:
+            continue
+        for n, m, k in itertools.product((0, 2), (0, 3), (0, 2)):
+            x = np.ones(lead_a + (n, m), dtype=np.int64)
+            y = np.ones(lead_b + (m, k), dtype=np.int64)
+            z = F.mul(x, y)
+            assert z.shape == np.matmul(x, y).shape and z.dtype == np.int64
+            assert np.array_equal(z, np.matmul(x, y) % F.p)

@@ -295,15 +295,15 @@ def test_ar_tsys_deep_pinned(sysfile):
 
 
 def test_verify_small_prime_pinned(sysfile, monkeypatch):
-    # over GF(3), with both units as band parameters, 24 endomorphisms are
-    # not scalar + nilpotent by their trace and take the charpoly route
+    # over GF(3), with both units as band parameters, every scalar part
+    # comes from the Frobenius power, and a green run factors no charpoly
     calls = []
     real = homlab.factor_charpoly
     monkeypatch.setattr(homlab, "factor_charpoly",
                         lambda F, a: calls.append(a) or real(F, a))
     code, out = run(["verify", sysfile("tsys"), "--max-dim", "8",
                      "--field", "3", "--lambda", "1,2"])
-    assert code == 0 and len(calls) == 24
+    assert code == 0 and len(calls) == 0
     assert _sha256(out) == (
         "a729a1ee74dbef99c965c1bb99f2e7f1a0aa0f94129067300daad8dab2161f6a")
 
@@ -317,6 +317,22 @@ def test_verify_small_prime_pinned(sysfile, monkeypatch):
 ])
 def test_verify_default_lambda_small_field_pinned(sysfile, field, digest):
     code, out = run(["verify", sysfile("tsys"), "--max-dim", "8",
+                     "--field", str(field)])
+    assert code == 0 and json.loads(out)["failures"] == []
+    assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("name, bound, field, digest", [
+    # the tsys-deep and the ex14 bound-12 runs over small fields, where
+    # p <= dim M for most modules and LOCAL goes through _certify
+    ("tsys", 20, 2,
+     "c22cbe398aff2262f70c2da7c4630525d54268638a83df5ebd29d0382f75b525"),
+    ("ex14", 12, 3,
+     "6f13ca777641f9b4a8a9582e006608e8c59b79a676ea4ee450bbf2f5d5cec0c7"),
+])
+def test_verify_small_field_at_benchmark_bounds_pinned(sysfile, name, bound,
+                                                       field, digest):
+    code, out = run(["verify", sysfile(name), "--max-dim", str(bound),
                      "--field", str(field)])
     assert code == 0 and json.loads(out)["failures"] == []
     assert _sha256(out) == digest

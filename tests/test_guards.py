@@ -50,7 +50,7 @@ def _guard_failures():
     null_space, solve = PrimeField.null_space, PrimeField.solve
     null_space_from_rref = PrimeField.null_space_from_rref
     charpoly = PrimeField.charpoly
-    invertible_everywhere = homlab._invertible_everywhere
+    full_rank = homlab._full_rank
     string = c.modules.construct_M(c.calc.word(("alpha:1:1",)))
     source_simple = c.modules.construct_M(c.calc.trivial("x:1:1"))
 
@@ -86,9 +86,9 @@ def _guard_failures():
         out.append(_raised(lambda: homlab.kernel_rep(
             string, string, homlab.zero_map(string, string))))
         PrimeField.solve = solve
-        homlab._invertible_everywhere = lambda F, M, N, f: False
+        homlab._full_rank = lambda F, f, M: False
         out.append(_raised(lambda: homlab.find_iso(ss, ss)))
-        homlab._invertible_everywhere = invertible_everywhere
+        homlab._full_rank = full_rank
         PrimeField.null_space_from_rref = lambda F, rows, n: F.eye(n)
         out.append(_raised(lambda: homlab.minimal_presentation(
             string, c.algebra)))
@@ -129,7 +129,7 @@ def _guard_failures():
         vsc.hom_spaces, homlab.top_generators = hom_spaces, top_generators
         PrimeField.null_space, PrimeField.solve = null_space, solve
         PrimeField.charpoly = charpoly
-        homlab._invertible_everywhere = invertible_everywhere
+        homlab._full_rank = full_rank
         PrimeField.null_space_from_rref = null_space_from_rref
     return out
 

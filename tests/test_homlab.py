@@ -1368,8 +1368,8 @@ def test_certify_sums_match_product_closure(fund21, tsys):
 
 
 def test_local_certification_never_searches_products(monkeypatch, fund21):
-    # LOCAL needs neither the product search nor, with p not dividing the
-    # dimension, the charpoly: l = trace / d is the eigenvalue
+    # LOCAL needs neither the product search nor the charpoly: the
+    # Frobenius power gives every eigenvalue
     def forbidden(*args):
         raise AssertionError("product search entered")
 
@@ -1386,13 +1386,143 @@ def test_local_certification_never_searches_products(monkeypatch, fund21):
         homlab._certify(*_square_with_nilpotent_basis(s))
 
 
+# -- scalar parts by one Frobenius power ------------------------------------------
+
+
+def _nilpotent_mask(F, stack):
+    """Which matrices of a k x n x n stack are nilpotent, by squaring."""
+    m = stack % F.p
+    for _ in range(max(1, stack.shape[-1]).bit_length()):
+        m = F.mul(m, m)
+    return ~m.any(axis=(-2, -1))
+
+
+def _certify_per_element(M, basis):
+    """``_certify`` with the scalar parts found element by element: l =
+    trace / d where p does not divide d, checked by a nilpotency mask, and
+    otherwise the root that ``factor_charpoly`` returns."""
+    F, d = M.field, M.total_dim
+    eye = F.eye(d)
+    totals = homlab.total_matrices(M, basis)
+    lams = np.zeros(len(basis), dtype=np.int64)
+    nil = np.zeros(len(basis), dtype=bool)
+    if d % F.p:
+        lams = np.trace(totals, axis1=1, axis2=2) % F.p * F.inv(d) % F.p
+        nil = _nilpotent_mask(F, totals - lams[:, None, None] * eye)
+    for i, f in enumerate(basis):
+        if nil[i]:
+            continue
+        found = homlab.factor_charpoly(F, totals[i])
+        if isinstance(found, int):
+            lams[i] = found
+        elif isinstance(found, list):
+            return IndecVerdict(IndecVerdict.FIELD_OBSTRUCTION, (f, found))
+        else:
+            return IndecVerdict(IndecVerdict.DECOMPOSABLE,
+                                homlab._vertex_maps(M, found))
+    shifts = (totals - lams[:, None, None] * eye) % F.p
+    if homlab._generates_nilpotent(F, shifts):
+        return IndecVerdict(IndecVerdict.LOCAL)
+    return IndecVerdict(IndecVerdict.DECOMPOSABLE, homlab._vertex_maps(
+        M, homlab._fitting_witness(F, shifts)))
+
+
+def _assert_same_certificate(M, basis=None):
+    """``_certify`` and the per-element route agree, array for array."""
+    basis = hom_basis(M, M) if basis is None else basis
+    got, want = homlab._certify(M, basis), _certify_per_element(M, basis)
+    assert got.status == want.status
+    if want.status == IndecVerdict.DECOMPOSABLE:
+        assert got.certificate.keys() == want.certificate.keys()
+        assert all(np.array_equal(got.certificate[v], want.certificate[v])
+                   for v in want.certificate)
+    elif want.status == IndecVerdict.FIELD_OBSTRUCTION:
+        (f, fac), (g, gac) = got.certificate, want.certificate
+        assert f is g and fac == gac
+    return got.status
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_certify_matches_per_element_route(p):
+    statuses = set()
+    for name in sorted(SYSTEMS):
+        c = Ctx(SYSTEMS[name], PrimeField(p))
+        for e in c.modules.theorem_inventory(10):
+            statuses.add(_assert_same_certificate(e.rep))
+    assert statuses == {IndecVerdict.LOCAL}
+
+
+@pytest.mark.parametrize("p", [3, 32003])
+def test_certify_matches_per_element_route_on_sums(p):
+    c = Ctx(SYSTEMS["tsys"], PrimeField(p))
+    inv = [e.rep for e in c.modules.theorem_inventory(8)]
+    for M, N in zip(inv[::3], inv[1::3]):
+        assert (_assert_same_certificate(M.direct_sum(N))
+                == IndecVerdict.DECOMPOSABLE)
+
+
+def test_certify_matches_per_element_route_on_the_control(fund21):
+    F3 = PrimeField(3)
+    eye = np.eye(2, dtype=np.int64)
+    want = {(0, 2, 1, 0): IndecVerdict.FIELD_OBSTRUCTION,  # t^2 + 1
+            (1, 0, 0, 2): IndecVerdict.DECOMPOSABLE}
+    for entries, status in want.items():
+        rep = Representation(fund21.quiver, F3,
+                             {v: (("v", 0), ("v", 1))
+                              for v in fund21.quiver.vertices},
+                             {"alpha:1:1": eye, "alpha:1:2": eye,
+                              "beta:1:1": np.array(entries).reshape(2, 2)})
+        assert _assert_same_certificate(rep) == status
+
+
+@st.composite
+def _scalar_plus_nilpotent_sets(draw):
+    """(field, k x d x d stack): uniform entries, or c_i id plus a strictly
+    upper triangular matrix conjugated by a unit triangular P."""
+    F = PrimeField(draw(st.sampled_from((2, 3, 5, 7, 32003))))
+    d, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entry = st.integers(0, F.p - 1)
+
+    def mats(n):
+        flat = draw(st.lists(entry, min_size=n * d * d, max_size=n * d * d))
+        return np.array(flat, dtype=np.int64).reshape(n, d, d)
+
+    stack = mats(k)
+    if draw(st.booleans()):
+        lower, upper = mats(2)
+        P = (np.tril(lower, -1) + F.eye(d)) @ (np.triu(upper, 1) + F.eye(d))
+        cs = np.array(draw(st.lists(entry, min_size=k, max_size=k)))
+        stack = (P % F.p @ np.triu(stack, 1) @ F.inv_matrix(P % F.p)
+                 + cs[:, None, None] * F.eye(d)) % F.p
+    return F, stack
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scalar_plus_nilpotent_sets())
+def test_frobenius_power_finds_the_scalar_part(case):
+    # f = l id + nilpotent iff f^q = l id, q the least power of p >= d;
+    # brute force tries every c in GF(p) for p <= 7, and tr / d above d
+    F, stack = case
+    d = stack.shape[-1]
+    powers = homlab._frobenius_power(F, stack)
+    for f, power in zip(stack, powers):
+        lam = int(power[0, 0])
+        scalar = np.array_equal(power, lam * F.eye(d))
+        cs = (range(F.p) if F.p <= 7
+              else [int(np.trace(f)) * F.inv(d) % F.p])
+        brute = [c for c in cs
+                 if not _power(F, (f - c * F.eye(d)) % F.p, d).any()]
+        assert scalar == bool(brute)
+        assert not scalar or brute == [lam]
+
+
 # -- LOCAL certification by the trace form ---------------------------------------
 
 
 def _trace_rank_and_flag(M):
     """rank tr(f_i f_j) on the End basis, and the verdict of the route
-    behind it (charpoly, flag, Fitting witness), which ``_certify`` takes
-    without the trace form."""
+    behind it (Frobenius power, flag, Fitting witness), which ``_certify``
+    takes without the trace form."""
     rank = homlab._trace_form_rank(M, *homlab.hom_space(M, M))
     return rank, homlab._certify(M, hom_basis(M, M))
 
@@ -1448,10 +1578,10 @@ def test_trace_form_on_sums(fund21, tsys, monkeypatch):
 def test_trace_form_certifies_without_the_flag(monkeypatch):
     # at GF(32003) > dim M the trace form alone certifies every entry
     def forbidden(*args):
-        raise AssertionError("flag or nilpotency mask entered")
+        raise AssertionError("flag or _certify entered")
 
     monkeypatch.setattr(homlab, "_generates_nilpotent", forbidden)
-    monkeypatch.setattr(homlab, "_nilpotent_mask", forbidden)
+    monkeypatch.setattr(homlab, "_certify", forbidden)
     several = 0
     for name in ("tsys", "s24", "ex14"):
         c = ctx(name)
@@ -1555,7 +1685,6 @@ def test_flag_matches_brute_force(case):
     assert homlab._generates_nilpotent(F, stack) == _brute_nilpotent(
         F, stack, d + 1)
     single = [_brute_nilpotent(F, m[None], d) for m in stack]
-    assert homlab._nilpotent_mask(F, stack).tolist() == single
     assert [is_nilpotent(F, m) for m in stack] == single
 
 
