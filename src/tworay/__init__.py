@@ -12,9 +12,8 @@ from .strings import EMPTY, StringWord, WordCalculus
 from .string_modules import (Representation, StringModules, check_relations,
                              zero_representation)
 from .algebra import AlgebraBasis
-from .homlab import (ArVerifier, IndecVerdict, SesCandidate, ar_translate,
-                     hom_basis, is_indecomposable, is_isomorphic, is_split,
-                     realize_ses)
+from .homlab import (ArVerifier, IndecVerdict, ar_translate, hom_basis,
+                     is_indecomposable, is_isomorphic, is_split, realize_ses)
 from .vsc import (AdmissiblePoset, VscModel, hom_pattern_of_functor,
                   match_model)
 
@@ -27,7 +26,7 @@ __all__ = [
     "Representation", "StringModules", "check_relations",
     "zero_representation",
     "AlgebraBasis",
-    "ArVerifier", "IndecVerdict", "SesCandidate", "ar_translate", "hom_basis",
+    "ArVerifier", "IndecVerdict", "ar_translate", "hom_basis",
     "is_indecomposable", "is_isomorphic", "is_split", "realize_ses",
     "AdmissiblePoset", "VscModel", "hom_pattern_of_functor", "match_model",
 ]

@@ -1057,13 +1057,14 @@ def find_iso(M: Representation, N: Representation):
     when N, certified by ``is_indecomposable`` (once: the verdict is kept on
     N), is LOCAL.  Only a certified N that is not LOCAL is split into LOCAL
     summands (Krull-Schmidt), which raises ValueError on a summand that is
-    not LOCAL over the working field.
+    not LOCAL over the working field.  Modules over different fields or
+    quivers raise ValueError before any answer, zero modules included.
     """
+    _check_pair(M, N)
     if M.dims != N.dims:
         return None
     if M.is_zero():
         return zero_map(M, N)
-    _check_pair(M, N)
     if M.end_dim is not None and N.end_dim is not None and (
             M.end_dim != N.end_dim or _arrow_ranks(M) != _arrow_ranks(N)):
         return None
@@ -1242,30 +1243,23 @@ def cokernel_rep(M: Representation, N: Representation, f):
     return Representation(q, F, spaces, maps), proj
 
 
-class SesCandidate:
-    """A claimed almost-split sequence, with its middle summands, awaiting
-    realization."""
-
-    def __init__(self, left, middles, right):
-        self.left = left
-        self.middles = list(middles)
-        self.middle = direct_sum_of(left.quiver, left.field, self.middles)
-        self.right = right
-        self.f = None
-        self.g = None
-
-    def dims_additive(self) -> bool:
-        return self.middle.dims == tuple(
-            l + r for l, r in zip(self.left.dims, self.right.dims))
+def _dims_additive(X, middles, Z) -> bool:
+    """dim X + dim Z = the sum of the dimension vectors of ``middles``."""
+    return all(x + z == sum(e) for x, z, *e in
+               zip(X.dims, Z.dims, *(E.dims for E in middles)))
 
 
-def realize_ses(cand: SesCandidate) -> SesCandidate:
-    """Find injective f: X -> E and surjective g: E -> Z with coker(f) = Z.
+def realize_ses(X, middles, Z):
+    """(E, f, g): E the direct sum of ``middles``, f: X -> E injective and
+    g: E -> Z surjective with coker(f) = Z; NotRealizable if none is found.
 
     For each middle summand E_i, the candidates are the Hom(X, E_i) basis
     maps that are injective or onto ([0] if none).  f runs over their
     product, summands in order and the last varying fastest, and the first
-    injective f whose cokernel ``find_iso`` matches with Z wins.
+    f whose cokernel ``find_iso`` matches with Z wins.  That f is injective:
+    dim X + dim Z = dim E is checked first, and dim coker(f) = dim E - rank
+    f, so coker(f) has the dimension vector of Z, which ``find_iso``
+    compares before any Hom system, exactly when f is injective.
 
     The search is complete (Auslander-Reiten-Smalo, Representation Theory of
     Artin Algebras, 1995, Ch. V and VII).  Let the row be almost split, each
@@ -1281,43 +1275,39 @@ def realize_ses(cand: SesCandidate) -> SesCandidate:
     combination of the basis maps is sure to work.  For a candidate that is
     not almost split, the search can miss an exact sequence that exists.
     """
-    if not cand.dims_additive():
+    if not _dims_additive(X, middles, Z):
         raise NotRealizable("dimension vectors are not additive")
-    X, E, Z = cand.left, cand.middle, cand.right
     F = X.field
+    E = direct_sum_of(X.quiver, F, middles)
     choices = [[h for h in hom_basis(X, Y)
                 if _full_rank(F, h, X) or _full_rank(F, h, Y)]
-               or [zero_map(X, Y)] for Y in cand.middles]
+               or [zero_map(X, Y)] for Y in middles]
     for parts in itertools.product(*choices):
         f = {v: np.vstack([h[v] for h in parts]) for v in X.quiver.vertices}
-        if _full_rank(F, f, X):
-            Q, proj = cokernel_rep(X, E, f)
-            iso = find_iso(Q, Z)
-            if iso is not None:
-                cand.f, cand.g = f, compose_maps(F, iso, proj)
-                return cand
+        Q, proj = cokernel_rep(X, E, f)
+        iso = find_iso(Q, Z)
+        if iso is not None:
+            return E, f, compose_maps(F, iso, proj)
     raise NotRealizable("no injective map with the right cokernel was found")
 
 
-def is_split(cand: SesCandidate) -> bool:
-    """True iff a retraction r with r f = id exists (exact linear solve).
+def is_split(X, E, f) -> bool:
+    """True iff the injection f: X -> E has a retraction r, r f = id (exact
+    linear solve).
 
     r f is linear in r, so such an r exists iff id lies in the span of the
-    r_i f over a basis r_i of Hom(middle, left): one ``solve`` with a column
-    per r_i f.  The stack of the r_i at a vertex is the block of the
+    r_i f over a basis r_i of Hom(E, X): one ``solve`` with a column per
+    r_i f.  The stack of the r_i at a vertex is the block of the
     ``hom_space`` array, transposed; (r_i f)^T = f^T r_i^T is read row by
     row, which pairs its entries with those of the symmetric id.
     """
-    if cand.f is None:
-        raise ValueError("realize the sequence first")
-    X, E = cand.left, cand.middle
     F = X.field
     kernel, blocks = hom_space(E, X)
     if not len(kernel):
         return X.is_zero()
     if len(blocks) < len(X.support):  # f is 0 on some X_v: no retraction
         return False
-    cols = np.hstack([F.mul(cand.f[v].T, transposed_blocks(kernel, block))
+    cols = np.hstack([F.mul(f[v].T, transposed_blocks(kernel, block))
                       .reshape(len(kernel), -1)
                       for v, block in blocks.items()])
     ident = np.hstack([F.eye(X.dim(v)).reshape(-1) for v in blocks])
@@ -1903,9 +1893,8 @@ class ArVerifier:
                  "problems": problems, "certificate": None}
         (left_atom,), (right_atom,) = row["left"], row["right"]
         left, right = self.atom_rep(left_atom), self.atom_rep(right_atom)
-        cand = SesCandidate(left, [self.atom_rep(a) for a in row["middle"]],
-                            right)
-        status["additivity"] = cand.dims_additive()
+        middles = [self.atom_rep(a) for a in row["middle"]]
+        status["additivity"] = _dims_additive(left, middles, right)
         if not status["additivity"]:
             problems.append("dimension vectors not additive")
             return entry
@@ -1914,13 +1903,13 @@ class ArVerifier:
         status["ends_indecomposable"] = not split_ends
         problems += [f"end not indecomposable: {a}" for a in split_ends]
         try:
-            realize_ses(cand)
+            middle, f, g = realize_ses(left, middles, right)
         except NotRealizable as exc:
             status["realized"] = False
             problems.append(f"not realizable: {exc}")
             return entry
         status["realized"] = True
-        status["nonsplit"] = not is_split(cand)
+        status["nonsplit"] = not is_split(left, middle, f)
         if not status["nonsplit"]:
             problems.append("sequence splits")
         try:
@@ -1930,8 +1919,8 @@ class ArVerifier:
         if not status["tau"]:
             problems.append("DTr(right) does not match left")
         entry["certificate"] = {
-            "injection": {v: m.tolist() for v, m in cand.f.items() if m.size},
-            "surjection": {v: m.tolist() for v, m in cand.g.items() if m.size},
+            "injection": {v: m.tolist() for v, m in f.items() if m.size},
+            "surjection": {v: m.tolist() for v, m in g.items() if m.size},
         }
         return entry
 

@@ -279,6 +279,20 @@ def test_verify_fund32_report_pinned(sysfile):
         "d701ae7769313f4b1db94758f91b1289fa6193d917b3a6d6bfa5d9cab51b27fa")
 
 
+def test_verify_from_inventory_replay_pinned(sysfile, tmp_path):
+    # a stored classification of the worked example replays through verify
+    f = sysfile("ex14")
+    code, out = run(["classify", f, "--max-dim", "8"])
+    assert code == 0
+    inv_path = tmp_path / "ex14-inv.json"
+    inv_path.write_text(out)
+    code, out = run(["verify", f, "--max-dim", "8",
+                     "--from-inventory", str(inv_path)])
+    assert code == 0
+    assert _sha256(out) == (
+        "7b8446be0c21a81c3e497c844bec5d8a93624e6d2e43da95c494047bbe263e0b")
+
+
 def test_ar_worked_example_pinned(sysfile):
     code, out = run(["ar", sysfile("ex14"), "--max-dim", "12"])
     assert code == 0

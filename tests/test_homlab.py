@@ -13,7 +13,7 @@ from tworay import (StringWord, ar_translate, hom_basis,
 from tworay import homlab
 from tworay.field import PrimeField
 from tworay.homlab import (ArVerifier, IndecVerdict, NotRealizable,
-                           ProjectiveSummand, SesCandidate, _quotients,
+                           ProjectiveSummand, _quotients,
                            compose_maps, find_iso, hom_space, hom_spaces,
                            is_intertwiner, is_nilpotent, is_projective,
                            total_matrix)
@@ -117,9 +117,8 @@ def test_realize_split_candidate(fund21):
     sm = fund21.modules
     x = sm.construct_M(fund21.calc.word(("alpha:1:1",)))
     z = sm.construct_M(fund21.calc.trivial("x:1:2"))
-    cand = SesCandidate(x, [x.direct_sum(z)], z)
-    realize_ses(cand)
-    assert is_split(cand)
+    E, f, _ = realize_ses(x, [x.direct_sum(z)], z)
+    assert is_split(x, E, f)
 
 
 def test_realize_theorem_row(ctx_s=None):
@@ -134,25 +133,25 @@ def test_realize_theorem_row(ctx_s=None):
     left = sm.construct_M(mu)
     middle = sm.construct_NCC(x, mu, mup)
     right = sm.construct_N(x, mup)
-    cand = SesCandidate(left, [middle], right)
-    realize_ses(cand)
-    assert not is_split(cand)
+    E, f, g = realize_ses(left, [middle], right)
+    assert E is middle
+    assert not is_split(left, E, f)
     F = sm.field
     for v in c.quiver.vertices:  # exactness bookkeeping per vertex
-        rank_f = F.rank(cand.f[v]) if left.dim(v) else 0
-        rank_g = F.rank(cand.g[v]) if right.dim(v) else 0
+        rank_f = F.rank(f[v]) if left.dim(v) else 0
+        rank_g = F.rank(g[v]) if right.dim(v) else 0
         assert rank_f == left.dim(v)
         assert rank_g == right.dim(v)
         assert rank_f + rank_g == middle.dim(v)
-    comp = {v: F.mul(cand.g[v], cand.f[v]) for v in c.quiver.vertices}
+    comp = {v: F.mul(g[v], f[v]) for v in c.quiver.vertices}
     assert all(F.is_zero(m) for m in comp.values())
 
 
 def test_realize_rejects_bad_dimensions(fund21):
     sm = fund21.modules
     s = sm.construct_M(fund21.calc.trivial("x:1:0"))
-    with pytest.raises(NotRealizable):
-        realize_ses(SesCandidate(s, [s], s))
+    with pytest.raises(NotRealizable, match="not additive"):
+        realize_ses(s, [s], s)
 
 
 def test_nonsplit_band_extension(fund21):
@@ -161,9 +160,8 @@ def test_nonsplit_band_extension(fund21):
     b0 = fund21.calc.band_b0()
     r1 = sm.construct_R(b0, 5, 1)
     r2 = sm.construct_R(b0, 5, 2)
-    cand = SesCandidate(r1, [r2], r1)
-    realize_ses(cand)
-    assert not is_split(cand)
+    E, f, _ = realize_ses(r1, [r2], r1)
+    assert not is_split(r1, E, f)
 
 
 def test_projectivity_and_translate_errors(fund21):
@@ -229,15 +227,13 @@ def test_verifier_negative_control(fund21):
     sm = fund21.modules
     b0 = fund21.calc.band_b0()
     # wrong middle: no map at all from R(2,1) into R(3,2)
-    cand = SesCandidate(sm.construct_R(b0, 2, 1), [sm.construct_R(b0, 3, 2)],
-                        sm.construct_R(b0, 2, 1))
     with pytest.raises(NotRealizable):
-        realize_ses(cand)
+        realize_ses(sm.construct_R(b0, 2, 1), [sm.construct_R(b0, 3, 2)],
+                    sm.construct_R(b0, 2, 1))
     # right cokernel mismatch: R(2,2)/R(2,1) is not R(3,1)
-    cand2 = SesCandidate(sm.construct_R(b0, 2, 1), [sm.construct_R(b0, 2, 2)],
-                         sm.construct_R(b0, 3, 1))
     with pytest.raises(NotRealizable):
-        realize_ses(cand2)
+        realize_ses(sm.construct_R(b0, 2, 1), [sm.construct_R(b0, 2, 2)],
+                    sm.construct_R(b0, 3, 1))
 
 
 def test_verify_report_fund21(fund21):
@@ -267,9 +263,8 @@ def test_verify_row2_instance_with_zero_term(tsys):
     left = sm.construct_R(bx, 1, 1)
     middle = [sm.construct_Qband("x:1:2", 2)]  # R(B,1,0) = 0 contributes nothing
     right = sm.construct_Qband("x:1:2", 1)
-    cand = SesCandidate(left, middle, right)
-    realize_ses(cand)
-    assert not is_split(cand)
+    E, f, _ = realize_ses(left, middle, right)
+    assert not is_split(left, E, f)
     tau = ar_translate(right, tsys.algebra)
     assert is_isomorphic(tau, left)
 
@@ -446,8 +441,7 @@ def _dense_hom_basis(M, N):
              for v in M.quiver.vertices} for k in range(kernel.shape[1])]
 
 
-def _dense_is_split(cand):
-    X, E = cand.left, cand.middle
+def _dense_is_split(X, E, f):
     F = X.field
     offsets, total = _unknown_offsets(E, X)
     if total == 0:
@@ -458,7 +452,7 @@ def _dense_is_split(cand):
         xv, ev = X.dim(v), E.dim(v)
         block = np.zeros((xv * xv, total), dtype=np.int64)
         block[:, offsets[v]: offsets[v] + xv * ev] = np.kron(
-            cand.f[v].T, np.eye(xv, dtype=np.int64))
+            f[v].T, np.eye(xv, dtype=np.int64))
         rows.append(block % F.p)
         rhs.append(F.eye(xv).reshape(-1, 1, order="F"))
     return F.solve(np.vstack(rows), np.vstack(rhs)) is not None
@@ -516,12 +510,6 @@ def test_hom_basis_rejects_mixed_pairs():
     assert len(hom_basis(b, same_shape)) == len(hom_basis(b, b))
 
 
-def test_is_split_requires_realized_sequence(fund21):
-    s = fund21.modules.construct_M(fund21.calc.trivial("x:1:0"))
-    with pytest.raises(ValueError, match="realize"):
-        is_split(SesCandidate(s, [s.direct_sum(s)], s))
-
-
 def test_is_split_matches_dense_solve(tsys):
     ver = ArVerifier(tsys.modules, tsys.algebra)
     rows = [r for r in ver.rows(10) if r["middle_dim"] <= 10]
@@ -532,15 +520,131 @@ def test_is_split_matches_dense_solve(tsys):
                              for end in ("left", "right"))
         for middle in ([ver.atom_rep(a) for a in row["middle"]],
                        [left, right]):
-            cand = SesCandidate(left, middle, right)
             try:
-                realize_ses(cand)
+                E, f, _ = realize_ses(left, middle, right)
             except NotRealizable:
                 continue
-            got = is_split(cand)
-            assert got == _dense_is_split(cand), row["key"]
+            got = is_split(left, E, f)
+            assert got == _dense_is_split(left, E, f), row["key"]
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+# -- realization in one call against the candidate record it replaced -----------
+
+
+class _SesCandidate:
+    """The record the realization filled in before ``realize_ses`` returned
+    (E, f, g): a claimed sequence, its middle summands and their sum."""
+
+    def __init__(self, left, middles, right):
+        self.left = left
+        self.middles = list(middles)
+        self.middle = homlab.direct_sum_of(left.quiver, left.field,
+                                           self.middles)
+        self.right = right
+        self.f = None
+        self.g = None
+
+    def dims_additive(self):
+        return self.middle.dims == tuple(
+            l + r for l, r in zip(self.left.dims, self.right.dims))
+
+
+def _realize_ses_reference(cand):
+    """The realization on the record: each candidate f is first tested for
+    injectivity, and only an injective one reaches its cokernel."""
+    if not cand.dims_additive():
+        raise NotRealizable("dimension vectors are not additive")
+    X, E, Z = cand.left, cand.middle, cand.right
+    F = X.field
+    full_rank = homlab._full_rank
+    choices = [[h for h in hom_basis(X, Y)
+                if full_rank(F, h, X) or full_rank(F, h, Y)]
+               or [homlab.zero_map(X, Y)] for Y in cand.middles]
+    for parts in itertools.product(*choices):
+        f = {v: np.vstack([h[v] for h in parts]) for v in X.quiver.vertices}
+        if full_rank(F, f, X):
+            Q, proj = homlab.cokernel_rep(X, E, f)
+            iso = find_iso(Q, Z)
+            if iso is not None:
+                cand.f, cand.g = f, compose_maps(F, iso, proj)
+                return cand
+    raise NotRealizable("no injective map with the right cokernel was found")
+
+
+def _is_split_reference(cand):
+    if cand.f is None:
+        raise ValueError("realize the sequence first")
+    X, E = cand.left, cand.middle
+    F = X.field
+    kernel, blocks = hom_space(E, X)
+    if not len(kernel):
+        return X.is_zero()
+    if len(blocks) < len(X.support):
+        return False
+    cols = np.hstack([F.mul(cand.f[v].T,
+                            homlab.transposed_blocks(kernel, block))
+                      .reshape(len(kernel), -1)
+                      for v, block in blocks.items()])
+    ident = np.hstack([F.eye(X.dim(v)).reshape(-1) for v in blocks])
+    return F.solve(cols.T, ident) is not None
+
+
+def _assert_same_realization(X, middles, Z):
+    """``realize_ses`` and ``is_split`` agree with the reference: the same
+    NotRealizable message, or the same dimension vector of E, the same f and
+    g arrays and the same split verdict, which is returned."""
+    cand = _SesCandidate(X, middles, Z)
+    try:
+        _realize_ses_reference(cand)
+    except NotRealizable as exc:
+        with pytest.raises(NotRealizable) as got:
+            realize_ses(X, middles, Z)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    E, f, g = realize_ses(X, middles, Z)
+    assert E.dims == cand.middle.dims
+    for got, want in ((f, cand.f), (g, cand.g)):
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[v], want[v]) for v in want)
+    split = is_split(X, E, f)
+    assert split == _is_split_reference(cand)
+    return split
+
+
+@pytest.mark.parametrize("name, bound, p", [
+    *((name, 12, 32003) for name in sorted(SYSTEMS)),
+    ("tsys", 20, 32003), ("tsys", 20, 2)])
+def test_realization_matches_candidate_reference(name, bound, p, monkeypatch):
+    """Every row with middle <= bound, its split sum (left + right), the
+    row with its ends swapped and the row less its last middle summand:
+    one call realizes each as the record did, or fails with its message.
+    A candidate f that is not injective now reaches ``cokernel_rep``, and
+    some do; ``find_iso`` turns them down."""
+    c = ctx(name) if p == 32003 else Ctx(SYSTEMS[name], PrimeField(p))
+    ver = ArVerifier(c.modules, c.algebra)
+    rows = [r for r in ver.rows(bound) if r["middle_dim"] <= bound]
+    assert rows
+    cokernel_rep, not_injective = homlab.cokernel_rep, []
+
+    def counting(M, N, f):
+        if not homlab._full_rank(M.field, f, M):
+            not_injective.append(f)
+        return cokernel_rep(M, N, f)
+
+    monkeypatch.setattr(homlab, "cokernel_rep", counting)
+    outcomes = set()
+    for row in rows:
+        (X,), (Z,) = ([ver.atom_rep(a) for a in row[end]]
+                      for end in ("left", "right"))
+        middles = [ver.atom_rep(a) for a in row["middle"]]
+        assert _assert_same_realization(X, middles, Z) is False, row["key"]
+        for args in ((X, [X, Z], Z), (Z, middles, X), (X, middles[:-1], Z)):
+            outcomes.add(_assert_same_realization(*args))
+    assert outcomes >= {True, "dimension vectors are not additive",
+                        "no injective map with the right cokernel was found"}
+    assert not_injective
 
 
 _PRIMES = (2, 3, 32003)
@@ -774,10 +878,9 @@ def test_hom_sweep_matches_dense(case):
     X, Z, E = case
     for M, N in _loop_pairs(case):
         _assert_same_basis(M, N)
-    cand = SesCandidate(X, [E], Z)
-    cand.f = {v: np.eye(e, x, dtype=np.int64)
-              for v, x, e in zip(_LOOP_QUIVER.vertices, X.dims, E.dims)}
-    assert is_split(cand) == _dense_is_split(cand)
+    f = {v: np.eye(e, x, dtype=np.int64)
+         for v, x, e in zip(_LOOP_QUIVER.vertices, X.dims, E.dims)}
+    assert is_split(X, E, f) == _dense_is_split(X, E, f)
 
 
 @contextlib.contextmanager
@@ -1091,6 +1194,22 @@ def test_zero_modules_are_isomorphic(fund21):
     assert verdict.isomorphic and verdict.certificate is not None
     s = fund21.modules.construct_M(fund21.calc.trivial("x:1:0"))
     assert find_iso(zero, s) is None and not is_isomorphic(s, zero)
+
+
+def test_find_iso_rejects_mixed_fields_before_answering(tsys):
+    # as hom_space does: zero modules and unequal dimension vectors over
+    # different fields are a usage error, not an answer
+    gf3, gf5 = (Ctx(SYSTEMS["tsys"], PrimeField(p)) for p in (3, 5))
+    zeros = [zero_representation(tsys.quiver, c.field) for c in (gf3, gf5)]
+    for M, N in (zeros, (gf3.modules.construct_Qband("x:1:2", 1),
+                         gf5.modules.construct_Qband("x:1:2", 2)),
+                 (zeros[0], gf5.modules.construct_Qband("x:1:2", 1))):
+        with pytest.raises(ValueError, match="different fields"):
+            find_iso(M, N)
+        with pytest.raises(ValueError, match="different fields"):
+            is_isomorphic(M, N)
+        with pytest.raises(ValueError, match="different fields"):
+            hom_space(M, N)
 
 
 def test_isomorphism_draws_no_random_numbers(monkeypatch, fund21, tsys):
