@@ -70,10 +70,12 @@ kernel alone, so the arrays agree entry for entry.
 The sweep stays for small batches.  An array pass costs about 0.5 ms
 whatever its size, against 2 to 6 us per unknown for the sweep (CHANGES.md
 has the crossover), and the systems of ``find_iso``, ``realize_ses``,
-``is_split`` and a lone ``is_indecomposable`` come one at a time.  So
-``hom_spaces`` sweeps a batch of fewer than ``_BATCH_UNKNOWNS`` unknowns.
-``ArVerifier.verify`` solves the End systems of its inventory, and
-``vsc.measure_pattern`` the Hom systems of each lemma site, through it.
+``is_split`` and ``is_indecomposable`` on a fresh module come one at a
+time.  So ``hom_spaces`` sweeps a batch of fewer than ``_BATCH_UNKNOWNS``
+unknowns.  The End systems of an inventory's entries go through it in one
+stream (``_certify_all``, on the first ``is_indecomposable`` call to an
+entry or from ``ArVerifier.verify``), and ``vsc.measure_pattern`` the Hom
+systems of each lemma site.
 
 Hom(M, N) is kept as that one array.  ``hom_space`` returns it, read-only,
 with its blocks {v: (offset, dim N_v, dim M_v)} over the common support:
@@ -985,13 +987,21 @@ def is_indecomposable(M: Representation) -> IndecVerdict:
     """Certify End(M) = k . id + nilpotents, or exhibit an idempotent.
 
     End(M) is read as the kernel array of ``hom_space(M, M)``, and
-    ``_end_verdict`` decides from it; ``ArVerifier.verify`` feeds the same
-    step from one ``hom_spaces`` batch.  The verdict is left on the module as
+    ``_end_verdict`` decides from it.  The verdict is left on the module as
     ``M.indec`` and dim End(M) as ``M.end_dim``, for ``find_iso``, and a
-    later call returns the recorded verdict.  dim End(M) = 1 is LOCAL, and
-    when p > dim M the trace form decides LOCAL (Dickson, see the module
-    docstring); only a module these leave open is unpacked into maps for
-    ``_certify``.
+    later call returns the recorded verdict.
+
+    A module of a ``pending`` group (every entry of a ``theorem_inventory``)
+    reads ahead: the first call certifies every uncertified member through
+    ``_certify_all``, in one ``hom_spaces`` stream that holds at most one
+    chunk's arrays at a time, and later calls on the members return their
+    recorded verdicts.  A ``ConsistencyError`` from any member reaches the
+    call that started the pass.  A module without a group, such as a
+    cokernel, a DTr or a direct sum, is swept alone.
+
+    dim End(M) = 1 is LOCAL, and when p > dim M the trace form decides
+    LOCAL (Dickson, see the module docstring); only a module these leave
+    open is unpacked into maps for ``_certify``.
 
     DECOMPOSABLE carries a nontrivial idempotent endomorphism.
     FIELD_OBSTRUCTION carries an element f and the monic irreducible g of
@@ -1001,9 +1011,26 @@ def is_indecomposable(M: Representation) -> IndecVerdict:
     """
     if M.is_zero():
         raise ValueError("the zero module is neither")
+    if M.indec is None and M.pending is not None:
+        _certify_all(M.pending)
     if M.indec is not None:
         return M.indec
     return _end_verdict(M, *hom_space(M, M))
+
+
+def _certify_all(modules):
+    """Record ``_end_verdict`` on every module of ``modules`` that has no
+    verdict yet, their End systems solved in one ``hom_spaces`` stream, and
+    drop the ``pending`` group of every one of them first.  An error from
+    one member ends the pass: the members before it keep their verdicts,
+    and the rest, no longer in a group, are swept one by one when asked."""
+    todo = []
+    for M in modules:
+        M.pending = None
+        if M.indec is None:
+            todo.append(M)
+    for M, space in zip(todo, hom_spaces((M, M) for M in todo)):
+        _end_verdict(M, *space)
 
 
 def _end_verdict(M: Representation, kernel, blocks) -> IndecVerdict:
@@ -1540,7 +1567,8 @@ class ArVerifier:
     # -- row enumeration ------------------------------------------------------
 
     def rows(self, bound: int):
-        """Rows with right-term dimension or middle dimension within bound.
+        """Rows with right-term dimension or middle dimension within bound,
+        a negative bound raising ValueError.
 
         Every family is enumerated forwards from its left parameters, so the
         coverage check in ``verify`` stays a real check.  Write |EMPTY| = -1,
@@ -1615,6 +1643,8 @@ class ArVerifier:
           kept pair has |C+| + |C'+| <= bound - 3, and Lemma A gives
           |C| <= |C+| + 1 + w in both of its cases.
         """
+        if bound < 0:
+            raise ValueError(f"bound must be nonnegative, got {bound}")
         sm = self.sm
         out = []
         self.row_anomalies = []
@@ -1822,9 +1852,9 @@ class ArVerifier:
 
         The inventory stays on ``self.inventory``; its representations seed
         the atom cache, so a row end that is an entry is the entry's module.
-        Every entry is certified first, its End(M) solved in one
-        ``hom_spaces`` call, so ``_projective_keys`` and each row read the
-        verdicts recorded on the modules.  A negative ``bound`` or
+        Every entry is certified first by ``_certify_all``, the End systems
+        solved in one ``hom_spaces`` stream, so ``_projective_keys`` and each
+        row read the verdicts recorded on the modules.  A negative ``bound`` or
         ``lemma_len`` raises ValueError.
         """
         if bound < 0 or (lemma_len or 0) < 0:
@@ -1835,9 +1865,7 @@ class ArVerifier:
             self._rep_cache.setdefault(entry.key, entry.rep)
         self.inventory = inventory
         reps = [(e.key, self.atom_rep(e.key)) for e in inventory]
-        todo = [M for _, M in reps if M.indec is None]
-        for M, space in zip(todo, hom_spaces((M, M) for M in todo)):
-            _end_verdict(M, *space)
+        _certify_all(M for _, M in reps)
         not_local = [(k, M.indec.status) for k, M in reps
                      if M.indec != IndecVerdict.LOCAL]
         rows = self.rows(bound)

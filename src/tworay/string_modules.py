@@ -66,6 +66,12 @@ class Representation:
     ``arrow_ranks``, the ranks of the support-arrow maps in that order, set
     by ``homlab.find_iso`` when it first compares them.  All start as None.
 
+    ``pending`` is None, or the tuple of modules, this one among them, whose
+    End(M) ``homlab.is_indecomposable`` solves in one ``homlab.hom_spaces``
+    stream on the first call to any of them (``theorem_inventory`` gives
+    its entries one such group).  That call drops the group from every
+    member; until then the group keeps all of its members alive.
+
     The constructor takes dense matrices (arrays or nested lists),
     ``from_entries`` a list of (row, column, coefficient) per arrow, whose
     entries at one position add.  Both go through the checks of ``_pack``:
@@ -75,7 +81,7 @@ class Representation:
 
     __slots__ = ("quiver", "field", "spaces", "dims", "support",
                  "support_arrows", "maps", "buffer", "indec", "end_dim",
-                 "arrow_ranks")
+                 "arrow_ranks", "pending")
 
     def __init__(self, quiver: Quiver, field, spaces, maps):
         self._pack(quiver, field, spaces, maps, _dense_buffer)
@@ -117,7 +123,7 @@ class Representation:
         for a, (start, rows, cols) in layout.items():
             self.maps[a] = buf[start: start + rows * cols].reshape(rows, cols)
         self.support_arrows = tuple(layout)
-        self.indec = self.end_dim = self.arrow_ranks = None
+        self.indec = self.end_dim = self.arrow_ranks = self.pending = None
         for v in self.support:
             labels = self.spaces[v]
             if len(set(labels)) != len(labels):
@@ -530,7 +536,14 @@ class StringModules:
         The band parameter runs over ``lams`` (the theorem's family carries
         every unit; 1 is included for every band so the tube mouths
         referenced by the almost-split-sequence rows are present).
+
+        The entries' modules share one ``pending`` group, so the first
+        ``homlab.is_indecomposable`` call on any of them certifies them all
+        in one ``homlab.hom_spaces`` stream; building the inventory solves
+        no Hom system.  A negative ``bound`` raises ValueError.
         """
+        if bound < 0:
+            raise ValueError(f"bound must be nonnegative, got {bound}")
         calc, q, wkey = self.calc, self.quiver, self.calc.word_key
         keys = [("M", wkey(w)) for w in calc.all_strings(bound - 1)]
         for x in q.q0_primed():
@@ -551,4 +564,7 @@ class StringModules:
             keys += [("Qband", x, m) for m in range(1, top + 1)]
         entries = [InventoryEntry(k[0], k[1:], self.atom(k)) for k in keys]
         entries.sort(key=lambda e: repr(e.key))
+        group = tuple(e.rep for e in entries)
+        for M in group:
+            M.pending = group
         return entries

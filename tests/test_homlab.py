@@ -1923,3 +1923,145 @@ def test_charpoly_route_on_repeated_blocks(p):
                 seen += 1
     assert seen
 
+
+
+# -- the inventory's read-ahead -----------------------------------------------
+
+
+def _same_verdict(got, want):
+    """Equal status and certificate: None, a map {vertex: matrix}, or
+    (map, irreducible factor)."""
+    assert got.status == want.status
+    c, w = got.certificate, want.certificate
+    if isinstance(w, tuple):
+        assert c[1] == w[1]
+        c, w = c[0], w[0]
+    if w is None:
+        assert c is None
+    else:
+        assert c.keys() == w.keys()
+        assert all(np.array_equal(c[v], w[v]) for v in w)
+
+
+_READ_AHEAD_CASES = ([(name, 8, 32003) for name in sorted(SYSTEMS)]
+                     + [("tsys", 20, 32003), ("tsys", 8, 2), ("tsys", 8, 3)])
+
+
+@pytest.mark.parametrize("name,bound,p", _READ_AHEAD_CASES)
+def test_read_ahead_matches_per_module_verdicts(name, bound, p, monkeypatch):
+    """Certifying an inventory by the read-ahead of its first
+    ``is_indecomposable`` call records, entry for entry, the status, dim End
+    and certificate of ``_end_verdict`` on ``hom_space(M, M)``; over GF(2)
+    and GF(3) ``_certify`` decides some of them.  A hand-made group of
+    direct sums of entries, DECOMPOSABLE, compares its idempotents too."""
+    c = ctx(name) if p == 32003 else Ctx(SYSTEMS[name], PrimeField(p))
+    certified = []
+    real = homlab._certify
+    monkeypatch.setattr(homlab, "_certify",
+                        lambda M, basis: certified.append(M) or real(M, basis))
+    ahead = [e.rep for e in c.modules.theorem_inventory(bound)]
+    alone = [e.rep for e in c.modules.theorem_inventory(bound)]
+    sums = [(a.direct_sum(b), a.direct_sum(b)) for a, b in
+            zip(alone[:40:4], alone[1:40:4])]
+    group = tuple(s for s, _ in sums)
+    for s in group:
+        s.pending = group
+    for M in ahead:
+        is_indecomposable(M)
+    assert (p < 32003) == bool(certified)  # the trace form decides at 32003
+    for M in group:
+        is_indecomposable(M)
+    for M, N in zip(ahead + list(group), alone + [s for _, s in sums]):
+        want = homlab._end_verdict(N, *hom_space(N, N))
+        _same_verdict(M.indec, want)
+        assert M.end_dim == N.end_dim
+        assert M.pending is None
+    assert all(s.indec == IndecVerdict.DECOMPOSABLE for s in group)
+
+
+def test_read_ahead_solves_once(ex14, monkeypatch):
+    """Building the inventory solves no Hom system; the first
+    ``is_indecomposable`` call solves every entry's End(M) in one
+    ``hom_spaces`` call and drops the group from every entry, and the later
+    calls solve nothing."""
+    def forbidden(*args):
+        raise AssertionError("Hom system solved")
+
+    for f in ("hom_space", "hom_spaces", "_hom_kernel", "_hom_batch"):
+        monkeypatch.setattr(homlab, f, forbidden)
+    inventory = ex14.modules.theorem_inventory(8)
+    reps = [e.rep for e in inventory]
+    assert all(M.pending is reps[0].pending for M in reps)
+    assert list(reps[0].pending) == reps
+    monkeypatch.undo()
+    calls = []
+    real = homlab.hom_spaces
+    monkeypatch.setattr(homlab, "hom_spaces",
+                        lambda pairs: calls.append(list(pairs)) or
+                        real(calls[-1]))
+    is_indecomposable(reps[5])
+    assert calls == [[(M, M) for M in reps]]
+    assert all(M.pending is None and M.indec is not None for M in reps)
+    for f in ("hom_space", "hom_spaces", "_hom_kernel", "_hom_batch",
+              "_end_verdict"):
+        monkeypatch.setattr(homlab, f, forbidden)
+    assert all(is_indecomposable(M) is M.indec for M in reps)
+
+
+def test_sums_and_translates_take_the_sweep(tsys, monkeypatch):
+    """A direct sum of two entries and a DTr belong to no group: each is
+    swept alone, and the entries' group is left for its own first call."""
+    reps = [e.rep for e in tsys.modules.theorem_inventory(8)]
+    total = reps[0].direct_sum(reps[1])
+    right = next(M for M in reps if not is_projective(M, tsys.algebra))
+    translate = ar_translate(right, tsys.algebra)
+    assert total.pending is None and translate.pending is None
+    solved = []
+    real = homlab.hom_space
+    monkeypatch.setattr(homlab, "hom_space",
+                        lambda M, N: solved.append((M, N)) or real(M, N))
+    monkeypatch.setattr(homlab, "hom_spaces",
+                        lambda pairs: pytest.fail("read-ahead"))
+    assert is_indecomposable(total) == IndecVerdict.DECOMPOSABLE
+    assert is_indecomposable(translate) == IndecVerdict.LOCAL
+    assert solved == [(total, total), (translate, translate)]
+    assert all(M.pending is reps[0].pending and M.indec is None
+               for M in reps)
+
+
+def test_read_ahead_error_reaches_the_first_call(fund21, monkeypatch):
+    """A ConsistencyError from a later member surfaces at the call that
+    started the pass; the group is gone, the members before it keep their
+    verdicts, and the rest are swept when asked."""
+    from tworay.quiver import ConsistencyError
+
+    reps = [e.rep for e in fund21.modules.theorem_inventory(6)]
+    bad = reps[len(reps) // 2]
+    real = homlab._end_verdict
+
+    def failing(M, kernel, blocks):
+        if M is bad:
+            raise ConsistencyError("planted")
+        return real(M, kernel, blocks)
+
+    monkeypatch.setattr(homlab, "_end_verdict", failing)
+    with pytest.raises(ConsistencyError, match="planted"):
+        is_indecomposable(reps[0])
+    assert all(M.pending is None for M in reps)
+    assert all(M.indec is not None for M in reps[:len(reps) // 2])
+    assert all(M.indec is None for M in reps[len(reps) // 2:])
+    monkeypatch.undo()
+    assert all(is_indecomposable(M) == IndecVerdict.LOCAL for M in reps)
+
+
+def test_library_rejects_negative_bounds(fund21):
+    """A negative bound raises the ValueError of ``verify`` in the
+    inventory, the rows and a lemma site, instead of an empty answer."""
+    ver = ArVerifier(fund21.modules, fund21.algebra)
+    v, which = lemma_sites(fund21.quiver)[0]
+    for call in (lambda: fund21.modules.theorem_inventory(-3),
+                 lambda: ver.rows(-2),
+                 lambda: lemma(fund21.modules, v, which, -2),
+                 lambda: ver.verify(-1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
