@@ -697,9 +697,6 @@ def compose_maps(F, f, g):
 def map_add(F, f, g):
     return {v: F.add(f[v], g[v]) for v in f}
 
-def map_scale(F, c, f):
-    return {v: F.scale(c, f[v]) for v in f}
-
 def identity_map(M: Representation):
     return {v: M.field.eye(n) if n else zero_size_block(0, 0)
             for v, n in zip(M.quiver.vertices, M.dims)}
@@ -1115,7 +1112,7 @@ def _local_summands(N: Representation):
     if verdict.status != IndecVerdict.DECOMPOSABLE:
         raise ValueError(f"no Krull-Schmidt split over GF(p): {verdict}")
     F, e = N.field, verdict.certificate
-    one_minus_e = map_add(F, identity_map(N), map_scale(F, F.neg(1), e))
+    one_minus_e = {v: F.sub(m, e[v]) for v, m in identity_map(N).items()}
     out = []
     for p in (e, one_minus_e):
         K, incl = kernel_rep(N, N, p)
@@ -1540,28 +1537,29 @@ class ArVerifier:
     The rows name their terms by atoms; ``StringModules`` (``self.sm``)
     owns the conventions, canonicalising each family term to atoms
     (``canon_*``), giving their dimensions (``atom_dim``) and building their
-    modules (``atom``).  This class keeps the rows, the checks and a cache
-    of the atoms' modules.  The end terms of an almost-split sequence are
-    indecomposable, so a row whose left or right term is not one atom is a
-    row anomaly.  Coverage then asserts that every non-projective inventory
-    entry is the right-hand term of exactly one row.
+    modules (``atom``).  This class keeps the rows and the checks, and
+    ``verify`` looks each row term up in its inventory.  The end terms of an
+    almost-split sequence are indecomposable, so a row whose left or right
+    term is not one atom is a row anomaly.  Coverage then asserts that every
+    non-projective inventory entry is the right-hand term of exactly one row.
     """
 
     def __init__(self, modules, algebra):
         self.sm = modules
         self.calc = modules.calc
         self.quiver = modules.quiver
-        self.field = modules.field
         self.algebra = algebra
         self._rep_cache = {}
 
     def atom_rep(self, atom):
+        """An atom's module, built on a miss; for the library and perfbench."""
         rep = self._rep_cache.get(atom)
         if rep is None:
             rep = self._rep_cache[atom] = self.sm.atom(atom)
         return rep
 
     def atom_indec(self, atom):
+        """``is_indecomposable`` of an atom's module; for library callers."""
         return is_indecomposable(self.atom_rep(atom))
 
     # -- row enumeration ------------------------------------------------------
@@ -1850,24 +1848,21 @@ class ArVerifier:
         every entry; and ``_lemma_checks`` on strings of length
         ``lemma_len`` (default ``min(6, bound)``).
 
-        The inventory stays on ``self.inventory``; its representations seed
-        the atom cache, so a row end that is an entry is the entry's module.
-        Every entry is certified first by ``_certify_all``, the End systems
-        solved in one ``hom_spaces`` stream, so ``_projective_keys`` and each
-        row read the verdicts recorded on the modules.  A negative ``bound`` or
-        ``lemma_len`` raises ValueError.
+        The inventory stays on ``self.inventory``, its modules by key on
+        ``_rep_cache``, where each row term is looked up.  ``_certify_all``
+        certifies every entry first, in one ``hom_spaces`` stream, so
+        ``_projective_keys`` and each row read the verdicts recorded on the
+        modules.  A negative ``bound`` or ``lemma_len`` raises ValueError.
         """
         if bound < 0 or (lemma_len or 0) < 0:
             raise ValueError(f"bound and lemma length must be nonnegative, "
                              f"got {bound} and {lemma_len}")
         inventory = self.sm.theorem_inventory(bound)
-        for entry in inventory:
-            self._rep_cache.setdefault(entry.key, entry.rep)
         self.inventory = inventory
-        reps = [(e.key, self.atom_rep(e.key)) for e in inventory]
-        _certify_all(M for _, M in reps)
-        not_local = [(k, M.indec.status) for k, M in reps
-                     if M.indec != IndecVerdict.LOCAL]
+        self._rep_cache = {e.key: e.rep for e in inventory}
+        _certify_all(e.rep for e in inventory)
+        not_local = [(e.key, e.rep.indec.status) for e in inventory
+                     if e.rep.indec != IndecVerdict.LOCAL]
         rows = self.rows(bound)
         projectives = self._projective_keys()
         checked = [self._check_row(r) for r in rows if r["middle_dim"] <= bound]
@@ -1912,7 +1907,8 @@ class ArVerifier:
     def _check_row(self, row):
         """The report entry of one row: its status (additive, LOCAL ends,
         realized, nonsplit, DTr(right) = left), the problems found, and the
-        realized maps f and g as its certificate.  A row that is not
+        realized maps f and g as its certificate.  The terms are the
+        inventory's modules; a row with a term outside the inventory, not
         additive or not realized stops there, with no certificate."""
         status = dict.fromkeys(("additivity", "realized", "nonsplit",
                                 "ends_indecomposable", "tau"))
@@ -1920,14 +1916,18 @@ class ArVerifier:
         entry = {"key": row["key"], "family": row["family"], "status": status,
                  "problems": problems, "certificate": None}
         (left_atom,), (right_atom,) = row["left"], row["right"]
-        left, right = self.atom_rep(left_atom), self.atom_rep(right_atom)
-        middles = [self.atom_rep(a) for a in row["middle"]]
+        atoms = (left_atom, *row["middle"], right_atom)
+        problems += [f"term outside the inventory: {a}" for a in atoms
+                     if a not in self._rep_cache]
+        if problems:
+            return entry
+        left, *middles, right = map(self._rep_cache.get, atoms)
         status["additivity"] = _dims_additive(left, middles, right)
         if not status["additivity"]:
             problems.append("dimension vectors not additive")
             return entry
-        split_ends = [a for a in (left_atom, right_atom)
-                      if self.atom_indec(a).status != IndecVerdict.LOCAL]
+        split_ends = [a for a, M in ((left_atom, left), (right_atom, right))
+                      if M.indec.status != IndecVerdict.LOCAL]
         status["ends_indecomposable"] = not split_ends
         problems += [f"end not indecomposable: {a}" for a in split_ends]
         try:

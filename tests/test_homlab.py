@@ -352,6 +352,53 @@ def test_verify_lists_failures_in_stage_order(fund21, monkeypatch):
            "lemma R mismatch at x:1:2"])
 
 
+@pytest.mark.parametrize("bounds", [(12, 8), (8, 12)])
+def test_second_verify_certifies_its_own_inventory(tsys, bounds):
+    # each verify call reads and certifies the inventory it built, not the
+    # modules of an earlier call on the same verifier
+    fresh = {b: ArVerifier(tsys.modules, tsys.algebra).verify(b)
+             for b in bounds}
+    ver = ArVerifier(tsys.modules, tsys.algebra)
+    for bound in bounds:
+        report = ver.verify(bound)
+        assert all(e.rep.indec is not None and e.rep.pending is None
+                   for e in ver.inventory)
+        assert all(ver.atom_rep(e.key) is e.rep for e in ver.inventory)
+        assert report == fresh[bound]
+
+
+def test_verify_reports_terms_outside_the_inventory(tsys, monkeypatch):
+    # verify looks every row term up in its inventory: an entry dropped from
+    # theorem_inventory is a problem of each checked row it is a term of
+    # (here the middle, the left and the right term of three family-4 rows),
+    # not a module built on the side
+    dropped = ("M", (("alpha:1:3",), "x:1:2"))
+    inventory = tsys.modules.theorem_inventory
+    monkeypatch.setattr(tsys.modules, "theorem_inventory", lambda bound: [
+        e for e in inventory(bound) if e.key != dropped])
+    ver = ArVerifier(tsys.modules, tsys.algebra)
+    terms = {r["key"]: (*r["left"], *r["middle"], *r["right"])
+             for r in ver.rows(8)}
+    report = ver.verify(8)
+    hit = [r for r in report["rows"] if dropped in terms[r["key"]]]
+    assert len(hit) == 3
+    assert report["failures"] == [
+        f"row {r['key']}: term outside the inventory: {dropped}" for r in hit]
+    assert all(r["certificate"] is None
+               and set(r["status"].values()) == {None} for r in hit)
+
+
+@pytest.mark.parametrize("name", ["tsys", "ex14"])
+def test_verify_builds_no_module_on_the_side(name, monkeypatch):
+    def refuse(self, atom):
+        raise AssertionError(f"verify asked for {atom}")
+
+    monkeypatch.setattr(ArVerifier, "atom_rep", refuse)
+    monkeypatch.setattr(ArVerifier, "atom_indec", refuse)
+    c = ctx(name)
+    assert ArVerifier(c.modules, c.algebra).verify(8)["failures"] == []
+
+
 def test_indecomposable_small_characteristic(fund21):
     # when the total dimension vanishes mod p the trace cannot locate the
     # eigenvalue and the charpoly route takes over
