@@ -69,13 +69,21 @@ kernel alone, so the arrays agree entry for entry.
 
 The sweep stays for small batches.  An array pass costs about 0.5 ms
 whatever its size, against 2 to 6 us per unknown for the sweep (CHANGES.md
-has the crossover), and the systems of ``find_iso``, ``realize_ses``,
-``is_split`` and ``is_indecomposable`` on a fresh module come one at a
-time.  So ``hom_spaces`` sweeps a batch of fewer than ``_BATCH_UNKNOWNS``
-unknowns.  The End systems of an inventory's entries go through it in one
-stream (``_certify_all``, on the first ``is_indecomposable`` call to an
-entry or from ``ArVerifier.verify``), and ``vsc.measure_pattern`` the Hom
-systems of each lemma site.
+has the crossover), and the library calls ``find_iso``, ``realize_ses``,
+``is_split`` and ``is_indecomposable`` on a fresh module solve one row or
+one pair.  So ``hom_spaces`` sweeps a batch of fewer than
+``_BATCH_UNKNOWNS`` unknowns.  The End systems of an inventory's entries
+go through it in one stream (``_certify_all``, on the first
+``is_indecomposable`` call to an entry or from ``ArVerifier.verify``), and
+``vsc.measure_pattern`` the Hom systems of each lemma site.
+``ArVerifier.verify`` checks its rows stage by stage, each stage's Hom
+systems in one stream: every Hom(X, E_i) of the realization candidates
+(``_realize_all``); the Hom(coker f, Z) of ``find_iso`` in rounds, round k
+trying the k-th candidate f of every row still open (``_find_isos``); the
+Hom(E, X) of the split check (``_splits``); and the Hom(DTr Z, X) of the
+translate check.  ``realize_ses`` and ``is_split`` are those stages run on
+one row, and ``find_iso`` shares their invariant check (``_iso_settled``)
+and scan (``_iso_in``).
 
 Hom(M, N) is kept as that one array.  ``hom_space`` returns it, read-only,
 with its blocks {v: (offset, dim N_v, dim M_v)} over the common support:
@@ -1084,23 +1092,52 @@ def find_iso(M: Representation, N: Representation):
     not LOCAL over the working field.  Modules over different fields or
     quivers raise ValueError before any answer, zero modules included.
     """
+    is_open, iso = _iso_settled(M, N)
+    return _iso_in(M, N, hom_basis(M, N)) if is_open else iso
+
+
+def _iso_settled(M: Representation, N: Representation):
+    """(False, ``find_iso(M, N)``) when the answer needs no Hom system: None
+    for different dimension vectors or recorded invariants, the zero map
+    between zero modules.  Otherwise (True, None).  ValueError for modules
+    over different fields or quivers."""
     _check_pair(M, N)
     if M.dims != N.dims:
-        return None
+        return False, None
     if M.is_zero():
-        return zero_map(M, N)
+        return False, zero_map(M, N)
     if M.end_dim is not None and N.end_dim is not None and (
             M.end_dim != N.end_dim or _arrow_ranks(M) != _arrow_ranks(N)):
-        return None
-    F = M.field
-    basis = hom_basis(M, N)
+        return False, None
+    return True, None
+
+
+def _iso_in(M: Representation, N: Representation, basis):
+    """``find_iso(M, N)`` from a basis of Hom(M, N): the first basis map
+    invertible at every vertex; after a miss, None when M or N is LOCAL,
+    else the Krull-Schmidt route."""
     for f in basis:
-        if _full_rank(F, f, M):
+        if _full_rank(M.field, f, M):
             return f
     if (not basis or M.indec == IndecVerdict.LOCAL
             or is_indecomposable(N) == IndecVerdict.LOCAL):
         return None
     return _krull_schmidt_iso(M, N)
+
+
+def _find_isos(pairs):
+    """Yield ``find_iso`` of each pair (M, N) of the list ``pairs``, in
+    order, the Hom(M, N) systems of the pairs that ``_iso_settled`` leaves
+    open solved in one ``hom_spaces`` stream.  A generator, as
+    ``hom_spaces`` is, so only one chunk's kernels are held at a time,
+    beyond the answers the caller keeps."""
+    settled = [_iso_settled(M, N) for M, N in pairs]
+    spaces = hom_spaces(pair for pair, (is_open, _) in zip(pairs, settled)
+                        if is_open)
+    for pair, (is_open, iso) in zip(pairs, settled):
+        if is_open:
+            iso = _iso_in(*pair, _basis_maps(*pair, *next(spaces)))
+        yield iso
 
 
 def _local_summands(N: Representation):
@@ -1255,7 +1292,7 @@ def cokernel_rep(M: Representation, N: Representation, f):
     F = N.field
     q = N.quiver
     quot = _quotients(F, {v: f[v] for v in N.support})
-    proj = {v: F.zeros(0, 0) for v in q.vertices}
+    proj = dict.fromkeys(q.vertices, zero_size_block(0, 0))
     spaces, maps = {}, {}
     for v, (pv, section) in quot.items():
         proj[v] = pv
@@ -1298,21 +1335,67 @@ def realize_ses(X, middles, Z):
     make.  This holds for every p, p = 2 included, where no fixed "generic"
     combination of the basis maps is sure to work.  For a candidate that is
     not almost split, the search can miss an exact sequence that exists.
+
+    The zero sequence, X = Z = 0 with no middles, is realized with maps of
+    zero size.
     """
-    if not _dims_additive(X, middles, Z):
-        raise NotRealizable("dimension vectors are not additive")
-    F = X.field
-    E = direct_sum_of(X.quiver, F, middles)
-    choices = [[h for h in hom_basis(X, Y)
-                if _full_rank(F, h, X) or _full_rank(F, h, Y)]
-               or [zero_map(X, Y)] for Y in middles]
-    for parts in itertools.product(*choices):
-        f = {v: np.vstack([h[v] for h in parts]) for v in X.quiver.vertices}
-        Q, proj = cokernel_rep(X, E, f)
-        iso = find_iso(Q, Z)
-        if iso is not None:
-            return E, f, compose_maps(F, iso, proj)
-    raise NotRealizable("no injective map with the right cokernel was found")
+    found = _realize_all([(X, middles, Z)])[0]
+    if isinstance(found, NotRealizable):
+        raise found
+    return found
+
+
+def _realize_all(rows) -> list:
+    """``realize_ses`` of each row (X, middles, Z), in order: (E, f, g), or
+    the NotRealizable that it raises.
+
+    The Hom(X, E_i) systems of all rows go through one ``hom_spaces``
+    stream.  The search then runs in rounds: round k takes the k-th
+    candidate f of every row still open, in product order, and decides the
+    cokernels of the round in one ``_find_isos`` stream, so each row wins
+    with the f it wins with alone."""
+    out, additive = [], []
+    for X, middles, Z in rows:
+        if _dims_additive(X, middles, Z):
+            additive.append((len(out), X, middles, Z))
+            out.append(None)
+        else:
+            out.append(NotRealizable("dimension vectors are not additive"))
+    spaces = hom_spaces((X, Y) for _, X, middles, _ in additive
+                        for Y in middles)
+    searches = []  # (row, X, Z, E, the candidates f not yet tried)
+    for i, X, middles, Z in additive:
+        choices = []
+        for Y in middles:
+            kernel, blocks = next(spaces)
+            keep = [j for j, h in enumerate(_basis_maps(X, Y, kernel, blocks))
+                    if _full_rank(X.field, h, X) or _full_rank(X.field, h, Y)]
+            # the kept rows copied out, so no chunk of the stream stays held
+            choices.append(_basis_maps(X, Y, kernel[keep], blocks) if keep
+                           else [zero_map(X, Y)])
+        searches.append((i, X, Z, direct_sum_of(X.quiver, X.field, middles),
+                         itertools.product(*choices)))
+    while searches:
+        tries = []  # (search, f, coker f, the projection onto it)
+        for search in searches:
+            i, X, _, E, candidates = search
+            parts = next(candidates, None)
+            if parts is None:
+                out[i] = NotRealizable(
+                    "no injective map with the right cokernel was found")
+                continue
+            f = {v: np.vstack([h[v] for h in parts] or [zero_size_block(0, n)])
+                 for v, n in zip(X.quiver.vertices, X.dims)}
+            tries.append((search, f, *cokernel_rep(X, E, f)))
+        isos = _find_isos([(Q, Z) for (_, _, Z, _, _), _, Q, _ in tries])
+        searches = []
+        for (search, f, _, proj), iso in zip(tries, isos):
+            i, _, _, E, _ = search
+            if iso is None:
+                searches.append(search)
+            else:
+                out[i] = E, f, compose_maps(E.field, iso, proj)
+    return out
 
 
 def is_split(X, E, f) -> bool:
@@ -1325,17 +1408,27 @@ def is_split(X, E, f) -> bool:
     ``hom_space`` array, transposed; (r_i f)^T = f^T r_i^T is read row by
     row, which pairs its entries with those of the symmetric id.
     """
-    F = X.field
-    kernel, blocks = hom_space(E, X)
-    if not len(kernel):
-        return X.is_zero()
-    if len(blocks) < len(X.support):  # f is 0 on some X_v: no retraction
-        return False
-    cols = np.hstack([F.mul(f[v].T, transposed_blocks(kernel, block))
-                      .reshape(len(kernel), -1)
-                      for v, block in blocks.items()])
-    ident = np.hstack([F.eye(X.dim(v)).reshape(-1) for v in blocks])
-    return F.solve(cols.T, ident) is not None
+    return _splits([(X, E, f)])[0]
+
+
+def _splits(rows) -> list:
+    """``is_split`` of each row (X, E, f), in order, the Hom(E, X) systems
+    of all rows in one ``hom_spaces`` stream."""
+    out = []
+    for (X, _, f), (kernel, blocks) in zip(
+            rows, hom_spaces((E, X) for X, E, _ in rows)):
+        F = X.field
+        if not len(kernel):
+            out.append(X.is_zero())
+        elif len(blocks) < len(X.support):  # f is 0 on some X_v
+            out.append(False)
+        else:
+            cols = np.hstack([F.mul(f[v].T, transposed_blocks(kernel, block))
+                              .reshape(len(kernel), -1)
+                              for v, block in blocks.items()])
+            ident = np.hstack([F.eye(X.dim(v)).reshape(-1) for v in blocks])
+            out.append(F.solve(cols.T, ident) is not None)
+    return out
 
 
 # -- projective covers and the AR translate ---------------------------------------
@@ -1833,17 +1926,29 @@ class ArVerifier:
 
     # -- verification -----------------------------------------------------------
 
-    def _match_tau(self, right, left):
-        """DTr(right) is isomorphic to left."""
-        return is_isomorphic(ar_translate(right, self.algebra),
-                             left).isomorphic
+    def _match_tau(self, ends) -> list:
+        """For each (right, left) of ``ends``, in order: DTr(right) is
+        isomorphic to left, False when right is projective.  Every DTr is
+        built first, then the Hom(DTr right, left) systems go through one
+        ``_find_isos`` stream."""
+        translates = {}
+        for k, (right, left) in enumerate(ends):
+            try:
+                translates[k] = ar_translate(right, self.algebra), left
+            except ProjectiveSummand:
+                pass
+        matched = {k for k, iso in zip(translates, _find_isos(
+            list(translates.values()))) if iso is not None}
+        return [k in matched for k in range(len(ends))]
 
     def verify(self, bound: int, lemma_len=None):
         """Run every check of the classification at dimension ``bound``.
 
         The stages, in the order their failures are listed: the row
-        anomalies of ``rows``; ``_check_row`` on every row with middle dim
-        <= bound; ``_coverage`` of the inventory by the rows' right terms;
+        anomalies of ``rows``; ``_check_rows`` on the rows with middle dim
+        <= bound, each of its checks run over all of them before the next,
+        and the entries in row order; ``_coverage`` of the inventory by the
+        rows' right terms;
         the relations on every inventory entry; a LOCAL certificate for
         every entry; and ``_lemma_checks`` on strings of length
         ``lemma_len`` (default ``min(6, bound)``).
@@ -1865,7 +1970,8 @@ class ArVerifier:
                      if e.rep.indec != IndecVerdict.LOCAL]
         rows = self.rows(bound)
         projectives = self._projective_keys()
-        checked = [self._check_row(r) for r in rows if r["middle_dim"] <= bound]
+        checked = self._check_rows([r for r in rows
+                                    if r["middle_dim"] <= bound])
         coverage, uncovered = self._coverage(rows, bound, projectives)
         relation_failures = [e.key for e in inventory
                              if check_relations(e.rep, self.algebra.relations)]
@@ -1895,33 +2001,69 @@ class ArVerifier:
 
     def _projective_keys(self):
         """The keys of the inventory entries isomorphic to an indecomposable
-        projective P(v)."""
+        projective P(v), the Hom systems in one ``_find_isos`` stream."""
         by_dims = {}
         for v in self.quiver.vertices:
             P = self.algebra.projective_module(v)
             by_dims.setdefault(P.dims, []).append(P)
-        return {e.key for e in self.inventory
-                if any(is_isomorphic(e.rep, P).isomorphic
-                       for P in by_dims.get(e.rep.dims, ()))}
+        pairs = [(e, P) for e in self.inventory
+                 for P in by_dims.get(e.rep.dims, ())]
+        isos = _find_isos([(e.rep, P) for e, P in pairs])
+        return {e.key for (e, _), iso in zip(pairs, isos) if iso is not None}
 
-    def _check_row(self, row):
-        """The report entry of one row: its status (additive, LOCAL ends,
-        realized, nonsplit, DTr(right) = left), the problems found, and the
-        realized maps f and g as its certificate.  The terms are the
-        inventory's modules; a row with a term outside the inventory, not
-        additive or not realized stops there, with no certificate."""
+    def _check_rows(self, rows) -> list:
+        """The report entries of ``rows``, in order, from the checks run
+        stage by stage, each over every row still open before the next
+        starts: the terms looked up in the inventory, with additivity;
+        ``_realize_all``; ``_splits`` of the realized rows; ``_match_tau``
+        on their ends.  A row with a term outside the inventory, not
+        additive or not realized leaves the later stages.  Each stage, and
+        each round of the cokernel search, sends its Hom systems to
+        ``hom_spaces`` as one stream, and ``_check_row`` builds each entry
+        from the results."""
+        terms = [self._row_terms(row) for row in rows]
+        todo = [i for i, t in enumerate(terms) if t and _dims_additive(*t)]
+        realized = dict(zip(todo, _realize_all([terms[i] for i in todo])))
+        done = [i for i in todo if not isinstance(realized[i], NotRealizable)]
+        split = dict(zip(done, _splits([(terms[i][0], *realized[i][:2])
+                                        for i in done])))
+        tau = dict(zip(done, self._match_tau([(terms[i][2], terms[i][0])
+                                              for i in done])))
+        # each realization is let go once its row's entry holds it
+        return [self._check_row(row, t, realized.pop(i, None), split.get(i),
+                                tau.get(i))
+                for i, (row, t) in enumerate(zip(rows, terms))]
+
+    def _row_terms(self, row):
+        """(left, middles, right), the inventory's modules of a row's
+        terms, or None when a term is outside the inventory."""
+        (left,), (right,) = row["left"], row["right"]
+        modules = [self._rep_cache.get(a)
+                   for a in (left, *row["middle"], right)]
+        if any(M is None for M in modules):
+            return None
+        return modules[0], modules[1:-1], modules[-1]
+
+    def _check_row(self, row, terms, realized, split, tau):
+        """The report entry of one row from the stage results of
+        ``_check_rows``: its status (additive, LOCAL ends, realized,
+        nonsplit, DTr(right) = left), the problems found, and the realized
+        maps f and g as its certificate.  ``terms`` is None for a row with
+        a term outside the inventory; ``realized`` is (E, f, g) or the
+        NotRealizable of ``_realize_all``, and ``split`` and ``tau`` are
+        read only for a realized row; any other row has no certificate."""
         status = dict.fromkeys(("additivity", "realized", "nonsplit",
                                 "ends_indecomposable", "tau"))
         problems = []
         entry = {"key": row["key"], "family": row["family"], "status": status,
                  "problems": problems, "certificate": None}
         (left_atom,), (right_atom,) = row["left"], row["right"]
-        atoms = (left_atom, *row["middle"], right_atom)
-        problems += [f"term outside the inventory: {a}" for a in atoms
-                     if a not in self._rep_cache]
-        if problems:
+        if terms is None:
+            problems += [f"term outside the inventory: {a}"
+                         for a in (left_atom, *row["middle"], right_atom)
+                         if a not in self._rep_cache]
             return entry
-        left, *middles, right = map(self._rep_cache.get, atoms)
+        left, middles, right = terms
         status["additivity"] = _dims_additive(left, middles, right)
         if not status["additivity"]:
             problems.append("dimension vectors not additive")
@@ -1930,22 +2072,18 @@ class ArVerifier:
                       if M.indec.status != IndecVerdict.LOCAL]
         status["ends_indecomposable"] = not split_ends
         problems += [f"end not indecomposable: {a}" for a in split_ends]
-        try:
-            middle, f, g = realize_ses(left, middles, right)
-        except NotRealizable as exc:
+        if isinstance(realized, NotRealizable):
             status["realized"] = False
-            problems.append(f"not realizable: {exc}")
+            problems.append(f"not realizable: {realized}")
             return entry
         status["realized"] = True
-        status["nonsplit"] = not is_split(left, middle, f)
-        if not status["nonsplit"]:
+        status["nonsplit"] = not split
+        if split:
             problems.append("sequence splits")
-        try:
-            status["tau"] = self._match_tau(right, left)
-        except ProjectiveSummand:
-            status["tau"] = False
-        if not status["tau"]:
+        status["tau"] = tau
+        if not tau:
             problems.append("DTr(right) does not match left")
+        _, f, g = realized
         entry["certificate"] = {
             "injection": {v: m.tolist() for v, m in f.items() if m.size},
             "surjection": {v: m.tolist() for v, m in g.items() if m.size},

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import itertools
 import io
 import json
@@ -152,6 +153,18 @@ def test_realize_rejects_bad_dimensions(fund21):
     s = sm.construct_M(fund21.calc.trivial("x:1:0"))
     with pytest.raises(NotRealizable, match="not additive"):
         realize_ses(s, [s], s)
+
+
+def test_realize_the_zero_sequence(tsys):
+    # 0 -> 0 -> 0 -> 0 -> 0 is exact and split, with an empty middle and
+    # maps of zero size at every vertex
+    zero = zero_representation(tsys.quiver, tsys.field)
+    E, f, g = realize_ses(zero, [], zero)
+    assert E.is_zero()
+    for h in (f, g):
+        assert h.keys() == set(tsys.quiver.vertices)
+        assert all(m.shape == (0, 0) for m in h.values())
+    assert is_split(zero, E, f)
 
 
 def test_nonsplit_band_extension(fund21):
@@ -386,6 +399,69 @@ def test_verify_reports_terms_outside_the_inventory(tsys, monkeypatch):
         f"row {r['key']}: term outside the inventory: {dropped}" for r in hit]
     assert all(r["certificate"] is None
                and set(r["status"].values()) == {None} for r in hit)
+
+
+def _planted_rows(ver, bound):
+    """The rows of ``ver`` at ``bound`` with middle <= bound, and after
+    every tenth one a planted row that stops at one stage of ``verify``:
+    a term outside the inventory, not additive, two not realizable (no
+    candidate, and a cokernel that ``find_iso`` turns down), split, DTr
+    mismatch, and a projective right end (split as well)."""
+    genuine = [r for r in ver.rows(bound) if r["middle_dim"] <= bound]
+    projective = next(e.key for e in ver.sm.theorem_inventory(bound)
+                      if is_projective(e.rep, ver.algebra))
+
+    def row(name, left, middle, right):
+        return {"family": 0, "params": (name,), "left": (left,),
+                "middle": tuple(middle), "right": (right,), "right_dim": 0,
+                "middle_dim": 0, "key": (0, name)}
+
+    def band(lam, m):
+        return ("R", "B0", lam, m)
+
+    planted = [
+        row("outside", band(1, 1), [band(1, 9)], band(1, 1)),
+        row("not additive", band(1, 2), [band(1, 3)], band(1, 2)),
+        row("no candidate", band(2, 1), [band(3, 2)], band(2, 1)),
+        row("wrong cokernel", band(2, 1), [band(2, 2)], band(3, 1)),
+        row("split", band(1, 1), [band(1, 1), band(2, 1)], band(2, 1)),
+        row("tau mismatch", band(1, 1), [band(1, 3)], band(1, 2)),
+        row("projective", band(1, 1), [band(1, 1), projective], projective),
+    ]
+    out = []
+    for i, r in enumerate(genuine):
+        out.append(r)
+        if i % 10 == 9 and planted:
+            out.append(planted.pop(0))
+    return out + planted
+
+
+def test_verify_planted_rows_stop_at_their_stage(tsys):
+    """Green rows mixed with rows planted to stop at each stage: every
+    planted row reports the problems of its stage and of no later one, and
+    the whole report (statuses, problems, certificates, failures in order)
+    is pinned."""
+    ver = ArVerifier(tsys.modules, tsys.algebra)
+    rows = _planted_rows(ver, 12)
+    ver.rows = lambda bound: rows
+    report = ver.verify(12)
+    problems = {r["key"][1]: r["problems"] for r in report["rows"]
+                if r["key"][0] == 0}
+    assert problems == {
+        "outside": ["term outside the inventory: ('R', 'B0', 1, 9)"],
+        "not additive": ["dimension vectors not additive"],
+        "no candidate": ["not realizable: no injective map with the right "
+                         "cokernel was found"],
+        "wrong cokernel": ["not realizable: no injective map with the right "
+                           "cokernel was found"],
+        "split": ["sequence splits", "DTr(right) does not match left"],
+        "tau mismatch": ["DTr(right) does not match left"],
+        "projective": ["sequence splits", "DTr(right) does not match left"],
+    }
+    assert sum(not r["problems"] for r in report["rows"]) == 57
+    text = json.dumps([report["rows"], report["failures"]], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2806e3573f642306518180e903d9dfca766a340c0449a5e29ab9289a908798d9")
 
 
 @pytest.mark.parametrize("name", ["tsys", "ex14"])
@@ -998,6 +1074,75 @@ def test_hom_spaces_matches_on_tsys_deep_inventory(tsys):
     pairs = [(e.rep, e.rep) for e in tsys.modules.theorem_inventory(20)]
     assert len(pairs) == 632
     _assert_hom_spaces_match(pairs, chunks=(50, 4096))
+
+
+def _verify_traffic(c, bound, monkeypatch):
+    """The verifier after ``verify`` at ``bound``, its report, and every pair
+    that its projective check and its row stages send to ``hom_spaces``, in
+    order (the End stream of the inventory and the lemma patterns left
+    out)."""
+    pairs, real = [], homlab.hom_spaces
+
+    def recording(batch):
+        batch = list(batch)
+        pairs.extend(batch)
+        return real(batch)
+
+    for name in ("_projective_keys", "_check_rows"):
+        method = getattr(ArVerifier, name)
+
+        def recorded(self, *args, method=method):
+            monkeypatch.setattr(homlab, "hom_spaces", recording)
+            try:
+                return method(self, *args)
+            finally:
+                monkeypatch.setattr(homlab, "hom_spaces", real)
+
+        monkeypatch.setattr(ArVerifier, name, recorded)
+    ver = ArVerifier(c.modules, c.algebra)
+    report = ver.verify(bound)
+    monkeypatch.undo()
+    return ver, report, pairs
+
+
+@pytest.mark.parametrize("name, bound, p", [
+    ("tsys", 20, 32003), ("tsys", 20, 2), ("ex14", 12, 32003)])
+def test_hom_spaces_matches_on_verify_traffic(name, bound, p, monkeypatch):
+    """Every Hom system of ``verify``'s projective check and row stages:
+    the P(v), the middles E_i and their direct sums E, the cokernels and
+    the DTr modules, all built densely, not as inventory entries.  The
+    array passes give the sweep's arrays and blocks on each."""
+    c = ctx(name) if p == 32003 else Ctx(SYSTEMS[name], PrimeField(p))
+    ver, report, pairs = _verify_traffic(c, bound, monkeypatch)
+    assert report["failures"] == [] and len(pairs) > 500
+    inventory = {id(e.rep) for e in ver.inventory}
+    outside = {id(M) for pair in pairs for M in pair} - inventory
+    assert len(outside) > 300
+    _assert_hom_spaces_match(pairs, chunks=(50, 4096))
+
+
+def test_staged_rows_match_the_library_per_row(tsys):
+    """Each row of ``verify`` on tsys at 20, checked stage by stage over all
+    rows, has the status and certificate that the library functions give
+    for that row alone."""
+    ver = ArVerifier(tsys.modules, tsys.algebra)
+    report = ver.verify(20)
+    rows = {r["key"]: r for r in ver.rows(20)}
+    assert report["rows_checked"] == 146
+    for entry in report["rows"]:
+        row = rows[entry["key"]]
+        (X,), (Z,) = ([ver.atom_rep(a) for a in row[end]]
+                      for end in ("left", "right"))
+        middles = [ver.atom_rep(a) for a in row["middle"]]
+        E, f, g = realize_ses(X, middles, Z)
+        assert entry["status"] == {
+            "additivity": True, "realized": True,
+            "nonsplit": not is_split(X, E, f),
+            "ends_indecomposable": True,
+            "tau": is_isomorphic(ar_translate(Z, tsys.algebra), X).isomorphic}
+        assert entry["certificate"] == {
+            "injection": {v: m.tolist() for v, m in f.items() if m.size},
+            "surjection": {v: m.tolist() for v, m in g.items() if m.size}}
 
 
 def test_hom_spaces_threshold_keeps_single_pairs_on_the_sweep(ex14,

@@ -7,13 +7,14 @@ that cover to get d: P1 -> P0.  Its covers take rad M as a column space and
 the top generators as the unit vectors outside it, one elimination each, and
 its quotients take one elimination per vertex."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from tworay import ar_translate, is_isomorphic
-from tworay.homlab import (_left_mult, compose_maps,
+from tworay.homlab import (_left_mult, compose_maps, hom_spaces,
                            is_projective, kernel_rep, minimal_presentation)
 from tworay.string_modules import Representation, block_diagonal
 
@@ -142,3 +143,76 @@ def test_translate_of_sums_matches_two_cover_reference(name):
     sums = [plain[0].direct_sum(plain[-1]), plain[1].direct_sum(plain[1]),
             proj.direct_sum(plain[2]), proj.direct_sum(proj)]
     assert [_check(M, c.algebra) for M in sums] == [False] * 3 + [True]
+
+
+# -- the Auslander-Reiten formula as an oracle for DTr -----------------------------
+
+
+def _rescaled(M):
+    """M with the first nonzero entry of its first support-arrow map
+    doubled."""
+    F = M.field
+    maps = {a: M.maps[a].copy() for a in M.support_arrows}
+    for m in maps.values():
+        nonzero = np.flatnonzero(m)
+        if len(nonzero):
+            m.flat[nonzero[0]] = 2 * m.flat[nonzero[0]] % F.p
+            break
+    return Representation(M.quiver, F, M.spaces, maps)
+
+
+def _ar_formula_mismatches(name, bound):
+    """For every inventory entry X of projective dimension <= 1 that is not
+    projective, and every entry Y: dim Ext^1(X, Y) against dim Hom(Y, tau X)
+    (Auslander-Reiten formula, ASS Vol. 1, IV.2), and against the three
+    controls.  Ext^1 is read from the test's own cover 0 -> Omega X -> P0 ->
+    X -> 0: dim Ext^1(X, Y) = dim Hom(Omega X, Y) - dim Hom(P0, Y) +
+    dim Hom(X, Y).  Returns the number of X, of pairs with Ext^1 != 0, and
+    of mismatches of the formula and of each control."""
+    c = ctx(name)
+    entries = [e.rep for e in c.modules.theorem_inventory(bound)]
+    cases = []  # (X, Omega X, P0, tau X, tau X rescaled)
+    for X in entries:
+        P0, h, _ = _cover(X, c.algebra)
+        omega, _ = kernel_rep(P0, X, h)
+        if omega.is_zero():
+            continue  # X is projective
+        if omega.total_dim != _cover(omega, c.algebra)[0].total_dim:
+            continue  # Omega X is not projective: pd X >= 2
+        tau = ar_translate(X, c.algebra)
+        cases.append((X, omega, P0, tau, _rescaled(tau)))
+    pairs = [pair for X, omega, P0, tau, bad in cases for Y in entries
+             for pair in ((omega, Y), (P0, Y), (X, Y), (Y, tau), (Y, X),
+                          (Y, bad))]
+    dims = iter(len(kernel) for kernel, _ in hom_spaces(pairs))
+    nonzero, mismatches = 0, Counter()
+    for _ in range(len(cases) * len(entries)):
+        omega_y, p0_y, x_y, y_tau, y_x, y_bad = itertools.islice(dims, 6)
+        ext = omega_y - p0_y + x_y
+        nonzero += ext != 0
+        mismatches.update({"formula": ext != y_tau, "tau = X": ext != y_x,
+                           "rescaled": ext != y_bad,
+                           "Omega = P0": x_y != y_tau})
+    return len(cases), nonzero, mismatches
+
+
+def _assert_ar_formula(name, bound, controls):
+    cases, nonzero, mismatches = _ar_formula_mismatches(name, bound)
+    assert cases and nonzero
+    assert mismatches["formula"] == 0
+    assert all(mismatches[k] for k in controls), mismatches
+
+
+@pytest.mark.parametrize("name", ["tsys", "s24"])
+def test_ar_formula_on_pd_one_entries(name):
+    _assert_ar_formula(name, 10, ("tau = X", "rescaled", "Omega = P0"))
+
+
+@pytest.mark.census
+@pytest.mark.parametrize("name, bound", [
+    *((name, 8) for name in sorted(SYSTEMS)), ("tsys", 14), ("s24", 14)])
+def test_ar_formula_census(name, bound):
+    # rescaling one entry of a string module is a change of basis, so the
+    # rescaled control bites only where some tau X is a band module: not on
+    # ex14 at 8, whose bands are longer than 8
+    _assert_ar_formula(name, bound, ("tau = X", "Omega = P0"))
