@@ -7,9 +7,8 @@ import json
 import sys
 
 from . import __version__
-from .defining_system import (AdmissibleVertex, DefiningSystemError,
-                              NotAdmissible, from_json, reduce_to_fundamental,
-                              extend as extend_ds)
+from .defining_system import (AdmissibleVertex, NotAdmissible, from_json,
+                              reduce_to_fundamental, extend as extend_ds)
 from .field import DEFAULT_PRIME, PrimeField
 from .quiver import build_quiver, build_relations, relations_to_json
 from .strings import WordCalculus
@@ -32,7 +31,7 @@ def _dump(obj):
 
 
 def _load_system(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return from_json(fh.read())
 
 
@@ -101,7 +100,7 @@ def main(argv=None) -> int:
                                 f"nonnegative")
     try:
         ds = _load_system(args.input)
-    except (OSError, json.JSONDecodeError, DefiningSystemError) as exc:
+    except (OSError, ValueError) as exc:  # bad UTF-8, JSON or system
         return _input_error(exc)
 
     if args.cmd == "validate":
@@ -216,7 +215,7 @@ def main(argv=None) -> int:
         want = None
         if args.from_inventory:
             try:  # a classify output: (family, params, dim) per entry
-                with open(args.from_inventory) as fh:
+                with open(args.from_inventory, encoding="utf-8") as fh:
                     want = [(e["family"], e["params"], e["dim"])
                             for e in json.load(fh)["entries"]]
             except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -67,15 +67,14 @@ space, and the vector read out for a free root is again 1 at its largest
 nonzero column and 0 at the other free roots; that basis is fixed by the
 kernel alone, so the arrays agree entry for entry.
 
-The sweep stays for small batches.  An array pass costs about 0.5 ms
-whatever its size, against 2 to 6 us per unknown for the sweep (CHANGES.md
-has the crossover), and the library calls ``find_iso``, ``realize_ses``,
-``is_split`` and ``is_indecomposable`` on a fresh module solve one row or
-one pair.  So ``hom_spaces`` sweeps a batch of fewer than
-``_BATCH_UNKNOWNS`` unknowns.  The End systems of an inventory's entries
-go through it in one stream (``_certify_all``, on the first
-``is_indecomposable`` call to an entry or from ``ArVerifier.verify``), and
-``vsc.measure_pattern`` the Hom systems of each lemma site.
+Every Hom system is solved in ``hom_spaces``, which sweeps a batch of
+fewer than ``_BATCH_UNKNOWNS`` unknowns and passes a larger one as arrays:
+one pass costs 0.4 to 0.95 ms even on one small system, the sweep 0.08 to
+0.29 ms (CHANGES.md).  ``hom_space`` is its one-pair case, and
+``is_indecomposable`` streams the End systems of a module's ``pending``
+group, every entry of an inventory, on its first call to any of them;
+``ArVerifier.verify`` reads each entry's verdict through it, and
+``vsc.measure_pattern`` streams the Hom systems of each lemma site.
 ``ArVerifier.verify`` checks its rows stage by stage, each stage's Hom
 systems in one stream: every Hom(X, E_i) of the realization candidates
 (``_realize_all``); the Hom(coker f, Z) of ``find_iso`` in rounds, round k
@@ -250,10 +249,10 @@ def _hom_arrows(M: Representation, N: Representation):
 
 
 def _hom_kernel(M: Representation, N: Representation, blocks, total: int):
-    """``hom_space(M, N)`` from its blocks and number of unknowns, by the
-    sweep and substitution of the module docstring: the reduced kernel basis
-    of the equations f_t M_a - N_a f_s = 0, as the rows of one read-only
-    k x ``total`` array, and the blocks.
+    """Hom(M, N) for ``hom_spaces`` from its blocks and number of unknowns,
+    by the sweep and substitution of the module docstring: the reduced
+    kernel basis of the equations f_t M_a - N_a f_s = 0, as the rows of one
+    read-only k x ``total`` array, and the blocks.
 
     Entry (i, j) of arrow a reads sum_k f_t[i, k] M_a[k, j] -
     sum_l N_a[i, l] f_s[l, j]; f_v[i, k] is unknown offset_v + i + k dim N_v.
@@ -375,19 +374,8 @@ def _check_pair(M: Representation, N: Representation):
         raise ValueError("modules over different quivers")
 
 
-def hom_space(M: Representation, N: Representation):
-    """Hom(M, N) as one array: (kernel, blocks).
-
-    ``kernel`` is the read-only k x (number of unknowns) array of
-    ``_hom_kernel``, one basis map per row; ``blocks`` maps each vertex v of
-    the common support to (offset, dim N_v, dim M_v), and row i holds
-    vec_col(f_v) at that offset.  Off the common support every f_v is 0."""
-    _check_pair(M, N)
-    return _hom_kernel(M, N, *_hom_unknowns(M, N))
-
-
 # Below this many unknowns in all, ``hom_spaces`` sweeps each system: an
-# array pass costs about 0.5 ms whatever its size (see CHANGES.md)
+# array pass costs 0.4 to 0.95 ms even on one small system (see CHANGES.md)
 _BATCH_UNKNOWNS = 512
 # The most unknowns one array pass takes, unless one system has more: it
 # bounds the pass's arrays (at 4096, about 2 MB at their peak)
@@ -395,15 +383,14 @@ _CHUNK_UNKNOWNS = 4096
 
 
 def hom_spaces(pairs):
-    """Yield ``hom_space(M, N)`` for each pair (M, N), in order: the same
-    read-only kernel arrays, in the same canonical basis, and the same
-    blocks.
+    """Yield Hom(M, N) as the (kernel, blocks) of ``hom_space`` for each
+    pair (M, N), in order; every Hom system of the package is solved here.
 
     A batch of fewer than ``_BATCH_UNKNOWNS`` unknowns in all is swept
-    system by system.  A larger one is split, in order, into chunks of at
-    most ``_CHUNK_UNKNOWNS`` unknowns over one quiver and field, and each
-    chunk is solved in one array pass, with one ``rref_sparse`` call
-    (``_hom_batch``, see the module docstring).  Only one chunk's kernels
+    system by system (``_hom_kernel``).  A larger one is split, in order,
+    into chunks of at most ``_CHUNK_UNKNOWNS`` unknowns over one quiver and
+    field, and each chunk is solved in one array pass (``_hom_batch``, see
+    the module docstring), to the same arrays.  Only one chunk's kernels
     are held at a time, beyond those the caller keeps."""
     systems = []
     for M, N in pairs:
@@ -424,6 +411,17 @@ def hom_spaces(pairs):
         size += s[3]
     if chunk:
         yield from _hom_batch(chunk)
+
+
+def hom_space(M: Representation, N: Representation):
+    """Hom(M, N), the one-pair case of ``hom_spaces``: (kernel, blocks).
+
+    ``kernel`` is the read-only k x (number of unknowns) array of the
+    reduced kernel basis, one basis map per row; ``blocks`` maps each
+    vertex v of the common support to (offset, dim N_v, dim M_v), and row i
+    holds vec_col(f_v) at that offset.  Off the common support every f_v is
+    0.  ValueError for modules over different fields or quivers."""
+    return next(hom_spaces([(M, N)]))
 
 
 def _inverses(x: np.ndarray, p: int) -> np.ndarray:
@@ -996,13 +994,13 @@ def is_indecomposable(M: Representation) -> IndecVerdict:
     ``M.indec`` and dim End(M) as ``M.end_dim``, for ``find_iso``, and a
     later call returns the recorded verdict.
 
-    A module of a ``pending`` group (every entry of a ``theorem_inventory``)
-    reads ahead: the first call certifies every uncertified member through
-    ``_certify_all``, in one ``hom_spaces`` stream that holds at most one
-    chunk's arrays at a time, and later calls on the members return their
-    recorded verdicts.  A ``ConsistencyError`` from any member reaches the
-    call that started the pass.  A module without a group, such as a
-    cokernel, a DTr or a direct sum, is swept alone.
+    The first call certifies the module's ``pending`` group (every entry
+    of a ``theorem_inventory``), or the module alone, such as a cokernel,
+    a DTr or a direct sum: the group is dropped from every member, and the
+    End systems of the uncertified ones go through one ``hom_spaces``
+    stream, holding at most one chunk's arrays at a time.  A
+    ``ConsistencyError`` from any member ends the pass and reaches that
+    call; the members after it are certified alone when asked.
 
     dim End(M) = 1 is LOCAL, and when p > dim M the trace form decides
     LOCAL (Dickson, see the module docstring); only a module these leave
@@ -1016,26 +1014,15 @@ def is_indecomposable(M: Representation) -> IndecVerdict:
     """
     if M.is_zero():
         raise ValueError("the zero module is neither")
-    if M.indec is None and M.pending is not None:
-        _certify_all(M.pending)
-    if M.indec is not None:
-        return M.indec
-    return _end_verdict(M, *hom_space(M, M))
-
-
-def _certify_all(modules):
-    """Record ``_end_verdict`` on every module of ``modules`` that has no
-    verdict yet, their End systems solved in one ``hom_spaces`` stream, and
-    drop the ``pending`` group of every one of them first.  An error from
-    one member ends the pass: the members before it keep their verdicts,
-    and the rest, no longer in a group, are swept one by one when asked."""
-    todo = []
-    for M in modules:
-        M.pending = None
-        if M.indec is None:
-            todo.append(M)
-    for M, space in zip(todo, hom_spaces((M, M) for M in todo)):
-        _end_verdict(M, *space)
+    if M.indec is None:
+        todo = []
+        for X in M.pending or (M,):
+            X.pending = None
+            if X.indec is None:
+                todo.append(X)
+        for X, space in zip(todo, hom_spaces((X, X) for X in todo)):
+            _end_verdict(X, *space)
+    return M.indec
 
 
 def _end_verdict(M: Representation, kernel, blocks) -> IndecVerdict:
@@ -1954,8 +1941,8 @@ class ArVerifier:
         ``lemma_len`` (default ``min(6, bound)``).
 
         The inventory stays on ``self.inventory``, its modules by key on
-        ``_rep_cache``, where each row term is looked up.  ``_certify_all``
-        certifies every entry first, in one ``hom_spaces`` stream, so
+        ``_rep_cache``, where each row term is looked up.  The first
+        ``is_indecomposable`` call on an entry certifies them all, so
         ``_projective_keys`` and each row read the verdicts recorded on the
         modules.  A negative ``bound`` or ``lemma_len`` raises ValueError.
         """
@@ -1965,9 +1952,8 @@ class ArVerifier:
         inventory = self.sm.theorem_inventory(bound)
         self.inventory = inventory
         self._rep_cache = {e.key: e.rep for e in inventory}
-        _certify_all(e.rep for e in inventory)
         not_local = [(e.key, e.rep.indec.status) for e in inventory
-                     if e.rep.indec != IndecVerdict.LOCAL]
+                     if is_indecomposable(e.rep) != IndecVerdict.LOCAL]
         rows = self.rows(bound)
         projectives = self._projective_keys()
         checked = self._check_rows([r for r in rows

@@ -69,6 +69,20 @@ def test_malformed_system_exits_two(tmp_path, text):
         assert json.loads(out)["error"].startswith("DefiningSystemError: ")
 
 
+def test_undecodable_input_exits_two(sysfile, tmp_path):
+    # a file that is not UTF-8 is an input error, as a system and as a
+    # stored inventory
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    for argv in (["validate", str(bad)],
+                 ["verify", str(bad), "--max-dim", "4"],
+                 ["verify", sysfile("fund21"), "--max-dim", "4",
+                  "--from-inventory", str(bad)]):
+        code, out = run(argv)
+        assert code == 2
+        assert json.loads(out)["error"].startswith("UnicodeDecodeError: ")
+
+
 def test_quiver_counts(sysfile):
     code, out = run(["quiver", sysfile("ex14")])
     assert code == 0

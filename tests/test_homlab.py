@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import itertools
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tworay import (StringWord, ar_translate, hom_basis,
+from tworay import (StringModules, StringWord, ar_translate, hom_basis,
                     is_indecomposable, is_isomorphic, is_split, realize_ses)
-from tworay import homlab
+from tworay import homlab, vsc
 from tworay.field import PrimeField
 from tworay.homlab import (ArVerifier, IndecVerdict, NotRealizable,
                            ProjectiveSummand, _quotients,
@@ -1019,9 +1020,11 @@ def _array_passes(chunk):
 
 
 def _assert_hom_spaces_match(pairs, chunks=(1, 50, 4096)):
-    """``hom_spaces`` equals ``hom_space`` array for array, by the sweep and
-    by array passes over chunks of each size in ``chunks``."""
-    want = [hom_space(M, N) for M, N in pairs]
+    """``hom_spaces`` equals the sweep ``_hom_kernel`` array for array, on
+    its own route and by array passes over chunks of each size in
+    ``chunks``."""
+    want = [homlab._hom_kernel(M, N, *homlab._hom_unknowns(M, N))
+            for M, N in pairs]
     runs = [list(hom_spaces(pairs))]
     for chunk in chunks:
         with _array_passes(chunk):
@@ -1155,6 +1158,79 @@ def test_hom_spaces_threshold_keeps_single_pairs_on_the_sweep(ex14,
     (kernel, blocks), = hom_spaces([(M, M)])
     want = hom_space(M, M)
     assert blocks == want[1] and np.array_equal(kernel, want[0])
+
+
+def test_hom_spaces_splits_mixed_streams(monkeypatch):
+    """One ``hom_spaces`` call over the GF(2) and GF(32003) modules of tsys
+    and ex14, in runs of seven pairs that alternate the field on one quiver
+    object, equals the sweep pair by pair: each array pass is over one
+    field and one quiver."""
+    pairs = []
+    for name in ("tsys", "ex14"):
+        c = ctx(name)
+        runs = []
+        for sm in (c.modules, StringModules(c.calc, PrimeField(2))):
+            reps = [e.rep for e in sm.theorem_inventory(8)]
+            mixed = [pair for M, N in zip(reps, reps[1:])
+                     for pair in ((M, M), (M, N))]
+            runs.append([mixed[i: i + 7] for i in range(0, len(mixed), 7)])
+        pairs += [pair for two in zip(*runs) for run in two for pair in run]
+    assert sum(homlab._hom_unknowns(M, N)[1] for M, N in pairs) >= 2 * 4096
+    chunks, real = [], homlab._hom_batch
+    monkeypatch.setattr(homlab, "_hom_batch",
+                        lambda systems: chunks.append(systems) or
+                        real(systems))
+    got = list(hom_spaces(pairs))
+    assert len(got) == len(pairs)
+    for (M, N), (kernel, blocks) in zip(pairs, got):
+        w_kernel, w_blocks = homlab._hom_kernel(M, N,
+                                                *homlab._hom_unknowns(M, N))
+        assert blocks == w_blocks
+        assert np.array_equal(kernel, w_kernel)
+    fields = [{(s[0].field.p, id(s[0].quiver)) for s in chunk}
+              for chunk in chunks]
+    assert all(len(f) == 1 for f in fields)
+    # the field changes every seven pairs on each quiver
+    assert len(chunks) >= len(pairs) // 7
+
+
+def test_every_hom_system_enters_through_hom_spaces(monkeypatch):
+    """Every Hom system solved, swept (``_hom_kernel``) or in an array pass
+    (``_hom_batch``), was handed to ``hom_spaces``, through ``homlab`` or
+    ``vsc``: ``verify`` on tsys at 10, then ``hom_basis``, a lone
+    ``is_indecomposable`` on a direct sum and ``find_iso`` between two
+    direct sums, which takes the Krull-Schmidt route."""
+    handed, swept, passed = [], [], []
+    for module in (homlab, vsc):
+        def handing(pairs, real=module.hom_spaces):
+            pairs = list(pairs)
+            handed.extend(pairs)
+            return real(pairs)
+
+        monkeypatch.setattr(module, "hom_spaces", handing)
+    kernel, batch, split = (homlab._hom_kernel, homlab._hom_batch,
+                            homlab._krull_schmidt_iso)
+    monkeypatch.setattr(homlab, "_hom_kernel", lambda M, N, *rest:
+                        swept.append((M, N)) or kernel(M, N, *rest))
+    monkeypatch.setattr(homlab, "_hom_batch", lambda systems:
+                        passed.extend(s[:2] for s in systems) or
+                        batch(systems))
+    routes = []
+    monkeypatch.setattr(homlab, "_krull_schmidt_iso", lambda M, N:
+                        routes.append((M, N)) or split(M, N))
+    c = Ctx(SYSTEMS["tsys"])
+    ver = ArVerifier(c.modules, c.algebra)
+    assert ver.verify(10)["failures"] == []
+    reps = [e.rep for e in ver.inventory]
+    hom_basis(reps[2], reps[3])
+    assert is_indecomposable(reps[0].direct_sum(reps[1])) == (
+        IndecVerdict.DECOMPOSABLE)
+    M, N = reps[4].direct_sum(reps[5]), reps[5].direct_sum(reps[4])
+    assert find_iso(M, N) is not None and routes == [(M, N)]
+    assert swept and passed
+    ids = collections.Counter((id(M), id(N)) for M, N in handed)
+    assert ids == collections.Counter((id(M), id(N))
+                                      for M, N in swept + passed)
 
 
 def test_euler_form_on_hereditary_systems():
@@ -1513,6 +1589,19 @@ def test_invariants_settle_inventory_pairs_as_the_hom_scan(monkeypatch):
     assert by_end and by_ranks
 
 
+def _recorded_batches(monkeypatch) -> list:
+    """The batches handed to ``homlab.hom_spaces`` from now on, each as the
+    list of its pairs, in call order."""
+    batches, real = [], homlab.hom_spaces
+
+    def recording(pairs):
+        batches.append(list(pairs))
+        return real(batches[-1])
+
+    monkeypatch.setattr(homlab, "hom_spaces", recording)
+    return batches
+
+
 def test_fresh_modules_take_the_hom_route(fund21, monkeypatch):
     """Without a recorded dim End on both sides no invariant is used or
     solved for: ``find_iso`` solves Hom(M, N) and nothing else."""
@@ -1520,14 +1609,11 @@ def test_fresh_modules_take_the_hom_route(fund21, monkeypatch):
     a = sm.construct_M(calc.word(("alpha:1:1", "alpha:1:2")))
     b = sm.construct_M(calc.word(("alpha:1:2", "beta:1:1")))
     assert a.dims == b.dims
-    solved = []
-    real = homlab.hom_space
-    monkeypatch.setattr(homlab, "hom_space",
-                        lambda M, N: solved.append((M, N)) or real(M, N))
+    solved = _recorded_batches(monkeypatch)
     is_indecomposable(a)
-    assert solved == [(a, a)] and a.end_dim == 1
+    assert solved == [[(a, a)]] and a.end_dim == 1
     assert find_iso(a, b) is None
-    assert solved == [(a, a), (a, b)]
+    assert solved == [[(a, a)], [(a, b)]]
     assert a.arrow_ranks is None and b.end_dim is None
 
 
@@ -1553,23 +1639,20 @@ def test_uncertified_local_pair_certifies_target_once(fund21, monkeypatch):
     a = sm.construct_M(calc.word(("alpha:1:2", "beta:1:1")))
     b = sm.construct_M(calc.word(("beta:1:1", "alpha:1:1")))
     assert a.dims == b.dims and len(hom_basis(a, b)) == 1
-    solved = []
-    real = homlab.hom_space
-    monkeypatch.setattr(homlab, "hom_space",
-                        lambda M, N: solved.append((M, N)) or real(M, N))
+    solved = _recorded_batches(monkeypatch)
     monkeypatch.setattr(homlab, "_krull_schmidt_iso",
                         lambda M, N: pytest.fail("Krull-Schmidt route"))
     assert find_iso(a, b) is None
-    assert solved == [(a, b), (b, b)]
+    assert solved == [[(a, b)], [(b, b)]]
     assert b.indec == IndecVerdict.LOCAL and a.indec is None
     assert find_iso(a, b) is None
-    assert solved == [(a, b), (b, b), (a, b)]
+    assert solved == [[(a, b)], [(b, b)], [(a, b)]]
     # a LOCAL verdict already on M ends the search with no End solve
     is_indecomposable(a)
     fresh = sm.construct_M(calc.word(("beta:1:1", "alpha:1:1")))
     del solved[:]
     assert find_iso(a, fresh) is None
-    assert solved == [(a, fresh)] and fresh.indec is None
+    assert solved == [[(a, fresh)]] and fresh.indec is None
 
 
 # -- LOCAL certification by the radical flag -------------------------------------
@@ -2208,15 +2291,12 @@ def test_sums_and_translates_take_the_sweep(tsys, monkeypatch):
     right = next(M for M in reps if not is_projective(M, tsys.algebra))
     translate = ar_translate(right, tsys.algebra)
     assert total.pending is None and translate.pending is None
-    solved = []
-    real = homlab.hom_space
-    monkeypatch.setattr(homlab, "hom_space",
-                        lambda M, N: solved.append((M, N)) or real(M, N))
-    monkeypatch.setattr(homlab, "hom_spaces",
-                        lambda pairs: pytest.fail("read-ahead"))
+    solved = _recorded_batches(monkeypatch)
+    monkeypatch.setattr(homlab, "_hom_batch",
+                        lambda systems: pytest.fail("array pass"))
     assert is_indecomposable(total) == IndecVerdict.DECOMPOSABLE
     assert is_indecomposable(translate) == IndecVerdict.LOCAL
-    assert solved == [(total, total), (translate, translate)]
+    assert solved == [[(total, total)], [(translate, translate)]]
     assert all(M.pending is reps[0].pending and M.indec is None
                for M in reps)
 
