@@ -67,34 +67,12 @@ space, and the vector read out for a free root is again 1 at its largest
 nonzero column and 0 at the other free roots; that basis is fixed by the
 kernel alone, so the arrays agree entry for entry.
 
-Every Hom system is solved in ``hom_spaces``, which sweeps a batch of
-fewer than ``_BATCH_UNKNOWNS`` unknowns and passes a larger one as arrays:
-one pass costs 0.4 to 0.95 ms even on one small system, the sweep 0.08 to
-0.29 ms (CHANGES.md).  ``hom_space`` is its one-pair case, and
-``is_indecomposable`` streams the End systems of a module's ``pending``
-group, every entry of an inventory, on its first call to any of them;
-``ArVerifier.verify`` reads each entry's verdict through it, and
-``vsc.measure_pattern`` streams the Hom systems of each lemma site.
-``ArVerifier.verify`` checks its rows stage by stage, each stage's Hom
-systems in one stream: every Hom(X, E_i) of the realization candidates
-(``_realize_all``); the Hom(coker f, Z) of ``find_iso`` in rounds, round k
-trying the k-th candidate f of every row still open (``_find_isos``); the
-Hom(E, X) of the split check (``_splits``); and the Hom(DTr Z, X) of the
-translate check.  ``realize_ses`` and ``is_split`` are those stages run on
-one row, and ``find_iso`` shares their invariant check (``_iso_settled``)
-and scan (``_iso_in``).
-
-Hom(M, N) is kept as that one array.  ``hom_space`` returns it, read-only,
-with its blocks {v: (offset, dim N_v, dim M_v)} over the common support:
-row i holds vec_col(f_v) of basis map i at the offset of v, so the stack of
-the f_v^T is one column slice, reshaped (``transposed_blocks``).  The
-callers that need only the span read the array: ``is_indecomposable``
-takes dim End(M) and the trace form from it, ``is_split`` the retractions
-r of Hom(middle, left), to ask in one solve whether id lies in the span of
-the r f, and ``vsc.measure_pattern`` the composites and their coordinates.
-``hom_basis`` is its dict view, one map per row whose blocks are views into
-the array, for the callers that compose or invert single maps:
-``find_iso``, ``realize_ses`` and the Krull-Schmidt route.
+Every Hom system enters through ``hom_spaces``.  It sweeps a batch of
+fewer than ``_BATCH_UNKNOWNS`` unknowns and passes a larger one as arrays,
+because one pass costs 0.4 to 0.95 ms even on one small system and the
+sweep 0.08 to 0.29 ms (CHANGES.md).  Either way Hom(M, N) comes back as one
+read-only kernel array, so the views of ``hom_basis`` into it and the lemma
+memo of ``vsc.measure_pattern`` share it without a copy.
 
 Isomorphism is decided without random numbers.  Two invariants settle most
 pairs with equal dimension vectors before any Hom system is solved: dim
@@ -1326,32 +1304,27 @@ def realize_ses(X, middles, Z):
     The zero sequence, X = Z = 0 with no middles, is realized with maps of
     zero size.
     """
-    found = _realize_all([(X, middles, Z)])[0]
+    if not _dims_additive(X, middles, Z):
+        raise NotRealizable("dimension vectors are not additive")
+    found, = _realize_all([(X, middles, Z)])
     if isinstance(found, NotRealizable):
         raise found
     return found
 
 
 def _realize_all(rows) -> list:
-    """``realize_ses`` of each row (X, middles, Z), in order: (E, f, g), or
-    the NotRealizable that it raises.
+    """``realize_ses`` of each additive row (X, middles, Z), in order:
+    (E, f, g), or the NotRealizable that it raises.
 
     The Hom(X, E_i) systems of all rows go through one ``hom_spaces``
     stream.  The search then runs in rounds: round k takes the k-th
     candidate f of every row still open, in product order, and decides the
     cokernels of the round in one ``_find_isos`` stream, so each row wins
     with the f it wins with alone."""
-    out, additive = [], []
-    for X, middles, Z in rows:
-        if _dims_additive(X, middles, Z):
-            additive.append((len(out), X, middles, Z))
-            out.append(None)
-        else:
-            out.append(NotRealizable("dimension vectors are not additive"))
-    spaces = hom_spaces((X, Y) for _, X, middles, _ in additive
-                        for Y in middles)
+    out = [None] * len(rows)
+    spaces = hom_spaces((X, Y) for X, middles, _ in rows for Y in middles)
     searches = []  # (row, X, Z, E, the candidates f not yet tried)
-    for i, X, middles, Z in additive:
+    for i, (X, middles, Z) in enumerate(rows):
         choices = []
         for Y in middles:
             kernel, blocks = next(spaces)
@@ -1918,15 +1891,15 @@ class ArVerifier:
         isomorphic to left, False when right is projective.  Every DTr is
         built first, then the Hom(DTr right, left) systems go through one
         ``_find_isos`` stream."""
-        translates = {}
-        for k, (right, left) in enumerate(ends):
+        pairs = []  # (DTr right, left), or None for a projective right
+        for right, left in ends:
             try:
-                translates[k] = ar_translate(right, self.algebra), left
+                pairs.append((ar_translate(right, self.algebra), left))
             except ProjectiveSummand:
-                pass
-        matched = {k for k, iso in zip(translates, _find_isos(
-            list(translates.values()))) if iso is not None}
-        return [k in matched for k in range(len(ends))]
+                pairs.append(None)
+        isos = iter(_find_isos([pair for pair in pairs if pair]))
+        return [pair is not None and next(isos) is not None
+                for pair in pairs]
 
     def verify(self, bound: int, lemma_len=None):
         """Run every check of the classification at dimension ``bound``.
@@ -1998,83 +1971,75 @@ class ArVerifier:
         return {e.key for (e, _), iso in zip(pairs, isos) if iso is not None}
 
     def _check_rows(self, rows) -> list:
-        """The report entries of ``rows``, in order, from the checks run
-        stage by stage, each over every row still open before the next
-        starts: the terms looked up in the inventory, with additivity;
-        ``_realize_all``; ``_splits`` of the realized rows; ``_match_tau``
-        on their ends.  A row with a term outside the inventory, not
-        additive or not realized leaves the later stages.  Each stage, and
-        each round of the cokernel search, sends its Hom systems to
-        ``hom_spaces`` as one stream, and ``_check_row`` builds each entry
-        from the results."""
-        terms = [self._row_terms(row) for row in rows]
-        todo = [i for i, t in enumerate(terms) if t and _dims_additive(*t)]
-        realized = dict(zip(todo, _realize_all([terms[i] for i in todo])))
-        done = [i for i in todo if not isinstance(realized[i], NotRealizable)]
-        split = dict(zip(done, _splits([(terms[i][0], *realized[i][:2])
-                                        for i in done])))
-        tau = dict(zip(done, self._match_tau([(terms[i][2], terms[i][0])
-                                              for i in done])))
-        # each realization is let go once its row's entry holds it
-        return [self._check_row(row, t, realized.pop(i, None), split.get(i),
-                                tau.get(i))
-                for i, (row, t) in enumerate(zip(rows, terms))]
+        """The report entries of ``rows``, in order: each row's status
+        (additive, LOCAL ends, realized, nonsplit, DTr(right) = left), its
+        problems, and the realized maps f and g as its certificate.
 
-    def _row_terms(self, row):
-        """(left, middles, right), the inventory's modules of a row's
-        terms, or None when a term is outside the inventory."""
-        (left,), (right,) = row["left"], row["right"]
-        modules = [self._rep_cache.get(a)
-                   for a in (left, *row["middle"], right)]
-        if any(M is None for M in modules):
-            return None
-        return modules[0], modules[1:-1], modules[-1]
-
-    def _check_row(self, row, terms, realized, split, tau):
-        """The report entry of one row from the stage results of
-        ``_check_rows``: its status (additive, LOCAL ends, realized,
-        nonsplit, DTr(right) = left), the problems found, and the realized
-        maps f and g as its certificate.  ``terms`` is None for a row with
-        a term outside the inventory; ``realized`` is (E, f, g) or the
-        NotRealizable of ``_realize_all``, and ``split`` and ``tau`` are
-        read only for a realized row; any other row has no certificate."""
-        status = dict.fromkeys(("additivity", "realized", "nonsplit",
-                                "ends_indecomposable", "tau"))
-        problems = []
-        entry = {"key": row["key"], "family": row["family"], "status": status,
-                 "problems": problems, "certificate": None}
-        (left_atom,), (right_atom,) = row["left"], row["right"]
-        if terms is None:
-            problems += [f"term outside the inventory: {a}"
-                         for a in (left_atom, *row["middle"], right_atom)
-                         if a not in self._rep_cache]
-            return entry
-        left, middles, right = terms
-        status["additivity"] = _dims_additive(left, middles, right)
-        if not status["additivity"]:
-            problems.append("dimension vectors not additive")
-            return entry
-        split_ends = [a for a, M in ((left_atom, left), (right_atom, right))
-                      if M.indec.status != IndecVerdict.LOCAL]
-        status["ends_indecomposable"] = not split_ends
-        problems += [f"end not indecomposable: {a}" for a in split_ends]
-        if isinstance(realized, NotRealizable):
-            status["realized"] = False
-            problems.append(f"not realizable: {realized}")
-            return entry
-        status["realized"] = True
-        status["nonsplit"] = not split
-        if split:
-            problems.append("sequence splits")
-        status["tau"] = tau
-        if not tau:
-            problems.append("DTr(right) does not match left")
-        _, f, g = realized
-        entry["certificate"] = {
-            "injection": {v: m.tolist() for v, m in f.items() if m.size},
-            "surjection": {v: m.tolist() for v, m in g.items() if m.size},
-        }
-        return entry
+        Every entry is made first.  Then each stage runs over every row
+        still open, writing its status and problems into the row's entry,
+        before the next stage starts:
+        1. the terms looked up in the inventory, additivity and the ends'
+           LOCAL verdicts, each problem naming a distinct atom once;
+        2. ``_realize_all``: every Hom(X, E_i) of the realization
+           candidates, then the Hom(coker f, Z) of ``find_iso`` in rounds,
+           round k trying the k-th candidate f of every row still open;
+        3. ``_splits``: every Hom(E, X) of the split check;
+        4. ``_match_tau``: every DTr Z, then every Hom(DTr Z, X).
+        A row with a term outside the inventory, not additive or not
+        realized leaves the later stages.  Each stage, and each round of
+        stage 2, sends its Hom systems to ``hom_spaces`` as one stream."""
+        entries, open_rows = [], []  # open: (entry, left, middles, right)
+        for row in rows:
+            status = dict.fromkeys(("additivity", "realized", "nonsplit",
+                                    "ends_indecomposable", "tau"))
+            entry = {"key": row["key"], "family": row["family"],
+                     "status": status, "problems": [], "certificate": None}
+            entries.append(entry)
+            (left,), (right,) = row["left"], row["right"]
+            terms = (left, *row["middle"], right)
+            outside = [a for a in dict.fromkeys(terms)
+                       if a not in self._rep_cache]
+            if outside:
+                entry["problems"] += [f"term outside the inventory: {a}"
+                                      for a in outside]
+                continue
+            X, *middles, Z = map(self._rep_cache.get, terms)
+            status["additivity"] = _dims_additive(X, middles, Z)
+            if not status["additivity"]:
+                entry["problems"].append("dimension vectors not additive")
+                continue
+            split_ends = [a for a in dict.fromkeys((left, right))
+                          if self._rep_cache[a].indec.status
+                          != IndecVerdict.LOCAL]
+            status["ends_indecomposable"] = not split_ends
+            entry["problems"] += [f"end not indecomposable: {a}"
+                                  for a in split_ends]
+            open_rows.append((entry, X, middles, Z))
+        done = []  # (entry, left, right, E, f) of the realized rows
+        for (entry, X, _, Z), found in zip(open_rows, _realize_all(
+                [(X, middles, Z) for _, X, middles, Z in open_rows])):
+            entry["status"]["realized"] = not isinstance(found, NotRealizable)
+            if isinstance(found, NotRealizable):
+                entry["problems"].append(f"not realizable: {found}")
+                continue
+            E, f, g = found
+            entry["certificate"] = {
+                "injection": {v: m.tolist() for v, m in f.items() if m.size},
+                "surjection": {v: m.tolist() for v, m in g.items() if m.size},
+            }
+            done.append((entry, X, Z, E, f))
+        for (entry, *_), split in zip(done, _splits(
+                [(X, E, f) for _, X, _, E, f in done])):
+            entry["status"]["nonsplit"] = not split
+            if split:
+                entry["problems"].append("sequence splits")
+        done = [(entry, X, Z) for entry, X, Z, _, _ in done]  # E, f let go
+        for (entry, X, Z), tau in zip(done, self._match_tau(
+                [(Z, X) for _, X, Z in done])):
+            entry["status"]["tau"] = tau
+            if not tau:
+                entry["problems"].append("DTr(right) does not match left")
+        return entries
 
     def _coverage(self, rows, bound, projectives):
         """Every inventory entry outside ``projectives`` is the right term of

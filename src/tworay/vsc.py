@@ -253,10 +253,9 @@ def lemma(modules, x: str, which: str, bound: int):
 
 def _content(M) -> tuple:
     """The memo key of M: the field order, the quiver, the dimension tuple
-    and the bytes of the maps on the support arrows, which fix the Hom
-    system on either side."""
-    return (M.field.p, M.quiver, M.dims,
-            b"".join(M.maps[a].tobytes() for a in M.support_arrows))
+    and the bytes of ``M.buffer``, the maps on the support arrows, which
+    fix the Hom system on either side."""
+    return M.field.p, M.quiver, M.dims, M.buffer.tobytes()
 
 
 def measure_pattern(R, assign, field, spaces=None):
@@ -273,8 +272,9 @@ def measure_pattern(R, assign, field, spaces=None):
     and then Hom(u, v) for every pair with Hom(R, u) and Hom(R, v) nonzero,
     each content pair once.  ``spaces`` is the memo: one flat dict from the
     pair of ``_content`` keys of (M, N) to ``hom_space(M, N)``, the keys
-    taken once per module per call.  A key holds the field order and the
-    quiver, so one dict may serve modules over several fields.
+    taken once per module per call.  A key holds the field order, the
+    quiver and the bytes of the module's buffer, so one dict may serve
+    modules over several fields.
     ``ArVerifier.verify`` shares one such dict among all of its lemma
     checks, and drops it when it returns: the lemma objects of one vertex,
     and of the R and X lemmas at a vertex, repeat.  A memo for the whole run

@@ -402,6 +402,61 @@ def test_verify_reports_terms_outside_the_inventory(tsys, monkeypatch):
                and set(r["status"].values()) == {None} for r in hit)
 
 
+def test_verify_names_each_absent_term_once(tsys, monkeypatch):
+    # a term outside the inventory that occurs twice in one row (here both
+    # ends of the tube row (1, 'B0', 1, 1)) is one problem of that row
+    dropped = ("R", "B0", 1, 1)
+    inventory = tsys.modules.theorem_inventory
+    monkeypatch.setattr(tsys.modules, "theorem_inventory", lambda bound: [
+        e for e in inventory(bound) if e.key != dropped])
+    ver = ArVerifier(tsys.modules, tsys.algebra)
+    terms = {r["key"]: (*r["left"], *r["middle"], *r["right"])
+             for r in ver.rows(8)}
+    report = ver.verify(8)
+    hit = [r for r in report["rows"] if dropped in terms[r["key"]]]
+    assert any(terms[r["key"]].count(dropped) == 2 for r in hit)
+    line = f"term outside the inventory: {dropped}"
+    assert all(r["problems"] == [line] for r in hit)
+    assert report["failures"] == [f"row {r['key']}: {line}" for r in hit]
+
+
+@pytest.mark.parametrize("same_atom", [False, True],
+                         ids=["distinct ends", "one atom at both ends"])
+def test_verify_names_each_non_local_end_once(tsys, monkeypatch, same_atom):
+    # a DECOMPOSABLE verdict planted on the right end of a row (one whose
+    # right end ends no other row, or a tube row whose two ends are one
+    # atom) is one problem of that row; the row still goes through the
+    # later stages, and the entry is listed among the LOCAL failures
+    ver = ArVerifier(tsys.modules, tsys.algebra)
+    rows = [r for r in ver.rows(8) if r["middle_dim"] <= 8]
+    ends = collections.Counter(a for r in rows
+                               for a in {*r["left"], *r["right"]})
+    row = next(r for r in rows if (r["left"] == r["right"]) == same_atom
+               and ends[r["right"][0]] == 1)
+    planted = row["right"][0]
+    end_verdict = homlab._end_verdict
+
+    def planted_verdict(M, kernel, blocks):
+        if M is not ver._rep_cache[planted]:
+            return end_verdict(M, kernel, blocks)
+        M.end_dim, M.indec = len(kernel), IndecVerdict(
+            IndecVerdict.DECOMPOSABLE)
+        return M.indec
+
+    monkeypatch.setattr(homlab, "_end_verdict", planted_verdict)
+    report = ver.verify(8)
+    entry = next(r for r in report["rows"] if r["key"] == row["key"])
+    assert entry["status"] == {"additivity": True, "realized": True,
+                               "nonsplit": True, "ends_indecomposable": False,
+                               "tau": True}
+    line = f"end not indecomposable: {planted}"
+    assert entry["problems"] == [line]
+    assert entry["certificate"] is not None
+    assert report["failures"] == [
+        f"row {row['key']}: {line}",
+        f"not indecomposable: {planted!r} (DECOMPOSABLE)"]
+
+
 def _planted_rows(ver, bound):
     """The rows of ``ver`` at ``bound`` with middle <= bound, and after
     every tenth one a planted row that stops at one stage of ``verify``:
