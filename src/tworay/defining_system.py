@@ -117,15 +117,28 @@ def _sequence(name, value, kinds=(list, tuple)):
     return value
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is an integer: not a float, string or boolean, which
+    ``int`` would silently convert."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def _integers(name, entries, kinds=(list, tuple)) -> tuple:
     """``entries`` as a tuple of ints, checked to be one of ``kinds`` and to
-    hold integers only: not floats, strings or booleans, which ``int``
-    would silently convert."""
+    hold integers only."""
     for x in _sequence(name, entries, kinds):
-        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        if not _is_integer(x):
             raise DefiningSystemError(
                 f"{name} entries must be integers, got {x!r}")
     return tuple(int(x) for x in entries)
+
+
+def check_bound(value, name="bound"):
+    """ValueError unless ``value`` is a nonnegative integer; the library's
+    dimension and length bounds are checked here."""
+    if not _is_integer(value) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, "
+                         f"got {value!r}")
 
 
 def validate(raw) -> DefiningSystem:

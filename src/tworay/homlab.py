@@ -19,30 +19,15 @@ the quotients of DTr are taken on the support only.
 The system is sparse: the arrow maps of string and band modules have few
 nonzero entries, and Hom between string modules is spanned by graph maps
 (Crawley-Boevey, J. Algebra 126, 1989), so 91 to 94% of the equations in
-the three benchmark workloads have one or two terms.  ``_hom_kernel`` sweeps
+the three benchmark workloads have one or two terms.  ``_hom_kernel`` builds
 the equations arrow by arrow from the nonzero entries of M_a and N_a only,
-the unknowns being vec_col(f_v) stacked in vertex order, and substitutes
-each short one as it comes.  A row a x_c = 0 forces x_c = 0, and a row
-a x_c + b x_d = 0 ties x_c to x_d.  A weighted union-find writes every
-unknown as x_c = w_c x_r, r the largest unknown of its class, or marks the
-class 0 (also when a cycle of ties closes with weights that disagree).  The
-rows of three or more terms, rewritten in the roots r, go through
-``PrimeField.rref_sparse``; the kernel is read in the roots and spread back
-by the weights, one row of a k x (number of unknowns) array per basis
-vector.
-
-This is the basis ``PrimeField.null_space`` reads from the RREF of the dense
-Kronecker matrix of the same equations, so bases, isomorphisms and
-certificates do not depend on how the system was reduced.  That basis is
-fixed by the kernel alone: its vector for the free column f is 1 at f, 0 at
-every other free column, and nonzero elsewhere only at pivots left of f (a
-pivot row has its pivot as smallest column), so it is the one basis whose
-vectors are 1 at their largest nonzero column and 0 at the others'.  The
-substituted vector for a free root r has that shape: in the roots it is 1
-at r and nonzero elsewhere only at pivot roots below r, and spread back it
-lives on r's class, whose largest unknown is r with weight 1, and on the
-classes of smaller roots; every other free root is the root of another
-class.  So the two bases agree column for column.
+the unknowns being vec_col(f_v) stacked in vertex order, reduces them in one
+``PrimeField.rref_sparse`` call and reads the kernel with
+``null_space_from_rref``, one row of a k x (number of unknowns) array per
+basis vector.  So its basis is the one ``PrimeField.null_space`` reads from
+the RREF of the dense Kronecker matrix of the same equations, by
+construction, and bases, isomorphisms and certificates do not depend on how
+the system was reduced.
 
 ``hom_spaces`` solves a batch of systems in chunks of at most
 ``_CHUNK_UNKNOWNS`` unknowns, each in one array pass, with the unknowns of
@@ -61,18 +46,28 @@ a zeroed member zeroes the whole class.  The rows of three or more terms,
 rewritten in the roots, go through one ``rref_sparse`` call for the whole
 chunk, also those that fall to one or two roots: their unknowns are offset
 apart and no row mixes two systems, so, as in ``_reduce_blocks``, each
-system gets its own RREF.  The kernel is read out as above.  The classes,
-weights and pivots need not be the sweep's, but the kernel is the same
-space, and the vector read out for a free root is again 1 at its largest
-nonzero column and 0 at the other free roots; that basis is fixed by the
-kernel alone, so the arrays agree entry for entry.
+system gets its own RREF.  The kernel is read in the roots and spread back
+by the weights, one row per free root r: weight[c] at each member c of r's
+class, and -row[r] weight[c] at each member c of a pivot root whose row
+has r.
 
-Every Hom system enters through ``hom_spaces``.  It sweeps a batch of
-fewer than ``_BATCH_UNKNOWNS`` unknowns and passes a larger one as arrays,
-because one pass costs 0.4 to 0.95 ms even on one small system and the
-sweep 0.08 to 0.29 ms (CHANGES.md).  Either way Hom(M, N) comes back as one
-read-only kernel array, so the views of ``hom_basis`` into it and the lemma
-memo of ``vsc.measure_pattern`` share it without a copy.
+That is the basis ``null_space`` reads, entry for entry.  ``null_space``
+gives one vector per free column f, 1 at f, 0 at every other free column,
+and nonzero elsewhere only at pivots left of f (a pivot row has its pivot
+as smallest column): each vector is 1 at its largest nonzero column and 0
+at the others', and only one basis of the kernel has that shape (two
+vectors with one largest column differ by a kernel vector that is 0 at
+every such column, hence 0).  The vector read out for a free root r has it
+too: it lives on r's class, whose largest unknown is r with weight 1, and
+on the classes of pivot roots below r, and every other free root is the
+root of another class.
+
+Every Hom system enters through ``hom_spaces``.  It solves a batch of fewer
+than ``_BATCH_UNKNOWNS`` unknowns system by system with ``_hom_kernel`` and
+passes a larger one as arrays; the comment on the constant gives the costs.
+Either way Hom(M, N) comes back as one read-only kernel array, so the views
+of ``hom_basis`` into it and the lemma memo of ``vsc.measure_pattern`` share
+it without a copy.
 
 Isomorphism is decided without random numbers.  Two invariants settle most
 pairs with equal dimension vectors before any Hom system is solved: dim
@@ -183,6 +178,7 @@ import itertools
 
 import numpy as np
 
+from .defining_system import check_bound
 from .string_modules import (ConsistencyError, Representation,
                              block_diagonal, check_relations, direct_sum_of,
                              zero_size_block)
@@ -227,33 +223,21 @@ def _hom_arrows(M: Representation, N: Representation):
 
 
 def _hom_kernel(M: Representation, N: Representation, blocks, total: int):
-    """Hom(M, N) for ``hom_spaces`` from its blocks and number of unknowns,
-    by the sweep and substitution of the module docstring: the reduced
-    kernel basis of the equations f_t M_a - N_a f_s = 0, as the rows of one
-    read-only k x ``total`` array, and the blocks.
+    """Hom(M, N) for ``hom_spaces`` from its blocks and number of unknowns:
+    the kernel basis of the equations f_t M_a - N_a f_s = 0 that
+    ``PrimeField.null_space_from_rref`` reads from one ``rref_sparse`` call,
+    as the rows of one read-only k x ``total`` array, and the blocks.
 
     Entry (i, j) of arrow a reads sum_k f_t[i, k] M_a[k, j] -
     sum_l N_a[i, l] f_s[l, j]; f_v[i, k] is unknown offset_v + i + k dim N_v.
-    Unknown c is x_c = weight[c] x_parent[c]; parents only grow.
+    The rows go in by descending smallest unknown: along a chain of ties
+    each row then meets the rows after it already reduced, and no pivot row
+    is rewritten, where ascending order clears each new pivot from every
+    row before it.
     """
-    p = M.field.p
-    parent = list(range(total))
-    weight = [1] * total
-    zero = [False] * total  # read at roots: the class is forced to 0
-    long_rows = []
-
-    def find(c):
-        """(root of c, weight of c over it), compressing the path."""
-        path = []
-        while parent[c] != c:
-            path.append(c)
-            c = parent[c]
-        w = 1
-        for u in reversed(path):
-            w = w * weight[u] % p
-            weight[u], parent[u] = w, c
-        return c, w
-
+    F = M.field
+    p = F.p
+    rows = []
     q = M.quiver
     for arrow in _hom_arrows(M, N):
         os_, ns, _ = blocks.get(q.source[arrow], _NO_BLOCK)
@@ -268,76 +252,14 @@ def _hom_kernel(M: Representation, N: Representation, blocks, total: int):
         for j, m_col in enumerate(m_cols):
             shift = j * ns
             for i, n_row in enumerate(n_rows):
-                terms = len(m_col) + len(n_row)
-                if terms == 2 and m_col and n_row:
-                    (c, a), = m_col
-                    (d, b), = n_row
-                    c, d = c + i, d + shift
-                elif terms == 2:  # both terms on one side
-                    (c, a), (d, b) = m_col or n_row
-                    o = i if m_col else shift
-                    c, d = c + o, d + o
-                elif terms == 1:  # a x_c = 0, read as a x_c + 0 x_c = 0
-                    (c, a), = m_col or n_row
-                    c += i if m_col else shift
-                    d, b = c, 0
-                else:
-                    if terms:
-                        long_rows.append([(u + i, x) for u, x in m_col]
-                                         + [(u + shift, x) for u, x in n_row])
-                    continue
-                if parent[c] != c:
-                    c, w = find(c)
-                    a *= w
-                if parent[d] != d:
-                    d, w = find(d)
-                    b *= w
-                # a x_c + b x_d = 0; c and d may be one unknown
-                if zero[c] or zero[d]:
-                    zero[c] = zero[d] = True
-                elif c == d:
-                    if (a + b) % p:
-                        zero[c] = True
-                elif c < d:
-                    parent[c], weight[c] = d, -b * pow(a, -1, p) % p
-                else:
-                    parent[d], weight[d] = c, -a * pow(b, -1, p) % p
-    # parents only grow, so a downward sweep settles every unknown, and a
-    # class forced to 0 takes weight 0 at its root before its members
-    members = {}
-    for c in range(total - 1, -1, -1):
-        r = parent[c]
-        if r == c:
-            if zero[c]:
-                weight[c] = 0
-        else:
-            weight[c] = weight[c] * weight[r] % p
-            r = parent[c] = parent[r]
-        if weight[c]:
-            members.setdefault(r, []).append(c)
-    reduced = []
-    for terms in long_rows:
-        out = {}
-        for c, x in terms:
-            if weight[c]:
-                r = parent[c]
-                out[r] = out.get(r, 0) + x * weight[c]
-        reduced.append(out)
-    pivots = M.field.rref_sparse(reduced)
-    # one row per free root f: x_c = weight[c] at the members of f, and
-    # -row[f] weight[c] at the members of each pivot root whose row has f
-    kernel = []
-    for f in sorted(members.keys() - pivots.keys()):
-        vec = [0] * total
-        for c in members[f]:
-            vec[c] = weight[c]
-        for pc, row in pivots.items():
-            v = row.get(f)
-            if v:
-                for c in members[pc]:
-                    vec[c] = (p - v) * weight[c] % p
-        kernel.append(vec)
-    kernel = np.array(kernel, dtype=np.int64).reshape(len(kernel), total)
+                if m_col or n_row:
+                    row = {u + i: x for u, x in m_col}
+                    for u, x in n_row:  # one unknown on both sides on a loop
+                        row[u + shift] = row.get(u + shift, 0) + x
+                    rows.append(row)
+    rows.sort(key=min, reverse=True)
+    pivots = F.rref_sparse(rows)
+    kernel = F.null_space_from_rref(pivots.items(), total).T.copy()
     kernel.flags.writeable = False
     return kernel, blocks
 
@@ -352,8 +274,16 @@ def _check_pair(M: Representation, N: Representation):
         raise ValueError("modules over different quivers")
 
 
-# Below this many unknowns in all, ``hom_spaces`` sweeps each system: an
-# array pass costs 0.4 to 0.95 ms even on one small system (see CHANGES.md)
+# Below this many unknowns in all, ``hom_spaces`` solves each system alone
+# (``_hom_kernel``).  Measured on 2 cores: a system of at most 64 unknowns
+# takes 0.16 ms that way and 0.73 ms as one array pass, one of 128 to 511
+# unknowns 1.3 ms and 0.85 ms.  No benchmark workload sends a system above 64
+# unknowns this way, and it keeps the streams of one or a few systems, where
+# a pass loses most, off the arrays: the 48 one-system streams of
+# ex14-certify take 8 ms alone and 30 ms as passes.  A lower bound would win
+# at most the 4 ms by which passes beat it on the 11 streams of ex14-rows
+# (401 systems of 3.8 unknowns: 18 ms alone, 15 ms as passes), so 512
+# stays (see CHANGES.md)
 _BATCH_UNKNOWNS = 512
 # The most unknowns one array pass takes, unless one system has more: it
 # bounds the pass's arrays (at 4096, about 2 MB at their peak)
@@ -364,12 +294,13 @@ def hom_spaces(pairs):
     """Yield Hom(M, N) as the (kernel, blocks) of ``hom_space`` for each
     pair (M, N), in order; every Hom system of the package is solved here.
 
-    A batch of fewer than ``_BATCH_UNKNOWNS`` unknowns in all is swept
-    system by system (``_hom_kernel``).  A larger one is split, in order,
-    into chunks of at most ``_CHUNK_UNKNOWNS`` unknowns over one quiver and
-    field, and each chunk is solved in one array pass (``_hom_batch``, see
-    the module docstring), to the same arrays.  Only one chunk's kernels
-    are held at a time, beyond those the caller keeps."""
+    A batch of fewer than ``_BATCH_UNKNOWNS`` unknowns in all is solved
+    system by system, one sparse elimination each (``_hom_kernel``).  A
+    larger one is split, in order, into chunks of at most
+    ``_CHUNK_UNKNOWNS`` unknowns over one quiver and field, and each chunk
+    is solved in one array pass (``_hom_batch``, see the module docstring),
+    to the same arrays.  Only one chunk's kernels are held at a time,
+    beyond those the caller keeps."""
     systems = []
     for M, N in pairs:
         _check_pair(M, N)
@@ -1619,7 +1550,7 @@ class ArVerifier:
 
     def rows(self, bound: int):
         """Rows with right-term dimension or middle dimension within bound,
-        a negative bound raising ValueError.
+        a bound that is not a nonnegative integer raising ValueError.
 
         Every family is enumerated forwards from its left parameters, so the
         coverage check in ``verify`` stays a real check.  Write |EMPTY| = -1,
@@ -1694,8 +1625,7 @@ class ArVerifier:
           kept pair has |C+| + |C'+| <= bound - 3, and Lemma A gives
           |C| <= |C+| + 1 + w in both of its cases.
         """
-        if bound < 0:
-            raise ValueError(f"bound must be nonnegative, got {bound}")
+        check_bound(bound)
         sm = self.sm
         out = []
         self.row_anomalies = []
@@ -1917,11 +1847,12 @@ class ArVerifier:
         ``_rep_cache``, where each row term is looked up.  The first
         ``is_indecomposable`` call on an entry certifies them all, so
         ``_projective_keys`` and each row read the verdicts recorded on the
-        modules.  A negative ``bound`` or ``lemma_len`` raises ValueError.
+        modules.  A ``bound`` or ``lemma_len`` that is not a nonnegative
+        integer raises ValueError.
         """
-        if bound < 0 or (lemma_len or 0) < 0:
-            raise ValueError(f"bound and lemma length must be nonnegative, "
-                             f"got {bound} and {lemma_len}")
+        check_bound(bound)
+        if lemma_len is not None:
+            check_bound(lemma_len, "lemma length")
         inventory = self.sm.theorem_inventory(bound)
         self.inventory = inventory
         self._rep_cache = {e.key: e.rep for e in inventory}

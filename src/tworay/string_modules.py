@@ -14,6 +14,7 @@ import functools
 
 import numpy as np
 
+from .defining_system import check_bound
 from .field import DEFAULT_PRIME, PrimeField
 from .quiver import ConsistencyError, Quiver
 from .strings import EMPTY, StringWord, WordCalculus, NotAString
@@ -540,10 +541,10 @@ class StringModules:
         The entries' modules share one ``pending`` group, so the first
         ``homlab.is_indecomposable`` call on any of them certifies them all
         in one ``homlab.hom_spaces`` stream; building the inventory solves
-        no Hom system.  A negative ``bound`` raises ValueError.
+        no Hom system.  A ``bound`` that is not a nonnegative integer raises
+        ValueError.
         """
-        if bound < 0:
-            raise ValueError(f"bound must be nonnegative, got {bound}")
+        check_bound(bound)
         calc, q, wkey = self.calc, self.quiver, self.calc.word_key
         keys = [("M", wkey(w)) for w in calc.all_strings(bound - 1)]
         for x in q.q0_primed():

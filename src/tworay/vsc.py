@@ -12,7 +12,7 @@ length bound.
 import numpy as np
 from dataclasses import dataclass
 
-from .defining_system import admissible_vertices
+from .defining_system import admissible_vertices, check_bound
 from .homlab import ConsistencyError, hom_spaces, transposed_blocks
 
 
@@ -212,13 +212,12 @@ def lemma(modules, x: str, which: str, bound: int):
     - I at x_(i,j0): the K-family on I_1, ..., I_(r+1); R is M(omega_x),
       and ``_strand_module`` prefixes all anchors but j0.
 
-    A pair (x, which) outside ``lemma_sites``, or a negative ``bound``,
-    raises ValueError.
+    A pair (x, which) outside ``lemma_sites``, or a ``bound`` that is not a
+    nonnegative integer, raises ValueError.
     """
     if (x, which) not in lemma_sites(modules.quiver):
         raise ValueError(f"{x!r} is not a site of lemma {which!r}")
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
+    check_bound(bound)
     calc, M = modules.calc, modules.construct_M
     kind, i, j0 = x.split(":")
     i, j0 = int(i), int(j0)

@@ -610,11 +610,13 @@ def _kron_system(M, N, offsets, total):
 
 
 def _dense_hom_basis(M, N):
+    """Hom(M, N) from the dense Kronecker system, its kernel read by the
+    reference Gauss-Jordan of this file, not by ``PrimeField``'s reducer."""
     F = M.field
     offsets, total = _unknown_offsets(M, N)
     if total == 0:
         return []
-    kernel = F.null_space(_kron_system(M, N, offsets, total))
+    kernel = _gauss_jordan_null_space(F, _kron_system(M, N, offsets, total))
     return [{v: kernel[offsets[v]: offsets[v] + N.dim(v) * M.dim(v), k]
              .reshape((N.dim(v), M.dim(v)), order="F")
              for v in M.quiver.vertices} for k in range(kernel.shape[1])]
@@ -945,8 +947,9 @@ for _case in _EDGE_SYSTEMS:
 
 class _LoopQuiver:
     """u -> v by two parallel arrows a and b, a loop l at v, and c: v -> w.
-    The sweep of ``hom_basis`` merges the two sides of an equation on l, and
-    closes tie cycles through a and b whose weights may disagree."""
+    An equation on l has one unknown on both sides, whose terms
+    ``hom_basis`` adds together, and the ties through a and b close cycles
+    whose weights may disagree."""
 
     vertices = ("u", "v", "w")
     arrows = ("a", "b", "l", "c")
@@ -1051,8 +1054,8 @@ def _loop_pairs(case):
 @given(_loop_extensions())
 @_loop_examples
 def test_hom_sweep_matches_dense(case):
-    """``hom_basis`` substitutes one- and two-term equations as it sweeps
-    them; its basis is the dense reference kernel.  ``is_split`` on the
+    """``hom_basis`` on a small system, one sparse elimination of its
+    equations, is the dense reference kernel.  ``is_split`` on the
     inclusion of X in the extension E agrees with the dense solve."""
     X, Z, E = case
     for M, N in _loop_pairs(case):
@@ -2382,13 +2385,21 @@ def test_read_ahead_error_reaches_the_first_call(fund21, monkeypatch):
 
 
 def test_library_rejects_negative_bounds(fund21):
-    """A negative bound raises the ValueError of ``verify`` in the
-    inventory, the rows and a lemma site, instead of an empty answer."""
+    """A negative or non-integer bound raises the ValueError of ``verify``
+    in the inventory, the rows and a lemma site, instead of an empty
+    answer or a TypeError deep inside."""
     ver = ArVerifier(fund21.modules, fund21.algebra)
     v, which = lemma_sites(fund21.quiver)[0]
     for call in (lambda: fund21.modules.theorem_inventory(-3),
                  lambda: ver.rows(-2),
                  lambda: lemma(fund21.modules, v, which, -2),
-                 lambda: ver.verify(-1)):
+                 lambda: ver.verify(-1),
+                 lambda: fund21.modules.theorem_inventory(8.0),
+                 lambda: fund21.modules.theorem_inventory(True),
+                 lambda: ver.rows(8.0),
+                 lambda: ver.verify(8.5),
+                 lambda: ver.verify(None),
+                 lambda: ver.verify(8, 6.0),
+                 lambda: lemma(fund21.modules, v, which, 6.5)):
         with pytest.raises(ValueError, match="nonnegative"):
             call()
