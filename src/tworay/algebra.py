@@ -17,10 +17,15 @@ from .quiver import ConsistencyError, Quiver
 
 
 class NonStabilizing(RuntimeError):
-    """Path enumeration exceeded the hard cap; the input cannot be valid."""
+    """The path space has more than ``PATH_CAP`` paths or ``LETTER_CAP``
+    letters in all: the input may be valid, but it is too large to hold."""
 
 
 PATH_CAP = 2_000_000
+# every path holds its arrow tuple, and the sort in ``_compute`` a key tuple
+# as long: about 20 bytes a letter (tracemalloc, one strand of length 200),
+# so the letters of a path space at this bound take about 200 MB
+LETTER_CAP = 10_000_000
 
 
 class AlgebraBasis:
@@ -37,20 +42,47 @@ class AlgebraBasis:
 
     # -- path space ---------------------------------------------------------
 
+    def _check_path_space(self):
+        """Count the paths and their letters before any path is built, and
+        raise NonStabilizing past either cap.  Over the vertices in
+        topological order, the paths that end at v number
+        paths[v] = 1 + sum paths[s], and hold
+        letters[v] = sum letters[s] + paths[s] letters, over the arrows
+        s -> v.  A vertex on an oriented cycle never comes up in that order,
+        and its paths are endless."""
+        q = self.quiver
+        waiting = {v: len(q.in_arrows[v]) for v in q.vertices}
+        ready = [v for v, k in waiting.items() if not k]
+        paths, letters = {}, {}
+        for v in ready:  # grows as the loop runs
+            sources = [q.source[a] for a in q.in_arrows[v]]
+            paths[v] = 1 + sum(paths[s] for s in sources)
+            letters[v] = sum(letters[s] + paths[s] for s in sources)
+            for a in q.out_arrows[v]:
+                waiting[q.target[a]] -= 1
+                if not waiting[q.target[a]]:
+                    ready.append(q.target[a])
+        if len(ready) < len(q.vertices):
+            raise NonStabilizing("the quiver has an oriented cycle")
+        paths, letters = sum(paths.values()), sum(letters.values())
+        if paths > PATH_CAP or letters > LETTER_CAP:
+            raise NonStabilizing(
+                f"path space too large: {paths} paths of {letters} letters "
+                f"in all, the bounds being {PATH_CAP} paths and "
+                f"{LETTER_CAP} letters")
+
     def _all_paths(self):
+        self._check_path_space()
         q = self.quiver
         paths = [(v, (), v) for v in q.vertices]
         frontier = paths
         while frontier:
-            nxt = [
+            frontier = [
                 (q.source[a], arrows + (a,), tgt)
                 for src, arrows, tgt in frontier
                 for a in q.in_arrows[src]
             ]
-            paths.extend(nxt)
-            if len(paths) > PATH_CAP:
-                raise NonStabilizing("path space exceeds cap")
-            frontier = nxt
+            paths.extend(frontier)
         return paths
 
     def _key(self, path):

@@ -13,7 +13,7 @@ from .field import DEFAULT_PRIME, PrimeField
 from .quiver import build_quiver, build_relations, relations_to_json
 from .strings import WordCalculus
 from .string_modules import DEFAULT_LAMBDAS, StringModules
-from .algebra import AlgebraBasis
+from .algebra import AlgebraBasis, NonStabilizing
 from .homlab import ArVerifier
 
 
@@ -195,7 +195,10 @@ def main(argv=None) -> int:
         })
         return 0
 
-    algebra = AlgebraBasis(quiver, relations, field)
+    try:
+        algebra = AlgebraBasis(quiver, relations, field)
+    except NonStabilizing as exc:  # a path space too large to hold
+        return _input_error(exc)
 
     if args.cmd == "ar":
         ver = ArVerifier(modules, algebra)

@@ -133,6 +133,14 @@ def _integers(name, entries, kinds=(list, tuple)) -> tuple:
     return tuple(int(x) for x in entries)
 
 
+def check_integer(value, name) -> int:
+    """``value`` as an int; ValueError unless it is an integer (a numpy
+    integer is one, a bool is not)."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_bound(value, name="bound"):
     """ValueError unless ``value`` is a nonnegative integer; the library's
     dimension and length bounds are checked here."""

@@ -13,23 +13,36 @@ bound applies there, and ``rref`` passes the nonzero rows of a dense matrix
 through it and rebuilds the dense form.
 """
 
-import numbers
 from collections import defaultdict
 
 import numpy as np
+
+from .defining_system import check_integer
 
 
 MAX_PRIME = 2 ** 21
 DEFAULT_PRIME = 32003
 
 
+def integer_array(data, name) -> np.ndarray:
+    """``data`` as an int64 array; ValueError naming ``name`` unless its
+    dtype is an integer type that int64 holds, or it is empty.  The dtype is
+    checked, not each entry: bool, float, str, uint64 and object arrays are
+    rejected, so a Python integer beyond int64, which makes an object array,
+    is rejected rather than reduced."""
+    a = np.asarray(data)
+    kind = a.dtype.kind
+    if not (kind == "i" or not a.size or kind == "u" and a.itemsize < 8):
+        raise ValueError(f"{name} must hold integers within int64, "
+                         f"got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 class PrimeField:
     """GF(p) arithmetic on numpy integer matrices."""
 
     def __init__(self, p: int):
-        if isinstance(p, bool) or not isinstance(p, numbers.Integral):
-            raise ValueError(f"field order must be an integer, got {p!r}")
-        p = int(p)
+        p = check_integer(p, "field order")
         if p >= MAX_PRIME:
             raise ValueError(
                 f"field order {p} is too large: int64 products are exact only "
@@ -66,7 +79,7 @@ class PrimeField:
     # -- matrices --------------------------------------------------------
 
     def mat(self, data) -> np.ndarray:
-        return np.asarray(data, dtype=np.int64) % self.p
+        return integer_array(data, "matrix") % self.p
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         return np.zeros((rows, cols), dtype=np.int64)

@@ -100,20 +100,24 @@ returned.
 
 The AR translate DTr M is read from a minimal projective presentation
 P1 --d--> P0 --h--> M -> 0 (Auslander-Reiten-Smalo, Ch. IV), built from one
-projective cover.  The cover h sends one summand P(v) of P0 to each top
-generator x of M at v, a unit vector of M_v outside rad M_v (the span of
-the arrow images into v), and the basis path p of that summand to p x.
-K = ker h is kept in P0 coordinates, K_u the null space of h_u, read from
-the RREF of h_u that the cover takes to check that h is onto.  It is a
-submodule, so rad K_u is the span of the P0_a K_s over the arrows a: s -> u,
-and the columns of K_u that are pivots of [rad K_u | K_u] are a basis of
-(K / rad K)_u.  They are the P1 generators: each is a vector of P0_u, the
-image under d of the trivial path of its summand P(u), and its coordinates
-over the basis paths of the summands of P0 are the entries of d as a matrix
-over A, which Tr transposes.  Two checks stand in for the second cover that
-this saves: h vanishes on every P0_a K_s, and the images of the generators
-under the basis paths span K at every vertex (Nakayama's lemma says they
-must).
+projective cover.  The generators of each cover are kept as one matrix per
+vertex, a generator per column.  The cover h sends one summand P(v) of P0
+to each top generator x of M at v, a unit vector of M_v outside rad M_v
+(the span of the arrow images into v), and the basis path p of that
+summand to p x.  K = ker h is kept in P0 coordinates, K_u the null space of
+h_u, read from the RREF of h_u that the cover takes to check that h is
+onto.  It is a submodule, so rad K_u is the span of the P0_a K_s over the
+arrows a: s -> u, and the columns of K_u that are pivots of
+[rad K_u | K_u] are a basis of (K / rad K)_u.  They are the P1 generators:
+each is a vector of P0_u, the image under d of the trivial path of its
+summand P(u), and its coordinates over the basis paths of the summands of
+P0 are the entries of d as a matrix over A, which Tr transposes.  At each
+vertex w, Hom(d, A) left-multiplies the basis paths w -> v of each summand
+e_v A of Hom(P0, A) by those entries, each product taken from
+``AlgebraBasis.multiply``; the sums are reduced mod p once per vertex,
+before the cokernel.  Two checks stand in for the second cover that this
+saves: h vanishes on every P0_a K_s, and the images of the generators under
+the basis paths span K at every vertex (Nakayama's lemma says they must).
 
 Each elimination a module needs at its vertices or arrows, for the
 cokernels, the top generators, the cover's rank check and kernel, the P1
@@ -1326,18 +1330,17 @@ def _splits(rows) -> list:
 
 
 def top_generators(M: Representation):
-    """For each vertex v, the unit vectors of M_v that project to a basis of
-    (M / rad M)_v, as columns: the section of M_v onto M_v / rad M_v, where
-    rad M_v is spanned by the images of the arrows into v."""
+    """{v: section} over the vertices v where M / rad M is not 0, in vertex
+    order: the columns of the section of M_v onto M_v / rad M_v are the unit
+    vectors of M_v that project to a basis of (M / rad M)_v, where rad M_v
+    is spanned by the images of the arrows into v."""
     F, q = M.field, M.quiver
     rad = {}
     for v in M.support:
         imgs = [M.maps[a] for a in q.in_arrows[v] if M.dim(q.source[a])]
         rad[v] = np.hstack(imgs) if imgs else F.zeros(M.dim(v), 0)
-    gens = {v: [] for v in q.vertices}
-    for v, (_, section) in _quotients(F, rad).items():
-        gens[v] = [section[:, [j]] for j in range(section.shape[1])]
-    return gens
+    return {v: section for v, (_, section) in _quotients(F, rad).items()
+            if section.shape[1]}
 
 
 def _path_images(M: Representation, algebra, v, vecs) -> dict:
@@ -1359,24 +1362,22 @@ def _path_images(M: Representation, algebra, v, vecs) -> dict:
 
 
 def projective_cover(M: Representation, algebra):
-    """(P, h, summands, kernel) with h: P -> M a projective cover.
+    """(P, h, gens, kernel) with h: P -> M a projective cover.
 
-    P is the sum of one P(v) per top generator x of M at v, in vertex
-    order, and ``summands`` lists these (v, x); h sends the basis path p of
-    that summand to p x.  ``kernel`` holds K_v = ker h_v, in P coordinates,
-    at each vertex where it is not 0, read from the same RREF of the h_v as
-    the check that h is onto."""
+    ``gens`` is ``top_generators(M)``.  P is the sum of one P(v) per column
+    x of gens[v], in vertex order, and h sends the basis path p of that
+    summand to p x.  ``kernel`` holds K_v = ker h_v, in P coordinates, at
+    each vertex where it is not 0, read from the same RREF of the h_v as the
+    check that h is onto."""
     F, q = M.field, M.quiver
     gens = top_generators(M)
-    summands = [(v, x) for v in q.vertices for x in gens[v]]
     P = direct_sum_of(q, F, [algebra.projective_module(v)
-                             for v, _ in summands])
+                             for v, x in gens.items()
+                             for _ in range(x.shape[1])])
     h = {v: F.zeros(M.dim(v), P.dim(v)) for v in q.vertices}
     offset = dict.fromkeys(M.support, 0)
-    for v in q.vertices:  # the summands of v are consecutive
-        if not gens[v]:
-            continue
-        for w, stack in _path_images(M, algebra, v, np.hstack(gens[v])).items():
+    for v, x in gens.items():  # the summands of v are consecutive
+        for w, stack in _path_images(M, algebra, v, x).items():
             # summand t of v takes the columns t k, ..., t k + k - 1 at w
             k, rows, n = stack.shape
             h[w][:, offset[w]: offset[w] + n * k] = (
@@ -1392,15 +1393,15 @@ def projective_cover(M: Representation, algebra):
         k = F.null_space_from_rref(rows, P.dim(v))
         if k.shape[1]:
             kernel[v] = k
-    return P, h, summands, kernel
+    return P, h, gens, kernel
 
 
 def minimal_presentation(M: Representation, algebra):
     """(P0, h, gens0, gens1) of a minimal projective presentation
     P1 --d--> P0 --h--> M -> 0.
 
-    h is the projective cover and gens0 its summands.  P1 is the sum of one
-    P(u) per entry (u, x) of gens1, x a vector of P0_u, and d sends the
+    h is the projective cover and gens0 its top generators.  P1 is the sum
+    of one P(u) per column x of gens1[u], a vector of P0_u, and d sends the
     basis path p of that summand to p x.  The x are read from K = ker h in
     P0 coordinates, as in the module docstring; M is projective iff gens1
     is empty."""
@@ -1415,17 +1416,16 @@ def minimal_presentation(M: Representation, algebra):
                                if q.source[a] in kernel] + [k])
         if not F.is_zero(F.mul(h[u], blocks[u])):
             raise ConsistencyError("kernel is not arrow-stable")
-    at = {}  # the P1 generators at u, as the columns of one matrix
+    gens1 = {}
     for u, rows in _reduce_blocks(F, blocks).items():
         r = blocks[u].shape[1] - kernel[u].shape[1]
         chosen = [pc - r for pc, _ in rows if pc >= r]
         if chosen:
-            at[u] = kernel[u][:, chosen]
-    gens1 = [(u, x[:, [j]]) for u, x in at.items() for j in range(x.shape[1])]
+            gens1[u] = kernel[u][:, chosen]
     # the images of gens1 under the basis paths must span K_w: in the RREF
     # of [images | K_w] no pivot falls in K_w, and there are dim K_w pivots
     images = {w: [] for w in P0.support}
-    for u, x in at.items():
+    for u, x in gens1.items():
         for w, stack in _path_images(P0, algebra, u, x).items():
             images[w].append(stack.transpose(1, 0, 2).reshape(P0.dim(w), -1))
     spans = {w: np.hstack(images[w] + [kernel.get(w, F.zeros(P0.dim(w), 0))])
@@ -1446,44 +1446,48 @@ def ar_translate(M: Representation, algebra) -> Representation:
 
     Tr M is the cokernel of Hom(d, A): Hom(P0, A) -> Hom(P1, A), a map of
     right modules, and D takes it back to the left by transposing."""
-    F = M.field
-    q = M.quiver
+    F, q = M.field, M.quiver
     _, _, gens0, gens1 = minimal_presentation(M, algebra)
     if not gens1:
         raise ProjectiveSummand("module is projective")
 
-    # components a[j][i] in e_{u_j} A e_{v_i}: the block of the P1 generator
-    # x_j in the summand P(v_i) of P0, over the basis paths v_i -> u_j
-    right0 = [algebra.right_projective(v) for v, _ in gens0]
-    right1 = [algebra.right_projective(u) for u, _ in gens1]
-    comp = [[] for _ in gens1]
-    base = dict.fromkeys((u for u, _ in gens1), 0)
-    for v, _ in gens0:
-        for j, (u, x) in enumerate(gens1):
-            paths = algebra.basis_paths.get((v, u), ())
-            coeffs = x[base[u]: base[u] + len(paths), 0].tolist()
-            comp[j].append({p: c for p, c in zip(paths, coeffs) if c})
-        for u in base:
-            base[u] += len(algebra.basis_paths.get((v, u), ()))
+    # one summand e_v A of Hom(P0, A) per column of gens0[v], one e_u A of
+    # Hom(P1, A) per column x_j of gens1[u]; the component of x_j in the
+    # summand P(v_i) of P0 is the element sum_a x_j[a] a of e_{u_j} A e_{v_i},
+    # over the basis paths a: v_i -> u_j that index its rows of P0_{u_j}
+    tops = [v for v, x in gens0.items() for _ in range(x.shape[1])]
+    right0 = [algebra.right_projective(v) for v in tops]
+    right1, comp = [], []
+    for u, x in gens1.items():
+        for column in x.T.tolist():
+            coords = iter(column)  # zip stops at the paths: summand by summand
+            right1.append(algebra.right_projective(u))
+            comp.append([[(a, c) for a, c in zip(
+                algebra.basis_paths.get((v, u), ()), coords) if c]
+                for v in tops])
 
-    # transpose: map  +_i e_{v_i}A -> +_j e_{u_j}A  by left multiplication
-    # only vertices where the codomain is nonzero carry a quotient
-    dims_dom = {w: sum(r[0][w] for r in right0) for w in q.vertices}
-    dims_cod = {w: sum(r[0][w] for r in right1) for w in q.vertices}
-    cod_support = [w for w in q.vertices if dims_cod[w]]
-    dmat = {w: F.zeros(dims_cod[w], dims_dom[w]) for w in cod_support}
-    for w in cod_support:
+    # Hom(d, A) at w, on the vertices where Hom(P1, A) is not 0: block (j, i)
+    # left-multiplies the basis paths w -> v_i by the component (j, i)
+    dmat = {}
+    for w in q.vertices:
+        height = sum(r[0][w] for r in right1)
+        if not height:
+            continue
+        block = [[0] * sum(r[0][w] for r in right0) for _ in range(height)]
         roff = 0
-        for j, r1 in enumerate(right1):
+        for r1, parts in zip(right1, comp):
             coff = 0
-            for i, r0 in enumerate(right0):
-                for col, p in enumerate(r0[2][w]):  # p: path w -> v_i
-                    for rpath, cf in _left_mult(algebra, comp[j][i], p).items():
-                        dmat[w][roff + r1[3][w][rpath], coff + col] = (
-                            dmat[w][roff + r1[3][w][rpath], coff + col] + cf
-                        ) % F.p
+            for r0, element in zip(right0, parts):
+                for a, c in element:
+                    for col, p in enumerate(r0[2][w]):
+                        for rpath, cf in algebra.multiply(a, p).items():
+                            block[roff + r1[3][w][rpath]][coff + col] += c * cf
                 coff += r0[0][w]
             roff += r1[0][w]
+        # an entry sums at most dim A products, each below p^2: p < 2^21
+        # (MAX_PRIME) and dim A <= PATH_CAP < 2^21 keep the sum below 2^63,
+        # so int64 holds it exactly
+        dmat[w] = np.array(block, dtype=np.int64) % F.p
 
     # right-module cokernel of dmat, then vector-space dual back to the left
     quot = _quotients(F, dmat)
@@ -1496,20 +1500,8 @@ def ar_translate(M: Representation, algebra) -> Representation:
             # right action of a on Tr: Tr_t -> Tr_s; dualize to get s -> t
             cod_map = block_diagonal(F, [r[1][a] for r in right1])
             act = F.mul(quot[s][0], F.mul(cod_map, quot[t][1]))
-            maps[a] = act.T % F.p
+            maps[a] = act.T
     return Representation(q, F, spaces, maps)
-
-
-def _left_mult(algebra, element, path):
-    """Left-multiply a path by an algebra element given as {path: coeff}."""
-    out = {}
-    F = algebra.field
-    for apath, c in element.items():
-        if apath[0] != path[2]:
-            continue
-        for r, cf in algebra.multiply(apath, path).items():
-            out[r] = (out.get(r, 0) + c * cf) % F.p
-    return {k: v for k, v in out.items() if v}
 
 
 # -- the almost-split-sequence list ----------------------------------------------
@@ -1653,7 +1645,6 @@ class ArVerifier:
                 continue
             out.append({
                 "family": family,
-                "params": params,
                 "left": left,
                 "middle": mid,
                 "right": rt,
@@ -1876,11 +1867,9 @@ class ArVerifier:
             + [f"lemma {r['lemma']} mismatch at {r['vertex']}"
                for r in lemma_checks if not r["ok"]])
         return {
-            "bound": bound,
             "rows_enumerated": len(rows),
             "rows_checked": len(checked),
             "inventory_size": len(inventory),
-            "projectives": sorted(map(repr, projectives)),
             "rows": checked,
             "coverage": coverage,
             "well_defined": not relation_failures,

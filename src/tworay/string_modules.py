@@ -14,8 +14,8 @@ import functools
 
 import numpy as np
 
-from .defining_system import check_bound
-from .field import DEFAULT_PRIME, PrimeField
+from .defining_system import check_bound, check_integer
+from .field import DEFAULT_PRIME, PrimeField, integer_array
 from .quiver import ConsistencyError, Quiver
 from .strings import EMPTY, StringWord, WordCalculus, NotAString
 
@@ -172,11 +172,12 @@ def _dense_buffer(maps, shape, layout, total) -> np.ndarray:
     layout; zeros on a support arrow without one."""
     buf = np.zeros(total, dtype=np.int64)
     for a, m in maps.items():
-        m = np.asarray(m, dtype=np.int64)
+        m = np.asarray(m)
         if m.shape != shape[a]:
             raise ValueError(f"bad shape for {a}: {m.shape}")
         if a in layout:
-            buf[layout[a][0]: layout[a][0] + m.size] = m.ravel()
+            buf[layout[a][0]: layout[a][0] + m.size] = integer_array(
+                m, f"map on {a}").ravel()
     return buf
 
 
@@ -187,7 +188,7 @@ def _entry_buffer(entries, shape, layout, total) -> np.ndarray:
     for a, (start, _, cols) in layout.items():
         for r, c, x in entries.get(a, ()):
             flat[start + r * cols + c] += x
-    return np.array(flat, dtype=np.int64)
+    return integer_array(flat, "entries")
 
 
 def block_diagonal(field, blocks) -> np.ndarray:
@@ -296,8 +297,9 @@ class StringModules:
         self.quiver = calc.quiver
         self.field = field if field is not None else PrimeField(DEFAULT_PRIME)
         self._bands = dict(calc.bands())
+        sample = [check_integer(lam, "lam_sample entry") for lam in lam_sample]
         self.lams = list(dict.fromkeys(
-            lam for lam in map(self.field.red, (*lam_sample, 1)) if lam))
+            lam for lam in map(self.field.red, (*sample, 1)) if lam))
 
     # -- assembly helpers ----------------------------------------------------
 
@@ -408,7 +410,8 @@ class StringModules:
         return vertex_labels, entries
 
     def construct_R(self, band: StringWord, lam: int, m: int) -> Representation:
-        lam = self.field.red(lam)
+        lam = self.field.red(check_integer(lam, "lam"))
+        m = check_integer(m, "m")
         if lam == 0:
             raise LambdaZero("lambda must be a unit")
         if m < 0:
@@ -419,6 +422,7 @@ class StringModules:
         return self._assemble(vertex_labels, entries)
 
     def construct_Qband(self, x: str, m: int) -> Representation:
+        m = check_integer(m, "m")
         if x not in self.quiver.q0_doubleprimed():
             raise NotABand(f"{x} is not in Q0''")
         if m < 1:
@@ -516,6 +520,7 @@ class StringModules:
         return (("NCC", x, wkey(c), wkey(cp)),)
 
     def canon_R(self, band_name, lam, m):
+        lam, m = check_integer(lam, "lam"), check_integer(m, "m")
         if band_name not in self._bands or m < 0:
             raise NotABand(f"R-term outside its family: {band_name}, m = {m}")
         lam = self.field.red(lam)
@@ -524,6 +529,7 @@ class StringModules:
         return (("R", band_name, lam, m),) if m else ()
 
     def canon_Qb(self, x, m):
+        m = check_integer(m, "m")
         if x not in self.quiver.q0_doubleprimed() or m < 0:
             raise NotABand(f"Q_band term outside its family: {x}, m = {m}")
         return (("Qband", x, m),) if m else ()

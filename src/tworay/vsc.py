@@ -257,7 +257,7 @@ def _content(M) -> tuple:
     return M.field.p, M.quiver, M.dims, M.buffer.tobytes()
 
 
-def measure_pattern(R, assign, field, spaces=None):
+def measure_pattern(R, assign, spaces=None):
     """Measured objdim and homdim matrices through the functor Hom(R, -).
 
     homdim(u, v) is the rank of f -> (f h)_h, from Hom(u, v) to the maps
@@ -282,6 +282,7 @@ def measure_pattern(R, assign, field, spaces=None):
     ``ex14-rows`` benchmark, +5.1 MB on ``tsys-deep`` and +11.2 MB (+25%)
     on ``ex14-certify``.
     """
+    field = R.field
     objects = sorted(assign, key=repr)
     spaces = {} if spaces is None else spaces
     content = {id(M): _content(M) for M in (R, *assign.values())}
@@ -361,7 +362,7 @@ def hom_pattern_of_functor(modules, x: str, which: str, bound: int,
     outside ``lemma_sites`` raises ValueError.  ``spaces`` is passed to
     ``measure_pattern``."""
     model, R, assign = lemma(modules, x, which, bound)
-    measured = measure_pattern(R, assign, modules.field, spaces)
+    measured = measure_pattern(R, assign, spaces)
     report = match_model(measured, model)
     return model, measured, report
 

@@ -4,7 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from tworay import AlgebraBasis
+from tworay import AlgebraBasis, build_quiver, validate
+from tworay import algebra as algebra_module
+from tworay.algebra import NonStabilizing
 from tworay.field import PrimeField
 
 from conftest import SYSTEMS, ctx
@@ -109,8 +111,7 @@ def test_projective_top_is_simple():
         for v in c.quiver.vertices:
             P = c.algebra.projective_module(v)
             gens = top_generators(P)
-            assert sum(len(g) for g in gens.values()) == 1
-            assert len(gens[v]) == 1
+            assert list(gens) == [v] and gens[v].shape[1] == 1
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -185,6 +186,53 @@ def test_prime_field_takes_integer_orders_only():
         assert F.inv(3) == 5 and F.rank(F.mat([[3]])) == 1
     with pytest.raises(ValueError, match="prime"):
         PrimeField(9)
+
+
+def test_prime_field_mat_rejects_non_integers():
+    # mat used to truncate [[2.9, -1.2]] to [[2, 6]]; the dtype is checked,
+    # so a Python integer beyond int64 (an object array) is rejected too
+    F = PrimeField(7)
+    for data in ([[2.9, -1.2]], [["3"]], [[True]], [[2 ** 70]], [[2 ** 63]]):
+        with pytest.raises(ValueError, match="matrix must hold integers"):
+            F.mat(data)
+    for data in ([[9, -1]], np.array([[9, -1]], dtype=np.int8),
+                 np.array([[9, 6]], dtype=np.uint32)):
+        assert F.mat(data).dtype == np.int64
+        assert F.mat(data).tolist() == [[2, 6]]
+    assert F.mat([]).shape == (0,)
+
+
+def _strand(n):
+    """The quiver of one strand of length n: about n^2 / 2 paths of n^3 / 6
+    letters in all."""
+    return build_quiver(validate({"p": [n], "q": [1], "S": [[]], "T": [[]]}))
+
+
+def test_path_space_too_large_is_found_before_it_is_built(monkeypatch):
+    # the cap used to be compared with the number of paths built so far,
+    # level by level, so the letters of a long strand (n^3 / 6) filled the
+    # memory first, and a large count of letters was never refused; both
+    # totals are now counted before any path is built
+    monkeypatch.setattr(algebra_module, "PATH_CAP", 1000)
+    with pytest.raises(NonStabilizing, match=(
+            "1892 paths of 37821 letters in all, the bounds being 1000 "
+            f"paths and {algebra_module.LETTER_CAP} letters")):
+        AlgebraBasis(_strand(60), [])
+    monkeypatch.setattr(algebra_module, "PATH_CAP", 2_000_000)
+    monkeypatch.setattr(algebra_module, "LETTER_CAP", 1000)
+    with pytest.raises(NonStabilizing, match="232 paths of 1541 letters"):
+        AlgebraBasis(_strand(20), [])
+    monkeypatch.setattr(algebra_module, "LETTER_CAP", 1541)
+    assert AlgebraBasis(_strand(20), []).dimension == 232
+    # a quiver with an oriented cycle has endless paths
+    q = _strand(3)
+    s, t = q.source[q.arrows[0]], q.target[q.arrows[0]]
+    q.source["back"], q.target["back"] = t, s
+    q.out_arrows[t].append("back")
+    q.in_arrows[s].append("back")
+    monkeypatch.setattr(algebra_module, "PATH_CAP", 1000)
+    with pytest.raises(NonStabilizing, match="oriented cycle"):
+        AlgebraBasis(q, [])
 
 
 def test_prime_field_multiplies_stacks():

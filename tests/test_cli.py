@@ -69,6 +69,22 @@ def test_malformed_system_exits_two(tmp_path, text):
         assert json.loads(out)["error"].startswith("DefiningSystemError: ")
 
 
+def test_oversized_path_space_exits_two(tmp_path, monkeypatch):
+    # a valid system whose path space is too large to hold is an input
+    # error, found before the paths are built; here the bound is patched
+    # small, so one strand of length 60 (1,892 paths) exceeds it
+    from tworay import algebra
+
+    monkeypatch.setattr(algebra, "PATH_CAP", 1000)
+    big = tmp_path / "big.json"
+    big.write_text('{"p": [60], "q": [1], "S": [[]], "T": [[]]}')
+    for cmd in ("ar", "verify"):
+        code, out = run([cmd, str(big), "--max-dim", "2"])
+        assert code == 2
+        assert json.loads(out)["error"].startswith(
+            "NonStabilizing: path space too large: 1892 paths")
+
+
 def test_undecodable_input_exits_two(sysfile, tmp_path):
     # a file that is not UTF-8 is an input error, as a system and as a
     # stored inventory

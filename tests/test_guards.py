@@ -68,10 +68,10 @@ def _guard_failures():
     try:
         vsc.hom_spaces = zero_r_to_a
         out.append(_raised(lambda: vsc.measure_pattern(
-            R, {"a": a, "ss": ss}, c.field)))
+            R, {"a": a, "ss": ss})))
         vsc.hom_spaces = hom_spaces
         homlab.top_generators = lambda M: {
-            v: g[:1] for v, g in top_generators(M).items()}
+            v: g[:, :1] for v, g in top_generators(M).items()}
         out.append(_raised(lambda: homlab.projective_cover(ss, c.algebra)))
         homlab.top_generators = top_generators
         PrimeField.null_space = lambda F, m: null_space(F, m)[:, :0]

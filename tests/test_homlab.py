@@ -468,9 +468,9 @@ def _planted_rows(ver, bound):
                       if is_projective(e.rep, ver.algebra))
 
     def row(name, left, middle, right):
-        return {"family": 0, "params": (name,), "left": (left,),
-                "middle": tuple(middle), "right": (right,), "right_dim": 0,
-                "middle_dim": 0, "key": (0, name)}
+        return {"family": 0, "left": (left,), "middle": tuple(middle),
+                "right": (right,), "right_dim": 0, "middle_dim": 0,
+                "key": (0, name)}
 
     def band(lam, m):
         return ("R", "B0", lam, m)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from tworay import EMPTY, StringWord, check_relations
+from tworay.field import PrimeField
 from tworay.string_modules import (LambdaZero, NotABand, NotAPair,
-                                   Representation, direct_sum_of)
+                                   Representation, StringModules,
+                                   direct_sum_of)
 from tworay.strings import NotAString
 from tworay import homlab, string_modules
 
@@ -159,6 +161,45 @@ def test_r_nested_submodule(fund21):
             all(small.dim(v) == 0 or F.rank(f[v]) == small.dim(v)
                 for v in small.quiver.vertices)
             for f in basis)
+
+
+def test_library_rejects_non_integer_inputs(fund21):
+    # these used to be truncated or converted: [[2.7]] stored as [[2]],
+    # [["3"]] as 3, [[True]] as 1, lam_sample (2.7, True, "3") as [2, 1, 3],
+    # R(B0, 2.5, 1) built as R(B0, 2, 1), and canon_R("B0", 2, 1.5) named
+    # the atom ("R", "B0", 2, 1.5); [[2 ** 70]] raised OverflowError
+    sm, q = fund21.modules, fund21.quiver
+    a = q.arrows[0]
+    spaces = {q.source[a]: ("s",), q.target[a]: ("t",)}
+    F = PrimeField(5)
+    for m in ([[2.7]], [["3"]], [[True]], [[2 ** 70]]):
+        with pytest.raises(ValueError, match=f"map on {a} must hold integers"):
+            Representation(q, F, spaces, {a: m})
+    with pytest.raises(ValueError, match="entries must hold integers"):
+        Representation.from_entries(q, F, spaces, {a: [(0, 0, 2.5)]})
+    for lam in (2.7, True, "3"):
+        with pytest.raises(ValueError, match="lam_sample entry must be an"):
+            StringModules(sm.calc, lam_sample=(lam,))
+    b0 = sm.calc.band_b0()
+    for lam, m, what in ((2.5, 1, "lam"), (True, 1, "lam"), (2, 1.5, "m")):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer"):
+            sm.construct_R(b0, lam, m)
+        with pytest.raises(ValueError, match=f"^{what} must be an integer"):
+            sm.canon_R("B0", lam, m)
+    tsys = ctx("tsys").modules  # Q0'' = {x:1:2}
+    for build in (tsys.construct_Qband, tsys.canon_Qb):
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            build("x:1:2", 1.5)
+    # numpy integers are integers; a scalar beyond int64 is reduced mod p
+    got = Representation(q, F, spaces, {a: np.array([[7]], dtype=np.int32)})
+    assert got.maps[a].tolist() == [[2]]
+    big = StringModules(sm.calc, F, lam_sample=(np.int64(3), 2 ** 70))
+    assert big.lams == [3, pow(2, 70, 5), 1] == [3, 4, 1]
+    assert sm.canon_R("B0", np.int64(5), np.int64(1)) == (("R", "B0", 5, 1),)
+    assert all(type(x) is int
+               for x in sm.canon_R("B0", np.int64(5), np.int64(1))[0][2:])
+    assert np.array_equal(sm.construct_R(b0, np.int64(5), np.int64(2)).buffer,
+                          sm.construct_R(b0, 5, 2).buffer)
 
 
 def test_qband(tsys):

@@ -5,8 +5,10 @@ the P1 generators from K = ker h directly: it builds K as a module
 (``kernel_rep``), covers it a second time, and composes the inclusion with
 that cover to get d: P1 -> P0.  Its covers take rad M as a column space and
 the top generators as the unit vectors outside it, one elimination each, and
-its quotients take one elimination per vertex."""
+its quotients take one elimination per vertex.  Its transpose multiplies in
+A by its own ``_left_mult``."""
 
+import hashlib
 import itertools
 from collections import Counter
 
@@ -14,8 +16,8 @@ import numpy as np
 import pytest
 
 from tworay import ar_translate, is_isomorphic
-from tworay.homlab import (_left_mult, compose_maps, hom_spaces,
-                           is_projective, kernel_rep, minimal_presentation)
+from tworay.homlab import (compose_maps, hom_spaces, is_projective,
+                           kernel_rep, minimal_presentation)
 from tworay.string_modules import Representation, block_diagonal
 
 from conftest import SYSTEMS, ctx
@@ -58,6 +60,18 @@ def _cover(M, algebra):
             offset[w] += rep.dim(w)
     assert all(F.rank(h[v]) == M.dim(v) for v in M.support)
     return P, h, summands
+
+
+def _left_mult(algebra, element, path):
+    """element * path for element {a: c_a} of A, as {basis path: sum}: each
+    a path is the normal form of the joined path, read with ``reduce_path``
+    rather than from the multiplication table."""
+    out = Counter()
+    for a, c in element.items():
+        joined = (path[0], a[1] + path[1], a[2])  # a after path
+        for r, cf in algebra.reduce_path(joined).items():
+            out[r] += c * cf
+    return out
 
 
 def _two_cover_translate(M, algebra):
@@ -118,7 +132,8 @@ def _check(M, algebra):
     want, want_gens = _two_cover_translate(M, algebra)
     assert is_projective(M, algebra) == (want is None)
     gens1 = minimal_presentation(M, algebra)[3]
-    assert Counter(u for u, _ in gens1) == Counter(want_gens)
+    assert Counter({u: x.shape[1] for u, x in gens1.items()}) == Counter(
+        want_gens)
     if want is not None:
         got = ar_translate(M, algebra)
         assert got.dims == want.dims
@@ -216,3 +231,29 @@ def test_ar_formula_census(name, bound):
     # rescaled control bites only where some tau X is a band module: not on
     # ex14 at 8, whose bands are longer than 8
     _assert_ar_formula(name, bound, ("tau = X", "Omega = P0"))
+
+
+# -- DTr byte for byte ----------------------------------------------------------
+
+TRANSLATE_DIGESTS = {
+    ("ex14", 12): (
+        824, "b302029af9f8619a959d6f21f3ecd60ad3f582db86f2c85fb78521c8d42b954e"),
+    ("tsys", 20): (
+        627, "de4243ea11599e004afc2a7eed6cc0413052aea1136136e7371933153f2236da"),
+}
+
+
+@pytest.mark.parametrize("name, bound", sorted(TRANSLATE_DIGESTS))
+def test_translate_digest_pinned(name, bound):
+    # dims, labels and arrow buffer of DTr of every non-projective inventory
+    # entry, in inventory order: a change to the presentation or the
+    # transpose that moves one entry of one map fails here
+    c = ctx(name)
+    h, count = hashlib.sha256(), 0
+    for e in c.modules.theorem_inventory(bound):
+        if is_projective(e.rep, c.algebra):
+            continue
+        T = ar_translate(e.rep, c.algebra)
+        h.update(repr((T.dims, T.spaces)).encode() + T.buffer.tobytes())
+        count += 1
+    assert (count, h.hexdigest()) == TRANSLATE_DIGESTS[name, bound]

@@ -121,7 +121,7 @@ def test_lemma_pattern_z_kind_multi_poset():
 def test_match_model_detects_truncation_skew():
     c = ctx("fund21")
     model, R, assign = lemma(c.modules, "x:1:2", "R", 3)
-    measured = measure_pattern(R, assign, c.field)
+    measured = measure_pattern(R, assign)
     # deliberately compare against a model built from a longer truncation:
     # the poset gains elements and the object sets disagree
     model_long, _, assign_long = lemma(c.modules, "x:1:2", "R", 5)
@@ -209,10 +209,10 @@ def test_measure_pattern_matches_dict_reference(name, monkeypatch):
     c = ctx(name)
     lemmas = _lemmas(c, 4)
     batches = _counted_solves(monkeypatch)
-    fresh = [measure_pattern(R, assign, c.field) for R, assign in lemmas]
+    fresh = [measure_pattern(R, assign) for R, assign in lemmas]
     fresh_solves = sum(map(len, batches))
     spaces = {}
-    shared = [measure_pattern(R, assign, c.field, spaces)
+    shared = [measure_pattern(R, assign, spaces)
               for R, assign in lemmas]
     assert shared == fresh
     objects = any(got[0] for got in fresh)  # none on tsys at length 4
@@ -239,7 +239,7 @@ def test_hom_space_memo_key_is_content(fund21, monkeypatch):
     assert vsc._content(c) != vsc._content(a)
     batches = _counted_solves(monkeypatch)
     spaces = {}
-    measure_pattern(a, {"a": a, "b": b, "c": c}, a.field, spaces)
+    measure_pattern(a, {"a": a, "b": b, "c": c}, spaces)
     ka, kc = vsc._content(a), vsc._content(c)
     # the first batch, Hom(R = a, -): Hom(a, a) = Hom(a, b) once, Hom(a, c)
     assert [(vsc._content(M), vsc._content(N)) for M, N in batches[0]] == [
@@ -258,7 +258,7 @@ def test_hom_space_memo_key_holds_the_field(tsys, monkeypatch):
         F = PrimeField(p)
         M = Representation(q, F, spaces, {"alpha:1:1": [[2]]})
         N = Representation(q, F, spaces, {"alpha:1:1": [[1]]})
-        measure_pattern(M, {"n": N}, F, memo)
+        measure_pattern(M, {"n": N}, memo)
         assert batches[-2] == [(M, N)]  # Hom(M, N), then Hom(N, N)
         kernel, _ = memo[vsc._content(M), vsc._content(N)]
         assert kernel.tolist() == want == hom_space(M, N)[0].tolist()
