@@ -18,7 +18,9 @@ from .quiver import ConsistencyError, Quiver
 
 class NonStabilizing(RuntimeError):
     """The path space has more than ``PATH_CAP`` paths or ``LETTER_CAP``
-    letters in all: the input may be valid, but it is too large to hold."""
+    letters in all, or the basis more than ``TRIPLE_CAP`` composable triples
+    of paths: the input may be valid, but it is too large to hold or to
+    check."""
 
 
 PATH_CAP = 2_000_000
@@ -26,6 +28,11 @@ PATH_CAP = 2_000_000
 # as long: about 20 bytes a letter (tracemalloc, one strand of length 200),
 # so the letters of a path space at this bound take about 200 MB
 LETTER_CAP = 10_000_000
+# ``check_associativity`` takes about 11 us a composable triple of basis
+# paths (one strand of length 20, 30, 40: 10,629, 46,379 and 135,754 triples
+# in 0.09, 0.49 and 1.5 s), so about 11 s at this bound; the largest census
+# or regression system has 970
+TRIPLE_CAP = 1_000_000
 
 
 class AlgebraBasis:
@@ -184,6 +191,20 @@ class AlgebraBasis:
         table[rep] = self.field.red(table.get(rep, 0) + value)
 
     def check_associativity(self):
+        """(a b) c = a (b c) for every composable triple of basis paths.
+        The triples are counted first, from the number of basis paths
+        between each pair of vertices, and more than ``TRIPLE_CAP`` raise
+        NonStabilizing before the walk."""
+        into, out = {}, {}
+        for (s, t), ps in self.basis_paths.items():
+            into[t] = into.get(t, 0) + len(ps)
+            out[s] = out.get(s, 0) + len(ps)
+        triples = sum(len(ps) * into[s] * out[t]
+                      for (s, t), ps in self.basis_paths.items())
+        if triples > TRIPLE_CAP:
+            raise NonStabilizing(
+                f"associativity check too long: {triples} composable triples "
+                f"of basis paths, the bound being {TRIPLE_CAP}")
         for a in self.rep_paths:
             for b in self.rep_paths:
                 if a[0] != b[2]:

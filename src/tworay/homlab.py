@@ -770,19 +770,33 @@ def factor_charpoly(F, a):
 
 
 class IndecVerdict:
+    """The status of ``is_indecomposable`` and its certificate, immutable:
+    setting either raises AttributeError, so one LOCAL verdict,
+    ``_LOCAL``, is shared by every module that has it."""
+
+    __slots__ = ("status", "certificate")
     LOCAL = "LOCAL"
     DECOMPOSABLE = "DECOMPOSABLE"
     FIELD_OBSTRUCTION = "FIELD_OBSTRUCTION"
 
     def __init__(self, status, certificate=None):
-        self.status = status
-        self.certificate = certificate
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "certificate", certificate)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"an IndecVerdict is immutable: {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"an IndecVerdict is immutable: {name}")
 
     def __repr__(self):
         return f"IndecVerdict({self.status})"
 
     def __eq__(self, other):
         return self.status == other if isinstance(other, str) else NotImplemented
+
+
+_LOCAL = IndecVerdict(IndecVerdict.LOCAL)
 
 
 def _fitting_idempotent(F, a) -> np.ndarray:
@@ -863,7 +877,7 @@ def _certify(M: Representation, basis):
         return IndecVerdict(IndecVerdict.DECOMPOSABLE, _vertex_maps(M, found))
     shifts = (totals - lams[:, None, None] * eye) % F.p
     if _generates_nilpotent(F, shifts):
-        return IndecVerdict(IndecVerdict.LOCAL)
+        return _LOCAL
     return IndecVerdict(IndecVerdict.DECOMPOSABLE,
                         _vertex_maps(M, _fitting_witness(F, shifts)))
 
@@ -944,7 +958,7 @@ def _end_verdict(M: Representation, kernel, blocks) -> IndecVerdict:
     with dim End(M) as ``M.end_dim``."""
     if len(kernel) == 1 or (M.field.p > M.total_dim
                             and _trace_form_rank(M, kernel, blocks) == 1):
-        verdict = IndecVerdict(IndecVerdict.LOCAL)
+        verdict = _LOCAL
     else:
         verdict = _certify(M, _basis_maps(M, M, kernel, blocks))
     M.end_dim, M.indec = len(kernel), verdict
@@ -1350,15 +1364,22 @@ def _path_images(M: Representation, algebra, v, vecs) -> dict:
     x dim M_w x (columns).  Each prefix of a path is applied once."""
     F, paths = M.field, algebra.basis_paths
     memo = {(): vecs}
-
-    def image(arrows):  # arrows[0] acts last
-        got = memo.get(arrows)
-        if got is None:
-            got = memo[arrows] = F.mul(M.maps[arrows[0]], image(arrows[1:]))
-        return got
-
-    return {w: np.stack([image(p[1]) for p in paths[v, w]])
-            for w in M.support if (v, w) in paths}
+    out = {}
+    for w in M.support:
+        if (v, w) not in paths:
+            continue
+        stack = []
+        for _, arrows, _ in paths[v, w]:  # arrows[0] acts last
+            # the longest prefix applied so far, then the arrows after it
+            k = 0
+            while arrows[k:] not in memo:
+                k += 1
+            got = memo[arrows[k:]]
+            for i in range(k - 1, -1, -1):
+                got = memo[arrows[i:]] = F.mul(M.maps[arrows[i]], got)
+            stack.append(got)
+        out[w] = np.stack(stack)
+    return out
 
 
 def projective_cover(M: Representation, algebra):

@@ -11,6 +11,8 @@ every vertex, v' and v'' at the front, so all matrices are reproducible.
 """
 
 import functools
+import operator
+from itertools import chain
 
 import numpy as np
 
@@ -34,6 +36,9 @@ class NotABand(ValueError):
 
 # the band parameters sampled when none are given
 DEFAULT_LAMBDAS = (2, 3, 5)
+# the labels of the extra vectors v' and v'', one object each
+_VP, _VPP = ("vp",), ("vpp",)
+_COEFFICIENT = operator.itemgetter(2)
 
 @functools.lru_cache(maxsize=None)
 def zero_size_block(rows: int, cols: int) -> np.ndarray:
@@ -77,7 +82,14 @@ class Representation:
     ``from_entries`` a list of (row, column, coefficient) per arrow, whose
     entries at one position add.  Both go through the checks of ``_pack``:
     a space at a vertex, or a map on an arrow, that the quiver does not
-    have raises ValueError, as does a dense map of the wrong shape.
+    have raises ValueError, as do duplicate labels at a vertex, a dense map
+    of the wrong shape and a coefficient that is not an integer.
+
+    ``spaces`` maps every vertex to its tuple of basis labels.  Labels and
+    these per-vertex tuples are immutable and may be shared: every module
+    that ``StringModules`` builds takes them from its shared tables, so two
+    of its modules with equal labels, or equal label tuples at a vertex,
+    hold one object each.
     """
 
     __slots__ = ("quiver", "field", "spaces", "dims", "support",
@@ -95,30 +107,29 @@ class Representation:
 
     def _pack(self, quiver, field, spaces, given, buffer):
         """Check the spaces and the per-arrow input ``given``, and take the
-        buffer from ``buffer(given, shape, layout, total)``: shape maps each
-        arrow to (rows, cols), layout each support arrow to (start, rows,
-        cols)."""
+        buffer from ``buffer(given, maps, layout, total)``: maps holds the
+        zero-size block of every arrow outside the support, layout maps each
+        support arrow to (start, rows, cols)."""
         self.quiver, self.field = quiver, field
-        self.spaces = {v: tuple(spaces.get(v, ())) for v in quiver.vertices}
-        dim = {v: len(labels) for v, labels in self.spaces.items()}
-        for keys, known, what in ((spaces, dim, "vertex"),
+        at = self.spaces = {v: tuple(spaces.get(v, ()))
+                            for v in quiver.vertices}
+        for keys, known, what in ((spaces, at, "vertex"),
                                   (given, quiver.source, "arrow")):
             for k in keys:
                 if k not in known:
                     raise ValueError(f"unknown {what} {k!r}")
-        self.dims = tuple(dim.values())
-        self.support = tuple(v for v, d in dim.items() if d)
-        self.maps, shape, layout, total = {}, {}, {}, 0
+        self.dims = tuple(map(len, at.values()))
+        self.support = tuple(v for v, labels in at.items() if labels)
+        self.maps, layout, total = {}, {}, 0
         for a in quiver.arrows:
-            rows, cols = shape[a] = (dim[quiver.target[a]],
-                                     dim[quiver.source[a]])
+            rows, cols = len(at[quiver.target[a]]), len(at[quiver.source[a]])
             if rows and cols:
                 layout[a] = total, rows, cols
                 total += rows * cols
                 self.maps[a] = None  # the view into the buffer, set below
             else:
                 self.maps[a] = zero_size_block(rows, cols)
-        buf = buffer(given, shape, layout, total) % field.p
+        buf = buffer(given, self.maps, layout, total) % field.p
         buf.flags.writeable = False
         self.buffer = buf
         for a, (start, rows, cols) in layout.items():
@@ -126,7 +137,7 @@ class Representation:
         self.support_arrows = tuple(layout)
         self.indec = self.end_dim = self.arrow_ranks = self.pending = None
         for v in self.support:
-            labels = self.spaces[v]
+            labels = at[v]
             if len(set(labels)) != len(labels):
                 raise ValueError(f"duplicate labels at {v}")
 
@@ -167,23 +178,33 @@ def zero_representation(quiver: Quiver, field) -> Representation:
     return Representation(quiver, field, {}, {})
 
 
-def _dense_buffer(maps, shape, layout, total) -> np.ndarray:
+def _dense_buffer(maps, zero, layout, total) -> np.ndarray:
     """The given dense matrices, row by row, at their places in the
     layout; zeros on a support arrow without one."""
     buf = np.zeros(total, dtype=np.int64)
     for a, m in maps.items():
         m = np.asarray(m)
-        if m.shape != shape[a]:
+        place = layout.get(a)
+        if m.shape != (place[1:] if place else zero[a].shape):
             raise ValueError(f"bad shape for {a}: {m.shape}")
-        if a in layout:
-            buf[layout[a][0]: layout[a][0] + m.size] = integer_array(
+        if place:
+            buf[place[0]: place[0] + m.size] = integer_array(
                 m, f"map on {a}").ravel()
     return buf
 
 
-def _entry_buffer(entries, shape, layout, total) -> np.ndarray:
+def _entry_buffer(entries, zero, layout, total) -> np.ndarray:
     """One flat list of the sums of the given (row, column, coefficient)
-    entries, at their places in the layout."""
+    entries, at their places in the layout.  The set of the coefficients'
+    types is read first: bool is an int, so one True among ints would pass
+    the dtype check of the sums as 1, and a str would fail the sum."""
+    kinds = set(map(type, map(_COEFFICIENT, chain.from_iterable(
+        entries.values()))))
+    kinds.discard(int)
+    for kind in kinds:
+        if not issubclass(kind, np.integer):
+            raise ValueError(f"entries must hold integers within int64, "
+                             f"got {kind.__name__}")
     flat = [0] * total
     for a, (start, _, cols) in layout.items():
         for r, c, x in entries.get(a, ()):
@@ -254,6 +275,8 @@ def check_relations(rep: Representation, relations) -> list:
 class InventoryEntry:
     """One classification entry: family tag, parameters, representation."""
 
+    __slots__ = ("tag", "params", "rep")
+
     def __init__(self, tag, params, rep):
         self.tag = tag
         self.params = params
@@ -300,8 +323,19 @@ class StringModules:
         sample = [check_integer(lam, "lam_sample entry") for lam in lam_sample]
         self.lams = list(dict.fromkeys(
             lam for lam in map(self.field.red, (*sample, 1)) if lam))
+        # the basis labels of every module built here, shared: tag ->
+        # [tag + (0,), tag + (1,), ...], extended on demand, and every
+        # per-vertex label tuple met so far -> (it, {label: index})
+        self._labels, self._vertex_labels = {}, {}
 
     # -- assembly helpers ----------------------------------------------------
+
+    def _tagged(self, tag: tuple, n: int) -> list:
+        """The shared labels tag + (i,): a list of at least n of them."""
+        labels = self._labels.setdefault(tag, [])
+        if len(labels) < n:
+            labels += (tag + (i,) for i in range(len(labels), n))
+        return labels
 
     def _skeleton(self, word: StringWord, tag: tuple, vertex_labels, entries,
                   band: bool = False):
@@ -314,29 +348,39 @@ class StringModules:
         vertices = [self.quiver.t_star[c] for c in letters]
         if not band:
             vertices.append(self.calc.source(word))
-        for i, v in enumerate(vertices):
-            vertex_labels.setdefault(v, []).append(tag + (i,))
-        for k in range(len(vertices) - 1):
-            c, lo, hi = letters[k], tag + (k,), tag + (k + 1,)
+        labels = self._tagged(tag, len(vertices))
+        for v, label in zip(vertices, labels):
+            vertex_labels.setdefault(v, []).append(label)
+        for c, lo, hi in zip(letters, labels, labels[1: len(vertices)]):
             entries.setdefault(c, []).append(
                 (lo, hi, 1) if c in primed else (hi, lo, 1))
 
     def _assemble(self, vertex_labels, entries) -> Representation:
-        q = self.quiver
-        where = {l: (v, k) for v, labels in vertex_labels.items()
-                 for k, l in enumerate(labels)}
+        """The module with the labels of ``vertex_labels`` {v: [label]} and
+        the (target label, source label, coefficient) entries of each
+        arrow.  Each vertex's label tuple is taken from the shared table,
+        whose label -> index map places the entries."""
+        q, table = self.quiver, self._vertex_labels
+        spaces, index = {}, {}
+        for v, labels in vertex_labels.items():
+            labels = tuple(labels)
+            got = table.get(labels)
+            if got is None:
+                got = table[labels] = labels, {l: k for k, l in
+                                               enumerate(labels)}
+            spaces[v], index[v] = got
         by_arrow = {}
         for a, triples in entries.items():
-            ends, out = (q.source[a], q.target[a]), []
-            for tgt, src, coef in triples:
-                (vs, col), (vt, row) = where[src], where[tgt]
-                if (vs, vt) != ends:
-                    raise ConsistencyError(
-                        f"arrow {a} does not join labels {src} and {tgt}")
-                out.append((row, col, coef))
-            by_arrow[a] = out
-        return Representation.from_entries(q, self.field, vertex_labels,
-                                           by_arrow)
+            rows, cols = index.get(q.target[a], {}), index.get(q.source[a], {})
+            try:
+                by_arrow[a] = [(rows[tgt], cols[src], x)
+                               for tgt, src, x in triples]
+            except KeyError:
+                tgt, src, _ = next(t for t in triples
+                                   if t[0] not in rows or t[1] not in cols)
+                raise ConsistencyError(f"arrow {a} does not join labels "
+                                       f"{src} and {tgt}") from None
+        return Representation.from_entries(q, self.field, spaces, by_arrow)
 
     # -- the six families ------------------------------------------------------
 
@@ -381,17 +425,15 @@ class StringModules:
         self._glue_vp(x, anchors, vertex_labels, entries)
         if with_vpp:
             gamma = q.gamma_of(x)
-            vertex_labels.setdefault(q.source[gamma], []).insert(0, ("vpp",))
-            entries.setdefault(gamma, []).append((("v", 0), ("vpp",), 1))
+            vertex_labels.setdefault(q.source[gamma], []).insert(0, _VPP)
+            entries.setdefault(gamma, []).append((("v", 0), _VPP, 1))
         return self._assemble(vertex_labels, entries)
 
     def _glue_vp(self, x: str, anchors, vertex_labels, entries):
         """Add v' at the target of alpha_x, which sends each anchor to v'."""
         alpha = self.quiver.alpha_of(x)
-        vertex_labels.setdefault(self.quiver.target[alpha], []).insert(
-            0, ("vp",))
-        entries.setdefault(alpha, []).extend(
-            (("vp",), a, 1) for a in anchors)
+        vertex_labels.setdefault(self.quiver.target[alpha], []).insert(0, _VP)
+        entries.setdefault(alpha, []).extend((_VP, a, 1) for a in anchors)
 
     def _band_skeleton(self, band: StringWord, m: int, lam: int):
         """m copies of the band word coupled through the closing letter."""

@@ -235,6 +235,28 @@ def test_path_space_too_large_is_found_before_it_is_built(monkeypatch):
         AlgebraBasis(q, [])
 
 
+def test_long_associativity_check_is_refused_before_the_walk(monkeypatch):
+    # check_associativity walks every composable triple of basis paths,
+    # about n^4 / 24 on one strand of length n, so time, not memory, used to
+    # bound the input; the triples are now counted before the walk
+    monkeypatch.setattr(algebra_module, "TRIPLE_CAP", 10_000)
+    with pytest.raises(NonStabilizing, match=(
+            "10629 composable triples of basis paths, the bound being 10000")):
+        AlgebraBasis(_strand(20), [])
+    monkeypatch.setattr(algebra_module, "TRIPLE_CAP", 10_629)
+    assert AlgebraBasis(_strand(20), []).dimension == 232
+    # the count is the number of triples the walk visits
+    alg = ctx("tsys").algebra
+    paths = alg.rep_paths
+    walked = sum(1 for a in paths for b in paths if a[0] == b[2]
+                 for c in paths if b[0] == c[2])
+    monkeypatch.setattr(algebra_module, "TRIPLE_CAP", walked)
+    alg.check_associativity()
+    monkeypatch.setattr(algebra_module, "TRIPLE_CAP", walked - 1)
+    with pytest.raises(NonStabilizing, match=f" {walked} composable triples"):
+        alg.check_associativity()
+
+
 def test_prime_field_multiplies_stacks():
     F = PrimeField(7)
     rng = np.random.default_rng(3)

@@ -85,6 +85,23 @@ def test_oversized_path_space_exits_two(tmp_path, monkeypatch):
             "NonStabilizing: path space too large: 1892 paths")
 
 
+def test_long_associativity_check_exits_two(tmp_path, monkeypatch):
+    # a basis with more composable triples of paths than the associativity
+    # check may walk is an input error; here the bound is patched small, so
+    # one strand of length 20 (10,629 triples) exceeds it
+    from tworay import algebra
+
+    monkeypatch.setattr(algebra, "TRIPLE_CAP", 1000)
+    strand = tmp_path / "strand.json"
+    strand.write_text('{"p": [20], "q": [1], "S": [[]], "T": [[]]}')
+    for cmd in ("ar", "verify"):
+        code, out = run([cmd, str(strand), "--max-dim", "2"])
+        assert code == 2
+        assert json.loads(out)["error"] == (
+            "NonStabilizing: associativity check too long: 10629 composable "
+            "triples of basis paths, the bound being 1000")
+
+
 def test_undecodable_input_exits_two(sysfile, tmp_path):
     # a file that is not UTF-8 is an input error, as a system and as a
     # stored inventory

@@ -1,9 +1,11 @@
 import collections
 import contextlib
+import gc
 import hashlib
 import itertools
 import io
 import json
+import types
 
 import numpy as np
 import pytest
@@ -235,6 +237,28 @@ def test_tube_mouth_translate(tsys):
         assert is_isomorphic(tau, sm.construct_R(bx, 1, m))
         r = sm.construct_R(bx, 1, m)
         assert not is_isomorphic(ar_translate(r, tsys.algebra), r).isomorphic
+
+
+def test_verify_leaves_no_cyclic_garbage(tsys):
+    # _path_images used to define a recursive closure that held its own
+    # cell, so every call left the closure, its memo and the module in a
+    # reference cycle for the cyclic collector
+    ver = ArVerifier(tsys.modules, tsys.algebra)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        ver.verify(12)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+    def module(o):
+        return (o.__module__ if isinstance(o, types.FunctionType)
+                else type(o).__module__) or ""
+
+    assert [o for o in garbage if module(o).startswith("tworay")] == []
 
 
 def test_verifier_negative_control(fund21):

@@ -175,8 +175,15 @@ def test_library_rejects_non_integer_inputs(fund21):
     for m in ([[2.7]], [["3"]], [[True]], [[2 ** 70]]):
         with pytest.raises(ValueError, match=f"map on {a} must hold integers"):
             Representation(q, F, spaces, {a: m})
-    with pytest.raises(ValueError, match="entries must hold integers"):
-        Representation.from_entries(q, F, spaces, {a: [(0, 0, 2.5)]})
+    # the coefficients' types are checked before any sum: a bool used to be
+    # summed as the int 1, and a str raised a bare TypeError from the sum
+    for bad in ([(0, 0, 2.5)], [(0, 0, True)], [(0, 0, 1), (0, 0, True)],
+                [(0, 0, "3")], [(0, 0, None)], [(0, 0, np.float64(2))]):
+        with pytest.raises(ValueError, match="entries must hold integers"):
+            Representation.from_entries(q, F, spaces, {a: bad})
+    got = Representation.from_entries(q, F, spaces,
+                                      {a: [(0, 0, np.int32(3)), (0, 0, 4)]})
+    assert got.maps[a].tolist() == [[2]]
     for lam in (2.7, True, "3"):
         with pytest.raises(ValueError, match="lam_sample entry must be an"):
             StringModules(sm.calc, lam_sample=(lam,))
@@ -200,6 +207,32 @@ def test_library_rejects_non_integer_inputs(fund21):
                for x in sm.canon_R("B0", np.int64(5), np.int64(1))[0][2:])
     assert np.array_equal(sm.construct_R(b0, np.int64(5), np.int64(2)).buffer,
                           sm.construct_R(b0, 5, 2).buffer)
+
+
+def test_inventory_shares_labels_and_verdicts():
+    # every string and band module takes its labels and its per-vertex
+    # label tuples from the shared tables of its StringModules, and every
+    # LOCAL module records the one shared verdict
+    for name in SYSTEMS:
+        labels, tuples = {}, {}
+        inventory = ctx(name).modules.theorem_inventory(8)
+        for e in inventory:
+            for t in e.rep.spaces.values():
+                assert tuples.setdefault(t, t) is t
+                for label in t:
+                    assert labels.setdefault(label, label) is label
+        assert len({id(homlab.is_indecomposable(e.rep))
+                    for e in inventory}) == 1
+    # a verdict is immutable, LOCAL or not
+    M = inventory[0].rep
+    assert M.indec.status == homlab.IndecVerdict.LOCAL
+    for verdict in (M.indec, homlab.is_indecomposable(M.direct_sum(M))):
+        for field in ("status", "certificate"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(verdict, field, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(verdict, field)
+    assert verdict.status == homlab.IndecVerdict.DECOMPOSABLE
 
 
 def test_qband(tsys):
