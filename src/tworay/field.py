@@ -29,12 +29,19 @@ def integer_array(data, name) -> np.ndarray:
     dtype is an integer type that int64 holds, or it is empty.  The dtype is
     checked, not each entry: bool, float, str, uint64 and object arrays are
     rejected, so a Python integer beyond int64, which makes an object array,
-    is rejected rather than reduced."""
+    is rejected rather than reduced.  numpy converts a bool among integers
+    to an integer, so the entries of input that is not an ndarray are read
+    for bools; an ndarray's dtype says all."""
     a = np.asarray(data)
     kind = a.dtype.kind
     if not (kind == "i" or not a.size or kind == "u" and a.itemsize < 8):
         raise ValueError(f"{name} must hold integers within int64, "
                          f"got dtype {a.dtype}")
+    if a.size and not isinstance(data, np.ndarray):
+        kinds = set(map(type, np.asarray(data, dtype=object).flat))
+        if bool in kinds or np.bool_ in kinds:
+            raise ValueError(f"{name} must hold integers within int64, "
+                             f"got bool")
     return a.astype(np.int64, copy=False)
 
 

@@ -8,10 +8,13 @@ the families add the extra vectors v', v'' and the band couplings.
 
 Basis labels are added in the order v'' < v' < v_i < v_i' < v_i^{(j)} at
 every vertex, v' and v'' at the front, so all matrices are reproducible.
+Each basis vector is placed as (vertex, index), the index its vertex's
+count of vectors so far, and each arrow entry names its two places at once.
 """
 
 import functools
 import operator
+import weakref
 from itertools import chain
 
 import numpy as np
@@ -55,10 +58,10 @@ class Representation:
 
     The support is fixed when the module is built: ``dims`` is the dimension
     tuple in vertex order, ``support`` the vertices with a nonzero space and
-    ``support_arrows`` the arrows between two of them.  Every other arrow
-    map has a zero-size side and is stored as the shared
-    ``zero_size_block``, and a path through a vertex outside the support
-    acts as 0, so loops over a module visit only its support.
+    ``support_arrows`` the arrows between two of them, both in quiver
+    order.  Every other arrow map has a zero-size side and is stored as the
+    shared ``zero_size_block``, and a path through a vertex outside the
+    support acts as 0, so loops over a module visit only its support.
 
     The support-arrow maps are views into one int64 buffer per module,
     ``buffer``, laid out in ``support_arrows`` order, each map row by row;
@@ -78,9 +81,15 @@ class Representation:
     its entries one such group).  That call drops the group from every
     member; until then the group keeps all of its members alive.
 
+    ``spaces`` and ``maps`` are plain dicts over every vertex and every
+    arrow, in quiver order.  They are copies of the zero module's, built
+    once per quiver, on which only the support vertices and the arrows
+    that touch them are set, so building a module walks its support, the
+    arrows in and out of it and its entries, not the whole quiver.
+
     The constructor takes dense matrices (arrays or nested lists),
     ``from_entries`` a list of (row, column, coefficient) per arrow, whose
-    entries at one position add.  Both go through the checks of ``_pack``:
+    entries at one position add.  Both check their input before the layout:
     a space at a vertex, or a map on an arrow, that the quiver does not
     have raises ValueError, as do duplicate labels at a vertex, a dense map
     of the wrong shape and a coefficient that is not an integer.
@@ -97,49 +106,53 @@ class Representation:
                  "arrow_ranks", "pending")
 
     def __init__(self, quiver: Quiver, field, spaces, maps):
-        self._pack(quiver, field, spaces, maps, _dense_buffer)
+        self._pack(quiver, field, _checked_spaces(quiver, spaces, maps),
+                   maps, _dense_buffer)
 
     @classmethod
     def from_entries(cls, quiver: Quiver, field, spaces, entries):
         rep = cls.__new__(cls)
-        rep._pack(quiver, field, spaces, entries, _entry_buffer)
+        rep._pack(quiver, field, _checked_spaces(quiver, spaces, entries),
+                  entries, _entry_buffer)
         return rep
 
-    def _pack(self, quiver, field, spaces, given, buffer):
-        """Check the spaces and the per-arrow input ``given``, and take the
-        buffer from ``buffer(given, maps, layout, total)``: maps holds the
-        zero-size block of every arrow outside the support, layout maps each
+    def _pack(self, quiver, field, at, given, buffer):
+        """Lay the module out from ``at``, the label tuple of each support
+        vertex, and take its buffer from ``buffer(self, given, layout,
+        total)``: by then ``self.spaces`` is set and ``self.maps`` holds the
+        zero-size block of every arrow outside the support; layout maps each
         support arrow to (start, rows, cols)."""
         self.quiver, self.field = quiver, field
-        at = self.spaces = {v: tuple(spaces.get(v, ()))
-                            for v in quiver.vertices}
-        for keys, known, what in ((spaces, at, "vertex"),
-                                  (given, quiver.source, "arrow")):
-            for k in keys:
-                if k not in known:
-                    raise ValueError(f"unknown {what} {k!r}")
-        self.dims = tuple(map(len, at.values()))
-        self.support = tuple(v for v, labels in at.items() if labels)
-        self.maps, layout, total = {}, {}, 0
-        for a in quiver.arrows:
-            rows, cols = len(at[quiver.target[a]]), len(at[quiver.source[a]])
-            if rows and cols:
-                layout[a] = total, rows, cols
-                total += rows * cols
-                self.maps[a] = None  # the view into the buffer, set below
-            else:
-                self.maps[a] = zero_size_block(rows, cols)
-        buf = buffer(given, self.maps, layout, total) % field.p
+        blank_spaces, blank_maps, vindex, out, into = _frame(quiver)
+        spaces = self.spaces = blank_spaces.copy()
+        spaces.update(at)
+        maps = self.maps = blank_maps.copy()
+        self.dims = tuple(map(len, spaces.values()))
+        self.support = tuple(sorted(at, key=vindex.__getitem__))
+        inside = []
+        for v in self.support:
+            cols = len(at[v])
+            for k, a, t in out[v]:
+                rows = len(spaces[t])
+                if rows:
+                    inside.append((k, a, rows, cols))
+                else:
+                    maps[a] = zero_size_block(0, cols)
+            for a, s in into[v]:
+                if s not in at:
+                    maps[a] = zero_size_block(cols, 0)
+        inside.sort()
+        layout, total = {}, 0
+        for _, a, rows, cols in inside:
+            layout[a] = total, rows, cols
+            total += rows * cols
+        buf = buffer(self, given, layout, total) % field.p
         buf.flags.writeable = False
         self.buffer = buf
         for a, (start, rows, cols) in layout.items():
-            self.maps[a] = buf[start: start + rows * cols].reshape(rows, cols)
+            maps[a] = buf[start: start + rows * cols].reshape(rows, cols)
         self.support_arrows = tuple(layout)
         self.indec = self.end_dim = self.arrow_ranks = self.pending = None
-        for v in self.support:
-            labels = at[v]
-            if len(set(labels)) != len(labels):
-                raise ValueError(f"duplicate labels at {v}")
 
     def dim(self, v: str) -> int:
         return len(self.spaces[v])
@@ -178,22 +191,65 @@ def zero_representation(quiver: Quiver, field) -> Representation:
     return Representation(quiver, field, {}, {})
 
 
-def _dense_buffer(maps, zero, layout, total) -> np.ndarray:
+# per quiver, built once: what every module over it is laid out from
+_FRAMES = weakref.WeakKeyDictionary()
+
+
+def _frame(quiver):
+    """The zero module's spaces and maps over ``quiver`` (every vertex
+    mapped to (), every arrow to the 0 x 0 block, in quiver order), which
+    each module copies and sets its support on; the index of each vertex;
+    and the arrows out of and into each vertex, as (arrow index, arrow,
+    target) and (arrow, source)."""
+    frame = _FRAMES.get(quiver)
+    if frame is None:
+        source, target = quiver.source, quiver.target
+        out = {v: [] for v in quiver.vertices}
+        into = {v: [] for v in quiver.vertices}
+        for k, a in enumerate(quiver.arrows):
+            out[source[a]].append((k, a, target[a]))
+            into[target[a]].append((a, source[a]))
+        frame = _FRAMES[quiver] = (
+            dict.fromkeys(quiver.vertices, ()),
+            dict.fromkeys(quiver.arrows, zero_size_block(0, 0)),
+            {v: k for k, v in enumerate(quiver.vertices)}, out, into)
+    return frame
+
+
+def _checked_spaces(quiver: Quiver, spaces, given) -> dict:
+    """The label tuple of each vertex with a nonzero space; ValueError for
+    an unknown vertex, an arrow of ``given`` the quiver lacks, or duplicate
+    labels at a vertex."""
+    at, vindex = {}, _frame(quiver)[2]
+    for v, labels in spaces.items():
+        if v not in vindex:
+            raise ValueError(f"unknown vertex {v!r}")
+        if labels:
+            at[v] = labels = tuple(labels)
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"duplicate labels at {v}")
+    for a in given:
+        if a not in quiver.source:
+            raise ValueError(f"unknown arrow {a!r}")
+    return at
+
+
+def _dense_buffer(rep, maps, layout, total) -> np.ndarray:
     """The given dense matrices, row by row, at their places in the
     layout; zeros on a support arrow without one."""
     buf = np.zeros(total, dtype=np.int64)
-    for a, m in maps.items():
-        m = np.asarray(m)
+    for a, given in maps.items():
+        m = np.asarray(given)
         place = layout.get(a)
-        if m.shape != (place[1:] if place else zero[a].shape):
+        if m.shape != (place[1:] if place else rep.maps[a].shape):
             raise ValueError(f"bad shape for {a}: {m.shape}")
         if place:
             buf[place[0]: place[0] + m.size] = integer_array(
-                m, f"map on {a}").ravel()
+                given, f"map on {a}").ravel()
     return buf
 
 
-def _entry_buffer(entries, zero, layout, total) -> np.ndarray:
+def _entry_buffer(rep, entries, layout, total) -> np.ndarray:
     """One flat list of the sums of the given (row, column, coefficient)
     entries, at their places in the layout.  The set of the coefficients'
     types is read first: bool is an int, so one True among ints would pass
@@ -210,6 +266,22 @@ def _entry_buffer(entries, zero, layout, total) -> np.ndarray:
         for r, c, x in entries.get(a, ()):
             flat[start + r * cols + c] += x
     return integer_array(flat, "entries")
+
+
+def _placed_buffer(rep, entries, layout, total) -> np.ndarray:
+    """The sums of the families' entries (arrow, target vertex, row, source
+    vertex, column, coefficient) at their places in the layout, each row
+    and column an index into its vertex's labels.  An entry whose vertices
+    are not its arrow's ends raises ConsistencyError."""
+    source, target = rep.quiver.source, rep.quiver.target
+    flat = [0] * total
+    for a, t, r, s, c, x in entries:
+        if target[a] != t or source[a] != s:
+            raise ConsistencyError(f"arrow {a} does not join labels "
+                                   f"{rep.spaces[s][c]} and {rep.spaces[t][r]}")
+        start, _, cols = layout[a]
+        flat[start + r * cols + c] += x
+    return np.array(flat, dtype=np.int64)
 
 
 def block_diagonal(field, blocks) -> np.ndarray:
@@ -241,7 +313,8 @@ def direct_sum_of(quiver: Quiver, field, reps) -> Representation:
     tags = [("L",) * (n - 1)] + [("L",) * (n - 1 - i) + ("R",)
                                  for i in range(1, n)]
     spaces = {v: tuple(tag + l for tag, r in zip(tags, reps)
-                       for l in r.spaces[v]) for v in quiver.vertices}
+                       for l in r.spaces[v])
+              for v in dict.fromkeys(v for r in reps for v in r.support)}
     maps = {a: block_diagonal(field, [r.maps[a] for r in reps])
             for a in {a for r in reps for a in r.support_arrows}}
     return Representation(quiver, field, spaces, maps)
@@ -312,6 +385,16 @@ class StringModules:
       atoms;
     - ``lams``, the band parameters of the inventory and the rows, is
       ``lam_sample`` mod p then 1, zeros and repeats dropped, in order.
+
+    A module is built in one pass from its word positions.  Each position,
+    and v' and v'', is placed at its vertex as (vertex, index): v'' and v'
+    take the front slots, reserved before any word is laid out, and each
+    position the next index there.  Each arrow entry is (arrow, target
+    vertex, row, source vertex, column, coefficient), written as the
+    letters are read; ``_assemble`` takes each vertex's label tuple from
+    the shared table and hands the entries to ``Representation``, which
+    walks only the support and the arrows touching it (see there) and
+    checks that each entry joins its arrow's ends.
     """
 
     def __init__(self, calc: WordCalculus, field=None,
@@ -325,7 +408,7 @@ class StringModules:
             lam for lam in map(self.field.red, (*sample, 1)) if lam))
         # the basis labels of every module built here, shared: tag ->
         # [tag + (0,), tag + (1,), ...], extended on demand, and every
-        # per-vertex label tuple met so far -> (it, {label: index})
+        # per-vertex label tuple met so far -> itself
         self._labels, self._vertex_labels = {}, {}
 
     # -- assembly helpers ----------------------------------------------------
@@ -337,50 +420,53 @@ class StringModules:
             labels += (tag + (i,) for i in range(len(labels), n))
         return labels
 
-    def _skeleton(self, word: StringWord, tag: tuple, vertex_labels, entries,
+    def _skeleton(self, word: StringWord, tag: tuple, at, entries,
                   band: bool = False):
         """Lay out one word's positions and generic arrow action.
 
         Positions run over the I-set [0, n] for strings and the J-set
-        [0, n-1] for bands.  Position i is labelled ``tag + (i,)``.
+        [0, n-1] for bands.  Position i is labelled ``tag + (i,)`` and
+        placed next at its vertex in ``at`` {v: [label]}, and each letter
+        adds its entry to ``entries``.  Returns the vertex and the index
+        there of every position, as two lists.
         """
-        letters, primed = word.letters, self.quiver.primed
-        vertices = [self.quiver.t_star[c] for c in letters]
+        q = self.quiver
+        letters, primed = word.letters, q.primed
+        vertices = [q.t_star[c] for c in letters]
         if not band:
             vertices.append(self.calc.source(word))
-        labels = self._tagged(tag, len(vertices))
-        for v, label in zip(vertices, labels):
-            vertex_labels.setdefault(v, []).append(label)
-        for c, lo, hi in zip(letters, labels, labels[1: len(vertices)]):
-            entries.setdefault(c, []).append(
-                (lo, hi, 1) if c in primed else (hi, lo, 1))
+        index = []
+        for v, label in zip(vertices, self._tagged(tag, len(vertices))):
+            labels = at.setdefault(v, [])
+            index.append(len(labels))
+            labels.append(label)
+        for c, lv, lo, hv, hi in zip(letters, vertices, index, vertices[1:],
+                                     index[1:]):
+            entries.append((c, lv, lo, hv, hi, 1) if c in primed
+                           else (c, hv, hi, lv, lo, 1))
+        return vertices, index
 
-    def _assemble(self, vertex_labels, entries) -> Representation:
-        """The module with the labels of ``vertex_labels`` {v: [label]} and
-        the (target label, source label, coefficient) entries of each
-        arrow.  Each vertex's label tuple is taken from the shared table,
-        whose label -> index map places the entries."""
-        q, table = self.quiver, self._vertex_labels
-        spaces, index = {}, {}
-        for v, labels in vertex_labels.items():
+    def _reserve_vp(self, x: str, at):
+        """Put v' in the next front slot of the target of alpha_x, before
+        any skeleton is laid out; return alpha_x and v''s vertex and index."""
+        alpha = self.quiver.alpha_of(x)
+        v = self.quiver.target[alpha]
+        labels = at.setdefault(v, [])
+        labels.append(_VP)
+        return alpha, v, len(labels) - 1
+
+    def _assemble(self, at, entries) -> Representation:
+        """The module with the labels of ``at`` {v: [label]} and the
+        entries (arrow, target vertex, row, source vertex, column,
+        coefficient), rows and columns indices into the vertices' labels.
+        Each vertex's label tuple is taken from the shared table."""
+        table = self._vertex_labels
+        for v, labels in at.items():
             labels = tuple(labels)
-            got = table.get(labels)
-            if got is None:
-                got = table[labels] = labels, {l: k for k, l in
-                                               enumerate(labels)}
-            spaces[v], index[v] = got
-        by_arrow = {}
-        for a, triples in entries.items():
-            rows, cols = index.get(q.target[a], {}), index.get(q.source[a], {})
-            try:
-                by_arrow[a] = [(rows[tgt], cols[src], x)
-                               for tgt, src, x in triples]
-            except KeyError:
-                tgt, src, _ = next(t for t in triples
-                                   if t[0] not in rows or t[1] not in cols)
-                raise ConsistencyError(f"arrow {a} does not join labels "
-                                       f"{src} and {tgt}") from None
-        return Representation.from_entries(q, self.field, spaces, by_arrow)
+            at[v] = table.setdefault(labels, labels)
+        rep = Representation.__new__(Representation)
+        rep._pack(self.quiver, self.field, at, entries, _placed_buffer)
+        return rep
 
     # -- the six families ------------------------------------------------------
 
@@ -392,9 +478,9 @@ class StringModules:
         ok, why = self.calc.check_string(word.letters)
         if not ok:
             raise NotAString(why)
-        vertex_labels, entries = {}, {}
-        self._skeleton(word, ("v",), vertex_labels, entries)
-        return self._assemble(vertex_labels, entries)
+        at, entries = {}, []
+        self._skeleton(word, ("v",), at, entries)
+        return self._assemble(at, entries)
 
     def construct_N(self, x: str, word) -> Representation:
         atoms = self.canon_N(x, word)
@@ -415,41 +501,42 @@ class StringModules:
     def _glued(self, x: str, words, with_vpp: bool) -> Representation:
         """N, L and N(C, C'): the skeletons of ``words`` tagged v and vq, v'
         sent to by position p|B_x| of each word for p <= p_x(word), and for
-        N and N(C, C') v'' sending to v_0 along gamma_x."""
+        N and N(C, C') v'' sending to v_0 along gamma_x.  v'' and v' take
+        the front slots of their vertices, in that order."""
         calc, q = self.calc, self.quiver
-        vertex_labels, entries, anchors = {}, {}, []
-        blen = calc.band_of(x).length
-        for tag, w in zip(("v", "vq"), words):
-            self._skeleton(w, (tag,), vertex_labels, entries)
-            anchors += [(tag, p * blen) for p in range(calc.p_count(w, x) + 1)]
-        self._glue_vp(x, anchors, vertex_labels, entries)
+        at, entries, anchors = {}, [], []
         if with_vpp:
             gamma = q.gamma_of(x)
-            vertex_labels.setdefault(q.source[gamma], []).insert(0, _VPP)
-            entries.setdefault(gamma, []).append((("v", 0), _VPP, 1))
-        return self._assemble(vertex_labels, entries)
+            at[q.source[gamma]] = [_VPP]
+        alpha, vp_at, vp = self._reserve_vp(x, at)
+        blen = calc.band_of(x).length
+        for tag, w in zip(("v", "vq"), words):
+            vertices, index = self._skeleton(w, (tag,), at, entries)
+            anchors += [(vertices[p * blen], index[p * blen])
+                        for p in range(calc.p_count(w, x) + 1)]
+        entries += [(alpha, vp_at, vp, v, i, 1) for v, i in anchors]
+        if with_vpp:  # anchors[0] is v_0
+            entries.append((gamma, *anchors[0], q.source[gamma], 0, 1))
+        return self._assemble(at, entries)
 
-    def _glue_vp(self, x: str, anchors, vertex_labels, entries):
-        """Add v' at the target of alpha_x, which sends each anchor to v'."""
-        alpha = self.quiver.alpha_of(x)
-        vertex_labels.setdefault(self.quiver.target[alpha], []).insert(0, _VP)
-        entries.setdefault(alpha, []).extend((_VP, a, 1) for a in anchors)
-
-    def _band_skeleton(self, band: StringWord, m: int, lam: int):
-        """m copies of the band word coupled through the closing letter."""
-        n = band.length
+    def _band_skeleton(self, band: StringWord, m: int, lam: int, at,
+                       entries):
+        """m copies of the band word coupled through the closing letter;
+        returns the vertex and index of position 0 of the first copy."""
         closing = band.letters[-1]
         if closing in self.quiver.primed:
             raise ConsistencyError("band must close on a reversed letter")
-        vertex_labels, entries = {}, {}
         for j in range(1, m + 1):
-            self._skeleton(band, ("vb", j), vertex_labels, entries, band=True)
-            entries.setdefault(closing, []).append(
-                (("vb", j, 0), ("vb", j, n - 1), lam))
-            if j < m:
-                entries.setdefault(closing, []).append(
-                    (("vb", j + 1, 0), ("vb", j, n - 1), 1))
-        return vertex_labels, entries
+            vertices, index = self._skeleton(band, ("vb", j), at, entries,
+                                             band=True)
+            start, end = (vertices[0], index[0]), (vertices[-1], index[-1])
+            entries.append((closing, *start, *end, lam))
+            if j == 1:
+                first = start
+            else:
+                entries.append((closing, *start, *last, 1))
+            last = end
+        return first
 
     def construct_R(self, band: StringWord, lam: int, m: int) -> Representation:
         lam = self.field.red(check_integer(lam, "lam"))
@@ -460,8 +547,9 @@ class StringModules:
             raise NotABand("m must not be negative")
         if m == 0:
             return zero_representation(self.quiver, self.field)
-        vertex_labels, entries = self._band_skeleton(band, m, lam)
-        return self._assemble(vertex_labels, entries)
+        at, entries = {}, []
+        self._band_skeleton(band, m, lam, at, entries)
+        return self._assemble(at, entries)
 
     def construct_Qband(self, x: str, m: int) -> Representation:
         m = check_integer(m, "m")
@@ -469,10 +557,11 @@ class StringModules:
             raise NotABand(f"{x} is not in Q0''")
         if m < 1:
             raise NotABand("m must be positive")
-        band = self.calc.band_of(x)
-        vertex_labels, entries = self._band_skeleton(band, m, 1)
-        self._glue_vp(x, [("vb", 1, 0)], vertex_labels, entries)
-        return self._assemble(vertex_labels, entries)
+        at, entries = {}, []
+        alpha, vp_at, vp = self._reserve_vp(x, at)
+        start = self._band_skeleton(self.calc.band_of(x), m, 1, at, entries)
+        entries.append((alpha, vp_at, vp, *start, 1))
+        return self._assemble(at, entries)
 
     # -- atoms and the family conventions -----------------------------------
 

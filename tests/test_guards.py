@@ -101,12 +101,13 @@ def _guard_failures():
         shift[0, 1] = 1  # squares to 0, so every product of it vanishes
         out.append(_raised(lambda: homlab._fitting_witness(
             string.field, shift[None])))
-        # alpha:1:1 runs from x:1:1 to x:1:0; the entry swaps its ends
+        # alpha:1:1 runs from x:1:1 to x:1:0; the entry (arrow, target
+        # vertex, row, source vertex, column, coefficient) swaps its ends
         out.append(_raised(lambda: c.modules._assemble(
             {"x:1:0": [("v", 0)], "x:1:1": [("v", 1)]},
-            {"alpha:1:1": [(("v", 1), ("v", 0), 1)]})))
+            [("alpha:1:1", "x:1:1", 0, "x:1:0", 0, 1)])))
         out.append(_raised(lambda: c.modules._band_skeleton(
-            c.calc.word(("alpha:1:1",)), 1, 1)))
+            c.calc.word(("alpha:1:1",)), 1, 1, {}, [])))
         out.append(_raised(lambda: string_modules.zero_size_block(1, 2)))
         q = build_quiver(c.ds)
         q.t_star["alpha:1:2"] = q.t_star["alpha:1:1"]

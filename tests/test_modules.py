@@ -175,6 +175,14 @@ def test_library_rejects_non_integer_inputs(fund21):
     for m in ([[2.7]], [["3"]], [[True]], [[2 ** 70]]):
         with pytest.raises(ValueError, match=f"map on {a} must hold integers"):
             Representation(q, F, spaces, {a: m})
+    # numpy turns a bool among integers into an integer: [[1, True]] used to
+    # be stored as [[1, 1]]
+    wide = {q.source[a]: ("s", "s'"), q.target[a]: ("t",)}
+    with pytest.raises(ValueError, match=f"map on {a} must hold integers"):
+        Representation(q, F, wide, {a: [[1, True]]})
+    with pytest.raises(ValueError, match="matrix must hold integers"):
+        F.mat([[1, True]])
+    assert F.mat(np.array([[1, True]])).tolist() == [[1, 1]]  # dtype int64
     # the coefficients' types are checked before any sum: a bool used to be
     # summed as the int 1, and a str raised a bare TypeError from the sum
     for bad in ([(0, 0, 2.5)], [(0, 0, True)], [(0, 0, 1), (0, 0, True)],
@@ -590,6 +598,45 @@ def test_representation_input_paths(tsys):
         Representation.from_entries(q, F, spaces, {"alpha:9:9": []})
     with pytest.raises(ValueError, match="duplicate labels at x:1:0"):
         Representation.from_entries(q, F, {"x:1:0": (("c",), ("c",))}, {})
+
+
+def _check_layout(rep):
+    """A module's layout against a walk over every vertex and arrow of its
+    quiver, derived from its spaces alone."""
+    q, spaces = rep.quiver, rep.spaces
+    assert list(spaces) == q.vertices and list(rep.maps) == q.arrows
+    assert rep.dims == tuple(len(spaces[v]) for v in q.vertices)
+    assert rep.support == tuple(v for v in q.vertices if spaces[v])
+    assert rep.support_arrows == tuple(
+        a for a in q.arrows if spaces[q.source[a]] and spaces[q.target[a]])
+    for a in q.arrows:
+        assert rep.maps[a].shape == (len(spaces[q.target[a]]),
+                                     len(spaces[q.source[a]])), a
+    again = Representation(q, rep.field, rep.spaces,
+                           {a: rep.maps[a] for a in rep.support_arrows})
+    assert again.buffer.dtype == rep.buffer.dtype == np.int64
+    assert again.buffer.tobytes() == rep.buffer.tobytes()
+
+
+def test_module_layout_matches_a_quiver_walk():
+    # a module walks only its support and the arrows touching it; its
+    # layout must be the one a walk over the whole quiver gives
+    for name in SYSTEMS:
+        for e in ctx(name).modules.theorem_inventory(8):
+            _check_layout(e.rep)
+    c = ctx("tsys")
+    inv = [e.rep for e in c.modules.theorem_inventory(8)]
+    A, B, f = next((A, B, fs[0]) for A in inv for B in inv
+                   if A.total_dim < B.total_dim
+                   for fs in [homlab.hom_basis(A, B)] if fs)
+    cokernel, _ = homlab.cokernel_rep(A, B, f)
+    dtr = next(t for M in inv
+               if not homlab.is_projective(M, c.algebra)
+               for t in [homlab.ar_translate(M, c.algebra)] if t.support_arrows)
+    total = direct_sum_of(c.quiver, c.field, inv[:3])
+    for rep in (cokernel, dtr, total):
+        assert rep.support_arrows
+        _check_layout(rep)
 
 
 def test_basis_label_order(tsys):
