@@ -448,7 +448,8 @@ class StringModules:
 
     def _reserve_vp(self, x: str, at):
         """Put v' in the next front slot of the target of alpha_x, before
-        any skeleton is laid out; return alpha_x and v''s vertex and index."""
+        any skeleton is laid out; return alpha_x and the vertex and index
+        of v'."""
         alpha = self.quiver.alpha_of(x)
         v = self.quiver.target[alpha]
         labels = at.setdefault(v, [])
