@@ -282,8 +282,11 @@ class AlgebraBasis:
         """A e_v if ``left``, else e_v A: (basis_at, maps, pos), with the
         basis paths v -> w (else w -> v) at each vertex w, indexed by pos[w],
         and the read-only matrix of each arrow a: s -> t, acting p -> a p
-        from s to t (else p -> p a from t to s)."""
+        from s to t (else p -> p a from t to s).  A vertex the quiver lacks
+        raises ValueError, so neither cache holds a module for it."""
         q = self.quiver
+        if v not in q.vindex:
+            raise ValueError(f"unknown vertex {v!r}")
         basis_at = {w: self.basis_paths.get((v, w) if left else (w, v), [])
                     for w in q.vertices}
         pos = {w: {p: k for k, p in enumerate(ps)}

@@ -13,9 +13,7 @@ count of vectors so far, and each arrow entry names its two places at once.
 """
 
 import functools
-import operator
 import weakref
-from itertools import chain
 
 import numpy as np
 
@@ -41,7 +39,6 @@ class NotABand(ValueError):
 DEFAULT_LAMBDAS = (2, 3, 5)
 # the labels of the extra vectors v' and v'', one object each
 _VP, _VPP = ("vp",), ("vpp",)
-_COEFFICIENT = operator.itemgetter(2)
 
 @functools.lru_cache(maxsize=None)
 def zero_size_block(rows: int, cols: int) -> np.ndarray:
@@ -87,12 +84,15 @@ class Representation:
     that touch them are set, so building a module walks its support, the
     arrows in and out of it and its entries, not the whole quiver.
 
-    The constructor takes dense matrices (arrays or nested lists),
-    ``from_entries`` a list of (row, column, coefficient) per arrow, whose
-    entries at one position add.  Both check their input before the layout:
-    a space at a vertex, or a map on an arrow, that the quiver does not
-    have raises ValueError, as do duplicate labels at a vertex, a dense map
-    of the wrong shape and a coefficient that is not an integer.
+    A module enters in one of two ways.  The constructor takes dense
+    matrices (arrays or nested lists), as cokernels, DTr, kernels, direct
+    sums and P(v) give them, and checks them before the layout: a space at
+    a vertex, or a map on an arrow, that the quiver does not have raises
+    ValueError, as do duplicate labels at a vertex, a map of the wrong
+    shape and a coefficient that is not an integer.
+    ``StringModules._assemble`` lays out the families' modules from the
+    labels it places and their entries, each of which must join its
+    arrow's ends (``_placed_buffer``).
 
     ``spaces`` maps every vertex to its tuple of basis labels.  Labels and
     these per-vertex tuples are immutable and may be shared: every module
@@ -108,13 +108,6 @@ class Representation:
     def __init__(self, quiver: Quiver, field, spaces, maps):
         self._pack(quiver, field, _checked_spaces(quiver, spaces, maps),
                    maps, _dense_buffer)
-
-    @classmethod
-    def from_entries(cls, quiver: Quiver, field, spaces, entries):
-        rep = cls.__new__(cls)
-        rep._pack(quiver, field, _checked_spaces(quiver, spaces, entries),
-                  entries, _entry_buffer)
-        return rep
 
     def _pack(self, quiver, field, at, given, buffer):
         """Lay the module out from ``at``, the label tuple of each support
@@ -249,25 +242,6 @@ def _dense_buffer(rep, maps, layout, total) -> np.ndarray:
     return buf
 
 
-def _entry_buffer(rep, entries, layout, total) -> np.ndarray:
-    """One flat list of the sums of the given (row, column, coefficient)
-    entries, at their places in the layout.  The set of the coefficients'
-    types is read first: bool is an int, so one True among ints would pass
-    the dtype check of the sums as 1, and a str would fail the sum."""
-    kinds = set(map(type, map(_COEFFICIENT, chain.from_iterable(
-        entries.values()))))
-    kinds.discard(int)
-    for kind in kinds:
-        if not issubclass(kind, np.integer):
-            raise ValueError(f"entries must hold integers within int64, "
-                             f"got {kind.__name__}")
-    flat = [0] * total
-    for a, (start, _, cols) in layout.items():
-        for r, c, x in entries.get(a, ()):
-            flat[start + r * cols + c] += x
-    return integer_array(flat, "entries")
-
-
 def _placed_buffer(rep, entries, layout, total) -> np.ndarray:
     """The sums of the families' entries (arrow, target vertex, row, source
     vertex, column, coefficient) at their places in the layout, each row
@@ -374,15 +348,20 @@ class StringModules:
 
     - ``atom`` is the only map from an atom to its module, and
       ``theorem_inventory`` builds every entry through it;
-    - ``atom_dim`` reads the module's total dimension off the atom;
+    - ``atom_dim`` reads the module's total dimension off the atom; both
+      raise ``NotABand`` for an R or Qband atom naming a band or vertex
+      the system lacks;
     - the ``canon_*`` methods turn a family term of the paper into the
       atoms of its direct sum, with the degenerate identifications
       N(C, EMPTY) = M(gamma C), N(C, C) = N_C + M_C and
       N(C, B_x C) = L(B_x C) + M(gamma C), and N_EMPTY = M(e_z) at the
-      source z of gamma_x.  A term outside its family raises ``NotAPair``;
-      ``construct_N``, ``construct_L`` and ``construct_NCC`` check their
-      term here first and build a degenerate one as the direct sum of its
-      atoms;
+      source z of gamma_x.  A term outside its family raises ``NotAPair``,
+      a band term ``NotABand`` or ``LambdaZero``.  Each term is checked
+      once, here: ``construct_N``, ``construct_L``, ``construct_NCC``,
+      ``construct_R`` (which looks its word up among the bands) and
+      ``construct_Qband`` call their ``canon_*`` first and build from the
+      atoms it returns, a degenerate N or NCC term as the direct sum of
+      its atoms and a band term with m = 0 as the zero module;
     - ``lams``, the band parameters of the inventory and the rows, is
       ``lam_sample`` mod p then 1, zeros and repeats dropped, in order.
 
@@ -392,9 +371,11 @@ class StringModules:
     position the next index there.  Each arrow entry is (arrow, target
     vertex, row, source vertex, column, coefficient), written as the
     letters are read; ``_assemble`` takes each vertex's label tuple from
-    the shared table and hands the entries to ``Representation``, which
-    walks only the support and the arrows touching it (see there) and
-    checks that each entry joins its arrow's ends.
+    the shared table and lays the module out through
+    ``Representation._pack``, the one way into ``Representation`` besides
+    its dense constructor, which walks only the support and the arrows
+    touching it (see there) and checks that each entry joins its arrow's
+    ends.
     """
 
     def __init__(self, calc: WordCalculus, field=None,
@@ -403,6 +384,10 @@ class StringModules:
         self.quiver = calc.quiver
         self.field = field if field is not None else PrimeField(DEFAULT_PRIME)
         self._bands = dict(calc.bands())
+        # a word's vertex is read only when it has no letters, so a band is
+        # found by its letters
+        self._band_names = {band.letters: name
+                            for name, band in self._bands.items()}
         sample = [check_integer(lam, "lam_sample entry") for lam in lam_sample]
         self.lams = list(dict.fromkeys(
             lam for lam in map(self.field.red, (*sample, 1)) if lam))
@@ -476,9 +461,7 @@ class StringModules:
             return zero_representation(self.quiver, self.field)
         if not isinstance(word, StringWord):
             raise NotAString(f"not a string: {word!r}")
-        ok, why = self.calc.check_string(word.letters)
-        if not ok:
-            raise NotAString(why)
+        self.calc.word(word.letters, word.vertex)  # NotAString unless one
         at, entries = {}, []
         self._skeleton(word, ("v",), at, entries)
         return self._assemble(at, entries)
@@ -540,27 +523,25 @@ class StringModules:
         return first
 
     def construct_R(self, band: StringWord, lam: int, m: int) -> Representation:
-        lam = self.field.red(check_integer(lam, "lam"))
-        m = check_integer(m, "m")
-        if lam == 0:
-            raise LambdaZero("lambda must be a unit")
-        if m < 0:
-            raise NotABand("m must not be negative")
-        if m == 0:
+        # a word that is no band of the system goes to canon_R as its repr,
+        # which names no band either
+        name = self._band_names.get(getattr(band, "letters", None))
+        atoms = self.canon_R(repr(band) if name is None else name, lam, m)
+        if not atoms:
             return zero_representation(self.quiver, self.field)
+        _, name, lam, m = atoms[0]
         at, entries = {}, []
-        self._band_skeleton(band, m, lam, at, entries)
+        self._band_skeleton(self._bands[name], m, lam, at, entries)
         return self._assemble(at, entries)
 
     def construct_Qband(self, x: str, m: int) -> Representation:
-        m = check_integer(m, "m")
-        if x not in self.quiver.q0_doubleprimed():
-            raise NotABand(f"{x} is not in Q0''")
-        if m < 1:
-            raise NotABand("m must be positive")
+        atoms = self.canon_Qb(x, m)
+        if not atoms:
+            return zero_representation(self.quiver, self.field)
+        _, x, m = atoms[0]
         at, entries = {}, []
         alpha, vp_at, vp = self._reserve_vp(x, at)
-        start = self._band_skeleton(self.calc.band_of(x), m, 1, at, entries)
+        start = self._band_skeleton(self._bands[x], m, 1, at, entries)
         entries.append((alpha, vp_at, vp, *start, 1))
         return self._assemble(at, entries)
 
@@ -578,7 +559,8 @@ class StringModules:
         if tag == "NCC":
             return self.construct_NCC(key[1], word(key[2]), word(key[3]))
         if tag == "R":
-            return self.construct_R(self._bands[key[1]], key[2], key[3])
+            return self.construct_R(self._bands.get(key[1], key[1]), key[2],
+                                    key[3])
         if tag == "Qband":
             return self.construct_Qband(key[1], key[2])
         raise ValueError(key)
@@ -594,10 +576,11 @@ class StringModules:
             return len(atom[2][0]) + 2
         if tag == "NCC":
             return len(atom[2][0]) + len(atom[3][0]) + 4
-        if tag == "R":
-            return atom[3] * self._bands[atom[1]].length
-        if tag == "Qband":
-            return atom[2] * self._bands[atom[1]].length + 1
+        if tag == "R" or tag == "Qband":
+            name = atom[1]
+            if name not in self._bands or tag == "Qband" and name == "B0":
+                raise NotABand(f"{tag} names no band of the system: {name!r}")
+            return atom[-1] * self._bands[name].length + (tag == "Qband")
         raise ValueError(atom)
 
     def _sum_of_atoms(self, atoms) -> Representation:

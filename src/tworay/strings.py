@@ -146,8 +146,9 @@ class WordCalculus:
 
     def word(self, letters, vertex=None) -> StringWord:
         w = StringWord(tuple(letters), vertex)
-        if w.is_trivial and vertex is None:
-            raise NotAString("a trivial string needs a base vertex")
+        if w.is_trivial and vertex not in self.quiver.vindex:
+            raise NotAString(f"a trivial string needs a vertex of the "
+                             f"quiver, got {vertex!r}")
         ok, why = self.check_string(w.letters)
         if not ok:
             raise NotAString(why)

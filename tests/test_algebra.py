@@ -17,6 +17,15 @@ def test_fundamental_21_dimension():
     assert ctx("fund21").algebra.dimension == 7
 
 
+def test_projectives_reject_unknown_vertex(tsys):
+    # projective_module("nope") used to return the zero module and cache it
+    a = tsys.algebra
+    for build in (a.projective_module, a.right_projective):
+        with pytest.raises(ValueError, match="unknown vertex 'nope'"):
+            build("nope")
+    assert "nope" not in a._projectives and "nope" not in a._right_projectives
+
+
 def test_every_vertex_has_trivial_class():
     for name in ("fund21", "tsys", "ex14"):
         a = ctx(name).algebra

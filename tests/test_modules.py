@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tworay import EMPTY, StringWord, check_relations
-from tworay.field import PrimeField
+from tworay.field import DEFAULT_PRIME, PrimeField
 from tworay.string_modules import (LambdaZero, NotABand, NotAPair,
                                    Representation, StringModules,
                                    direct_sum_of)
@@ -24,6 +24,18 @@ def test_simple_modules(ex14):
 
 def test_m_of_empty_is_zero(ex14):
     assert ex14.modules.construct_M(EMPTY).is_zero()
+
+
+def test_trivial_string_at_a_vertex_of_the_quiver(ex14):
+    # calc.word((), "nope") used to return a word, and construct_M of it
+    # raised KeyError from the layout
+    calc = ex14.calc
+    for vertex in ("nope", None):
+        with pytest.raises(NotAString):
+            calc.word((), vertex)
+    with pytest.raises(NotAString):
+        ex14.modules.construct_M(StringWord((), "nope"))
+    assert calc.word((), "x:1:0") == calc.trivial("x:1:0")
 
 
 def test_m_dimension_formula(ex14):
@@ -131,7 +143,7 @@ def test_r_band_modules(fund21):
         sm.atom(("R", "B0", 5, -2))
     with pytest.raises(LambdaZero):
         sm.construct_R(b0, 0, 1)
-    # canon_R checks its term as construct_R does; m = 0 names no atom
+    # construct_R checks its term through canon_R; m = 0 names no atom
     assert sm.canon_R("B0", 5, 0) == ()
     assert sm.canon_R("B0", 5 - sm.field.p, 1) == (("R", "B0", 5, 1),)
     for name, m in (("B0", -1), ("nope", 1)):
@@ -142,6 +154,9 @@ def test_r_band_modules(fund21):
     with pytest.raises(NotABand):  # fund21 has no vertex in Q0''
         sm.canon_Qb("x:1:2", 1)
     r1 = sm.construct_R(b0, 5, 1)
+    # a word's vertex is read only when it has no letters
+    again = sm.construct_R(StringWord(b0.letters, "x:1:0"), 5, 1)
+    assert again.buffer.tobytes() == r1.buffer.tobytes()
     assert r1.dim_tuple() == (1, 1, 1)
     assert r1.maps["beta:1:1"].tolist() == [[5]]
     for m in (1, 2, 3):
@@ -183,15 +198,6 @@ def test_library_rejects_non_integer_inputs(fund21):
     with pytest.raises(ValueError, match="matrix must hold integers"):
         F.mat([[1, True]])
     assert F.mat(np.array([[1, True]])).tolist() == [[1, 1]]  # dtype int64
-    # the coefficients' types are checked before any sum: a bool used to be
-    # summed as the int 1, and a str raised a bare TypeError from the sum
-    for bad in ([(0, 0, 2.5)], [(0, 0, True)], [(0, 0, 1), (0, 0, True)],
-                [(0, 0, "3")], [(0, 0, None)], [(0, 0, np.float64(2))]):
-        with pytest.raises(ValueError, match="entries must hold integers"):
-            Representation.from_entries(q, F, spaces, {a: bad})
-    got = Representation.from_entries(q, F, spaces,
-                                      {a: [(0, 0, np.int32(3)), (0, 0, 4)]})
-    assert got.maps[a].tolist() == [[2]]
     for lam in (2.7, True, "3"):
         with pytest.raises(ValueError, match="lam_sample entry must be an"):
             StringModules(sm.calc, lam_sample=(lam,))
@@ -252,7 +258,7 @@ def test_qband(tsys):
         assert qb.total_dim == m * blen + 1
     with pytest.raises(NotABand):
         sm.construct_Qband("x:1:1", 1)
-    # canon_Qb checks its term as construct_Qband does; m = 0 names no atom
+    # construct_Qband checks its term through canon_Qb; m = 0 names no atom
     assert sm.canon_Qb(x, 0) == ()
     assert sm.canon_Qb(x, 2) == (("Qband", x, 2),)
     for v, m in ((x, -3), ("x:1:0", 2), ("x:1:1", 1)):
@@ -265,6 +271,65 @@ def test_qband(tsys):
     for v in tsys.quiver.vertices:
         expect = r.dim(v) + (1 if v == vp_vertex else 0)
         assert qb.dim(v) == expect
+
+
+@pytest.mark.parametrize("term", [
+    ("R", ("alpha:1:1",), 5, 1),      # a string that is no band
+    ("R", (), 5, 1),                  # a trivial string
+    ("R", "nope", 5, 1),              # a band name the system lacks
+    ("R", "B0", 5, -1),
+    ("R", "B0", 0, 1),
+    ("R", "x:1:2", DEFAULT_PRIME, 1),  # lambda = p, which is 0
+    ("Qband", "x:1:1", 1),            # a vertex outside Q0''
+    ("Qband", "nope", 1),             # a vertex the quiver lacks
+    ("Qband", "x:1:2", -1),
+    ("R", "B0", 5, 0),
+    ("R", "x:1:2", 5, 0),
+    ("Qband", "x:1:2", 0),
+], ids=repr)
+def test_band_terms_checked_by_canon(tsys, term):
+    """construct_R, construct_Qband and atom check a band term only through
+    canon_R and canon_Qb: each raises what the canon_* raises, of the same
+    type, and m = 0, which names no atom, gives the zero module."""
+    sm, calc = tsys.modules, tsys.calc
+    assert sm.field.p == DEFAULT_PRIME
+    tag, band, *params = term
+    if isinstance(band, tuple):
+        band = calc.word(band) if band else calc.trivial("x:1:0")
+    if tag == "R":
+        canon, build = sm.canon_R, sm.construct_R
+        word = dict(calc.bands()).get(band, band)
+    else:
+        canon, build, word = sm.canon_Qb, sm.construct_Qband, band
+    calls = (lambda: build(word, *params),
+             lambda: sm.atom((tag, band, *params)))
+    try:
+        atoms = canon(band, *params)
+    except ValueError as e:
+        assert type(e) in (NotABand, LambdaZero)
+        for call in calls:
+            with pytest.raises(ValueError) as got:
+                call()
+            assert got.type is type(e)
+    else:
+        assert atoms == ()
+        for call in calls:
+            assert call().is_zero()
+
+
+def test_atom_names_a_band_of_the_system(tsys):
+    # atom_dim, and atom on an R key, used to raise KeyError from the band
+    # table
+    sm = tsys.modules
+    for key in (("R", "nope", 5, 1), ("Qband", "nope", 1),
+                ("Qband", "B0", 1), ("Qband", "x:1:1", 1)):
+        for read in (sm.atom, sm.atom_dim):
+            with pytest.raises(NotABand):
+                read(key)
+    assert sm.atom_dim(("R", "x:1:2", 5, 2)) == sm.atom(
+        ("R", "x:1:2", 5, 2)).total_dim
+    assert sm.atom_dim(("Qband", "x:1:2", 2)) == sm.atom(
+        ("Qband", "x:1:2", 2)).total_dim
 
 
 def test_qband_example_support(ex14):
@@ -551,8 +616,8 @@ def test_support_arrow_maps_are_read_only(tsys):
 
 
 def test_representation_input_paths(tsys):
-    """Entry lists, nested lists, int64 arrays and unreduced entries give one
-    module: equal read-only maps that share no memory with the caller's,
+    """Nested lists, int64 arrays and unreduced input of either kind give
+    one module: equal read-only maps that share no memory with the caller's,
     and off the support the shared zero-size block of shape dim N_t x 0 or
     0 x dim N_s, which ``homlab._hom_kernel`` reads to emit its one-term
     equations."""
@@ -567,10 +632,6 @@ def test_representation_input_paths(tsys):
     arrays = {a: (np.arange(r * c).reshape(r, c) * 7919 + 1) % p
               for a, (r, c) in shape.items() if r and c}
     want = {a: m.copy() for a, m in arrays.items()}
-    entries = {a: [(r, c, int(x)) for (r, c), x in np.ndenumerate(m)]
-               for a, m in arrays.items()}
-    unreduced = {a: [(r, c, x - 3 * p) for r, c, x in es]
-                 + [(r, c, p) for r, c, _ in es] for a, es in entries.items()}
     built = [Representation(q, F, spaces, arrays),
              Representation(q, F, spaces,
                             {a: m.tolist() for a, m in arrays.items()}),
@@ -578,8 +639,10 @@ def test_representation_input_paths(tsys):
                             {a: m - 2 * p for a, m in arrays.items()}),
              Representation(q, F, spaces,
                             {a: m + 5 * p for a, m in arrays.items()}),
-             Representation.from_entries(q, F, spaces, entries),
-             Representation.from_entries(q, F, spaces, unreduced)]
+             Representation(q, F, spaces,
+                            {a: (m - 2 * p).tolist() for a, m in arrays.items()}),
+             Representation(q, F, spaces,
+                            {a: (m + 5 * p).tolist() for a, m in arrays.items()})]
     for a, m in arrays.items():
         m += 1  # the caller's arrays stay writeable
     for rep in built:
@@ -595,9 +658,9 @@ def test_representation_input_paths(tsys):
             with pytest.raises(ValueError, match="read-only"):
                 m[0, 0] = 0
     with pytest.raises(ValueError, match="unknown arrow 'alpha:9:9'"):
-        Representation.from_entries(q, F, spaces, {"alpha:9:9": []})
+        Representation(q, F, spaces, {"alpha:9:9": []})
     with pytest.raises(ValueError, match="duplicate labels at x:1:0"):
-        Representation.from_entries(q, F, {"x:1:0": (("c",), ("c",))}, {})
+        Representation(q, F, {"x:1:0": (("c",), ("c",))}, {})
 
 
 def _check_layout(rep):
