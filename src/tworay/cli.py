@@ -144,21 +144,20 @@ def main(argv=None) -> int:
     calc = WordCalculus(quiver)
 
     if args.cmd == "strings":
-        sx_keys = {}
+        sx_of = {}
         for x in quiver.q0_primed():
             for w in calc.s_x(x, args.max_len):
-                sx_keys.setdefault(calc.word_key(w), []).append(x)
-        sprime = {calc.word_key(w) for w in calc.s_prime(args.max_len)}
+                sx_of.setdefault(w, []).append(x)
+        sprime = set(calc.s_prime(args.max_len))
         items = []
         for w in calc.all_strings(args.max_len):
-            key = calc.word_key(w)
             items.append({
                 "word": calc.to_json_obj(w),
                 "terminates_at": calc.terminus(w),
                 "starts_at": calc.source(w),
                 "length": w.length,
-                "in_s_x_of": sorted(sx_keys.get(key, [])),
-                "in_s_prime": key in sprime,
+                "in_s_x_of": sorted(sx_of.get(w, [])),
+                "in_s_prime": w in sprime,
             })
         bands = [{"name": n, "word": calc.to_json_obj(b)}
                  for n, b in calc.bands()]

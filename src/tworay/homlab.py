@@ -1757,7 +1757,7 @@ class ArVerifier:
                 bi = calc.bi_successor(c)
 
                 def row5():
-                    if pc is EMPTY or wkey(pc) != wkey(cprime):
+                    if pc != cprime:
                         raise ValueError(
                             f"co-successor of alpha_x C is not C at {x}")
                     return (sm.canon_M(c),
@@ -1776,7 +1776,7 @@ class ArVerifier:
                        lambda: (sm.canon_M(c),
                                 sm.canon_NCC(x, c, cp),
                                 sm.canon_N(x, cp)))
-                if wkey(c) != wkey(omega):
+                if c != omega:
                     yield (8, None if cp is EMPTY else cplen + 1, middle,
                            lambda: (x, wkey(c)),
                            lambda: (sm.canon_N(x, c),

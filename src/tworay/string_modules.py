@@ -384,10 +384,7 @@ class StringModules:
         self.quiver = calc.quiver
         self.field = field if field is not None else PrimeField(DEFAULT_PRIME)
         self._bands = dict(calc.bands())
-        # a word's vertex is read only when it has no letters, so a band is
-        # found by its letters
-        self._band_names = {band.letters: name
-                            for name, band in self._bands.items()}
+        self._band_names = {band: name for name, band in self._bands.items()}
         sample = [check_integer(lam, "lam_sample entry") for lam in lam_sample]
         self.lams = list(dict.fromkeys(
             lam for lam in map(self.field.red, (*sample, 1)) if lam))
@@ -457,11 +454,8 @@ class StringModules:
     # -- the six families ------------------------------------------------------
 
     def construct_M(self, word) -> Representation:
-        if word is EMPTY:
+        if not self.canon_M(word):
             return zero_representation(self.quiver, self.field)
-        if not isinstance(word, StringWord):
-            raise NotAString(f"not a string: {word!r}")
-        self.calc.word(word.letters, word.vertex)  # NotAString unless one
         at, entries = {}, []
         self._skeleton(word, ("v",), at, entries)
         return self._assemble(at, entries)
@@ -525,7 +519,7 @@ class StringModules:
     def construct_R(self, band: StringWord, lam: int, m: int) -> Representation:
         # a word that is no band of the system goes to canon_R as its repr,
         # which names no band either
-        name = self._band_names.get(getattr(band, "letters", None))
+        name = self._band_names.get(band)
         atoms = self.canon_R(repr(band) if name is None else name, lam, m)
         if not atoms:
             return zero_representation(self.quiver, self.field)
@@ -590,6 +584,9 @@ class StringModules:
     def canon_M(self, w):
         if w is EMPTY:
             return ()
+        if not isinstance(w, StringWord):
+            raise NotAString(f"not a string: {w!r}")
+        self.calc.word(w.letters, w.vertex)  # NotAString unless one
         return (("M", self.calc.word_key(w)),)
 
     def canon_N(self, x, w):
@@ -619,12 +616,12 @@ class StringModules:
             return self.canon_M(calc.word((gamma,) + c.letters))
         if not (calc.in_s_x(c, x) and calc.in_s_x(cp, x)):
             raise NotAPair(f"pair outside S_x: ({c}, {cp}) at {x}")
-        if wkey(c) == wkey(cp):
+        if c == cp:
             return (("N", x, wkey(c)), ("M", wkey(c)))
         bx = calc.band_of(x)
         if not bx.is_trivial:
             bxc = StringWord(bx.letters + c.letters)
-            if wkey(cp) == wkey(bxc):
+            if cp == bxc:
                 return (("L", x, wkey(bxc)),) + self.canon_M(
                     calc.word((gamma,) + c.letters))
             if calc.compare(cp, bxc) > 0:

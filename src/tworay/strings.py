@@ -66,10 +66,15 @@ EMPTY = _Empty()
 
 @dataclass(frozen=True)
 class StringWord:
-    """A string: letter tuple plus (for trivial strings) the base vertex."""
+    """A string: its letters, and the vertex only of a trivial string (a
+    nontrivial one drops it), so ``==`` and ``hash`` are its identity."""
 
     letters: tuple
-    vertex: str = None  # only consulted when letters is empty
+    vertex: str = None
+
+    def __post_init__(self):
+        if self.letters and self.vertex is not None:
+            object.__setattr__(self, "vertex", None)
 
     @property
     def length(self) -> int:
@@ -155,13 +160,14 @@ class WordCalculus:
         return w
 
     def word_key(self, w: StringWord) -> tuple:
-        """Canonical identity of a string: letters plus terminus."""
+        """The form a word takes inside an atom or a lemma poset: letters
+        plus terminus, which reach stdout by ``repr``."""
         return (w.letters, self.terminus(w))
 
     def from_key(self, key: tuple) -> StringWord:
         """The string with the given ``word_key``."""
         letters, terminus = key
-        return StringWord(letters, terminus if not letters else None)
+        return StringWord(letters, terminus)
 
     def check_string(self, letters) -> tuple:
         """(True, '') if the letter tuple is a string, else (False, diagnostic)."""
@@ -321,7 +327,7 @@ class WordCalculus:
         """(p_C, C') with w = B_x^{p_C} C'."""
         p = self.p_count(w, x)
         n = p * self.band_of(x).length
-        rest = StringWord(w.letters[n:], x if n == w.length else None)
+        rest = StringWord(w.letters[n:], x)
         return p, rest
 
     # -- the linear order and successors --------------------------------------
@@ -348,27 +354,26 @@ class WordCalculus:
         a = self._ext_primed.get(self.source(w))
         if a is not None and self._appends(w.letters, a):
             tail = self._mu[self.quiver.source[a]]
-            return StringWord(w.letters + (a,) + tail.letters, w.vertex)
+            return StringWord(w.letters + (a,) + tail.letters)
         k = w.length - 1
         while k >= 0 and w.letters[k] in self.quiver.primed:
             k -= 1
         if k < 0:
             return EMPTY  # w = omega_x
-        return StringWord(w.letters[:k], self.terminus(w) if k == 0 else None)
+        return StringWord(w.letters[:k], self.terminus(w))
 
     def co_successor(self, w: StringWord):
         """+C : prepend the unique beta and the full pi, or strip nu alpha."""
         b = self._pre_unprimed.get(self.terminus(w))
         if b is not None and self._prepends(b, w.letters):
             head = self._pi[self.quiver.source[b]]
-            return StringWord(head.letters + (b,) + w.letters, w.vertex)
+            return StringWord(head.letters + (b,) + w.letters)
         k = 0
         while k < w.length and w.letters[k] not in self.quiver.primed:
             k += 1
         if k == w.length:
             return EMPTY  # w = nu_x
-        rest = w.letters[k + 1 :]
-        return StringWord(rest, self.source(w) if not rest else None)
+        return StringWord(w.letters[k + 1 :], self.source(w))
 
     def bi_successor(self, w: StringWord):
         """+C+ : the diagonal successor, EMPTY exactly for C = nu_x omega_x."""
@@ -404,7 +409,7 @@ class WordCalculus:
                     if c is None:
                         continue
                     if self._appends(w.letters, c):
-                        nxt.append(StringWord(w.letters + (c,), w.vertex))
+                        nxt.append(StringWord(w.letters + (c,)))
             out.extend(nxt)
             frontier = nxt
         self._string_cache = (bound, out)
@@ -465,21 +470,19 @@ class WordCalculus:
 
     def s_prime(self, bound: int):
         """S' : all strings minus the four excluded families of the main theorem."""
-        excluded = set()
-        for x in self.quiver.vertices:
-            excluded.add(self.word_key(self.concat(self.nu(x), self.omega(x))))
+        excluded = {self.concat(self.nu(x), self.omega(x))
+                    for x in self.quiver.vertices}
         for x in self.quiver.q0_primed():
             alpha = self.quiver.alpha_of(x)
             for c in self.s_x(x, bound):
-                excluded.add(self.word_key(c))
+                excluded.add(c)
                 if self.check_string((alpha,) + c.letters)[0]:
-                    excluded.add(self.word_key(StringWord((alpha,) + c.letters)))
+                    excluded.add(StringWord((alpha,) + c.letters))
         for x in self.quiver.q0_doubleprimed():
             gamma = self.quiver.gamma_of(x)
-            for c in self.s_x(x, bound):
-                excluded.add(self.word_key(StringWord((gamma,) + c.letters)))
-        return [w for w in self.all_strings(bound)
-                if self.word_key(w) not in excluded]
+            excluded.update(StringWord((gamma,) + c.letters)
+                            for c in self.s_x(x, bound))
+        return [w for w in self.all_strings(bound) if w not in excluded]
 
     def families(self, bound: int):
         """(S, S_x per x, P_x per x, bands, S') truncated at the length bound."""
