@@ -342,9 +342,10 @@ class StringModules:
     and the conventions that name their modules.
 
     An atom names one module by family tag and parameters, words given by
-    their ``word_key``: ("M", C), ("N", x, C), ("L", x, C),
-    ("NCC", x, C, C'), ("R", band, lambda, m) and ("Qband", x, m).  This
-    class is the one owner of the conventions:
+    their ``word_key``, the form a word takes inside an atom: ("M", C),
+    ("N", x, C), ("L", x, C), ("NCC", x, C, C'), ("R", band, lambda, m)
+    and ("Qband", x, m).  Words themselves compare by ``==``, which is the
+    string's identity.  This class is the one owner of the conventions:
 
     - ``atom`` is the only map from an atom to its module, and
       ``theorem_inventory`` builds every entry through it;
@@ -356,12 +357,14 @@ class StringModules:
       N(C, EMPTY) = M(gamma C), N(C, C) = N_C + M_C and
       N(C, B_x C) = L(B_x C) + M(gamma C), and N_EMPTY = M(e_z) at the
       source z of gamma_x.  A term outside its family raises ``NotAPair``,
-      a band term ``NotABand`` or ``LambdaZero``.  Each term is checked
-      once, here: ``construct_N``, ``construct_L``, ``construct_NCC``,
-      ``construct_R`` (which looks its word up among the bands) and
-      ``construct_Qband`` call their ``canon_*`` first and build from the
-      atoms it returns, a degenerate N or NCC term as the direct sum of
-      its atoms and a band term with m = 0 as the zero module;
+      a band term ``NotABand`` or ``LambdaZero``, and a word that is no
+      string ``NotAString``.  Each term is checked once, here:
+      ``construct_M``, ``construct_N``, ``construct_L``,
+      ``construct_NCC``, ``construct_R`` (which looks its word up among
+      the bands) and ``construct_Qband`` call their ``canon_*`` first and
+      build from the atoms it returns, a degenerate N or NCC term as the
+      direct sum of its atoms and a band term with m = 0 as the zero
+      module;
     - ``lams``, the band parameters of the inventory and the rows, is
       ``lam_sample`` mod p then 1, zeros and repeats dropped, in order.
 
@@ -613,6 +616,7 @@ class StringModules:
         calc, wkey = self.calc, self.calc.word_key
         gamma = self.quiver.gamma_of(x)
         if cp is EMPTY:
+            calc.terminus(c)  # NotAString unless c is a word
             return self.canon_M(calc.word((gamma,) + c.letters))
         if not (calc.in_s_x(c, x) and calc.in_s_x(cp, x)):
             raise NotAPair(f"pair outside S_x: ({c}, {cp}) at {x}")

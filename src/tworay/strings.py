@@ -144,10 +144,18 @@ class WordCalculus:
         return StringWord((), vertex)
 
     def terminus(self, w: StringWord) -> str:
-        return self.quiver.t_star[w.letters[0]] if w.letters else w.vertex
+        """t*(w).  It and ``source``, which every word operation reads
+        first, raise NotAString for EMPTY, a non-word or an unknown letter."""
+        try:
+            return self.quiver.t_star[w.letters[0]] if w.letters else w.vertex
+        except (AttributeError, KeyError):
+            raise NotAString(f"not a string: {w!r}") from None
 
     def source(self, w: StringWord) -> str:
-        return self.quiver.s_star[w.letters[-1]] if w.letters else w.vertex
+        try:
+            return self.quiver.s_star[w.letters[-1]] if w.letters else w.vertex
+        except (AttributeError, KeyError):
+            raise NotAString(f"not a string: {w!r}") from None
 
     def word(self, letters, vertex=None) -> StringWord:
         w = StringWord(tuple(letters), vertex)
@@ -162,11 +170,15 @@ class WordCalculus:
     def word_key(self, w: StringWord) -> tuple:
         """The form a word takes inside an atom or a lemma poset: letters
         plus terminus, which reach stdout by ``repr``."""
-        return (w.letters, self.terminus(w))
+        terminus = self.terminus(w)
+        return w.letters, terminus
 
     def from_key(self, key: tuple) -> StringWord:
         """The string with the given ``word_key``."""
-        letters, terminus = key
+        try:
+            letters, terminus = key
+        except (TypeError, ValueError):
+            raise NotAString(f"not a word key: {key!r}") from None
         return StringWord(letters, terminus)
 
     def check_string(self, letters) -> tuple:

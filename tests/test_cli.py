@@ -399,6 +399,18 @@ def test_verify_small_field_at_benchmark_bounds_pinned(sysfile, name, bound,
     assert _sha256(out) == digest
 
 
+@pytest.mark.parametrize("name, digest", [
+    # every string to length 10 with its S_x and S' membership, each looked
+    # up by the word itself
+    ("ex14", "f21da4ca164b730c4a435211337fcb8b8701268e4c7c821b487f670cdcdb39d3"),
+    ("tsys", "2bc0b3ab0058b3d59d56dd0f380487df4d8ef531229fe4e3b74ec95047c8b25e"),
+])
+def test_strings_pinned(sysfile, name, digest):
+    code, out = run(["strings", sysfile(name), "--max-len", "10"])
+    assert code == 0
+    assert _sha256(out) == digest
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["reduce", "ex14"],
      "eeaad01045f5ce42e13744702676bafd48d948d98645b238d0a22f38ae9d3fd4"),

@@ -154,7 +154,7 @@ def test_r_band_modules(fund21):
     with pytest.raises(NotABand):  # fund21 has no vertex in Q0''
         sm.canon_Qb("x:1:2", 1)
     r1 = sm.construct_R(b0, 5, 1)
-    # a word's vertex is read only when it has no letters
+    # a nontrivial word drops the vertex it is given, so this is B0
     again = sm.construct_R(StringWord(b0.letters, "x:1:0"), 5, 1)
     assert again.buffer.tobytes() == r1.buffer.tobytes()
     assert r1.dim_tuple() == (1, 1, 1)
@@ -315,6 +315,49 @@ def test_band_terms_checked_by_canon(tsys, term):
         assert atoms == ()
         for call in calls:
             assert call().is_zero()
+
+
+@pytest.mark.parametrize("value", [
+    StringWord(("alpha:1:1", "alpha:1:1")),  # a word that is no string
+    "abc",                                   # no word at all
+    StringWord((), "nope"),                  # a trivial word off the quiver
+], ids=repr)
+def test_m_terms_checked_by_canon(tsys, value):
+    """construct_M and atom check an M term only through canon_M: each
+    raises what canon_M raises, of the same type."""
+    sm, calc = tsys.modules, tsys.calc
+    key = calc.word_key(value) if isinstance(value, StringWord) else value
+    with pytest.raises(ValueError) as want:
+        sm.canon_M(value)
+    assert want.type is NotAString
+    for call in (lambda: sm.construct_M(value), lambda: sm.atom(("M", key))):
+        with pytest.raises(ValueError) as got:
+            call()
+        assert got.type is want.type
+    # EMPTY names no atom and gives the zero module
+    assert sm.canon_M(EMPTY) == ()
+    assert sm.construct_M(EMPTY).is_zero()
+
+
+@pytest.mark.parametrize("call", [
+    lambda sm, c, x, w: sm.canon_L(x, EMPTY),
+    lambda sm, c, x, w: sm.construct_L(x, EMPTY),
+    lambda sm, c, x, w: sm.canon_NCC(x, EMPTY, w),
+    lambda sm, c, x, w: sm.construct_NCC(x, EMPTY, EMPTY),
+    lambda sm, c, x, w: c.compare(EMPTY, w),
+    lambda sm, c, x, w: c.successor(EMPTY),
+    lambda sm, c, x, w: c.in_s_x(EMPTY, x),
+    lambda sm, c, x, w: c.word_key(EMPTY),
+    lambda sm, c, x, w: sm.canon_M("abc"),
+    lambda sm, c, x, w: sm.canon_N(x, "abc"),
+    lambda sm, c, x, w: sm.canon_NCC(x, StringWord(("nope",)),
+                                     StringWord(("nope2",))),
+])
+def test_no_string_where_one_is_needed(tsys, call):
+    # each used to raise AttributeError or KeyError, which the rows did not
+    # report as an anomaly; NotAString is a ValueError
+    with pytest.raises(NotAString):
+        call(tsys.modules, tsys.calc, "x:1:2", tsys.calc.trivial("x:1:2"))
 
 
 def test_atom_names_a_band_of_the_system(tsys):

@@ -590,3 +590,44 @@ def test_one_letter_extensions_match_whole_word_test(name):
             if q.s_star[a] == calc.terminus(w):
                 assert calc._prepends(a, w.letters) == \
                     ref_is_string(c, (a,) + w.letters), (a, w)
+
+
+# -- a word's identity --------------------------------------------------------
+
+
+def test_successor_of_a_trivial_word_is_the_one_letter_word(tsys):
+    # the successor used to keep the trivial word's vertex, so this string
+    # was two dict keys
+    calc = tsys.calc
+    up = calc.successor(calc.trivial("x:1:0"))
+    assert up == calc.word(("alpha:1:1",)) and up.vertex is None
+    assert hash(up) == hash(calc.word(("alpha:1:1",)))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_word_identity(name):
+    """Every word the calculus returns is its string: a nontrivial one has
+    no vertex, its word_key gives it back, and it is found among words
+    rebuilt from its letters.  CI also runs this under fixed hash seeds."""
+    c = ctx(name)
+    calc, q = c.calc, c.quiver
+    words = list(calc.all_strings(8))
+    for x in q.q0_primed():
+        words += calc.s_x(x, 8)
+        words += [w for pair in calc.pairs_p_x(x, 8) for w in pair]
+        words += [calc.strip_band(w, x)[1]
+                  for w in calc.strings_terminating_at(x, 8)]
+    for w in calc.all_strings(8):
+        words += [calc.successor(w), calc.co_successor(w),
+                  calc.bi_successor(w)]
+    for v in q.vertices:
+        words += calc.extremal_strings(v)
+    words += [band for _, band in calc.bands()]
+    words = [w for w in words if w is not EMPTY]
+    rebuilt = {calc.word(w.letters) if w.letters else calc.trivial(w.vertex):
+               w for w in words}
+    for w in words:
+        assert w.is_trivial or w.vertex is None, w
+        again = calc.from_key(calc.word_key(w))
+        assert again == w and hash(again) == hash(w)
+        assert rebuilt[w] == w
