@@ -520,9 +520,10 @@ class StringModules:
         return first
 
     def construct_R(self, band: StringWord, lam: int, m: int) -> Representation:
-        # a word that is no band of the system goes to canon_R as its repr,
-        # which names no band either
-        name = self._band_names.get(band)
+        # a word that is no band of the system, or a value that is no word,
+        # goes to canon_R as its repr, which names no band either
+        name = (self._band_names.get(band) if isinstance(band, StringWord)
+                else None)
         atoms = self.canon_R(repr(band) if name is None else name, lam, m)
         if not atoms:
             return zero_representation(self.quiver, self.field)

@@ -143,6 +143,8 @@ def test_r_band_modules(fund21):
         sm.atom(("R", "B0", 5, -2))
     with pytest.raises(LambdaZero):
         sm.construct_R(b0, 0, 1)
+    with pytest.raises(NotABand):  # no word, and no dict key either
+        sm.construct_R(list(b0.letters), 5, 1)
     # construct_R checks its term through canon_R; m = 0 names no atom
     assert sm.canon_R("B0", 5, 0) == ()
     assert sm.canon_R("B0", 5 - sm.field.p, 1) == (("R", "B0", 5, 1),)
@@ -352,7 +354,9 @@ def test_m_terms_checked_by_canon(tsys, value):
     lambda sm, c, x, w: sm.canon_N(x, "abc"),
     lambda sm, c, x, w: sm.canon_NCC(x, StringWord(("nope",)),
                                      StringWord(("nope2",))),
-])
+], ids=["canon_L", "construct_L", "canon_NCC", "construct_NCC", "compare",
+        "successor", "in_s_x", "word_key", "canon_M", "canon_N",
+        "canon_NCC_unknown_letters"])
 def test_no_string_where_one_is_needed(tsys, call):
     # each used to raise AttributeError or KeyError, which the rows did not
     # report as an anomaly; NotAString is a ValueError
