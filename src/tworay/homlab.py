@@ -242,7 +242,7 @@ def _hom_kernel(M: Representation, N: Representation, blocks, total: int):
     F = M.field
     p = F.p
     rows = []
-    q = M.quiver
+    q, m_maps, n_maps = M.quiver, M.maps, N.maps
     for arrow in _hom_arrows(M, N):
         os_, ns, _ = blocks.get(q.source[arrow], _NO_BLOCK)
         ot, nt, _ = blocks.get(q.target[arrow], _NO_BLOCK)
@@ -250,9 +250,9 @@ def _hom_kernel(M: Representation, N: Representation, blocks, total: int):
         # (unknown of f_s[l, 0], -N_a[i, l]), over the nonzero entries; a
         # vertex without a block has no entries on its side
         m_cols = [[(ot + k * nt, c) for k, c in enumerate(col) if c]
-                  for col in M.maps[arrow].T.tolist()]
+                  for col in m_maps[arrow].T.tolist()]
         n_rows = [[(os_ + l, p - c) for l, c in enumerate(row) if c]
-                  for row in N.maps[arrow].tolist()]
+                  for row in n_maps[arrow].tolist()]
         for j, m_col in enumerate(m_cols):
             shift = j * ns
             for i, n_row in enumerate(n_rows):
@@ -625,10 +625,11 @@ def zero_map(M: Representation, N: Representation):
     return {v: F.zeros(N.dim(v), M.dim(v)) for v in M.quiver.vertices}
 
 def is_intertwiner(M, N, f) -> bool:
-    F = M.field
+    F, m_maps, n_maps = M.field, M.maps, N.maps
     for a in _hom_arrows(M, N):
         s, t = M.quiver.source[a], M.quiver.target[a]
-        if not F.is_zero(F.sub(F.mul(f[t], M.maps[a]), F.mul(N.maps[a], f[s]))):
+        if not F.is_zero(F.sub(F.mul(f[t], m_maps[a]),
+                               F.mul(n_maps[a], f[s]))):
             return False
     return True
 
@@ -986,8 +987,9 @@ def _arrow_ranks(M: Representation) -> tuple:
     """The ranks of the support-arrow maps of M, in ``support_arrows``
     order, from one elimination; computed once and kept on the module."""
     if M.arrow_ranks is None:
+        maps = M.maps
         reduced = _reduce_blocks(M.field,
-                                 {a: M.maps[a] for a in M.support_arrows})
+                                 {a: maps[a] for a in M.support_arrows})
         M.arrow_ranks = tuple(len(rows) for rows in reduced.values())
     return M.arrow_ranks
 
@@ -1131,8 +1133,7 @@ def is_isomorphic(M: Representation, N: Representation,
 
 def kernel_rep(M: Representation, N: Representation, f):
     """(K, inclusion K -> M) for a module map f: M -> N."""
-    F = M.field
-    q = M.quiver
+    F, q, m_maps = M.field, M.quiver, M.maps
     incl = {v: F.null_space(f[v]) if M.dim(v) else F.zeros(0, 0)
             for v in q.vertices}
     spaces = {v: tuple(("k", i) for i in range(incl[v].shape[1]))
@@ -1141,7 +1142,7 @@ def kernel_rep(M: Representation, N: Representation, f):
     for a in M.support_arrows:
         s, t = q.source[a], q.target[a]
         if spaces[s] and spaces[t]:
-            coords = F.solve(incl[t], F.mul(M.maps[a], incl[s]))
+            coords = F.solve(incl[t], F.mul(m_maps[a], incl[s]))
             if coords is None:
                 raise ConsistencyError("kernel is not arrow-stable")
             maps[a] = coords
@@ -1203,8 +1204,7 @@ def _quotients(F, mats) -> dict:
 
 def cokernel_rep(M: Representation, N: Representation, f):
     """(Q, projection N -> Q) for a module map f: M -> N."""
-    F = N.field
-    q = N.quiver
+    F, q, n_maps = N.field, N.quiver, N.maps
     quot = _quotients(F, {v: f[v] for v in N.support})
     proj = dict.fromkeys(q.vertices, zero_size_block(0, 0))
     spaces, maps = {}, {}
@@ -1214,7 +1214,7 @@ def cokernel_rep(M: Representation, N: Representation, f):
     for a in N.support_arrows:
         s, t = q.source[a], q.target[a]
         if spaces[s] and spaces[t]:
-            maps[a] = F.mul(proj[t], F.mul(N.maps[a], quot[s][1]))
+            maps[a] = F.mul(proj[t], F.mul(n_maps[a], quot[s][1]))
     return Representation(q, F, spaces, maps), proj
 
 
@@ -1348,10 +1348,10 @@ def top_generators(M: Representation):
     order: the columns of the section of M_v onto M_v / rad M_v are the unit
     vectors of M_v that project to a basis of (M / rad M)_v, where rad M_v
     is spanned by the images of the arrows into v."""
-    F, q = M.field, M.quiver
+    F, q, maps = M.field, M.quiver, M.maps
     rad = {}
     for v in M.support:
-        imgs = [M.maps[a] for a in q.in_arrows[v] if M.dim(q.source[a])]
+        imgs = [maps[a] for a in q.in_arrows[v] if M.dim(q.source[a])]
         rad[v] = np.hstack(imgs) if imgs else F.zeros(M.dim(v), 0)
     return {v: section for v, (_, section) in _quotients(F, rad).items()
             if section.shape[1]}
@@ -1362,7 +1362,7 @@ def _path_images(M: Representation, algebra, v, vecs) -> dict:
     basis paths of A from v: {w: stack} over the vertices w of M's support
     that such a path reaches, the stack being (paths v -> w, in basis order)
     x dim M_w x (columns).  Each prefix of a path is applied once."""
-    F, paths = M.field, algebra.basis_paths
+    F, paths, maps = M.field, algebra.basis_paths, M.maps
     memo = {(): vecs}
     out = {}
     for w in M.support:
@@ -1376,7 +1376,7 @@ def _path_images(M: Representation, algebra, v, vecs) -> dict:
                 k += 1
             got = memo[arrows[k:]]
             for i in range(k - 1, -1, -1):
-                got = memo[arrows[i:]] = F.mul(M.maps[arrows[i]], got)
+                got = memo[arrows[i:]] = F.mul(maps[arrows[i]], got)
             stack.append(got)
         out[w] = np.stack(stack)
     return out
@@ -1430,9 +1430,9 @@ def minimal_presentation(M: Representation, algebra):
     P0, h, gens0, kernel = projective_cover(M, algebra)
     # [rad K_u | K_u], rad K_u spanned by the P0_a K_s over the arrows
     # a: s -> u; h_u must vanish on all of it
-    blocks = {}
+    blocks, maps = {}, P0.maps
     for u, k in kernel.items():
-        blocks[u] = np.hstack([F.mul(P0.maps[a], kernel[q.source[a]])
+        blocks[u] = np.hstack([F.mul(maps[a], kernel[q.source[a]])
                                for a in q.in_arrows[u]
                                if q.source[a] in kernel] + [k])
         if not F.is_zero(F.mul(h[u], blocks[u])):

@@ -14,6 +14,7 @@ count of vectors so far, and each arrow entry names its two places at once.
 
 import functools
 import weakref
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -43,11 +44,13 @@ _VP, _VPP = ("vp",), ("vpp",)
 @functools.lru_cache(maxsize=None)
 def zero_size_block(rows: int, cols: int) -> np.ndarray:
     """The rows x cols matrix with rows * cols = 0, as on an arrow or at a
-    vertex outside a support.  It holds no entries, so one array per shape
-    is shared by every module and map."""
+    vertex outside a support.  It holds no entries, so one read-only array
+    per shape is shared by every module and map."""
     if rows and cols:
         raise ConsistencyError(f"a {rows} x {cols} block is not zero-size")
-    return np.zeros((rows, cols), dtype=np.int64)
+    block = np.zeros((rows, cols), dtype=np.int64)
+    block.flags.writeable = False
+    return block
 
 
 class Representation:
@@ -56,19 +59,25 @@ class Representation:
     The support is fixed when the module is built: ``dims`` is the dimension
     tuple in vertex order, ``support`` the vertices with a nonzero space and
     ``support_arrows`` the arrows between two of them, both in quiver
-    order.  Every other arrow map has a zero-size side and is stored as the
-    shared ``zero_size_block``, and a path through a vertex outside the
-    support acts as 0, so loops over a module visit only its support.
+    order.  Every other arrow map has a zero-size side and is the shared
+    ``zero_size_block``, and a path through a vertex outside the support
+    acts as 0, so loops over a module visit only its support.
 
-    The support-arrow maps are views into one int64 buffer per module,
-    ``buffer``, laid out in ``support_arrows`` order, each map row by row;
-    ``homlab.hom_spaces`` reads the entries of many modules from it at once.
-    The buffer is packed from a copy of the input, reduced mod p and made
-    read-only once, so a caller's later writes to its own matrices do not
-    reach it, and neither it nor its views can be written.  So what is
-    certified about the module can be recorded on it without going stale:
-    ``indec``, the ``homlab.IndecVerdict`` that ``homlab.is_indecomposable``
-    reaches from a solved End(M), and with it ``end_dim``, dim End(M); and
+    The support-arrow maps live in one int64 buffer per module, ``buffer``,
+    laid out in ``support_arrows`` order, each map row by row from its
+    offset in ``starts``; ``homlab.hom_spaces`` reads the entries of many
+    modules from it at once.  The buffer is the module's one copy of its
+    maps: ``maps`` is a read-only mapping over every arrow, in quiver
+    order, which makes each map on access, a read-only view of the
+    buffer's segment shaped dim M_t x dim M_s for a support arrow and the
+    shared ``zero_size_block`` for any other.  Readers that look up many
+    arrows take ``maps`` once.  The buffer is packed from a copy of the
+    input, reduced mod p and made read-only once, so a caller's later
+    writes to its own matrices do not reach it, and neither it nor its
+    views can be written.  So what is certified about the module can be
+    recorded on it without going stale: ``indec``, the
+    ``homlab.IndecVerdict`` that ``homlab.is_indecomposable`` reaches from
+    a solved End(M), and with it ``end_dim``, dim End(M); and
     ``arrow_ranks``, the ranks of the support-arrow maps in that order, set
     by ``homlab.find_iso`` when it first compares them.  All start as None.
 
@@ -78,11 +87,10 @@ class Representation:
     its entries one such group).  That call drops the group from every
     member; until then the group keeps all of its members alive.
 
-    ``spaces`` and ``maps`` are plain dicts over every vertex and every
-    arrow, in quiver order.  They are copies of the zero module's, built
-    once per quiver, on which only the support vertices and the arrows
-    that touch them are set, so building a module walks its support, the
-    arrows in and out of it and its entries, not the whole quiver.
+    ``spaces`` is a plain dict over every vertex, in quiver order: a copy
+    of the zero module's, built once per quiver, on which only the support
+    vertices are set, so building a module walks its support, the arrows
+    out of it and its entries, not the whole quiver.
 
     A module enters in one of two ways.  The constructor takes dense
     matrices (arrays or nested lists), as cokernels, DTr, kernels, direct
@@ -102,7 +110,7 @@ class Representation:
     """
 
     __slots__ = ("quiver", "field", "spaces", "dims", "support",
-                 "support_arrows", "maps", "buffer", "indec", "end_dim",
+                 "support_arrows", "starts", "buffer", "indec", "end_dim",
                  "arrow_ranks", "pending")
 
     def __init__(self, quiver: Quiver, field, spaces, maps):
@@ -112,14 +120,12 @@ class Representation:
     def _pack(self, quiver, field, at, given, buffer):
         """Lay the module out from ``at``, the label tuple of each support
         vertex, and take its buffer from ``buffer(self, given, layout,
-        total)``: by then ``self.spaces`` is set and ``self.maps`` holds the
-        zero-size block of every arrow outside the support; layout maps each
+        total)``: by then ``self.spaces`` is set, and layout maps each
         support arrow to (start, rows, cols)."""
         self.quiver, self.field = quiver, field
-        blank_spaces, blank_maps, vindex, out, into = _frame(quiver)
+        blank_spaces, vindex, out = _frame(quiver)
         spaces = self.spaces = blank_spaces.copy()
         spaces.update(at)
-        maps = self.maps = blank_maps.copy()
         self.dims = tuple(map(len, spaces.values()))
         self.support = tuple(sorted(at, key=vindex.__getitem__))
         inside = []
@@ -129,11 +135,6 @@ class Representation:
                 rows = len(spaces[t])
                 if rows:
                     inside.append((k, a, rows, cols))
-                else:
-                    maps[a] = zero_size_block(0, cols)
-            for a, s in into[v]:
-                if s not in at:
-                    maps[a] = zero_size_block(cols, 0)
         inside.sort()
         layout, total = {}, 0
         for _, a, rows, cols in inside:
@@ -142,10 +143,13 @@ class Representation:
         buf = buffer(self, given, layout, total) % field.p
         buf.flags.writeable = False
         self.buffer = buf
-        for a, (start, rows, cols) in layout.items():
-            maps[a] = buf[start: start + rows * cols].reshape(rows, cols)
         self.support_arrows = tuple(layout)
+        self.starts = tuple(start for start, _, _ in layout.values())
         self.indec = self.end_dim = self.arrow_ranks = self.pending = None
+
+    @property
+    def maps(self) -> "_ArrowMaps":
+        return _ArrowMaps(self)
 
     def dim(self, v: str) -> int:
         return len(self.spaces[v])
@@ -180,6 +184,31 @@ class Representation:
         return f"Representation(dim={self.total_dim}, {dv})"
 
 
+class _ArrowMaps(Mapping):
+    """The arrow maps of one module, read-only, in quiver order: each made
+    on access from the module's buffer (see ``Representation``)."""
+
+    __slots__ = ("_rep",)
+
+    def __init__(self, rep: Representation):
+        self._rep = rep
+
+    def __getitem__(self, a) -> np.ndarray:
+        rep = self._rep
+        q, spaces = rep.quiver, rep.spaces
+        rows, cols = len(spaces[q.target[a]]), len(spaces[q.source[a]])
+        if not (rows and cols):  # off the support
+            return zero_size_block(rows, cols)
+        start = rep.starts[rep.support_arrows.index(a)]
+        return rep.buffer[start: start + rows * cols].reshape(rows, cols)
+
+    def __iter__(self):
+        return iter(self._rep.quiver.arrows)
+
+    def __len__(self) -> int:
+        return len(self._rep.quiver.arrows)
+
+
 def zero_representation(quiver: Quiver, field) -> Representation:
     return Representation(quiver, field, {}, {})
 
@@ -189,23 +218,18 @@ _FRAMES = weakref.WeakKeyDictionary()
 
 
 def _frame(quiver):
-    """The zero module's spaces and maps over ``quiver`` (every vertex
-    mapped to (), every arrow to the 0 x 0 block, in quiver order), which
-    each module copies and sets its support on; the index of each vertex;
-    and the arrows out of and into each vertex, as (arrow index, arrow,
-    target) and (arrow, source)."""
+    """The zero module's spaces over ``quiver`` (every vertex mapped to (),
+    in quiver order), which each module copies and sets its support on;
+    the index of each vertex; and the arrows out of each vertex, as (arrow
+    index, arrow, target)."""
     frame = _FRAMES.get(quiver)
     if frame is None:
-        source, target = quiver.source, quiver.target
         out = {v: [] for v in quiver.vertices}
-        into = {v: [] for v in quiver.vertices}
         for k, a in enumerate(quiver.arrows):
-            out[source[a]].append((k, a, target[a]))
-            into[target[a]].append((a, source[a]))
+            out[quiver.source[a]].append((k, a, quiver.target[a]))
         frame = _FRAMES[quiver] = (
             dict.fromkeys(quiver.vertices, ()),
-            dict.fromkeys(quiver.arrows, zero_size_block(0, 0)),
-            {v: k for k, v in enumerate(quiver.vertices)}, out, into)
+            {v: k for k, v in enumerate(quiver.vertices)}, out)
     return frame
 
 
@@ -213,7 +237,7 @@ def _checked_spaces(quiver: Quiver, spaces, given) -> dict:
     """The label tuple of each vertex with a nonzero space; ValueError for
     an unknown vertex, an arrow of ``given`` the quiver lacks, or duplicate
     labels at a vertex."""
-    at, vindex = {}, _frame(quiver)[2]
+    at, vindex = {}, _frame(quiver)[1]
     for v, labels in spaces.items():
         if v not in vindex:
             raise ValueError(f"unknown vertex {v!r}")
@@ -230,11 +254,13 @@ def _checked_spaces(quiver: Quiver, spaces, given) -> dict:
 def _dense_buffer(rep, maps, layout, total) -> np.ndarray:
     """The given dense matrices, row by row, at their places in the
     layout; zeros on a support arrow without one."""
+    source, target = rep.quiver.source, rep.quiver.target
     buf = np.zeros(total, dtype=np.int64)
     for a, given in maps.items():
         m = np.asarray(given)
         place = layout.get(a)
-        if m.shape != (place[1:] if place else rep.maps[a].shape):
+        if m.shape != (place[1:] if place
+                       else (rep.dim(target[a]), rep.dim(source[a]))):
             raise ValueError(f"bad shape for {a}: {m.shape}")
         if place:
             buf[place[0]: place[0] + m.size] = integer_array(
@@ -289,7 +315,8 @@ def direct_sum_of(quiver: Quiver, field, reps) -> Representation:
     spaces = {v: tuple(tag + l for tag, r in zip(tags, reps)
                        for l in r.spaces[v])
               for v in dict.fromkeys(v for r in reps for v in r.support)}
-    maps = {a: block_diagonal(field, [r.maps[a] for r in reps])
+    summand_maps = [r.maps for r in reps]
+    maps = {a: block_diagonal(field, [m[a] for m in summand_maps])
             for a in {a for r in reps for a in r.support_arrows}}
     return Representation(quiver, field, spaces, maps)
 
@@ -347,8 +374,10 @@ class StringModules:
     and ("Qband", x, m).  Words themselves compare by ``==``, which is the
     string's identity.  This class is the one owner of the conventions:
 
-    - ``atom`` is the only map from an atom to its module, and
-      ``theorem_inventory`` builds every entry through it;
+    - ``atom`` is the only map from an atom to its module, for the rows
+      and library callers; ``theorem_inventory`` builds each entry from
+      the words it enumerated, through the same layout code and without
+      re-checking them, and each entry equals ``atom`` of its key;
     - ``atom_dim`` reads the module's total dimension off the atom; both
       raise ``NotABand`` for an R or Qband atom naming a band or vertex
       the system lacks;
@@ -377,8 +406,9 @@ class StringModules:
     the shared table and lays the module out through
     ``Representation._pack``, the one way into ``Representation`` besides
     its dense constructor, which walks only the support and the arrows
-    touching it (see there) and checks that each entry joins its arrow's
-    ends.
+    out of it (see there) and checks that each entry joins its arrow's
+    ends.  The module keeps its entries in its buffer alone; its ``maps``
+    are views made from that buffer on access.
     """
 
     def __init__(self, calc: WordCalculus, field=None,
@@ -459,6 +489,9 @@ class StringModules:
     def construct_M(self, word) -> Representation:
         if not self.canon_M(word):
             return zero_representation(self.quiver, self.field)
+        return self._string_module(word)
+
+    def _string_module(self, word: StringWord) -> Representation:
         at, entries = {}, []
         self._skeleton(word, ("v",), at, entries)
         return self._assemble(at, entries)
@@ -527,7 +560,9 @@ class StringModules:
         atoms = self.canon_R(repr(band) if name is None else name, lam, m)
         if not atoms:
             return zero_representation(self.quiver, self.field)
-        _, name, lam, m = atoms[0]
+        return self._band_module(*atoms[0][1:])
+
+    def _band_module(self, name: str, lam: int, m: int) -> Representation:
         at, entries = {}, []
         self._band_skeleton(self._bands[name], m, lam, at, entries)
         return self._assemble(at, entries)
@@ -536,7 +571,9 @@ class StringModules:
         atoms = self.canon_Qb(x, m)
         if not atoms:
             return zero_representation(self.quiver, self.field)
-        _, x, m = atoms[0]
+        return self._qband_module(*atoms[0][1:])
+
+    def _qband_module(self, x: str, m: int) -> Representation:
         at, entries = {}, []
         alpha, vp_at, vp = self._reserve_vp(x, at)
         start = self._band_skeleton(self._bands[x], m, 1, at, entries)
@@ -616,11 +653,11 @@ class StringModules:
             raise NotAPair(f"{x} is not in Q0'")
         calc, wkey = self.calc, self.calc.word_key
         gamma = self.quiver.gamma_of(x)
-        if cp is EMPTY:
-            calc.terminus(c)  # NotAString unless c is a word
-            return self.canon_M(calc.word((gamma,) + c.letters))
-        if not (calc.in_s_x(c, x) and calc.in_s_x(cp, x)):
+        # in_s_x raises NotAString for a C that is no word, EMPTY included
+        if not (calc.in_s_x(c, x) and (cp is EMPTY or calc.in_s_x(cp, x))):
             raise NotAPair(f"pair outside S_x: ({c}, {cp}) at {x}")
+        if cp is EMPTY:
+            return self.canon_M(calc.word((gamma,) + c.letters))
         if c == cp:
             return (("N", x, wkey(c)), ("M", wkey(c)))
         bx = calc.band_of(x)
@@ -654,8 +691,13 @@ class StringModules:
     # -- the bounded inventory ---------------------------------------------------
 
     def theorem_inventory(self, bound: int):
-        """All classification entries of total dimension <= bound, each
-        built by ``atom`` from its key and sorted by the key's repr.
+        """All classification entries of total dimension <= bound, sorted by
+        the key's repr.
+
+        Each entry is built from the words and parameters enumerated here,
+        by the layout code ``construct_*`` use, with no ``canon_*`` re-check
+        and no ``from_key``: they are the family's terms by construction,
+        and each module equals ``atom`` of its entry's key.
 
         The band parameter runs over ``lams`` (the theorem's family carries
         every unit; 1 is included for every band so the tube mouths
@@ -669,24 +711,32 @@ class StringModules:
         """
         check_bound(bound)
         calc, q, wkey = self.calc, self.quiver, self.calc.word_key
-        keys = [("M", wkey(w)) for w in calc.all_strings(bound - 1)]
+        entries = [InventoryEntry("M", (wkey(w),), self._string_module(w))
+                   for w in calc.all_strings(bound - 1)]
         for x in q.q0_primed():
-            keys += [("N", x, wkey(w)) for w in calc.s_x(x, bound - 3)]
+            entries += [InventoryEntry("N", (x, wkey(w)),
+                                       self._glued(x, (w,), with_vpp=True))
+                        for w in calc.s_x(x, bound - 3)]
         for x in q.q0_doubleprimed():
             bx = calc.band_of(x)
-            keys += [("L", x, wkey(StringWord(bx.letters + w.letters)))
-                     for w in calc.s_x(x, bound - 2 - bx.length)]
+            for w in calc.s_x(x, bound - 2 - bx.length):
+                bxw = StringWord(bx.letters + w.letters)
+                entries.append(InventoryEntry("L", (x, wkey(bxw)), self._glued(
+                    x, (bxw,), with_vpp=False)))
         for x in q.q0_primed():
-            keys += [("NCC", x, wkey(c), wkey(cp))
-                     for c, cp in calc.pairs_p_x(x, bound - 4)]
+            entries += [InventoryEntry("NCC", (x, wkey(c), wkey(cp)),
+                                       self._glued(x, (c, cp), with_vpp=True))
+                        for c, cp in calc.pairs_p_x(x, bound - 4)]
         for name, band in self._bands.items():
-            keys += [("R", name, lam, m)
-                     for m in range(1, bound // band.length + 1)
-                     for lam in self.lams]
+            entries += [InventoryEntry("R", (name, lam, m),
+                                       self._band_module(name, lam, m))
+                        for m in range(1, bound // band.length + 1)
+                        for lam in self.lams]
         for x in q.q0_doubleprimed():
             top = (bound - 1) // self._bands[x].length
-            keys += [("Qband", x, m) for m in range(1, top + 1)]
-        entries = [InventoryEntry(k[0], k[1:], self.atom(k)) for k in keys]
+            entries += [InventoryEntry("Qband", (x, m),
+                                       self._qband_module(x, m))
+                        for m in range(1, top + 1)]
         entries.sort(key=lambda e: repr(e.key))
         group = tuple(e.rep for e in entries)
         for M in group:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from tworay.string_modules import (LambdaZero, NotABand, NotAPair,
 from tworay.strings import NotAString
 from tworay import homlab, string_modules
 
-from conftest import SYSTEMS, ctx
+from conftest import SYSTEMS, Ctx, ctx
 
 
 def test_simple_modules(ex14):
@@ -396,8 +397,10 @@ def test_check_relations_negative_control(tsys):
     sm = tsys.modules
     rep = sm.construct_Qband("x:1:2", 2)
     assert not check_relations(rep, tsys.relations)
-    rep.maps["gamma:1:2"] = (rep.maps["gamma:1:2"] + 1) % sm.field.p
-    assert check_relations(rep, tsys.relations)
+    maps = dict(rep.maps)
+    maps["gamma:1:2"] = (maps["gamma:1:2"] + 1) % sm.field.p
+    flipped = Representation(rep.quiver, rep.field, rep.spaces, maps)
+    assert check_relations(flipped, tsys.relations)
 
 
 def _all_vertex_violations(rep, relations):
@@ -451,17 +454,18 @@ def test_check_relations_matches_all_vertex_evaluation(name):
     for rep in reps:
         controls = [None] + list(rep.support_arrows)
         for a in controls:
+            tested = rep
             if a is not None:
-                kept = rep.maps[a]
-                rep.maps[a] = kept.copy()
-                rep.maps[a][0, 0] = (kept[0, 0] + 1) % p
-            want = _all_vertex_violations(rep, c.relations)
-            got = check_relations(rep, c.relations)
-            if a is not None:
-                rep.maps[a] = kept
+                maps = dict(rep.maps)
+                maps[a] = maps[a].copy()
+                maps[a][0, 0] = (maps[a][0, 0] + 1) % p
+                tested = Representation(rep.quiver, rep.field, rep.spaces,
+                                        maps)
+            want = _all_vertex_violations(tested, c.relations)
+            got = check_relations(tested, c.relations)
             assert _same_violations(got, want), (rep, a)
             for rel, _ in want:
-                support = set(rep.support_arrows)
+                support = set(tested.support_arrows)
                 kinds.add(any(not support.issuperset(path)
                               for _, path in rel.terms))
     if c.relations:
@@ -519,11 +523,34 @@ def _same_module(a, b):
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_inventory_entries_are_their_atoms(name):
-    # every entry is the module of its key, of the dimension read off the key
+    # the inventory builds each entry from the words it enumerated, with no
+    # canon_* re-check; built the other way, through atom from its key, the
+    # module is the same, label tuple, support arrow and buffer byte alike,
+    # of the dimension read off the key
     sm = ctx(name).modules
-    for e in sm.theorem_inventory(10):
-        assert _same_module(sm.atom(e.key), e.rep), e.key
-        assert sm.atom_dim(e.key) == e.rep.total_dim, e.key
+    for bound in (8, 12):
+        for e in sm.theorem_inventory(bound):
+            rep = sm.atom(e.key)
+            assert rep.spaces == e.rep.spaces, e.key
+            assert rep.support_arrows == e.rep.support_arrows, e.key
+            assert rep.buffer.tobytes() == e.rep.buffer.tobytes(), e.key
+            assert sm.atom_dim(e.key) == e.rep.total_dim, e.key
+
+
+def test_inventory_heap_guard():
+    # a module holds its buffer, its spaces dict and a few tuples, and no
+    # per-arrow view or dict: the ex14 inventory at 16 (1,763 entries, word
+    # caches and shared labels included) held 6.02 MiB with a maps dict and
+    # a view per support arrow, 2.98 MiB without
+    c = Ctx(SYSTEMS["ex14"])
+    tracemalloc.start()
+    try:
+        inv = c.modules.theorem_inventory(16)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(inv) == 1763
+    assert held < 4 * 2**20, held
 
 
 def test_degenerate_terms_are_sums_of_their_atoms(tsys):
@@ -548,6 +575,23 @@ def test_degenerate_terms_are_sums_of_their_atoms(tsys):
         sm.canon_L(x, mu)  # no B_x prefix
     with pytest.raises(ValueError):
         sm.atom(("X", x))
+
+
+def test_ncc_with_empty_needs_c_in_s_x(tsys):
+    # N(C, EMPTY) = M(gamma_x C) is a term of the family only for C in S_x;
+    # e(x:1:0) is not in S_x at x:1:2, though gamma_x e(x:1:0) is a string
+    sm, calc, x = tsys.modules, tsys.calc, "x:1:2"
+    outside = calc.trivial("x:1:0")
+    assert not calc.in_s_x(outside, x)
+    calc.word(("gamma:1:2",))  # NotAString were it no string
+    for call in (sm.canon_NCC, sm.construct_NCC):
+        with pytest.raises(NotAPair):
+            call(x, outside, EMPTY)
+        with pytest.raises(NotAString):
+            call(x, EMPTY, EMPTY)
+    mu = calc.mu(x)
+    assert sm.canon_NCC(x, mu, EMPTY) == sm.canon_M(
+        calc.word(("gamma:1:2",) + mu.letters))
 
 
 # sha256 of every inventory entry's key, spaces and arrow maps, in order
@@ -655,6 +699,8 @@ def test_support_arrow_maps_are_read_only(tsys):
     for a in rep.support_arrows:
         with pytest.raises(ValueError, match="read-only"):
             rep.maps[a][0, 0] = 1
+        with pytest.raises(TypeError):
+            rep.maps[a] = rep.maps[a].copy()
     given = {a: rep.maps[a].copy() for a in rep.support_arrows}
     copy = Representation(rep.quiver, rep.field, rep.spaces, given)
     for a in copy.support_arrows:
@@ -712,28 +758,39 @@ def test_representation_input_paths(tsys):
 
 def _check_layout(rep):
     """A module's layout against a walk over every vertex and arrow of its
-    quiver, derived from its spaces alone."""
-    q, spaces = rep.quiver, rep.spaces
-    assert list(spaces) == q.vertices and list(rep.maps) == q.arrows
+    quiver, derived from its spaces alone; and its ``maps`` made from its
+    buffer: every arrow in quiver order, a support arrow's map a read-only
+    dim M_t x dim M_s view of the next segment of the buffer, in
+    ``support_arrows`` order, any other arrow's the shared zero-size block,
+    and the dense constructor, given every map, packs the same buffer."""
+    q, spaces, maps = rep.quiver, rep.spaces, rep.maps
+    assert list(spaces) == q.vertices
     assert rep.dims == tuple(len(spaces[v]) for v in q.vertices)
     assert rep.support == tuple(v for v in q.vertices if spaces[v])
     assert rep.support_arrows == tuple(
         a for a in q.arrows if spaces[q.source[a]] and spaces[q.target[a]])
+    assert rep.buffer.dtype == np.int64
+    assert list(maps) == q.arrows and len(maps) == len(q.arrows)
+    offset = 0
     for a in q.arrows:
-        assert rep.maps[a].shape == (len(spaces[q.target[a]]),
-                                     len(spaces[q.source[a]])), a
-    again = Representation(q, rep.field, rep.spaces,
-                           {a: rep.maps[a] for a in rep.support_arrows})
-    assert again.buffer.dtype == rep.buffer.dtype == np.int64
+        m = maps[a]
+        shape = (len(spaces[q.target[a]]), len(spaces[q.source[a]]))
+        assert m.shape == shape and not m.flags.writeable, a
+        if a not in rep.support_arrows:
+            assert m is string_modules.zero_size_block(*shape), a
+            continue
+        assert np.shares_memory(m, rep.buffer), a
+        assert np.array_equal(m.ravel(), rep.buffer[offset: offset + m.size])
+        offset += m.size
+    assert offset == rep.buffer.size
+    again = Representation(q, rep.field, rep.spaces, dict(maps))
     assert again.buffer.tobytes() == rep.buffer.tobytes()
 
 
 def test_module_layout_matches_a_quiver_walk():
-    # a module walks only its support and the arrows touching it; its
-    # layout must be the one a walk over the whole quiver gives
-    for name in SYSTEMS:
-        for e in ctx(name).modules.theorem_inventory(8):
-            _check_layout(e.rep)
+    # a module walks only its support and the arrows out of it; its layout
+    # must be the one a walk over the whole quiver gives (the inventory
+    # entries are checked by test_arrow_maps_made_from_the_buffer)
     c = ctx("tsys")
     inv = [e.rep for e in c.modules.theorem_inventory(8)]
     A, B, f = next((A, B, fs[0]) for A in inv for B in inv
@@ -746,6 +803,21 @@ def test_module_layout_matches_a_quiver_walk():
     total = direct_sum_of(c.quiver, c.field, inv[:3])
     for rep in (cokernel, dtr, total):
         assert rep.support_arrows
+        _check_layout(rep)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_arrow_maps_made_from_the_buffer(name):
+    # the buffer is a module's one copy of its maps, on every way in: the
+    # families' layout, the dense constructor (P(v), direct sums) and the
+    # modules homlab computes (DTr)
+    c = ctx(name)
+    inv = [e.rep for e in c.modules.theorem_inventory(8)]
+    projectives = [c.algebra.projective_module(v) for v in c.quiver.vertices]
+    dtr = next(t for M in inv if not homlab.is_projective(M, c.algebra)
+               for t in [homlab.ar_translate(M, c.algebra)] if t.support)
+    total = direct_sum_of(c.quiver, c.field, inv[-3:])
+    for rep in inv + projectives + [dtr, total]:
         _check_layout(rep)
 
 
