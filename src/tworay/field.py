@@ -74,9 +74,6 @@ class PrimeField:
     def red(self, a: int) -> int:
         return int(a) % self.p
 
-    def neg(self, a: int) -> int:
-        return (-int(a)) % self.p
-
     def inv(self, a: int) -> int:
         a = int(a) % self.p
         if a == 0:

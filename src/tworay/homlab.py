@@ -371,7 +371,7 @@ def _batch_terms(systems):
     """
     M0 = systems[0][0]
     q, p = M0.quiver, M0.field.p
-    vid = {v: i for i, v in enumerate(q.vertices)}
+    vid = q.vindex
     src = np.array([vid[q.source[a]] for a in q.arrows], dtype=np.int64)
     tgt = np.array([vid[q.target[a]] for a in q.arrows], dtype=np.int64)
     slot, mods = {}, []
@@ -1008,51 +1008,35 @@ def find_iso(M: Representation, N: Representation):
     not LOCAL over the working field.  Modules over different fields or
     quivers raise ValueError before any answer, zero modules included.
     """
-    is_open, iso = _iso_settled(M, N)
-    return _iso_in(M, N, hom_basis(M, N)) if is_open else iso
-
-
-def _iso_settled(M: Representation, N: Representation):
-    """(False, ``find_iso(M, N)``) when the answer needs no Hom system: None
-    for different dimension vectors or recorded invariants, the zero map
-    between zero modules.  Otherwise (True, None).  ValueError for modules
-    over different fields or quivers."""
-    _check_pair(M, N)
-    if M.dims != N.dims:
-        return False, None
-    if M.is_zero():
-        return False, zero_map(M, N)
-    if M.end_dim is not None and N.end_dim is not None and (
-            M.end_dim != N.end_dim or _arrow_ranks(M) != _arrow_ranks(N)):
-        return False, None
-    return True, None
-
-
-def _iso_in(M: Representation, N: Representation, basis):
-    """``find_iso(M, N)`` from a basis of Hom(M, N): the first basis map
-    invertible at every vertex; after a miss, None when M or N is LOCAL,
-    else the Krull-Schmidt route."""
-    for f in basis:
-        if _full_rank(M.field, f, M):
-            return f
-    if (not basis or M.indec == IndecVerdict.LOCAL
-            or is_indecomposable(N) == IndecVerdict.LOCAL):
-        return None
-    return _krull_schmidt_iso(M, N)
+    return next(_find_isos([(M, N)]))
 
 
 def _find_isos(pairs):
     """Yield ``find_iso`` of each pair (M, N) of the list ``pairs``, in
-    order, the Hom(M, N) systems of the pairs that ``_iso_settled`` leaves
-    open solved in one ``hom_spaces`` stream.  A generator, as
-    ``hom_spaces`` is, so only one chunk's kernels are held at a time,
-    beyond the answers the caller keeps."""
-    settled = [_iso_settled(M, N) for M, N in pairs]
-    spaces = hom_spaces(pair for pair, (is_open, _) in zip(pairs, settled)
-                        if is_open)
-    for pair, (is_open, iso) in zip(pairs, settled):
-        if is_open:
-            iso = _iso_in(*pair, _basis_maps(*pair, *next(spaces)))
+    order.  A pair with different dimension vectors or recorded invariants
+    gives None, and a pair of zero modules the zero map, with no Hom system
+    solved.  The Hom(M, N) systems of the other pairs are solved in one
+    ``hom_spaces`` stream; each gives the first basis map invertible at
+    every vertex, or after a miss None when M or N is LOCAL, else the
+    Krull-Schmidt route.  A generator, as ``hom_spaces`` is, so only one
+    chunk's kernels are held at a time, beyond the answers the caller
+    keeps.  ValueError for modules over different fields or quivers."""
+    is_open = []
+    for M, N in pairs:
+        _check_pair(M, N)
+        is_open.append(M.dims == N.dims and not M.is_zero() and (
+            M.end_dim is None or N.end_dim is None
+            or M.end_dim == N.end_dim and _arrow_ranks(M) == _arrow_ranks(N)))
+    spaces = hom_spaces(pair for pair, todo in zip(pairs, is_open) if todo)
+    for (M, N), todo in zip(pairs, is_open):
+        if not todo:
+            yield zero_map(M, N) if M.is_zero() and N.is_zero() else None
+            continue
+        basis = _basis_maps(M, N, *next(spaces))
+        iso = next((f for f in basis if _full_rank(M.field, f, M)), None)
+        if (iso is None and basis and M.indec != IndecVerdict.LOCAL
+                and is_indecomposable(N) != IndecVerdict.LOCAL):
+            iso = _krull_schmidt_iso(M, N)
         yield iso
 
 

@@ -13,7 +13,6 @@ count of vectors so far, and each arrow entry names its two places at once.
 """
 
 import functools
-import weakref
 from collections.abc import Mapping
 
 import numpy as np
@@ -87,10 +86,10 @@ class Representation:
     its entries one such group).  That call drops the group from every
     member; until then the group keeps all of its members alive.
 
-    ``spaces`` is a plain dict over every vertex, in quiver order: a copy
-    of the zero module's, built once per quiver, on which only the support
-    vertices are set, so building a module walks its support, the arrows
-    out of it and its entries, not the whole quiver.
+    ``spaces`` is a plain dict over every vertex, in quiver order: laid
+    out from its quiver's vertex and arrow tables, with only the support
+    vertices set, so building a module walks its support, the arrows out
+    of it and its entries, not the whole quiver.
 
     A module enters in one of two ways.  The constructor takes dense
     matrices (arrays or nested lists), as cokernels, DTr, kernels, direct
@@ -123,18 +122,18 @@ class Representation:
         total)``: by then ``self.spaces`` is set, and layout maps each
         support arrow to (start, rows, cols)."""
         self.quiver, self.field = quiver, field
-        blank_spaces, vindex, out = _frame(quiver)
-        spaces = self.spaces = blank_spaces.copy()
+        vindex, aindex, target = quiver.vindex, quiver.aindex, quiver.target
+        spaces = self.spaces = dict.fromkeys(vindex, ())
         spaces.update(at)
         self.dims = tuple(map(len, spaces.values()))
         self.support = tuple(sorted(at, key=vindex.__getitem__))
         inside = []
         for v in self.support:
             cols = len(at[v])
-            for k, a, t in out[v]:
-                rows = len(spaces[t])
+            for a in quiver.out_arrows[v]:
+                rows = len(spaces[target[a]])
                 if rows:
-                    inside.append((k, a, rows, cols))
+                    inside.append((aindex[a], a, rows, cols))
         inside.sort()
         layout, total = {}, 0
         for _, a, rows, cols in inside:
@@ -213,31 +212,11 @@ def zero_representation(quiver: Quiver, field) -> Representation:
     return Representation(quiver, field, {}, {})
 
 
-# per quiver, built once: what every module over it is laid out from
-_FRAMES = weakref.WeakKeyDictionary()
-
-
-def _frame(quiver):
-    """The zero module's spaces over ``quiver`` (every vertex mapped to (),
-    in quiver order), which each module copies and sets its support on;
-    the index of each vertex; and the arrows out of each vertex, as (arrow
-    index, arrow, target)."""
-    frame = _FRAMES.get(quiver)
-    if frame is None:
-        out = {v: [] for v in quiver.vertices}
-        for k, a in enumerate(quiver.arrows):
-            out[quiver.source[a]].append((k, a, quiver.target[a]))
-        frame = _FRAMES[quiver] = (
-            dict.fromkeys(quiver.vertices, ()),
-            {v: k for k, v in enumerate(quiver.vertices)}, out)
-    return frame
-
-
 def _checked_spaces(quiver: Quiver, spaces, given) -> dict:
     """The label tuple of each vertex with a nonzero space; ValueError for
     an unknown vertex, an arrow of ``given`` the quiver lacks, or duplicate
     labels at a vertex."""
-    at, vindex = {}, _frame(quiver)[1]
+    at, vindex = {}, quiver.vindex
     for v, labels in spaces.items():
         if v not in vindex:
             raise ValueError(f"unknown vertex {v!r}")
@@ -346,6 +325,19 @@ def check_relations(rep: Representation, relations) -> list:
     return bad
 
 
+# the number of fields of an atom of each family, its tag included
+_ATOM_FIELDS = {"M": 2, "N": 3, "L": 3, "NCC": 4, "R": 4, "Qband": 3}
+
+
+def _atom_tag(key) -> str:
+    """The family tag of an atom; ValueError for a key that is no tuple,
+    names no family or has the wrong number of fields for its family."""
+    if not (isinstance(key, tuple) and key and isinstance(key[0], str)
+            and _ATOM_FIELDS.get(key[0]) == len(key)):
+        raise ValueError(f"not an atom: {key!r}")
+    return key[0]
+
+
 class InventoryEntry:
     """One classification entry: family tag, parameters, representation."""
 
@@ -379,8 +371,9 @@ class StringModules:
       the words it enumerated, through the same layout code and without
       re-checking them, and each entry equals ``atom`` of its key;
     - ``atom_dim`` reads the module's total dimension off the atom; both
-      raise ``NotABand`` for an R or Qband atom naming a band or vertex
-      the system lacks;
+      raise ValueError for a key with the wrong number of fields for its
+      family, and read an R or Qband atom through ``canon_R`` or
+      ``canon_Qb``, so ``NotABand`` for a band or vertex the system lacks;
     - the ``canon_*`` methods turn a family term of the paper into the
       atoms of its direct sum, with the degenerate identifications
       N(C, EMPTY) = M(gamma C), N(C, C) = N_C + M_C and
@@ -584,7 +577,7 @@ class StringModules:
 
     def atom(self, key) -> Representation:
         """The module of an atom: the one map from a key to a module."""
-        tag, word = key[0], self.calc.from_key
+        tag, word = _atom_tag(key), self.calc.from_key
         if tag == "M":
             return self.construct_M(word(key[1]))
         if tag == "N":
@@ -594,15 +587,19 @@ class StringModules:
         if tag == "NCC":
             return self.construct_NCC(key[1], word(key[2]), word(key[3]))
         if tag == "R":
-            return self.construct_R(self._bands.get(key[1], key[1]), key[2],
-                                    key[3])
-        if tag == "Qband":
-            return self.construct_Qband(key[1], key[2])
-        raise ValueError(key)
+            name = key[1]
+            return self.construct_R(
+                self._bands.get(name, name) if isinstance(name, str) else name,
+                key[2], key[3])
+        return self.construct_Qband(key[1], key[2])
 
     def atom_dim(self, atom) -> int:
-        """The total dimension of the module of an atom, read off the key."""
-        tag = atom[0]
+        """The total dimension of the module of an atom, read off the key.
+        A key of the wrong shape raises ValueError and a band term is read
+        through ``canon_R`` or ``canon_Qb``, so both raise as ``atom`` does;
+        the letters of a word key are not checked, which is ``atom``'s job.
+        """
+        tag = _atom_tag(atom)
         if tag == "M":
             return len(atom[1][0]) + 1
         if tag == "N":
@@ -611,12 +608,11 @@ class StringModules:
             return len(atom[2][0]) + 2
         if tag == "NCC":
             return len(atom[2][0]) + len(atom[3][0]) + 4
-        if tag == "R" or tag == "Qband":
-            name = atom[1]
-            if name not in self._bands or tag == "Qband" and name == "B0":
-                raise NotABand(f"{tag} names no band of the system: {name!r}")
-            return atom[-1] * self._bands[name].length + (tag == "Qband")
-        raise ValueError(atom)
+        if tag == "R":
+            return sum(m * self._bands[name].length
+                       for _, name, _, m in self.canon_R(*atom[1:]))
+        return sum(m * self._bands[x].length + 1
+                   for _, x, m in self.canon_Qb(*atom[1:]))
 
     def _sum_of_atoms(self, atoms) -> Representation:
         return direct_sum_of(self.quiver, self.field,
@@ -675,7 +671,8 @@ class StringModules:
 
     def canon_R(self, band_name, lam, m):
         lam, m = check_integer(lam, "lam"), check_integer(m, "m")
-        if band_name not in self._bands or m < 0:
+        if not isinstance(band_name, str) or band_name not in self._bands \
+                or m < 0:
             raise NotABand(f"R-term outside its family: {band_name}, m = {m}")
         lam = self.field.red(lam)
         if lam == 0:

@@ -34,6 +34,7 @@ Q1'' < end < Q1' at every position.
 
 from dataclasses import dataclass
 
+from .defining_system import check_integer
 from .quiver import ConsistencyError, Quiver
 
 
@@ -402,7 +403,11 @@ class WordCalculus:
     # -- families ---------------------------------------------------------------
 
     def all_strings(self, bound: int):
-        """Every string of length <= bound, breadth-first by length."""
+        """Every string of length <= bound, breadth-first by length: [] for
+        a negative bound, ValueError for one that is not an integer.  The
+        other families read their bound through here or
+        ``strings_terminating_at``, which checks it alike."""
+        bound = check_integer(bound, "bound")
         if bound < 0:
             return []
         cached_bound, cached = getattr(self, "_string_cache", (-1, None))
@@ -433,6 +438,7 @@ class WordCalculus:
         The strings are grouped by terminus once per indexed bound, and a
         group is sorted when it is first asked for; a smaller bound filters
         the sorted group by length."""
+        bound = check_integer(bound, "bound")
         indexed_bound, groups, ordered = getattr(
             self, "_by_terminus", (-1, {}, {}))
         if indexed_bound < bound:
@@ -512,10 +518,3 @@ class WordCalculus:
         if w.is_trivial:
             return {"vertex": w.vertex}
         return list(reversed(w.letters))
-
-    def from_json_obj(self, obj):
-        if obj is None:
-            return EMPTY
-        if isinstance(obj, dict):
-            return self.trivial(obj["vertex"])
-        return self.word(reversed(obj))

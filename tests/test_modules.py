@@ -139,9 +139,9 @@ def test_r_band_modules(fund21):
     sm = fund21.modules
     b0 = sm.calc.band_b0()
     assert sm.construct_R(b0, 5, 0).is_zero()
-    # atom_dim would read m * |B| < 0 for a module built as zero
-    with pytest.raises(NotABand):
-        sm.atom(("R", "B0", 5, -2))
+    for read in (sm.atom, sm.atom_dim):
+        with pytest.raises(NotABand):
+            read(("R", "B0", 5, -2))
     with pytest.raises(LambdaZero):
         sm.construct_R(b0, 0, 1)
     with pytest.raises(NotABand):  # no word, and no dict key either
@@ -378,6 +378,34 @@ def test_atom_names_a_band_of_the_system(tsys):
         ("R", "x:1:2", 5, 2)).total_dim
     assert sm.atom_dim(("Qband", "x:1:2", 2)) == sm.atom(
         ("Qband", "x:1:2", 2)).total_dim
+
+
+@pytest.mark.parametrize("key", [
+    ("Qband", "x:1:2", 0),   # m = 0: the zero module, of dimension 0
+    ("R", "B0", 2, -1),
+    ("Qband", "x:1:2", -2),
+    ("R", "B0", 2, 1.5),
+    ("R", "B0", 0, 1),
+    (),
+    ("M",),
+    ("N", "x:1:2"),
+    None,
+    ("R", ["B0"], 2, 1),     # atom_dim hands it to canon_R as it is
+], ids=repr)
+def test_atom_dim_reads_a_key_as_atom_does(tsys, key):
+    """atom_dim raises, for a key of the wrong shape or a band term outside
+    its family, a ValueError of the type atom raises; otherwise it is the
+    dimension of atom's module.  Each used to give a number for a key that
+    atom rejects or zeroes, or leak IndexError or TypeError."""
+    sm = tsys.modules
+    try:
+        want = sm.atom(key).total_dim
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            sm.atom_dim(key)
+        assert got.type is type(e)
+    else:
+        assert sm.atom_dim(key) == want == 0
 
 
 def test_qband_example_support(ex14):
