@@ -86,10 +86,12 @@ class Representation:
     its entries one such group).  That call drops the group from every
     member; until then the group keeps all of its members alive.
 
-    ``spaces`` is a plain dict over every vertex, in quiver order: laid
-    out from its quiver's vertex and arrow tables, with only the support
-    vertices set, so building a module walks its support, the arrows out
-    of it and its entries, not the whole quiver.
+    ``labels`` maps each support vertex, and no other, to its tuple of
+    basis labels; the module keeps no other per-vertex table besides
+    ``dims``, so building it walks its support, the arrows out of it and
+    its entries, not the whole quiver.  ``spaces`` is the dict over every
+    vertex, in quiver order, () off the support, built from ``labels`` on
+    each read, so writing into it changes nothing of the module.
 
     A module enters in one of two ways.  The constructor takes dense
     matrices (arrays or nested lists), as cokernels, DTr, kernels, direct
@@ -101,14 +103,13 @@ class Representation:
     labels it places and their entries, each of which must join its
     arrow's ends (``_placed_buffer``).
 
-    ``spaces`` maps every vertex to its tuple of basis labels.  Labels and
-    these per-vertex tuples are immutable and may be shared: every module
-    that ``StringModules`` builds takes them from its shared tables, so two
-    of its modules with equal labels, or equal label tuples at a vertex,
-    hold one object each.
+    Labels and the per-vertex label tuples are immutable and may be
+    shared: every module that ``StringModules`` builds takes them from its
+    shared tables, so two of its modules with equal labels, or equal label
+    tuples at a vertex, hold one object each.
     """
 
-    __slots__ = ("quiver", "field", "spaces", "dims", "support",
+    __slots__ = ("quiver", "field", "labels", "dims", "support",
                  "support_arrows", "starts", "buffer", "indec", "end_dim",
                  "arrow_ranks", "pending")
 
@@ -118,20 +119,19 @@ class Representation:
 
     def _pack(self, quiver, field, at, given, buffer):
         """Lay the module out from ``at``, the label tuple of each support
-        vertex, and take its buffer from ``buffer(self, given, layout,
-        total)``: by then ``self.spaces`` is set, and layout maps each
-        support arrow to (start, rows, cols)."""
-        self.quiver, self.field = quiver, field
+        vertex, kept as ``labels``, and take its buffer from ``buffer(self,
+        given, layout, total)``: by then ``self.labels`` and ``self.dims``
+        are set, and layout maps each support arrow to (start, rows,
+        cols)."""
+        self.quiver, self.field, self.labels = quiver, field, at
         vindex, aindex, target = quiver.vindex, quiver.aindex, quiver.target
-        spaces = self.spaces = dict.fromkeys(vindex, ())
-        spaces.update(at)
-        self.dims = tuple(map(len, spaces.values()))
+        self.dims = tuple(len(at[v]) if v in at else 0 for v in vindex)
         self.support = tuple(sorted(at, key=vindex.__getitem__))
         inside = []
         for v in self.support:
             cols = len(at[v])
             for a in quiver.out_arrows[v]:
-                rows = len(spaces[target[a]])
+                rows = len(at.get(target[a], ()))
                 if rows:
                     inside.append((aindex[a], a, rows, cols))
         inside.sort()
@@ -150,8 +150,13 @@ class Representation:
     def maps(self) -> "_ArrowMaps":
         return _ArrowMaps(self)
 
+    @property
+    def spaces(self) -> dict:
+        labels = self.labels
+        return {v: labels.get(v, ()) for v in self.quiver.vertices}
+
     def dim(self, v: str) -> int:
-        return len(self.spaces[v])
+        return self.dims[self.quiver.vindex[v]]
 
     def dim_vector(self) -> dict:
         return dict(zip(self.quiver.vertices, self.dims))
@@ -173,7 +178,7 @@ class Representation:
         return {
             "field": self.field.p,
             "spaces": {v: ["|".join(map(str, l)) for l in ls]
-                       for v, ls in sorted(self.spaces.items()) if ls},
+                       for v, ls in sorted(self.labels.items())},
             "maps": {a: m.tolist() for a, m in sorted(self.maps.items())
                      if m.size},
         }
@@ -194,8 +199,9 @@ class _ArrowMaps(Mapping):
 
     def __getitem__(self, a) -> np.ndarray:
         rep = self._rep
-        q, spaces = rep.quiver, rep.spaces
-        rows, cols = len(spaces[q.target[a]]), len(spaces[q.source[a]])
+        q, labels = rep.quiver, rep.labels
+        rows = len(labels.get(q.target[a], ()))
+        cols = len(labels.get(q.source[a], ()))
         if not (rows and cols):  # off the support
             return zero_size_block(rows, cols)
         start = rep.starts[rep.support_arrows.index(a)]
@@ -257,7 +263,7 @@ def _placed_buffer(rep, entries, layout, total) -> np.ndarray:
     for a, t, r, s, c, x in entries:
         if target[a] != t or source[a] != s:
             raise ConsistencyError(f"arrow {a} does not join labels "
-                                   f"{rep.spaces[s][c]} and {rep.spaces[t][r]}")
+                                   f"{rep.labels[s][c]} and {rep.labels[t][r]}")
         start, _, cols = layout[a]
         flat[start + r * cols + c] += x
     return np.array(flat, dtype=np.int64)
@@ -292,7 +298,7 @@ def direct_sum_of(quiver: Quiver, field, reps) -> Representation:
     tags = [("L",) * (n - 1)] + [("L",) * (n - 1 - i) + ("R",)
                                  for i in range(1, n)]
     spaces = {v: tuple(tag + l for tag, r in zip(tags, reps)
-                       for l in r.spaces[v])
+                       for l in r.labels.get(v, ()))
               for v in dict.fromkeys(v for r in reps for v in r.support)}
     summand_maps = [r.maps for r in reps]
     maps = {a: block_diagonal(field, [m[a] for m in summand_maps])
@@ -383,10 +389,11 @@ class StringModules:
       string ``NotAString``.  Each term is checked once, here:
       ``construct_M``, ``construct_N``, ``construct_L``,
       ``construct_NCC``, ``construct_R`` (which looks its word up among
-      the bands) and ``construct_Qband`` call their ``canon_*`` first and
-      build from the atoms it returns, a degenerate N or NCC term as the
-      direct sum of its atoms and a band term with m = 0 as the zero
-      module;
+      the bands) and ``construct_Qband`` end, as ``atom`` does, in
+      ``_module`` of the atoms their ``canon_*`` returns: the direct sum of
+      ``_build`` of each atom, ``_build`` being the one dispatch from an
+      atom's tag to its layout, so a degenerate N or NCC term is the
+      direct sum of its atoms and a band term with m = 0 the zero module;
     - ``lams``, the band parameters of the inventory and the rows, is
       ``lam_sample`` mod p then 1, zeros and repeats dropped, in order.
 
@@ -480,9 +487,7 @@ class StringModules:
     # -- the six families ------------------------------------------------------
 
     def construct_M(self, word) -> Representation:
-        if not self.canon_M(word):
-            return zero_representation(self.quiver, self.field)
-        return self._string_module(word)
+        return self._module(self.canon_M(word))
 
     def _string_module(self, word: StringWord) -> Representation:
         at, entries = {}, []
@@ -490,20 +495,13 @@ class StringModules:
         return self._assemble(at, entries)
 
     def construct_N(self, x: str, word) -> Representation:
-        atoms = self.canon_N(x, word)
-        if atoms[0][0] != "N":
-            return self._sum_of_atoms(atoms)
-        return self._glued(x, (word,), with_vpp=True)
+        return self._module(self.canon_N(x, word))
 
     def construct_L(self, x: str, word: StringWord) -> Representation:
-        self.canon_L(x, word)
-        return self._glued(x, (word,), with_vpp=False)
+        return self._module(self.canon_L(x, word))
 
     def construct_NCC(self, x: str, c, cp) -> Representation:
-        atoms = self.canon_NCC(x, c, cp)
-        if atoms[0][0] != "NCC":
-            return self._sum_of_atoms(atoms)
-        return self._glued(x, (c, cp), with_vpp=True)
+        return self._module(self.canon_NCC(x, c, cp))
 
     def _glued(self, x: str, words, with_vpp: bool) -> Representation:
         """N, L and N(C, C'): the skeletons of ``words`` tagged v and vq, v'
@@ -550,10 +548,8 @@ class StringModules:
         # goes to canon_R as its repr, which names no band either
         name = (self._band_names.get(band) if isinstance(band, StringWord)
                 else None)
-        atoms = self.canon_R(repr(band) if name is None else name, lam, m)
-        if not atoms:
-            return zero_representation(self.quiver, self.field)
-        return self._band_module(*atoms[0][1:])
+        return self._module(
+            self.canon_R(repr(band) if name is None else name, lam, m))
 
     def _band_module(self, name: str, lam: int, m: int) -> Representation:
         at, entries = {}, []
@@ -561,10 +557,7 @@ class StringModules:
         return self._assemble(at, entries)
 
     def construct_Qband(self, x: str, m: int) -> Representation:
-        atoms = self.canon_Qb(x, m)
-        if not atoms:
-            return zero_representation(self.quiver, self.field)
-        return self._qband_module(*atoms[0][1:])
+        return self._module(self.canon_Qb(x, m))
 
     def _qband_module(self, x: str, m: int) -> Representation:
         at, entries = {}, []
@@ -574,6 +567,24 @@ class StringModules:
         return self._assemble(at, entries)
 
     # -- atoms and the family conventions -----------------------------------
+
+    def _module(self, atoms) -> Representation:
+        """The direct sum of the modules of canonical atoms, as ``canon_*``
+        return them: the zero module for none."""
+        return direct_sum_of(self.quiver, self.field,
+                             [self._build(a) for a in atoms])
+
+    def _build(self, atom) -> Representation:
+        """The module of one canonical atom, laid out with no check."""
+        tag, word = atom[0], self.calc.from_key
+        if tag == "M":
+            return self._string_module(word(atom[1]))
+        if tag == "R":
+            return self._band_module(*atom[1:])
+        if tag == "Qband":
+            return self._qband_module(*atom[1:])
+        return self._glued(atom[1], tuple(map(word, atom[2:])),
+                           with_vpp=tag != "L")
 
     def atom(self, key) -> Representation:
         """The module of an atom: the one map from a key to a module."""
@@ -587,10 +598,7 @@ class StringModules:
         if tag == "NCC":
             return self.construct_NCC(key[1], word(key[2]), word(key[3]))
         if tag == "R":
-            name = key[1]
-            return self.construct_R(
-                self._bands.get(name, name) if isinstance(name, str) else name,
-                key[2], key[3])
+            return self._module(self.canon_R(*key[1:]))
         return self.construct_Qband(key[1], key[2])
 
     def atom_dim(self, atom) -> int:
@@ -613,10 +621,6 @@ class StringModules:
                        for _, name, _, m in self.canon_R(*atom[1:]))
         return sum(m * self._bands[x].length + 1
                    for _, x, m in self.canon_Qb(*atom[1:]))
-
-    def _sum_of_atoms(self, atoms) -> Representation:
-        return direct_sum_of(self.quiver, self.field,
-                             [self.atom(a) for a in atoms])
 
     def canon_M(self, w):
         if w is EMPTY:

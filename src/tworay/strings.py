@@ -502,13 +502,6 @@ class WordCalculus:
                             for c in self.s_x(x, bound))
         return [w for w in self.all_strings(bound) if w not in excluded]
 
-    def families(self, bound: int):
-        """(S, S_x per x, P_x per x, bands, S') truncated at the length bound."""
-        s_all = self.all_strings(bound)
-        s_x = {x: self.s_x(x, bound) for x in self.quiver.q0_primed()}
-        p_x = {x: self.pairs_p_x(x, bound) for x in self.quiver.q0_primed()}
-        return s_all, s_x, p_x, self.bands(), self.s_prime(bound)
-
     # -- serialization ------------------------------------------------------------
 
     def to_json_obj(self, w):

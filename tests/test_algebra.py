@@ -17,6 +17,7 @@ def test_fundamental_21_dimension():
     assert ctx("fund21").algebra.dimension == 7
 
 
+@pytest.mark.hashseed
 def test_projectives_reject_unknown_vertex(tsys):
     # projective_module("nope") used to return the zero module and cache it
     a = tsys.algebra
@@ -52,6 +53,7 @@ def test_binomial_identification():
     assert nf1 == nf2 and nf1
 
 
+@pytest.mark.hashseed
 def test_projective_dimensions_fundamental():
     c = ctx("fund21")
     a = c.algebra
@@ -62,6 +64,7 @@ def test_projective_dimensions_fundamental():
     assert dims["x:1:2"] == {"x:1:0": 2, "x:1:1": 1, "x:1:2": 1}
 
 
+@pytest.mark.hashseed
 def test_projectives_satisfy_relations():
     from tworay import check_relations
 
@@ -72,6 +75,7 @@ def test_projectives_satisfy_relations():
             assert not check_relations(P, c.relations)
 
 
+@pytest.mark.hashseed
 def test_simple_sink_projective():
     c = ctx("fund21")
     P = c.algebra.projective_module("x:1:0")
@@ -112,6 +116,7 @@ def test_cartan_unitriangular_determinant():
         assert round(abs(np.linalg.det(C.astype(float)))) == 1
 
 
+@pytest.mark.hashseed
 def test_projective_top_is_simple():
     from tworay.homlab import top_generators
 
@@ -146,6 +151,7 @@ PROJECTIVE_DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.hashseed
 def test_projectives_pinned(name):
     # P(v), e_vA and the multiplication table byte for byte, in vertex and
     # arrow order; the table's normal forms keep their term order

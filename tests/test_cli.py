@@ -281,6 +281,7 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@pytest.mark.hashseed
 def test_verify_worked_example(sysfile):
     # the flagship run: a full verification of the worked example
     code, out = run(["verify", sysfile("ex14"), "--max-dim", "8"])
@@ -293,6 +294,7 @@ def test_verify_worked_example(sysfile):
     assert all(r["ok"] for r in data["lemma_checks"])
 
 
+@pytest.mark.hashseed
 def test_verify_tsys_report_pinned(sysfile):
     code, out = run(["verify", sysfile("tsys"), "--max-dim", "8"])
     assert code == 0
@@ -300,6 +302,7 @@ def test_verify_tsys_report_pinned(sysfile):
         "9eed66b9a2427d36fa7da4decfabfbea54bd31f756c86702df8af181641df1d2")
 
 
+@pytest.mark.hashseed
 def test_verify_tsys_deep_report_pinned(sysfile):
     # the tsys-deep benchmark run: its 632 End systems are solved in the
     # array passes of hom_spaces
@@ -309,6 +312,7 @@ def test_verify_tsys_deep_report_pinned(sysfile):
         "6f97e72da28c8fa08b34d98eefebdcdd4d85ad1b4a09041282ab8abc6adee95f")
 
 
+@pytest.mark.hashseed
 def test_verify_ex14_bound_12_report_pinned(sysfile):
     # ex14 at bound 12: 1,986 Hom systems (844 End, 1,142 lemma) in 6 array
     # passes, 62 of whose long rows fall to one or two roots after the ties
@@ -318,6 +322,7 @@ def test_verify_ex14_bound_12_report_pinned(sysfile):
         "4a36704e7979190b569478ef1bed5cd517f342fd49a7b72a0e11e5dc4a744d0b")
 
 
+@pytest.mark.hashseed
 def test_verify_fund32_report_pinned(sysfile):
     # R and X at x-vertices: the single-L model of the R lemma
     code, out = run(["verify", sysfile("fund32"), "--max-dim", "8"])
@@ -326,6 +331,7 @@ def test_verify_fund32_report_pinned(sysfile):
         "d701ae7769313f4b1db94758f91b1289fa6193d917b3a6d6bfa5d9cab51b27fa")
 
 
+@pytest.mark.hashseed
 def test_verify_from_inventory_replay_pinned(sysfile, tmp_path):
     # a stored classification of the worked example replays through verify
     f = sysfile("ex14")
@@ -340,6 +346,7 @@ def test_verify_from_inventory_replay_pinned(sysfile, tmp_path):
         "7b8446be0c21a81c3e497c844bec5d8a93624e6d2e43da95c494047bbe263e0b")
 
 
+@pytest.mark.hashseed
 def test_ar_worked_example_pinned(sysfile):
     code, out = run(["ar", sysfile("ex14"), "--max-dim", "12"])
     assert code == 0
@@ -347,6 +354,7 @@ def test_ar_worked_example_pinned(sysfile):
         "42c9aab901fbaab5573e7866bae56fc1c15ad380895ebd140a78d7c12f9777a2")
 
 
+@pytest.mark.hashseed
 def test_ar_tsys_deep_pinned(sysfile):
     # the rows of the tsys-deep benchmark workload, at its own bound
     code, out = run(["ar", sysfile("tsys"), "--max-dim", "20"])
@@ -355,6 +363,7 @@ def test_ar_tsys_deep_pinned(sysfile):
         "6adc2399edfbbcb5c2a5bc3e96f7a688c613749a3260f460a15c1cd07fd3e7c4")
 
 
+@pytest.mark.hashseed
 def test_verify_small_prime_pinned(sysfile, monkeypatch):
     # over GF(3), with both units as band parameters, every scalar part
     # comes from the Frobenius power, and a green run factors no charpoly
@@ -376,6 +385,7 @@ def test_verify_small_prime_pinned(sysfile, monkeypatch):
     (3, "a729a1ee74dbef99c965c1bb99f2e7f1a0aa0f94129067300daad8dab2161f6a"),
     (5, "9f330466ec3efea2a3ec0464fdc1e0289316d6edfba7cb395fac0da7fd91f249"),
 ])
+@pytest.mark.hashseed
 def test_verify_default_lambda_small_field_pinned(sysfile, field, digest):
     code, out = run(["verify", sysfile("tsys"), "--max-dim", "8",
                      "--field", str(field)])
@@ -391,6 +401,7 @@ def test_verify_default_lambda_small_field_pinned(sysfile, field, digest):
     ("ex14", 12, 3,
      "6f13ca777641f9b4a8a9582e006608e8c59b79a676ea4ee450bbf2f5d5cec0c7"),
 ])
+@pytest.mark.hashseed
 def test_verify_small_field_at_benchmark_bounds_pinned(sysfile, name, bound,
                                                        field, digest):
     code, out = run(["verify", sysfile(name), "--max-dim", str(bound),
@@ -405,6 +416,7 @@ def test_verify_small_field_at_benchmark_bounds_pinned(sysfile, name, bound,
     ("ex14", "f21da4ca164b730c4a435211337fcb8b8701268e4c7c821b487f670cdcdb39d3"),
     ("tsys", "2bc0b3ab0058b3d59d56dd0f380487df4d8ef531229fe4e3b74ec95047c8b25e"),
 ])
+@pytest.mark.hashseed
 def test_strings_pinned(sysfile, name, digest):
     code, out = run(["strings", sysfile(name), "--max-len", "10"])
     assert code == 0
@@ -420,6 +432,7 @@ def test_strings_pinned(sysfile, name, digest):
     (["classify", "tsys", "--max-dim", "8", "--field", "3", "--lambda", "1,2"],
      "e10ef6a6c6e8c9d3552a9ac6c0eb331d3dfa1f50e108a23a2a11c8beb9643471"),
 ])
+@pytest.mark.hashseed
 def test_reduce_and_classify_pinned(sysfile, argv, digest):
     code, out = run([argv[0], sysfile(argv[1])] + argv[2:])
     assert code == 0

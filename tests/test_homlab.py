@@ -330,6 +330,7 @@ def test_verify_reports_mutated_row(fund21):
     assert bad["problems"]
 
 
+@pytest.mark.hashseed
 def test_verify_lists_failures_in_stage_order(fund21, monkeypatch):
     # one planted failure per stage; the failures come out stage by stage:
     # row anomalies, checked rows, coverage, relations, LOCAL certificates,
@@ -405,6 +406,7 @@ def test_second_verify_certifies_its_own_inventory(tsys, bounds):
         assert report == fresh[bound]
 
 
+@pytest.mark.hashseed
 def test_verify_reports_terms_outside_the_inventory(tsys, monkeypatch):
     # verify looks every row term up in its inventory: an entry dropped from
     # theorem_inventory is a problem of each checked row it is a term of
@@ -426,6 +428,7 @@ def test_verify_reports_terms_outside_the_inventory(tsys, monkeypatch):
                and set(r["status"].values()) == {None} for r in hit)
 
 
+@pytest.mark.hashseed
 def test_verify_names_each_absent_term_once(tsys, monkeypatch):
     # a term outside the inventory that occurs twice in one row (here both
     # ends of the tube row (1, 'B0', 1, 1)) is one problem of that row
@@ -446,6 +449,7 @@ def test_verify_names_each_absent_term_once(tsys, monkeypatch):
 
 @pytest.mark.parametrize("same_atom", [False, True],
                          ids=["distinct ends", "one atom at both ends"])
+@pytest.mark.hashseed
 def test_verify_names_each_non_local_end_once(tsys, monkeypatch, same_atom):
     # a DECOMPOSABLE verdict planted on the right end of a row (one whose
     # right end ends no other row, or a tube row whose two ends are one
@@ -516,6 +520,7 @@ def _planted_rows(ver, bound):
     return out + planted
 
 
+@pytest.mark.hashseed
 def test_verify_planted_rows_stop_at_their_stage(tsys):
     """Green rows mixed with rows planted to stop at each stage: every
     planted row reports the problems of its stage and of no later one, and

@@ -226,6 +226,7 @@ def test_library_rejects_non_integer_inputs(fund21):
                           sm.construct_R(b0, 5, 2).buffer)
 
 
+@pytest.mark.hashseed
 def test_inventory_shares_labels_and_verdicts():
     # every string and band module takes its labels and its per-vertex
     # label tuples from the shared tables of its StringModules, and every
@@ -391,6 +392,8 @@ def test_atom_names_a_band_of_the_system(tsys):
     ("N", "x:1:2"),
     None,
     ("R", ["B0"], 2, 1),     # atom_dim hands it to canon_R as it is
+    # B0 given as its word, not its name: atom built R(B0, 2, 1) from it
+    ("R", StringWord(("alpha:1:1", "alpha:1:2", "beta:1:1")), 2, 1),
 ], ids=repr)
 def test_atom_dim_reads_a_key_as_atom_does(tsys, key):
     """atom_dim raises, for a key of the wrong shape or a band term outside
@@ -550,6 +553,7 @@ def _same_module(a, b):
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.hashseed
 def test_inventory_entries_are_their_atoms(name):
     # the inventory builds each entry from the words it enumerated, with no
     # canon_* re-check; built the other way, through atom from its key, the
@@ -566,10 +570,10 @@ def test_inventory_entries_are_their_atoms(name):
 
 
 def test_inventory_heap_guard():
-    # a module holds its buffer, its spaces dict and a few tuples, and no
-    # per-arrow view or dict: the ex14 inventory at 16 (1,763 entries, word
-    # caches and shared labels included) held 6.02 MiB with a maps dict and
-    # a view per support arrow, 2.98 MiB without
+    # a module holds its buffer, its labels dict over its support and a
+    # few tuples, and no per-arrow view or dict: the ex14 inventory at 16
+    # (1,763 entries, word caches and shared labels included) held 6.02 MiB
+    # with a maps dict and a view per support arrow, 2.98 MiB without
     c = Ctx(SYSTEMS["ex14"])
     tracemalloc.start()
     try:
@@ -634,6 +638,7 @@ INVENTORY_DIGESTS = {
 
 
 @pytest.mark.parametrize("name, bound", sorted(INVENTORY_DIGESTS))
+@pytest.mark.hashseed
 def test_inventory_matrices_pinned(name, bound):
     # the stdout pins see only the modules inside checked rows'
     # certificates; this pins every matrix of the inventory byte for byte
@@ -736,6 +741,7 @@ def test_support_arrow_maps_are_read_only(tsys):
         given[a][0, 0] += 1
 
 
+@pytest.mark.hashseed
 def test_representation_input_paths(tsys):
     """Nested lists, int64 arrays and unreduced input of either kind give
     one module: equal read-only maps that share no memory with the caller's,
@@ -790,9 +796,20 @@ def _check_layout(rep):
     buffer: every arrow in quiver order, a support arrow's map a read-only
     dim M_t x dim M_s view of the next segment of the buffer, in
     ``support_arrows`` order, any other arrow's the shared zero-size block,
-    and the dense constructor, given every map, packs the same buffer."""
+    and the dense constructor, given every map, packs the same buffer.
+    ``spaces`` is a new dict on each read, built from ``labels``, which
+    holds the support alone."""
     q, spaces, maps = rep.quiver, rep.spaces, rep.maps
     assert list(spaces) == q.vertices
+    again = rep.spaces
+    assert again is not spaces and again == spaces
+    v = q.vertices[0]
+    again[v] += (("written",),)
+    assert rep.spaces == spaces and rep.dim(v) == len(spaces[v])
+    assert rep.labels == {v: spaces[v] for v in rep.support}
+    assert all(spaces[v] == () for v in q.vertices if v not in rep.support)
+    with pytest.raises(KeyError):
+        rep.dim("nope")
     assert rep.dims == tuple(len(spaces[v]) for v in q.vertices)
     assert rep.support == tuple(v for v in q.vertices if spaces[v])
     assert rep.support_arrows == tuple(
@@ -835,6 +852,7 @@ def test_module_layout_matches_a_quiver_walk():
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.hashseed
 def test_arrow_maps_made_from_the_buffer(name):
     # the buffer is a module's one copy of its maps, on every way in: the
     # families' layout, the dense constructor (P(v), direct sums) and the
@@ -847,6 +865,39 @@ def test_arrow_maps_made_from_the_buffer(name):
     total = direct_sum_of(c.quiver, c.field, inv[-3:])
     for rep in inv + projectives + [dtr, total]:
         _check_layout(rep)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_every_degenerate_term_is_built_from_its_atoms(name):
+    # every construct_* ends in the direct sum of its canon_* atoms, so a
+    # degenerate N or NCC term is the sum of the atoms' modules, label
+    # tuple, support arrow and buffer byte alike, and m = 0 the zero module
+    c = ctx(name)
+    sm, calc, q, bound = c.modules, c.calc, c.quiver, 8
+    terms = [(sm.construct_N, (x, EMPTY), sm.canon_N(x, EMPTY))
+             for x in q.q0_primed()]
+    for x in q.q0_primed():
+        bx = calc.band_of(x)
+        pairs = [(w, w) for w in calc.s_x(x, bound)]
+        pairs += [(w, EMPTY) for w in calc.s_x(x, bound)]
+        if not bx.is_trivial:
+            pairs += [(w, StringWord(bx.letters + w.letters))
+                      for w in calc.s_x(x, bound - bx.length)]
+        terms += [(sm.construct_NCC, (x, *pair), sm.canon_NCC(x, *pair))
+                  for pair in pairs]
+    terms += [(sm.construct_R, (band, lam, 0), sm.canon_R(band_name, lam, 0))
+              for band_name, band in calc.bands() for lam in sm.lams]
+    terms += [(sm.construct_Qband, (x, 0), sm.canon_Qb(x, 0))
+              for x in q.q0_doubleprimed()]
+    for construct, args, atoms in terms:
+        rep = construct(*args)
+        want = direct_sum_of(q, c.field, [sm.atom(a) for a in atoms])
+        assert rep.spaces == want.spaces, args
+        assert rep.support_arrows == want.support_arrows, args
+        assert rep.buffer.tobytes() == want.buffer.tobytes(), args
+        _check_layout(rep)
+    sizes = {len(atoms) for _, _, atoms in terms}
+    assert sizes == ({0, 1, 2} if q.q0_primed() else {0})
 
 
 def test_basis_label_order(tsys):

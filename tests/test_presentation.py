@@ -244,6 +244,7 @@ TRANSLATE_DIGESTS = {
 
 
 @pytest.mark.parametrize("name, bound", sorted(TRANSLATE_DIGESTS))
+@pytest.mark.hashseed
 def test_translate_digest_pinned(name, bound):
     # dims, labels and arrow buffer of DTr of every non-projective inventory
     # entry, in inventory order: a change to the presentation or the

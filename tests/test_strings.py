@@ -379,13 +379,11 @@ def test_band_of_rejects(ex14):
 
 def test_families_bundle(tsys):
     calc = tsys.calc
-    s_all, s_x, p_x, bands, s_prime = calc.families(5)
-    assert {calc.word_key(w) for w in s_prime} <= {
-        calc.word_key(w) for w in s_all}
-    assert set(s_x) == set(tsys.quiver.q0_primed())
-    assert [n for n, _ in bands][0] == "B0"
-    for x, pairs in p_x.items():
-        for a, b in pairs:
+    assert {calc.word_key(w) for w in calc.s_prime(5)} <= {
+        calc.word_key(w) for w in calc.all_strings(5)}
+    assert [n for n, _ in calc.bands()][0] == "B0"
+    for x in tsys.quiver.q0_primed():
+        for a, b in calc.pairs_p_x(x, 5):
             assert calc.compare(a, b) == -1
 
 
@@ -625,6 +623,7 @@ def test_successor_of_a_trivial_word_is_the_one_letter_word(tsys):
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.hashseed
 def test_word_identity(name):
     """Every word the calculus returns is its string: a nontrivial one has
     no vertex, its word_key gives it back, and it is found among words
