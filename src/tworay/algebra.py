@@ -134,7 +134,6 @@ class AlgebraBasis:
         for key in self.basis_paths:
             self.basis_paths[key].sort(key=self._key)
 
-        self._nf = {}
         self._mult_cache = {}
         self._projectives = {}
         self._right_projectives = {}
@@ -143,21 +142,15 @@ class AlgebraBasis:
 
     def reduce_path(self, path):
         """Normal form of a path: dict representative-path -> coefficient."""
-        cached = self._nf.get(path)
-        if cached is not None:
-            return cached
         col = self.path_index[path]
         row = self._pivots.get(col)
         if row is None:
-            out = {path: 1}
-        else:
-            # a reduced row holds no pivot column but its own; the terms
-            # go in column order, so every normal form lists them the same way
-            p = self.field.p
-            out = {self.paths[c]: -x % p for c, x in sorted(row.items())
-                   if c != col}
-        self._nf[path] = out
-        return out
+            return {path: 1}
+        # a reduced row holds no pivot column but its own; the terms go in
+        # column order, so every normal form lists them the same way
+        p = self.field.p
+        return {self.paths[c]: -x % p for c, x in sorted(row.items())
+                if c != col}
 
     def multiply(self, a_path, b_path):
         """Product of two representative paths as a normal-form dict (a after b)."""

@@ -269,12 +269,12 @@ def _hom_kernel(M: Representation, N: Representation, blocks, total: int):
 
 
 def _check_pair(M: Representation, N: Representation):
-    """ValueError unless M and N are modules over one field and quiver."""
+    """ValueError unless M and N are modules over one field and over equal
+    quivers (``Quiver`` equality: the same vertices and arrows)."""
     F, q, qn = M.field, M.quiver, N.quiver
     if F != N.field:
         raise ValueError(f"modules over different fields: {F}, {N.field}")
-    if q is not qn and (q.vertices, q.source, q.target) != (
-            qn.vertices, qn.source, qn.target):
+    if q is not qn and q != qn:
         raise ValueError("modules over different quivers")
 
 
@@ -301,10 +301,11 @@ def hom_spaces(pairs):
     A batch of fewer than ``_BATCH_UNKNOWNS`` unknowns in all is solved
     system by system, one sparse elimination each (``_hom_kernel``).  A
     larger one is split, in order, into chunks of at most
-    ``_CHUNK_UNKNOWNS`` unknowns over one quiver and field, and each chunk
-    is solved in one array pass (``_hom_batch``, see the module docstring),
-    to the same arrays.  Only one chunk's kernels are held at a time,
-    beyond those the caller keeps."""
+    ``_CHUNK_UNKNOWNS`` unknowns over one field and equal quivers (two
+    quivers built alike are one, see ``Quiver``), and each chunk is solved
+    in one array pass (``_hom_batch``, see the module docstring), to the
+    same arrays.  Only one chunk's kernels are held at a time, beyond those
+    the caller keeps."""
     systems = []
     for M, N in pairs:
         _check_pair(M, N)
@@ -316,7 +317,7 @@ def hom_spaces(pairs):
     chunk, size = [], 0
     for s in systems:
         M = s[0]
-        if chunk and (size + s[3] > _CHUNK_UNKNOWNS or M.quiver is not
+        if chunk and (size + s[3] > _CHUNK_UNKNOWNS or M.quiver !=
                       chunk[0][0].quiver or M.field != chunk[0][0].field):
             yield from _hom_batch(chunk)
             chunk, size = [], 0
@@ -1523,9 +1524,19 @@ class ArVerifier:
     almost-split sequence are indecomposable, so a row whose left or right
     term is not one atom is a row anomaly.  Coverage then asserts that every
     non-projective inventory entry is the right-hand term of exactly one row.
+
+    ``algebra`` must lie over the field of ``modules`` and over an equal
+    quiver (``Quiver`` equality), else ValueError here, before anything is
+    built; ``None`` serves ``rows`` alone.
     """
 
     def __init__(self, modules, algebra):
+        if algebra is not None and (algebra.field, algebra.quiver) != (
+                modules.field, modules.quiver):
+            raise ValueError(
+                f"algebra over {algebra.field} and the quiver of "
+                f"{algebra.quiver.ds.to_json()}, modules over {modules.field} "
+                f"and the quiver of {modules.quiver.ds.to_json()}")
         self.sm = modules
         self.calc = modules.calc
         self.quiver = modules.quiver

@@ -55,7 +55,12 @@ class Relation:
 
 
 class Quiver:
-    """Bound quiver Q of a defining system, with the Q1' / Q1'' split."""
+    """Bound quiver Q of a defining system, with the Q1' / Q1'' split.
+
+    Two quivers are equal when their vertices and their arrows, each with
+    its source and target, agree: two built from one system are one quiver
+    for every check of the package that modules, algebras or Hom systems
+    share their quiver.  The hash is that of the vertex tuple."""
 
     def __init__(self, ds: DefiningSystem):
         self.ds = ds
@@ -104,6 +109,7 @@ class Quiver:
         self._q0_doubleprimed = tuple(
             x(i, j) for i in range(1, n + 1) for j in ds.t_sorted(i))
         self.vertices = sorted(vertices, key=_vkey)
+        self._hash = hash(tuple(self.vertices))
         self.arrows = sorted(self.source, key=_akey)
         self.vindex = {v: k for k, v in enumerate(self.vertices)}
         self.aindex = {a: k for k, a in enumerate(self.arrows)}
@@ -122,6 +128,14 @@ class Quiver:
             a: (self.target[a] if a in self.primed else self.source[a])
             for a in self.arrows
         }
+
+    def __eq__(self, other):
+        return self is other or isinstance(other, Quiver) and (
+            self.vertices, self.source, self.target) == (
+            other.vertices, other.source, other.target)
+
+    def __hash__(self):
+        return self._hash
 
     # -- derived vertex/arrow families ------------------------------------
 

@@ -287,10 +287,12 @@ def direct_sum_of(quiver: Quiver, field, reps) -> Representation:
     fold of ``direct_sum``: the last of n summands is tagged ("R",), the one
     before ("L", "R"), and so on, and the first ("L",) * (n - 1).  One
     summand has the empty tag, so its labels and maps are the sum's, and it
-    is returned itself."""
+    is returned itself.  ValueError for a summand over another field or
+    over a quiver unequal to ``quiver``; an equal one built apart is the
+    same quiver (see ``Quiver``)."""
     if not reps:
         return zero_representation(quiver, field)
-    if any(r.quiver is not quiver or r.field != field for r in reps):
+    if any(r.quiver != quiver or r.field != field for r in reps):
         raise ValueError("direct sum over different quivers or fields")
     n = len(reps)
     if n == 1:
@@ -310,12 +312,13 @@ def check_relations(rep: Representation, relations) -> list:
     """Evaluate every relation on the representation; list the violations.
 
     A term whose path passes through a zero vertex space acts as 0 and is
-    skipped, so a relation with no term inside the support holds.  Every
+    skipped, so a relation with no term inside the support holds; a term
+    naming an arrow that ``rep.quiver`` lacks raises ValueError.  Every
     other term is multiplied out once from its first arrow, the terms are
     added unreduced (each term's entries below p^2) and the sum is reduced
     once."""
     bad = []
-    F, maps = rep.field, rep.maps
+    F, maps, arrows_of_q = rep.field, rep.maps, rep.quiver.source
     support = set(rep.support_arrows)
     for rel in relations:
         acc = None
@@ -326,6 +329,11 @@ def check_relations(rep: Representation, relations) -> list:
                     m = F.mul(maps[a], m)
                 m = coef % F.p * m
                 acc = m if acc is None else acc + m
+            else:
+                for a in arrows:
+                    if a not in arrows_of_q:
+                        raise ValueError(f"relation {rel} names arrow {a}, "
+                                         f"which the quiver lacks")
         if acc is not None and (acc := acc % F.p).any():
             bad.append((rel, acc))
     return bad

@@ -251,9 +251,9 @@ def lemma(modules, x: str, which: str, bound: int):
 
 
 def _content(M) -> tuple:
-    """The memo key of M: the field order, the quiver, the dimension tuple
-    and the bytes of ``M.buffer``, the maps on the support arrows, which
-    fix the Hom system on either side."""
+    """The memo key of M: the field order, the quiver (equal quivers give
+    equal keys), the dimension tuple and the bytes of ``M.buffer``, the
+    maps on the support arrows, which fix the Hom system on either side."""
     return M.field.p, M.quiver, M.dims, M.buffer.tobytes()
 
 

@@ -720,6 +720,80 @@ def test_hom_basis_rejects_mixed_pairs():
     assert len(hom_basis(b, same_shape)) == len(hom_basis(b, b))
 
 
+def test_realize_ses_with_a_middle_over_a_quiver_built_alike(tsys):
+    # middle terms built over an equal quiver object realize the sequence
+    # that those built over the ends' own quiver do
+    ver = ArVerifier(tsys.modules, None)
+    twin = ArVerifier(Ctx(SYSTEMS["tsys"]).modules, None)
+    rows = [r for r in ver.rows(10)
+            if len(r["middle"]) >= 2 and r["middle_dim"] <= 10]
+    assert len(rows) >= 10
+    for row in rows:
+        (left,), (right,) = ([ver.atom_rep(a) for a in row[end]]
+                             for end in ("left", "right"))
+        want = realize_ses(left, [ver.atom_rep(a) for a in row["middle"]],
+                           right)
+        E, f, g = realize_ses(left, [twin.atom_rep(a) for a in row["middle"]],
+                              right)
+        assert E.quiver is tsys.quiver
+        assert (E.dims, E.labels, E.support_arrows) == (
+            want[0].dims, want[0].labels, want[0].support_arrows), row["key"]
+        assert E.buffer.tobytes() == want[0].buffer.tobytes(), row["key"]
+        for got, map_ in ((f, want[1]), (g, want[2])):
+            assert got.keys() == map_.keys()
+            assert all(np.array_equal(got[v], map_[v]) for v in got)
+
+
+@pytest.mark.parametrize("name, bound", [("tsys", 12), ("ex14", 8)])
+def test_verify_with_an_algebra_over_a_quiver_built_alike(name, bound):
+    # the modules over one quiver object and the algebra over an equal one
+    # give the report of one quiver; the direct sums of projective covers
+    # once raised "different quivers" late in verify
+    c = ctx(name)
+    want = ArVerifier(c.modules, c.algebra).verify(bound)
+    assert want["failures"] == [] and want["rows_checked"] > 0
+    twin = Ctx(SYSTEMS[name])
+    assert twin.algebra.quiver is not c.quiver
+    assert ArVerifier(c.modules, twin.algebra).verify(bound) == want
+
+
+def test_verifier_checks_its_modules_and_algebra_when_built(tsys, ex14):
+    # a field or quiver mismatch raises before anything is built, naming
+    # both sides; with no algebra the rows alone stay available
+    small = StringModules(tsys.calc, PrimeField(3))
+    with pytest.raises(ValueError, match=r"algebra over GF\(32003\) .*"
+                                         r"modules over GF\(3\)"):
+        ArVerifier(small, tsys.algebra)
+    with pytest.raises(ValueError, match=r"algebra over GF\(32003\) and the "
+                                         r"quiver of \{.*\"p\": \[6, 3\].*"
+                                         r"modules over GF\(32003\) and the "
+                                         r"quiver of \{.*\"p\": \[2\]"):
+        ArVerifier(tsys.modules, ex14.algebra)
+    assert ArVerifier(small, None).rows(8)
+
+
+def test_hom_spaces_takes_quivers_built_alike_in_one_chunk(monkeypatch):
+    # End of the tsys entries at 8 (1,038 unknowns, one array pass), the
+    # second half built over an equal quiver object: one chunk, the arrays
+    # of the one-quiver batch
+    c = ctx("tsys")
+    ours = [e.rep for e in c.modules.theorem_inventory(8)]
+    theirs = [e.rep for e in Ctx(SYSTEMS["tsys"]).modules.theorem_inventory(8)]
+    half = len(ours) // 2
+    mixed = ours[:half] + theirs[half:]
+    assert sum(homlab._hom_unknowns(M, M)[1] for M in mixed) >= 512
+    want = list(hom_spaces([(M, M) for M in ours]))
+    chunks, real = [], homlab._hom_batch
+    monkeypatch.setattr(homlab, "_hom_batch",
+                        lambda systems: chunks.append(systems) or
+                        real(systems))
+    got = list(hom_spaces([(M, M) for M in mixed]))
+    assert len(chunks) == 1 and len(got) == len(want)
+    for (kernel, blocks), (w_kernel, w_blocks) in zip(got, want):
+        assert blocks == w_blocks
+        assert np.array_equal(kernel, w_kernel)
+
+
 def test_is_split_matches_dense_solve(tsys):
     ver = ArVerifier(tsys.modules, tsys.algebra)
     rows = [r for r in ver.rows(10) if r["middle_dim"] <= 10]

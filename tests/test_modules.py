@@ -724,6 +724,61 @@ def test_direct_sum_of_one_summand_is_itself(tsys):
                                          :a.dim(q.source[x])], a.maps[x])
 
 
+def test_quivers_built_alike_are_one_quiver():
+    # equal and of one hash when vertices and arrows agree, whatever the
+    # object; the quivers of two different systems differ
+    twin = Ctx(SYSTEMS["tsys"]).quiver
+    q = ctx("tsys").quiver
+    assert twin is not q and twin == q and hash(twin) == hash(q)
+    assert not twin != q and {q: 1}[twin] == 1
+    quivers = [ctx(name).quiver for name in sorted(SYSTEMS)]
+    for i, a in enumerate(quivers):
+        for j, b in enumerate(quivers):
+            assert (a == b) == (i == j) and (a != b) == (i != j)
+    assert q != "tsys" and q != q.ds
+
+
+def test_direct_sum_of_summands_over_a_quiver_built_alike(tsys):
+    # a summand built over an equal quiver object sums as one built over
+    # the sum's own; an unequal quiver still raises
+    q, F = tsys.quiver, tsys.field
+    twin = Ctx(SYSTEMS["tsys"])
+
+    def summands(c):
+        return [c.modules.construct_Qband("x:1:2", 1),
+                c.modules.construct_M(c.calc.mu("x:1:2")),
+                c.modules.construct_R(c.calc.band_b0(), 3, 2)]
+
+    ours, theirs = summands(tsys), summands(twin)
+    want = direct_sum_of(q, F, ours)
+    for mixed in ([ours[0], theirs[1], ours[2]],
+                  [theirs[0], ours[1], theirs[2]], theirs):
+        got = direct_sum_of(q, F, mixed)
+        assert got.quiver is q
+        assert got.dims == want.dims and got.labels == want.labels
+        assert got.support_arrows == want.support_arrows
+        assert got.buffer.tobytes() == want.buffer.tobytes()
+    other = ctx("s_only").modules.construct_M(ctx("s_only").calc.mu("x:1:2"))
+    with pytest.raises(ValueError, match="different quivers or fields"):
+        direct_sum_of(q, F, [ours[0], other])
+    with pytest.raises(ValueError, match="different quivers or fields"):
+        ours[0].direct_sum(other)
+
+
+def test_check_relations_rejects_an_arrow_the_quiver_lacks(tsys, ex14):
+    # ex14's relations name arrows that tsys lacks; a term off the support
+    # was once skipped, so all 107 tsys entries at 8 passed them
+    entries = tsys.modules.theorem_inventory(8)
+    assert len(entries) == 107
+    for e in entries:
+        with pytest.raises(ValueError, match=r"names arrow \S+, which the "
+                                             r"quiver lacks"):
+            check_relations(e.rep, ex14.relations)
+    # a relation of the module's own quiver that lies off its support holds
+    simple = tsys.modules.construct_M(tsys.calc.trivial("x:1:0"))
+    assert check_relations(simple, tsys.relations) == []
+
+
 def test_support_arrow_maps_are_read_only(tsys):
     # invariants recorded on a module cannot go stale under it; the
     # caller's own matrices stay writeable
