@@ -1367,14 +1367,27 @@ def _path_images(M: Representation, algebra, v, vecs) -> dict:
     return out
 
 
+def _check_algebra(modules, algebra):
+    """ValueError, naming both sides, unless ``algebra`` lies over the field
+    of ``modules`` (a module or ``StringModules``) and an equal quiver."""
+    if (algebra.field, algebra.quiver) != (modules.field, modules.quiver):
+        raise ValueError(
+            f"algebra over {algebra.field} and the quiver of "
+            f"{algebra.quiver.ds.to_json()}, modules over {modules.field} "
+            f"and the quiver of {modules.quiver.ds.to_json()}")
+
+
 def projective_cover(M: Representation, algebra):
     """(P, h, gens, kernel) with h: P -> M a projective cover.
 
+    An algebra unlike M (``_check_algebra``) raises ValueError before any
+    work; the other presentation functions all check here.
     ``gens`` is ``top_generators(M)``.  P is the sum of one P(v) per column
     x of gens[v], in vertex order, and h sends the basis path p of that
     summand to p x.  ``kernel`` holds K_v = ker h_v, in P coordinates, at
     each vertex where it is not 0, read from the same RREF of the h_v as the
     check that h is onto."""
+    _check_algebra(M, algebra)
     F, q = M.field, M.quiver
     gens = top_generators(M)
     P = direct_sum_of(q, F, [algebra.projective_module(v)
@@ -1526,17 +1539,13 @@ class ArVerifier:
     non-projective inventory entry is the right-hand term of exactly one row.
 
     ``algebra`` must lie over the field of ``modules`` and over an equal
-    quiver (``Quiver`` equality), else ValueError here, before anything is
-    built; ``None`` serves ``rows`` alone.
+    quiver (``_check_algebra``), else ValueError here, before anything is
+    built; ``None`` serves ``rows`` alone (``verify`` raises ValueError).
     """
 
     def __init__(self, modules, algebra):
-        if algebra is not None and (algebra.field, algebra.quiver) != (
-                modules.field, modules.quiver):
-            raise ValueError(
-                f"algebra over {algebra.field} and the quiver of "
-                f"{algebra.quiver.ds.to_json()}, modules over {modules.field} "
-                f"and the quiver of {modules.quiver.ds.to_json()}")
+        if algebra is not None:
+            _check_algebra(modules, algebra)
         self.sm = modules
         self.calc = modules.calc
         self.quiver = modules.quiver
@@ -1855,8 +1864,10 @@ class ArVerifier:
         ``is_indecomposable`` call on an entry certifies them all, so
         ``_projective_keys`` and each row read the verdicts recorded on the
         modules.  A ``bound`` or ``lemma_len`` that is not a nonnegative
-        integer raises ValueError.
+        integer raises ValueError, as does a verifier with no algebra.
         """
+        if self.algebra is None:
+            raise ValueError("algebra=None serves rows alone, not verify")
         check_bound(bound)
         if lemma_len is not None:
             check_bound(lemma_len, "lemma length")

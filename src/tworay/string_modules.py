@@ -381,9 +381,9 @@ class StringModules:
     string's identity.  This class is the one owner of the conventions:
 
     - ``atom`` is the only map from an atom to its module, for the rows
-      and library callers; ``theorem_inventory`` builds each entry from
-      the words it enumerated, through the same layout code and without
-      re-checking them, and each entry equals ``atom`` of its key;
+      and library callers; ``theorem_inventory`` builds each entry as
+      ``_build`` of its key, its words read back through ``from_key`` and
+      not re-checked, so each entry equals ``atom`` of its key;
     - ``atom_dim`` reads the module's total dimension off the atom; both
       raise ValueError for a key with the wrong number of fields for its
       family, and read an R or Qband atom through ``canon_R`` or
@@ -399,9 +399,9 @@ class StringModules:
       ``construct_NCC``, ``construct_R`` (which looks its word up among
       the bands) and ``construct_Qband`` end, as ``atom`` does, in
       ``_module`` of the atoms their ``canon_*`` returns: the direct sum of
-      ``_build`` of each atom, ``_build`` being the one dispatch from an
-      atom's tag to its layout, so a degenerate N or NCC term is the
-      direct sum of its atoms and a band term with m = 0 the zero module;
+      ``_build`` of each atom, ``_build`` being the one layout of a family
+      atom, so a degenerate N or NCC term is the direct sum of its atoms
+      and a band term with m = 0 the zero module;
     - ``lams``, the band parameters of the inventory and the rows, is
       ``lam_sample`` mod p then 1, zeros and repeats dropped, in order.
 
@@ -497,11 +497,6 @@ class StringModules:
     def construct_M(self, word) -> Representation:
         return self._module(self.canon_M(word))
 
-    def _string_module(self, word: StringWord) -> Representation:
-        at, entries = {}, []
-        self._skeleton(word, ("v",), at, entries)
-        return self._assemble(at, entries)
-
     def construct_N(self, x: str, word) -> Representation:
         return self._module(self.canon_N(x, word))
 
@@ -559,20 +554,8 @@ class StringModules:
         return self._module(
             self.canon_R(repr(band) if name is None else name, lam, m))
 
-    def _band_module(self, name: str, lam: int, m: int) -> Representation:
-        at, entries = {}, []
-        self._band_skeleton(self._bands[name], m, lam, at, entries)
-        return self._assemble(at, entries)
-
     def construct_Qband(self, x: str, m: int) -> Representation:
         return self._module(self.canon_Qb(x, m))
-
-    def _qband_module(self, x: str, m: int) -> Representation:
-        at, entries = {}, []
-        alpha, vp_at, vp = self._reserve_vp(x, at)
-        start = self._band_skeleton(self._bands[x], m, 1, at, entries)
-        entries.append((alpha, vp_at, vp, *start, 1))
-        return self._assemble(at, entries)
 
     # -- atoms and the family conventions -----------------------------------
 
@@ -583,16 +566,25 @@ class StringModules:
                              [self._build(a) for a in atoms])
 
     def _build(self, atom) -> Representation:
-        """The module of one canonical atom, laid out with no check."""
+        """The module of one canonical atom, laid out with no check: the one
+        layout of a family atom (``_glued`` lays out N, L and N(C, C')), for
+        ``atom``, the ``construct_*``, the inventory and ``vsc`` alike."""
         tag, word = atom[0], self.calc.from_key
+        if tag in ("N", "L", "NCC"):
+            return self._glued(atom[1], tuple(map(word, atom[2:])),
+                               with_vpp=tag != "L")
+        at, entries = {}, []
         if tag == "M":
-            return self._string_module(word(atom[1]))
-        if tag == "R":
-            return self._band_module(*atom[1:])
-        if tag == "Qband":
-            return self._qband_module(*atom[1:])
-        return self._glued(atom[1], tuple(map(word, atom[2:])),
-                           with_vpp=tag != "L")
+            self._skeleton(word(atom[1]), ("v",), at, entries)
+        elif tag == "R":
+            _, name, lam, m = atom
+            self._band_skeleton(self._bands[name], m, lam, at, entries)
+        else:  # Qband
+            _, x, m = atom
+            alpha, vp_at, vp = self._reserve_vp(x, at)
+            start = self._band_skeleton(self._bands[x], m, 1, at, entries)
+            entries.append((alpha, vp_at, vp, *start, 1))
+        return self._assemble(at, entries)
 
     def atom(self, key) -> Representation:
         """The module of an atom: the one map from a key to a module."""
@@ -703,10 +695,10 @@ class StringModules:
         """All classification entries of total dimension <= bound, sorted by
         the key's repr.
 
-        Each entry is built from the words and parameters enumerated here,
-        by the layout code ``construct_*`` use, with no ``canon_*`` re-check
-        and no ``from_key``: they are the family's terms by construction,
-        and each module equals ``atom`` of its entry's key.
+        Each entry is ``_build`` of its key, built as the key is enumerated:
+        its words are read back through ``from_key`` with no ``canon_*``
+        re-check, being the family's terms by construction, so each module
+        equals ``atom`` of its entry's key.
 
         The band parameter runs over ``lams`` (the theorem's family carries
         every unit; 1 is included for every band so the tube mouths
@@ -720,32 +712,27 @@ class StringModules:
         """
         check_bound(bound)
         calc, q, wkey = self.calc, self.quiver, self.calc.word_key
-        entries = [InventoryEntry("M", (wkey(w),), self._string_module(w))
-                   for w in calc.all_strings(bound - 1)]
+
+        def entry(*key):
+            return InventoryEntry(key[0], key[1:], self._build(key))
+
+        entries = [entry("M", wkey(w)) for w in calc.all_strings(bound - 1)]
         for x in q.q0_primed():
-            entries += [InventoryEntry("N", (x, wkey(w)),
-                                       self._glued(x, (w,), with_vpp=True))
-                        for w in calc.s_x(x, bound - 3)]
+            entries += [entry("N", x, wkey(w)) for w in calc.s_x(x, bound - 3)]
         for x in q.q0_doubleprimed():
             bx = calc.band_of(x)
-            for w in calc.s_x(x, bound - 2 - bx.length):
-                bxw = StringWord(bx.letters + w.letters)
-                entries.append(InventoryEntry("L", (x, wkey(bxw)), self._glued(
-                    x, (bxw,), with_vpp=False)))
+            entries += [entry("L", x, wkey(StringWord(bx.letters + w.letters)))
+                        for w in calc.s_x(x, bound - 2 - bx.length)]
         for x in q.q0_primed():
-            entries += [InventoryEntry("NCC", (x, wkey(c), wkey(cp)),
-                                       self._glued(x, (c, cp), with_vpp=True))
+            entries += [entry("NCC", x, wkey(c), wkey(cp))
                         for c, cp in calc.pairs_p_x(x, bound - 4)]
         for name, band in self._bands.items():
-            entries += [InventoryEntry("R", (name, lam, m),
-                                       self._band_module(name, lam, m))
+            entries += [entry("R", name, lam, m)
                         for m in range(1, bound // band.length + 1)
                         for lam in self.lams]
         for x in q.q0_doubleprimed():
             top = (bound - 1) // self._bands[x].length
-            entries += [InventoryEntry("Qband", (x, m),
-                                       self._qband_module(x, m))
-                        for m in range(1, top + 1)]
+            entries += [entry("Qband", x, m) for m in range(1, top + 1)]
         entries.sort(key=lambda e: repr(e.key))
         group = tuple(e.rep for e in entries)
         for M in group:

@@ -772,6 +772,22 @@ def test_verifier_checks_its_modules_and_algebra_when_built(tsys, ex14):
     assert ArVerifier(small, None).rows(8)
 
 
+def test_verify_without_an_algebra_raises_before_the_inventory(tsys,
+                                                               monkeypatch):
+    # algebra=None serves rows alone: verify says so before it builds or
+    # certifies any inventory entry
+    calls, real = [], StringModules.theorem_inventory
+    monkeypatch.setattr(StringModules, "theorem_inventory",
+                        lambda sm, bound: calls.append(bound) or
+                        real(sm, bound))
+    ver = ArVerifier(tsys.modules, None)
+    for bound in (4, 8):
+        with pytest.raises(ValueError, match=r"algebra=None serves rows alone"):
+            ver.verify(bound)
+    assert calls == []
+    assert ver.rows(8)
+
+
 def test_hom_spaces_takes_quivers_built_alike_in_one_chunk(monkeypatch):
     # End of the tsys entries at 8 (1,038 unknowns, one array pass), the
     # second half built over an equal quiver object: one chunk, the arrays

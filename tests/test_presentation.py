@@ -15,12 +15,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tworay import ar_translate, is_isomorphic
+from tworay import ar_translate, homlab, is_isomorphic
+from tworay.field import PrimeField
 from tworay.homlab import (compose_maps, hom_spaces, is_projective,
-                           kernel_rep, minimal_presentation)
+                           kernel_rep, minimal_presentation, projective_cover)
 from tworay.string_modules import Representation, block_diagonal
 
-from conftest import SYSTEMS, ctx
+from conftest import SYSTEMS, Ctx, ctx
 
 
 def _quotient(F, a):
@@ -258,3 +259,33 @@ def test_translate_digest_pinned(name, bound):
         h.update(repr((T.dims, T.spaces)).encode() + T.buffer.tobytes())
         count += 1
     assert (count, h.hexdigest()) == TRANSLATE_DIGESTS[name, bound]
+
+
+# the field of a tsys module and the system of the algebra beside it: a
+# field mismatch and a quiver mismatch
+MISMATCHES = {
+    "field": (PrimeField(3), "tsys",
+              r"algebra over GF\(32003\) .*modules over GF\(3\)"),
+    "quiver": (None, "ex14",
+               r"algebra over GF\(32003\) and the quiver of "
+               r"\{.*\"p\": \[6, 3\].*modules over GF\(32003\) "
+               r"and the quiver of \{.*\"p\": \[2\]"),
+}
+
+
+@pytest.mark.parametrize("mismatch", sorted(MISMATCHES))
+@pytest.mark.parametrize("present", [projective_cover, minimal_presentation,
+                                     is_projective, ar_translate],
+                         ids=lambda f: f.__name__)
+def test_presentation_rejects_an_algebra_unlike_the_module(
+        present, mismatch, monkeypatch):
+    # the module and the algebra are checked once, in projective_cover,
+    # before the top generators are read
+    field, system, message = MISMATCHES[mismatch]
+    M = Ctx(SYSTEMS["tsys"], field).modules.theorem_inventory(4)[-1].rep
+    calls = []
+    monkeypatch.setattr(homlab, "top_generators",
+                        lambda M: calls.append(M))
+    with pytest.raises(ValueError, match=message):
+        present(M, ctx(system).algebra)
+    assert calls == []
