@@ -1682,7 +1682,11 @@ class ArVerifier:
 
     def _candidates(self, bound: int):
         """Yield the candidates of ``rows(bound)`` within the word budgets,
-        as (family, right, middle, params, terms).
+        as (family, right, middle, params, terms), in one pass per word
+        source: each band's loop over m yields families 1, 2 and 3 (family 3
+        at m + 1), S' family 4, each S_x's loop over C family 5 at C' = C,
+        families 6 and 8 and, at x in Q0'', families 7 and 9, and each P_x
+        family 10.
 
         right and middle are the prefilter's lower bounds on the dimensions
         of the right term and of the middle; right is None for a candidate
@@ -1707,8 +1711,7 @@ class ArVerifier:
 
         # band rows
         for name, band in calc.bands():
-            blen = band.length
-            for m in range(1, bound // blen + 3):
+            for m in range(1, bound // band.length + 3):
                 for lam in sm.lams:
                     if lam == 1 and name != "B0":
                         continue
@@ -1717,19 +1720,16 @@ class ArVerifier:
                         sm.canon_R(name, lam, m + 1)
                         + sm.canon_R(name, lam, m - 1),
                         sm.canon_R(name, lam, m))
-            if name == "B0":
-                continue
-            x = name
-            for m in range(1, bound // blen + 3):
+                if name == "B0":
+                    continue
                 yield 2, None, None, lambda: (name, m), lambda: (
                     sm.canon_R(name, 1, m),
-                    sm.canon_Qb(x, m + 1) + sm.canon_R(name, 1, m - 1),
-                    sm.canon_Qb(x, m))
-            for m in range(2, bound // blen + 4):
-                yield 3, None, None, lambda: (name, m), lambda: (
-                    sm.canon_Qb(x, m),
-                    sm.canon_R(name, 1, m) + sm.canon_Qb(x, m - 1),
-                    sm.canon_R(name, 1, m - 1))
+                    sm.canon_Qb(name, m + 1) + sm.canon_R(name, 1, m - 1),
+                    sm.canon_Qb(name, m))
+                yield 3, None, None, lambda: (name, m + 1), lambda: (
+                    sm.canon_Qb(name, m + 1),
+                    sm.canon_R(name, 1, m + 1) + sm.canon_Qb(name, m),
+                    sm.canon_R(name, 1, m))
 
         # string rows
         for c in calc.s_prime(bound + max_omega + max_nu + 1):
@@ -1743,37 +1743,34 @@ class ArVerifier:
                        sm.canon_M(cp) + sm.canon_M(pc),
                        sm.canon_M(bi)))
 
-        # Q0'' lies inside Q0' (T_i is a subset of S_i), so both loops below
-        # share one S_x per vertex
-        sx_at = {x: calc.s_x(x, bound + max_omega) for x in q.q0_primed()}
         for x in q.q0_primed():
             alpha = q.alpha_of(x)
             mu = calc.mu(x)
             mlen = mu.length
             omega = calc.omega(x)
-            sx = sx_at[x]
-            for cprime in sx:
-                if not calc.check_string((alpha,) + cprime.letters)[0]:
-                    continue
-                c = StringWord((alpha,) + cprime.letters)
-                cp = calc.successor(c)
-                pc = calc.co_successor(c)
-                bi = calc.bi_successor(c)
-
-                def row5():
-                    if pc != cprime:
-                        raise ValueError(
-                            f"co-successor of alpha_x C is not C at {x}")
-                    return (sm.canon_M(c),
-                            sm.canon_M(cp) + sm.canon_NCC(x, mu, pc),
-                            sm.canon_NCC(x, mu, bi))
-
-                yield (5, mlen + bi.length + 3,
-                       cp.length + mlen + pc.length + 4,
-                       lambda: (x, wkey(cprime)), row5)
-            for c in sx:
+            in_q0dd = x in q.q0_doubleprimed()
+            if in_q0dd:
+                gamma, bl = q.gamma_of(x), calc.band_of(x).letters
+            for c in calc.s_x(x, bound + max_omega):
                 cp = succ(c)
                 cplen = cp.length
+                if calc.check_string((alpha,) + c.letters)[0]:
+                    # family 5 at C' = c: its C is a = alpha_x C'
+                    a = StringWord((alpha,) + c.letters)
+                    ap, pa = calc.successor(a), calc.co_successor(a)
+                    bi = calc.bi_successor(a)
+
+                    def row5():
+                        if pa != c:
+                            raise ValueError(
+                                f"co-successor of alpha_x C is not C at {x}")
+                        return (sm.canon_M(a),
+                                sm.canon_M(ap) + sm.canon_NCC(x, mu, pa),
+                                sm.canon_NCC(x, mu, bi))
+
+                    yield (5, mlen + bi.length + 3,
+                           ap.length + mlen + pa.length + 4,
+                           lambda: (x, wkey(c)), row5)
                 middle = c.length + cplen + 3
                 yield (6, None if cp is EMPTY else cplen + 3, middle,
                        lambda: (x, wkey(c)),
@@ -1786,6 +1783,18 @@ class ArVerifier:
                            lambda: (sm.canon_N(x, c),
                                     sm.canon_NCC(x, c, cp),
                                     sm.canon_M(cp)))
+                if not in_q0dd:
+                    continue
+                yield (7, None if cp is EMPTY else len(bl) + cplen + 2,
+                       middle + len(bl), lambda: (x, wkey(c)), lambda: (
+                           sm.canon_M(calc.word((gamma,) + c.letters)),
+                           sm.canon_NCC(x, cp, StringWord(bl + c.letters)),
+                           sm.canon_L(x, StringWord(bl + cp.letters))))
+                yield (9, None if cp is EMPTY else cplen + 2,
+                       middle + len(bl), lambda: (x, wkey(c)), lambda: (
+                           sm.canon_L(x, StringWord(bl + c.letters)),
+                           sm.canon_NCC(x, cp, StringWord(bl + c.letters)),
+                           sm.canon_M(calc.word((gamma,) + cp.letters))))
             for c, c2 in calc.pairs_p_x(x, bound + 2 * max_omega - 1):
                 cp, c2p = succ(c), succ(c2)
                 right = cp.length + c2p.length + 3
@@ -1795,40 +1804,6 @@ class ArVerifier:
                                 sm.canon_NCC(x, c, c2p)
                                 + sm.canon_NCC(x, cp, c2),
                                 sm.canon_NCC(x, cp, c2p)))
-
-        for x in q.q0_doubleprimed():
-            gamma = q.gamma_of(x)
-            bx = calc.band_of(x)
-            blen = bx.length
-
-            def words7():
-                # B_x C, B_x C+, gamma C, gamma C+ at the c, cp of the loop
-                if cp is EMPTY:
-                    raise ValueError(
-                        f"omega_{x} cannot lie in S_x for x in Q0''")
-                return (StringWord(bx.letters + c.letters),
-                        StringWord(bx.letters + cp.letters),
-                        calc.word((gamma,) + c.letters),
-                        calc.word((gamma,) + cp.letters))
-
-            def row7():
-                bxc, bxcp, gc, _ = words7()
-                return (sm.canon_M(gc), sm.canon_NCC(x, cp, bxc),
-                        sm.canon_L(x, bxcp))
-
-            def row9():
-                bxc, _, _, gcp = words7()
-                return (sm.canon_L(x, bxc), sm.canon_NCC(x, cp, bxc),
-                        sm.canon_M(gcp))
-
-            for c in sx_at[x]:
-                cp = succ(c)
-                cplen = cp.length
-                middle = cplen + blen + c.length + 3
-                yield (7, None if cp is EMPTY else blen + cplen + 2,
-                       middle, lambda: (x, wkey(c)), row7)
-                yield (9, None if cp is EMPTY else cplen + 2, middle,
-                       lambda: (x, wkey(c)), row9)
 
     # -- verification -----------------------------------------------------------
 

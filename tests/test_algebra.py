@@ -217,6 +217,18 @@ def test_prime_field_mat_rejects_non_integers():
     assert F.mat([]).shape == (0,)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda F: F.inv(0), ZeroDivisionError),
+    (lambda F: F.inv_matrix(F.zeros(2, 3)), ValueError),
+    (lambda F: F.inv_matrix(F.mat([[1, 2], [2, 4]])), ZeroDivisionError),
+    (lambda F: F.charpoly(F.zeros(2, 3)), ValueError),
+], ids=["inv_of_zero", "inv_matrix_not_square", "inv_matrix_singular",
+        "charpoly_not_square"])
+def test_prime_field_rejects_what_has_no_answer(call, error):
+    with pytest.raises(error):
+        call(PrimeField(7))
+
+
 def _strand(n):
     """The quiver of one strand of length n: about n^2 / 2 paths of n^3 / 6
     letters in all."""

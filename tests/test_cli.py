@@ -277,6 +277,12 @@ def test_negative_bound_rejected(sysfile):
     assert code == 2
 
 
+# the stdout digest of ``tworay verify`` on ex14 at --max-dim 8; CI's
+# "Console script" step reads it from here for the installed entry point
+EX14_VERIFY_AT_8 = (
+    "01d83fe8c26a40e31b4335a74b6db9486aba2f2e2689c3ef2d543b45353fbfdf")
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -287,8 +293,7 @@ def test_verify_worked_example(sysfile):
     code, out = run(["verify", sysfile("ex14"), "--max-dim", "8"])
     data = json.loads(out)
     assert code == 0
-    assert _sha256(out) == (
-        "01d83fe8c26a40e31b4335a74b6db9486aba2f2e2689c3ef2d543b45353fbfdf")
+    assert _sha256(out) == EX14_VERIFY_AT_8
     assert data["failures"] == []
     assert data["ar"]["coverage"]["missing"] == []
     assert all(r["ok"] for r in data["lemma_checks"])

@@ -21,6 +21,7 @@ def test_worked_example_is_valid():
     assert ds.p == (6, 3) and ds.q == (2, 2)
     assert ds.S == (frozenset({2, 4, 6, 8}), frozenset({2}))
     assert ds.top(1) == 8 and ds.top(2) == 3
+    assert validate(ds) == ds
 
 
 def test_sum_too_small():
@@ -36,6 +37,8 @@ def test_consecutive_in_s():
 def test_other_violations():
     with pytest.raises(LengthMismatch):
         validate({"p": [2, 2], "q": [1], "S": [[], []], "T": [[], []]})
+    with pytest.raises(SetOutOfRange):
+        validate({"p": [0, 2], "q": [1, 1], "S": [[], []], "T": [[], []]})
     with pytest.raises(SetOutOfRange):
         validate({"p": [2], "q": [1], "S": [[5]], "T": [[]]})
     with pytest.raises(SetOutOfRange):
@@ -114,6 +117,8 @@ def test_extend_not_admissible():
         extend(ds2, AdmissibleVertex("x", 1, 3))  # neighbor of 2 in S
     with pytest.raises(NotAdmissible):
         extend(ds2, AdmissibleVertex("z", 1, 3))  # 3 not in S
+    with pytest.raises(ValueError, match="kind"):
+        AdmissibleVertex("y", 1, 2)
 
 
 def test_extend_z_kind_revalidates():

@@ -69,6 +69,8 @@ def test_indecomposable_simple_and_sum(fund21):
     assert all(F.is_zero(F.sub(sq[x], e[x])) for x in e)
     r = F.rank(total_matrix(ss, e))
     assert 0 < r < ss.total_dim
+    with pytest.raises(ValueError, match="zero module"):
+        is_indecomposable(zero_representation(fund21.quiver, F))
 
 
 def test_indecomposable_mixed_sum(tsys):

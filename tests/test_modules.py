@@ -321,6 +321,20 @@ def test_band_terms_checked_by_canon(tsys, term):
             assert call().is_zero()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda sm, c: sm.canon_L("x:1:0", c.trivial("x:1:0")), "not in Q0''"),
+    (lambda sm, c: sm.canon_NCC("x:1:0", c.trivial("x:1:0"), EMPTY),
+     "not in Q0'"),
+    (lambda sm, c: sm.canon_NCC(
+        "x:1:2", c.word(("beta:1:1",)),
+        c.word(("alpha:1:3", "xi:1:1", "gamma:1:2", "beta:1:1",
+                "alpha:1:1"))), "pair violates C' < B_x C"),
+], ids=["canon_L_off_Q0dd", "canon_NCC_off_Q0d", "canon_NCC_above_BxC"])
+def test_terms_outside_their_family(tsys, call, message):
+    with pytest.raises(NotAPair, match=message):
+        call(tsys.modules, tsys.calc)
+
+
 @pytest.mark.parametrize("value", [
     StringWord(("alpha:1:1", "alpha:1:1")),  # a word that is no string
     "abc",                                   # no word at all
@@ -555,10 +569,10 @@ def _same_module(a, b):
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 @pytest.mark.hashseed
 def test_inventory_entries_are_their_atoms(name):
-    # the inventory builds each entry from the words it enumerated, with no
-    # canon_* re-check; built the other way, through atom from its key, the
-    # module is the same, label tuple, support arrow and buffer byte alike,
-    # of the dimension read off the key
+    # both sides are _build of the key: the inventory calls it directly,
+    # with no canon_* re-check, and atom after its canon_* check; the module
+    # is the same, label tuple, support arrow and buffer byte alike, of the
+    # dimension read off the key
     sm = ctx(name).modules
     for bound in (8, 12):
         for e in sm.theorem_inventory(bound):
