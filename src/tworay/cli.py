@@ -3,7 +3,9 @@ extend | reduce, all emitting deterministic machine-readable artifacts."""
 
 import argparse
 import hashlib
+import itertools
 import json
+import os
 import sys
 
 from . import __version__
@@ -27,7 +29,15 @@ def _provenance(ds):
 
 
 def _dump(obj):
-    print(json.dumps(obj, sort_keys=True, indent=2, default=repr))
+    """Write ``json.dumps(obj, sort_keys=True, indent=2, default=repr)`` and
+    a newline to stdout as it is encoded, so the whole text is never held:
+    the encoder's chunks go out joined in batches of 4096, since a write per
+    chunk costs a system call each on unbuffered stdout."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2,
+                              default=repr).iterencode(obj)
+    while batch := "".join(itertools.islice(chunks, 4096)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _load_system(path):
@@ -44,6 +54,20 @@ def _input_error(what) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its exit status.  When the reader of stdout
+    closes it early (``tworay verify ... | head``), 141, the status of a
+    tool killed by SIGPIPE, with nothing on stderr."""
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the unwritten rest goes to /dev/null, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return status
+
+
+def _main(argv) -> int:
     ap = argparse.ArgumentParser(
         prog="tworay",
         description="defining systems, their bound quiver algebras, and the "

@@ -292,6 +292,14 @@ _BATCH_UNKNOWNS = 512
 # The most unknowns one array pass takes, unless one system has more: it
 # bounds the pass's arrays (at 4096, about 2 MB at their peak)
 _CHUNK_UNKNOWNS = 4096
+# The realization unknowns after which ArVerifier._check_rows closes a group
+# of rows, so the row stages hold one group's modules at a time.  Measured
+# peak RSS of `tworay verify` on 2 cores: at 16384, tsys at 60 peaks at
+# 133 MB where all rows as one group peak at 158 MB, and ex14 at 32 at
+# 132 MB against 149 MB; 4096 saves 1.1 to 6.1 MB more at the four scale bounds, but
+# splits tsys at 20 (4281 unknowns) into two groups, and its run time read
+# +1.6% there, lower in 3 of 10 alternated pairs, so 16384 stays
+_ROW_GROUP_UNKNOWNS = 16384
 
 
 def hom_spaces(pairs):
@@ -1827,9 +1835,9 @@ class ArVerifier:
 
         The stages, in the order their failures are listed: the row
         anomalies of ``rows``; ``_check_rows`` on the rows with middle dim
-        <= bound, each of its checks run over all of them before the next,
-        and the entries in row order; ``_coverage`` of the inventory by the
-        rows' right terms;
+        <= bound, in groups, each of its checks run over one group before
+        the next check, and the entries in row order; ``_coverage`` of the
+        inventory by the rows' right terms;
         the relations on every inventory entry; a LOCAL certificate for
         every entry; and ``_lemma_checks`` on strings of length
         ``lemma_len`` (default ``min(6, bound)``).
@@ -1897,20 +1905,16 @@ class ArVerifier:
         (additive, LOCAL ends, realized, nonsplit, DTr(right) = left), its
         problems, and the realized maps f and g as its certificate.
 
-        Every entry is made first.  Then each stage runs over every row
-        still open, writing its status and problems into the row's entry,
-        before the next stage starts:
-        1. the terms looked up in the inventory, additivity and the ends'
-           LOCAL verdicts, each problem naming a distinct atom once;
-        2. ``_realize_all``: every Hom(X, E_i) of the realization
-           candidates, then the Hom(coker f, Z) of ``find_iso`` in rounds,
-           round k trying the k-th candidate f of every row still open;
-        3. ``_splits``: every Hom(E, X) of the split check;
-        4. ``_match_tau``: every DTr Z, then every Hom(DTr Z, X).
-        A row with a term outside the inventory, not additive or not
-        realized leaves the later stages.  Each stage, and each round of
-        stage 2, sends its Hom systems to ``hom_spaces`` as one stream."""
-        entries, open_rows = [], []  # open: (entry, left, middles, right)
+        Each row's entry is made as the row comes, with the first stage:
+        the terms looked up in the inventory, additivity and the ends' LOCAL
+        verdicts, each problem naming a distinct atom once.  The rows that
+        pass it are checked in consecutive groups, a group closing once the
+        Hom(X, E_i) systems of its realization reach
+        ``_ROW_GROUP_UNKNOWNS`` unknowns; ``_check_group`` runs the later
+        stages over one group before the next is gathered, so only one
+        group's middles, maps, cokernels and DTr are held at a time.  No
+        row's checks depend on the other rows of its group."""
+        entries, group, size = [], [], 0
         for row in rows:
             status = dict.fromkeys(("additivity", "realized", "nonsplit",
                                     "ends_indecomposable", "tau"))
@@ -1936,10 +1940,30 @@ class ArVerifier:
             status["ends_indecomposable"] = not split_ends
             entry["problems"] += [f"end not indecomposable: {a}"
                                   for a in split_ends]
-            open_rows.append((entry, X, middles, Z))
+            group.append((entry, X, middles, Z))
+            size += sum(x * e for E in middles for x, e in zip(X.dims, E.dims))
+            if size >= _ROW_GROUP_UNKNOWNS:
+                self._check_group(group)
+                group, size = [], 0
+        self._check_group(group)
+        return entries
+
+    def _check_group(self, group):
+        """The later stages of ``_check_rows`` over one group of rows
+        (entry, X, middles, Z), each stage over every row of the group still
+        open, writing its status and problems into the row's entry, before
+        the next stage starts:
+        2. ``_realize_all``: every Hom(X, E_i) of the realization
+           candidates, then the Hom(coker f, Z) of ``find_iso`` in rounds,
+           round k trying the k-th candidate f of every row still open;
+        3. ``_splits``: every Hom(E, X) of the split check;
+        4. ``_match_tau``: every DTr Z, then every Hom(DTr Z, X).
+        A row not realized leaves the later stages.  Each stage, and each
+        round of stage 2, sends its Hom systems to ``hom_spaces`` as one
+        stream."""
         done = []  # (entry, left, right, E, f) of the realized rows
-        for (entry, X, _, Z), found in zip(open_rows, _realize_all(
-                [(X, middles, Z) for _, X, middles, Z in open_rows])):
+        for (entry, X, _, Z), found in zip(group, _realize_all(
+                [(X, middles, Z) for _, X, middles, Z in group])):
             entry["status"]["realized"] = not isinstance(found, NotRealizable)
             if isinstance(found, NotRealizable):
                 entry["problems"].append(f"not realizable: {found}")
@@ -1961,7 +1985,6 @@ class ArVerifier:
             entry["status"]["tau"] = tau
             if not tau:
                 entry["problems"].append("DTr(right) does not match left")
-        return entries
 
     def _coverage(self, rows, bound, projectives):
         """Every inventory entry outside ``projectives`` is the right term of

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tworay import homlab
+from tworay import cli, homlab
 from tworay.cli import main
 from tworay.homlab import ArVerifier
 
@@ -275,6 +275,61 @@ def test_verify_exit_one_on_failure(sysfile, tmp_path):
 def test_negative_bound_rejected(sysfile):
     code, _ = run(["strings", sysfile("fund21"), "--max-len", "-1"])
     assert code == 2
+
+
+class _WriteSpy(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+def _dumped(obj, monkeypatch):
+    spy = _WriteSpy()
+    monkeypatch.setattr(sys, "stdout", spy)
+    cli._dump(obj)
+    return spy
+
+
+def test_dump_writes_the_json_text(monkeypatch):
+    # unsorted keys, nesting, and a complex value only default=repr encodes
+    obj = {"z": [1, {"b": None, "a": (2, 3)}], "a": {"y": 1j, "x": "s"}}
+    assert _dumped(obj, monkeypatch).getvalue() == json.dumps(
+        obj, sort_keys=True, indent=2, default=repr) + "\n"
+
+
+def test_dump_streams_a_long_report(monkeypatch):
+    # the text goes out in batches of chunks: never whole, never a write
+    # per chunk
+    obj = {"rows": [{"key": i, "f": [[i, 1], [0, i]]} for i in range(4000)]}
+    text = json.dumps(obj, sort_keys=True, indent=2, default=repr)
+    chunks = sum(1 for _ in json.JSONEncoder(
+        sort_keys=True, indent=2, default=repr).iterencode(obj))
+    assert chunks >= 50_000
+    spy = _dumped(obj, monkeypatch)
+    assert spy.getvalue() == text + "\n"
+    assert 1 < len(spy.sizes) < chunks / 1000
+    assert max(spy.sizes) < len(text)
+
+
+def test_closed_stdout_exits_141_quietly(sysfile):
+    # `tworay verify ... | head -c 100`: the reader leaves after 100 bytes of
+    # a 329 kB report, more than a pipe holds, so later writes find it gone
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tworay.cli", "verify", sysfile("tsys"),
+         "--max-dim", "20"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141
+    assert head.startswith(b"{") and len(head) == 100
+    assert err == b""
 
 
 # the stdout digest of ``tworay verify`` on ex14 at --max-dim 8; CI's

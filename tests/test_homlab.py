@@ -523,32 +523,77 @@ def _planted_rows(ver, bound):
 
 
 @pytest.mark.hashseed
-def test_verify_planted_rows_stop_at_their_stage(tsys):
+def test_verify_planted_rows_stop_at_their_stage(tsys, monkeypatch):
     """Green rows mixed with rows planted to stop at each stage: every
     planted row reports the problems of its stage and of no later one, and
     the whole report (statuses, problems, certificates, failures in order)
-    is pinned."""
-    ver = ArVerifier(tsys.modules, tsys.algebra)
-    rows = _planted_rows(ver, 12)
-    ver.rows = lambda bound: rows
-    report = ver.verify(12)
-    problems = {r["key"][1]: r["problems"] for r in report["rows"]
-                if r["key"][0] == 0}
-    assert problems == {
-        "outside": ["term outside the inventory: ('R', 'B0', 1, 9)"],
-        "not additive": ["dimension vectors not additive"],
-        "no candidate": ["not realizable: no injective map with the right "
-                         "cokernel was found"],
-        "wrong cokernel": ["not realizable: no injective map with the right "
-                           "cokernel was found"],
-        "split": ["sequence splits", "DTr(right) does not match left"],
-        "tau mismatch": ["DTr(right) does not match left"],
-        "projective": ["sequence splits", "DTr(right) does not match left"],
-    }
-    assert sum(not r["problems"] for r in report["rows"]) == 57
-    text = json.dumps([report["rows"], report["failures"]], sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "2806e3573f642306518180e903d9dfca766a340c0449a5e29ab9289a908798d9")
+    is pinned, with the rows checked in one group and one row a group."""
+    for group_unknowns in (homlab._ROW_GROUP_UNKNOWNS, 1):
+        monkeypatch.setattr(homlab, "_ROW_GROUP_UNKNOWNS", group_unknowns)
+        ver = ArVerifier(tsys.modules, tsys.algebra)
+        rows = _planted_rows(ver, 12)
+        ver.rows = lambda bound: rows
+        report = ver.verify(12)
+        problems = {r["key"][1]: r["problems"] for r in report["rows"]
+                    if r["key"][0] == 0}
+        assert problems == {
+            "outside": ["term outside the inventory: ('R', 'B0', 1, 9)"],
+            "not additive": ["dimension vectors not additive"],
+            "no candidate": ["not realizable: no injective map with the "
+                             "right cokernel was found"],
+            "wrong cokernel": ["not realizable: no injective map with the "
+                               "right cokernel was found"],
+            "split": ["sequence splits", "DTr(right) does not match left"],
+            "tau mismatch": ["DTr(right) does not match left"],
+            "projective": ["sequence splits",
+                           "DTr(right) does not match left"],
+        }
+        assert sum(not r["problems"] for r in report["rows"]) == 57
+        text = json.dumps([report["rows"], report["failures"]],
+                          sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2806e3573f642306518180e903d9dfca766a340c0449a5e29ab9289a908798d9")
+
+
+def _row_stage_systems(c, bound, monkeypatch):
+    """``verify(bound)``, the multiset of the (M.dims, N.dims) that
+    ``_check_rows`` hands ``hom_spaces``, and the number of its calls."""
+    systems, calls, inside = collections.Counter(), [], []
+    hom_spaces, check_rows = homlab.hom_spaces, ArVerifier._check_rows
+
+    def spy(pairs):
+        if not inside:
+            return hom_spaces(pairs)
+        pairs = list(pairs)
+        systems.update((M.dims, N.dims) for M, N in pairs)
+        calls.append(len(pairs))
+        return hom_spaces(pairs)
+
+    def traced(self, rows):
+        inside.append(rows)
+        try:
+            return check_rows(self, rows)
+        finally:
+            inside.pop()
+
+    with monkeypatch.context() as m:
+        m.setattr(homlab, "hom_spaces", spy)
+        m.setattr(ArVerifier, "_check_rows", traced)
+        report = ArVerifier(c.modules, c.algebra).verify(bound)
+    return report, systems, len(calls)
+
+
+@pytest.mark.parametrize("name, bound", [("tsys", 12), ("ex14", 8)])
+def test_row_groups_of_one_report_alike(name, bound, monkeypatch):
+    # each row its own group: the same report and the same Hom systems as
+    # the rows checked in one group, over many more hom_spaces streams
+    c = ctx(name)
+    report, systems, calls = _row_stage_systems(c, bound, monkeypatch)
+    monkeypatch.setattr(homlab, "_ROW_GROUP_UNKNOWNS", 1)
+    one, one_systems, one_calls = _row_stage_systems(c, bound, monkeypatch)
+    assert one == report and report["failures"] == []
+    assert one_systems == systems
+    assert one_calls > calls + report["rows_checked"]
 
 
 @pytest.mark.parametrize("name", ["tsys", "ex14"])
